@@ -6,6 +6,7 @@ import (
 
 	"idl/internal/object"
 	"idl/internal/parser"
+	"idl/internal/stocks"
 )
 
 // benchEngine builds a universe with one euter-style relation of n rows.
@@ -111,5 +112,68 @@ func mustRuleB(b *testing.B, e *Engine, src string) {
 	}
 	if err := e.AddRule(r); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// stockViewEngine builds the paper's three stock layouts at stocks×days
+// facts each, with the §6 unified and customised views and the §7
+// insStk/delStk programs registered.
+func stockViewEngine(tb testing.TB, stockCount, days int, opts Options) *Engine {
+	tb.Helper()
+	return stockViewEngineOn(tb, stocks.Generate(stocks.Config{Stocks: stockCount, Days: days, Seed: 11}), opts)
+}
+
+func stockViewEngineOn(tb testing.TB, ds *stocks.Dataset, opts Options) *Engine {
+	tb.Helper()
+	e := NewEngineWithOptions(opts)
+	ds.Populate(e.Base())
+	e.Invalidate()
+	for _, r := range append(append([]string{}, stocks.RulesUnified...), stocks.RulesCustomized...) {
+		mustRule(tb, e, r)
+	}
+	for _, c := range append(append([]string{}, stocks.ProgramInsStk...), stocks.ProgramDelStk...) {
+		mustClause(tb, e, c)
+	}
+	return e
+}
+
+// BenchmarkRefreshAfterWrite is the write→first-read cycle served.mixed
+// pays: one program call (insStk and delStk alternating, so the dataset
+// keeps its size) followed by one point read through a view, which
+// re-materialises all four views.
+func BenchmarkRefreshAfterWrite(b *testing.B) {
+	for _, size := range []struct{ stocks, days int }{{8, 15}, {30, 60}} {
+		b.Run(fmt.Sprint(size.stocks*size.days), func(b *testing.B) {
+			e := stockViewEngine(b, size.stocks, size.days, DefaultOptions())
+			read, err := parser.ParseQuery("?.dbE.r(.stkCode=stk001, .date=1/2/85, .clsPrice=P)")
+			if err != nil {
+				b.Fatal(err)
+			}
+			ins, err := parser.ParseQuery("?.dbU.insStk(.stk=fresh, .date=1/3/85, .price=7)")
+			if err != nil {
+				b.Fatal(err)
+			}
+			del, err := parser.ParseQuery("?.dbU.delStk(.stk=fresh, .date=1/3/85)")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := e.Query(read); err != nil { // first materialisation outside the timer
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				write := ins
+				if i%2 == 1 {
+					write = del
+				}
+				if _, err := e.Execute(write); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := e.Query(read); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

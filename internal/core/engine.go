@@ -553,7 +553,7 @@ func (e *Engine) runPlanned(cctx context.Context, ctx context.Context, q *ast.Qu
 	if e.opts.Workers > 1 && span == nil {
 		var chunks [][]Row
 		var ok bool
-		chunks, ok, err = e.parallelEnumerate(cctx, body, eff, vars, &local, an, e.opts, e.em)
+		chunks, ok, err = parallelEnumerate(e, cctx, body, eff, snapshotOf(vars), &local, an, e.opts, e.em)
 		if ok {
 			ran = true
 			if err == nil {
@@ -649,7 +649,7 @@ func (e *Engine) runSnapshot(cctx context.Context, ctx context.Context, q *ast.Q
 	if v.opts.Workers > 1 {
 		var chunks [][]Row
 		var ok bool
-		chunks, ok, err = e.parallelEnumerate(cctx, body, eff, vars, &local, an, v.opts, em)
+		chunks, ok, err = parallelEnumerate(e, cctx, body, eff, snapshotOf(vars), &local, an, v.opts, em)
 		if ok {
 			ran = true
 			if err == nil {
@@ -884,6 +884,7 @@ func (e *Engine) refreshEffective(ctx context.Context) (*object.Tuple, error) {
 		e.em.matIterations.Add(uint64(stats.Iterations))
 		e.em.matRuleRuns.Add(uint64(stats.RuleRuns))
 		e.em.matFactsDerived.Add(uint64(stats.FactsDerived))
+		e.em.matCandidates.Add(uint64(stats.DecreeCandidates))
 		e.em.matLatency.Observe(time.Since(start))
 	}
 	if span != nil {

@@ -38,6 +38,7 @@ type engineMetrics struct {
 	matIterations   *obs.Counter
 	matRuleRuns     *obs.Counter
 	matFactsDerived *obs.Counter
+	matCandidates   *obs.Counter
 	matLatency      *obs.Histogram
 
 	programCalls *obs.Counter
@@ -91,6 +92,7 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		matIterations:   r.Counter("engine.materialize.iterations"),
 		matRuleRuns:     r.Counter("engine.materialize.rule_runs"),
 		matFactsDerived: r.Counter("engine.materialize.facts_derived"),
+		matCandidates:   r.Counter("engine.materialize.decree_candidates"),
 		matLatency:      r.Histogram("engine.materialize.latency"),
 		programCalls:    r.Counter("engine.program.calls"),
 		workerBusy:      r.Gauge("engine.eval.worker_busy"),

@@ -165,15 +165,16 @@ func splitChunks(elems []object.Object, n int) [][]object.Object {
 }
 
 // parallelEnumerate evaluates body against root with the first scanned
-// set partitioned across e.opts.Workers workers, returning each chunk's
-// variable snapshots in chunk order (their concatenation is the exact
-// sequential enumeration order). ok is false when the body has no
-// partitionable scan or the target set is too small to split; the caller
-// then evaluates sequentially. On error, the reported error is the one
+// set partitioned across opts.Workers workers, returning each chunk's
+// substitutions — as snap captures them: name-keyed Rows for queries,
+// positional head rows for rule bodies — in chunk order (their
+// concatenation is the exact sequential enumeration order). ok is false
+// when the body has no partitionable scan or the target set is too small
+// to split; the caller then evaluates sequentially. On error, the reported error is the one
 // the earliest chunk raised — the same error sequential evaluation would
 // have hit first, since workers fail at the first failing element of
 // their own chunk.
-func (e *Engine) parallelEnumerate(ctx context.Context, body *ast.TupleExpr, root *object.Tuple, vars []string, stats *Stats, an *bodyAnalysis, opts Options, em *engineMetrics) ([][]Row, bool, error) {
+func parallelEnumerate[R any](e *Engine, ctx context.Context, body *ast.TupleExpr, root *object.Tuple, snap func(*Env) R, stats *Stats, an *bodyAnalysis, opts Options, em *engineMetrics) ([][]R, bool, error) {
 	workers := opts.Workers
 	target := e.scanTarget(body, root, an, opts)
 	if target == nil || target.Len() < minPartition {
@@ -187,7 +188,7 @@ func (e *Engine) parallelEnumerate(ctx context.Context, body *ast.TupleExpr, roo
 		em.parallelOps.Inc()
 		em.partitions.Add(uint64(len(chunks)))
 	}
-	rows := make([][]Row, len(chunks))
+	rows := make([][]R, len(chunks))
 	errs := make([]error, len(chunks))
 	chunkStats := make([]Stats, len(chunks))
 	var wg sync.WaitGroup
@@ -215,7 +216,7 @@ func (e *Engine) parallelEnumerate(ctx context.Context, body *ast.TupleExpr, roo
 				ev.ranks = an.ranks
 			}
 			errs[w] = ev.satisfy(body, root, func() error {
-				rows[w] = append(rows[w], ev.env.Snapshot(vars))
+				rows[w] = append(rows[w], snap(ev.env))
 				return nil
 			})
 		}(w, chunk)
@@ -230,6 +231,12 @@ func (e *Engine) parallelEnumerate(ctx context.Context, body *ast.TupleExpr, roo
 		}
 	}
 	return rows, true, nil
+}
+
+// snapshotOf is the query paths' snap for parallelEnumerate: the answer
+// variables as a name-keyed Row.
+func snapshotOf(vars []string) func(*Env) Row {
+	return func(env *Env) Row { return env.Snapshot(vars) }
 }
 
 // ruleReadsHead reports whether r's body may read other's head relation
@@ -270,28 +277,26 @@ func ruleWave(stratum []*compiledRule, affected []int) int {
 
 // evalRuleBodies evaluates the bodies of a wave of rules concurrently
 // (capped at e.opts.Workers goroutines), collecting each rule's deduped
-// head-variable snapshots. A single-rule wave instead tries to partition
+// head-variable rows. A single-rule wave instead tries to partition
 // that rule's body scan across the workers. Bodies only read the shared
 // effective universe, so the concurrency is race-free; derived facts are
 // applied by the caller, strictly in rule order. ans carries each wave
 // member's per-materialization body analysis (parallel to wave).
-func (e *Engine) evalRuleBodies(ctx context.Context, wave []*compiledRule, effective *object.Tuple, stats *Stats, ans []*bodyAnalysis) ([][]Row, []error) {
-	snaps := make([][]Row, len(wave))
+func (e *Engine) evalRuleBodies(ctx context.Context, wave []*compiledRule, effective *object.Tuple, stats *Stats, ans []*bodyAnalysis) ([][][]object.Object, []error) {
+	snaps := make([][][]object.Object, len(wave))
 	errs := make([]error, len(wave))
 	if len(wave) == 1 {
 		rule := wave[0]
-		headVars := ast.Vars(rule.src.Head)
-		chunks, ok, err := e.parallelEnumerate(ctx, rule.src.Body, effective, headVars, stats, ans[0], e.opts, e.em)
+		chunks, ok, err := parallelEnumerate(e, ctx, rule.src.Body, effective, rule.headRow, stats, ans[0], e.opts, e.em)
 		if ok {
 			if err == nil {
-				dedupe := newAnswer(nil)
+				var dedupe headRows
 				for _, rows := range chunks {
 					for _, r := range rows {
-						if dedupe.add(r) {
-							snaps[0] = append(snaps[0], r)
-						}
+						dedupe.add(r)
 					}
 				}
+				snaps[0] = dedupe.rows
 			}
 			errs[0] = err
 			return snaps, errs

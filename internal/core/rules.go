@@ -23,6 +23,11 @@ type compiledRule struct {
 	// function, computed once at registration); each materialization
 	// pairs it with fresh cost ranks into a bodyAnalysis.
 	consumed map[*ast.TupleExpr][][]string
+	// headVars are the head's variables in first-occurrence order; a body
+	// substitution reaches the head as a row holding them positionally.
+	// head is the head compiled against those positions (head.go).
+	headVars []string
+	head     *headNode
 }
 
 // patternRef is a (database, relation) reference pattern from a rule
@@ -69,10 +74,13 @@ func compileRule(r *ast.Rule) (*compiledRule, error) {
 	for _, v := range ast.Vars(r.Body) {
 		bodyVars[v] = true
 	}
-	for _, v := range ast.Vars(r.Head) {
+	headVars := ast.Vars(r.Head)
+	slots := make(map[string]int, len(headVars))
+	for i, v := range headVars {
 		if !bodyVars[v] {
 			return nil, fmt.Errorf("core: head variable %s does not occur in the body", v)
 		}
+		slots[v] = i
 	}
 	cr := &compiledRule{
 		src:      r,
@@ -80,6 +88,8 @@ func compileRule(r *ast.Rule) (*compiledRule, error) {
 		headHO:   len(ast.HigherOrderVars(r.Head)) > 0,
 		refs:     collectRefs(r.Body),
 		consumed: consumedMap(r.Body),
+		headVars: headVars,
+		head:     compileHead(r.Head, slots),
 	}
 	if te, ok := headAttr.Expr.(*ast.TupleExpr); ok && len(te.Conjuncts) == 1 {
 		if rel, ok := te.Conjuncts[0].(*ast.AttrExpr); ok {
@@ -294,10 +304,14 @@ func stratify(rules []*compiledRule) error {
 
 // RecomputeStats reports work done by one derived-view materialization.
 type RecomputeStats struct {
-	Iterations   int  // total fixpoint iterations across strata
-	RuleRuns     int  // rule body evaluations
-	FactsDerived int  // make-true operations that changed the overlay
-	Incremental  bool // overlay was grown in place instead of rebuilt
+	Iterations   int // total fixpoint iterations across strata
+	RuleRuns     int // rule body evaluations
+	FactsDerived int // make-true operations that changed the overlay
+	// DecreeCandidates counts the set elements make-true inspected while
+	// placing decrees (subsumption and merge-host checks). Per decree it
+	// tracks the index bucket probed, not the size of the target set.
+	DecreeCandidates int
+	Incremental      bool // overlay was grown in place instead of rebuilt
 }
 
 // materialize evaluates all rules bottom-up by stratum into a fresh
@@ -315,10 +329,13 @@ func (e *Engine) materialize(ctx context.Context, span *obs.Span) (*object.Tuple
 // previous overlay it is the incremental path (sound only for additive
 // base changes and negation-free rules — the engine checks both). A
 // non-nil span gets one child per fixpoint round.
-func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, span *obs.Span) (RecomputeStats, error) {
-	stats := RecomputeStats{}
+func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, span *obs.Span) (stats RecomputeStats, err error) {
 	var evalStats Stats
+	// The sink (decree.go) holds this materialization's resolved target
+	// sets and their decree indexes; it dies with this call.
+	sink := newDecreeSink(e.cowSet)
 	defer func() {
+		stats.DecreeCandidates = sink.candidates
 		e.addStats(evalStats)
 		if e.em != nil {
 			e.em.evalWork(evalStats)
@@ -402,7 +419,7 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 							round.End()
 							return stats, fmt.Errorf("core: rule %q: %w", rule.src.String(), errs[wi])
 						}
-						n, err := applyRuleSnaps(rule, derived, snaps[wi], e.cowSet)
+						n, err := sink.applyRows(rule, derived, snaps[wi])
 						if err != nil {
 							round.End()
 							return stats, fmt.Errorf("core: rule %q: %w", rule.src.String(), err)
@@ -421,7 +438,11 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 						continue
 					}
 					stats.RuleRuns++
-					n, err := e.runRule(ctx, rule, effective, derived, &evalStats, anFor(rule, effective))
+					rows, err := e.evalRuleBody(ctx, rule, effective, &evalStats, anFor(rule, effective))
+					n := 0
+					if err == nil {
+						n, err = sink.applyRows(rule, derived, rows)
+					}
 					if err != nil {
 						round.End()
 						return stats, fmt.Errorf("core: rule %q: %w", rule.src.String(), err)
@@ -464,235 +485,27 @@ func (e *Engine) ruleAffected(rule *compiledRule, stratum []*compiledRule, chang
 	return false
 }
 
-// runRule enumerates body substitutions against the effective universe
-// and makes the head true in the derived overlay for each; it returns how
-// many make-true operations changed the overlay.
-func (e *Engine) runRule(ctx context.Context, rule *compiledRule, effective, derived *object.Tuple, stats *Stats, an *bodyAnalysis) (int, error) {
-	envSnaps, err := e.evalRuleBody(ctx, rule, effective, stats, an)
-	if err != nil {
-		return 0, err
-	}
-	return applyRuleSnaps(rule, derived, envSnaps, e.cowSet)
-}
-
 // evalRuleBody is the read-only half of a rule run: it collects the
-// deduped head-variable snapshots of every body substitution. Head
-// instantiations are collected before any make-true applies because the
-// body may be reading the overlay through the merged universe — which is
-// also what makes this phase safe to run concurrently for independent
-// rules (parallel.go).
-func (e *Engine) evalRuleBody(ctx context.Context, rule *compiledRule, effective *object.Tuple, stats *Stats, an *bodyAnalysis) ([]Row, error) {
+// deduped head-variable rows of every body substitution. Rows are
+// collected before any make-true applies because the body may be reading
+// the overlay through the merged universe — which is also what makes
+// this phase safe to run concurrently for independent rules
+// (parallel.go). The mutating half is decreeSink.applyRows.
+func (e *Engine) evalRuleBody(ctx context.Context, rule *compiledRule, effective *object.Tuple, stats *Stats, an *bodyAnalysis) ([][]object.Object, error) {
 	ev := &evaluator{env: NewEnv(), indexes: e.indexes, useIndex: e.opts.UseIndex, noSchedule: e.opts.NoSchedule, stats: stats, ctx: ctx}
 	if an != nil {
 		ev.consumedCache = an.consumed
 		ev.ranks = an.ranks
 	}
-	var envSnaps []Row
-	headVars := ast.Vars(rule.src.Head)
-	dedupe := newAnswer(nil)
+	var rows headRows
 	err := ev.satisfy(rule.src.Body, effective, func() error {
-		snap := ev.env.Snapshot(headVars)
-		if dedupe.add(snap) {
-			envSnaps = append(envSnaps, snap)
-		}
+		rows.add(rule.headRow(ev.env))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return envSnaps, nil
-}
-
-// cowBarrier is the engine's copy-on-write hook (version.go): given a
-// set reached under parent.attr, it returns the set safe to mutate —
-// the set itself when no live MVCC snapshot shares it, a re-parented
-// shallow clone otherwise. A nil barrier means mutate in place.
-type cowBarrier func(parent *object.Tuple, attr string, s *object.Set) *object.Set
-
-// applyRuleSnaps is the mutating half of a rule run: it makes the head
-// true once per collected snapshot, in enumeration order (the order
-// make-true merges into host tuples is observable, so it must match the
-// sequential order exactly). cow guards the incremental path, where the
-// derived overlay being extended may share sets with live snapshots; on
-// a fresh overlay every set is private and the barrier no-ops.
-func applyRuleSnaps(rule *compiledRule, derived *object.Tuple, envSnaps []Row, cow cowBarrier) (int, error) {
-	changed := 0
-	for _, snap := range envSnaps {
-		env := envFrom(snap)
-		n, err := makeTrue(rule.src.Head, derived, env, cow)
-		if err != nil {
-			return changed, err
-		}
-		changed += n
-	}
-	return changed, nil
-}
-
-// makeTrue implements §6's derivation semantics: navigate-or-create down
-// the head expression and insert the decreed fact. It returns the number
-// of overlay changes (0 when the fact already held, which is what lets
-// the fixpoint terminate).
-func makeTrue(e ast.Expr, obj object.Object, env *Env, cow cowBarrier) (int, error) {
-	switch x := e.(type) {
-	case *ast.TupleExpr:
-		tup, ok := obj.(*object.Tuple)
-		if !ok {
-			return 0, fmt.Errorf("core: make-true of tuple expression on %s object", obj.Kind())
-		}
-		total := 0
-		for _, c := range x.Conjuncts {
-			n, err := makeTrue(c, tup, env, cow)
-			if err != nil {
-				return total, err
-			}
-			total += n
-		}
-		return total, nil
-
-	case *ast.AttrExpr:
-		tup, ok := obj.(*object.Tuple)
-		if !ok {
-			return 0, fmt.Errorf("core: make-true of attribute expression on %s object", obj.Kind())
-		}
-		name, err := groundName(x.Name, env)
-		if err != nil {
-			return 0, err
-		}
-		val, ok := tup.Get(name)
-		if !ok {
-			val = emptyFor(x.Expr)
-			if val == nil {
-				return 0, fmt.Errorf("core: cannot infer object kind for head expression %q", x.Expr.String())
-			}
-			tup.Put(name, val)
-		} else if s, isSet := val.(*object.Set); isSet && cow != nil {
-			// Descending into a set the decree will extend: copy-on-write
-			// if an MVCC snapshot shares it.
-			val = cow(tup, name, s)
-		}
-		return makeTrue(x.Expr, val, env, cow)
-
-	case *ast.SetExpr:
-		set, ok := obj.(*object.Set)
-		if !ok {
-			return 0, fmt.Errorf("core: make-true of set expression on %s object", obj.Kind())
-		}
-		u := &updater{ev: &evaluator{env: env, indexes: newIndexCache(), stats: &Stats{}}, undo: &undoLog{}, result: &ExecResult{}}
-		elem, err := u.buildPlus(x.X)
-		if err != nil {
-			return 0, err
-		}
-		return makeTrueInSet(set, elem), nil
-
-	case *ast.Atomic:
-		return 0, fmt.Errorf("core: head atomic expression %q has no enclosing location; heads must decree facts inside tuples or sets", x.String())
-
-	default:
-		return 0, fmt.Errorf("core: expression %q cannot appear in a rule head", e.String())
-	}
-}
-
-// makeTrueInSet realizes the decree "some element of this set satisfies
-// the (ground, simple) expression that built target" with minimal change:
-//
-//  1. If an element already subsumes the decree (has every decreed
-//     attribute with the decreed value), nothing changes.
-//  2. Otherwise, if an element is *compatible* — every decreed attribute
-//     is either absent from it or already equal — the decree merges into
-//     that element (first such element in insertion order).
-//  3. Otherwise a fresh element is inserted.
-//
-// The merge step is what makes the paper's §6 claims come out: the dbC
-// rule `.dbC.r+(.date=D, .S=P) ← .dbI.p(…)` folds every stock of one day
-// into a single chwab-style row, while a conflicting value (a price
-// discrepancy) is incompatible and lands in its own tuple — "both prices
-// are in the user's view". The paper's own recursive definition of
-// make-true is in the unavailable technical memo [KLK90]; this reading is
-// the one under which §6's integration-transparency examples hold.
-//
-// It returns 1 if the overlay changed, 0 otherwise.
-func makeTrueInSet(set *object.Set, target object.Object) int {
-	tgt, isTuple := target.(*object.Tuple)
-	if !isTuple {
-		if set.Add(target) {
-			return 1
-		}
-		return 0
-	}
-	var host *object.Tuple
-	found := false
-	set.Each(func(elem object.Object) bool {
-		e, ok := elem.(*object.Tuple)
-		if !ok {
-			return true
-		}
-		compatible := true
-		subsumes := true
-		tgt.Each(func(attr string, want object.Object) bool {
-			have, has := e.Get(attr)
-			switch {
-			case !has:
-				subsumes = false
-			case !have.Equal(want):
-				subsumes = false
-				compatible = false
-				return false
-			}
-			return true
-		})
-		if subsumes {
-			found = true
-			return false
-		}
-		if compatible && host == nil {
-			host = e
-		}
-		return true
-	})
-	if found {
-		return 0
-	}
-	if host != nil {
-		// Merge into a clone and re-add under the new hash: the original
-		// element is never mutated — an older MVCC snapshot may still
-		// reach it through a pre-COW copy of this set.
-		set.Remove(host)
-		h2, _ := host.Clone().(*object.Tuple)
-		tgt.Each(func(attr string, want object.Object) bool {
-			if !h2.Has(attr) {
-				h2.Put(attr, want)
-			}
-			return true
-		})
-		set.Add(h2)
-		return 1
-	}
-	set.Add(tgt)
-	return 1
-}
-
-// groundName resolves an attribute-name term under env.
-func groundName(t ast.Term, env *Env) (string, error) {
-	switch n := t.(type) {
-	case ast.Const:
-		s, ok := n.Value.(object.Str)
-		if !ok {
-			return "", fmt.Errorf("core: attribute name %s is not a string", n.Value)
-		}
-		return string(s), nil
-	case ast.Var:
-		v, ok := env.Lookup(n.Name)
-		if !ok {
-			return "", fmt.Errorf("core: head attribute variable %s is unbound", n.Name)
-		}
-		s, ok := v.(object.Str)
-		if !ok {
-			return "", fmt.Errorf("core: head attribute variable %s bound to non-string %s", n.Name, v)
-		}
-		return string(s), nil
-	default:
-		return "", fmt.Errorf("core: attribute name must be constant or variable")
-	}
+	return rows.rows, nil
 }
 
 // emptyFor returns the empty object matching an expression's shape.

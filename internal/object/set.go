@@ -47,15 +47,17 @@ func (s *Set) Len() int { return len(s.elems) - s.holes }
 
 // Contains reports whether an element equal to obj is present.
 func (s *Set) Contains(obj Object) bool {
-	_, ok := s.find(obj)
+	_, ok := s.find(obj, obj.Hash())
 	return ok
 }
 
-func (s *Set) find(obj Object) (int, bool) {
+// find locates the element equal to obj, whose hash the caller supplies
+// (aggregate hashes walk the whole object, so each operation takes one).
+func (s *Set) find(obj Object, hash uint64) (int, bool) {
 	if s.index == nil {
 		return 0, false
 	}
-	for _, i := range s.index[obj.Hash()] {
+	for _, i := range s.index[hash] {
 		if s.elems[i] != nil && s.elems[i].Equal(obj) {
 			return i, true
 		}
@@ -66,13 +68,13 @@ func (s *Set) find(obj Object) (int, bool) {
 // Add inserts obj unless an equal element already exists, reporting
 // whether the set changed.
 func (s *Set) Add(obj Object) bool {
-	if s.Contains(obj) {
+	h := obj.Hash()
+	if _, ok := s.find(obj, h); ok {
 		return false
 	}
 	if s.index == nil {
 		s.index = make(map[uint64][]int)
 	}
-	h := obj.Hash()
 	s.index[h] = append(s.index[h], len(s.elems))
 	s.elems = append(s.elems, obj)
 	s.version++
@@ -83,11 +85,12 @@ func (s *Set) Add(obj Object) bool {
 // changed. Removal leaves a hole to keep positions stable; holes are
 // compacted once they dominate the slice.
 func (s *Set) Remove(obj Object) bool {
-	i, ok := s.find(obj)
+	h := obj.Hash()
+	i, ok := s.find(obj, h)
 	if !ok {
 		return false
 	}
-	s.removeAt(i, obj.Hash())
+	s.removeAt(i, h)
 	return true
 }
 

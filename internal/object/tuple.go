@@ -22,6 +22,16 @@ type Tuple struct {
 // NewTuple returns an empty tuple.
 func NewTuple() *Tuple { return &Tuple{} }
 
+// NewTupleCap returns an empty tuple with room for n attributes, for
+// builders that know the arity up front.
+func NewTupleCap(n int) *Tuple {
+	return &Tuple{
+		attrs:  make([]string, 0, n),
+		values: make([]Object, 0, n),
+		index:  make(map[string]int, n),
+	}
+}
+
 // TupleOf builds a tuple from alternating attribute-name / Object pairs.
 // It panics on odd argument counts or non-string names; it is intended for
 // tests and literals in examples.

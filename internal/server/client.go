@@ -90,7 +90,14 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	// Read to EOF before closing: net/http returns a keep-alive connection
+	// to its pool only once the body is consumed, and json.Decoder stops at
+	// the end of the value — short of the trailing newline and, on a
+	// chunked (large) reply, the terminating chunk.
+	defer func() {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
 	if sid := resp.Header.Get(HeaderSession); sid != "" {
 		c.Session = sid
 	}
@@ -103,7 +110,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return &StatusError{Code: resp.StatusCode, Msg: msg}
 	}
 	if out == nil {
-		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)

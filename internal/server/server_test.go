@@ -4,7 +4,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -432,5 +434,48 @@ func TestTraceAdoption(t *testing.T) {
 	}
 	if !found {
 		t.Error("engine events never carried the adopted trace ID")
+	}
+}
+
+// TestClientReusesConnection issues large-answer queries — replies big
+// enough that net/http chunks them — through one Client and counts the
+// connections the server accepts: the client must read each body to EOF
+// so the keep-alive connection goes back to the pool, not dial per reply.
+func TestClientReusesConnection(t *testing.T) {
+	cfg := workload.Default()
+	cfg.Demo = true
+	cfg.Stocks, cfg.Days = 20, 30
+	db, err := workload.Open(cfg)
+	if err != nil {
+		t.Fatalf("universe: %v", err)
+	}
+	var mu sync.Mutex
+	conns := 0
+	ts := httptest.NewUnstartedServer(server.New(db, server.Config{}).Handler())
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			mu.Lock()
+			conns++
+			mu.Unlock()
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	c := server.NewClient(ts.URL)
+	c.HTTP = ts.Client() // a transport of its own: nothing pooled by earlier tests
+	for i := 0; i < 20; i++ {
+		ans, err := c.Query(context.Background(), "?.euter.r(.date=D, .stkCode=S, .clsPrice=P)")
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if ans.Rows != 600 || len(ans.Answer) < 8192 {
+			t.Fatalf("query %d: %d rows, %d answer bytes; want a reply large enough to be chunked", i, ans.Rows, len(ans.Answer))
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if conns != 1 {
+		t.Errorf("20 sequential queries used %d connections, want 1", conns)
 	}
 }

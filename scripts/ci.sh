@@ -42,6 +42,11 @@ go build ./...
 go vet ./...
 go test -race -shuffle=on ./...
 
+# bench/ is a module of its own (BENCHMARK.json's program), so the root
+# ./... above never descends into it: vet and test it here, or nothing
+# proves the benchmark still builds against the engine it measures.
+(cd bench && go vet ./... && go test ./...)
+
 # Coverage floor on the engine package: the planner and plan-cache layer
 # raised the floor from its 77.8% seed to 80.0% (81.3% measured when the
 # planner landed); new evaluation layers must keep the tests that come
