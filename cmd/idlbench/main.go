@@ -54,6 +54,9 @@
 //	                      update): unchanged relation segments must be
 //	                      reused by reference
 //
+// -validate also holds the evaluator to fixed allocs/op ceilings (see
+// validateAllocs); they are counts, not times, so they take no flag.
+//
 // The workload is seeded, so the report's structure — benchmark names,
 // iteration floors, engine counters — is identical run to run; only the
 // timing fields vary with the machine.
@@ -67,6 +70,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -325,27 +329,29 @@ func main() {
 	fmt.Println("wrote", *out)
 }
 
+// loadReport reads a report file.
+func loadReport(path string) (*Report, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rep Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		return nil, fmt.Errorf("%s: malformed report: %w", path, err)
+	}
+	return &rep, nil
+}
+
 // compareFiles is the bench-regression gate: every benchmark in the old
 // report must still exist in the new one and must not have slowed by
 // more than maxRegress (fractional growth in ns/op). New-only
 // benchmarks are reported but never fail the gate.
 func compareFiles(w *os.File, oldPath, newPath string, maxRegress float64) error {
-	load := func(path string) (*Report, error) {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var rep Report
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return nil, fmt.Errorf("%s: malformed report: %w", path, err)
-		}
-		return &rep, nil
-	}
-	oldRep, err := load(oldPath)
+	oldRep, err := loadReport(oldPath)
 	if err != nil {
 		return err
 	}
-	newRep, err := load(newPath)
+	newRep, err := loadReport(newPath)
 	if err != nil {
 		return err
 	}
@@ -407,16 +413,13 @@ func compareReports(oldRep, newRep *Report, maxRegress float64) (lines, regressi
 // flight-recorder overhead under the stated bounds, the B13 sync-family
 // parallel speedup above its floor, the B14 plan-cache hit rate and
 // repeated-query speedup above theirs, the B16 windowed-telemetry and
-// B17 statement-digest taxes under their ceilings, and the B18 MVCC
-// read scaling and incremental-checkpoint ratio inside their bounds.
+// B17 statement-digest taxes under their ceilings, the B18 MVCC read
+// scaling and incremental-checkpoint ratio inside their bounds, and the
+// evaluator's allocs/op under the fixed ceilings of validateAllocs.
 func validateReport(path string, maxRatio, maxFlight, minParallel, minHitRate, minPlanSpeedup, maxWALOverhead, minGroupAmortize, maxTelemetry, maxInsights, minReadScaling, maxCkptRatio float64) error {
-	raw, err := os.ReadFile(path)
+	rep, err := loadReport(path)
 	if err != nil {
 		return err
-	}
-	var rep Report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return fmt.Errorf("%s: malformed report: %w", path, err)
 	}
 	if rep.Schema != reportSchema {
 		return fmt.Errorf("%s: schema %d, want %d", path, rep.Schema, reportSchema)
@@ -507,6 +510,51 @@ func validateReport(path string, maxRatio, maxFlight, minParallel, minHitRate, m
 	}
 	if mv.CkptRatio > maxCkptRatio {
 		return fmt.Errorf("%s: incremental checkpoint ratio %.3f exceeds bound %.3f", path, mv.CkptRatio, maxCkptRatio)
+	}
+	if err := validateAllocs(rep); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+// The allocation budgets -validate holds the evaluator to (DESIGN.md
+// §19), so the slot-compiled hot path cannot quietly start allocating
+// per element or per row again. Counts, not times: they repeat run to
+// run, so the ceilings sit close above the measured values.
+const (
+	// B1, B3 and B8 evaluate one query per op: allocs/op may not exceed
+	// maxAllocsPerEval (evaluator set-up, a transient compile in the
+	// no-schedule arm, the answer) plus maxAllocsPerElement for each set
+	// element the op scans.
+	maxAllocsPerElement = 0.25
+	maxAllocsPerEval    = 128
+	// B4: one full materialisation of the stock views.
+	maxMaterializeAllocs = 15000
+	// B13/query at every worker count: a 1 920-element self-join, whose
+	// workers each bring their own set-up.
+	maxParallelQueryAllocs = 400
+)
+
+// validateAllocs checks a report's allocs/op against the ceilings. A
+// family the report does not contain is not an error here —
+// validateReport already insists every benchmark was measured.
+func validateAllocs(rep *Report) error {
+	for _, b := range rep.Benchmarks {
+		var limit float64
+		switch {
+		case strings.HasPrefix(b.Name, "B1/"), strings.HasPrefix(b.Name, "B3/"), strings.HasPrefix(b.Name, "B8/"):
+			limit = maxAllocsPerEval + maxAllocsPerElement*float64(b.Counters["elements_scanned"])
+		case strings.HasPrefix(b.Name, "B4/"):
+			limit = maxMaterializeAllocs
+		case strings.HasPrefix(b.Name, "B13/query/"):
+			limit = maxParallelQueryAllocs
+		default:
+			continue
+		}
+		if float64(b.AllocsPerOp) > limit {
+			return fmt.Errorf("%s: %d allocs/op exceeds the ceiling of %.0f (%d elements scanned per op)",
+				b.Name, b.AllocsPerOp, limit, b.Counters["elements_scanned"])
+		}
 	}
 	return nil
 }

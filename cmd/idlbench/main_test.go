@@ -176,6 +176,37 @@ func TestValidateReport(t *testing.T) {
 	}
 }
 
+func TestValidateAllocs(t *testing.T) {
+	bench := func(name string, allocs, scanned uint64) *Report {
+		rep := report(nil)
+		rep.Benchmarks = []Benchmark{{Name: name, Iters: 10, NsPerOp: 100, AllocsPerOp: allocs,
+			Counters: map[string]uint64{"elements_scanned": scanned}}}
+		return rep
+	}
+	for _, tc := range []struct {
+		name            string
+		allocs, scanned uint64
+		ok              bool
+	}{
+		{"B1/anyAbove/euter", 188, 240, true},  // 128 + 0.25×240 = 188
+		{"B1/anyAbove/euter", 414, 240, false}, // the pre-slot evaluator: 1.7 per element
+		{"B3/negation/indexed", 128, 0, true},  // probes scan nothing: the allowance alone
+		{"B3/negation/indexed", 129, 0, false},
+		{"B8/point/no-index", 4048, 3840, false}, // a closure and a mask per element
+		{"B4/materialize/seminaive", 15000, 1620, true},
+		{"B4/materialize/naive", 15001, 2900, false},
+		{"B13/query/w4", 400, 1920, true},
+		{"B13/query/w1", 20180, 1920, false},
+		{"B13/sync/w4", 99999, 0, true}, // not an evaluator family
+		{"B2/crossJoin", 99999, 30, true},
+	} {
+		err := validateAllocs(bench(tc.name, tc.allocs, tc.scanned))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s at %d allocs/op over %d elements: err = %v, want ok=%v", tc.name, tc.allocs, tc.scanned, err, tc.ok)
+		}
+	}
+}
+
 // TestRunAllShort smoke-runs the full pipeline in -short mode: every
 // benchmark measured, both overhead sections populated.
 func TestRunAllShort(t *testing.T) {
@@ -184,8 +215,10 @@ func TestRunAllShort(t *testing.T) {
 	}
 	rep := runAll(true)
 	path := writeReport(t, rep)
+	// The timing bounds are slack here; the allocation ceilings are not —
+	// counts do not depend on the machine, so they hold on every run.
 	if err := validateReport(path, 25, 25, 0.1, 0, 0, 25, 0, 25, 25, 0, 25); err != nil {
-		t.Fatalf("generated report should validate structurally: %v", err)
+		t.Fatalf("generated report should validate: %v", err)
 	}
 	if rep.FlightOverhead.Ratio <= 0 {
 		t.Error("flight overhead not measured")

@@ -381,10 +381,10 @@ var experiments = []experiment{
 		}
 		sort.Strings(colVars)
 		distinct := map[string]bool{}
-		for _, row := range ans.Rows {
+		for _, row := range ans.Rows() {
 			key := ""
 			for _, v := range colVars {
-				if val, ok := row[v]; ok {
+				if val := row.Get(v); val != nil {
 					key += val.String() + "\x00"
 				}
 			}

@@ -209,10 +209,10 @@ func diffTranscript(t testing.TB, db *DB, stmts []string) []string {
 			switch r.Kind {
 			case "query":
 				out = append(out, "answer: "+r.Answer.String())
-				for i, row := range r.Answer.Rows {
+				for i, row := range r.Answer.Rows() {
 					var cells []string
 					for _, v := range r.Answer.Vars {
-						cells = append(cells, fmt.Sprintf("%s=%s", v, row[v]))
+						cells = append(cells, fmt.Sprintf("%s=%s", v, row.Get(v)))
 					}
 					out = append(out, fmt.Sprintf("row[%d]: %s", i, strings.Join(cells, " ")))
 				}

@@ -70,8 +70,8 @@ func main() {
 	res, err := db.Query("?.meta.relations(.db=D, .rel=R, .tuples=N)")
 	must(err)
 	res.Sort()
-	for _, row := range res.Rows {
-		fmt.Printf("   %s.%s has %s tuples\n", row["D"], row["R"], row["N"])
+	for _, row := range res.Rows() {
+		fmt.Printf("   %s.%s has %s tuples\n", row.Get("D"), row.Get("R"), row.Get("N"))
 	}
 
 	fmt.Println("\n== Evaluation plans ==")

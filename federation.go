@@ -261,7 +261,7 @@ func (db *DB) execParsed(ctx context.Context, q *ast.Query) (*ExecInfo, error) {
 	if _, err := db.syncSources(ctx, false); err != nil {
 		op.End(err)
 		if ins != nil {
-			db.observeExec(ins, ast.Fingerprint(q), "exec", q.String(), start, tid, nil, 0, err)
+			db.observeExec(ins, ast.Fingerprint(q), "exec", q.String, start, tid, nil, 0, err)
 		}
 		return nil, err
 	}
@@ -291,7 +291,7 @@ func (db *DB) execParsed(ctx context.Context, q *ast.Query) (*ExecInfo, error) {
 	}
 	op.End(err)
 	if ins != nil {
-		db.observeExec(ins, ast.Fingerprint(q), "exec", q.String(), start, tid, info, walBytes, err)
+		db.observeExec(ins, ast.Fingerprint(q), "exec", q.String, start, tid, info, walBytes, err)
 	}
 	return info, err
 }

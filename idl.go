@@ -13,7 +13,7 @@
 //	db.Catalog().Insert("euter", "r",
 //	    idl.Tup("date", idl.Date(1985, 3, 3), "stkCode", "hp", "clsPrice", 50))
 //	res, err := db.Query("?.euter.r(.stkCode=S, .clsPrice>40)")
-//	// res.Rows[0]["S"] == idl.Str("hp")
+//	// res.Row(0).Get("S") == idl.Str("hp")
 //
 // See README.md for the language tour and DESIGN.md for how this
 // implementation maps to the paper.
@@ -69,7 +69,8 @@ type (
 // query's free variables.
 type Result = core.Answer
 
-// Row is one answer substitution.
+// Row is one answer substitution: a read-only positional view over the
+// result's Vars (At), with access by variable name (Get).
 type Row = core.Row
 
 // ExecInfo tallies what an update request changed.
@@ -97,6 +98,10 @@ func Date(year, month, day int) DateValue { return object.NewDate(year, month, d
 // Tup builds a tuple from alternating attribute/value pairs; values may
 // be Go literals (bool, int, float64, string) or Values.
 func Tup(pairs ...any) *Tuple { return object.TupleOf(pairs...) }
+
+// RowOf builds a Row from alternating variable-name/value pairs (values
+// converted as by Tup), for Result.Contains.
+func RowOf(pairs ...any) Row { return core.RowOf(pairs...) }
 
 // SetOf builds a set from values.
 func SetOf(values ...any) *Set { return object.SetOf(values...) }
@@ -377,7 +382,7 @@ func (db *DB) CallCtx(ctx context.Context, namespace, name string, params map[st
 	// Programs run updates; member sync is fail-fast like Exec.
 	if _, err := db.syncSources(ctx, false); err != nil {
 		op.End(err)
-		db.observeExec(ins, callFingerprint(namespace, name), "call", text, start, tid, nil, 0, err)
+		db.observeExec(ins, callFingerprint(namespace, name), "call", func() string { return text }, start, tid, nil, 0, err)
 		return nil, err
 	}
 	var info *ExecInfo
@@ -400,7 +405,7 @@ func (db *DB) CallCtx(ctx context.Context, namespace, name string, params map[st
 		op.SetExec(sum, changes)
 	}
 	op.End(err)
-	db.observeExec(ins, callFingerprint(namespace, name), "call", text, start, tid, info, walBytes, err)
+	db.observeExec(ins, callFingerprint(namespace, name), "call", func() string { return text }, start, tid, info, walBytes, err)
 	return info, err
 }
 

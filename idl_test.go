@@ -40,7 +40,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || !res.Contains(Row{"S": Str("sun")}) {
+	if res.Len() != 1 || !res.Contains(RowOf("S", "sun")) {
 		t.Errorf("answer:\n%s", res)
 	}
 	// Leading ? optional.
@@ -75,7 +75,7 @@ func TestExecAndViews(t *testing.T) {
 		t.Fatalf("exec: %+v, %v", info, err)
 	}
 	res, err := db.Query("?.dbO.dec(.clsPrice=P)")
-	if err != nil || !res.Contains(Row{"P": Int(77)}) {
+	if err != nil || !res.Contains(RowOf("P", 77)) {
 		t.Errorf("view after exec: %v, %v", res, err)
 	}
 }
@@ -129,7 +129,7 @@ func TestLoadScript(t *testing.T) {
 			t.Errorf("result %d kind = %s, want %s", i, results[i].Kind, k)
 		}
 	}
-	if last := results[3].Answer; last == nil || !last.Contains(Row{"P": Int(9)}) {
+	if last := results[3].Answer; last == nil || !last.Contains(RowOf("P", 9)) {
 		t.Errorf("final query:\n%v", results[3].Answer)
 	}
 }

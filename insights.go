@@ -169,19 +169,24 @@ func (db *DB) observeQuery(s *insights.Store, q *ast.Query, start time.Time, tid
 		return
 	}
 	o := insights.Observation{
-		Fingerprint: ast.Fingerprint(q),
-		Kind:        "query",
-		Text:        q.String,
-		Duration:    time.Since(start),
-		Err:         err != nil,
-		TraceID:     tid,
+		Kind:     "query",
+		Text:     q.String,
+		Duration: time.Since(start),
+		Err:      err != nil,
+		TraceID:  tid,
 	}
+	var plan *core.PlanInfo
 	if ans != nil {
 		o.Resources = insightsResources(ans.Resources)
 		o.Degraded = ans.Degraded != nil
-		if ans.Plan != nil {
-			o.PlanCache = ans.Plan.Cache
-		}
+		plan = ans.Plan
+	}
+	if plan != nil {
+		// The planner already fingerprinted the statement.
+		o.PlanCache = plan.Cache
+		o.Fingerprint = plan.Fingerprint
+	} else {
+		o.Fingerprint = ast.Fingerprint(q)
 	}
 	if rep != nil {
 		o.Resources.FedFetches = uint64(len(rep.Sources))
@@ -190,16 +195,18 @@ func (db *DB) observeQuery(s *insights.Store, q *ast.Query, start time.Time, tid
 }
 
 // observeExec folds one finished update request or program call into
-// the store. walBytes is the payload length appended to the WAL (0
-// when no WAL is attached or the commit failed before the append).
-func (db *DB) observeExec(s *insights.Store, fp uint64, kind, text string, start time.Time, tid string, info *ExecInfo, walBytes int, err error) {
+// the store. text renders the statement on demand (the store wants it
+// only for a digest's first observation and for exemplars); walBytes is
+// the payload length appended to the WAL (0 when no WAL is attached or
+// the commit failed before the append).
+func (db *DB) observeExec(s *insights.Store, fp uint64, kind string, text func() string, start time.Time, tid string, info *ExecInfo, walBytes int, err error) {
 	if s == nil {
 		return
 	}
 	o := insights.Observation{
 		Fingerprint: fp,
 		Kind:        kind,
-		Text:        func() string { return text },
+		Text:        text,
 		Duration:    time.Since(start),
 		Err:         err != nil,
 		TraceID:     tid,

@@ -98,8 +98,14 @@ type Const struct {
 
 // Var is a logical variable. Variables whose occurrences include
 // attribute-name positions are higher-order variables (§4.3).
+//
+// Slot is the variable's position in its compiled unit's substitution,
+// assigned when the evaluator resolves a private copy of the statement
+// (internal/core/slots.go); 0 on parsed and API-built trees. It is not
+// part of the syntax: printing and fingerprinting ignore it.
 type Var struct {
 	Name string
+	Slot int32
 }
 
 // Arith is a binary arithmetic term over numeric atoms.
@@ -159,6 +165,9 @@ type AttrExpr struct {
 // conjuncts may differ.
 type TupleExpr struct {
 	Conjuncts []Expr
+	// ID numbers the tuple expression within its compiled unit, assigned
+	// with the variable slots; 0 on parsed and API-built trees.
+	ID int32
 }
 
 // Constraint is a Datalog-style side condition between two terms, e.g.

@@ -59,10 +59,10 @@ func newDecreeSink(cow cowBarrier) *decreeSink {
 // (the order make-true merges into host tuples is observable, so it must
 // match the sequential order exactly), and returns how many decrees
 // changed the overlay.
-func (s *decreeSink) applyRows(rule *compiledRule, derived *object.Tuple, rows [][]object.Object) (int, error) {
+func (s *decreeSink) applyRows(rule *compiledRule, derived *object.Tuple, rows *rowSet) (int, error) {
 	changed := 0
-	for _, row := range rows {
-		n, err := s.apply(rule.head, derived, row)
+	for i := 0; i < rows.len(); i++ {
+		n, err := s.apply(rule.head, derived, rows.row(i))
 		changed += n
 		if err != nil {
 			return changed, err

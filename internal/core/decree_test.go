@@ -179,7 +179,9 @@ func TestDecreeIndexMatchesReferenceScan(t *testing.T) {
 			if want == 1 && ref.Len() == refSize {
 				merges++
 			}
-			got, err := sink.applyRows(cr, derived, [][]object.Object{{decree}})
+			rows := newRowSet(1)
+			rows.add([]object.Object{decree})
+			got, err := sink.applyRows(cr, derived, rows)
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
@@ -298,12 +300,17 @@ func TestHeadTemplateMatchesBuildPlus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %s: %v", head, err)
 		}
+		// The request-side construction runs on the head resolved the way
+		// an update request would be, under a substitution binding the
+		// same variables.
+		sc := newScope(cr.headVars)
+		head := sc.resolveBody(rule.Head)
 		row := make([]object.Object, len(cr.headVars))
-		env := NewEnv()
+		env := newEnv(sc.size())
 		for i, v := range cr.headVars {
 			if val, ok := bindings[v]; ok {
 				row[i] = val
-				env.Bind(v, val)
+				env.Bind(sc.lookup(v), val)
 			}
 		}
 		// The head's one set expression: .v → (.r → +( … )).
@@ -312,8 +319,8 @@ func TestHeadTemplateMatchesBuildPlus(t *testing.T) {
 			t.Fatalf("%s: expected a set decree at the end of the path, got kind %d", head, set.kind)
 		}
 		got, gotErr := set.elem.build(row)
-		u := &updater{ev: &evaluator{env: env, stats: &Stats{}}, undo: &undoLog{}, result: &ExecResult{}}
-		rel := rule.Head.Conjuncts[0].(*ast.AttrExpr).Expr.(*ast.TupleExpr).Conjuncts[0].(*ast.AttrExpr)
+		u := &updater{ev: &evaluator{unit: unit{an: &bodyAnalysis{sc: sc}, env: env}, stats: &Stats{}}, undo: &undoLog{}, result: &ExecResult{}}
+		rel := head.Conjuncts[0].(*ast.AttrExpr).Expr.(*ast.TupleExpr).Conjuncts[0].(*ast.AttrExpr)
 		want, wantErr := u.buildPlus(rel.Expr.(*ast.SetExpr).X)
 		switch {
 		case (gotErr == nil) != (wantErr == nil):

@@ -140,7 +140,7 @@ func TestInsertAggregateValueCloned(t *testing.T) {
 	if ans.Len() != 1 {
 		t.Fatalf("dst rows:\n%s", ans)
 	}
-	c := ans.Rows[0]["C"].(*object.Set)
+	c := ans.Row(0).Get("C").(*object.Set)
 	if c.Len() != 1 {
 		t.Error("stored aggregate aliased the source (not cloned)")
 	}
@@ -223,22 +223,22 @@ func TestVarExprNode(t *testing.T) {
 	if ans.Len() != 1 {
 		t.Fatalf("rows = %d", ans.Len())
 	}
-	if _, ok := ans.Rows[0]["R"].(*object.Set); !ok {
+	if _, ok := ans.Row(0).Get("R").(*object.Set); !ok {
 		t.Error("R should bind the relation set")
 	}
 }
 
 func TestAnswerSortWithMissingColumns(t *testing.T) {
 	a := newAnswer([]string{"X", "Y"})
-	a.add(Row{"X": object.Int(2)})
-	a.add(Row{"X": object.Int(1), "Y": object.Int(5)})
+	a.rows.add([]object.Object{object.Int(2), nil})
+	a.rows.add([]object.Object{object.Int(1), object.Int(5)})
 	a.Sort()
-	if _, ok := a.Rows[0]["Y"]; !ok {
+	if a.Row(0).Get("Y") == nil {
 		// rows missing Y sort first
 		t.Log("missing-column row sorted first as expected")
 	}
-	if !a.Rows[1]["X"].Equal(object.Int(2)) && !a.Rows[0]["X"].Equal(object.Int(1)) {
-		t.Errorf("sort order: %v", a.Rows)
+	if !a.Row(1).Get("X").Equal(object.Int(2)) && !a.Row(0).Get("X").Equal(object.Int(1)) {
+		t.Errorf("sort order: %v", a.Rows())
 	}
 }
 
@@ -403,7 +403,7 @@ func TestEmptyForUnknownShape(t *testing.T) {
 
 func TestSortBooleanAnswerStable(t *testing.T) {
 	a := newAnswer(nil)
-	a.add(Row{})
+	a.rows.add(nil)
 	a.Sort() // no vars: must not panic
 	if !a.Bool() {
 		t.Error("row present")

@@ -452,7 +452,7 @@ func (e *Engine) QueryCtx(ctx context.Context, q *ast.Query) (*Answer, error) {
 			v.unpin()
 		} else {
 			defer v.unpin()
-			return e.runSnapshot(cancellable(ctx), ctx, q, v, nil, nil)
+			return e.runQuery(cancellable(ctx), ctx, q, v.view(), nil, nil)
 		}
 	}
 	return e.queryLocked(ctx, q)
@@ -472,218 +472,128 @@ func (e *Engine) queryLocked(ctx context.Context, q *ast.Query) (*Answer, error)
 	if !e.opts.SerialReads {
 		e.publishHeadLocked()
 	}
-	ans, err := e.runPlanned(cctx, ctx, q, nil, nil)
+	ans, err := e.runQuery(cctx, ctx, q, e.lockedView(), nil, nil)
 	if ans != nil {
 		ans.Resources.FixpointRounds = e.fixpointRounds - rounds
 	}
 	return ans, err
 }
 
-// runPlanned evaluates a pure query under e.mu against the refreshed
-// effective universe. With pl == nil a plan is acquired according to the
-// engine options: from the plan cache (default), compiled cold
-// (NoPlanCache), or skipped entirely (Interpret / NoSchedule / traced
-// runs, which analyze the caller's AST transiently). Prepared queries
-// pass their own plan. All routes apply the same cost ranks, so answers
-// — including raw row order — are byte-identical across them.
-func (e *Engine) runPlanned(cctx context.Context, ctx context.Context, q *ast.Query, pl *queryPlan, info *PlanInfo) (*Answer, error) {
-	eff := e.effective
-	obsOn := e.em != nil || e.tracer != nil
+// readView is what one read evaluates against: an effective universe
+// that stays immutable for the duration, with the epoch, options and
+// observability hooks that go with it.
+type readView struct {
+	eff    *object.Tuple
+	epoch  uint64
+	opts   Options
+	em     *engineMetrics
+	tracer *obs.Tracer
+}
+
+// lockedView is the live, just-refreshed effective universe. Callers
+// hold e.mu for as long as they use it.
+func (e *Engine) lockedView() readView {
+	return readView{eff: e.effective, epoch: e.epoch, opts: e.opts, em: e.em, tracer: e.tracer}
+}
+
+// view is a pinned immutable version, readable with no engine lock held
+// — the MVCC fast path. Traced reads never take it (QueryCtx routes them
+// to the locked path), so it carries no tracer.
+func (v *version) view() readView {
+	return readView{eff: v.eff, epoch: v.epoch, opts: v.opts, em: v.em}
+}
+
+// runQuery evaluates a pure query against a read view. With pl == nil a
+// plan is acquired according to the view's options: from the plan cache
+// (default), compiled cold (NoPlanCache), or skipped entirely (Interpret
+// / NoSchedule / traced runs, which compile the caller's AST
+// transiently). Prepared queries pass their own plan. All routes apply
+// the same cost ranks, and the locked and lock-free paths share this one
+// body, so answers — including raw row order — are byte-identical across
+// them at the same epoch. Shared state it touches is individually
+// synchronized: the plan cache under planMu, the index cache's sharded
+// read locks, the statistics sync.Map, and the aggregate counters under
+// statsMu.
+func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Query, rv readView, pl *queryPlan, info *PlanInfo) (*Answer, error) {
+	obsOn := rv.em != nil || rv.tracer != nil
 	var start time.Time
 	var span *obs.Span
 	if obsOn {
 		start = time.Now()
-		span = e.tracer.Start("query")
+		span = rv.tracer.Start("query")
 		annotateOpID(span, ctx)
 	}
-	// Answer variables are those with a positive occurrence; variables
-	// confined to negations are existential and never bind outward.
-	body := q.Body
-	var vars []string
 	var an *bodyAnalysis
-	switch {
-	case e.opts.NoSchedule:
-		// Ablation mode: strict left-to-right evaluation, no planner.
-		vars = ast.PositiveVars(q.Body)
-	case span != nil:
-		// Traced queries carry per-conjunct probes keyed by the caller's
-		// AST identity, so they evaluate q itself — with a transient
-		// analysis carrying the same cost ranks a plan would.
-		vars = ast.PositiveVars(q.Body)
-		an = e.analyzeBody(q.Body, eff, nil)
-	case e.opts.Interpret:
-		vars = ast.PositiveVars(q.Body)
-		an = e.analyzeBody(q.Body, eff, nil)
-	default:
+	if rv.opts.NoSchedule || rv.opts.Interpret || span != nil {
+		// No plan object: ablation mode (strict left-to-right), the
+		// differential suite's reference mode, and traced queries, whose
+		// per-conjunct probes hang off an AST of their own.
+		an = e.transientAnalysis(q, rv.eff, rv.opts)
+	} else {
 		if pl == nil {
 			var state string
-			pl, state = e.planFor(q, eff, e.epoch, e.opts, e.em)
-			info = &PlanInfo{Cache: state}
-			if state == "miss" || state == "cold" {
-				info.CompileNS = pl.compileNS
-			}
+			pl, state = e.planFor(q, rv.eff, rv.epoch, rv.opts, rv.em)
+			info = planInfo(pl, state)
 		}
 		// Execute the plan's own AST: every evaluation of one plan walks
 		// identical pointers, so structurally equal queries enumerate
 		// identically whether they hit or miss the cache.
-		body = pl.q.Body
-		vars = pl.vars
 		an = pl.an
 	}
-	ans := newAnswer(vars)
-	var local Stats
-	ev := &evaluator{env: NewEnv(), indexes: e.indexes, useIndex: e.opts.UseIndex, noSchedule: e.opts.NoSchedule, stats: &local, ctx: cctx}
-	if an != nil {
-		ev.consumedCache = an.consumed
-		ev.ranks = an.ranks
-	}
-	var probes map[ast.Expr]*conjunctProbe
+	var analyze *analyzeState
 	if span != nil {
 		// Traced queries carry per-conjunct child spans, measured by the
 		// same probes EXPLAIN ANALYZE uses.
-		probes = newProbes(q.Body.Conjuncts)
-		ev.analyze = &analyzeState{probes: probes}
+		analyze = &analyzeState{probes: newProbes(an.body.Conjuncts)}
 	}
-	// Parallel path: partition the query's first scan across workers and
-	// merge the per-chunk rows in chunk order, reproducing the sequential
-	// row order exactly. Traced queries (span != nil) stay sequential —
-	// per-conjunct probes are not parallel-safe.
-	var err error
-	ran := false
-	if e.opts.Workers > 1 && span == nil {
-		var chunks [][]Row
-		var ok bool
-		chunks, ok, err = parallelEnumerate(e, cctx, body, eff, snapshotOf(vars), &local, an, e.opts, e.em)
-		if ok {
-			ran = true
-			if err == nil {
-				var mergeStart time.Time
-				if e.em != nil {
-					mergeStart = time.Now()
-				}
-				for _, rows := range chunks {
-					for _, r := range rows {
-						ans.add(r)
-					}
-				}
-				if e.em != nil {
-					e.em.mergeLatency.Observe(time.Since(mergeStart))
-				}
-			}
-		}
-	}
-	if !ran {
-		err = ev.satisfy(body, eff, func() error {
-			ans.add(ev.env.Snapshot(vars))
-			return nil
-		})
-	}
+	var local Stats
+	rows, err := e.collect(cctx, an, rv, &local, analyze)
 	e.addStats(local)
-	if obsOn {
-		if e.em != nil {
-			e.em.record(&e.em.query, start, local, err)
-		}
-		if span != nil {
-			span.SetInt("rows", int64(ans.Len()))
-			span.SetInt("elements_scanned", int64(local.ElementsScanned))
-			span.SetInt("index_probes", int64(local.IndexProbes))
-			attachConjunctSpans(span, q.Body.Conjuncts, probes)
-			span.End()
-		}
+	if rv.em != nil {
+		rv.em.record(&rv.em.query, start, local, err)
+	}
+	if span != nil {
+		endQuerySpan(span, rows.len(), local, an, analyze)
 	}
 	if err != nil {
 		return nil, err
 	}
-	ans.Plan = info
-	ans.Resources = resourcesFrom(local, ans.Len())
-	return ans, nil
+	return &Answer{Vars: an.output(), rows: rows, Plan: info, Resources: resourcesFrom(local, rows.len())}, nil
 }
 
-// runSnapshot evaluates a pure query against a pinned immutable version
-// with NO engine lock held — the MVCC fast path. It mirrors runPlanned:
-// the same plan acquisition (from the planMu-guarded cache, keyed by the
-// version's epoch), the same cost ranks, the same parallel-partition
-// path, so answers — including raw row order — are byte-identical to the
-// locked path at the same epoch. Shared state it touches is individually
-// synchronized: the plan cache under planMu, the index cache's sharded
-// read locks, the statistics sync.Map, and the aggregate counters under
-// statsMu. pl, when non-nil, is a prepared query's revalidated plan.
-func (e *Engine) runSnapshot(cctx context.Context, ctx context.Context, q *ast.Query, v *version, pl *queryPlan, info *PlanInfo) (*Answer, error) {
-	eff := v.eff
-	em := v.em
-	var start time.Time
-	if em != nil {
-		start = time.Now()
-	}
-	body := q.Body
-	var vars []string
-	var an *bodyAnalysis
-	switch {
-	case v.opts.NoSchedule:
-		vars = ast.PositiveVars(q.Body)
-	case v.opts.Interpret:
-		vars = ast.PositiveVars(q.Body)
-		an = e.analyzeBody(q.Body, eff, nil)
-	default:
-		if pl == nil {
-			var state string
-			pl, state = e.planFor(q, eff, v.epoch, v.opts, em)
-			info = &PlanInfo{Cache: state}
-			if state == "miss" || state == "cold" {
-				info.CompileNS = pl.compileNS
-			}
-		}
-		body = pl.q.Body
-		vars = pl.vars
-		an = pl.an
-	}
-	ans := newAnswer(vars)
-	var local Stats
-	ev := &evaluator{env: NewEnv(), indexes: e.indexes, useIndex: v.opts.UseIndex, noSchedule: v.opts.NoSchedule, stats: &local, ctx: cctx}
-	if an != nil {
-		ev.consumedCache = an.consumed
-		ev.ranks = an.ranks
-	}
-	var err error
-	ran := false
-	if v.opts.Workers > 1 {
-		var chunks [][]Row
-		var ok bool
-		chunks, ok, err = parallelEnumerate(e, cctx, body, eff, snapshotOf(vars), &local, an, v.opts, em)
-		if ok {
-			ran = true
-			if err == nil {
-				var mergeStart time.Time
-				if em != nil {
-					mergeStart = time.Now()
-				}
-				for _, rows := range chunks {
-					for _, r := range rows {
-						ans.add(r)
-					}
-				}
-				if em != nil {
-					em.mergeLatency.Observe(time.Since(mergeStart))
-				}
-			}
+// endQuerySpan closes a measured query's span: the run's totals, then one
+// child per top-level conjunct from the analyze probes.
+func endQuerySpan(span *obs.Span, rows int, local Stats, an *bodyAnalysis, analyze *analyzeState) {
+	span.SetInt("rows", int64(rows))
+	span.SetInt("elements_scanned", int64(local.ElementsScanned))
+	span.SetInt("index_probes", int64(local.IndexProbes))
+	attachConjunctSpans(span, an.body.Conjuncts, analyze.probes)
+	span.End()
+}
+
+// collect is the engine's one enumeration loop: it evaluates a compiled
+// body against a view's universe and returns its distinct output rows — the bindings
+// of the scope's first an.width variables, answer variables for a query
+// and head variables for a rule — in first-derived order. With
+// rv.opts.Workers > 1 it first tries to partition the body's leading scan
+// across workers (parallel.go), whose ordered merge reproduces the
+// sequential row order exactly; measured runs (analyze != nil) stay
+// sequential, per-conjunct probes not being parallel-safe. The row set is
+// never nil, and partial on error.
+func (e *Engine) collect(ctx context.Context, an *bodyAnalysis, rv readView, stats *Stats, analyze *analyzeState) (*rowSet, error) {
+	if rv.opts.Workers > 1 && analyze == nil {
+		if rows, ok, err := e.collectPartitioned(ctx, an, rv, stats); ok {
+			return rows, err
 		}
 	}
-	if !ran {
-		err = ev.satisfy(body, eff, func() error {
-			ans.add(ev.env.Snapshot(vars))
-			return nil
-		})
-	}
-	e.addStats(local)
-	if em != nil {
-		em.record(&em.query, start, local, err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ans.Plan = info
-	ans.Resources = resourcesFrom(local, ans.Len())
-	return ans, nil
+	ev := newEvaluator(ctx, an, e.indexes, rv.opts, stats)
+	ev.analyze = analyze
+	rows := newRowSet(an.width)
+	err := ev.satisfy(an.body, rv.eff, func() error {
+		rows.add(ev.env.window(an.width))
+		return nil
+	})
+	return rows, err
 }
 
 // cancellable strips never-cancelled contexts down to nil so the
@@ -723,14 +633,8 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q *ast.Query) (*ExecResult, err
 	}
 	var local Stats
 	rounds := e.fixpointRounds
-	u := &updater{
-		ev:     &evaluator{env: NewEnv(), indexes: e.indexes, useIndex: e.opts.UseIndex, noSchedule: e.opts.NoSchedule, stats: &local, ctx: cancellable(ctx)},
-		undo:   &undoLog{},
-		result: &ExecResult{},
-		span:   span,
-	}
-	u.cow = e.cowSetUndo(u)
-	err := e.execBody(q.Body, u, map[string]object.Object{}, map[*compiledClause]bool{})
+	u := e.newUpdater(&local, cancellable(ctx), span)
+	err := e.execBody(resolveUnit(nil, q.Body), u, nil, map[*compiledClause]bool{})
 	if err == nil {
 		err = e.validate(u)
 	}
@@ -798,14 +702,8 @@ func (e *Engine) CallCtx(ctx context.Context, db, name string, params map[string
 	}
 	var local Stats
 	rounds := e.fixpointRounds
-	u := &updater{
-		ev:     &evaluator{env: NewEnv(), indexes: e.indexes, useIndex: e.opts.UseIndex, noSchedule: e.opts.NoSchedule, stats: &local, ctx: cancellable(ctx)},
-		undo:   &undoLog{},
-		result: &ExecResult{},
-		span:   span,
-	}
-	u.cow = e.cowSetUndo(u)
-	err := e.invokeProgramDirect(p, params, u, map[*compiledClause]bool{})
+	u := e.newUpdater(&local, cancellable(ctx), span)
+	err := e.invokeProgram(p, params, u, map[*compiledClause]bool{})
 	if err == nil {
 		err = e.validate(u)
 	}
@@ -951,24 +849,42 @@ func (e *Engine) refreshEffective(ctx context.Context) (*object.Tuple, error) {
 	return e.effective, nil
 }
 
+// newUpdater returns the executor of one update request or program call.
+// Its evaluator has no unit yet: execBody enters one per body it runs.
+func (e *Engine) newUpdater(stats *Stats, ctx context.Context, span *obs.Span) *updater {
+	u := &updater{
+		ev:     &evaluator{indexes: e.indexes, useIndex: e.opts.UseIndex, noSchedule: e.opts.NoSchedule, stats: stats, ctx: ctx},
+		undo:   &undoLog{},
+		result: &ExecResult{},
+		span:   span,
+	}
+	u.cow = e.cowSetUndo(u)
+	return u
+}
+
 // execBody is the shared request loop used by Execute, program clause
-// bodies, and view-update translations: classify each conjunct as query /
-// program call / update and process left → right over the substitution
-// bag.
-func (e *Engine) execBody(body *ast.TupleExpr, u *updater, seed map[string]object.Object, active map[*compiledClause]bool) error {
-	type envMap = map[string]object.Object
-	envs := []envMap{seed}
-	for _, conjunct := range body.Conjuncts {
+// bodies, and view-update translations: classify each conjunct of the
+// compiled body as query / program call / update and process left →
+// right over the substitution bag — a row set over the body's whole
+// scope, seeded with the given parameter bindings.
+func (e *Engine) execBody(an *bodyAnalysis, u *updater, params map[string]object.Object, active map[*compiledClause]bool) error {
+	caller := u.ev.unit
+	u.ev.unit = newUnit(an)
+	defer func() { u.ev.unit = caller }()
+	env := u.ev.env
+	envs := newRowSet(an.sc.size())
+	envs.add(an.seed(params))
+	for _, conjunct := range an.body.Conjuncts {
 		if err := validateUpdateConjunct(conjunct); err != nil {
 			return err
 		}
 		switch {
 		case !ast.HasUpdate(conjunct):
 			// Program call or query conjunct.
-			if p, params, ok := e.programCall(conjunct); ok {
-				for _, em := range envs {
-					u.ev.env = envFrom(em)
-					bound, err := bindCallParams(params.clause, params.args, u.ev.env)
+			if p, call, ok := e.programCall(conjunct); ok {
+				for i := 0; i < envs.len(); i++ {
+					env.load(envs.row(i))
+					bound, err := bindCallParams(call.clause, call.args, env)
 					if err != nil {
 						return err
 					}
@@ -982,15 +898,11 @@ func (e *Engine) execBody(body *ast.TupleExpr, u *updater, seed map[string]objec
 			if err != nil {
 				return err
 			}
-			var extended []envMap
-			dedupe := newAnswer(nil)
-			for _, em := range envs {
-				u.ev.env = envFrom(em)
+			extended := newRowSet(an.sc.size())
+			for i := 0; i < envs.len(); i++ {
+				env.load(envs.row(i))
 				err := u.ev.satisfy(conjunct, eff, func() error {
-					snap := u.ev.env.Snapshot(nil)
-					if dedupe.add(snap) {
-						extended = append(extended, snap)
-					}
+					extended.add(env.all())
 					return nil
 				})
 				if err != nil {
@@ -1001,8 +913,8 @@ func (e *Engine) execBody(body *ast.TupleExpr, u *updater, seed map[string]objec
 
 		default:
 			// Update conjunct: route to a view updater or the base.
-			for _, em := range envs {
-				u.ev.env = envFrom(em)
+			for i := 0; i < envs.len(); i++ {
+				env.load(envs.row(i))
 				if err := e.execUpdateConjunct(conjunct, u, active); err != nil {
 					return err
 				}
@@ -1010,16 +922,11 @@ func (e *Engine) execBody(body *ast.TupleExpr, u *updater, seed map[string]objec
 			e.markDirty(monotoneResult(u.result))
 		}
 	}
-	u.result.Bindings = len(envs)
+	u.result.Bindings = envs.len()
 	return nil
 }
 
-// callSite carries a matched program-call conjunct.
-type callSite struct {
-	clause *compiledClause
-	args   *ast.TupleExpr
-}
-
+// matchedCall carries a matched program-call conjunct.
 type matchedCall struct {
 	clause *compiledClause
 	args   *ast.TupleExpr
@@ -1093,12 +1000,9 @@ func constStrName(t ast.Term) (string, bool) {
 
 // invokeProgram executes every clause of a program, in order, under the
 // given parameter bindings — re-matching each clause's own parameter
-// declaration (clauses may declare different subsets).
+// declaration (clauses may declare different subsets; a clause is seeded
+// only with the parameters it declares).
 func (e *Engine) invokeProgram(p *Program, bound map[string]object.Object, u *updater, active map[*compiledClause]bool) error {
-	return e.invokeProgramDirect(p, bound, u, active)
-}
-
-func (e *Engine) invokeProgramDirect(p *Program, bound map[string]object.Object, u *updater, active map[*compiledClause]bool) error {
 	for _, cc := range p.Clauses {
 		if active[cc] {
 			return fmt.Errorf("core: recursive invocation of update program %s.%s", p.DB, p.Name)
@@ -1122,32 +1026,14 @@ func (e *Engine) invokeProgramDirect(p *Program, bound map[string]object.Object,
 				return fmt.Errorf("core: program %s.%s requires parameter variable %s to be bound (insert expressions would be undefined)", p.DB, p.Name, req)
 			}
 		}
-		seed := map[string]object.Object{}
-		for k, v := range bound {
-			if varDeclared(cc, k) {
-				seed[k] = v
-			}
-		}
 		active[cc] = true
-		prev := u.ev.consumedCache
-		u.ev.consumedCache = cc.consumed
-		err := e.execBody(cc.src.Body, u, seed, active)
-		u.ev.consumedCache = prev
+		err := e.execBody(cc.an, u, bound, active)
 		delete(active, cc)
 		if err != nil {
 			return fmt.Errorf("core: program %s.%s: %w", p.DB, p.Name, err)
 		}
 	}
 	return nil
-}
-
-func varDeclared(cc *compiledClause, name string) bool {
-	for _, v := range cc.paramVars {
-		if v == name {
-			return true
-		}
-	}
-	return false
 }
 
 // execUpdateConjunct routes one update conjunct: updates touching derived
@@ -1172,10 +1058,7 @@ func (e *Engine) execUpdateConjunct(conjunct ast.Expr, u *updater, active map[*c
 			}
 		}
 		active[cc] = true
-		prev := u.ev.consumedCache
-		u.ev.consumedCache = cc.consumed
-		err = e.execBody(cc.src.Body, u, bound, active)
-		u.ev.consumedCache = prev
+		err = e.execBody(cc.an, u, bound, active)
 		delete(active, cc)
 		if err != nil {
 			return fmt.Errorf("core: view update on %s.%s: %w", db, rel, err)
@@ -1236,7 +1119,7 @@ func resolveName(t ast.Term, env *Env) (string, bool) {
 		s, ok := n.Value.(object.Str)
 		return string(s), ok
 	case ast.Var:
-		v, ok := env.Lookup(n.Name)
+		v, ok := env.Lookup(n.Slot)
 		if !ok {
 			return "", false
 		}

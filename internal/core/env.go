@@ -5,46 +5,47 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"idl/internal/federation"
 	"idl/internal/object"
 )
 
-// Env is a substitution (paper §4.2): a mapping from variable names to
-// objects, extended and retracted as the evaluator backtracks. The trail
-// records bind order so enumeration can undo extensions cheaply.
+// Env is a substitution (paper §4.2) over one compiled unit's scope
+// (slots.go): the object bound to each variable slot, nil while unbound,
+// extended and retracted as the evaluator backtracks. The trail records
+// bind order so enumeration can undo extensions cheaply.
 type Env struct {
-	bindings map[string]object.Object
-	trail    []string
+	vals  []object.Object
+	trail []int32
 }
 
-// NewEnv returns an empty substitution.
-func NewEnv() *Env {
-	return &Env{bindings: make(map[string]object.Object)}
+// newEnv returns an empty substitution over a scope of the given size.
+func newEnv(size int) *Env {
+	return &Env{vals: make([]object.Object, size), trail: make([]int32, 0, size)}
 }
 
-// Lookup returns the binding for name, if any.
-func (e *Env) Lookup(name string) (object.Object, bool) {
-	v, ok := e.bindings[name]
-	return v, ok
+// Lookup returns the binding of a slot, if any.
+func (e *Env) Lookup(slot int32) (object.Object, bool) {
+	v := e.vals[slot]
+	return v, v != nil
 }
 
-// Bound reports whether name is bound.
-func (e *Env) Bound(name string) bool {
-	_, ok := e.bindings[name]
-	return ok
-}
+// Bound reports whether a slot is bound.
+func (e *Env) Bound(slot int32) bool { return e.vals[slot] != nil }
 
-// Bind associates name with val. The variable must be unbound; enumerators
-// guarantee this by checking Lookup first.
-func (e *Env) Bind(name string, val object.Object) {
-	if _, ok := e.bindings[name]; ok {
-		panic("core: Bind of already-bound variable " + name)
+// Bind binds a slot to val. The variable must be resolved and unbound;
+// enumerators guarantee the latter by checking Lookup first.
+func (e *Env) Bind(slot int32, val object.Object) {
+	if slot == 0 {
+		panic("core: Bind of an unresolved variable")
 	}
-	e.bindings[name] = val
-	e.trail = append(e.trail, name)
+	if e.vals[slot] != nil {
+		panic("core: Bind of an already-bound variable")
+	}
+	e.vals[slot] = val
+	e.trail = append(e.trail, slot)
 }
 
 // Mark returns the current trail position, for use with Undo.
@@ -52,70 +53,85 @@ func (e *Env) Mark() int { return len(e.trail) }
 
 // Undo retracts every binding made since mark.
 func (e *Env) Undo(mark int) {
-	for i := len(e.trail) - 1; i >= mark; i-- {
-		delete(e.bindings, e.trail[i])
+	for _, slot := range e.trail[mark:] {
+		e.vals[slot] = nil
 	}
 	e.trail = e.trail[:mark]
 }
 
-// Snapshot copies the current bindings restricted to names (all bindings
-// when names is nil).
-func (e *Env) Snapshot(names []string) map[string]object.Object {
-	if names == nil {
-		out := make(map[string]object.Object, len(e.bindings))
-		for k, v := range e.bindings {
-			out[k] = v
-		}
-		return out
-	}
-	out := make(map[string]object.Object, len(names))
-	for _, n := range names {
-		if v, ok := e.bindings[n]; ok {
-			out[n] = v
-		}
-	}
-	return out
+// window is the substitution restricted to its first width variables —
+// a unit's output row, since scopes number output variables first. It
+// aliases the live substitution: copy before retaining.
+func (e *Env) window(width int) []object.Object { return e.vals[1 : 1+width] }
+
+// all is the whole substitution as a row (reserved slot included, so a
+// row index is a slot).
+func (e *Env) all() []object.Object { return e.vals }
+
+// load replaces the substitution with a row captured by all. Bindings
+// loaded this way are permanent for the env's owner: marks start above
+// them.
+func (e *Env) load(row []object.Object) {
+	copy(e.vals, row)
+	e.trail = e.trail[:0]
 }
 
-// withBindings seeds an env from a parameter map (used by update-program
-// invocation).
-func envFrom(params map[string]object.Object) *Env {
-	e := NewEnv()
-	for k, v := range params {
-		e.Bind(k, v)
+// extend binds every slot that row binds and the substitution does not —
+// re-entering a substitution captured (by all) as an extension of the
+// current one. Undo to a mark taken before retracts it.
+func (e *Env) extend(row []object.Object) {
+	for slot, v := range row {
+		if v != nil && e.vals[slot] == nil {
+			e.Bind(int32(slot), v)
+		}
 	}
-	return e
 }
 
 // ---------------------------------------------------------------------------
 // Answers
 
-// Row is one answer substitution, restricted to the query's free
-// variables.
-type Row map[string]object.Object
-
-// hashRow produces a hash of the row for deduplication, combining
-// name/value entry hashes commutatively.
-func hashRow(r Row) uint64 {
-	var acc uint64 = 0x243f6a8885a308d3
-	for k, v := range r {
-		h := object.Str(k).Hash() * 31
-		acc += h ^ v.Hash()
-	}
-	return acc
+// Row is one answer substitution: a read-only positional view of the
+// values bound to the answer's variables, with access by name.
+type Row struct {
+	vars []string
+	vals []object.Object
 }
 
-func rowsEqual(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		w, ok := b[k]
-		if !ok || !v.Equal(w) {
-			return false
+// RowOf builds a row from alternating variable-name / value pairs
+// (values converted like object.TupleOf), for Answer.Contains.
+func RowOf(pairs ...any) Row {
+	t := object.TupleOf(pairs...)
+	return Row{vars: t.Attrs(), vals: t.Values()}
+}
+
+// At returns the value at position i, nil when the variable is unbound.
+func (r Row) At(i int) object.Object { return r.vals[i] }
+
+// Get returns the value bound to the named variable, nil when the row
+// leaves it unbound or has no such variable.
+func (r Row) Get(name string) object.Object {
+	for i, v := range r.vars {
+		if v == name {
+			return r.vals[i]
 		}
 	}
-	return true
+	return nil
+}
+
+// appendRow renders one line of Answer.String: tab-separated values,
+// `_` for unbound.
+func appendRow(dst []byte, vals []object.Object) []byte {
+	for i, v := range vals {
+		if i > 0 {
+			dst = append(dst, '\t')
+		}
+		if v == nil {
+			dst = append(dst, '_')
+		} else {
+			dst = object.AppendString(dst, v)
+		}
+	}
+	return dst
 }
 
 // Answer is the result of a query: the set of grounding substitutions for
@@ -123,7 +139,6 @@ func rowsEqual(a, b Row) bool {
 // Vars list and Bool carries the truth value.
 type Answer struct {
 	Vars []string // free variables in first-occurrence order
-	Rows []Row    // deduplicated satisfying substitutions
 
 	// Degraded, when non-nil, reports that the answer was computed
 	// best-effort against a federation with unreachable members: which
@@ -145,51 +160,76 @@ type Answer struct {
 	// Deterministic at every worker count.
 	Resources Resources
 
-	rowIndex map[uint64][]int
+	// rows holds the deduplicated satisfying substitutions positionally
+	// over Vars, in first-derived order; order, when non-nil, is the
+	// permutation Sort installed.
+	rows  *rowSet
+	order []int32
 }
 
 func newAnswer(vars []string) *Answer {
-	return &Answer{Vars: vars, rowIndex: make(map[uint64][]int)}
-}
-
-// add appends a row unless an equal row is already present.
-func (a *Answer) add(r Row) bool {
-	h := hashRow(r)
-	for _, i := range a.rowIndex[h] {
-		if rowsEqual(a.Rows[i], r) {
-			return false
-		}
-	}
-	a.rowIndex[h] = append(a.rowIndex[h], len(a.Rows))
-	a.Rows = append(a.Rows, r)
-	return true
+	return &Answer{Vars: vars, rows: newRowSet(len(vars))}
 }
 
 // Bool reports the truth value: for variable-free queries, whether the
 // query was satisfied; otherwise whether any row exists.
-func (a *Answer) Bool() bool { return len(a.Rows) > 0 }
+func (a *Answer) Bool() bool { return a.rows.len() > 0 }
 
 // Len returns the number of distinct answer rows.
-func (a *Answer) Len() int { return len(a.Rows) }
+func (a *Answer) Len() int { return a.rows.len() }
 
-// Contains reports whether the answer includes a row binding the given
-// variables to the given values (converted Go literals, see object
-// package).
-func (a *Answer) Contains(want Row) bool {
-	for _, r := range a.Rows {
-		if rowsEqual(r, want) {
-			return true
-		}
+// vals returns the i-th row's values in the answer's current order.
+func (a *Answer) vals(i int) []object.Object {
+	if a.order != nil {
+		i = int(a.order[i])
 	}
-	return false
+	return a.rows.row(i)
 }
 
+// Row returns the i-th row: first-derived order, or canonical order
+// after Sort.
+func (a *Answer) Row(i int) Row { return Row{vars: a.Vars, vals: a.vals(i)} }
+
+// Rows returns every row, in the order Row indexes them.
+func (a *Answer) Rows() []Row {
+	out := make([]Row, a.Len())
+	for i := range out {
+		out[i] = a.Row(i)
+	}
+	return out
+}
+
+// Contains reports whether the answer includes a row binding exactly the
+// variables want binds, to equal values.
+func (a *Answer) Contains(want Row) bool {
+	probe := make([]object.Object, len(a.Vars))
+	bound := 0
+	for i, v := range a.Vars {
+		if probe[i] = want.Get(v); probe[i] != nil {
+			bound++
+		}
+	}
+	for _, v := range want.vals {
+		if v != nil {
+			bound--
+		}
+	}
+	return bound == 0 && a.rows.find(probe, hashRow(probe)) >= 0
+}
+
+// position returns the index of a variable in Vars, or -1.
+func (a *Answer) position(name string) int { return slices.Index(a.Vars, name) }
+
 // Column returns the values of one variable across all rows, in row
-// order.
+// order, skipping rows that leave it unbound.
 func (a *Answer) Column(name string) []object.Object {
-	out := make([]object.Object, 0, len(a.Rows))
-	for _, r := range a.Rows {
-		if v, ok := r[name]; ok {
+	p := a.position(name)
+	if p < 0 {
+		return []object.Object{}
+	}
+	out := make([]object.Object, 0, a.Len())
+	for i := 0; i < a.Len(); i++ {
+		if v := a.vals(i)[p]; v != nil {
 			out = append(out, v)
 		}
 	}
@@ -201,38 +241,65 @@ func (a *Answer) Column(name string) []object.Object {
 // "structure to the answer" the paper alludes to in §4.2).
 func (a *Answer) Project(vars ...string) *Answer {
 	out := newAnswer(vars)
-	for _, r := range a.Rows {
-		p := Row{}
-		for _, v := range vars {
-			if val, ok := r[v]; ok {
-				p[v] = val
+	pos := make([]int, len(vars))
+	for i, v := range vars {
+		pos[i] = a.position(v)
+	}
+	p := make([]object.Object, len(vars))
+	for i := 0; i < a.Len(); i++ {
+		row := a.vals(i)
+		for j, at := range pos {
+			p[j] = nil
+			if at >= 0 {
+				p[j] = row[at]
 			}
 		}
-		out.add(p)
+		out.rows.add(p)
 	}
 	return out
 }
 
+// compareRows orders two rows by each position in turn; unbound sorts
+// first.
+func compareRows(x, y []object.Object) int {
+	for i, v := range x {
+		w := y[i]
+		if v == nil || w == nil {
+			if (v == nil) != (w == nil) {
+				if v == nil {
+					return -1
+				}
+				return 1
+			}
+			continue
+		}
+		if c := v.Compare(w); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// sorted returns the canonical order as a permutation of store indexes:
+// rows ordered by each variable in Vars order, ties keeping their current
+// relative order.
+func (a *Answer) sorted() []int32 {
+	perm := slices.Clone(a.order)
+	if perm == nil {
+		perm = make([]int32, a.Len())
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+	}
+	slices.SortStableFunc(perm, func(i, j int32) int {
+		return compareRows(a.rows.row(int(i)), a.rows.row(int(j)))
+	})
+	return perm
+}
+
 // Sort orders rows canonically (by each variable in Vars order) for
 // deterministic output.
-func (a *Answer) Sort() {
-	sort.SliceStable(a.Rows, func(i, j int) bool {
-		for _, v := range a.Vars {
-			x, okx := a.Rows[i][v]
-			y, oky := a.Rows[j][v]
-			if !okx || !oky {
-				if okx != oky {
-					return !okx
-				}
-				continue
-			}
-			if c := x.Compare(y); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-}
+func (a *Answer) Sort() { a.order = a.sorted() }
 
 // String renders the answer as a small table: a header of variable names
 // and one line per row, canonically ordered. Variable-free answers render
@@ -244,22 +311,11 @@ func (a *Answer) String() string {
 		}
 		return "false"
 	}
-	cp := &Answer{Vars: a.Vars, Rows: append([]Row(nil), a.Rows...)}
-	cp.Sort()
-	var b strings.Builder
-	b.WriteString(strings.Join(a.Vars, "\t"))
-	for _, r := range cp.Rows {
-		b.WriteByte('\n')
-		for i, v := range a.Vars {
-			if i > 0 {
-				b.WriteByte('\t')
-			}
-			if val, ok := r[v]; ok {
-				b.WriteString(val.String())
-			} else {
-				b.WriteString("_")
-			}
-		}
+	b := make([]byte, 0, 8*(a.Len()+1)*len(a.Vars))
+	b = append(b, strings.Join(a.Vars, "\t")...)
+	for _, i := range a.sorted() {
+		b = append(b, '\n')
+		b = appendRow(b, a.rows.row(int(i)))
 	}
-	return b.String()
+	return string(b)
 }

@@ -71,24 +71,11 @@ type analyzeState struct {
 // construction, the index cache shared with the engine, and feature
 // switches.
 type evaluator struct {
-	env        *Env
+	unit
 	indexes    *indexCache
 	useIndex   bool
 	noSchedule bool
 	stats      *Stats
-	// consumedCache memoizes per-conjunct consumed-variable lists; the
-	// analysis is environment independent, and set expressions re-enter
-	// satisfyTuple once per element, so this is hot. Compiled plans and
-	// rule analyses seed it with a complete precomputed map (shared
-	// read-only, including across parallel workers); unseeded evaluators
-	// fill it lazily.
-	consumedCache map[*ast.TupleExpr][][]string
-	// ranks, when non-nil, carries cost ranks for the tuple expressions
-	// that schedule cost-based (the top-level query or rule body): among
-	// runnable conjuncts the scheduler picks the lowest rank, source
-	// order breaking ties. Tuple expressions absent from the map (all
-	// nested conjunct lists) schedule in source order, as does a nil map.
-	ranks map[*ast.TupleExpr][]float64
 	// ctx, when non-nil, is polled during enumeration so long-running
 	// queries observe cancellation. nil (the context-free entry points)
 	// reduces checkCtx to a pointer test plus a counter increment.
@@ -103,6 +90,39 @@ type evaluator struct {
 	// scan parallel path (parallel.go). nil costs one pointer test per
 	// set enumeration.
 	part *partition
+}
+
+// unit is the evaluator's state for the compiled unit it is running:
+// the compiled body, the substitution over its scope, and the scheduler
+// frames of its conjunct lists. An update request that invokes a program
+// swaps the callee clause's unit in and the caller's back (execBody);
+// query and rule-body evaluators keep one for life.
+type unit struct {
+	// an supplies the scope and the cost ranks: an.body schedules
+	// cost-based — among runnable conjuncts the lowest rank runs, source
+	// order breaking ties — and every nested list in source order.
+	an  *bodyAnalysis
+	env *Env
+	// frames holds one reusable scheduler frame per conjunct list, by
+	// tuple ID; mask backs their used-masks.
+	frames []tupleFrame
+	mask   []bool
+}
+
+// newUnit returns the evaluation state for one run of a compiled unit.
+func newUnit(an *bodyAnalysis) unit {
+	u := unit{an: an, env: newEnv(an.sc.size())}
+	if n := len(an.sc.tuples); n > 1 { // tuples[0] is the reserved ID
+		u.frames = make([]tupleFrame, n)
+		u.mask = make([]bool, an.sc.maskLen)
+	}
+	return u
+}
+
+// newEvaluator returns an evaluator for one run of the analyzed body
+// under the given options.
+func newEvaluator(ctx context.Context, an *bodyAnalysis, indexes *indexCache, opts Options, stats *Stats) *evaluator {
+	return &evaluator{unit: newUnit(an), indexes: indexes, useIndex: opts.UseIndex, noSchedule: opts.NoSchedule, stats: stats, ctx: ctx}
 }
 
 // checkCtx polls the evaluation context once every 1024 operations.
@@ -148,9 +168,6 @@ func (ev *evaluator) satisfy(e ast.Expr, o object.Object, k cont) error {
 			return k()
 		}
 		return nil
-
-	case *ast.VarExpr:
-		return ev.satisfy(&ast.Atomic{Op: ast.OpEQ, Term: ast.Var{Name: x.Name}}, o, k)
 
 	case *ast.Atomic:
 		if x.Sign != ast.SignNone {
@@ -201,18 +218,14 @@ func (ev *evaluator) exists(e ast.Expr, o object.Object) (bool, error) {
 // with X unbound binds X to the object — including aggregate objects
 // (§4.1's extension). Null satisfies no atomic expression.
 func (ev *evaluator) satisfyAtomic(x *ast.Atomic, o object.Object, k cont) error {
-	if name, ok := singleUnboundVar(x.Term, ev.env); ok {
+	if v, ok := singleUnboundVar(x.Term, ev.env); ok {
 		if x.Op != ast.OpEQ {
-			return &UnsafeError{Var: name, Expr: x}
+			return &UnsafeError{Var: v.Name, Expr: x}
 		}
 		if _, isNull := o.(object.Null); isNull {
 			return nil // null satisfies nothing, not even =X
 		}
-		mark := ev.env.Mark()
-		ev.env.Bind(name, o)
-		err := k()
-		ev.env.Undo(mark)
-		return err
+		return ev.bindAnd(v.Slot, o, k)
 	}
 	val, err := evalTerm(x.Term, ev.env)
 	if err != nil {
@@ -232,6 +245,19 @@ func (ev *evaluator) satisfyAtomic(x *ast.Atomic, o object.Object, k cont) error
 // (footnote 7). `=` with one unbound side binds it; everything else
 // requires ground terms.
 func (ev *evaluator) satisfyConstraint(x *ast.Constraint, k cont) error {
+	if x.Op == ast.OpEQ {
+		// The binding forms `X = term` / `term = X`, decided before
+		// evaluating X so the common case builds no unbound-variable error.
+		if v, ok := singleUnboundVar(x.L, ev.env); ok {
+			if rv, err := evalTerm(x.R, ev.env); err == nil {
+				return ev.bindAnd(v.Slot, rv, k)
+			}
+		} else if v, ok := singleUnboundVar(x.R, ev.env); ok {
+			if lv, err := evalTerm(x.L, ev.env); err == nil {
+				return ev.bindAnd(v.Slot, lv, k)
+			}
+		}
+	}
 	lv, lerr := evalTerm(x.L, ev.env)
 	rv, rerr := evalTerm(x.R, ev.env)
 	// A hard evaluation error (e.g. arithmetic on a non-number) outranks
@@ -248,30 +274,20 @@ func (ev *evaluator) satisfyConstraint(x *ast.Constraint, k cont) error {
 			return k()
 		}
 		return nil
-	case x.Op == ast.OpEQ && lerr != nil && rerr == nil:
-		if name, ok := singleUnboundVar(x.L, ev.env); ok {
-			mark := ev.env.Mark()
-			ev.env.Bind(name, rv)
-			err := k()
-			ev.env.Undo(mark)
-			return err
-		}
+	case lerr != nil:
 		return unsafeFrom(lerr, x)
-	case x.Op == ast.OpEQ && rerr != nil && lerr == nil:
-		if name, ok := singleUnboundVar(x.R, ev.env); ok {
-			mark := ev.env.Mark()
-			ev.env.Bind(name, lv)
-			err := k()
-			ev.env.Undo(mark)
-			return err
-		}
-		return unsafeFrom(rerr, x)
 	default:
-		if lerr != nil {
-			return unsafeFrom(lerr, x)
-		}
 		return unsafeFrom(rerr, x)
 	}
+}
+
+// bindAnd runs k under the substitution extended with slot ↦ val.
+func (ev *evaluator) bindAnd(slot int32, val object.Object, k cont) error {
+	mark := ev.env.Mark()
+	ev.env.Bind(slot, val)
+	err := k()
+	ev.env.Undo(mark)
+	return err
 }
 
 func unsafeFrom(err error, e ast.Expr) error {
@@ -308,7 +324,7 @@ func (ev *evaluator) satisfyAttr(x *ast.AttrExpr, o object.Object, k cont) error
 		}
 		return ev.satisfy(x.Expr, val, k)
 	case ast.Var:
-		if bound, ok := ev.env.Lookup(name.Name); ok {
+		if bound, ok := ev.env.Lookup(name.Slot); ok {
 			s, ok := bound.(object.Str)
 			if !ok {
 				return nil // attribute names are strings
@@ -319,15 +335,13 @@ func (ev *evaluator) satisfyAttr(x *ast.AttrExpr, o object.Object, k cont) error
 			}
 			return ev.satisfy(x.Expr, val, k)
 		}
-		// Higher-order enumeration over the attribute names.
+		// Higher-order enumeration over the attribute names, walking
+		// names and values side by side.
 		ev.stats.AttrEnums++
-		for _, attr := range tup.Attrs() {
-			val, ok := tup.Get(attr)
-			if !ok {
-				continue
-			}
+		names, vals := tup.Names(), tup.Values()
+		for i, val := range vals {
 			mark := ev.env.Mark()
-			ev.env.Bind(name.Name, object.Str(attr))
+			ev.env.Bind(name.Slot, names[i])
 			err := ev.satisfy(x.Expr, val, k)
 			ev.env.Undo(mark)
 			if err != nil {
@@ -348,44 +362,82 @@ func (ev *evaluator) satisfyAttr(x *ast.AttrExpr, o object.Object, k cont) error
 // runnable the first deferred conjunct runs anyway — correct for
 // negation (its bindings are local) and a checked error for inequalities.
 func (ev *evaluator) satisfyTuple(x *ast.TupleExpr, o object.Object, k cont) error {
-	if len(x.Conjuncts) == 0 {
+	switch len(x.Conjuncts) {
+	case 0:
 		return k()
-	}
-	consumed, ok := ev.consumedCache[x]
-	if !ok {
-		consumed = make([][]string, len(x.Conjuncts))
-		for i, c := range x.Conjuncts {
-			consumed[i] = consumedVars(c)
+	case 1:
+		// Nothing to schedule: the one conjunct runs, safe or not.
+		if err := ev.checkCtx(); err != nil {
+			return err
 		}
-		if ev.consumedCache == nil {
-			ev.consumedCache = make(map[*ast.TupleExpr][][]string)
-		}
-		ev.consumedCache[x] = consumed
+		return ev.satisfyConjunct(x.Conjuncts[0], o, k)
 	}
-	used := make([]bool, len(x.Conjuncts))
-	var ranks []float64
-	if ev.ranks != nil {
-		ranks = ev.ranks[x]
-	}
-	return ev.scheduleConjuncts(x.Conjuncts, consumed, ranks, used, len(x.Conjuncts), o, k)
+	f := ev.frameFor(x)
+	f.o, f.k, f.left = o, k, len(x.Conjuncts)
+	return f.step()
 }
 
-// scheduleConjuncts picks the next runnable conjunct (depth-first, with
-// the shared `used` mask undone on backtrack — the choice can differ per
-// binding because boundness differs). With cost ranks, the cheapest
-// runnable conjunct runs first (source order breaking ties) — ordering
-// within the safety constraints, never instead of them; without ranks
-// the first runnable conjunct in source order runs, as before.
-func (ev *evaluator) scheduleConjuncts(conjuncts []ast.Expr, consumed [][]string, ranks []float64, used []bool, left int, o object.Object, k cont) error {
-	if left == 0 {
-		return k()
+// tupleFrame is the scheduler state of one conjunct list: which conjuncts
+// have run on the current path, the object and continuation of the
+// current entry, and the step continuation handed to each conjunct. A
+// resolved list owns one frame per evaluator, reused for every element
+// its enclosing set expression scans — entering a list allocates nothing.
+// Reuse is sound because resolved ASTs are trees: while a list is active
+// (between entry and its continuation returning) evaluation is either
+// inside one of its conjuncts or downstream of it, never back at the
+// same list.
+type tupleFrame struct {
+	ev       *evaluator
+	x        *ast.TupleExpr
+	consumed [][]int32
+	ranks    []float64 // nil: source order
+	used     []bool
+	left     int
+	o        object.Object
+	k        cont
+	next     cont // f.step, bound once
+}
+
+// frameFor returns x's frame, set up on first use. A list the unit's
+// scope does not know (the updater builds ad-hoc lists of a conjunct
+// list's query parts) gets a frame of its own.
+func (ev *evaluator) frameFor(x *ast.TupleExpr) *tupleFrame {
+	if x.ID == 0 {
+		f := &tupleFrame{ev: ev, x: x, consumed: ev.an.sc.consumedSlots(x.Conjuncts), used: make([]bool, len(x.Conjuncts))}
+		f.next = f.step
+		return f
 	}
+	f := &ev.frames[x.ID]
+	if f.next == nil {
+		info := &ev.an.sc.tuples[x.ID]
+		f.ev, f.x, f.consumed = ev, x, info.consumed
+		f.used = ev.mask[info.maskOff : info.maskOff+len(x.Conjuncts)]
+		if x == ev.an.body {
+			f.ranks = ev.an.ranks
+		}
+		f.next = f.step
+	}
+	return f
+}
+
+// step picks the next runnable conjunct (depth-first, with the used mask
+// undone on backtrack — the choice can differ per binding because
+// boundness differs) and runs it with step itself as continuation. With
+// cost ranks, the cheapest runnable conjunct runs first (source order
+// breaking ties) — ordering within the safety constraints, never instead
+// of them; without ranks the first runnable conjunct in source order
+// runs.
+func (f *tupleFrame) step() error {
+	if f.left == 0 {
+		return f.k()
+	}
+	ev := f.ev
 	if err := ev.checkCtx(); err != nil {
 		return err
 	}
 	pick := -1
-	for idx := range conjuncts {
-		if used[idx] {
+	for idx := range f.used {
+		if f.used[idx] {
 			continue
 		}
 		if ev.noSchedule {
@@ -393,18 +445,18 @@ func (ev *evaluator) scheduleConjuncts(conjuncts []ast.Expr, consumed [][]string
 			break
 		}
 		runnable := true
-		for _, v := range consumed[idx] {
-			if !ev.env.Bound(v) {
+		for _, slot := range f.consumed[idx] {
+			if !ev.env.Bound(slot) {
 				runnable = false
 				break
 			}
 		}
 		if runnable {
-			if ranks == nil {
+			if f.ranks == nil {
 				pick = idx
 				break
 			}
-			if pick < 0 || ranks[idx] < ranks[pick] {
+			if pick < 0 || f.ranks[idx] < f.ranks[pick] {
 				pick = idx
 			}
 		}
@@ -413,25 +465,28 @@ func (ev *evaluator) scheduleConjuncts(conjuncts []ast.Expr, consumed [][]string
 		// No conjunct is safe; run the first unscheduled one anyway.
 		// Negation evaluates with local bindings (the paper's literal ∃σ
 		// reading); inequalities raise UnsafeError downstream.
-		for idx := range conjuncts {
-			if !used[idx] {
+		for idx := range f.used {
+			if !f.used[idx] {
 				pick = idx
 				break
 			}
 		}
 	}
-	used[pick] = true
-	next := func() error {
-		return ev.scheduleConjuncts(conjuncts, consumed, ranks, used, left-1, o, k)
-	}
-	var err error
-	if p := ev.probeFor(conjuncts[pick]); p != nil {
-		err = ev.satisfyProbed(p, conjuncts[pick], o, next)
-	} else {
-		err = ev.satisfy(conjuncts[pick], o, next)
-	}
-	used[pick] = false
+	f.used[pick] = true
+	f.left--
+	err := ev.satisfyConjunct(f.x.Conjuncts[pick], f.o, f.next)
+	f.left++
+	f.used[pick] = false
 	return err
+}
+
+// satisfyConjunct runs one scheduled conjunct, measured when an analyze
+// probe is registered for it.
+func (ev *evaluator) satisfyConjunct(c ast.Expr, o object.Object, k cont) error {
+	if p := ev.probeFor(c); p != nil {
+		return ev.satisfyProbed(p, c, o, k)
+	}
+	return ev.satisfy(c, o, k)
 }
 
 // probeFor returns the analyze probe registered for a conjunct, or nil —
@@ -604,7 +659,7 @@ func (ev *evaluator) indexCandidates(x *ast.SetExpr, set *object.Set) ([]object.
 		return nil, false
 	}
 	for _, c := range te.Conjuncts {
-		attr, val, ok := ev.groundEqConjunct(c)
+		attr, val, ok := groundEqConjunct(c, ev.env)
 		if !ok {
 			continue
 		}
@@ -613,8 +668,9 @@ func (ev *evaluator) indexCandidates(x *ast.SetExpr, set *object.Set) ([]object.
 	return nil, false
 }
 
-// groundEqConjunct recognizes `.attr = groundterm` conjuncts.
-func (ev *evaluator) groundEqConjunct(c ast.Expr) (string, object.Object, bool) {
+// groundEqConjunct recognizes `.attr = groundterm` conjuncts — ground
+// under env, that is.
+func groundEqConjunct(c ast.Expr, env *Env) (string, object.Object, bool) {
 	a, ok := c.(*ast.AttrExpr)
 	if !ok || a.Sign != ast.SignNone {
 		return "", nil, false
@@ -631,7 +687,7 @@ func (ev *evaluator) groundEqConjunct(c ast.Expr) (string, object.Object, bool) 
 	if !ok || at.Op != ast.OpEQ || at.Sign != ast.SignNone {
 		return "", nil, false
 	}
-	val, err := evalTerm(at.Term, ev.env)
+	val, err := evalTerm(at.Term, env)
 	if err != nil {
 		return "", nil, false
 	}

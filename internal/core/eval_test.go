@@ -212,9 +212,9 @@ func TestAggregateVariableBindsRelation(t *testing.T) {
 	if ans.Len() != 1 {
 		t.Fatalf("rows = %d:\n%s", ans.Len(), ans)
 	}
-	set, ok := ans.Rows[0]["R"].(*object.Set)
+	set, ok := ans.Row(0).Get("R").(*object.Set)
 	if !ok {
-		t.Fatalf("R bound to %T, want *Set", ans.Rows[0]["R"])
+		t.Fatalf("R bound to %T, want *Set", ans.Row(0).Get("R"))
 	}
 	if set.Len() != 9 {
 		t.Errorf("R has %d elements, want 9", set.Len())

@@ -105,18 +105,8 @@ func (e *Engine) ExplainQuery(q *ast.Query) (*Explain, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, _ := e.planQuery(q, eff, e.explainAnalysis(q, eff))
+	plan, _ := e.planQuery(e.transientAnalysis(q, eff, e.opts), eff)
 	return plan, nil
-}
-
-// explainAnalysis computes the cost analysis EXPLAIN mirrors — the same
-// ranks execution uses — or nil under NoSchedule, where the scheduler
-// runs strictly left-to-right and ranks would misreport the order.
-func (e *Engine) explainAnalysis(q *ast.Query, eff *object.Tuple) *bodyAnalysis {
-	if e.opts.NoSchedule {
-		return nil
-	}
-	return e.analyzeBody(q.Body, eff, nil)
 }
 
 // ExplainAnalyzeQuery produces the plan and then executes the query,
@@ -137,41 +127,24 @@ func (e *Engine) ExplainAnalyzeQuery(ctx context.Context, q *ast.Query) (*Explai
 	if err != nil {
 		return nil, nil, err
 	}
-	an := e.explainAnalysis(q, eff)
-	plan, order := e.planQuery(q, eff, an)
-	probes := newProbes(q.Body.Conjuncts)
-	vars := ast.PositiveVars(q.Body)
-	ans := newAnswer(vars)
+	// Execute with the same compiled body — and so the same ranks — the
+	// plan simulation used, so the actuals attach to the order the steps
+	// report.
+	an := e.transientAnalysis(q, eff, e.opts)
+	plan, order := e.planQuery(an, eff)
+	probes := newProbes(an.body.Conjuncts)
 	var local Stats
-	ev := &evaluator{
-		env: NewEnv(), indexes: e.indexes,
-		useIndex: e.opts.UseIndex, noSchedule: e.opts.NoSchedule,
-		stats: &local, ctx: cctx,
-		analyze: &analyzeState{probes: probes},
-	}
-	if an != nil {
-		// Execute with the same ranks the plan simulation used, so the
-		// actuals attach to the order the steps report.
-		ev.consumedCache = an.consumed
-		ev.ranks = an.ranks
-	}
 	span := e.tracer.Start("explain-analyze")
 	start := time.Now()
-	err = ev.satisfy(q.Body, eff, func() error {
-		ans.add(ev.env.Snapshot(vars))
-		return nil
-	})
+	analyze := &analyzeState{probes: probes}
+	rows, err := e.collect(cctx, an, e.lockedView(), &local, analyze)
 	total := time.Since(start)
 	e.addStats(local)
 	if e.em != nil {
 		e.em.record(&e.em.query, start, local, err)
 	}
 	if span != nil {
-		span.SetInt("rows", int64(ans.Len()))
-		span.SetInt("elements_scanned", int64(local.ElementsScanned))
-		span.SetInt("index_probes", int64(local.IndexProbes))
-		attachConjunctSpans(span, q.Body.Conjuncts, probes)
-		span.End()
+		endQuerySpan(span, rows.len(), local, an, analyze)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -187,27 +160,26 @@ func (e *Engine) ExplainAnalyzeQuery(ctx context.Context, q *ast.Query) (*Explai
 		}
 	}
 	plan.Analyzed = true
-	plan.Rows = ans.Len()
+	plan.Rows = rows.len()
 	plan.Total = total
-	return plan, ans, nil
+	return plan, &Answer{Vars: an.output(), rows: rows}, nil
 }
 
-// planQuery simulates the conjunct scheduler against the effective
-// universe, returning the static plan plus the scheduled conjuncts in
-// step order (the mapping ANALYZE uses to attach actuals). an, when
-// non-nil, carries the cost ranks the real scheduler would use: among
-// runnable conjuncts the cheapest is picked, source order breaking ties
-// — the same rule as scheduleConjuncts. Callers hold e.mu.
-func (e *Engine) planQuery(q *ast.Query, eff *object.Tuple, an *bodyAnalysis) (*Explain, []ast.Expr) {
-	conjuncts := q.Body.Conjuncts
+// planQuery simulates the conjunct scheduler over a compiled body
+// against the effective universe, returning the static plan plus the
+// scheduled conjuncts in step order (the mapping ANALYZE uses to attach
+// actuals). an carries the cost ranks the real scheduler would use (none
+// under NoSchedule, where ranks would misreport the strict left-to-right
+// order): among runnable conjuncts the cheapest is picked, source order
+// breaking ties — the same rule as tupleFrame.step. Callers hold e.mu.
+func (e *Engine) planQuery(an *bodyAnalysis, eff *object.Tuple) (*Explain, []ast.Expr) {
+	conjuncts := an.body.Conjuncts
 	consumed := make([][]string, len(conjuncts))
 	for i, c := range conjuncts {
 		consumed[i] = consumedVars(c)
 	}
-	var ranks []float64
-	if an != nil {
-		ranks = an.ranks[q.Body]
-	}
+	ranks := an.ranks
+	empty := newEnv(an.sc.size())
 	// Simulate the scheduler: repeatedly pick the cheapest conjunct whose
 	// consumed variables are all "bound" by previously scheduled ones.
 	bound := map[string]bool{}
@@ -243,7 +215,7 @@ func (e *Engine) planQuery(q *ast.Query, eff *object.Tuple, an *bodyAnalysis) (*
 			pick = 0
 		}
 		idx := remaining[pick]
-		step := e.explainConjunct(conjuncts[idx], consumed[idx], eff)
+		step := e.explainConjunct(conjuncts[idx], consumed[idx], eff, empty)
 		if ranks != nil && ranks[idx] < costHuge {
 			step.EstRows = int64(ranks[idx])
 			step.Estimated = true
@@ -275,7 +247,7 @@ func (e *Engine) planQuery(q *ast.Query, eff *object.Tuple, an *bodyAnalysis) (*
 
 // explainConjunct classifies one conjunct and resolves its access path
 // against the effective universe.
-func (e *Engine) explainConjunct(c ast.Expr, consumes []string, eff *object.Tuple) ExplainStep {
+func (e *Engine) explainConjunct(c ast.Expr, consumes []string, eff *object.Tuple, empty *Env) ExplainStep {
 	step := ExplainStep{
 		Conjunct: c.String(),
 		Kind:     "query",
@@ -285,7 +257,7 @@ func (e *Engine) explainConjunct(c ast.Expr, consumes []string, eff *object.Tupl
 	switch x := c.(type) {
 	case *ast.Not:
 		step.Kind = "negation"
-		inner := e.explainConjunct(x.X, nil, eff)
+		inner := e.explainConjunct(x.X, nil, eff, empty)
 		step.Access = inner.Access
 		return step
 	case *ast.Constraint:
@@ -294,7 +266,7 @@ func (e *Engine) explainConjunct(c ast.Expr, consumes []string, eff *object.Tupl
 		return step
 	case *ast.AttrExpr:
 		step.Binds = producerVars(c, consumes)
-		step.Access = e.accessPath(x, eff)
+		step.Access = e.accessPath(x, eff, empty)
 		ast.Walk(c, func(node ast.Expr) bool {
 			if _, isNot := node.(*ast.Not); isNot {
 				step.Kind = "negation"
@@ -327,7 +299,7 @@ func producerVars(c ast.Expr, consumes []string) []string {
 
 // accessPath resolves whether the conjunct's relation-level set
 // expression would use an attribute index.
-func (e *Engine) accessPath(a *ast.AttrExpr, eff *object.Tuple) string {
+func (e *Engine) accessPath(a *ast.AttrExpr, eff *object.Tuple, empty *Env) string {
 	// Walk the path: db attr -> rel attr -> set expr.
 	dbName, ok := constTermName(a.Name)
 	if !ok {
@@ -375,12 +347,11 @@ func (e *Engine) accessPath(a *ast.AttrExpr, eff *object.Tuple) string {
 	if !ok {
 		return "scan"
 	}
-	ev := &evaluator{env: NewEnv(), indexes: e.indexes, useIndex: true, stats: &Stats{}}
 	for _, c := range te.Conjuncts {
 		// A conjunct with a constant attribute name and a ground-or-
 		// bindable equality can use the index once its term is ground;
 		// statically we report "index" for constant equalities.
-		if attr, _, ok := ev.groundEqConjunct(c); ok && attr != "" {
+		if attr, _, ok := groundEqConjunct(c, empty); ok && attr != "" {
 			return "index"
 		}
 	}

@@ -146,17 +146,8 @@ func mustClause(t testing.TB, e *Engine, src string) {
 	}
 }
 
-// strs builds a Row from alternating name/value pairs.
-func row(pairs ...any) Row {
-	if len(pairs)%2 != 0 {
-		panic("row: odd pairs")
-	}
-	r := Row{}
-	for i := 0; i < len(pairs); i += 2 {
-		r[pairs[i].(string)] = toObj(pairs[i+1])
-	}
-	return r
-}
+// row builds a Row from alternating name/value pairs.
+func row(pairs ...any) Row { return RowOf(pairs...) }
 
 func toObj(v any) object.Object {
 	switch x := v.(type) {

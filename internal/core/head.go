@@ -272,56 +272,3 @@ func (t *elemTemplate) build(row []object.Object) (object.Object, error) {
 		return nil, t.err
 	}
 }
-
-// headRows collects one rule run's distinct head-variable rows in
-// first-derived order. A row holds the rule's headVars positionally; a
-// variable the body left unbound (it occurs only under negation) is nil.
-// Rows with equal hashes chain through next (1-based, 0 ends the chain),
-// so dedup allocates nothing per row beyond the row itself.
-type headRows struct {
-	rows  [][]object.Object
-	first map[uint64]int // row hash → 1 + index of the newest row with it
-	next  []int          // per row: 1 + index of the previous row sharing its hash
-}
-
-// add appends row unless an equal row is already present.
-func (h *headRows) add(row []object.Object) bool {
-	var hash uint64 = 0x243f6a8885a308d3
-	for _, v := range row {
-		hash *= 31
-		if v != nil {
-			hash += v.Hash()
-		}
-	}
-	for i := h.first[hash]; i != 0; i = h.next[i-1] {
-		if slotRowsEqual(h.rows[i-1], row) {
-			return false
-		}
-	}
-	if h.first == nil {
-		h.first = make(map[uint64]int)
-	}
-	h.next = append(h.next, h.first[hash])
-	h.rows = append(h.rows, row)
-	h.first[hash] = len(h.rows)
-	return true
-}
-
-func slotRowsEqual(a, b []object.Object) bool {
-	for i, v := range a {
-		w := b[i]
-		if (v == nil) != (w == nil) || v != nil && !v.Equal(w) {
-			return false
-		}
-	}
-	return true
-}
-
-// headRow snapshots the rule's head variables from env, positionally.
-func (r *compiledRule) headRow(env *Env) []object.Object {
-	row := make([]object.Object, len(r.headVars))
-	for i, v := range r.headVars {
-		row[i], _ = env.Lookup(v)
-	}
-	return row
-}

@@ -17,10 +17,10 @@ import (
 func renderAnswer(ans *Answer) string {
 	var b strings.Builder
 	b.WriteString(strings.Join(ans.Vars, ","))
-	for _, r := range ans.Rows {
+	for _, r := range ans.Rows() {
 		b.WriteString("\n")
 		for _, v := range ans.Vars {
-			fmt.Fprintf(&b, "%s=%v;", v, r[v])
+			fmt.Fprintf(&b, "%s=%v;", v, r.Get(v))
 		}
 	}
 	return b.String()
@@ -34,7 +34,7 @@ func pinnedAnswer(t testing.TB, e *Engine, v *version, src string) string {
 		t.Fatalf("parse %q: %v", src, err)
 	}
 	ctx := context.Background()
-	ans, err := e.runSnapshot(cancellable(ctx), ctx, query, v, nil, nil)
+	ans, err := e.runQuery(cancellable(ctx), ctx, query, v.view(), nil, nil)
 	if err != nil {
 		t.Fatalf("snapshot query %q: %v", src, err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"time"
 
 	"idl/internal/ast"
 	"idl/internal/object"
@@ -63,26 +64,18 @@ func (e *Engine) scanTarget(x ast.Expr, o object.Object, an *bodyAnalysis, opts 
 		if len(expr.Conjuncts) == 0 {
 			return nil
 		}
-		// Mirror scheduleConjuncts with an empty env: the cheapest
-		// conjunct whose consumed-variable list is empty runs first (rank
-		// order with source-order ties, or plain source order without
-		// ranks); if none qualifies the scheduler falls back to the first
-		// conjunct.
+		// Mirror the scheduler with an empty env: the cheapest conjunct
+		// whose consumed-slot list is empty runs first (rank order with
+		// source-order ties, or plain source order without ranks); if none
+		// qualifies the scheduler falls back to the first conjunct. A
+		// single conjunct is not scheduled at all.
 		pick := 0
-		if !opts.NoSchedule {
-			var consumed [][]string
+		if !opts.NoSchedule && expr.ID != 0 {
 			var ranks []float64
-			if an != nil {
-				consumed = an.consumed[expr]
-				ranks = an.ranks[expr]
+			if expr == an.body {
+				ranks = an.ranks
 			}
-			if consumed == nil {
-				consumed = make([][]string, len(expr.Conjuncts))
-				for i, c := range expr.Conjuncts {
-					consumed[i] = consumedVars(c)
-				}
-			}
-			pick = firstRunnable(consumed, ranks)
+			pick = firstRunnable(an.sc.tuples[expr.ID].consumed, ranks)
 			if pick < 0 {
 				pick = 0
 			}
@@ -115,7 +108,7 @@ func (e *Engine) scanTarget(x ast.Expr, o object.Object, an *bodyAnalysis, opts 
 		if !ok {
 			return nil
 		}
-		if opts.UseIndex && wouldUseIndex(expr, set) {
+		if opts.UseIndex && wouldUseIndex(expr, set, newEnv(an.sc.size())) {
 			// The index path would answer this scan, so the sequential
 			// evaluator never enumerates the full set; leave it alone.
 			return nil
@@ -127,10 +120,10 @@ func (e *Engine) scanTarget(x ast.Expr, o object.Object, an *bodyAnalysis, opts 
 	}
 }
 
-// wouldUseIndex mirrors indexCandidates' decision under the empty
-// substitution without touching the index cache: same inner-shape, size,
-// and ground-equality-conjunct tests, no lookup.
-func wouldUseIndex(x *ast.SetExpr, set *object.Set) bool {
+// wouldUseIndex mirrors indexCandidates' decision under the given
+// (empty) substitution without touching the index cache: same
+// inner-shape, size, and ground-equality-conjunct tests, no lookup.
+func wouldUseIndex(x *ast.SetExpr, set *object.Set, empty *Env) bool {
 	te, ok := x.X.(*ast.TupleExpr)
 	if !ok {
 		return false
@@ -138,9 +131,8 @@ func wouldUseIndex(x *ast.SetExpr, set *object.Set) bool {
 	if set.Len() < 16 {
 		return false
 	}
-	probe := &evaluator{env: NewEnv(), stats: &Stats{}}
 	for _, c := range te.Conjuncts {
-		if _, _, ok := probe.groundEqConjunct(c); ok {
+		if _, _, ok := groundEqConjunct(c, empty); ok {
 			return true
 		}
 	}
@@ -164,23 +156,24 @@ func splitChunks(elems []object.Object, n int) [][]object.Object {
 	return chunks
 }
 
-// parallelEnumerate evaluates body against root with the first scanned
-// set partitioned across opts.Workers workers, returning each chunk's
-// substitutions — as snap captures them: name-keyed Rows for queries,
-// positional head rows for rule bodies — in chunk order (their
-// concatenation is the exact sequential enumeration order). ok is false
-// when the body has no partitionable scan or the target set is too small
-// to split; the caller then evaluates sequentially. On error, the reported error is the one
-// the earliest chunk raised — the same error sequential evaluation would
-// have hit first, since workers fail at the first failing element of
-// their own chunk.
-func parallelEnumerate[R any](e *Engine, ctx context.Context, body *ast.TupleExpr, root *object.Tuple, snap func(*Env) R, stats *Stats, an *bodyAnalysis, opts Options, em *engineMetrics) ([][]R, bool, error) {
-	workers := opts.Workers
-	target := e.scanTarget(body, root, an, opts)
+// collectPartitioned is collect with the body's first scanned set
+// partitioned across opts.Workers workers: each worker collects its
+// chunk's output rows, and the chunks merge in chunk order — their
+// concatenation is the exact sequential enumeration order, and dropping
+// a worker's own duplicates early cannot change which occurrence of a
+// row comes first. ok is false when the body has no partitionable scan
+// or the target set is too small to split; the caller then evaluates
+// sequentially. On error, the reported error is the one the earliest
+// chunk raised — the same error sequential evaluation would have hit
+// first, since workers fail at the first failing element of their own
+// chunk.
+func (e *Engine) collectPartitioned(ctx context.Context, an *bodyAnalysis, rv readView, stats *Stats) (*rowSet, bool, error) {
+	root, opts, em := rv.eff, rv.opts, rv.em
+	target := e.scanTarget(an.body, root, an, opts)
 	if target == nil || target.Len() < minPartition {
 		return nil, false, nil
 	}
-	chunks := splitChunks(target.Elems(), workers)
+	chunks := splitChunks(target.Elems(), opts.Workers)
 	if len(chunks) < 2 {
 		return nil, false, nil
 	}
@@ -188,7 +181,7 @@ func parallelEnumerate[R any](e *Engine, ctx context.Context, body *ast.TupleExp
 		em.parallelOps.Inc()
 		em.partitions.Add(uint64(len(chunks)))
 	}
-	rows := make([][]R, len(chunks))
+	rows := make([]*rowSet, len(chunks))
 	errs := make([]error, len(chunks))
 	chunkStats := make([]Stats, len(chunks))
 	var wg sync.WaitGroup
@@ -200,23 +193,14 @@ func parallelEnumerate[R any](e *Engine, ctx context.Context, body *ast.TupleExp
 				em.workerBusy.Add(1)
 				defer em.workerBusy.Add(-1)
 			}
-			ev := &evaluator{
-				env:        NewEnv(),
-				indexes:    e.indexes,
-				useIndex:   opts.UseIndex,
-				noSchedule: opts.NoSchedule,
-				stats:      &chunkStats[w],
-				ctx:        ctx,
-				part:       &partition{set: target, elems: chunk},
-			}
-			if an != nil {
-				// Workers share the plan's complete analysis read-only —
-				// same consumed lists and ranks as sequential evaluation.
-				ev.consumedCache = an.consumed
-				ev.ranks = an.ranks
-			}
-			errs[w] = ev.satisfy(body, root, func() error {
-				rows[w] = append(rows[w], snap(ev.env))
+			// Workers share the compiled body read-only — same consumed
+			// lists and ranks as sequential evaluation.
+			ev := newEvaluator(ctx, an, e.indexes, opts, &chunkStats[w])
+			ev.part = &partition{set: target, elems: chunk}
+			out := newRowSet(an.width)
+			rows[w] = out
+			errs[w] = ev.satisfy(an.body, root, func() error {
+				out.add(ev.env.window(an.width))
 				return nil
 			})
 		}(w, chunk)
@@ -227,16 +211,21 @@ func parallelEnumerate[R any](e *Engine, ctx context.Context, body *ast.TupleExp
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, true, err
+			return newRowSet(an.width), true, err
 		}
 	}
-	return rows, true, nil
-}
-
-// snapshotOf is the query paths' snap for parallelEnumerate: the answer
-// variables as a name-keyed Row.
-func snapshotOf(vars []string) func(*Env) Row {
-	return func(env *Env) Row { return env.Snapshot(vars) }
+	var mergeStart time.Time
+	if em != nil {
+		mergeStart = time.Now()
+	}
+	merged := rows[0]
+	for _, r := range rows[1:] {
+		merged.addAll(r)
+	}
+	if em != nil {
+		em.mergeLatency.Observe(time.Since(mergeStart))
+	}
+	return merged, true, nil
 }
 
 // ruleReadsHead reports whether r's body may read other's head relation
@@ -282,34 +271,21 @@ func ruleWave(stratum []*compiledRule, affected []int) int {
 // effective universe, so the concurrency is race-free; derived facts are
 // applied by the caller, strictly in rule order. ans carries each wave
 // member's per-materialization body analysis (parallel to wave).
-func (e *Engine) evalRuleBodies(ctx context.Context, wave []*compiledRule, effective *object.Tuple, stats *Stats, ans []*bodyAnalysis) ([][][]object.Object, []error) {
-	snaps := make([][][]object.Object, len(wave))
-	errs := make([]error, len(wave))
-	if len(wave) == 1 {
-		rule := wave[0]
-		chunks, ok, err := parallelEnumerate(e, ctx, rule.src.Body, effective, rule.headRow, stats, ans[0], e.opts, e.em)
-		if ok {
-			if err == nil {
-				var dedupe headRows
-				for _, rows := range chunks {
-					for _, r := range rows {
-						dedupe.add(r)
-					}
-				}
-				snaps[0] = dedupe.rows
-			}
-			errs[0] = err
-			return snaps, errs
-		}
-		snaps[0], errs[0] = e.evalRuleBody(ctx, rule, effective, stats, ans[0])
+func (e *Engine) evalRuleBodies(ctx context.Context, effective *object.Tuple, stats *Stats, ans []*bodyAnalysis) ([]*rowSet, []error) {
+	snaps := make([]*rowSet, len(ans))
+	errs := make([]error, len(ans))
+	rv := readView{eff: effective, opts: e.opts, em: e.em}
+	if len(ans) == 1 {
+		snaps[0], errs[0] = e.collect(ctx, ans[0], rv, stats, nil)
 		return snaps, errs
 	}
-	ruleStats := make([]Stats, len(wave))
+	rv.opts.Workers = 0 // the wave is the parallelism; each body runs sequentially
+	ruleStats := make([]Stats, len(ans))
 	sem := make(chan struct{}, e.opts.Workers)
 	var wg sync.WaitGroup
-	for i, rule := range wave {
+	for i := range ans {
 		wg.Add(1)
-		go func(i int, rule *compiledRule) {
+		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -317,8 +293,8 @@ func (e *Engine) evalRuleBodies(ctx context.Context, wave []*compiledRule, effec
 				e.em.workerBusy.Add(1)
 				defer e.em.workerBusy.Add(-1)
 			}
-			snaps[i], errs[i] = e.evalRuleBody(ctx, rule, effective, &ruleStats[i], ans[i])
-		}(i, rule)
+			snaps[i], errs[i] = e.collect(ctx, ans[i], rv, &ruleStats[i], nil)
+		}(i)
 	}
 	wg.Wait()
 	for i := range ruleStats {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"idl/internal/ast"
 	"idl/internal/object"
 	"idl/internal/obs"
 	"idl/internal/parser"
@@ -50,12 +51,12 @@ func rowsIdentical(t *testing.T, label string, seq, par *Answer) {
 	if got, want := par.String(), seq.String(); got != want {
 		t.Fatalf("%s: answer mismatch\nsequential: %s\nparallel:   %s", label, want, got)
 	}
-	if len(par.Rows) != len(seq.Rows) {
-		t.Fatalf("%s: row count mismatch: sequential %d, parallel %d", label, len(seq.Rows), len(par.Rows))
+	if par.Len() != seq.Len() {
+		t.Fatalf("%s: row count mismatch: sequential %d, parallel %d", label, seq.Len(), par.Len())
 	}
-	for i := range seq.Rows {
+	for i := 0; i < seq.Len(); i++ {
 		for _, v := range seq.Vars {
-			sv, pv := seq.Rows[i][v], par.Rows[i][v]
+			sv, pv := seq.Row(i).Get(v), par.Row(i).Get(v)
 			if sv == nil || pv == nil || !sv.Equal(pv) {
 				t.Fatalf("%s: row %d differs at %s: sequential %v, parallel %v", label, i, v, sv, pv)
 			}
@@ -320,14 +321,14 @@ func TestScanTargetSkipsIndexableScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if target := e.scanTarget(query.Body, eff, nil, e.opts); target != nil {
+	if target := scanTargetOf(e, query, eff); target != nil {
 		t.Errorf("index-eligible scan: scanTarget = %v, want nil", target)
 	}
 	query2, err := parser.ParseQuery("?.big.r(.stkCode=S, .clsPrice>150)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if target := e.scanTarget(query2.Body, eff, nil, e.opts); target == nil {
+	if target := scanTargetOf(e, query2, eff); target == nil {
 		t.Error("plain scan: scanTarget = nil, want big.r")
 	} else if target.Len() != 100 {
 		t.Errorf("plain scan: wrong set, len %d", target.Len())
@@ -337,9 +338,16 @@ func TestScanTargetSkipsIndexableScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if target := e.scanTarget(query3.Body, eff, nil, e.opts); target != nil {
+	if target := scanTargetOf(e, query3, eff); target != nil {
 		t.Error("negation: scanTarget should be nil")
 	}
+}
+
+// scanTargetOf compiles q the way an unplanned evaluation would and
+// resolves its partitionable scan.
+func scanTargetOf(e *Engine, q *ast.Query, eff *object.Tuple) *object.Set {
+	an := e.transientAnalysis(q, eff, e.opts)
+	return e.scanTarget(an.body, eff, an, e.opts)
 }
 
 // TestParallelMetrics checks the worker instruments move when parallel

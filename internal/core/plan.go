@@ -25,64 +25,76 @@ import (
 // it runs after every estimable conjunct that is runnable alongside it.
 const costHuge = 1e18
 
-// bodyAnalysis is the execution-relevant analysis of one tuple-expression
-// body: consumed-variable lists for every nested tuple expression
-// (safety), and cost ranks for the tuple expressions that schedule
-// cost-based — the top-level body only; nested conjunct lists keep source
-// order. Both maps are complete for the analyzed body, so evaluators
-// (including parallel workers) share them read-only.
+// bodyAnalysis is a body compiled for execution: its slot resolution
+// (slots.go) — the scope, the resolved copy of the AST the evaluator
+// walks, and with them the consumed-slot lists of every nested conjunct
+// list (safety) — plus cost ranks for the one conjunct list that
+// schedules cost-based, the top-level body; nested lists keep source
+// order. Evaluators (including parallel workers) share it read-only.
 type bodyAnalysis struct {
-	consumed map[*ast.TupleExpr][][]string
-	ranks    map[*ast.TupleExpr][]float64
+	sc   *scope
+	body *ast.TupleExpr
+	// width is the body's output row width: its scope numbers the output
+	// variables (answer variables, head variables) 1..width.
+	width int
+	// ranks are the cost ranks of body's conjuncts; nil (NoSchedule, and
+	// a rule before its first run of a materialization) schedules in
+	// source order.
+	ranks []float64
 }
 
-// collectConsumed precomputes the consumed-variable lists of every tuple
-// expression nested anywhere in e (the analysis is environment
-// independent, so it is computed once per compilation instead of once per
-// evaluation).
-func collectConsumed(e ast.Expr, out map[*ast.TupleExpr][][]string) {
-	switch x := e.(type) {
-	case *ast.Not:
-		collectConsumed(x.X, out)
-	case *ast.AttrExpr:
-		collectConsumed(x.Expr, out)
-	case *ast.SetExpr:
-		collectConsumed(x.X, out)
-	case *ast.TupleExpr:
-		lists := make([][]string, len(x.Conjuncts))
-		for i, c := range x.Conjuncts {
-			lists[i] = consumedVars(c)
-			collectConsumed(c, out)
+// output returns the body's output variables, in row order. The slice
+// becomes the public Answer.Vars and aliases the scope cached plans
+// share, so it is capped: a caller's append copies instead of writing
+// into the plan's name table.
+func (an *bodyAnalysis) output() []string { return an.sc.names[1 : 1+an.width : 1+an.width] }
+
+// seed converts name-keyed parameter bindings — the one place the API
+// hands the engine a map — into a substitution over the body's scope.
+// Only output variables (a clause's declared parameters) are seeded.
+func (an *bodyAnalysis) seed(params map[string]object.Object) []object.Object {
+	row := make([]object.Object, an.sc.size())
+	for name, val := range params {
+		if s := an.sc.lookup(name); s != 0 && int(s) <= an.width {
+			row[s] = val
 		}
-		out[x] = lists
 	}
+	return row
 }
 
-// consumedMap returns the complete consumed-variable analysis of a body.
-func consumedMap(body *ast.TupleExpr) map[*ast.TupleExpr][][]string {
-	out := make(map[*ast.TupleExpr][][]string)
-	collectConsumed(body, out)
-	return out
+// resolveUnit slot-resolves body into a fresh scope whose first slots are
+// the output variables. The analysis is environment independent, so it is
+// computed once per compiled unit instead of once per evaluation.
+func resolveUnit(output []string, body *ast.TupleExpr) *bodyAnalysis {
+	sc := newScope(output)
+	return &bodyAnalysis{sc: sc, body: sc.resolveBody(body), width: len(output)}
 }
 
-// analyzeBody computes the full execution analysis of a body against the
-// given effective universe: consumed lists plus cost ranks for the
-// top-level conjuncts. consumed may be nil (computed here) or a
-// precomputed map shared with the caller (rule bodies reuse theirs across
-// materializations). Safe without e.mu when eff is an immutable snapshot
-// (statistics live in a concurrent memo).
-func (e *Engine) analyzeBody(body *ast.TupleExpr, eff *object.Tuple, consumed map[*ast.TupleExpr][][]string) *bodyAnalysis {
-	if consumed == nil {
-		consumed = consumedMap(body)
+// ranked pairs a resolved body with cost ranks for its top-level
+// conjuncts, computed against the given effective universe (rule bodies
+// reuse one resolution across materializations and rank per
+// materialization). deps, when non-nil, records every universe object
+// the estimates resolved. Safe without e.mu when eff is an immutable
+// snapshot (statistics live in a concurrent memo).
+func (e *Engine) ranked(an *bodyAnalysis, eff *object.Tuple, deps *[]planDep) *bodyAnalysis {
+	out := *an
+	out.ranks = make([]float64, len(an.body.Conjuncts))
+	for i, c := range an.body.Conjuncts {
+		out.ranks[i] = e.estimateConjunct(c, eff, deps)
 	}
-	ranks := make([]float64, len(body.Conjuncts))
-	for i, c := range body.Conjuncts {
-		ranks[i] = e.estimateConjunct(c, eff, nil)
+	return &out
+}
+
+// transientAnalysis compiles q for one evaluation — the modes that
+// bypass the planner (Interpret, NoSchedule, traced and EXPLAIN runs).
+// It carries the same cost ranks a plan would, except under NoSchedule,
+// where the scheduler runs strictly left to right.
+func (e *Engine) transientAnalysis(q *ast.Query, eff *object.Tuple, opts Options) *bodyAnalysis {
+	an := resolveUnit(ast.PositiveVars(q.Body), q.Body)
+	if opts.NoSchedule {
+		return an
 	}
-	return &bodyAnalysis{
-		consumed: consumed,
-		ranks:    map[*ast.TupleExpr][]float64{body: ranks},
-	}
+	return e.ranked(an, eff, nil)
 }
 
 // planDep records one universe object the rank computation resolved: the
@@ -97,15 +109,14 @@ type planDep struct {
 	version uint64        // set version when obj is a *object.Set
 }
 
-// queryPlan is a compiled query: its own AST (cache hits execute the
-// plan's AST, so every evaluation of one plan walks identical pointers),
-// the answer-variable signature, the body analysis, per-conjunct row
-// estimates, and the dependency set with the engine epoch at which it was
-// last validated.
+// queryPlan is a compiled query: its own slot-resolved AST (cache hits
+// execute the plan's AST, so every evaluation of one plan walks identical
+// pointers), the body analysis — whose output variables are the answer
+// signature — with per-conjunct row estimates, and the dependency set
+// with the engine epoch at which it was last validated.
 type queryPlan struct {
 	key       planKey
-	q         *ast.Query
-	vars      []string
+	q         *ast.Query // Body is an.body
 	an        *bodyAnalysis
 	deps      []planDep
 	epoch     uint64
@@ -122,6 +133,19 @@ type PlanInfo struct {
 	// CompileNS is the compile time in nanoseconds when this call
 	// compiled a plan; 0 on cache hits.
 	CompileNS int64
+	// Fingerprint is the query's structural fingerprint (the plan-cache
+	// key the planner computed), so callers that account per statement
+	// digest need not hash the AST again.
+	Fingerprint uint64
+}
+
+// planInfo reports a plan obtained with the given cache outcome.
+func planInfo(pl *queryPlan, state string) *PlanInfo {
+	info := &PlanInfo{Cache: state, Fingerprint: pl.key.fp}
+	if state == "miss" || state == "cold" {
+		info.CompileNS = pl.compileNS
+	}
+	return info
 }
 
 // compilePlan builds a plan for q against the given effective universe,
@@ -129,20 +153,12 @@ type PlanInfo struct {
 // snapshot.
 func (e *Engine) compilePlan(q *ast.Query, eff *object.Tuple, key planKey, epoch uint64, em *engineMetrics) *queryPlan {
 	start := time.Now()
-	consumed := consumedMap(q.Body)
 	var deps []planDep
-	ranks := make([]float64, len(q.Body.Conjuncts))
-	for i, c := range q.Body.Conjuncts {
-		ranks[i] = e.estimateConjunct(c, eff, &deps)
-	}
+	an := e.ranked(resolveUnit(ast.PositiveVars(q.Body), q.Body), eff, &deps)
 	pl := &queryPlan{
-		key:  key,
-		q:    q,
-		vars: ast.PositiveVars(q.Body),
-		an: &bodyAnalysis{
-			consumed: consumed,
-			ranks:    map[*ast.TupleExpr][]float64{q.Body: ranks},
-		},
+		key:   key,
+		q:     &ast.Query{Body: an.body},
+		an:    an,
 		deps:  deps,
 		epoch: epoch,
 	}
@@ -244,7 +260,7 @@ func (e *Engine) planFor(q *ast.Query, eff *object.Tuple, epoch uint64, opts Opt
 // variables (source order breaking ties), or -1 when none is runnable.
 // scanTarget (parallel.go) and the plan simulation must agree with
 // scheduleConjuncts on this pick.
-func firstRunnable(consumed [][]string, ranks []float64) int {
+func firstRunnable(consumed [][]int32, ranks []float64) int {
 	pick := -1
 	for i := range consumed {
 		if len(consumed[i]) != 0 {
@@ -450,24 +466,20 @@ func (p *PreparedQuery) revalidate(eff *object.Tuple, epoch uint64, em *engineMe
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pl := p.pl
-	info := &PlanInfo{Cache: "hit"}
 	if pl.epoch == epoch {
-		return pl, info
+		return pl, planInfo(pl, "hit")
 	}
 	if e.validatePlan(pl, eff) {
 		if epoch > pl.epoch {
 			pl.epoch = epoch
 		}
-		info.Cache = "stale"
-		return pl, info
+		return pl, planInfo(pl, "stale")
 	}
 	fresh := e.compilePlan(pl.q, eff, pl.key, epoch, em)
 	if epoch > pl.epoch {
 		p.pl = fresh
 	}
-	info.Cache = "miss"
-	info.CompileNS = fresh.compileNS
-	return fresh, info
+	return fresh, planInfo(fresh, "miss")
 }
 
 // QueryCtx executes the prepared plan under a context. A stale plan
@@ -485,7 +497,7 @@ func (p *PreparedQuery) QueryCtx(ctx context.Context) (*Answer, error) {
 		} else {
 			defer v.unpin()
 			pl, info := p.revalidate(v.eff, v.epoch, v.em)
-			return e.runSnapshot(cancellable(ctx), ctx, pl.q, v, pl, info)
+			return e.runQuery(cancellable(ctx), ctx, pl.q, v.view(), pl, info)
 		}
 	}
 	e.mu.Lock()
@@ -500,7 +512,7 @@ func (p *PreparedQuery) QueryCtx(ctx context.Context) (*Answer, error) {
 		e.publishHeadLocked()
 	}
 	pl, info := p.revalidate(eff, e.epoch, e.em)
-	ans, err := e.runPlanned(cctx, ctx, pl.q, pl, info)
+	ans, err := e.runQuery(cctx, ctx, pl.q, e.lockedView(), pl, info)
 	if ans != nil {
 		ans.Resources.FixpointRounds = e.fixpointRounds - rounds
 	}

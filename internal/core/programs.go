@@ -20,11 +20,10 @@ type compiledClause struct {
 	params    *ast.TupleExpr
 	paramVars []string // head parameter variables in declaration order
 	required  []string // parameters that must be bound at call time
-	// consumed is the body's consumed-variable analysis, computed once at
-	// registration and seeded into every invocation's evaluator — the
-	// clause-body half of compile-once-execute-many (updates run under
-	// the engine mutex, so invocations may extend the shared map).
-	consumed map[*ast.TupleExpr][][]string
+	// an is the body slot-resolved once at registration, its scope
+	// numbering the head's parameter variables first — the clause-body
+	// half of compile-once-execute-many.
+	an *bodyAnalysis
 }
 
 // Program is a named update program: all clauses registered under one
@@ -196,7 +195,7 @@ func compileClause(c *ast.Clause) (*compiledClause, error) {
 		}
 	}
 	cc.required = requiredParams(cc)
-	cc.consumed = consumedMap(c.Body)
+	cc.an = resolveUnit(cc.paramVars, c.Body)
 	return cc, nil
 }
 

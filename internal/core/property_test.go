@@ -130,7 +130,7 @@ func TestPropBindingEnumeratesDistinctValues(t *testing.T) {
 			return false
 		}
 		for k := range want {
-			if !ans.Contains(Row{"K": object.Int(k)}) {
+			if !ans.Contains(row("K", object.Int(k))) {
 				return false
 			}
 		}

@@ -19,15 +19,15 @@ type compiledRule struct {
 	headHO  bool     // head contains a higher-order variable (§6)
 	refs    []patternRef
 	stratum int
-	// consumed is the body's precomputed safety analysis (pure AST
-	// function, computed once at registration); each materialization
-	// pairs it with fresh cost ranks into a bodyAnalysis.
-	consumed map[*ast.TupleExpr][][]string
 	// headVars are the head's variables in first-occurrence order; a body
 	// substitution reaches the head as a row holding them positionally.
 	// head is the head compiled against those positions (head.go).
 	headVars []string
 	head     *headNode
+	// body is the body slot-resolved once at registration, its output row
+	// the head variables; each materialization pairs it with fresh cost
+	// ranks (Engine.ranked).
+	body *bodyAnalysis
 }
 
 // patternRef is a (database, relation) reference pattern from a rule
@@ -87,9 +87,9 @@ func compileRule(r *ast.Rule) (*compiledRule, error) {
 		headDB:   string(dbStr),
 		headHO:   len(ast.HigherOrderVars(r.Head)) > 0,
 		refs:     collectRefs(r.Body),
-		consumed: consumedMap(r.Body),
 		headVars: headVars,
 		head:     compileHead(r.Head, slots),
+		body:     resolveUnit(headVars, r.Body),
 	}
 	if te, ok := headAttr.Expr.(*ast.TupleExpr); ok && len(te.Conjuncts) == 1 {
 		if rel, ok := te.Conjuncts[0].(*ast.AttrExpr); ok {
@@ -347,8 +347,8 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 			maxStratum = r.stratum
 		}
 	}
-	// Each rule body is compiled once per materialization: the
-	// registration-time safety analysis pairs with cost ranks computed at
+	// Each rule body is ranked once per materialization: the
+	// registration-time slot resolution pairs with cost ranks computed at
 	// the rule's first run this materialization, then reused across every
 	// iteration (and shared read-only by parallel rule waves). The first
 	// run happens at the same iteration for every worker count, so the
@@ -358,7 +358,7 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 	anFor := func(rule *compiledRule, effective *object.Tuple) *bodyAnalysis {
 		an := ruleAns[rule]
 		if an == nil {
-			an = e.analyzeBody(rule.src.Body, effective, rule.consumed)
+			an = e.ranked(rule.body, effective, nil)
 			ruleAns[rule] = an
 		}
 		return an
@@ -412,7 +412,7 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 						wave[i] = stratum[ri]
 						waveAns[i] = anFor(stratum[ri], effective)
 					}
-					snaps, errs := e.evalRuleBodies(ctx, wave, effective, &evalStats, waveAns)
+					snaps, errs := e.evalRuleBodies(ctx, effective, &evalStats, waveAns)
 					for wi, rule := range wave {
 						stats.RuleRuns++
 						if errs[wi] != nil {
@@ -438,7 +438,12 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 						continue
 					}
 					stats.RuleRuns++
-					rows, err := e.evalRuleBody(ctx, rule, effective, &evalStats, anFor(rule, effective))
+					// The read-only half of a rule run: every body row is
+					// collected before any make-true applies, because the
+					// body may be reading the overlay through the merged
+					// universe — which is also what makes this half safe to
+					// run concurrently for independent rules (parallel.go).
+					rows, err := e.collect(ctx, anFor(rule, effective), readView{eff: effective, opts: e.opts, em: e.em}, &evalStats, nil)
 					n := 0
 					if err == nil {
 						n, err = sink.applyRows(rule, derived, rows)
@@ -483,29 +488,6 @@ func (e *Engine) ruleAffected(rule *compiledRule, stratum []*compiledRule, chang
 		}
 	}
 	return false
-}
-
-// evalRuleBody is the read-only half of a rule run: it collects the
-// deduped head-variable rows of every body substitution. Rows are
-// collected before any make-true applies because the body may be reading
-// the overlay through the merged universe — which is also what makes
-// this phase safe to run concurrently for independent rules
-// (parallel.go). The mutating half is decreeSink.applyRows.
-func (e *Engine) evalRuleBody(ctx context.Context, rule *compiledRule, effective *object.Tuple, stats *Stats, an *bodyAnalysis) ([][]object.Object, error) {
-	ev := &evaluator{env: NewEnv(), indexes: e.indexes, useIndex: e.opts.UseIndex, noSchedule: e.opts.NoSchedule, stats: stats, ctx: ctx}
-	if an != nil {
-		ev.consumedCache = an.consumed
-		ev.ranks = an.ranks
-	}
-	var rows headRows
-	err := ev.satisfy(rule.src.Body, effective, func() error {
-		rows.add(rule.headRow(ev.env))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows.rows, nil
 }
 
 // emptyFor returns the empty object matching an expression's shape.

@@ -25,7 +25,7 @@ func evalTerm(t ast.Term, env *Env) (object.Object, error) {
 	case ast.Const:
 		return x.Value, nil
 	case ast.Var:
-		if v, ok := env.Lookup(x.Name); ok {
+		if v, ok := env.Lookup(x.Slot); ok {
 			return v, nil
 		}
 		return nil, &unboundError{Var: x.Name}
@@ -139,14 +139,12 @@ func termVarNames(t ast.Term) []string {
 	return out
 }
 
-// singleUnboundVar reports whether t is exactly one unbound variable.
-func singleUnboundVar(t ast.Term, env *Env) (string, bool) {
+// singleUnboundVar reports whether t is exactly one unbound variable,
+// and returns it.
+func singleUnboundVar(t ast.Term, env *Env) (ast.Var, bool) {
 	v, ok := t.(ast.Var)
-	if !ok {
-		return "", false
+	if !ok || env.Bound(v.Slot) {
+		return ast.Var{}, false
 	}
-	if env.Bound(v.Name) {
-		return "", false
-	}
-	return v.Name, true
+	return v, true
 }

@@ -283,7 +283,7 @@ func (u *updater) resolveAttrNames(x *ast.AttrExpr, tup *object.Tuple) (names []
 		}
 		return []string{string(s)}, false, nil
 	case ast.Var:
-		if bound, ok := u.ev.env.Lookup(name.Name); ok {
+		if bound, ok := u.ev.env.Lookup(name.Slot); ok {
 			s, ok := bound.(object.Str)
 			if !ok {
 				return nil, false, fmt.Errorf("core: attribute variable %s bound to non-string %s", name.Name, bound)
@@ -302,8 +302,8 @@ func bindLocalName(env *Env, nameTerm ast.Term, name string, enumerated bool) {
 	if !enumerated {
 		return
 	}
-	if v, ok := nameTerm.(ast.Var); ok && !env.Bound(v.Name) {
-		env.Bind(v.Name, object.Str(name))
+	if v, ok := nameTerm.(ast.Var); ok && !env.Bound(v.Slot) {
+		env.Bind(v.Slot, object.Str(name))
 	}
 }
 
@@ -365,26 +365,44 @@ func (u *updater) execSet(x *ast.SetExpr, obj object.Object) error {
 // each.
 func (u *updater) execTupleConjuncts(conjuncts []ast.Expr, obj object.Object, sl slot) error {
 	queryParts, updateParts := splitTupleParts(conjuncts)
-	var locals []map[string]object.Object
-	dedupe := newAnswer(nil)
-	base := u.ev.env.Snapshot(nil)
-	err := u.satisfyAll(queryParts, obj, func() error {
-		snap := u.ev.env.Snapshot(nil)
-		if dedupe.add(snap) {
-			locals = append(locals, snap)
-		}
-		return nil
-	})
+	locals, err := u.localSubstitutions(queryParts, obj)
 	if err != nil {
 		return err
 	}
-	defer func() { u.ev.env = envFrom(base) }()
-	for _, local := range locals {
-		u.ev.env = envFrom(local)
+	return u.underEach(locals, func() error {
 		for _, part := range updateParts {
 			if err := u.execUpdate(part, obj, sl); err != nil {
 				return err
 			}
+		}
+		return nil
+	})
+}
+
+// localSubstitutions collects the distinct extensions of the current
+// substitution under which obj satisfies every query part — gathered in
+// full before anything mutates.
+func (u *updater) localSubstitutions(queryParts []ast.Expr, obj object.Object) (*rowSet, error) {
+	env := u.ev.env
+	locals := newRowSet(len(env.all()))
+	err := u.satisfyAll(queryParts, obj, func() error {
+		locals.add(env.all())
+		return nil
+	})
+	return locals, err
+}
+
+// underEach runs apply once per local substitution, re-entering it on
+// top of the current one and retracting it afterwards.
+func (u *updater) underEach(locals *rowSet, apply func() error) error {
+	env := u.ev.env
+	mark := env.Mark()
+	for i := 0; i < locals.len(); i++ {
+		env.extend(locals.row(i))
+		err := apply()
+		env.Undo(mark)
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -415,35 +433,27 @@ func (u *updater) execSetElements(inner ast.Expr, set *object.Set) error {
 	queryParts, updateParts := splitParts(inner)
 	for _, elem := range set.Elems() {
 		// Collect the local substitutions before mutating.
-		var locals []map[string]object.Object
-		dedupe := newAnswer(nil)
-		base := u.ev.env.Snapshot(nil)
-		err := u.satisfyAll(queryParts, elem, func() error {
-			snap := u.ev.env.Snapshot(nil)
-			if dedupe.add(snap) {
-				locals = append(locals, snap)
-			}
-			return nil
-		})
+		locals, err := u.localSubstitutions(queryParts, elem)
 		if err != nil {
 			return err
 		}
-		if len(locals) == 0 {
+		if locals.len() == 0 {
 			continue
 		}
 		work := elem.Clone()
 		set.Remove(elem)
-		for _, local := range locals {
-			u.ev.env = envFrom(local)
+		err = u.underEach(locals, func() error {
 			for _, part := range updateParts {
 				if err := u.execUpdate(part, work, noSlot{}); err != nil {
-					u.ev.env = envFrom(base)
-					set.Add(elem)
 					return err
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			set.Add(elem)
+			return err
 		}
-		u.ev.env = envFrom(base)
 		added := set.Add(work)
 		el, wk := elem, work
 		u.undo.record(func() {
@@ -507,13 +517,12 @@ func (u *updater) execAtomic(x *ast.Atomic, obj object.Object, sl slot) error {
 		u.result.ValuesSet++
 		return nil
 	case ast.SignMinus:
-		if name, ok := singleUnboundVar(x.Term, u.ev.env); ok {
+		if _, ok := singleUnboundVar(x.Term, u.ev.env); ok {
 			// Bind locally to the current value; null satisfies nothing,
 			// so a null value stays null (no-op).
 			if _, isNull := obj.(object.Null); isNull {
 				return nil
 			}
-			_ = name
 			sl.set(u, object.Null{})
 			u.result.ValuesSet++
 			return nil
@@ -597,7 +606,7 @@ func (u *updater) putPlusAttr(tup *object.Tuple, a *ast.AttrExpr) error {
 		}
 		name = string(s)
 	case ast.Var:
-		bound, ok := u.ev.env.Lookup(n.Name)
+		bound, ok := u.ev.env.Lookup(n.Slot)
 		if !ok {
 			return &InsertUnboundError{Var: n.Name, Expr: a}
 		}

@@ -212,11 +212,11 @@ func renderIDL(ans *core.Answer, st *Statement, columns map[string]string) strin
 	}
 	seen := map[string]bool{}
 	var lines []string
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		cells := make([]string, len(headers))
 		for i, h := range headers {
-			v, ok := row[columns[h]]
-			if !ok {
+			v := row.Get(columns[h])
+			if v == nil {
 				cells[i] = "_"
 				continue
 			}

@@ -10,6 +10,7 @@
 package object
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -147,14 +148,17 @@ func (Null) String() string   { return "null" }
 func (b Bool) String() string { return strconv.FormatBool(bool(b)) }
 func (i Int) String() string  { return strconv.FormatInt(int64(i), 10) }
 
-func (f Float) String() string {
-	s := strconv.FormatFloat(float64(f), 'g', -1, 64)
+func (f Float) String() string { return string(f.appendTo(make([]byte, 0, 24))) }
+
+func (f Float) appendTo(dst []byte) []byte {
+	n := len(dst)
+	dst = strconv.AppendFloat(dst, float64(f), 'g', -1, 64)
 	// Keep a trailing ".0" on integral floats so the rendering is
 	// unambiguous about the atom's kind.
-	if !strings.ContainsAny(s, ".eE") {
-		s += ".0"
+	if bytes.ContainsAny(dst[n:], ".eE") {
+		return dst
 	}
-	return s
+	return append(dst, ".0"...)
 }
 
 func (s Str) String() string {
@@ -164,8 +168,37 @@ func (s Str) String() string {
 	return strconv.Quote(string(s))
 }
 
-func (d Date) String() string {
-	return fmt.Sprintf("%d/%d/%d", d.Month, d.Day, d.Year%100)
+func (d Date) String() string { return string(d.appendTo(make([]byte, 0, 10))) }
+
+func (d Date) appendTo(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, int64(d.Month), 10)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(d.Day), 10)
+	dst = append(dst, '/')
+	return strconv.AppendInt(dst, int64(d.Year%100), 10)
+}
+
+// AppendString appends o's String rendering to dst. Atoms — what answer
+// tables are made of — render straight into dst without an intermediate
+// string; aggregates go through String.
+func AppendString(dst []byte, o Object) []byte {
+	switch v := o.(type) {
+	case Int:
+		return strconv.AppendInt(dst, int64(v), 10)
+	case Str:
+		if isBareword(string(v)) {
+			return append(dst, v...)
+		}
+		return strconv.AppendQuote(dst, string(v))
+	case Date:
+		return v.appendTo(dst)
+	case Float:
+		return v.appendTo(dst)
+	case Bool:
+		return strconv.AppendBool(dst, bool(v))
+	default:
+		return append(dst, o.String()...)
+	}
 }
 
 // isBareword reports whether s can be rendered without quotes in IDL
@@ -316,8 +349,12 @@ func kindRank(k Kind) int {
 	return 7
 }
 
-func compareRanks(a, b Object) (int, bool) {
-	ra, rb := kindRank(a.Kind()), kindRank(b.Kind())
+// compareRanks orders an object of kind a against b by kind rank alone;
+// done is false when the ranks tie and the values must decide. It takes
+// the receiver's kind, not the receiver: boxing an atom into an Object
+// just to ask its kind would allocate on every comparison.
+func compareRanks(a Kind, b Object) (c int, done bool) {
+	ra, rb := kindRank(a), kindRank(b.Kind())
 	if ra != rb {
 		if ra < rb {
 			return -1, true
@@ -328,14 +365,14 @@ func compareRanks(a, b Object) (int, bool) {
 }
 
 func (Null) Compare(o Object) int {
-	if c, done := compareRanks(Null{}, o); done {
+	if c, done := compareRanks(KindNull, o); done {
 		return c
 	}
 	return 0
 }
 
 func (b Bool) Compare(o Object) int {
-	if c, done := compareRanks(b, o); done {
+	if c, done := compareRanks(KindBool, o); done {
 		return c
 	}
 	other := o.(Bool)
@@ -361,7 +398,7 @@ func compareFloats(a, b float64) int {
 }
 
 func (i Int) Compare(o Object) int {
-	if c, done := compareRanks(i, o); done {
+	if c, done := compareRanks(KindInt, o); done {
 		return c
 	}
 	v, _ := numericValue(o)
@@ -369,7 +406,7 @@ func (i Int) Compare(o Object) int {
 }
 
 func (f Float) Compare(o Object) int {
-	if c, done := compareRanks(f, o); done {
+	if c, done := compareRanks(KindFloat, o); done {
 		return c
 	}
 	v, _ := numericValue(o)
@@ -377,14 +414,14 @@ func (f Float) Compare(o Object) int {
 }
 
 func (s Str) Compare(o Object) int {
-	if c, done := compareRanks(s, o); done {
+	if c, done := compareRanks(KindString, o); done {
 		return c
 	}
 	return strings.Compare(string(s), string(o.(Str)))
 }
 
 func (d Date) Compare(o Object) int {
-	if c, done := compareRanks(d, o); done {
+	if c, done := compareRanks(KindDate, o); done {
 		return c
 	}
 	other := o.(Date)

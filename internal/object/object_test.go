@@ -2,6 +2,7 @@ package object
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -131,11 +132,95 @@ func TestAtomString(t *testing.T) {
 		{Str("9lives"), `"9lives"`},
 		{Str(""), `""`},
 		{NewDate(85, 3, 3), "3/3/85"},
+		{NewDate(2004, 12, 31), "12/31/4"},
+		{Float(1e21), "1e+21"},
+		{Float(-0.25), "-0.25"},
+		{Int(-7), "-7"},
+		{TupleOf("a", 1, "d", NewDate(85, 3, 3)), "(a:1, d:3/3/85)"},
+		{SetOf("x"), "{x}"},
 	}
 	for _, c := range cases {
 		if got := c.o.String(); got != c.want {
 			t.Errorf("%#v.String() = %q, want %q", c.o, got, c.want)
 		}
+		// AppendString is String without the intermediate string.
+		if got := string(AppendString([]byte("k="), c.o)); got != "k="+c.want {
+			t.Errorf("AppendString(%#v) = %q, want %q", c.o, got, "k="+c.want)
+		}
+	}
+}
+
+// TestAtomCompareDoesNotAllocate: comparisons run once per sort step of
+// every rendered answer and once per inequality test of every scanned
+// element; boxing the receiver to ask its kind made each one allocate.
+func TestAtomCompareDoesNotAllocate(t *testing.T) {
+	pairs := [][2]Object{
+		{Int(1 << 40), Int(1<<40 + 1)},
+		{Float(2.5), Int(1 << 40)},
+		{Str("hewlett"), Str("packard")},
+		{NewDate(85, 3, 3), NewDate(85, 3, 4)},
+		{Int(1 << 40), Str("x")},
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, p := range pairs {
+			if p[0].Compare(p[1]) >= 0 {
+				t.Fatal("pairs are ascending")
+			}
+		}
+	}); n != 0 {
+		t.Errorf("Compare allocated %.1f times per run", n)
+	}
+}
+
+// TestTupleNames: the boxed attribute names follow the attribute list
+// through every mutation, and readers of a tuple that no longer changes
+// may ask for them concurrently.
+func TestTupleNames(t *testing.T) {
+	check := func(tup *Tuple) {
+		t.Helper()
+		names := tup.Names()
+		if len(names) != tup.Len() {
+			t.Fatalf("Names has %d entries, tuple %d attributes", len(names), tup.Len())
+		}
+		for i, a := range tup.Attrs() {
+			if names[i] != Object(Str(a)) || tup.Values()[i] == nil {
+				t.Fatalf("Names[%d] = %v, attribute %q", i, names[i], a)
+			}
+		}
+	}
+	tup := NewTuple()
+	check(tup)
+	tup.Put("a", Int(1))
+	tup.Put("b", Int(2))
+	check(tup)
+	tup.Put("a", Int(3)) // replaces a value: same names
+	check(tup)
+	tup.Put("c", Int(4))
+	check(tup)
+	tup.Delete("a")
+	check(tup)
+	tup.Put("a", Int(5)) // same length as before the delete, different order
+	check(tup)
+	check(tup.Clone().(*Tuple))
+
+	shared := TupleOf("date", NewDate(85, 3, 3), "hp", 50, "ibm", 140, "sun", 201)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				names := shared.Names()
+				if len(names) != 4 || names[3] != Object(Str("sun")) {
+					t.Errorf("concurrent Names = %v", names)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := testing.AllocsPerRun(100, func() { _ = shared.Names() }); n != 0 {
+		t.Errorf("Names on an unchanged tuple allocated %.1f times", n)
 	}
 }
 

@@ -231,7 +231,7 @@ func (s *Set) Hash() uint64 {
 // Compare orders sets by cardinality, then element-wise in canonical
 // order. Used only for deterministic rendering.
 func (s *Set) Compare(o Object) int {
-	if c, done := compareRanks(s, o); done {
+	if c, done := compareRanks(KindSet, o); done {
 		return c
 	}
 	other := o.(*Set)

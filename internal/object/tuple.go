@@ -3,6 +3,7 @@ package object
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Tuple is an ordered collection of attribute/object pairs with unique
@@ -17,6 +18,11 @@ type Tuple struct {
 	attrs  []string
 	values []Object
 	index  map[string]int // attr -> position in attrs/values
+	// names caches attrs as Str objects for Names. Atomic because readers
+	// of a shared (published, hence unchanging) tuple may fill it
+	// concurrently; a writer owns its tuple and drops the cache whenever
+	// the attribute list changes.
+	names atomic.Pointer[[]Object]
 }
 
 // NewTuple returns an empty tuple.
@@ -79,6 +85,34 @@ func (t *Tuple) Len() int { return len(t.attrs) }
 // not modify the returned slice.
 func (t *Tuple) Attrs() []string { return t.attrs }
 
+// Names returns the attribute names as Str objects, parallel to Attrs —
+// what a higher-order variable ranging over the tuple's attributes binds
+// to. The slice is built on first use and handed out again until the
+// attribute list changes, so enumerating a stored tuple's names boxes
+// nothing. The caller must not modify it.
+func (t *Tuple) Names() []Object {
+	if p := t.names.Load(); p != nil {
+		return *p
+	}
+	names := make([]Object, len(t.attrs))
+	for i, a := range t.attrs {
+		names[i] = Str(a)
+	}
+	t.names.Store(&names)
+	return names
+}
+
+// attrsChanged drops the Names cache.
+func (t *Tuple) attrsChanged() {
+	if t.names.Load() != nil {
+		t.names.Store(nil)
+	}
+}
+
+// Values returns the attribute objects in insertion order, parallel to
+// Attrs. The caller must not modify the returned slice.
+func (t *Tuple) Values() []Object { return t.values }
+
 // SortedAttrs returns the attribute names sorted lexicographically (a new
 // slice; safe to modify).
 func (t *Tuple) SortedAttrs() []string {
@@ -120,6 +154,7 @@ func (t *Tuple) Put(attr string, obj Object) {
 	t.index[attr] = len(t.attrs)
 	t.attrs = append(t.attrs, attr)
 	t.values = append(t.values, obj)
+	t.attrsChanged()
 }
 
 // Delete removes the attribute and its object, reporting whether it was
@@ -137,6 +172,7 @@ func (t *Tuple) Delete(attr string) bool {
 	t.attrs = t.attrs[:len(t.attrs)-1]
 	t.values = t.values[:len(t.values)-1]
 	delete(t.index, attr)
+	t.attrsChanged()
 	for j := i; j < len(t.attrs); j++ {
 		t.index[t.attrs[j]] = j
 	}
@@ -187,7 +223,7 @@ func (t *Tuple) Hash() uint64 {
 // corresponding values. It exists to give sets of tuples a deterministic
 // canonical order for rendering and testing.
 func (t *Tuple) Compare(o Object) int {
-	if c, done := compareRanks(t, o); done {
+	if c, done := compareRanks(KindTuple, o); done {
 		return c
 	}
 	other := o.(*Tuple)

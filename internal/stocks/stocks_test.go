@@ -215,8 +215,8 @@ func TestHighestPerDayAgrees(t *testing.T) {
 	// IDL (euter form): winning prices must match.
 	ans := q(t, e, QueryHighestPerDay()["euter"])
 	got := map[object.Date]int{}
-	for _, r := range ans.Rows {
-		got[r["D"].(object.Date)] = int(r["P"].(object.Int))
+	for _, r := range ans.Rows() {
+		got[r.Get("D").(object.Date)] = int(r.Get("P").(object.Int))
 	}
 	for _, w := range baseline {
 		if got[w.Date] != w.Price {

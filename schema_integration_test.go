@@ -75,7 +75,7 @@ func TestSchemaKeyEnforcedThroughPrograms(t *testing.T) {
 	}
 	// Rollback left exactly the first quote.
 	res, _ := db.Query("?.euter.r(.stkCode=newco, .clsPrice=P)")
-	if res.Len() != 1 || !res.Contains(Row{"P": Int(1)}) {
+	if res.Len() != 1 || !res.Contains(RowOf("P", 1)) {
 		t.Errorf("state after rollback:\n%s", res)
 	}
 }
@@ -132,7 +132,7 @@ func TestSchemaReifiedQueryable(t *testing.T) {
 		t.Errorf("reified keys:\n%s", res)
 	}
 	res, err = db.Query(`?.constraints.types(.attr=clsPrice, .type=T)`)
-	if err != nil || !res.Contains(Row{"T": Str("number")}) {
+	if err != nil || !res.Contains(RowOf("T", "number")) {
 		t.Errorf("reified types: %v, %v", res, err)
 	}
 }

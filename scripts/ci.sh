@@ -25,7 +25,12 @@
 #      path; measured in the thousands, serial readers complete ~0),
 #      or a B18 incremental-checkpoint ratio above 0.25 (a
 #      single-relation update must rewrite at most a quarter of the
-#      universe's checkpoint bytes; ~0.05 measured) fail the build;
+#      universe's checkpoint bytes; ~0.05 measured), or an allocation
+#      ceiling broken (DESIGN.md §19: B1/B3/B8 may allocate a fixed
+#      128 per evaluation plus 0.25 per scanned element, B4 at most
+#      15 000 per materialisation, B13/query at most 400 at any
+#      worker count — counts, so the ceilings sit close above the
+#      measured 14–54, 13 100–13 300 and 33–169) fail the build;
 #   3. compare it against the committed BENCH_report.json — any
 #      benchmark more than 25% slower fails the build (the
 #      bench-regression gate; a failed compare re-measures once so a
