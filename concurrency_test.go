@@ -11,9 +11,98 @@ import (
 	"idl/internal/stocks"
 )
 
-// The DB (and the underlying Engine) serialize all operations behind one
-// mutex; these tests exercise mixed workloads under the race detector
-// and check the end state is coherent.
+// The DB (and the underlying Engine) serialize mutations behind one
+// mutex and answer reads from pinned snapshots; these tests exercise
+// mixed workloads under the race detector and check the end state is
+// coherent.
+
+// TestFacadeReadDuringHeldCommit pins the facade half of the MVCC
+// contract: with a head snapshot published, a read through DB.QueryCtx or
+// Prepared.QueryCtx — traced or not — completes while a commit holds the
+// engine mutex. The statement pipeline must therefore take no engine lock
+// for its own bookkeeping, and tracing must not move the read onto one.
+func TestFacadeReadDuringHeldCommit(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		name := "untraced"
+		if traced {
+			name = "traced"
+		}
+		t.Run(name, func(t *testing.T) {
+			db := Open()
+			seedStocks(t, db)
+			if traced {
+				db.EnableTracing(16)
+			}
+			const src = "?.euter.r(.stkCode=S, .clsPrice>100)"
+			prep, err := db.Prepare(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Publish a head, and learn the answer the parked reads must give.
+			want, err := db.Query(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := db.MVCCStats()
+			if !before.HeadPublished {
+				t.Fatal("no head snapshot published after a read")
+			}
+
+			// Park a commit inside Engine.UpdateBase's critical section. It
+			// reports no change, so the published head stays valid.
+			parked, release := make(chan struct{}), make(chan struct{})
+			committed := make(chan struct{})
+			go func() {
+				defer close(committed)
+				db.Engine().UpdateBase(func(*Tuple) bool {
+					close(parked)
+					<-release
+					return false
+				})
+			}()
+			<-parked
+
+			reads := map[string]func(context.Context) (*Result, error){
+				"DB.QueryCtx":       func(ctx context.Context) (*Result, error) { return db.QueryCtx(ctx, src) },
+				"Prepared.QueryCtx": prep.QueryCtx,
+			}
+			for what, read := range reads {
+				done := make(chan error, 1)
+				go func() {
+					res, err := read(context.Background())
+					if err == nil && res.String() != want.String() {
+						err = fmt.Errorf("answer %s, want %s", res, want)
+					}
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Errorf("%s during a held commit: %v", what, err)
+					}
+				case <-time.After(2 * time.Second):
+					t.Errorf("%s blocked behind a held commit", what)
+				}
+			}
+			close(release)
+			<-committed
+
+			// The reads ran on the published head — pinned it, froze nothing
+			// new — and let go of it.
+			after := db.MVCCStats()
+			if after.Freezes != before.Freezes || !after.HeadPublished {
+				t.Errorf("freezes %d -> %d, head published %t: parked reads did not pin the published head",
+					before.Freezes, after.Freezes, after.HeadPublished)
+			}
+			if after.PinnedReaders != 0 {
+				t.Errorf("pinned readers = %d after the reads returned, want 0", after.PinnedReaders)
+			}
+			if traced && len(db.Tracer().Recent()) < 3 {
+				t.Errorf("tracer retained %d spans, want the three reads'", len(db.Tracer().Recent()))
+			}
+		})
+	}
+}
 
 func TestConcurrentQueries(t *testing.T) {
 	db := Open()
@@ -324,6 +413,13 @@ func TestConcurrentStatsAndMetrics(t *testing.T) {
 	seedStocks(t, db)
 	reg := db.Metrics()
 	db.EnableTracing(8)
+	// Traced reads run on pinned snapshots, off the engine mutex: the ad
+	// hoc and prepared readers below build their spans and per-conjunct
+	// probes concurrently with each other and with the analyze runs.
+	prep, err := db.Prepare("?.euter.r(.stkCode=S, .clsPrice>100), .ource.S(.clsPrice=P)")
+	if err != nil {
+		t.Fatal(err)
+	}
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -335,6 +431,10 @@ func TestConcurrentStatsAndMetrics(t *testing.T) {
 				switch (g + i) % 4 {
 				case 0:
 					if _, err := db.Query("?.euter.r(.stkCode=S, .clsPrice>100)"); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := prep.Query(); err != nil {
 						t.Error(err)
 						return
 					}
@@ -367,7 +467,14 @@ func TestConcurrentStatsAndMetrics(t *testing.T) {
 	if reg.CounterValue("engine.query.count") != 1 {
 		t.Errorf("query count = %d, want 1", reg.CounterValue("engine.query.count"))
 	}
-	if tr := db.Tracer(); len(tr.Recent()) == 0 {
-		t.Error("tracer should retain the final query span")
+	spans := db.Tracer().Recent()
+	if len(spans) == 0 {
+		t.Fatal("tracer should retain the final query span")
+	}
+	if last := spans[len(spans)-1]; last.Name != "query" || len(last.Children) != 1 {
+		t.Errorf("final span = %s, want a query span with its one conjunct's probe", last)
+	}
+	if pinned := db.MVCCStats().PinnedReaders; pinned != 0 {
+		t.Errorf("pinned readers = %d after all reads returned", pinned)
 	}
 }

@@ -308,39 +308,46 @@ func TestDifferentialExperiments(t *testing.T) {
 	})
 }
 
-// TestDifferentialMVCCModes byte-compares the two concurrency-control
+// TestDifferentialMVCCModes byte-compares the concurrency-control
 // modes: SerialReads (every query under the engine mutex — the old
-// single-mutex behavior) and MVCC snapshot reads (the default lock-free
-// path), across worker counts 0/1/2/4/8, over every E1–E12 experiment.
-// The read path must be invisible to answers, row order, update counts
-// and errors alike.
+// single-mutex behavior), MVCC snapshot reads (the default lock-free
+// path), and MVCC snapshot reads with a tracer attached (spans and
+// per-conjunct probes built on the lock-free path), across worker counts
+// 0/1/2/4/8, over every E1–E12 experiment. Neither the read path nor
+// observing it may be visible in answers, row order, update counts or
+// errors.
 func TestDifferentialMVCCModes(t *testing.T) {
 	ccModes := []struct {
-		name string
-		set  func(*Options)
+		name   string
+		set    func(*Options)
+		opened func(*DB) // post-open hook, may be nil
 	}{
-		{"mutex", func(o *Options) { o.SerialReads = true }},
-		{"mvcc", func(o *Options) {}},
+		{"mutex", func(o *Options) { o.SerialReads = true }, nil},
+		{"mvcc", func(o *Options) {}, nil},
+		{"mvcc+traced", func(o *Options) {}, func(db *DB) { db.EnableTracing(4) }},
 	}
 	workerGrid := []int{0, 1, 2, 4, 8}
 	for _, exp := range diffExperiments {
 		exp := exp
 		t.Run(exp.name, func(t *testing.T) {
-			run := func(mode func(*Options), workers int) []string {
-				db := diffOpen(mode, workers)
+			run := func(mode int, workers int) []string {
+				db := diffOpen(ccModes[mode].set, workers)
+				if ccModes[mode].opened != nil {
+					ccModes[mode].opened(db)
+				}
 				diffFixture(t, db)
 				if exp.setup != nil {
 					exp.setup(t, db)
 				}
 				return diffTranscript(t, db, exp.stmts)
 			}
-			base := run(ccModes[0].set, 0)
-			for _, m := range ccModes {
+			base := run(0, 0)
+			for i, m := range ccModes {
 				for _, w := range workerGrid {
-					if m.name == ccModes[0].name && w == 0 {
+					if i == 0 && w == 0 {
 						continue
 					}
-					diffCompare(t, fmt.Sprintf("%s cc=%s workers=%d", exp.name, m.name, w), base, run(m.set, w))
+					diffCompare(t, fmt.Sprintf("%s cc=%s workers=%d", exp.name, m.name, w), base, run(i, w))
 				}
 			}
 		})

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"idl/internal/object"
+	"idl/internal/obs"
 	"idl/internal/parser"
 	"idl/internal/qlog"
 	"idl/internal/wal"
@@ -206,11 +207,12 @@ func openWALFS(dir string, opts WALOptions, fsys wal.FS) (*DB, *RecoveryReport, 
 	// creates one — so wire the log in now; metricsLocked handles
 	// registries created after this point.
 	db.mu.Lock()
-	if db.metrics != nil {
-		log.SetMetrics(db.metrics)
-	}
+	log.SetMetrics(db.metricsRef())
 	db.mu.Unlock()
-	db.cat.SetMutationLogger(func(op, dbName, rel string, tuples []*object.Tuple) error {
+	// Catalog DDL and member-snapshot installs commit under the same lock
+	// as update requests (DB.commit): apply and append are one critical
+	// section, so the log's record order is the apply order.
+	db.cat.SetCommitLog(&db.walCommit, func(op, dbName, rel string, tuples []*object.Tuple) error {
 		rec := wal.DDLRecord{Op: op, DB: dbName, Rel: rel}
 		for _, t := range tuples {
 			raw, err := object.MarshalJSON(t)
@@ -225,8 +227,7 @@ func openWALFS(dir string, opts WALOptions, fsys wal.FS) (*DB, *RecoveryReport, 
 		}
 		_, err = db.walAppend(wal.TypeDDL, payload)
 		return err
-	})
-	db.cat.SetSnapshotLogger(func(name string, snap *Tuple) error {
+	}, func(name string, snap *Tuple) error {
 		rec := wal.MemberSnapRecord{Name: name}
 		if snap != nil {
 			raw, err := object.MarshalJSON(snap)
@@ -336,12 +337,12 @@ func (db *DB) walAppend(typ byte, payload []byte) (uint64, error) {
 	return db.wal.Append(typ, payload)
 }
 
-// walAppendTraced is walAppend under a "wal.commit" span when tracing is
-// enabled: the span carries the record type, the assigned LSN, and the
-// caller's trace/op IDs from ctx, so a commit can be joined to the query
-// that caused it and to the physical log offline.
-func (db *DB) walAppendTraced(ctx context.Context, typ byte, payload []byte) error {
-	tracer := db.engine.Tracer()
+// walAppendTraced is walAppend under a "wal.commit" span when the
+// statement runs traced (tracer non-nil): the span carries the record
+// type, the assigned LSN, and the caller's trace/op IDs from ctx, so a
+// commit can be joined to the query that caused it and to the physical
+// log offline.
+func (db *DB) walAppendTraced(ctx context.Context, tracer *obs.Tracer, typ byte, payload []byte) error {
 	if tracer == nil || db.wal == nil {
 		_, err := db.walAppend(typ, payload)
 		return err

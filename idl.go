@@ -21,20 +21,14 @@ package idl
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"idl/internal/ast"
 	"idl/internal/catalog"
 	"idl/internal/core"
 	"idl/internal/federation"
-	"idl/internal/insights"
 	"idl/internal/object"
-	"idl/internal/obs"
 	"idl/internal/parser"
 	"idl/internal/qlog"
 	"idl/internal/schema"
@@ -139,10 +133,12 @@ type DB struct {
 	cat    *catalog.Catalog
 	schema *schema.Registry
 
-	// Observability (see obs.go): the registry is created lazily by
-	// Metrics (or the first Mount) and attached to engine and catalog;
-	// nil means metrics are off and instrumented paths cost one nil test.
-	metrics       *obs.Registry
+	// settings is what every statement reads of the facade's
+	// configuration — the metrics registry (obs.go), tracer, digest store
+	// (insights.go), parallelism, failure mode, whether members are
+	// mounted — published as one immutable value (see statement.go).
+	settings atomic.Pointer[settings]
+
 	lastReport    *federation.Report
 	snapshotBytes int64 // size of the last snapshot saved or loaded
 
@@ -151,15 +147,10 @@ type DB struct {
 	// event log / workload journal when attached.
 	rec *qlog.Recorder
 
-	// Query insights (see insights.go): per-statement digests keyed by
-	// AST fingerprint with adaptive slow-query capture; nil means
-	// insights are off and the hot path pays one nil test.
-	insights *insights.Store
-
 	// Durability (see durability.go): DBs opened with OpenWAL log every
-	// committed mutation here; nil means no WAL and commit hooks cost one
-	// nil test. walCommit serializes apply+append on the exec path so the
-	// log's record order matches the engine's apply order.
+	// committed mutation here; nil means no WAL. walCommit makes each
+	// logged mutation's apply and append one critical section (see
+	// DB.commit), so the log's record order is the apply order.
 	wal           *wal.Log
 	walCommit     sync.Mutex
 	walDurability Durability
@@ -196,14 +187,16 @@ func OpenWithOptions(opts Options) *DB {
 	// Worker parallelism extends to member syncs: fetches overlap up to
 	// the same degree the evaluator partitions scans.
 	cat.SetFetchConcurrency(opts.Workers)
-	// Member fetches join the caller's trace when tracing is enabled.
-	cat.SetTracer(engine.Tracer)
-	return &DB{
+	db := &DB{
 		engine:    engine,
 		cat:       cat,
 		rec:       qlog.NewRecorder(qlog.DefaultRingSize),
 		traceBase: newTraceBase(),
 	}
+	db.settings.Store(&settings{workers: opts.Workers, bestEffort: opts.BestEffort})
+	// Member fetches join the caller's trace when tracing is enabled.
+	cat.SetTracer(db.Tracer)
+	return db
 }
 
 // OpenSnapshot loads a universe previously written by Save.
@@ -226,22 +219,23 @@ func OpenSnapshot(path string) (*DB, error) {
 func (db *DB) Save(path string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	reg := db.metricsRef()
 	var start time.Time
-	if db.metrics != nil {
+	if reg != nil {
 		start = time.Now()
 	}
 	size, err := storage.SaveFileSized(path, db.engine.Base())
 	if err == nil {
 		db.snapshotBytes = size
 	}
-	if db.metrics != nil {
-		db.metrics.Counter("storage.save.count").Inc()
+	if reg != nil {
+		reg.Counter("storage.save.count").Inc()
 		if err != nil {
-			db.metrics.Counter("storage.save.errors").Inc()
+			reg.Counter("storage.save.errors").Inc()
 		} else {
-			db.metrics.Gauge("storage.snapshot_bytes").Set(size)
+			reg.Gauge("storage.snapshot_bytes").Set(size)
 		}
-		db.metrics.Histogram("storage.save.latency").Observe(time.Since(start))
+		reg.Histogram("storage.save.latency").Observe(time.Since(start))
 	}
 	return err
 }
@@ -252,262 +246,6 @@ func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 // Engine exposes the underlying evaluation engine for advanced use
 // (statistics, AST-level queries).
 func (db *DB) Engine() *core.Engine { return db.engine }
-
-// Query evaluates a pure query (the leading `?` is optional) against the
-// effective universe — base databases plus materialized views. Mounted
-// member databases (see Mount) are synced first.
-func (db *DB) Query(src string) (*Result, error) {
-	return db.QueryCtx(context.Background(), src)
-}
-
-// Exec runs an update request: a conjunction of query expressions, update
-// expressions, and update-program calls, executed left to right under a
-// shared substitution bag. Requests are atomic.
-func (db *DB) Exec(src string) (*ExecInfo, error) {
-	return db.ExecCtx(context.Background(), src)
-}
-
-// DefineView registers one view rule, e.g.
-//
-//	.dbI.p+(.date=D, .stk=S, .price=P) <- .euter.r(.date=D, .stkCode=S, .clsPrice=P)
-func (db *DB) DefineView(src string) error {
-	r, err := parser.ParseRule(src)
-	if err != nil {
-		return err
-	}
-	err = db.engine.AddRule(r)
-	db.rec.Emit(qlog.KindRule, r.String(), err)
-	if err == nil {
-		_, err = db.walAppend(wal.TypeRule, []byte(r.String()))
-	}
-	return err
-}
-
-// DefineViews registers several view rules, stopping at the first error.
-func (db *DB) DefineViews(srcs ...string) error {
-	for _, src := range srcs {
-		if err := db.DefineView(src); err != nil {
-			return fmt.Errorf("idl: rule %q: %w", src, err)
-		}
-	}
-	return nil
-}
-
-// DefineProgram registers one update-program clause, e.g.
-//
-//	.dbU.delStk(.stk=S, .date=D) -> .euter.r-(.stkCode=S, .date=D)
-func (db *DB) DefineProgram(src string) error {
-	c, err := parser.ParseClause(src)
-	if err != nil {
-		return err
-	}
-	err = db.engine.AddClause(c)
-	db.rec.Emit(qlog.KindClause, c.String(), err)
-	if err == nil {
-		_, err = db.walAppend(wal.TypeClause, []byte(c.String()))
-	}
-	return err
-}
-
-// DefinePrograms registers several clauses, stopping at the first error.
-func (db *DB) DefinePrograms(srcs ...string) error {
-	for _, src := range srcs {
-		if err := db.DefineProgram(src); err != nil {
-			return fmt.Errorf("idl: clause %q: %w", src, err)
-		}
-	}
-	return nil
-}
-
-// Call invokes a named update program with parameter bindings keyed by
-// the program's head variables. Values may be Go literals or Values.
-func (db *DB) Call(namespace, name string, params map[string]any) (*ExecInfo, error) {
-	return db.CallCtx(context.Background(), namespace, name, params)
-}
-
-// CallCtx is Call under a context: member sync and program execution
-// observe cancellation and deadlines, and a ctx already tagged with a
-// trace ID (the wire server's X-Trace-Id adoption) keeps it.
-func (db *DB) CallCtx(ctx context.Context, namespace, name string, params map[string]any) (*ExecInfo, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	converted := make(map[string]Value, len(params))
-	for k, v := range params {
-		switch x := v.(type) {
-		case Value:
-			converted[k] = x
-		case bool:
-			converted[k] = Bool(x)
-		case int:
-			converted[k] = Int(x)
-		case int64:
-			converted[k] = Int(x)
-		case float64:
-			converted[k] = Float(x)
-		case string:
-			converted[k] = Str(x)
-		default:
-			return nil, fmt.Errorf("idl: unsupported parameter type %T for %s", v, k)
-		}
-	}
-	ins := db.insightsRef()
-	op := db.rec.Begin(qlog.KindCall)
-	tracer := db.engine.Tracer()
-	var tid string
-	if op != nil || tracer != nil || (ins != nil && ins.CaptureEnabled()) {
-		tid = db.traceIDFor(ctx)
-		op.SetTraceID(tid)
-		if op == nil {
-			ctx = qlog.WithTraceID(ctx, tid)
-		} else if tracer != nil {
-			ctx = op.Context(ctx)
-		}
-	}
-	var text string
-	if op != nil || db.wal != nil || ins != nil {
-		var attrs map[string]string
-		if p, ok := db.engine.LookupProgram(namespace, name); ok {
-			attrs = p.ParamAttrs()
-		}
-		// The IDL rendering serves both the journal and the WAL: a logged
-		// call replays as an ordinary update request.
-		text = callText(namespace, name, converted, attrs)
-		op.SetText(text)
-	}
-	var start time.Time
-	if ins != nil {
-		start = time.Now()
-	}
-	// Programs run updates; member sync is fail-fast like Exec.
-	if _, err := db.syncSources(ctx, false); err != nil {
-		op.End(err)
-		db.observeExec(ins, callFingerprint(namespace, name), "call", func() string { return text }, start, tid, nil, 0, err)
-		return nil, err
-	}
-	var info *ExecInfo
-	var err error
-	var walBytes int
-	if db.wal != nil {
-		db.walCommit.Lock()
-		info, err = db.engine.CallCtx(ctx, namespace, name, converted)
-		if err == nil {
-			if err = db.walAppendTraced(ctx, wal.TypeExec, []byte(text)); err == nil {
-				walBytes = len(text)
-			}
-		}
-		db.walCommit.Unlock()
-	} else {
-		info, err = db.engine.CallCtx(ctx, namespace, name, converted)
-	}
-	if info != nil {
-		sum, changes := execSummary(info)
-		op.SetExec(sum, changes)
-	}
-	op.End(err)
-	db.observeExec(ins, callFingerprint(namespace, name), "call", func() string { return text }, start, tid, info, walBytes, err)
-	return info, err
-}
-
-// callText renders a program invocation in IDL surface syntax —
-// `?.ns.name(.attr=v, …)` with sorted parameters — so journaled calls
-// are replayable as ordinary update requests. attrs translates the
-// call's parameter variables into the attribute names the program's
-// head declares (S → stk); variables the program does not declare (or
-// calls to unknown programs) keep their given keys.
-func callText(namespace, name string, params map[string]Value, attrs map[string]string) string {
-	keys := make([]string, 0, len(params))
-	rendered := make(map[string]string, len(params))
-	for k := range params {
-		r := k
-		if attr, ok := attrs[k]; ok {
-			r = attr
-		}
-		keys = append(keys, k)
-		rendered[k] = r
-	}
-	sort.Slice(keys, func(i, j int) bool { return rendered[keys[i]] < rendered[keys[j]] })
-	var b strings.Builder
-	fmt.Fprintf(&b, "?.%s.%s(", namespace, name)
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, ".%s=%s", rendered[k], params[k])
-	}
-	b.WriteByte(')')
-	return b.String()
-}
-
-// execSummary converts an engine ExecResult into the journal's
-// serializable form plus the total mutation count.
-func execSummary(info *ExecInfo) (qlog.ExecSummary, int) {
-	sum := qlog.ExecSummary{
-		ElemsInserted: info.ElemsInserted,
-		ElemsDeleted:  info.ElemsDeleted,
-		AttrsCreated:  info.AttrsCreated,
-		AttrsDeleted:  info.AttrsDeleted,
-		ValuesSet:     info.ValuesSet,
-		Bindings:      info.Bindings,
-	}
-	changes := info.ElemsInserted + info.ElemsDeleted + info.AttrsCreated + info.AttrsDeleted + info.ValuesSet
-	return sum, changes
-}
-
-// Load runs a `;`-separated IDL script: rules and clauses register, and
-// queries / update requests execute in order. It returns the results of
-// the executed statements.
-func (db *DB) Load(src string) ([]*ScriptResult, error) {
-	return db.LoadCtx(context.Background(), src)
-}
-
-// isProgramCall reports whether any conjunct targets a registered update
-// program (such statements route through Execute even without signs).
-func (db *DB) isProgramCall(q *ast.Query) bool {
-	for _, c := range q.Body.Conjuncts {
-		a, ok := c.(*ast.AttrExpr)
-		if !ok {
-			continue
-		}
-		dbName, ok := constStr(a.Name)
-		if !ok {
-			continue
-		}
-		te, ok := a.Expr.(*ast.TupleExpr)
-		if !ok || len(te.Conjuncts) != 1 {
-			continue
-		}
-		inner, ok := te.Conjuncts[0].(*ast.AttrExpr)
-		if !ok {
-			continue
-		}
-		name, ok := constStr(inner.Name)
-		if !ok {
-			continue
-		}
-		if _, found := db.engine.LookupProgram(dbName, name); found {
-			return true
-		}
-	}
-	return false
-}
-
-func constStr(t ast.Term) (string, bool) {
-	c, ok := t.(ast.Const)
-	if !ok {
-		return "", false
-	}
-	s, ok := c.Value.(Str)
-	return string(s), ok
-}
-
-// ScriptResult reports one executed script statement.
-type ScriptResult struct {
-	Statement string
-	Kind      string // "rule", "clause", "query", "exec"
-	Answer    *Result
-	Exec      *ExecInfo
-}
 
 // Schema returns the constraint registry, installing integrity
 // enforcement on first use: every subsequent mutating request is
@@ -591,7 +329,8 @@ func (db *DB) SetWorkers(n int) {
 	}
 	db.engine.SetWorkers(n)
 	db.cat.SetFetchConcurrency(n)
+	db.configure(func(s *settings) { s.workers = n })
 }
 
 // Workers returns the configured parallelism degree.
-func (db *DB) Workers() int { return db.engine.Workers() }
+func (db *DB) Workers() int { return db.settings.Load().workers }

@@ -3,11 +3,7 @@ package idl
 import (
 	"fmt"
 	"hash/fnv"
-	"time"
 
-	"idl/internal/ast"
-	"idl/internal/core"
-	"idl/internal/federation"
 	"idl/internal/insights"
 	"idl/internal/qlog"
 )
@@ -45,19 +41,14 @@ const exemplarEventTail = 8
 // production setting with capture off). Enabling replaces any previous
 // store and its accumulated digests.
 func (db *DB) EnableInsights(cfg InsightsConfig) {
-	s := insights.New(cfg)
-	s.SetCaptureSource(db.captureContext)
-	db.mu.Lock()
-	db.insights = s
-	db.mu.Unlock()
+	store := insights.New(cfg)
+	store.SetCaptureSource(db.captureContext)
+	db.configure(func(s *settings) { s.insights = store })
 }
 
-// DisableInsights detaches the store; instrumented paths return to one
-// nil test of overhead. Accumulated digests are discarded.
+// DisableInsights detaches the store. Accumulated digests are discarded.
 func (db *DB) DisableInsights() {
-	db.mu.Lock()
-	db.insights = nil
-	db.mu.Unlock()
+	db.configure(func(s *settings) { s.insights = nil })
 }
 
 // InsightsEnabled reports whether a digest store is attached.
@@ -65,11 +56,7 @@ func (db *DB) InsightsEnabled() bool { return db.insightsRef() != nil }
 
 // insightsRef returns the attached store without creating one (nil when
 // insights are off).
-func (db *DB) insightsRef() *insights.Store {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.insights
-}
+func (db *DB) insightsRef() *insights.Store { return db.settings.Load().insights }
 
 // Statements returns every tracked statement digest, ordered by
 // descending total evaluation time. It fails when insights are not
@@ -133,7 +120,7 @@ func (db *DB) ResetStatements() {
 // ring leading up to the capture.
 func (db *DB) captureContext(traceID string) (*QuerySpan, []*qlog.Event) {
 	var root *QuerySpan
-	if t := db.engine.Tracer(); t != nil && traceID != "" {
+	if t := db.Tracer(); t != nil && traceID != "" {
 		for _, s := range t.Recent() {
 			for _, a := range s.Attrs {
 				if a.Key == "trace" && a.Str == traceID {
@@ -147,77 +134,6 @@ func (db *DB) captureContext(traceID string) (*QuerySpan, []*qlog.Event) {
 		events = events[len(events)-exemplarEventTail:]
 	}
 	return root, events
-}
-
-// insightsResources widens the evaluator's resource record; the facade
-// layers federation fetches and WAL bytes on top at the call sites.
-func insightsResources(r core.Resources) insights.Resources {
-	return insights.Resources{
-		RowsScanned:    r.RowsScanned,
-		TuplesEmitted:  r.TuplesEmitted,
-		FixpointRounds: r.FixpointRounds,
-		IndexBuilds:    r.IndexBuilds,
-		IndexProbes:    r.IndexProbes,
-	}
-}
-
-// observeQuery folds one finished read-only evaluation into the store.
-// Called after op.End, so the journal record exists and the root span
-// is filed — the exemplar's trace ID joins both.
-func (db *DB) observeQuery(s *insights.Store, q *ast.Query, start time.Time, tid string, ans *Result, rep *federation.Report, err error) {
-	if s == nil {
-		return
-	}
-	o := insights.Observation{
-		Kind:     "query",
-		Text:     q.String,
-		Duration: time.Since(start),
-		Err:      err != nil,
-		TraceID:  tid,
-	}
-	var plan *core.PlanInfo
-	if ans != nil {
-		o.Resources = insightsResources(ans.Resources)
-		o.Degraded = ans.Degraded != nil
-		plan = ans.Plan
-	}
-	if plan != nil {
-		// The planner already fingerprinted the statement.
-		o.PlanCache = plan.Cache
-		o.Fingerprint = plan.Fingerprint
-	} else {
-		o.Fingerprint = ast.Fingerprint(q)
-	}
-	if rep != nil {
-		o.Resources.FedFetches = uint64(len(rep.Sources))
-	}
-	s.Observe(o)
-}
-
-// observeExec folds one finished update request or program call into
-// the store. text renders the statement on demand (the store wants it
-// only for a digest's first observation and for exemplars); walBytes is
-// the payload length appended to the WAL (0 when no WAL is attached or
-// the commit failed before the append).
-func (db *DB) observeExec(s *insights.Store, fp uint64, kind string, text func() string, start time.Time, tid string, info *ExecInfo, walBytes int, err error) {
-	if s == nil {
-		return
-	}
-	o := insights.Observation{
-		Fingerprint: fp,
-		Kind:        kind,
-		Text:        text,
-		Duration:    time.Since(start),
-		Err:         err != nil,
-		TraceID:     tid,
-	}
-	if info != nil {
-		o.Resources = insightsResources(info.Resources)
-	}
-	if walBytes > 0 {
-		o.Resources.WALBytes = uint64(walBytes)
-	}
-	s.Observe(o)
 }
 
 // callFingerprint identifies a program call by its target: calls have

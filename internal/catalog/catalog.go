@@ -12,6 +12,7 @@ package catalog
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"idl/internal/federation"
 	"idl/internal/object"
@@ -41,11 +42,13 @@ type Catalog struct {
 	// concurrently; 0 and 1 fetch sequentially (see SetFetchConcurrency).
 	fetchConc int
 
-	// Durability hooks (see SetMutationLogger / SetSnapshotLogger): the
-	// owner's write-ahead log observes committed DDL and member-snapshot
-	// installs. Both are nil-safe and cost nothing unconfigured.
-	logMut  func(op, db, rel string, tuples []*object.Tuple) error
-	logSnap func(name string, snap *object.Tuple) error
+	// Durability hooks (see SetCommitLog): the owner's write-ahead log
+	// observes committed DDL and member-snapshot installs. Every mutator
+	// holds commitLock from its apply through its last log append, so the
+	// log's record order is the apply order; the loggers are nil-safe.
+	commitLock sync.Locker
+	logMut     func(op, db, rel string, tuples []*object.Tuple) error
+	logSnap    func(name string, snap *object.Tuple) error
 
 	// Sync metrics (see SetMetrics); all nil-safe, so an unconfigured
 	// catalog pays nothing.
@@ -68,7 +71,7 @@ func New(universe *object.Tuple, onChange func()) *Catalog {
 	if universe == nil {
 		universe = object.NewTuple()
 	}
-	return &Catalog{universe: universe, onChange: onChange}
+	return &Catalog{universe: universe, onChange: onChange, commitLock: new(sync.Mutex)}
 }
 
 // Universe returns the underlying universe tuple.
@@ -97,15 +100,20 @@ func (c *Catalog) changed() {
 	}
 }
 
-// SetMutationLogger installs the durability hook for DDL: fn runs after
-// each committed catalog mutation with the operation name ("create-db",
-// "drop-db", "create-rel", "drop-rel", "insert"), its target, and the
-// inserted tuples. A non-nil return propagates to the DDL caller — the
-// in-memory change is applied but the log refused it, so the owner's
-// write-ahead log is poisoned and the caller must treat the store as
-// failed.
-func (c *Catalog) SetMutationLogger(fn func(op, db, rel string, tuples []*object.Tuple) error) {
-	c.logMut = fn
+// SetCommitLog installs the owner's write-ahead log. lock is the owner's
+// commit lock — the one its own logged writes apply and append under —
+// and replaces the catalog's private one, so a catalog mutation and a
+// racing update request cannot log in the opposite order to the one they
+// applied in. mut runs after each committed catalog mutation with the
+// operation name ("create-db", "drop-db", "create-rel", "drop-rel",
+// "insert"), its target, and the inserted tuples; snap after each member
+// snapshot install (snapshot non-nil) or removal (nil) reaches the
+// universe — logging the full snapshot makes recovery independent of the
+// member being reachable. A non-nil return propagates to the caller: the
+// in-memory change is applied but the log refused it, so the log is
+// poisoned and the caller must treat the store as failed.
+func (c *Catalog) SetCommitLog(lock sync.Locker, mut func(op, db, rel string, tuples []*object.Tuple) error, snap func(name string, snap *object.Tuple) error) {
+	c.commitLock, c.logMut, c.logSnap = lock, mut, snap
 }
 
 func (c *Catalog) logMutation(op, db, rel string, tuples []*object.Tuple) error {
@@ -134,6 +142,8 @@ func (c *Catalog) CreateDatabase(name string) error {
 	if name == "" {
 		return fmt.Errorf("catalog: database name must not be empty")
 	}
+	c.commitLock.Lock()
+	defer c.commitLock.Unlock()
 	var err error
 	c.applyUniverse(func(u *object.Tuple) bool {
 		if u.Has(name) {
@@ -151,6 +161,8 @@ func (c *Catalog) CreateDatabase(name string) error {
 
 // DropDatabase removes a database and all its relations.
 func (c *Catalog) DropDatabase(name string) error {
+	c.commitLock.Lock()
+	defer c.commitLock.Unlock()
 	var err error
 	c.applyUniverse(func(u *object.Tuple) bool {
 		if !u.Delete(name) {
@@ -180,6 +192,8 @@ func (c *Catalog) database(name string) (*object.Tuple, error) {
 
 // CreateRelation adds an empty relation to a database.
 func (c *Catalog) CreateRelation(db, rel string) error {
+	c.commitLock.Lock()
+	defer c.commitLock.Unlock()
 	var err error
 	c.applyUniverse(func(u *object.Tuple) bool {
 		d, dErr := databaseIn(u, db)
@@ -206,6 +220,8 @@ func (c *Catalog) CreateRelation(db, rel string) error {
 
 // DropRelation removes a relation.
 func (c *Catalog) DropRelation(db, rel string) error {
+	c.commitLock.Lock()
+	defer c.commitLock.Unlock()
 	var err error
 	c.applyUniverse(func(u *object.Tuple) bool {
 		d, dErr := databaseIn(u, db)
@@ -295,6 +311,8 @@ func (c *Catalog) Relation(db, rel string, create bool) (*object.Set, error) {
 		madeDB, madeRel bool
 		err             error
 	)
+	c.commitLock.Lock()
+	defer c.commitLock.Unlock()
 	c.applyUniverse(func(u *object.Tuple) bool {
 		s, madeDB, madeRel, err = relationIn(u, db, rel)
 		return madeDB || madeRel
@@ -323,6 +341,8 @@ func (c *Catalog) Insert(db, rel string, tuples ...*object.Tuple) (int, error) {
 		madeDB, madeRel bool
 		err             error
 	)
+	c.commitLock.Lock()
+	defer c.commitLock.Unlock()
 	c.applyUniverse(func(u *object.Tuple) bool {
 		var s *object.Set
 		s, madeDB, madeRel, err = relationIn(u, db, rel)

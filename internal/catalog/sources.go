@@ -56,6 +56,8 @@ func (c *Catalog) Unmount(name string) error {
 	delete(c.sources, name)
 	c.membersG.Set(int64(len(c.sources)))
 	removed := false
+	c.commitLock.Lock()
+	defer c.commitLock.Unlock()
 	c.applyUniverse(func(u *object.Tuple) bool {
 		removed = u.Delete(name)
 		return removed
@@ -85,15 +87,6 @@ func (c *Catalog) HasSources() bool { return len(c.sources) > 0 }
 // onChange.
 func (c *Catalog) SetApplier(fn func(func(base *object.Tuple) bool)) {
 	c.apply = fn
-}
-
-// SetSnapshotLogger installs the durability hook for member snapshots:
-// fn runs after each snapshot install (snap non-nil) or removal (snap
-// nil) reaches the universe. Logging the full snapshot makes recovery
-// independent of the member being reachable — the replayed snapshot is
-// plain data until the next live sync.
-func (c *Catalog) SetSnapshotLogger(fn func(name string, snap *object.Tuple) error) {
-	c.logSnap = fn
 }
 
 func (c *Catalog) logSnapshot(name string, snap *object.Tuple) error {
@@ -287,6 +280,10 @@ func (c *Catalog) SyncSources(ctx context.Context, bestEffort bool) (*federation
 		snap *object.Tuple // nil = removed
 	}
 	var installed []install
+	// Fetches ran outside the commit lock; the install and its log records
+	// are one critical section of it.
+	c.commitLock.Lock()
+	defer c.commitLock.Unlock()
 	c.applyUniverse(func(u *object.Tuple) bool {
 		changed := false
 		for _, name := range names {

@@ -92,8 +92,8 @@ func DefaultOptions() Options {
 // An Engine is safe for concurrent use. Mutations (Execute, Call,
 // UpdateBase, DDL, rule registration) serialize on the engine mutex;
 // queries pin an immutable snapshot version (version.go) and evaluate
-// lock-free, falling back to the mutex only to freeze a fresh snapshot
-// after a mutation — or always, under Options.SerialReads.
+// lock-free — traced or not — falling back to the mutex only to freeze a
+// fresh snapshot after a mutation — or always, under Options.SerialReads.
 type Engine struct {
 	mu sync.Mutex
 
@@ -429,42 +429,36 @@ func (e *Engine) Query(q *ast.Query) (*Answer, error) {
 // and deadlines, with checks amortized so the enumeration hot path
 // stays fast. A cancelled query returns ctx.Err().
 //
-// Reads are snapshot-isolated: the query pins the newest committed
-// version of the effective universe (version.go) and evaluates against
-// it without holding the engine mutex, so concurrent queries share the
-// machine instead of a lock queue. The mutex is taken only when no
-// fresh snapshot is published (the first read after a mutation freezes
-// one), under Options.SerialReads, or when a tracer is attached
-// (per-conjunct probes are not concurrency-safe).
-//
 // Unless the planner is bypassed (NoSchedule, Interpret, or a traced
 // run), evaluation goes through a compiled plan from the epoch-keyed
 // plan cache; the answer's Plan field reports the cache outcome.
 func (e *Engine) QueryCtx(ctx context.Context, q *ast.Query) (*Answer, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if ast.HasUpdate(q.Body) {
 		return nil, fmt.Errorf("core: query contains update expressions; use Execute")
 	}
-	if v := e.pinHead(); v != nil {
-		if v.opts.SerialReads || v.tracer != nil {
-			v.unpin()
-		} else {
-			defer v.unpin()
-			return e.runQuery(cancellable(ctx), ctx, q, v.view(), nil, nil)
-		}
-	}
-	return e.queryLocked(ctx, q)
+	return e.read(ctx, q, nil)
 }
 
-// queryLocked is the mutex-guarded read path: refresh the effective
-// universe, publish a fresh snapshot for subsequent lock-free readers,
-// and evaluate under the lock (pre-MVCC semantics).
-func (e *Engine) queryLocked(ctx context.Context, q *ast.Query) (*Answer, error) {
+// read is the one read path, shared by ad hoc and prepared queries (p
+// non-nil, q ignored). Reads are snapshot-isolated: the query pins the
+// newest committed version of the effective universe (version.go) and
+// evaluates against it without holding the engine mutex, so concurrent
+// queries share the machine instead of a lock queue — traced or not. The
+// mutex is taken only when no fresh snapshot is published: the first read
+// after a mutation refreshes the effective universe, freezes a snapshot
+// for the readers behind it, and evaluates under the lock. Under
+// Options.SerialReads nothing is ever published, so every read does.
+func (e *Engine) read(ctx context.Context, q *ast.Query, p *PreparedQuery) (*Answer, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	cctx := cancellable(ctx)
+	if v := e.pinHead(); v != nil {
+		defer v.unpin()
+		return e.runQuery(cctx, ctx, q, p, v.view())
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cctx := cancellable(ctx)
 	rounds := e.fixpointRounds
 	if _, err := e.refreshEffective(cctx); err != nil {
 		return nil, err
@@ -472,7 +466,7 @@ func (e *Engine) queryLocked(ctx context.Context, q *ast.Query) (*Answer, error)
 	if !e.opts.SerialReads {
 		e.publishHeadLocked()
 	}
-	ans, err := e.runQuery(cctx, ctx, q, e.lockedView(), nil, nil)
+	ans, err := e.runQuery(cctx, ctx, q, p, e.lockedView())
 	if ans != nil {
 		ans.Resources.FixpointRounds = e.fixpointRounds - rounds
 	}
@@ -497,24 +491,31 @@ func (e *Engine) lockedView() readView {
 }
 
 // view is a pinned immutable version, readable with no engine lock held
-// — the MVCC fast path. Traced reads never take it (QueryCtx routes them
-// to the locked path), so it carries no tracer.
+// — the MVCC fast path. It carries the tracer captured at freeze: a
+// traced read builds its span tree and per-conjunct probes as
+// per-evaluation state, and the tracer's ring has its own lock.
 func (v *version) view() readView {
-	return readView{eff: v.eff, epoch: v.epoch, opts: v.opts, em: v.em}
+	return readView{eff: v.eff, epoch: v.epoch, opts: v.opts, em: v.em, tracer: v.tracer}
 }
 
-// runQuery evaluates a pure query against a read view. With pl == nil a
-// plan is acquired according to the view's options: from the plan cache
+// runQuery evaluates a pure query against a read view. A prepared query
+// (p non-nil) revalidates and runs its own plan; otherwise a plan is
+// acquired according to the view's options: from the plan cache
 // (default), compiled cold (NoPlanCache), or skipped entirely (Interpret
 // / NoSchedule / traced runs, which compile the caller's AST
-// transiently). Prepared queries pass their own plan. All routes apply
-// the same cost ranks, and the locked and lock-free paths share this one
-// body, so answers — including raw row order — are byte-identical across
-// them at the same epoch. Shared state it touches is individually
-// synchronized: the plan cache under planMu, the index cache's sharded
-// read locks, the statistics sync.Map, and the aggregate counters under
-// statsMu.
-func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Query, rv readView, pl *queryPlan, info *PlanInfo) (*Answer, error) {
+// transiently). All routes apply the same cost ranks, and the locked and
+// lock-free paths share this one body, so answers — including raw row
+// order — are byte-identical across them at the same epoch. Shared state
+// it touches is individually synchronized: the plan cache under planMu,
+// the index cache's sharded read locks, the statistics sync.Map, the
+// tracer's ring, and the aggregate counters under statsMu.
+func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Query, p *PreparedQuery, rv readView) (*Answer, error) {
+	var pl *queryPlan
+	var info *PlanInfo
+	if p != nil {
+		pl, info = p.revalidate(rv.eff, rv.epoch, rv.em)
+		q = pl.q
+	}
 	obsOn := rv.em != nil || rv.tracer != nil
 	var start time.Time
 	var span *obs.Span

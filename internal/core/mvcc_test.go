@@ -34,7 +34,7 @@ func pinnedAnswer(t testing.TB, e *Engine, v *version, src string) string {
 		t.Fatalf("parse %q: %v", src, err)
 	}
 	ctx := context.Background()
-	ans, err := e.runQuery(cancellable(ctx), ctx, query, v.view(), nil, nil)
+	ans, err := e.runQuery(cancellable(ctx), ctx, query, nil, v.view())
 	if err != nil {
 		t.Fatalf("snapshot query %q: %v", src, err)
 	}

@@ -152,9 +152,8 @@ func (e *Engine) Metrics() *obs.Registry {
 // SetTracer attaches a span tracer (nil detaches). Traced operations
 // build hierarchical spans: queries get per-conjunct children, view
 // materializations per-round children, update requests a program call
-// tree. The published MVCC head is dropped because snapshot readers
-// consult the tracer captured at freeze time to decide whether they must
-// take the serialized (traceable) path.
+// tree. The published MVCC head is dropped because snapshots capture the
+// tracer their readers file spans into.
 func (e *Engine) SetTracer(t *obs.Tracer) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

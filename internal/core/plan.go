@@ -482,39 +482,9 @@ func (p *PreparedQuery) revalidate(eff *object.Tuple, epoch uint64, em *engineMe
 	return fresh, planInfo(fresh, "miss")
 }
 
-// QueryCtx executes the prepared plan under a context. A stale plan
-// (catalog epoch moved and a dependency changed) is recompiled in place
-// first. Like Engine.QueryCtx, it pins the published head snapshot and
-// evaluates without the engine mutex when it can.
+// QueryCtx executes the prepared plan under a context, on the same read
+// path as Engine.QueryCtx. A stale plan (catalog epoch moved and a
+// dependency changed) is recompiled in place first.
 func (p *PreparedQuery) QueryCtx(ctx context.Context) (*Answer, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e := p.e
-	if v := e.pinHead(); v != nil {
-		if v.opts.SerialReads || v.tracer != nil {
-			v.unpin()
-		} else {
-			defer v.unpin()
-			pl, info := p.revalidate(v.eff, v.epoch, v.em)
-			return e.runQuery(cancellable(ctx), ctx, pl.q, v.view(), pl, info)
-		}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cctx := cancellable(ctx)
-	rounds := e.fixpointRounds
-	eff, err := e.refreshEffective(cctx)
-	if err != nil {
-		return nil, err
-	}
-	if !e.opts.SerialReads {
-		e.publishHeadLocked()
-	}
-	pl, info := p.revalidate(eff, e.epoch, e.em)
-	ans, err := e.runQuery(cctx, ctx, pl.q, e.lockedView(), pl, info)
-	if ans != nil {
-		ans.Resources.FixpointRounds = e.fixpointRounds - rounds
-	}
-	return ans, err
+	return p.e.read(ctx, nil, p)
 }

@@ -67,10 +67,8 @@ type version struct {
 	// opts is the engine options at freeze time; the snapshot evaluates
 	// under them even if the engine's change later.
 	opts Options
-	// em and tracer are the observability hooks captured at freeze.
-	// Traced engines route queries through the locked path (per-conjunct
-	// probes are not concurrency-safe), so tracer here only gates that
-	// decision.
+	// em and tracer are the observability hooks captured at freeze;
+	// reads of this version report and trace through them.
 	em     *engineMetrics
 	tracer *obs.Tracer
 	// pins counts in-flight readers; a version is collectable only at

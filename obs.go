@@ -13,8 +13,7 @@ import (
 
 // Observability facade. A DB can expose a metrics registry (counters,
 // gauges, latency histograms across the engine, federation, and storage
-// layers) and a hierarchical span tracer. Both are off by default and
-// cost a single nil check per instrumented operation until enabled.
+// layers) and a hierarchical span tracer. Both are off by default.
 
 type (
 	// MetricsRegistry is a named collection of counters, gauges, and
@@ -45,30 +44,26 @@ func (db *DB) Metrics() *MetricsRegistry {
 	return db.metricsLocked()
 }
 
-// metricsLocked lazily creates and wires the registry; callers hold
-// db.mu.
+// metricsLocked lazily creates, wires and publishes the registry;
+// callers hold db.mu.
 func (db *DB) metricsLocked() *obs.Registry {
-	if db.metrics == nil {
-		db.metrics = obs.NewRegistry()
-		db.engine.SetMetrics(db.metrics)
-		db.cat.SetMetrics(db.metrics)
-		if db.wal != nil {
-			db.wal.SetMetrics(db.metrics)
-		}
+	reg := db.metricsRef()
+	if reg == nil {
+		reg = obs.NewRegistry()
+		db.engine.SetMetrics(reg)
+		db.cat.SetMetrics(reg)
+		db.wal.SetMetrics(reg)
 		if db.snapshotBytes > 0 {
-			db.metrics.Gauge("storage.snapshot_bytes").Set(db.snapshotBytes)
+			reg.Gauge("storage.snapshot_bytes").Set(db.snapshotBytes)
 		}
+		db.configure(func(s *settings) { s.metrics = reg })
 	}
-	return db.metrics
+	return reg
 }
 
 // metricsRef returns the registry without creating one (nil when
 // metrics are off; all registry methods are nil-safe no-ops).
-func (db *DB) metricsRef() *obs.Registry {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.metrics
-}
+func (db *DB) metricsRef() *obs.Registry { return db.settings.Load().metrics }
 
 // MetricsEnabled reports whether a metrics registry is attached,
 // without attaching one (unlike Metrics, which lazily creates it).
@@ -93,39 +88,45 @@ func (db *DB) EnableTracing(capacity int) *QueryTracer {
 	if reg := db.metricsRef(); reg != nil {
 		t.SetDropCounter(reg.Counter("traces.dropped"))
 	}
-	db.engine.SetTracer(t)
+	db.setTracer(t)
 	return t
+}
+
+// setTracer hands the engine and the statement pipeline the same tracer
+// (nil detaches).
+func (db *DB) setTracer(t *obs.Tracer) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.engine.SetTracer(t)
+	db.configure(func(s *settings) { s.tracer = t })
 }
 
 // SetTraceRetention rebounds the attached tracer's ring at runtime
 // (minimum 1). Shrinking evicts the oldest span trees immediately,
 // counting them as dropped. A no-op when tracing is off.
 func (db *DB) SetTraceRetention(capacity int) {
-	db.engine.Tracer().SetCapacity(capacity)
+	db.Tracer().SetCapacity(capacity)
 }
 
 // TraceRetention returns the tracer's ring bound (0 when tracing is
 // off).
 func (db *DB) TraceRetention() int {
-	return db.engine.Tracer().Capacity()
+	return db.Tracer().Capacity()
 }
 
 // TracesDropped reports how many finished span trees the retention
 // bound has evicted since tracing was enabled (0 when off).
 func (db *DB) TracesDropped() uint64 {
-	return db.engine.Tracer().Dropped()
+	return db.Tracer().Dropped()
 }
 
-// DisableTracing detaches the tracer; traced operations return to a
-// single nil check of overhead.
+// DisableTracing detaches the tracer.
 func (db *DB) DisableTracing() {
-	db.engine.SetTracer(nil)
+	db.setTracer(nil)
 }
 
 // Tracer returns the attached tracer, or nil when tracing is off.
-func (db *DB) Tracer() *QueryTracer {
-	return db.engine.Tracer()
-}
+func (db *DB) Tracer() *QueryTracer { return db.settings.Load().tracer }
 
 // LastSyncReport returns the member-health report of the most recent
 // federation sync (nil before any sync or when no members are mounted).
@@ -167,10 +168,7 @@ func (db *DB) ExplainAnalyzeCtx(ctx context.Context, src string) (*ExplainPlan, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if rep != nil && rep.Degraded() {
-		rep.Skipped = skippedConjuncts(q, rep)
-		ans.Degraded = rep
-	}
+	degrade(q, ans, rep)
 	return plan, ans, nil
 }
 

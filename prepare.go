@@ -86,5 +86,5 @@ func (p *Prepared) Query() (*Result, error) {
 // report — except that planning reuses the prepared plan (revalidating
 // or recompiling it when the catalog epoch moved).
 func (p *Prepared) QueryCtx(ctx context.Context) (*Result, error) {
-	return p.db.runQueryOp(ctx, p.q, p.pq.QueryCtx)
+	return p.db.query(ctx, p.q, p.pq)
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"idl/internal/object"
 	"idl/internal/wal"
@@ -326,6 +328,100 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	defer db3.Close()
 	if got := stateDigest(t, db3); got != want {
 		t.Fatalf("second recovery diverges:\n got %s\nwant %s", got, want)
+	}
+}
+
+// gateFS parks the first WAL write issued after arm until release is
+// closed — the seam that holds one commit between its apply and the end
+// of its append while another commit is attempted.
+type gateFS struct {
+	wal.FS
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (g *gateFS) Create(path string) (wal.File, error) {
+	f, err := g.FS.Create(path)
+	return &gateFile{f, g}, err
+}
+
+func (g *gateFS) Append(path string) (wal.File, error) {
+	f, err := g.FS.Append(path)
+	return &gateFile{f, g}, err
+}
+
+type gateFile struct {
+	wal.File
+	g *gateFS
+}
+
+func (f *gateFile) Write(p []byte) (int, error) {
+	if f.g.armed.CompareAndSwap(true, false) {
+		close(f.g.parked)
+		<-f.g.release
+	}
+	return f.File.Write(p)
+}
+
+// TestWALOrderCatalogDDL: a catalog mutation and an update request that
+// race must reach the log in the order they applied, or recovery replays
+// them the other way round — here, a bulk Insert followed by an Exec
+// deleting the inserted tuple would recover with the tuple resurrected.
+// The Insert's append is parked; until it completes, the Exec must not
+// have applied (apply + append are one critical section of one commit
+// lock), and afterwards the recovered universe must equal the live one.
+func TestWALOrderCatalogDDL(t *testing.T) {
+	dir := t.TempDir()
+	gate := &gateFS{FS: wal.OSFS(), parked: make(chan struct{}), release: make(chan struct{})}
+	db, _, err := openWALFS(dir, WALOptions{}, gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Catalog().Insert("euter", "r", Tup("date", Date(85, 3, 1), "stkCode", "hp", "clsPrice", 50)); err != nil {
+		t.Fatal(err)
+	}
+
+	gate.armed.Store(true)
+	inserted, deleted := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := db.Catalog().Insert("euter", "r", Tup("date", Date(85, 3, 2), "stkCode", "dec", "clsPrice", 80))
+		inserted <- err
+	}()
+	<-gate.parked // the tuple is in memory; its log record is not yet written
+	go func() {
+		_, err := db.Exec("?.euter.r-(.stkCode=dec)")
+		deleted <- err
+	}()
+	for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		res, err := db.Query("?.euter.r(.stkCode=dec, .clsPrice=P)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() == 0 {
+			t.Error("the delete applied while the insert's append was parked: its record can reach the log first")
+			break
+		}
+	}
+	close(gate.release)
+	if err := <-inserted; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-deleted; err != nil {
+		t.Fatal(err)
+	}
+
+	want := stateDigest(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, _, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := stateDigest(t, db2); got != want {
+		t.Errorf("recovered state diverges from the live one:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -71,7 +71,7 @@ type TraceRecord struct {
 // trace/op IDs lifted out of the root spans' attributes. It fails when
 // tracing is not enabled (EnableTracing attaches the tracer).
 func (db *DB) Traces() ([]TraceRecord, error) {
-	t := db.engine.Tracer()
+	t := db.Tracer()
 	if t == nil {
 		return nil, fmt.Errorf("idl: tracing is not enabled (call EnableTracing)")
 	}
@@ -109,5 +109,5 @@ func (db *DB) ExportTraces(w io.Writer) error {
 	return enc.Encode(struct {
 		Traces  []TraceRecord `json:"traces"`
 		Dropped uint64        `json:"dropped"`
-	}{Traces: traces, Dropped: db.engine.Tracer().Dropped()})
+	}{Traces: traces, Dropped: db.Tracer().Dropped()})
 }
