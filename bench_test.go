@@ -364,18 +364,15 @@ func execB(b *testing.B, e *core.Engine, src string) {
 	}
 }
 
-// --- B9: incremental vs full view maintenance on additive updates ---
+// --- B9: view maintenance by delta vs from scratch after additive updates ---
 
-func BenchmarkIncrementalViews(b *testing.B) {
-	for _, incremental := range []bool{true, false} {
-		name := "full"
-		if incremental {
-			name = "incremental"
+func BenchmarkViewMaintenance(b *testing.B) {
+	for _, full := range []bool{false, true} {
+		name := "delta"
+		if full {
+			name = "full"
 		}
-		opts := core.DefaultOptions()
-		opts.IncrementalViews = incremental
-		e, _ := engineFor(b, stocks.Config{Stocks: 32, Days: 30, Seed: 37}, opts)
-		// Negation-free rules (the incremental path's soundness domain).
+		e, _ := engineFor(b, stocks.Config{Stocks: 32, Days: 30, Seed: 37}, core.DefaultOptions())
 		addRuleB(b, e, ".dbI.p+(.date=D, .stk=S, .price=P) <- .euter.r(.date=D, .stkCode=S, .clsPrice=P)")
 		addRuleB(b, e, ".dbO.S+(.date=D, .clsPrice=P) <- .dbI.p(.date=D, .stk=S, .price=P)")
 		q := parseQ(b, "?.dbI.p(.stk=stk001)")
@@ -383,6 +380,9 @@ func BenchmarkIncrementalViews(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				execB(b, e, fmt.Sprintf("?.euter.r+(.date=1/2/86, .stkCode=inc%06d, .clsPrice=%d)", i, i%100))
+				if full {
+					e.Invalidate() // no delta: the refresh recomputes from scratch
+				}
 				runQuery(b, e, q) // forces view refresh
 			}
 		})

@@ -797,17 +797,16 @@ func runAll(short bool) *Report {
 		add(measure("B8/point/"+tc.name, short, e, func() { run(e) }))
 	}
 
-	// B9: incremental vs full view maintenance on additive updates.
-	for _, incremental := range []bool{true, false} {
-		opts := core.DefaultOptions()
-		opts.IncrementalViews = incremental
-		e, _ := engineFor(stocks.Config{Stocks: n, Days: 30, Seed: 37}, opts)
+	// B9: view maintenance after an additive update — by delta (the
+	// engine's refresh) vs from scratch (Invalidate forces it).
+	for _, full := range []bool{false, true} {
+		e, _ := engineFor(stocks.Config{Stocks: n, Days: 30, Seed: 37}, core.DefaultOptions())
 		mustAddRules(e, ".dbI.p+(.date=D, .stk=S, .price=P) <- .euter.r(.date=D, .stkCode=S, .clsPrice=P)")
 		run := mustQuery("?.dbI.p(.stk=stk001)")
 		run(e)
-		name := "B9/maintenance/full"
-		if incremental {
-			name = "B9/maintenance/incremental"
+		name := "B9/maintenance/delta"
+		if full {
+			name = "B9/maintenance/full"
 		}
 		i := 0
 		add(measure(name, short, e, func() {
@@ -819,6 +818,9 @@ func runAll(short bool) *Report {
 			}
 			if _, err := e.Execute(q); err != nil {
 				panic(err)
+			}
+			if full {
+				e.Invalidate()
 			}
 			run(e)
 		}))

@@ -388,6 +388,13 @@ func (db *DB) Checkpoint() (uint64, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	// The commit lock keeps the snapshot out of any statement's critical
+	// section (DB.commit): a checkpoint taken between a mutation's apply
+	// and its append would contain the mutation, and recovery would then
+	// replay its record on top of it. db.mu comes first, as in a member
+	// sync, which takes the commit lock to install snapshots.
+	db.walCommit.Lock()
+	defer db.walCommit.Unlock()
 	rules := db.Views()
 	clauses := make([]string, 0)
 	for _, c := range db.engine.Clauses() {

@@ -30,29 +30,24 @@ import (
 // subsume or merge on and is simply added.
 //
 // The decreeSink answers the three questions from a per-target-set index
-// instead of scanning the set per decree. It lives for one
-// materializeInto call and is never stored on an object.Set: sets are
-// shared by pointer with pinned MVCC snapshots, whose readers must not
-// see (or race with) writer-side bookkeeping.
-
-// cowBarrier is the engine's copy-on-write hook (version.go): given a
-// set reached under parent.attr, it returns the set safe to mutate —
-// the set itself when no live MVCC snapshot shares it, a re-parented
-// shallow clone otherwise. A nil barrier means mutate in place.
-type cowBarrier func(parent *object.Tuple, attr string, s *object.Set) *object.Set
+// instead of scanning the set per decree. It lives for one materialize
+// call and is never stored on an object.Set: sets are shared by pointer
+// with pinned MVCC snapshots, whose readers must not see (or race with)
+// writer-side bookkeeping. The overlay it fills is fresh, so no snapshot
+// shares its sets yet; a write maintains the overlay by delta instead
+// (maintain.go).
 
 // decreeSink drives compiled rule heads into the derived overlay for one
 // materialization.
 type decreeSink struct {
-	cow     cowBarrier
 	targets map[*object.Set]*targetSet
 	d       decree // the one builder every tuple decree is assembled in
 	// candidates counts elements inspected while placing decrees.
 	candidates int
 }
 
-func newDecreeSink(cow cowBarrier) *decreeSink {
-	return &decreeSink{cow: cow, targets: make(map[*object.Set]*targetSet)}
+func newDecreeSink() *decreeSink {
+	return &decreeSink{targets: make(map[*object.Set]*targetSet)}
 }
 
 // applyRows makes rule's head true once per row, in enumeration order
@@ -111,7 +106,7 @@ func (s *decreeSink) apply(n *headNode, obj object.Object, row []object.Object) 
 		}
 		kid := n.kids[0]
 		if set, isSet := val.(*object.Set); isSet {
-			t := s.target(tup, name, set)
+			t := s.target(set)
 			if kid.kind == headSet {
 				return s.decree(t, kid.elem, row)
 			}
@@ -138,17 +133,10 @@ func unboundHeadName(err error) error {
 	return err
 }
 
-// target returns the sink's record for the set under parent.attr. The
-// first time a materialization reaches a set it passes the copy-on-write
-// barrier — on the incremental path the overlay being extended may share
-// the set with live snapshots — and every later decree reuses the
-// writer-private result.
-func (s *decreeSink) target(parent *object.Tuple, attr string, set *object.Set) *targetSet {
+// target returns the sink's record for set.
+func (s *decreeSink) target(set *object.Set) *targetSet {
 	if t := s.targets[set]; t != nil {
 		return t
-	}
-	if s.cow != nil {
-		set = s.cow(parent, attr, set)
 	}
 	t := newTargetSet(set)
 	s.targets[set] = t
@@ -226,13 +214,18 @@ func (d *decree) tuple() *object.Tuple {
 // every decreed attribute with the decreed value, compatible when every
 // decreed attribute is absent from it or equal.
 func (d *decree) match(elem *object.Tuple) (subsumes, compatible bool) {
+	return matchAttrs(d.attrs, d.vals, elem)
+}
+
+// matchAttrs is decree.match over any attribute list.
+func matchAttrs(attrs []string, vals []object.Object, elem *object.Tuple) (subsumes, compatible bool) {
 	subsumes = true
-	for i, attr := range d.attrs {
+	for i, attr := range attrs {
 		have, has := elem.Get(attr)
 		switch {
 		case !has:
 			subsumes = false
-		case !have.Equal(d.vals[i]):
+		case !have.Equal(vals[i]):
 			return false, false
 		}
 	}
@@ -255,9 +248,9 @@ type attrIndex struct {
 }
 
 // targetSet is one (db, rel) set decrees land in, with its decree index.
-// Attributes are indexed on first use by a decree, so a pre-populated
-// set (the IncrementalViews path) costs one pass per decreed attribute,
-// not one per decree.
+// Attributes are indexed on first use by a decree, so a set that already
+// holds elements costs one pass per decreed attribute, not one per
+// decree.
 type targetSet struct {
 	set     *object.Set
 	entries []*decreeEntry

@@ -119,9 +119,9 @@ func randDecree(r *rand.Rand, attrs int) object.Object {
 // TestDecreeIndexMatchesReferenceScan replays seeded random decree
 // sequences through the decree sink (the real head program for
 // `.v.r+(=T)`, T bound to the decree) and through the reference scan,
-// on fresh and on pre-populated, snapshot-shared sets, and demands the
-// same elements in the same insertion order, the same change count per
-// decree, and no pre-existing element or pre-COW set touched.
+// on fresh and on pre-populated sets, and demands the same elements in
+// the same insertion order, the same change count per decree, and no
+// pre-existing element touched (merges land on clones).
 func TestDecreeIndexMatchesReferenceScan(t *testing.T) {
 	rule, err := parser.ParseRule(".v.r+(=T) <- .src.s(=T)")
 	if err != nil {
@@ -139,36 +139,24 @@ func TestDecreeIndexMatchesReferenceScan(t *testing.T) {
 		attrs := 2 + r.Intn(10)
 		prepopulated := seed%2 == 0
 
-		shared := object.NewSet() // what a pinned snapshot would still hold
+		live := object.NewSet()
 		if prepopulated {
 			for i := r.Intn(25); i > 0; i-- {
-				shared.Add(randDecree(r, attrs))
+				live.Add(randDecree(r, attrs))
 			}
 		}
-		before := shared.Elems()
+		before := live.Elems()
 		beforeText := make([]string, len(before))
 		for i, e := range before {
 			beforeText[i] = e.String()
 		}
-		ref := shared.ShallowClone()
+		ref := live.ShallowClone()
 
-		// The overlay under extension holds the shared set; the barrier
-		// clones it on first touch, as Engine.cowSet does for a published
-		// set.
 		v := object.NewTuple()
-		v.Put("r", shared)
+		v.Put("r", live)
 		derived := object.NewTuple()
 		derived.Put("v", v)
-		clones := 0
-		sink := newDecreeSink(func(parent *object.Tuple, attr string, s *object.Set) *object.Set {
-			if s != shared {
-				return s
-			}
-			clones++
-			c := s.ShallowClone()
-			parent.Put(attr, c)
-			return c
-		})
+		sink := newDecreeSink()
 
 		merges := 0
 		steps := 40 + r.Intn(400)
@@ -189,19 +177,11 @@ func TestDecreeIndexMatchesReferenceScan(t *testing.T) {
 				t.Fatalf("seed %d step %d: decree %s changed %d, reference %d", seed, step, decree, got, want)
 			}
 		}
-		live, _ := v.Get("r")
 		if got, want := live.String(), ref.String(); got != want {
 			t.Fatalf("seed %d: sets diverge\nindexed:   %s\nreference: %s", seed, got, want)
 		}
-		if clones != 1 || live == object.Object(shared) {
-			t.Fatalf("seed %d: barrier ran %d times, live set shared=%v; want one clone on first touch", seed, clones, live == object.Object(shared))
-		}
-		after := shared.Elems()
-		if len(after) != len(before) {
-			t.Fatalf("seed %d: pre-COW set changed size: %d → %d", seed, len(before), len(after))
-		}
-		for i, e := range after {
-			if e != before[i] || e.String() != beforeText[i] {
+		for i, e := range before {
+			if e.String() != beforeText[i] {
 				t.Fatalf("seed %d: pre-existing element %d mutated: %s → %s", seed, i, beforeText[i], e)
 			}
 		}

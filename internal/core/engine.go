@@ -32,12 +32,6 @@ type Options struct {
 	// ExposeMeta reifies the effective universe's schema as a synthetic
 	// `meta` database (see meta.go) so metadata can be queried as data.
 	ExposeMeta bool
-	// IncrementalViews maintains materialized views incrementally when it
-	// is sound to do so: after a purely additive update (no deletes, no
-	// nulled values) and with a negation-free rule set, rules re-run on
-	// top of the existing overlay instead of from scratch. Any other
-	// change falls back to full recomputation.
-	IncrementalViews bool
 	// Workers sets the degree of intra-operation parallelism. With a
 	// value above one, queries whose first scheduled conjunct scans a
 	// large set partition that scan across workers, and view
@@ -148,11 +142,10 @@ type Engine struct {
 	derived   *object.Tuple // overlay from last materialization
 	effective *object.Tuple // merged base+derived from last refresh
 	dirty     bool          // base or rules changed since last refresh
-	// monotoneDirty: every change since the last refresh was purely
-	// additive, so (for negation-free rule sets) the existing overlay is
-	// still a sound lower bound and can be grown incrementally.
-	monotoneDirty bool
-	rulesMonotone bool // no rule body contains a negated reference
+	// strata are the rules grouped by stratum, lowest first; views is the
+	// state that maintains the overlay by delta (maintain.go).
+	strata [][]*compiledRule
+	views  viewState
 
 	// validator, when set, checks the base universe after every
 	// mutating request; a non-nil error rolls the request back
@@ -271,30 +264,30 @@ func (e *ReadOnlyDBError) Error() string {
 }
 
 // Invalidate marks derived views stale; the next query rematerializes
-// from scratch (external mutations are assumed non-monotone).
+// from scratch (an external mutation carries no delta).
 func (e *Engine) Invalidate() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.markDirty(false)
 }
 
-// markDirty records staleness; monotone dirt can stack on monotone dirt,
-// anything else forces a full recomputation. Every call bumps the
-// catalog epoch — each corresponds to a change to the universe or rule
-// set, so plans and statistics stamped at an older epoch must revalidate
-// their dependencies before reuse. It also drops the published MVCC
-// head: new readers fall into the locked slow path and block on e.mu
-// until the mutation in progress commits (or rolls back), then freeze a
-// fresh snapshot. Readers already pinned to an older version are
-// unaffected — their snapshot is immutable. Callers hold e.mu.
-func (e *Engine) markDirty(monotone bool) {
+// markDirty records staleness. captured says the change's per-relation
+// delta is in e.views.pending (a request or call's updater recorded it);
+// any other change makes the next refresh recompute from scratch. Every
+// call bumps the catalog epoch — each corresponds to a change to the
+// universe or rule set, so plans and statistics stamped at an older
+// epoch must revalidate their dependencies before reuse. It also drops
+// the published MVCC head: new readers fall into the locked slow path
+// and block on e.mu until the mutation in progress commits (or rolls
+// back), then freeze a fresh snapshot. Readers already pinned to an
+// older version are unaffected — their snapshot is immutable. Callers
+// hold e.mu.
+func (e *Engine) markDirty(captured bool) {
 	e.epoch++
 	e.invalidateHead()
-	if e.dirty {
-		e.monotoneDirty = e.monotoneDirty && monotone
-	} else {
-		e.dirty = true
-		e.monotoneDirty = monotone
+	e.dirty = true
+	if !captured {
+		e.views.pending.invalidate()
 	}
 }
 
@@ -345,6 +338,7 @@ func (e *Engine) AddRule(r *ast.Rule) error {
 		return err
 	}
 	e.rules = candidate
+	e.strata = strata(candidate)
 	if cr.headRel == nil {
 		e.derivedDynamic[cr.headDB] = true
 	} else if v, ok := cr.headRel.(ast.Const); ok {
@@ -362,14 +356,6 @@ func (e *Engine) AddRule(r *ast.Rule) error {
 		e.derivedDynamic[cr.headDB] = true
 	}
 	e.markDirty(false)
-	e.rulesMonotone = true
-	for _, cr := range e.rules {
-		for _, ref := range cr.refs {
-			if ref.negated {
-				e.rulesMonotone = false
-			}
-		}
-	}
 	return nil
 }
 
@@ -656,16 +642,11 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q *ast.Query) (*ExecResult, err
 		return nil, err
 	}
 	if u.result.Changed() {
-		e.markDirty(monotoneResult(u.result))
+		e.markDirty(true)
 	}
 	u.result.Resources = resourcesFrom(local, u.result.Bindings)
 	u.result.Resources.FixpointRounds = e.fixpointRounds - rounds
 	return u.result, nil
-}
-
-// monotoneResult reports whether a request only added facts.
-func monotoneResult(r *ExecResult) bool {
-	return r.ElemsDeleted == 0 && r.AttrsDeleted == 0 && r.ValuesSet == 0
 }
 
 // validate runs the installed integrity validator for a mutating request.
@@ -724,7 +705,7 @@ func (e *Engine) CallCtx(ctx context.Context, db, name string, params map[string
 		return nil, err
 	}
 	if u.result.Changed() {
-		e.markDirty(monotoneResult(u.result))
+		e.markDirty(true)
 	}
 	u.result.Resources = resourcesFrom(local, u.result.Bindings)
 	u.result.Resources.FixpointRounds = e.fixpointRounds - rounds
@@ -750,8 +731,11 @@ func (e *Engine) DerivedOverlay() (*object.Tuple, error) {
 	return e.derived, nil
 }
 
-// refreshEffective rematerializes views when stale. Callers hold e.mu.
-// A nil ctx means uncancellable.
+// refreshEffective brings the effective universe up to date when stale:
+// the derived overlay is maintained by the pending delta when one was
+// captured (maintain.go), and rematerialized from scratch otherwise — or
+// when the delta path cannot decide the change. Callers hold e.mu. A nil
+// ctx means uncancellable.
 func (e *Engine) refreshEffective(ctx context.Context) (*object.Tuple, error) {
 	if !e.dirty && e.effective != nil {
 		return e.effective, nil
@@ -763,22 +747,27 @@ func (e *Engine) refreshEffective(ctx context.Context) (*object.Tuple, error) {
 		start = time.Now()
 		span = e.tracer.Start("materialize")
 	}
-	var derived *object.Tuple
 	var stats RecomputeStats
-	var err error
-	if e.opts.IncrementalViews && e.monotoneDirty && e.rulesMonotone && e.derived != nil {
-		// Purely additive change + negation-free rules: grow the
-		// existing overlay (sound because derivation is monotone).
-		derived = e.derived
-		stats, err = e.materializeInto(ctx, derived, span)
-		stats.Incremental = true
-	} else {
-		derived, stats, err = e.materialize(ctx, span)
+	err := errFallback
+	if e.derived != nil && !e.views.pending.full && len(e.rules) > 0 {
+		stats, err = e.refreshByDelta(ctx)
+	}
+	if err != nil {
+		// Full recomputation. Should it fail too, the overlay may be half
+		// maintained: the next refresh starts over as well.
+		e.views.pending.invalidate()
+		e.views.reset(nil)
+		var derived *object.Tuple
+		var runs map[*compiledRule]*rowSet
+		if derived, runs, stats, err = e.materialize(ctx, span); err == nil {
+			e.derived = derived
+			e.views.reset(runs)
+		}
 	}
 	if !start.IsZero() && e.em != nil {
 		e.em.matCount.Inc()
-		if stats.Incremental {
-			e.em.matIncremental.Inc()
+		if stats.Delta {
+			e.em.matDelta.Inc()
 		}
 		e.em.matIterations.Add(uint64(stats.Iterations))
 		e.em.matRuleRuns.Add(uint64(stats.RuleRuns))
@@ -790,18 +779,18 @@ func (e *Engine) refreshEffective(ctx context.Context) (*object.Tuple, error) {
 		span.SetInt("iterations", int64(stats.Iterations))
 		span.SetInt("rule_runs", int64(stats.RuleRuns))
 		span.SetInt("facts_derived", int64(stats.FactsDerived))
-		if stats.Incremental {
-			span.SetStr("mode", "incremental")
+		if stats.Delta {
+			span.SetStr("mode", "delta")
 		}
 		span.End()
 	}
 	if err != nil {
 		return nil, err
 	}
-	e.derived = derived
+	e.views.pending = pendingDelta{}
 	e.lastRecompute = stats
 	e.fixpointRounds += uint64(stats.Iterations)
-	e.effective = mergeUniverse(e.base, derived)
+	e.effective = mergeUniverse(e.base, e.derived)
 	if e.opts.ExposeMeta && !e.effective.Has(MetaDB) {
 		// Reify on a copy when the merge returned the base by reference,
 		// so the synthetic database never leaks into the base universe.
@@ -846,7 +835,6 @@ func (e *Engine) refreshEffective(ctx context.Context) (*object.Tuple, error) {
 	e.indexes.retain(live)
 	e.pruneStats(live)
 	e.dirty = false
-	e.monotoneDirty = false
 	return e.effective, nil
 }
 
@@ -860,6 +848,11 @@ func (e *Engine) newUpdater(stats *Stats, ctx context.Context, span *obs.Span) *
 		span:   span,
 	}
 	u.cow = e.cowSetUndo(u)
+	if len(e.rules) > 0 {
+		// Capture the request's delta for the views; with no rules
+		// there is nothing to maintain.
+		u.delta = &e.views.pending
+	}
 	return u
 }
 
@@ -920,7 +913,7 @@ func (e *Engine) execBody(an *bodyAnalysis, u *updater, params map[string]object
 					return err
 				}
 			}
-			e.markDirty(monotoneResult(u.result))
+			e.markDirty(true)
 		}
 	}
 	u.result.Bindings = envs.len()

@@ -57,6 +57,61 @@ func compileHead(e ast.Expr, slots map[string]int) *headNode {
 	}
 }
 
+// headTarget is a rule head of the form `.db.rel+(…)` — every head the
+// paper writes — taken apart for view maintenance (maintain.go): the two
+// names that pick the derived relation and the template of the element
+// it decrees.
+type headTarget struct {
+	db, rel slotName
+	elem    *elemTemplate
+}
+
+// relTarget returns the head as a headTarget, nil for any other shape.
+func (n *headNode) relTarget() *headTarget {
+	var names []slotName
+	for len(names) < 2 {
+		if n.kind != headTuple || len(n.kids) != 1 || n.kids[0].kind != headAttr {
+			return nil
+		}
+		names = append(names, n.kids[0].name)
+		n = n.kids[0].kids[0]
+	}
+	if n.kind != headSet {
+		return nil
+	}
+	return &headTarget{db: names[0], rel: names[1], elem: n.elem}
+}
+
+// constAttrs lists the attributes the head's element carries under
+// constant names — present in every tuple decree the head makes.
+func (t *headTarget) constAttrs() []string {
+	var out []string
+	if t.elem.kind == tmplTuple {
+		for _, a := range t.elem.attrs {
+			if a.err == nil && a.name.err == nil && a.name.slot < 0 {
+				out = append(out, a.name.konst)
+			}
+		}
+	}
+	return out
+}
+
+// decree returns the relation and the element r's head decrees under
+// row — what make-true would place — without touching the overlay.
+func (r *compiledRule) decree(row []object.Object) (relKey, object.Object, error) {
+	t := r.target
+	db, err := t.db.resolve(row, "head attribute variable")
+	if err != nil {
+		return relKey{}, nil, unboundHeadName(err)
+	}
+	rel, err := t.rel.resolve(row, "head attribute variable")
+	if err != nil {
+		return relKey{}, nil, unboundHeadName(err)
+	}
+	d, err := t.elem.build(row)
+	return relKey{db, rel}, d, err
+}
+
 // slotName is an attribute-name term with its variable resolved to a row
 // slot.
 type slotName struct {

@@ -10,6 +10,7 @@ import (
 	"idl/internal/ast"
 	"idl/internal/object"
 	"idl/internal/parser"
+	"idl/internal/stocks"
 )
 
 // renderAnswer flattens an answer — variables, then every row in raw
@@ -280,4 +281,99 @@ func TestMVCCConcurrentChurn(t *testing.T) {
 	if st := e.MVCCStats(); st.PinnedReaders != 0 {
 		t.Fatalf("reader pins leaked: %+v", st)
 	}
+}
+
+// TestMVCCViewMaintenanceUnderReaders: delta maintenance rewrites the
+// overlay's relations in place (through copy-on-write) while lock-free
+// readers evaluate the views on pinned snapshots. Within one snapshot
+// the four views must agree on the churned quote — each implies the
+// next, round the cycle — or the snapshot saw a half-maintained
+// overlay.
+func TestMVCCViewMaintenanceUnderReaders(t *testing.T) {
+	e := newStockEngine(t)
+	addRules(t, e, append(append([]string{}, stocks.RulesUnified...), stocks.RulesCustomized...))
+	for _, c := range append(append([]string{}, stocks.ProgramInsStk...), stocks.ProgramDelStk...) {
+		mustClause(t, e, c)
+	}
+	parse := func(src string) *ast.Query {
+		query, err := parser.ParseQuery(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		return query
+	}
+	quote := []string{
+		".dbI.p(.stk=dec, .date=3/2/85, .price=P)",
+		".dbC.r(.date=3/2/85, .dec=P)",
+		".dbO.dec(.date=3/2/85, .clsPrice=P)",
+		".dbE.r(.stkCode=dec, .date=3/2/85, .clsPrice=P)",
+	}
+	var disagree []*ast.Query
+	for i, v := range quote {
+		next := quote[(i+1)%len(quote)]
+		disagree = append(disagree, parse(fmt.Sprintf("?%s, ~%s", v, next)))
+	}
+	anyView := parse("?.dbI.p(.stk=dec, .price=P)")
+	ins := parse("?.dbU.insStk(.stk=dec, .date=3/2/85, .price=77)")
+	del := parse("?.dbU.delStk(.stk=dec, .date=3/2/85)")
+	q(t, e, "?.dbC.r")
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < 150; i++ {
+			for _, w := range []*ast.Query{ins, del} {
+				if _, err := e.Execute(w); err != nil {
+					errs <- fmt.Errorf("writer: %w", err)
+					return
+				}
+				if _, err := e.Query(anyView); err != nil { // refresh, usually by delta
+					errs <- fmt.Errorf("writer's read: %w", err)
+					return
+				}
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for _, d := range disagree {
+					ans, err := e.Query(d)
+					if err != nil {
+						errs <- fmt.Errorf("reader: %w", err)
+						return
+					}
+					if ans.Bool() {
+						errs <- fmt.Errorf("views disagree within one snapshot (%s):\n%s", d, ans)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// Both committed states were reachable, and the last one is "deleted":
+	// the views must agree on it.
+	if ans := q(t, e, "?.dbO.S, S = dec"); ans.Bool() {
+		t.Errorf("dbO.dec survived the final delete:\n%s", ans)
+	}
+	if !e.LastRecompute().Delta {
+		t.Error("the churn should be maintained by delta")
+	}
+	assertOverlayFresh(t, e)
 }

@@ -34,7 +34,7 @@ type engineMetrics struct {
 	attrEnums       *obs.Counter
 
 	matCount        *obs.Counter
-	matIncremental  *obs.Counter
+	matDelta        *obs.Counter
 	matIterations   *obs.Counter
 	matRuleRuns     *obs.Counter
 	matFactsDerived *obs.Counter
@@ -88,7 +88,7 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		indexBuilds:     r.Counter("engine.eval.index_builds"),
 		attrEnums:       r.Counter("engine.eval.attr_enums"),
 		matCount:        r.Counter("engine.materialize.count"),
-		matIncremental:  r.Counter("engine.materialize.incremental"),
+		matDelta:        r.Counter("engine.materialize.delta"),
 		matIterations:   r.Counter("engine.materialize.iterations"),
 		matRuleRuns:     r.Counter("engine.materialize.rule_runs"),
 		matFactsDerived: r.Counter("engine.materialize.facts_derived"),

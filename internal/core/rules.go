@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"idl/internal/ast"
 	"idl/internal/object"
@@ -19,6 +20,9 @@ type compiledRule struct {
 	headHO  bool     // head contains a higher-order variable (§6)
 	refs    []patternRef
 	stratum int
+	// recursive marks a rule whose stratum is a dependency cycle (or
+	// reads its own head): its stratum iterates to a fixpoint.
+	recursive bool
 	// headVars are the head's variables in first-occurrence order; a body
 	// substitution reaches the head as a row holding them positionally.
 	// head is the head compiled against those positions (head.go).
@@ -28,6 +32,24 @@ type compiledRule struct {
 	// the head variables; each materialization pairs it with fresh cost
 	// ranks (Engine.ranked).
 	body *bodyAnalysis
+	// reads are every universe read of the body and target the head's
+	// `.db.rel+(…)` form (nil for other heads), for view maintenance by
+	// delta (maintain.go).
+	reads  []ruleRead
+	target *headTarget
+}
+
+// ruleRead is one (database, relation) pattern a rule body reads;
+// variable or nil components match anything. A top-level conjunct
+// `.db.rel(…)` with a constant database is a delta read: body is the
+// rule body with that conjunct reading the delta database instead,
+// which a delta refresh binds to the changed elements. Every other read
+// (under negation, of a whole database or relation object, through a
+// variable database) has a nil body.
+type ruleRead struct {
+	db, rel ast.Term
+	dbName  string
+	body    *bodyAnalysis
 }
 
 // patternRef is a (database, relation) reference pattern from a rule
@@ -90,13 +112,94 @@ func compileRule(r *ast.Rule) (*compiledRule, error) {
 		headVars: headVars,
 		head:     compileHead(r.Head, slots),
 		body:     resolveUnit(headVars, r.Body),
+		reads:    compileReads(r.Body, headVars),
 	}
+	cr.target = cr.head.relTarget()
 	if te, ok := headAttr.Expr.(*ast.TupleExpr); ok && len(te.Conjuncts) == 1 {
 		if rel, ok := te.Conjuncts[0].(*ast.AttrExpr); ok {
 			cr.headRel = rel.Name
 		}
 	}
 	return cr, nil
+}
+
+// compileReads lists the universe reads of a rule body.
+func compileReads(body *ast.TupleExpr, headVars []string) []ruleRead {
+	var reads []ruleRead
+	for i, c := range body.Conjuncts {
+		if db, rel, ok := deltaShape(c); ok {
+			conjuncts := append([]ast.Expr(nil), body.Conjuncts...)
+			conjuncts[i] = &ast.AttrExpr{Name: ast.Const{Value: object.Str(deltaDB)}, Expr: c.(*ast.AttrExpr).Expr}
+			reads = append(reads, ruleRead{
+				db: c.(*ast.AttrExpr).Name, rel: rel, dbName: db,
+				body: resolveUnit(headVars, &ast.TupleExpr{Conjuncts: conjuncts}),
+			})
+			continue
+		}
+		reads = append(reads, otherReads(c)...)
+	}
+	return reads
+}
+
+// deltaShape recognizes `.db.rel(…)` — a constant database, one relation
+// and a set expression over its elements — whose rows are a union over
+// those elements, so a delta of the relation stands in for it.
+func deltaShape(c ast.Expr) (db string, rel ast.Term, ok bool) {
+	a, isAttr := c.(*ast.AttrExpr)
+	if !isAttr || a.Sign != ast.SignNone {
+		return "", nil, false
+	}
+	if db, ok = constStrName(a.Name); !ok {
+		return "", nil, false
+	}
+	te, isTE := a.Expr.(*ast.TupleExpr)
+	if !isTE || len(te.Conjuncts) != 1 {
+		return "", nil, false
+	}
+	ra, isAttr := te.Conjuncts[0].(*ast.AttrExpr)
+	if !isAttr || ra.Sign != ast.SignNone {
+		return "", nil, false
+	}
+	if se, isSet := ra.Expr.(*ast.SetExpr); !isSet || se.Sign != ast.SignNone {
+		return "", nil, false
+	}
+	return db, ra.Name, true
+}
+
+// otherReads over-approximates what a conjunct reads: each relation a
+// database-level conjunct list names, the whole database otherwise, and
+// the whole universe for a conjunct binding the universe object itself.
+func otherReads(e ast.Expr) []ruleRead {
+	switch x := e.(type) {
+	case *ast.Not:
+		return otherReads(x.X)
+	case *ast.TupleExpr:
+		var out []ruleRead
+		for _, c := range x.Conjuncts {
+			out = append(out, otherReads(c)...)
+		}
+		return out
+	case *ast.AttrExpr:
+		var out []ruleRead
+		if te, ok := x.Expr.(*ast.TupleExpr); ok {
+			for _, c := range te.Conjuncts {
+				ra, isAttr := c.(*ast.AttrExpr)
+				if !isAttr {
+					out = nil
+					break
+				}
+				out = append(out, ruleRead{db: x.Name, rel: ra.Name})
+			}
+		}
+		if len(out) == 0 {
+			return []ruleRead{{db: x.Name}}
+		}
+		return out
+	case *ast.Atomic, *ast.VarExpr:
+		return []ruleRead{{}}
+	default:
+		return nil
+	}
 }
 
 // headSimpleEnough relaxation: the conventional head form `.db.rel+(...)`
@@ -292,48 +395,68 @@ func stratify(rules []*compiledRule) error {
 	// strata count down from len(sccs)-1.
 	for ci, comp := range sccs {
 		stratum := len(sccs) - 1 - ci
+		recursive := len(comp) > 1 || slices.Contains(succ[comp[0]], comp[0])
 		for _, v := range comp {
 			rules[v].stratum = stratum
+			rules[v].recursive = recursive
 		}
 	}
 	return nil
 }
 
+// strata groups stratified rules by stratum, lowest first, each in
+// registration order.
+func strata(rules []*compiledRule) [][]*compiledRule {
+	var out [][]*compiledRule
+	for _, r := range rules {
+		for len(out) <= r.stratum {
+			out = append(out, nil)
+		}
+		out[r.stratum] = append(out[r.stratum], r)
+	}
+	return out
+}
+
 // ---------------------------------------------------------------------------
 // Materialization
 
-// RecomputeStats reports work done by one derived-view materialization.
+// RecomputeStats reports work done by one refresh of the derived views:
+// a full materialization, or a maintenance pass over a write's delta.
 type RecomputeStats struct {
-	Iterations   int // total fixpoint iterations across strata
+	// Iterations counts fixpoint rounds: one per stratum a full
+	// materialization evaluates — a recursive stratum repeats until a
+	// round derives nothing new, any other runs exactly once — and one per
+	// stratum a delta reaches.
+	Iterations   int
 	RuleRuns     int // rule body evaluations
-	FactsDerived int // make-true operations that changed the overlay
+	FactsDerived int // make-true operations (delta: element changes) that changed the overlay
 	// DecreeCandidates counts the set elements make-true inspected while
-	// placing decrees (subsumption and merge-host checks). Per decree it
-	// tracks the index bucket probed, not the size of the target set.
+	// placing decrees (subsumption and merge-host checks) — on the delta
+	// path, the key groups and group members a placement or retraction
+	// consulted. Per decree it tracks the index bucket probed, not the
+	// size of the target set.
 	DecreeCandidates int
-	Incremental      bool // overlay was grown in place instead of rebuilt
+	// RuleRows counts the head rows rule bodies produced, plus one per
+	// rederivation check on the delta path: the evaluation work that
+	// should track a write's delta rather than the data.
+	RuleRows int
+	Delta    bool // the overlay was maintained by delta instead of rebuilt
 }
 
 // materialize evaluates all rules bottom-up by stratum into a fresh
 // derived overlay, reading base ∪ overlay. With semiNaive, within a
-// stratum a rule re-runs only when the previous iteration changed a head
-// its body may read (rule-level semi-naive evaluation).
-func (e *Engine) materialize(ctx context.Context, span *obs.Span) (*object.Tuple, RecomputeStats, error) {
-	derived := object.NewTuple()
-	stats, err := e.materializeInto(ctx, derived, span)
-	return derived, stats, err
-}
-
-// materializeInto runs the stratified fixpoint on top of an existing
-// overlay. With a fresh overlay this is a full materialization; with the
-// previous overlay it is the incremental path (sound only for additive
-// base changes and negation-free rules — the engine checks both). A
-// non-nil span gets one child per fixpoint round.
-func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, span *obs.Span) (stats RecomputeStats, err error) {
+// recursive stratum a rule re-runs only when the previous iteration
+// changed a head its body may read (rule-level semi-naive evaluation).
+// It also returns each rule's head rows from its last run — the input
+// the next delta refresh indexes (maintain.go). A non-nil span gets one
+// child per fixpoint round.
+func (e *Engine) materialize(ctx context.Context, span *obs.Span) (derived *object.Tuple, runs map[*compiledRule]*rowSet, stats RecomputeStats, err error) {
+	derived = object.NewTuple()
+	runs = make(map[*compiledRule]*rowSet, len(e.rules))
 	var evalStats Stats
-	// The sink (decree.go) holds this materialization's resolved target
-	// sets and their decree indexes; it dies with this call.
-	sink := newDecreeSink(e.cowSet)
+	// The sink (decree.go) holds this materialization's target sets and
+	// their decree indexes; it dies with this call.
+	sink := newDecreeSink()
 	defer func() {
 		stats.DecreeCandidates = sink.candidates
 		e.addStats(evalStats)
@@ -341,12 +464,6 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 			e.em.evalWork(evalStats)
 		}
 	}()
-	maxStratum := 0
-	for _, r := range e.rules {
-		if r.stratum > maxStratum {
-			maxStratum = r.stratum
-		}
-	}
 	// Each rule body is ranked once per materialization: the
 	// registration-time slot resolution pairs with cost ranks computed at
 	// the rule's first run this materialization, then reused across every
@@ -363,25 +480,24 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 		}
 		return an
 	}
-	for s := 0; s <= maxStratum; s++ {
-		var stratum []*compiledRule
-		for _, r := range e.rules {
-			if r.stratum == s {
-				stratum = append(stratum, r)
-			}
-		}
-		if len(stratum) == 0 {
-			continue
-		}
+	// ran applies one rule run's rows and records them.
+	ran := func(rule *compiledRule, rows *rowSet) (int, error) {
+		stats.RuleRows += rows.len()
+		runs[rule] = rows
+		n, err := sink.applyRows(rule, derived, rows)
+		stats.FactsDerived += n
+		return n, err
+	}
+	for s, stratum := range e.strata {
 		changedLast := map[int]bool{} // indexes into stratum changed last iter
 		first := true
 		for iter := 0; ; iter++ {
 			if iter >= e.opts.MaxIterations {
-				return stats, fmt.Errorf("core: view materialization exceeded %d iterations (non-terminating rule set?)", e.opts.MaxIterations)
+				return nil, nil, stats, fmt.Errorf("core: view materialization exceeded %d iterations (non-terminating rule set?)", e.opts.MaxIterations)
 			}
 			if ctx != nil {
 				if err := ctx.Err(); err != nil {
-					return stats, err
+					return nil, nil, stats, err
 				}
 			}
 			stats.Iterations++
@@ -392,7 +508,6 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 			runsBefore, factsBefore := stats.RuleRuns, stats.FactsDerived
 			effective := mergeUniverse(e.base, derived)
 			changedNow := map[int]bool{}
-			anyChange := false
 			if e.opts.Workers > 1 {
 				// Parallel path: evaluate waves of independent rules
 				// concurrently, apply derived facts strictly in rule order
@@ -415,19 +530,17 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 					snaps, errs := e.evalRuleBodies(ctx, effective, &evalStats, waveAns)
 					for wi, rule := range wave {
 						stats.RuleRuns++
-						if errs[wi] != nil {
-							round.End()
-							return stats, fmt.Errorf("core: rule %q: %w", rule.src.String(), errs[wi])
+						err := errs[wi]
+						n := 0
+						if err == nil {
+							n, err = ran(rule, snaps[wi])
 						}
-						n, err := sink.applyRows(rule, derived, snaps[wi])
 						if err != nil {
 							round.End()
-							return stats, fmt.Errorf("core: rule %q: %w", rule.src.String(), err)
+							return nil, nil, stats, fmt.Errorf("core: rule %q: %w", rule.src.String(), err)
 						}
 						if n > 0 {
-							stats.FactsDerived += n
 							changedNow[affected[wi]] = true
-							anyChange = true
 						}
 					}
 					affected = affected[waveLen:]
@@ -437,25 +550,23 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 					if e.opts.SemiNaive && !first && !e.ruleAffected(rule, stratum, changedLast) {
 						continue
 					}
-					stats.RuleRuns++
 					// The read-only half of a rule run: every body row is
 					// collected before any make-true applies, because the
 					// body may be reading the overlay through the merged
 					// universe — which is also what makes this half safe to
 					// run concurrently for independent rules (parallel.go).
+					stats.RuleRuns++
 					rows, err := e.collect(ctx, anFor(rule, effective), readView{eff: effective, opts: e.opts, em: e.em}, &evalStats, nil)
 					n := 0
 					if err == nil {
-						n, err = sink.applyRows(rule, derived, rows)
+						n, err = ran(rule, rows)
 					}
 					if err != nil {
 						round.End()
-						return stats, fmt.Errorf("core: rule %q: %w", rule.src.String(), err)
+						return nil, nil, stats, fmt.Errorf("core: rule %q: %w", rule.src.String(), err)
 					}
 					if n > 0 {
-						stats.FactsDerived += n
 						changedNow[ri] = true
-						anyChange = true
 					}
 				}
 			}
@@ -464,14 +575,16 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 				round.SetInt("facts", int64(stats.FactsDerived-factsBefore))
 				round.End()
 			}
-			if !anyChange {
+			// A stratum none of whose rules reads its own heads is done
+			// after one round: a second would only confirm that.
+			if len(changedNow) == 0 || !stratum[0].recursive {
 				break
 			}
 			changedLast = changedNow
 			first = false
 		}
 	}
-	return stats, nil
+	return derived, runs, stats, nil
 }
 
 // ruleAffected reports whether rule's body may read the head of any

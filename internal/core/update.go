@@ -74,6 +74,54 @@ type updater struct {
 	// span is the current position in the traced update call tree (nil
 	// when tracing is off); program invocations hang children off it.
 	span *obs.Span
+	// delta, when non-nil, receives the request's per-relation changes
+	// for view maintenance (maintain.go). path is the attribute path from
+	// the universe root to the object being updated; detached counts the
+	// element clones being rewritten (execSetElements), whose nested
+	// changes are captured whole, as the element's removal and re-add.
+	delta    *pendingDelta
+	path     []string
+	detached int
+}
+
+// depth is the universe depth of the object being updated (the root is
+// 0), or -1 inside an element clone.
+func (u *updater) depth() int {
+	if u.detached > 0 {
+		return -1
+	}
+	return len(u.path)
+}
+
+// replaced captures a changed attribute of the tuple at depth: a whole
+// database (depth 0) or relation (depth 1) replaced, created or dropped.
+// A change deeper down, outside any set, is not an element delta: the
+// next refresh recomputes from scratch.
+func (u *updater) replaced(depth int, attr string, old, new object.Object) {
+	if u.delta == nil || depth < 0 {
+		return
+	}
+	switch depth {
+	case 0:
+		u.delta.replaceDB(attr, old, new)
+	case 1:
+		u.delta.replaceRel(relKey{u.path[0], attr}, old, new)
+	default:
+		u.delta.invalidate()
+	}
+}
+
+// setChanged captures elem added to (or removed from) the set at the
+// updater's path. Only relation sets carry element deltas.
+func (u *updater) setChanged(set *object.Set, elem object.Object, added bool) {
+	if u.delta == nil || u.detached > 0 {
+		return
+	}
+	if len(u.path) != 2 {
+		u.delta.invalidate()
+		return
+	}
+	u.delta.change(relKey{u.path[0], u.path[1]}, elem, added, set.Len())
 }
 
 // validateUpdateConjunct rejects update signs under negation and inside
@@ -103,10 +151,12 @@ type noSlot struct{}
 func (noSlot) set(*updater, object.Object) { panic("core: set on root slot") }
 func (noSlot) settable() bool              { return false }
 
-// tupleSlot is a tuple attribute position.
+// tupleSlot is a tuple attribute position; depth is the tuple's
+// (updater.depth at the slot's creation).
 type tupleSlot struct {
-	tup  *object.Tuple
-	attr string
+	tup   *object.Tuple
+	attr  string
+	depth int
 }
 
 func (s tupleSlot) settable() bool { return true }
@@ -114,6 +164,7 @@ func (s tupleSlot) settable() bool { return true }
 func (s tupleSlot) set(u *updater, val object.Object) {
 	old, had := s.tup.Get(s.attr)
 	s.tup.Put(s.attr, val)
+	u.replaced(s.depth, s.attr, old, val)
 	u.undo.record(func() {
 		if had {
 			s.tup.Put(s.attr, old)
@@ -163,7 +214,7 @@ func (u *updater) execAttr(x *ast.AttrExpr, obj object.Object, sl slot) error {
 			if err != nil {
 				return err
 			}
-			tupleSlot{tup: tup, attr: name}.set(u, val)
+			tupleSlot{tup: tup, attr: name, depth: u.depth()}.set(u, val)
 			u.result.AttrsCreated++
 		}
 		return nil
@@ -186,6 +237,7 @@ func (u *updater) execAttr(x *ast.AttrExpr, obj object.Object, sl slot) error {
 			}
 			old, _ := tup.Get(name)
 			tup.Delete(name)
+			u.replaced(u.depth(), name, old, nil)
 			nameCopy := name
 			u.undo.record(func() { tup.Put(nameCopy, old) })
 			u.result.AttrsDeleted++
@@ -208,7 +260,7 @@ func (u *updater) execAttr(x *ast.AttrExpr, obj object.Object, sl slot) error {
 			matched = true
 			mark := u.ev.env.Mark()
 			bindLocalName(u.ev.env, x.Name, name, enumerated)
-			err := u.execUpdate(x.Expr, val, tupleSlot{tup: tup, attr: name})
+			err := u.descend(x.Expr, val, tupleSlot{tup: tup, attr: name, depth: u.depth()})
 			u.ev.env.Undo(mark)
 			if err != nil {
 				return err
@@ -226,14 +278,24 @@ func (u *updater) execAttr(x *ast.AttrExpr, obj object.Object, sl slot) error {
 				if empty == nil {
 					return fmt.Errorf("core: cannot infer object kind for %q", x.Expr.String())
 				}
-				tupleSlot{tup: tup, attr: names[0]}.set(u, empty)
+				sl := tupleSlot{tup: tup, attr: names[0], depth: u.depth()}
+				sl.set(u, empty)
 				u.result.AttrsCreated++
-				return u.execUpdate(x.Expr, empty, tupleSlot{tup: tup, attr: names[0]})
+				return u.descend(x.Expr, empty, sl)
 			}
 			return fmt.Errorf("core: no attribute %q to update", names[0])
 		}
 		return nil
 	}
+}
+
+// descend applies e to the value under sl's attribute, one level down the
+// updater's path.
+func (u *updater) descend(e ast.Expr, val object.Object, sl tupleSlot) error {
+	u.path = append(u.path, sl.attr)
+	err := u.execUpdate(e, val, sl)
+	u.path = u.path[:len(u.path)-1]
+	return err
 }
 
 // purelyAdditive reports whether every update sign in e is a plus and at
@@ -324,6 +386,7 @@ func (u *updater) execSet(x *ast.SetExpr, obj object.Object) error {
 		if set.Add(elem) {
 			u.undo.record(func() { set.Remove(elem) })
 			u.result.ElemsInserted++
+			u.setChanged(set, elem, true)
 		}
 		return nil
 
@@ -349,6 +412,7 @@ func (u *updater) execSet(x *ast.SetExpr, obj object.Object) error {
 				el := elem
 				u.undo.record(func() { set.Add(el) })
 				u.result.ElemsDeleted++
+				u.setChanged(set, elem, false)
 			}
 		}
 		return nil
@@ -442,6 +506,7 @@ func (u *updater) execSetElements(inner ast.Expr, set *object.Set) error {
 		}
 		work := elem.Clone()
 		set.Remove(elem)
+		u.detached++
 		err = u.underEach(locals, func() error {
 			for _, part := range updateParts {
 				if err := u.execUpdate(part, work, noSlot{}); err != nil {
@@ -450,11 +515,16 @@ func (u *updater) execSetElements(inner ast.Expr, set *object.Set) error {
 			}
 			return nil
 		})
+		u.detached--
 		if err != nil {
 			set.Add(elem)
 			return err
 		}
 		added := set.Add(work)
+		u.setChanged(set, elem, false)
+		if added {
+			u.setChanged(set, work, true)
+		}
 		el, wk := elem, work
 		u.undo.record(func() {
 			if added {

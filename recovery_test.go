@@ -425,6 +425,75 @@ func TestWALOrderCatalogDDL(t *testing.T) {
 	}
 }
 
+// TestCheckpointWaitsForCommit: a checkpoint must not snapshot the
+// universe inside another statement's commit — between its apply and its
+// append the mutation is in memory but not in the log, so a checkpoint
+// taken there would contain it and recovery would replay its record on
+// top (here: a price raised by 10 twice). The request's append is
+// parked; until it completes, the checkpoint must wait on the commit
+// lock, before reading the engine — so the engine stays free — and
+// afterwards the recovered universe must equal the live one.
+func TestCheckpointWaitsForCommit(t *testing.T) {
+	dir := t.TempDir()
+	gate := &gateFS{FS: wal.OSFS(), parked: make(chan struct{}), release: make(chan struct{})}
+	db, _, err := openWALFS(dir, WALOptions{}, gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Catalog().Insert("euter", "r", Tup("date", Date(85, 3, 1), "stkCode", "hp", "clsPrice", 50)); err != nil {
+		t.Fatal(err)
+	}
+
+	gate.armed.Store(true)
+	raised, checkpointed := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := db.Exec("?.euter.r(.stkCode=hp, .clsPrice=C), .euter.r-(.stkCode=hp), .euter.r+(.date=3/1/85, .stkCode=hp, .clsPrice=C+10)")
+		raised <- err
+	}()
+	<-gate.parked // the raise is applied; its log record is not yet written
+	go func() {
+		_, err := db.Checkpoint()
+		checkpointed <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the checkpoint reach whatever it blocks on
+	probe := make(chan struct{})
+	go func() {
+		db.Engine().UpdateBase(func(*Tuple) bool { return false })
+		close(probe)
+	}()
+	select {
+	case <-probe:
+	case <-time.After(time.Second):
+		t.Error("the checkpoint entered the engine inside another statement's commit: its snapshot can hold an unlogged mutation")
+	}
+	select {
+	case err := <-checkpointed:
+		t.Errorf("the checkpoint completed inside another statement's commit (err %v)", err)
+	default:
+	}
+	close(gate.release)
+	if err := <-raised; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-checkpointed; err != nil {
+		t.Fatal(err)
+	}
+	<-probe
+
+	want := stateDigest(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, _, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := stateDigest(t, db2); got != want {
+		t.Errorf("recovered state diverges from the live one:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestCheckpointRecovery verifies recovery from checkpoint + tail and
 // that crashes inside the checkpoint itself fall back cleanly.
 func TestCheckpointRecovery(t *testing.T) {

@@ -75,11 +75,14 @@ go tool cover -func=/tmp/core_cover.out | awk '
 go test -run '^TestCrashPointGrid$|^TestCheckpointRecovery$' -short .
 
 # Fuzz smoke: a short randomized pass over the parser round-trip, the
-# sequential-vs-parallel differential oracle, and randomized
-# crash-point recovery against the prefix-consistency oracle. Any
-# corpus crasher found earlier re-runs here as a regression seed.
+# sequential-vs-parallel differential oracle, view maintenance by delta
+# against a from-scratch materialization after every statement, and
+# randomized crash-point recovery against the prefix-consistency
+# oracle. Any corpus crasher found earlier re-runs here as a regression
+# seed.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/parser
 go test -run '^$' -fuzz '^FuzzEvalQuery$' -fuzztime 15s ./internal/core
+go test -run '^$' -fuzz '^FuzzViewMaintenance$' -fuzztime 15s ./internal/core
 go test -run '^$' -fuzz '^FuzzRecovery$' -fuzztime 15s .
 
 # Server smoke: capture a queries-only journal, serve the same demo
