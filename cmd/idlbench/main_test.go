@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,33 +11,27 @@ import (
 
 func report(benches map[string]int64) *Report {
 	rep := &Report{
-		Schema:         reportSchema,
-		GoVersion:      "go-test",
-		TraceOverhead:  TraceOverhead{OffNsPerOp: 100, MetricsNsPerOp: 105, TracedNsPerOp: 150, TracedRatio: 1.5},
-		FlightOverhead: FlightOverhead{OffNsPerOp: 100, OnNsPerOp: 104, Ratio: 1.04},
-		Parallel:       ParallelSpeedup{NumCPU: 1, GoMaxProcs: 1, QuerySpeedup4: 1.0, SyncSpeedup4: 2.8},
+		Schema:    reportSchema,
+		GoVersion: "go-test",
+		Parallel:  ParallelSpeedup{NumCPU: 1, GoMaxProcs: 1, QuerySpeedup4: 1.0, SyncSpeedup4: 2.8},
 		PlanCache: PlanCacheSummary{
 			InterpretedNsPerOp: 150, CompileNsPerOp: 160, CachedNsPerOp: 100,
 			PreparedNsPerOp: 95, HitRate: 0.99, Speedup: 1.5,
 		},
 		WAL: WALSummary{
-			QueryOffNsPerOp: 100, QueryOnNsPerOp: 102, QueryRatio: 1.02,
 			ExecOffNsPerOp: 200, ExecSyncNsPerOp: 900, ExecGroupNsPerOp: 400,
 			GroupAmortization: 2.25,
 		},
-		Telemetry: TelemetrySummary{
-			OffNsPerOp: 100, MetricsNsPerOp: 101, WindowedNsPerOp: 102,
-			TracedNsPerOp: 150, WindowedRatio: 1.02,
-		},
-		Insights: InsightsSummary{
-			OffNsPerOp: 100, DigestsNsPerOp: 102, CaptureNsPerOp: 130,
-			DigestsRatio: 1.02,
-		},
 		MVCC: MVCCSummary{
-			NumCPU: 1, GoMaxProcs: 1, ReaderSpeedup4: 1.0,
-			SerialCommitReads: 0, MVCCCommitReads: 5000, ReadScaling: 5000,
+			NumCPU: 1, GoMaxProcs: 1, ReaderSpeedup4: 1.0, MVCCCommitReads: 5000,
 			CkptWroteBytes: 500, CkptTotalBytes: 10000, CkptRatio: 0.05,
 		},
+	}
+	for _, a := range overheadArms {
+		rep.Overhead = append(rep.Overhead, OverheadArm{
+			Arm: a.name, NsPerOp: 100, AllocsPerOp: 90 + uint64(a.maxDelta),
+			Ratio: 1, AllocDelta: a.maxDelta,
+		})
 	}
 	for name, ns := range benches {
 		rep.Benchmarks = append(rep.Benchmarks, Benchmark{Name: name, Iters: 10, NsPerOp: ns})
@@ -47,13 +42,15 @@ func report(benches map[string]int64) *Report {
 func TestCompareReports(t *testing.T) {
 	oldRep := report(map[string]int64{"B1": 100, "B2": 200, "B3": 50})
 	newRep := report(map[string]int64{"B1": 110, "B2": 290, "B4": 70})
-	lines, regressions := compareReports(oldRep, newRep, 0.25)
-	if len(regressions) != 2 {
-		t.Fatalf("regressions = %v, want B2 (+45%%) and B3 (missing)", regressions)
+	newRep.Overhead[1].NsPerOp = 200 // flightrec doubled
+	lines, err := compareReports(oldRep, newRep)
+	if err == nil {
+		t.Fatal("B2 (+45%), B3 (missing) and overhead/flightrec (+100%) should fail the gate")
 	}
-	got := strings.Join(regressions, ",")
-	if !strings.Contains(got, "B2") || !strings.Contains(got, "B3") {
-		t.Errorf("regressions = %v", regressions)
+	for _, want := range []string{"3 benchmark(s)", "B2", "B3", "overhead/flightrec"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 	joined := strings.Join(lines, "\n")
 	for _, want := range []string{"REGRESSION", "MISSING from new report", "new benchmark"} {
@@ -61,8 +58,17 @@ func TestCompareReports(t *testing.T) {
 			t.Errorf("delta table missing %q:\n%s", want, joined)
 		}
 	}
-	if _, regressions := compareReports(oldRep, oldRep, 0.25); len(regressions) != 0 {
-		t.Errorf("self-compare should be clean, got %v", regressions)
+	if _, err := compareReports(oldRep, oldRep); err != nil {
+		t.Errorf("self-compare should be clean, got %v", err)
+	}
+	// Across a schema change the names no longer mean the same thing:
+	// one line naming both schemas, no per-benchmark table.
+	stale := report(map[string]int64{"B1": 100, "B11/obs/off": 90})
+	stale.Schema = reportSchema - 1
+	lines, err = compareReports(stale, oldRep)
+	want := fmt.Sprintf("schema %d vs %d: re-baseline", reportSchema-1, reportSchema)
+	if err == nil || err.Error() != want || len(lines) != 0 {
+		t.Errorf("schema change: lines=%q err=%v, want no lines and %q", lines, err, want)
 	}
 }
 
@@ -82,97 +88,69 @@ func writeReport(t *testing.T, rep *Report) string {
 func TestCompareFiles(t *testing.T) {
 	oldPath := writeReport(t, report(map[string]int64{"B1": 100}))
 	newPath := writeReport(t, report(map[string]int64{"B1": 300}))
-	if err := compareFiles(os.Stdout, oldPath, oldPath, 0.25); err != nil {
+	if err := compareFiles(os.Stdout, oldPath, oldPath); err != nil {
 		t.Errorf("identical reports should pass: %v", err)
 	}
-	err := compareFiles(os.Stdout, oldPath, newPath, 0.25)
+	err := compareFiles(os.Stdout, oldPath, newPath)
 	if err == nil || !strings.Contains(err.Error(), "regressed") {
 		t.Errorf("3x slowdown should fail the gate, got %v", err)
 	}
 }
 
+// TestValidateReport mutates one field of a good report per gate. Count
+// gates must fail validateReport (the check TestRunAllShort applies to a
+// live run); the two time floors must pass it and fail validateFloors.
 func TestValidateReport(t *testing.T) {
-	good := writeReport(t, report(map[string]int64{"B1": 100}))
-	if err := validateReport(good, 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err != nil {
-		t.Errorf("well-formed report should validate: %v", err)
+	good := report(map[string]int64{"B1": 100})
+	if err := validateReport(good); err != nil {
+		t.Fatalf("well-formed report should validate: %v", err)
 	}
-	if err := validateReport(good, 3.0, 1.01, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("flight overhead 1.04 should exceed a 1.01 bound")
+	if err := validateFloors(good); err != nil {
+		t.Fatalf("well-formed report should clear the floors: %v", err)
 	}
-	noFlight := report(map[string]int64{"B1": 100})
-	noFlight.FlightOverhead = FlightOverhead{}
-	if err := validateReport(writeReport(t, noFlight), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("missing flight overhead should fail validation")
+	if err := validateFile(writeReport(t, good)); err != nil {
+		t.Fatalf("well-formed report file should validate: %v", err)
 	}
-	stale := report(map[string]int64{"B1": 100})
-	stale.Schema = 1
-	if err := validateReport(writeReport(t, stale), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("stale schema should fail validation")
-	}
-	slow := report(map[string]int64{"B1": 100})
-	slow.Parallel.SyncSpeedup4 = 1.2
-	if err := validateReport(writeReport(t, slow), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("sync speedup 1.2 should miss a 1.5 floor")
-	}
-	unmeasured := report(map[string]int64{"B1": 100})
-	unmeasured.Parallel = ParallelSpeedup{}
-	if err := validateReport(writeReport(t, unmeasured), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("missing parallel speedup should fail validation")
-	}
-	coldCache := report(map[string]int64{"B1": 100})
-	coldCache.PlanCache.HitRate = 0.5
-	if err := validateReport(writeReport(t, coldCache), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("hit rate 0.5 should miss a 0.95 floor")
-	}
-	slowPlan := report(map[string]int64{"B1": 100})
-	slowPlan.PlanCache.Speedup = 1.05
-	if err := validateReport(writeReport(t, slowPlan), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("plan-cache speedup 1.05 should miss a 1.15 floor")
-	}
-	noPlan := report(map[string]int64{"B1": 100})
-	noPlan.PlanCache = PlanCacheSummary{}
-	if err := validateReport(writeReport(t, noPlan), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("missing plan-cache section should fail validation")
-	}
-	taxed := report(map[string]int64{"B1": 100})
-	taxed.WAL.QueryRatio = 1.4
-	if err := validateReport(writeReport(t, taxed), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("WAL query ratio 1.4 should exceed a 1.15 bound")
-	}
-	noAmort := report(map[string]int64{"B1": 100})
-	noAmort.WAL.GroupAmortization = 0.8
-	if err := validateReport(writeReport(t, noAmort), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("group amortization 0.8 should miss a 1.0 floor")
-	}
-	noWAL := report(map[string]int64{"B1": 100})
-	noWAL.WAL = WALSummary{}
-	if err := validateReport(writeReport(t, noWAL), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("missing WAL section should fail validation")
-	}
-	taxedIns := report(map[string]int64{"B1": 100})
-	taxedIns.Insights.DigestsRatio = 1.2
-	if err := validateReport(writeReport(t, taxedIns), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("insights digests ratio 1.2 should exceed a 1.03 bound")
-	}
-	noIns := report(map[string]int64{"B1": 100})
-	noIns.Insights = InsightsSummary{}
-	if err := validateReport(writeReport(t, noIns), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("missing insights section should fail validation")
-	}
-	blocked := report(map[string]int64{"B1": 100})
-	blocked.MVCC.ReadScaling = 1.1
-	if err := validateReport(writeReport(t, blocked), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("read scaling 1.1 should miss a 2.5 floor")
-	}
-	noMVCC := report(map[string]int64{"B1": 100})
-	noMVCC.MVCC = MVCCSummary{}
-	if err := validateReport(writeReport(t, noMVCC), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("missing MVCC section should fail validation")
-	}
-	fatCkpt := report(map[string]int64{"B1": 100})
-	fatCkpt.MVCC.CkptRatio = 0.9
-	if err := validateReport(writeReport(t, fatCkpt), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("checkpoint ratio 0.9 should exceed a 0.25 bound")
+	for _, tc := range []struct {
+		name   string
+		floor  bool // caught by validateFloors, not validateReport
+		mutate func(*Report)
+	}{
+		{"stale schema", false, func(r *Report) { r.Schema = 1 }},
+		{"no benchmarks", false, func(r *Report) { r.Benchmarks = nil }},
+		{"unmeasured benchmark", false, func(r *Report) { r.Benchmarks[0].Iters = 0 }},
+		{"duplicate benchmark", false, func(r *Report) { r.Benchmarks = append(r.Benchmarks, r.Benchmarks[0]) }},
+		{"overhead arm missing", false, func(r *Report) { r.Overhead = r.Overhead[:len(r.Overhead)-1] }},
+		{"overhead arm renamed", false, func(r *Report) { r.Overhead[2].Arm = "windowed" }},
+		{"overhead arm unmeasured", false, func(r *Report) { r.Overhead[3].NsPerOp = 0 }},
+		{"metrics allocates", false, func(r *Report) { r.Overhead[2].AllocDelta = 1 }},
+		{"digests over ceiling", false, func(r *Report) { r.Overhead[5].AllocDelta++ }},
+		{"parallel unmeasured", false, func(r *Report) { r.Parallel = ParallelSpeedup{} }},
+		{"plan cache unmeasured", false, func(r *Report) { r.PlanCache = PlanCacheSummary{} }},
+		{"plan cache cold", false, func(r *Report) { r.PlanCache.HitRate = 0.5 }},
+		{"WAL unmeasured", false, func(r *Report) { r.WAL = WALSummary{} }},
+		{"reads blocked during commits", false, func(r *Report) { r.MVCC.MVCCCommitReads = 2 }},
+		{"checkpoint unmeasured", false, func(r *Report) { r.MVCC.CkptTotalBytes = 0 }},
+		{"checkpoint rewrites too much", false, func(r *Report) { r.MVCC.CkptRatio = 0.9 }},
+		{"evaluator allocation ceiling", false, func(r *Report) {
+			r.Benchmarks = append(r.Benchmarks, Benchmark{Name: "B4/materialize/naive", Iters: 1, NsPerOp: 1, AllocsPerOp: 15001})
+		}},
+		{"sync speedup", true, func(r *Report) { r.Parallel.SyncSpeedup4 = 1.2 }},
+		{"group amortization", true, func(r *Report) { r.WAL.GroupAmortization = 0.8 }},
+	} {
+		rep := report(map[string]int64{"B1": 100})
+		tc.mutate(rep)
+		countErr, floorErr := validateReport(rep), validateFloors(rep)
+		if tc.floor {
+			if countErr != nil || floorErr == nil {
+				t.Errorf("%s: validateReport = %v, validateFloors = %v; want only the floor to fail", tc.name, countErr, floorErr)
+			}
+		} else if countErr == nil {
+			t.Errorf("%s: validateReport passed", tc.name)
+		}
+		if err := validateFile(writeReport(t, rep)); err == nil {
+			t.Errorf("%s: -validate passed", tc.name)
+		}
 	}
 }
 
@@ -207,39 +185,30 @@ func TestValidateAllocs(t *testing.T) {
 	}
 }
 
-// TestRunAllShort smoke-runs the full pipeline in -short mode: every
-// benchmark measured, both overhead sections populated.
+// TestRunAllShort smoke-runs the full pipeline in -short mode and holds
+// it to every count gate: counts do not depend on the machine, so the
+// same validateReport -validate runs holds here, under -race included.
 func TestRunAllShort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runAll is itself the benchmark runner")
 	}
 	rep := runAll(true)
-	path := writeReport(t, rep)
-	// The timing bounds are slack here; the allocation ceilings are not —
-	// counts do not depend on the machine, so they hold on every run.
-	if err := validateReport(path, 25, 25, 0.1, 0, 0, 25, 0, 25, 25, 0, 25); err != nil {
+	if err := validateReport(rep); err != nil {
 		t.Fatalf("generated report should validate: %v", err)
 	}
-	if rep.FlightOverhead.Ratio <= 0 {
-		t.Error("flight overhead not measured")
+	// Every overhead arm is priced against the one baseline row.
+	base := rep.Overhead[0]
+	if base.Arm != "baseline" || base.Ratio != 1 || base.AllocDelta != 0 {
+		t.Fatalf("overhead baseline row = %+v", base)
 	}
-	if rep.Parallel.SyncSpeedup4 <= 0 || rep.Parallel.QuerySpeedup4 <= 0 {
-		t.Error("parallel speedup not measured")
+	for _, a := range rep.Overhead {
+		if a.Ratio != float64(a.NsPerOp)/float64(base.NsPerOp) ||
+			a.AllocDelta != int64(a.AllocsPerOp)-int64(base.AllocsPerOp) {
+			t.Errorf("overhead/%s not measured against the baseline: %+v vs %+v", a.Arm, a, base)
+		}
 	}
-	if rep.PlanCache.HitRate <= 0 || rep.PlanCache.Speedup <= 0 {
-		t.Error("plan-cache family not measured")
-	}
-	if rep.WAL.QueryRatio <= 0 || rep.WAL.GroupAmortization <= 0 {
-		t.Error("WAL families not measured")
-	}
-	if rep.Telemetry.WindowedRatio <= 0 {
-		t.Error("telemetry families not measured")
-	}
-	if rep.Insights.DigestsRatio <= 0 {
-		t.Error("insights families not measured")
-	}
-	if rep.MVCC.MVCCCommitReads == 0 || rep.MVCC.ReadScaling <= 0 {
-		t.Error("MVCC mixed family not measured")
+	if rep.Parallel.SyncSpeedup4 <= 0 || rep.WAL.GroupAmortization <= 0 {
+		t.Error("time-floor families not measured")
 	}
 	if rep.MVCC.CkptRatio <= 0 || rep.MVCC.CkptRatio > 1 {
 		t.Errorf("incremental checkpoint ratio %v outside (0, 1]", rep.MVCC.CkptRatio)

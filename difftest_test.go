@@ -308,30 +308,28 @@ func TestDifferentialExperiments(t *testing.T) {
 	})
 }
 
-// TestDifferentialMVCCModes byte-compares the concurrency-control
-// modes: SerialReads (every query under the engine mutex — the old
-// single-mutex behavior), MVCC snapshot reads (the default lock-free
-// path), and MVCC snapshot reads with a tracer attached (spans and
+// TestDifferentialMVCCModes byte-compares MVCC snapshot reads (the
+// lock-free path) with and without a tracer attached (spans and
 // per-conjunct probes built on the lock-free path), across worker counts
-// 0/1/2/4/8, over every E1–E12 experiment. Neither the read path nor
-// observing it may be visible in answers, row order, update counts or
-// errors.
+// 0/1/2/4/8, over every E1–E12 experiment. Every first read after a write
+// still refreshes and evaluates under the engine mutex, so each
+// transcript interleaves the locked and lock-free read paths. Neither the
+// read path nor observing it may be visible in answers, row order,
+// update counts or errors.
 func TestDifferentialMVCCModes(t *testing.T) {
 	ccModes := []struct {
 		name   string
-		set    func(*Options)
 		opened func(*DB) // post-open hook, may be nil
 	}{
-		{"mutex", func(o *Options) { o.SerialReads = true }, nil},
-		{"mvcc", func(o *Options) {}, nil},
-		{"mvcc+traced", func(o *Options) {}, func(db *DB) { db.EnableTracing(4) }},
+		{"mvcc", nil},
+		{"mvcc+traced", func(db *DB) { db.EnableTracing(4) }},
 	}
 	workerGrid := []int{0, 1, 2, 4, 8}
 	for _, exp := range diffExperiments {
 		exp := exp
 		t.Run(exp.name, func(t *testing.T) {
 			run := func(mode int, workers int) []string {
-				db := diffOpen(ccModes[mode].set, workers)
+				db := diffOpen(func(*Options) {}, workers)
 				if ccModes[mode].opened != nil {
 					ccModes[mode].opened(db)
 				}

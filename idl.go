@@ -75,7 +75,7 @@ type Stats = core.Stats
 
 // MVCCStats reports the engine's snapshot version chain: live versions,
 // pinned readers, retained bytes, and copy-on-write / collection
-// counters (see Options.MaxRevisions and Options.SerialReads).
+// counters (see Options.MaxRevisions).
 type MVCCStats = core.MVCCStats
 
 // Options tune the engine (index use, semi-naive evaluation, iteration

@@ -66,11 +66,6 @@ type Options struct {
 	// unpinned versions beyond the newest MaxRevisions are collected
 	// (pinned versions always survive). 0 selects the default of 4.
 	MaxRevisions int
-	// SerialReads disables the MVCC lock-free read path: queries
-	// evaluate under the engine mutex exactly as before the versioned
-	// universe landed. Used as the single-mutex baseline by the B18
-	// bench family and the differential suite's {mutex} arm.
-	SerialReads bool
 }
 
 // DefaultOptions returns the production defaults.
@@ -87,7 +82,7 @@ func DefaultOptions() Options {
 // UpdateBase, DDL, rule registration) serialize on the engine mutex;
 // queries pin an immutable snapshot version (version.go) and evaluate
 // lock-free — traced or not — falling back to the mutex only to freeze a
-// fresh snapshot after a mutation — or always, under Options.SerialReads.
+// fresh snapshot after a mutation.
 type Engine struct {
 	mu sync.Mutex
 
@@ -432,8 +427,7 @@ func (e *Engine) QueryCtx(ctx context.Context, q *ast.Query) (*Answer, error) {
 // queries share the machine instead of a lock queue — traced or not. The
 // mutex is taken only when no fresh snapshot is published: the first read
 // after a mutation refreshes the effective universe, freezes a snapshot
-// for the readers behind it, and evaluates under the lock. Under
-// Options.SerialReads nothing is ever published, so every read does.
+// for the readers behind it, and evaluates under the lock.
 func (e *Engine) read(ctx context.Context, q *ast.Query, p *PreparedQuery) (*Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -449,9 +443,7 @@ func (e *Engine) read(ctx context.Context, q *ast.Query, p *PreparedQuery) (*Ans
 	if _, err := e.refreshEffective(cctx); err != nil {
 		return nil, err
 	}
-	if !e.opts.SerialReads {
-		e.publishHeadLocked()
-	}
+	e.publishHeadLocked()
 	ans, err := e.runQuery(cctx, ctx, q, p, e.lockedView())
 	if ans != nil {
 		ans.Resources.FixpointRounds = e.fixpointRounds - rounds

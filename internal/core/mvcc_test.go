@@ -124,21 +124,6 @@ func TestMVCCRetentionBound(t *testing.T) {
 	}
 }
 
-// TestMVCCSerialReadsMode: under Options.SerialReads every query takes
-// the locked path and no snapshot is ever published.
-func TestMVCCSerialReadsMode(t *testing.T) {
-	opts := DefaultOptions()
-	opts.SerialReads = true
-	e := NewEngineWithOptions(opts)
-	buildStockBase(t, e)
-	for i := 0; i < 3; i++ {
-		q(t, e, "?.euter.r(.stkCode=S, .clsPrice>200)")
-	}
-	if st := e.MVCCStats(); st.HeadPublished || st.LiveVersions != 0 || st.Freezes != 0 {
-		t.Fatalf("SerialReads engine published snapshots: %+v", st)
-	}
-}
-
 // TestMVCCConcurrentChurn is the -race stress: unsynchronized readers
 // against a writer flipping one tuple in and out, a DDL/member-install
 // churner, and a rule registrar. Every reader answer must equal one of

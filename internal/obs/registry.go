@@ -300,24 +300,16 @@ type Registry struct {
 	hists    map[string]*Histogram
 	windows  map[string]*WindowedHistogram
 	slos     map[string]*SLOTracker
-	// windowed gates every window and SLO tracker created through this
-	// registry (shared pointer, so SetWindowed flips them all at once).
-	// Default on; the telemetry-overhead benches turn it off to isolate
-	// the windowed layer's cost.
-	windowed *atomic.Bool
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	on := &atomic.Bool{}
-	on.Store(true)
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		windows:  map[string]*WindowedHistogram{},
 		slos:     map[string]*SLOTracker{},
-		windowed: on,
 	}
 }
 
@@ -409,8 +401,7 @@ func (r *Registry) CountHistogram(name string) *Histogram {
 }
 
 // Window returns the named rolling-window histogram (DefaultWindow /
-// DefaultWindowSlices), creating it on first use. Created windows share
-// the registry's windowed flag.
+// DefaultWindowSlices), creating it on first use.
 func (r *Registry) Window(name string) *WindowedHistogram {
 	if r == nil {
 		return nil
@@ -427,7 +418,6 @@ func (r *Registry) Window(name string) *WindowedHistogram {
 		return w
 	}
 	w = NewWindow(DefaultWindow, DefaultWindowSlices)
-	w.enabled = r.windowed
 	r.windows[name] = w
 	return w
 }
@@ -466,7 +456,6 @@ func (r *Registry) SLO(name string, target time.Duration, objective float64) *SL
 		return t
 	}
 	t = NewSLO(name, target, objective, DefaultWindow, DefaultWindowSlices)
-	t.enabled = r.windowed
 	r.slos[name] = t
 	return t
 }
@@ -484,20 +473,6 @@ func (r *Registry) SLOStatuses() []SLOStatus {
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// SetWindowed enables or disables every windowed histogram and SLO
-// tracker created through this registry (existing and future). Counters,
-// gauges and cumulative histograms are unaffected.
-func (r *Registry) SetWindowed(on bool) {
-	if r != nil {
-		r.windowed.Store(on)
-	}
-}
-
-// Windowed reports whether windowed instruments are observing.
-func (r *Registry) Windowed() bool {
-	return r != nil && r.windowed.Load()
 }
 
 // Reset zeroes every registered metric (the metrics stay registered, so

@@ -92,7 +92,6 @@ type SLOTracker struct {
 	objective atomic.Uint64 // math.Float64bits
 	total     *windowedCounter
 	bad       *windowedCounter
-	enabled   *atomic.Bool
 	now       func() time.Time
 }
 
@@ -105,15 +104,12 @@ func NewSLO(name string, target time.Duration, objective float64, window time.Du
 	if target <= 0 {
 		target = DefaultSLOTarget
 	}
-	on := &atomic.Bool{}
-	on.Store(true)
 	t := &SLOTracker{
-		name:    name,
-		window:  window,
-		total:   newWindowedCounter(window, slices),
-		bad:     newWindowedCounter(window, slices),
-		enabled: on,
-		now:     time.Now,
+		name:   name,
+		window: window,
+		total:  newWindowedCounter(window, slices),
+		bad:    newWindowedCounter(window, slices),
+		now:    time.Now,
 	}
 	t.targetNS.Store(int64(target))
 	t.objective.Store(math.Float64bits(objective))
@@ -145,7 +141,7 @@ func (t *SLOTracker) SetObjective(o float64) {
 // Observe classifies one operation: bad when it errored or exceeded the
 // latency target.
 func (t *SLOTracker) Observe(d time.Duration, failed bool) {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return
 	}
 	now := t.now()

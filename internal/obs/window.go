@@ -53,9 +53,6 @@ func (s *windowSlice) rotate(slot int64) {
 type WindowedHistogram struct {
 	sliceNS int64
 	slices  []windowSlice
-	// enabled gates observation; registry-created windows share the
-	// registry's flag so SetWindowed flips them all at once.
-	enabled *atomic.Bool
 	// now is the clock, injectable for deterministic tests.
 	now func() time.Time
 }
@@ -73,12 +70,9 @@ func NewWindow(window time.Duration, slices int) *WindowedHistogram {
 	if slices > 128 {
 		slices = 128
 	}
-	on := &atomic.Bool{}
-	on.Store(true)
 	w := &WindowedHistogram{
 		sliceNS: int64(window) / int64(slices),
 		slices:  make([]windowSlice, slices),
-		enabled: on,
 		now:     time.Now,
 	}
 	// Slot 0 is a real slot for clocks near the epoch; park fresh slices
@@ -99,7 +93,7 @@ func (w *WindowedHistogram) Window() time.Duration {
 
 // Observe records one duration into the current time slice.
 func (w *WindowedHistogram) Observe(d time.Duration) {
-	if w == nil || !w.enabled.Load() {
+	if w == nil {
 		return
 	}
 	slot := w.now().UnixNano() / w.sliceNS

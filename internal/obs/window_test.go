@@ -94,21 +94,6 @@ func TestWindowedHistogramRate(t *testing.T) {
 	}
 }
 
-func TestWindowedHistogramDisabled(t *testing.T) {
-	w, clk := newTestWindow(10*time.Second, 10)
-	clk.set(100 * time.Second)
-	w.enabled.Store(false)
-	w.Observe(time.Millisecond)
-	if s := w.Snapshot(); s.Count != 0 {
-		t.Fatalf("disabled window recorded %d observations", s.Count)
-	}
-	w.enabled.Store(true)
-	w.Observe(time.Millisecond)
-	if s := w.Snapshot(); s.Count != 1 {
-		t.Fatalf("re-enabled window count = %d, want 1", s.Count)
-	}
-}
-
 func TestWindowedHistogramNil(t *testing.T) {
 	var w *WindowedHistogram
 	w.Observe(time.Second) // must not panic
@@ -247,23 +232,15 @@ func TestRegistryWindowsAndSLOs(t *testing.T) {
 		t.Fatalf("SLOStatuses = %+v", sts)
 	}
 
-	// SetWindowed(false) gates both windows and SLO trackers.
-	r.SetWindowed(false)
-	if r.Windowed() {
-		t.Fatal("Windowed() true after SetWindowed(false)")
-	}
+	// Windowed instruments have no off switch: every observe through a
+	// registry's window or SLO tracker counts.
 	w.Observe(time.Millisecond)
 	tr.Observe(time.Millisecond, false)
-	if ws, _ := r.WindowValue("op.latency"); ws.Count != 1 {
-		t.Fatalf("gated window still counted: %d", ws.Count)
-	}
-	if sts := r.SLOStatuses(); sts[0].Total != 1 {
-		t.Fatalf("gated SLO still counted: %d", sts[0].Total)
-	}
-	r.SetWindowed(true)
-	w.Observe(time.Millisecond)
 	if ws, _ := r.WindowValue("op.latency"); ws.Count != 2 {
-		t.Fatalf("re-enabled window count = %d, want 2", ws.Count)
+		t.Fatalf("second observe: window count = %d, want 2", ws.Count)
+	}
+	if sts := r.SLOStatuses(); sts[0].Total != 2 {
+		t.Fatalf("second observe: SLO total = %d, want 2", sts[0].Total)
 	}
 
 	// Snapshot carries windows and SLOs; Reset clears them.

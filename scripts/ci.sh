@@ -7,39 +7,38 @@
 # graceful-drain exit 0), then the benchmark pipeline:
 #
 #   1. regenerate the snapshot in short mode to BENCH_new.json;
-#   2. validate it — malformed reports, unmeasured benchmarks,
-#      tracing / flight-recorder overhead beyond the DESIGN.md §8–§9
-#      bounds, a B13 sync-family parallel speedup below 1.5× at four
-#      workers (DESIGN.md §10), a B14 plan-cache hit rate below 0.95,
-#      a B14 repeated-query speedup below 1.15× (DESIGN.md §11; the
-#      design target is 1.5×, the gate absorbs short-mode timer noise),
-#      a B15 WAL read-path tax above 1.15× (queries never append, so
-#      the bound is tight), a B15 group-commit amortization below
-#      1.5× (DESIGN.md §13; ~8× measured), a B16 windowed-telemetry
-#      tax above 1.03× (DESIGN.md §14: rolling histograms and SLO
-#      trackers must cost ≤3% on a cheap query), a B17
-#      statement-digest tax above 1.03× (DESIGN.md §15: fingerprinting
-#      and digest accounting must cost ≤3% per query), a B18
-#      during-commit read scaling below 2.5× (DESIGN.md §17: snapshot
-#      readers must keep completing while a writer holds the commit
-#      path; measured in the thousands, serial readers complete ~0),
-#      or a B18 incremental-checkpoint ratio above 0.25 (a
-#      single-relation update must rewrite at most a quarter of the
-#      universe's checkpoint bytes; ~0.05 measured), or an allocation
-#      ceiling broken (DESIGN.md §19: B1/B3/B8 may allocate a fixed
-#      128 per evaluation plus 0.25 per scanned element, B4 at most
-#      15 000 per materialisation, B13/query at most 400 at any
-#      worker count — counts, so the ceilings sit close above the
-#      measured 14–54, 13 100–13 300 and 33–169) fail the build;
+#   2. validate it. The gates are constants in cmd/idlbench, not flags.
+#      Count gates, which repeat run to run: every benchmark measured
+#      once; the overhead matrix (the E5 query through idl.DB.Query with
+#      one observer per arm) within its allocs/op ceilings over the
+#      baseline — flightrec +42, metrics +0, traced +1 150, wal +0,
+#      digests +1, capture +8 (DESIGN.md §8–§9, §13–§15); a B14
+#      plan-cache hit rate of at least 0.95 (DESIGN.md §11); at least
+#      200 reads completed by four facade readers while B18's commits
+#      are in flight (DESIGN.md §17); a B18 incremental-checkpoint ratio
+#      of at most 0.25; and the evaluator's allocation ceilings
+#      (DESIGN.md §19: B1/B3/B8 128 per evaluation plus 0.25 per scanned
+#      element, B4 15 000 per materialisation, B13/query 400 at any
+#      worker count). Time floors, which sleeps and fsync bound rather
+#      than CPU: a B13 sync-family speedup of at least 1.5× at four
+#      workers (DESIGN.md §10) and a B15 group-commit amortization of at
+#      least 1.5× (DESIGN.md §13). Overhead ratios, including the ≤3%
+#      design targets, are reported, not gated;
 #   3. compare it against the committed BENCH_report.json — any
 #      benchmark more than 25% slower fails the build (the
 #      bench-regression gate; a failed compare re-measures once so a
-#      transient load spike cannot fail the build by itself);
+#      transient load spike cannot fail the build by itself; reports of
+#      different schemas fail with one line asking for a re-baseline);
 #   4. promote BENCH_new.json to BENCH_report.json so a passing run
 #      leaves the refreshed snapshot ready to commit.
 #
 # Run from the repository root: scripts/ci.sh
 set -eux
+
+# Build outputs, coverage profiles and the server smoke's files live in
+# one scratch directory, removed on exit.
+SCRATCH="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH"' EXIT
 
 test -z "$(gofmt -l .)"
 
@@ -56,8 +55,8 @@ go test -race -shuffle=on ./...
 # raised the floor from its 77.8% seed to 80.0% (81.3% measured when the
 # planner landed); new evaluation layers must keep the tests that come
 # with them.
-go test -coverprofile=/tmp/core_cover.out ./internal/core
-go tool cover -func=/tmp/core_cover.out | awk '
+go test -coverprofile="$SCRATCH/core_cover.out" ./internal/core
+go tool cover -func="$SCRATCH/core_cover.out" | awk '
     /^total:/ {
         sub(/%/, "", $3)
         if ($3 + 0 < 80.0) {
@@ -97,31 +96,31 @@ go test -run '^$' -fuzz '^FuzzRecovery$' -fuzztime 15s .
 # regresses) and /debug/mvcc must report a live snapshot version chain.
 # The SIGTERM at the end is itself a gate — the daemon must drain
 # inflight requests, checkpoint, and exit 0.
-go build -o /tmp/idld ./cmd/idld
-go build -o /tmp/idlload ./cmd/idlload
-rm -f /tmp/server_smoke.idlog /tmp/idld.addr
-go run ./cmd/idl -demo -journal /tmp/server_smoke.idlog -script scripts/server_smoke.idl > /dev/null
-/tmp/idld -demo -addr 127.0.0.1:0 -addr-file /tmp/idld.addr -debug -mutex-profile 5 &
+go build -o "$SCRATCH/idld" ./cmd/idld
+go build -o "$SCRATCH/idlload" ./cmd/idlload
+go run ./cmd/idl -demo -journal "$SCRATCH/server_smoke.idlog" -script scripts/server_smoke.idl > /dev/null
+"$SCRATCH/idld" -demo -addr 127.0.0.1:0 -addr-file "$SCRATCH/idld.addr" -debug -mutex-profile 5 &
 IDLD_PID=$!
-for i in $(seq 100); do test -s /tmp/idld.addr && break; sleep 0.1; done
-IDLD_ADDR="http://$(cat /tmp/idld.addr)"
-/tmp/idlload -addr "$IDLD_ADDR" -check /tmp/server_smoke.idlog
-/tmp/idlload -addr "$IDLD_ADDR" -qps 200 -duration 5s -min-qps 150 -max-p99 250ms -max-error-rate 0 /tmp/server_smoke.idlog
-curl -sf "$IDLD_ADDR/debug/pprof/mutex?debug=1" > /tmp/idld_mutex.pprof
-test -s /tmp/idld_mutex.pprof
+for i in $(seq 100); do test -s "$SCRATCH/idld.addr" && break; sleep 0.1; done
+IDLD_ADDR="http://$(cat "$SCRATCH/idld.addr")"
+"$SCRATCH/idlload" -addr "$IDLD_ADDR" -check "$SCRATCH/server_smoke.idlog"
+"$SCRATCH/idlload" -addr "$IDLD_ADDR" -qps 200 -duration 5s -min-qps 150 -max-p99 250ms -max-error-rate 0 "$SCRATCH/server_smoke.idlog"
+curl -sf "$IDLD_ADDR/debug/pprof/mutex?debug=1" > "$SCRATCH/idld_mutex.pprof"
+test -s "$SCRATCH/idld_mutex.pprof"
 curl -sf "$IDLD_ADDR/debug/mvcc" | grep -q '"head_epoch"'
 kill -TERM "$IDLD_PID"
 wait "$IDLD_PID"
 
-go run ./cmd/idlbench -short -out BENCH_new.json
-go run ./cmd/idlbench -validate BENCH_new.json -max-trace-overhead 3.0 -max-flight-overhead 1.25 -min-parallel-speedup 1.5 -min-plan-cache-hit 0.95 -min-plan-speedup 1.15 -max-wal-overhead 1.15 -min-group-amortize 1.5 -max-telemetry-overhead 1.03 -max-insights-overhead 1.03 -min-read-scaling 2.5 -max-ckpt-ratio 0.25
+go build -o "$SCRATCH/idlbench" ./cmd/idlbench
+"$SCRATCH/idlbench" -short -out BENCH_new.json
+"$SCRATCH/idlbench" -validate BENCH_new.json
 # The regression gate, with one confirmation pass: sustained host
 # contention can inflate a whole snapshot run, so a failed compare
 # re-measures once and only fails when the regression reproduces. A
 # real slowdown fails both runs; a noise spike on a loaded CI box
 # almost never hits the same benchmark twice.
-if ! go run ./cmd/idlbench -compare -max-regress 0.25 BENCH_report.json BENCH_new.json; then
-    go run ./cmd/idlbench -short -out BENCH_new.json
-    go run ./cmd/idlbench -compare -max-regress 0.25 BENCH_report.json BENCH_new.json
+if ! "$SCRATCH/idlbench" -compare BENCH_report.json BENCH_new.json; then
+    "$SCRATCH/idlbench" -short -out BENCH_new.json
+    "$SCRATCH/idlbench" -compare BENCH_report.json BENCH_new.json
 fi
 mv BENCH_new.json BENCH_report.json
