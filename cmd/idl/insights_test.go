@@ -56,7 +56,7 @@ func TestMetaTopAndStatement(t *testing.T) {
 	out = captureStdout(t, func() { meta(db, config{}, `\statement `+fp) })
 	for _, want := range []string{
 		"statement " + fp + " kind=query calls=3",
-		"plan-cache: hit=1",
+		"plan-cache: hit=2 stale=0 miss=1",
 		"resources: rows=",
 		"captures: 3",
 		"exemplar 3: trace=",

@@ -15,8 +15,8 @@ func report(benches map[string]int64) *Report {
 		GoVersion: "go-test",
 		Parallel:  ParallelSpeedup{NumCPU: 1, GoMaxProcs: 1, QuerySpeedup4: 1.0, SyncSpeedup4: 2.8},
 		PlanCache: PlanCacheSummary{
-			InterpretedNsPerOp: 150, CompileNsPerOp: 160, CachedNsPerOp: 100,
-			PreparedNsPerOp: 95, HitRate: 0.99, Speedup: 1.5,
+			CompileNsPerOp: 160, CachedNsPerOp: 100,
+			PreparedNsPerOp: 95, HitRate: 0.99, Speedup: 1.6,
 		},
 		WAL: WALSummary{
 			ExecOffNsPerOp: 200, ExecSyncNsPerOp: 900, ExecGroupNsPerOp: 400,
@@ -34,7 +34,7 @@ func report(benches map[string]int64) *Report {
 		})
 	}
 	for name, ns := range benches {
-		rep.Benchmarks = append(rep.Benchmarks, Benchmark{Name: name, Iters: 10, NsPerOp: ns})
+		rep.Benchmarks = append(rep.Benchmarks, Benchmark{Name: name, Iters: 10, NsPerOp: ns, AllocsPerOp: uint64(ns)})
 	}
 	return rep
 }
@@ -42,7 +42,7 @@ func report(benches map[string]int64) *Report {
 func TestCompareReports(t *testing.T) {
 	oldRep := report(map[string]int64{"B1": 100, "B2": 200, "B3": 50})
 	newRep := report(map[string]int64{"B1": 110, "B2": 290, "B4": 70})
-	newRep.Overhead[1].NsPerOp = 200 // flightrec doubled
+	newRep.Overhead[1].AllocsPerOp *= 2 // flightrec allocates twice as much
 	lines, err := compareReports(oldRep, newRep)
 	if err == nil {
 		t.Fatal("B2 (+45%), B3 (missing) and overhead/flightrec (+100%) should fail the gate")
@@ -60,6 +60,24 @@ func TestCompareReports(t *testing.T) {
 	}
 	if _, err := compareReports(oldRep, oldRep); err != nil {
 		t.Errorf("self-compare should be clean, got %v", err)
+	}
+	// The gate is allocs/op: time alone never fails it, allocations do.
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Report)
+		fail   bool
+	}{
+		{"ns/op tripled", func(r *Report) { r.Benchmarks[0].NsPerOp *= 3 }, false},
+		{"overhead ns/op tripled", func(r *Report) { r.Overhead[3].NsPerOp *= 3 }, false},
+		{"allocs/op +10%", func(r *Report) { r.Benchmarks[0].AllocsPerOp = 110 }, false},
+		{"allocs/op +11%", func(r *Report) { r.Benchmarks[0].AllocsPerOp = 111 }, true},
+		{"overhead allocs/op grew", func(r *Report) { r.Overhead[2].AllocsPerOp += 20 }, true},
+	} {
+		base, changed := report(map[string]int64{"B1": 100}), report(map[string]int64{"B1": 100})
+		tc.mutate(changed)
+		if _, err := compareReports(base, changed); (err != nil) != tc.fail {
+			t.Errorf("%s: compare err = %v, want failure %v", tc.name, err, tc.fail)
+		}
 	}
 	// Across a schema change the names no longer mean the same thing:
 	// one line naming both schemas, no per-benchmark table.

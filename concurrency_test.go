@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -18,21 +20,24 @@ import (
 
 // TestFacadeReadDuringHeldCommit pins the facade half of the MVCC
 // contract: with a head snapshot published, a read through DB.QueryCtx or
-// Prepared.QueryCtx — traced or not — completes while a commit holds the
-// engine mutex. The statement pipeline must therefore take no engine lock
-// for its own bookkeeping, and tracing must not move the read onto one.
+// Prepared.QueryCtx — untraced, traced or logged — completes while a
+// commit holds the engine mutex. The statement pipeline must therefore
+// take no engine lock for its own bookkeeping, and neither tracing nor the
+// event log's plan digest may move the read onto one.
 func TestFacadeReadDuringHeldCommit(t *testing.T) {
-	for _, traced := range []bool{false, true} {
-		name := "untraced"
-		if traced {
-			name = "traced"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, arm := range []struct {
+		name    string
+		observe func(*DB)
+	}{
+		{"untraced", func(*DB) {}},
+		{"traced", func(db *DB) { db.EnableTracing(16) }},
+		{"logged", func(db *DB) { db.SetEventLog(io.Discard) }},
+	} {
+		traced := arm.name == "traced"
+		t.Run(arm.name, func(t *testing.T) {
 			db := Open()
 			seedStocks(t, db)
-			if traced {
-				db.EnableTracing(16)
-			}
+			arm.observe(db)
 			const src = "?.euter.r(.stkCode=S, .clsPrice>100)"
 			prep, err := db.Prepare(src)
 			if err != nil {
@@ -102,6 +107,37 @@ func TestFacadeReadDuringHeldCommit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSnapshotReadersDuringExec runs Save and ValidateSchema beside
+// concurrent Exec: both read the base universe, which Exec mutates under
+// the engine mutex, so under -race they must read it under that mutex too.
+func TestSnapshotReadersDuringExec(t *testing.T) {
+	db := Open()
+	seedStocks(t, db)
+	if err := db.Schema().Declare(RelDecl{DB: "euter", Rel: "r"}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "universe.json")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 40; i++ {
+			if _, err := db.Exec(fmt.Sprintf("+.scratch.r(.n=%d)", i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if err := db.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.ValidateSchema(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
 }
 
 func TestConcurrentQueries(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // Differential-testing harness (DESIGN.md §10): every experiment script
 // E1–E12 and a generated stock workload run under sequential evaluation
 // and under parallel evaluation at 2, 4 and 8 workers, and under every
-// planning mode — interpreted (no compiled plans), cold-compiled (plan
+// planning mode — cold-compiled (the reference: a plan
 // per query, cache disabled) and cached (the default epoch-keyed plan
 // cache); the rendered transcripts — canonical answers, row order,
 // update counts, errors — must be byte-identical across the whole
@@ -247,17 +247,28 @@ func diffCompare(t *testing.T, label string, seq, par []string) {
 
 var diffWorkerCounts = []int{2, 4, 8}
 
-// diffModes are the planning modes the grid covers. "interpreted" is the
-// baseline: scheduling analysis recomputed per evaluation, no plans.
-// "cold" compiles a plan for every query but never caches it.
-// "cached" is the production default: the epoch-keyed plan cache.
+// diffModes are the planning modes the grid covers. "cold" is the
+// baseline: a plan compiled for every query and never cached. "cached"
+// is the production default: the epoch-keyed plan cache.
 var diffModes = []struct {
 	name string
 	set  func(*Options)
 }{
-	{"interpreted", func(o *Options) { o.Interpret = true }},
 	{"cold", func(o *Options) { o.NoPlanCache = true }},
 	{"cached", func(o *Options) {}},
+}
+
+// diffReference names the mode every transcript is compared against.
+const diffReference = "cold"
+
+// diffMode returns the named planning mode's option edit.
+func diffMode(name string) func(*Options) {
+	for _, m := range diffModes {
+		if m.name == name {
+			return m.set
+		}
+	}
+	panic("difftest: no planning mode " + name)
 }
 
 // diffOpen builds a DB in the named planning mode at a worker count.
@@ -271,7 +282,7 @@ func diffOpen(mode func(*Options), workers int) *DB {
 
 // TestDifferentialExperiments runs E1–E12 across the full planning-mode ×
 // worker-count grid, byte-comparing every transcript against the
-// sequential interpreted baseline.
+// sequential cold-compiled baseline.
 func TestDifferentialExperiments(t *testing.T) {
 	for _, exp := range diffExperiments {
 		exp := exp
@@ -284,10 +295,10 @@ func TestDifferentialExperiments(t *testing.T) {
 				}
 				return diffTranscript(t, db, exp.stmts)
 			}
-			base := run(diffModes[0].set, 0)
+			base := run(diffMode(diffReference), 0)
 			for _, m := range diffModes {
 				for _, w := range append([]int{0}, diffWorkerCounts...) {
-					if m.name == diffModes[0].name && w == 0 {
+					if m.name == diffReference && w == 0 {
 						continue
 					}
 					diffCompare(t, fmt.Sprintf("%s mode=%s workers=%d", exp.name, m.name, w), base, run(m.set, w))
@@ -296,10 +307,10 @@ func TestDifferentialExperiments(t *testing.T) {
 		})
 	}
 	t.Run("E11", func(t *testing.T) {
-		base := e11Transcript(t, diffModes[0].set, 0)
+		base := e11Transcript(t, diffMode(diffReference), 0)
 		for _, m := range diffModes {
 			for _, w := range append([]int{0}, diffWorkerCounts...) {
-				if m.name == diffModes[0].name && w == 0 {
+				if m.name == diffReference && w == 0 {
 					continue
 				}
 				diffCompare(t, fmt.Sprintf("E11 mode=%s workers=%d", m.name, w), base, e11Transcript(t, m.set, w))
@@ -401,17 +412,17 @@ func TestDifferentialGeneratedWorkload(t *testing.T) {
 		}
 		return diffTranscript(t, db, stmts)
 	}
-	base := run(diffModes[0].set, 0)
+	base := run(diffMode(diffReference), 0)
 	for _, m := range diffModes {
 		for _, w := range append([]int{0}, diffWorkerCounts...) {
-			if m.name == diffModes[0].name && w == 0 {
+			if m.name == diffReference && w == 0 {
 				continue
 			}
 			diffCompare(t, fmt.Sprintf("generated workload mode=%s workers=%d", m.name, w), base, run(m.set, w))
 		}
 	}
 	// The cached run above must have actually hit the cache on pass two.
-	db := diffOpen(diffModes[2].set, 0)
+	db := diffOpen(diffMode("cached"), 0)
 	ds := stocks.Generate(cfg)
 	ds.Populate(db.Engine().Base())
 	db.Engine().Invalidate()
@@ -449,7 +460,7 @@ func TestDifferentialDigestCounters(t *testing.T) {
 		res           StatementResources
 	}
 	run := func(workers int) map[key]counters {
-		db := diffOpen(diffModes[2].set, workers)
+		db := diffOpen(diffMode("cached"), workers)
 		ds := stocks.Generate(cfg)
 		ds.Populate(db.Engine().Base())
 		db.Engine().Invalidate()

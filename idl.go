@@ -224,7 +224,14 @@ func (db *DB) Save(path string) error {
 	if reg != nil {
 		start = time.Now()
 	}
-	size, err := storage.SaveFileSized(path, db.engine.Base())
+	var size int64
+	var err error
+	// Read the base under the engine mutex: Exec and catalog writes
+	// mutate it there, and a half-applied request must not be serialised.
+	db.engine.UpdateBase(func(base *Tuple) bool {
+		size, err = storage.SaveFileSized(path, base)
+		return false
+	})
 	if err == nil {
 		db.snapshotBytes = size
 	}
@@ -271,7 +278,12 @@ func (db *DB) ValidateSchema() error {
 	if reg == nil {
 		return nil
 	}
-	return reg.Validate(db.engine.Base())
+	var err error
+	db.engine.UpdateBase(func(base *Tuple) bool {
+		err = reg.Validate(base)
+		return false
+	})
+	return err
 }
 
 // Explain returns the engine's evaluation plan for a query: scheduled

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,15 +51,9 @@ type Options struct {
 	// NoPlanCache compiles a fresh plan for every query instead of
 	// consulting the epoch-keyed plan cache. Compilation (analysis, cost
 	// ranking) still happens — only reuse is disabled. Used by the
-	// plan-cache ablation benchmark and the differential suite.
+	// plan-cache ablation benchmark and as the differential suite's
+	// reference mode.
 	NoPlanCache bool
-	// Interpret evaluates queries directly from the AST with no plan
-	// object at all: safety analysis is recomputed lazily per evaluation,
-	// exactly as the pre-planner engine did. Conjunct cost ranks are
-	// still applied (computed per call from the same statistics), so
-	// answers stay byte-identical to compiled evaluation. Used by the
-	// differential suite as the reference mode.
-	Interpret bool
 	// PlanCacheSize bounds the plan cache (LRU eviction). 0 selects the
 	// default of 256 plans.
 	PlanCacheSize int
@@ -217,19 +212,23 @@ func (e *Engine) UpdateBase(fn func(base *object.Tuple) bool) {
 }
 
 // SetUnavailable records which federated member databases are currently
-// unreachable (nil clears). Explain marks conjuncts over them.
+// unreachable (nil clears). Explain marks conjuncts over them. Snapshots
+// carry the set to the reads that pin them, so a change drops the
+// published MVCC head.
 func (e *Engine) SetUnavailable(names []string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(names) == 0 {
-		e.unavailable = nil
-		return
+	var m map[string]bool
+	if len(names) > 0 {
+		m = make(map[string]bool, len(names))
+		for _, n := range names {
+			m[n] = true
+		}
 	}
-	m := make(map[string]bool, len(names))
-	for _, n := range names {
-		m[n] = true
+	if !maps.Equal(m, e.unavailable) {
+		e.unavailable = m
+		e.invalidateHead()
 	}
-	e.unavailable = m
 }
 
 // SetReadOnly marks databases as federated snapshots: update requests
@@ -410,62 +409,74 @@ func (e *Engine) Query(q *ast.Query) (*Answer, error) {
 // and deadlines, with checks amortized so the enumeration hot path
 // stays fast. A cancelled query returns ctx.Err().
 //
-// Unless the planner is bypassed (NoSchedule, Interpret, or a traced
-// run), evaluation goes through a compiled plan from the epoch-keyed
-// plan cache; the answer's Plan field reports the cache outcome.
+// Evaluation always runs a compiled plan, from the epoch-keyed plan
+// cache unless caching is off; the answer's Plan field reports the cache
+// outcome.
 func (e *Engine) QueryCtx(ctx context.Context, q *ast.Query) (*Answer, error) {
 	if ast.HasUpdate(q.Body) {
 		return nil, fmt.Errorf("core: query contains update expressions; use Execute")
 	}
-	return e.read(ctx, q, nil)
+	ans, _, err := e.read(ctx, q, nil, readQuery)
+	return ans, err
 }
 
+// readKind is what a read does with the plan it acquired.
+type readKind uint8
+
+const (
+	readQuery   readKind = iota // evaluate it
+	readExplain                 // report it; evaluate nothing
+	readAnalyze                 // evaluate it measured; report it with actuals
+)
+
 // read is the one read path, shared by ad hoc and prepared queries (p
-// non-nil, q ignored). Reads are snapshot-isolated: the query pins the
-// newest committed version of the effective universe (version.go) and
-// evaluates against it without holding the engine mutex, so concurrent
-// queries share the machine instead of a lock queue — traced or not. The
-// mutex is taken only when no fresh snapshot is published: the first read
-// after a mutation refreshes the effective universe, freezes a snapshot
-// for the readers behind it, and evaluates under the lock.
-func (e *Engine) read(ctx context.Context, q *ast.Query, p *PreparedQuery) (*Answer, error) {
+// non-nil, q ignored), EXPLAIN and EXPLAIN ANALYZE. Reads are
+// snapshot-isolated: the query pins the newest committed version of the
+// effective universe (version.go) and evaluates against it without
+// holding the engine mutex, so concurrent queries share the machine
+// instead of a lock queue — traced, logged or explained. The mutex is
+// taken only when no fresh snapshot is published: the first read after a
+// mutation refreshes the effective universe, freezes a snapshot for the
+// readers behind it, and evaluates under the lock.
+func (e *Engine) read(ctx context.Context, q *ast.Query, p *PreparedQuery, kind readKind) (*Answer, *Explain, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cctx := cancellable(ctx)
 	if v := e.pinHead(); v != nil {
 		defer v.unpin()
-		return e.runQuery(cctx, ctx, q, p, v.view())
+		return e.runQuery(cctx, ctx, q, p, v.view(), kind)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	rounds := e.fixpointRounds
 	if _, err := e.refreshEffective(cctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e.publishHeadLocked()
-	ans, err := e.runQuery(cctx, ctx, q, p, e.lockedView())
+	ans, x, err := e.runQuery(cctx, ctx, q, p, e.lockedView(), kind)
 	if ans != nil {
 		ans.Resources.FixpointRounds = e.fixpointRounds - rounds
 	}
-	return ans, err
+	return ans, x, err
 }
 
 // readView is what one read evaluates against: an effective universe
-// that stays immutable for the duration, with the epoch, options and
-// observability hooks that go with it.
+// that stays immutable for the duration, with the epoch, options,
+// observability hooks and unreachable members that go with it.
 type readView struct {
-	eff    *object.Tuple
-	epoch  uint64
-	opts   Options
-	em     *engineMetrics
-	tracer *obs.Tracer
+	eff         *object.Tuple
+	epoch       uint64
+	opts        Options
+	em          *engineMetrics
+	tracer      *obs.Tracer
+	unavailable map[string]bool
 }
 
 // lockedView is the live, just-refreshed effective universe. Callers
 // hold e.mu for as long as they use it.
 func (e *Engine) lockedView() readView {
-	return readView{eff: e.effective, epoch: e.epoch, opts: e.opts, em: e.em, tracer: e.tracer}
+	return readView{eff: e.effective, epoch: e.epoch, opts: e.opts, em: e.em, tracer: e.tracer, unavailable: e.unavailable}
 }
 
 // view is a pinned immutable version, readable with no engine lock held
@@ -473,56 +484,55 @@ func (e *Engine) lockedView() readView {
 // traced read builds its span tree and per-conjunct probes as
 // per-evaluation state, and the tracer's ring has its own lock.
 func (v *version) view() readView {
-	return readView{eff: v.eff, epoch: v.epoch, opts: v.opts, em: v.em, tracer: v.tracer}
+	return readView{eff: v.eff, epoch: v.epoch, opts: v.opts, em: v.em, tracer: v.tracer, unavailable: v.unavailable}
 }
 
-// runQuery evaluates a pure query against a read view. A prepared query
-// (p non-nil) revalidates and runs its own plan; otherwise a plan is
-// acquired according to the view's options: from the plan cache
-// (default), compiled cold (NoPlanCache), or skipped entirely (Interpret
-// / NoSchedule / traced runs, which compile the caller's AST
-// transiently). All routes apply the same cost ranks, and the locked and
-// lock-free paths share this one body, so answers — including raw row
-// order — are byte-identical across them at the same epoch. Shared state
-// it touches is individually synchronized: the plan cache under planMu,
-// the index cache's sharded read locks, the statistics sync.Map, the
-// tracer's ring, and the aggregate counters under statsMu.
-func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Query, p *PreparedQuery, rv readView) (*Answer, error) {
+// runQuery runs a pure query's plan against a read view. A prepared
+// query (p non-nil) revalidates its own plan; otherwise the plan comes
+// from the plan cache, or is compiled cold under NoPlanCache. Either way
+// the read executes the plan's own AST: every evaluation of one plan
+// walks identical pointers, so structurally equal queries enumerate
+// identically whether they hit or miss the cache, and a measured read —
+// traced, or EXPLAIN ANALYZE — keys its per-evaluation probes by the
+// plan's conjuncts. The locked and lock-free paths share this one body,
+// so answers — including raw row order — are byte-identical across them
+// at the same epoch. Shared state it touches is individually
+// synchronized: the plan cache under planMu, the index cache's sharded
+// read locks, the statistics sync.Map, the tracer's ring, and the
+// aggregate counters under statsMu.
+func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Query, p *PreparedQuery, rv readView, kind readKind) (*Answer, *Explain, error) {
+	var start time.Time
+	if rv.em != nil || rv.tracer != nil || kind == readAnalyze {
+		start = time.Now()
+	}
 	var pl *queryPlan
 	var info *PlanInfo
 	if p != nil {
 		pl, info = p.revalidate(rv.eff, rv.epoch, rv.em)
-		q = pl.q
-	}
-	obsOn := rv.em != nil || rv.tracer != nil
-	var start time.Time
-	var span *obs.Span
-	if obsOn {
-		start = time.Now()
-		span = rv.tracer.Start("query")
-		annotateOpID(span, ctx)
-	}
-	var an *bodyAnalysis
-	if rv.opts.NoSchedule || rv.opts.Interpret || span != nil {
-		// No plan object: ablation mode (strict left-to-right), the
-		// differential suite's reference mode, and traced queries, whose
-		// per-conjunct probes hang off an AST of their own.
-		an = e.transientAnalysis(q, rv.eff, rv.opts)
 	} else {
-		if pl == nil {
-			var state string
-			pl, state = e.planFor(q, rv.eff, rv.epoch, rv.opts, rv.em)
-			info = planInfo(pl, state)
-		}
-		// Execute the plan's own AST: every evaluation of one plan walks
-		// identical pointers, so structurally equal queries enumerate
-		// identically whether they hit or miss the cache.
-		an = pl.an
+		var state string
+		pl, state = e.planFor(q, rv.eff, rv.epoch, rv.opts, rv.em)
+		info = planInfo(pl, state)
 	}
+	an := pl.an
+	var x *Explain
+	var order []ast.Expr
+	if kind != readQuery {
+		x, order = planQuery(an, rv)
+		if kind == readExplain {
+			return nil, x, nil
+		}
+	}
+	name := "query"
+	if kind == readAnalyze {
+		name = "explain-analyze"
+	}
+	span := rv.tracer.Start(name)
+	annotateOpID(span, ctx)
 	var analyze *analyzeState
-	if span != nil {
-		// Traced queries carry per-conjunct child spans, measured by the
-		// same probes EXPLAIN ANALYZE uses.
+	if span != nil || kind == readAnalyze {
+		// Traced reads carry per-conjunct child spans, measured by the
+		// same probes EXPLAIN ANALYZE reports.
 		analyze = &analyzeState{probes: newProbes(an.body.Conjuncts)}
 	}
 	var local Stats
@@ -535,9 +545,12 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Quer
 		endQuerySpan(span, rows.len(), local, an, analyze)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Answer{Vars: an.output(), rows: rows, Plan: info, Resources: resourcesFrom(local, rows.len())}, nil
+	if x != nil {
+		x.annotate(order, analyze.probes, rows.len(), time.Since(start))
+	}
+	return &Answer{Vars: an.output(), rows: rows, Plan: info, Resources: resourcesFrom(local, rows.len())}, x, nil
 }
 
 // endQuerySpan closes a measured query's span: the run's totals, then one

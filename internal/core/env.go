@@ -149,9 +149,8 @@ type Answer struct {
 	// Plan, when non-nil, reports how the query was planned: whether the
 	// compiled plan came from the cache ("hit"), was revalidated after an
 	// epoch move ("stale"), was compiled fresh ("miss"), or bypassed the
-	// cache ("cold"), plus compile time when a compile happened. nil for
-	// interpreted, unscheduled, and traced evaluations, which do not use
-	// the planner.
+	// cache ("cold"), plus compile time when a compile happened. Every
+	// read runs a plan, so it is set on every answer a query returns.
 	Plan *PlanInfo
 
 	// Resources is this query's resource-accounting record: the evaluator

@@ -167,7 +167,7 @@ func TestEvaluationRestoresSubstitution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		an := e.transientAnalysis(q, eff, e.opts)
+		an := e.compilePlan(q, eff, planKeyFor(q, e.opts), e.epoch, nil).an
 		for _, stopAfter := range []int{-1, 1} {
 			ev := newEvaluator(nil, an, e.indexes, e.opts, &Stats{})
 			rows := 0

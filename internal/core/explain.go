@@ -94,64 +94,38 @@ func (e *Explain) String() string {
 }
 
 // ExplainQuery produces the evaluation plan for a query without running
-// it.
+// it. It takes the plan the way a read does — from the pinned snapshot
+// and the plan cache — so it reports the plan the query's reads run.
 func (e *Engine) ExplainQuery(q *ast.Query) (*Explain, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if ast.HasUpdate(q.Body) {
 		return nil, fmt.Errorf("core: cannot explain an update request")
 	}
-	eff, err := e.refreshEffective(nil)
-	if err != nil {
-		return nil, err
-	}
-	plan, _ := e.planQuery(e.transientAnalysis(q, eff, e.opts), eff)
-	return plan, nil
+	_, plan, err := e.read(context.Background(), q, nil, readExplain)
+	return plan, err
 }
 
-// ExplainAnalyzeQuery produces the plan and then executes the query,
-// annotating each step with its measured actuals (rows produced, set
-// elements scanned, index probes, self wall time). Both the plan and the
-// answer are returned.
+// ExplainAnalyzeQuery produces the plan and then executes the query — a
+// measured read on the same path as QueryCtx — annotating each step with
+// its measured actuals (rows produced, set elements scanned, index
+// probes, self wall time). Both the plan and the answer are returned.
 func (e *Engine) ExplainAnalyzeQuery(ctx context.Context, q *ast.Query) (*Explain, *Answer, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if ast.HasUpdate(q.Body) {
 		return nil, nil, fmt.Errorf("core: cannot explain an update request")
 	}
-	cctx := cancellable(ctx)
-	eff, err := e.refreshEffective(cctx)
+	ans, plan, err := e.read(ctx, q, nil, readAnalyze)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Execute with the same compiled body — and so the same ranks — the
-	// plan simulation used, so the actuals attach to the order the steps
-	// report.
-	an := e.transientAnalysis(q, eff, e.opts)
-	plan, order := e.planQuery(an, eff)
-	probes := newProbes(an.body.Conjuncts)
-	var local Stats
-	span := e.tracer.Start("explain-analyze")
-	start := time.Now()
-	analyze := &analyzeState{probes: probes}
-	rows, err := e.collect(cctx, an, e.lockedView(), &local, analyze)
-	total := time.Since(start)
-	e.addStats(local)
-	if e.em != nil {
-		e.em.record(&e.em.query, start, local, err)
-	}
-	if span != nil {
-		endQuerySpan(span, rows.len(), local, an, analyze)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
+	return plan, ans, nil
+}
+
+// annotate attaches a measured run's actuals to the steps. order is the
+// step order planQuery returned: steps map to conjuncts by identity, so
+// runtime scheduling never misattributes actuals.
+func (x *Explain) annotate(order []ast.Expr, probes map[ast.Expr]*conjunctProbe, rows int, total time.Duration) {
 	for i, c := range order {
 		if p := probes[c]; p != nil {
-			plan.Steps[i].Analyze = &StepActuals{
+			x.Steps[i].Analyze = &StepActuals{
 				Rows:        p.rows,
 				Scanned:     p.scanned,
 				IndexProbes: p.indexProbes,
@@ -159,20 +133,19 @@ func (e *Engine) ExplainAnalyzeQuery(ctx context.Context, q *ast.Query) (*Explai
 			}
 		}
 	}
-	plan.Analyzed = true
-	plan.Rows = rows.len()
-	plan.Total = total
-	return plan, &Answer{Vars: an.output(), rows: rows}, nil
+	x.Analyzed = true
+	x.Rows = rows
+	x.Total = total
 }
 
-// planQuery simulates the conjunct scheduler over a compiled body
-// against the effective universe, returning the static plan plus the
-// scheduled conjuncts in step order (the mapping ANALYZE uses to attach
-// actuals). an carries the cost ranks the real scheduler would use (none
-// under NoSchedule, where ranks would misreport the strict left-to-right
-// order): among runnable conjuncts the cheapest is picked, source order
-// breaking ties — the same rule as tupleFrame.step. Callers hold e.mu.
-func (e *Engine) planQuery(an *bodyAnalysis, eff *object.Tuple) (*Explain, []ast.Expr) {
+// planQuery simulates the conjunct scheduler over a plan's body against a
+// read view, returning the static plan plus the scheduled conjuncts in
+// step order (the mapping ANALYZE uses to attach actuals). an carries the
+// cost ranks the real scheduler uses (none in a NoSchedule plan, where
+// ranks would misreport the strict left-to-right order): among runnable
+// conjuncts the cheapest is picked, source order breaking ties — the same
+// rule as tupleFrame.step.
+func planQuery(an *bodyAnalysis, rv readView) (*Explain, []ast.Expr) {
 	conjuncts := an.body.Conjuncts
 	consumed := make([][]string, len(conjuncts))
 	for i, c := range conjuncts {
@@ -215,16 +188,14 @@ func (e *Engine) planQuery(an *bodyAnalysis, eff *object.Tuple) (*Explain, []ast
 			pick = 0
 		}
 		idx := remaining[pick]
-		step := e.explainConjunct(conjuncts[idx], consumed[idx], eff, empty)
+		step := explainConjunct(conjuncts[idx], consumed[idx], rv, empty)
 		if ranks != nil && ranks[idx] < costHuge {
 			step.EstRows = int64(ranks[idx])
 			step.Estimated = true
 		}
-		if len(e.unavailable) > 0 {
-			if a, ok := conjuncts[idx].(*ast.AttrExpr); ok {
-				if db, ok := constTermName(a.Name); ok && e.unavailable[db] {
-					step.Skipped = true
-				}
+		if a, ok := conjuncts[idx].(*ast.AttrExpr); ok {
+			if db, ok := constTermName(a.Name); ok && rv.unavailable[db] {
+				step.Skipped = true
 			}
 		}
 		// Deferred: a textually later conjunct ran first.
@@ -247,7 +218,7 @@ func (e *Engine) planQuery(an *bodyAnalysis, eff *object.Tuple) (*Explain, []ast
 
 // explainConjunct classifies one conjunct and resolves its access path
 // against the effective universe.
-func (e *Engine) explainConjunct(c ast.Expr, consumes []string, eff *object.Tuple, empty *Env) ExplainStep {
+func explainConjunct(c ast.Expr, consumes []string, rv readView, empty *Env) ExplainStep {
 	step := ExplainStep{
 		Conjunct: c.String(),
 		Kind:     "query",
@@ -257,7 +228,7 @@ func (e *Engine) explainConjunct(c ast.Expr, consumes []string, eff *object.Tupl
 	switch x := c.(type) {
 	case *ast.Not:
 		step.Kind = "negation"
-		inner := e.explainConjunct(x.X, nil, eff, empty)
+		inner := explainConjunct(x.X, nil, rv, empty)
 		step.Access = inner.Access
 		return step
 	case *ast.Constraint:
@@ -266,7 +237,7 @@ func (e *Engine) explainConjunct(c ast.Expr, consumes []string, eff *object.Tupl
 		return step
 	case *ast.AttrExpr:
 		step.Binds = producerVars(c, consumes)
-		step.Access = e.accessPath(x, eff, empty)
+		step.Access = accessPath(x, rv, empty)
 		ast.Walk(c, func(node ast.Expr) bool {
 			if _, isNot := node.(*ast.Not); isNot {
 				step.Kind = "negation"
@@ -299,7 +270,8 @@ func producerVars(c ast.Expr, consumes []string) []string {
 
 // accessPath resolves whether the conjunct's relation-level set
 // expression would use an attribute index.
-func (e *Engine) accessPath(a *ast.AttrExpr, eff *object.Tuple, empty *Env) string {
+func accessPath(a *ast.AttrExpr, rv readView, empty *Env) string {
+	eff := rv.eff
 	// Walk the path: db attr -> rel attr -> set expr.
 	dbName, ok := constTermName(a.Name)
 	if !ok {
@@ -340,7 +312,7 @@ func (e *Engine) accessPath(a *ast.AttrExpr, eff *object.Tuple, empty *Env) stri
 			return "navigate"
 		}
 	}
-	if !e.opts.UseIndex || set == nil || set.Len() < 16 {
+	if !rv.opts.UseIndex || set == nil || set.Len() < 16 {
 		return "scan"
 	}
 	te, ok := se.X.(*ast.TupleExpr)

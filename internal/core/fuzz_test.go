@@ -5,14 +5,16 @@ import (
 	"testing"
 
 	"idl/internal/ast"
+	"idl/internal/obs"
 	"idl/internal/parser"
 )
 
 // FuzzEvalQuery cross-checks evaluation modes on arbitrary read-only
-// queries: sequential interpreted evaluation is the oracle, and parallel
-// (3 workers), cold-compiled (plan per query, cache off) and cached
-// (epoch-keyed plan cache, exercised twice per input so the second run
-// hits) evaluation must each either fail identically or answer
+// queries: sequential cold-compiled evaluation (a plan per query, cache
+// off) is the oracle, and parallel (3 workers), cached (epoch-keyed plan
+// cache, exercised twice per input so the second run hits) and traced
+// (per-conjunct probes over the cached plan) evaluation must each either
+// fail identically or answer
 // byte-identically. This is the fuzzing arm of the differential layer —
 // the table-driven equivalence tests in parallel_test.go pin known query
 // shapes, the fuzzer searches for shapes nobody thought to pin.
@@ -49,15 +51,17 @@ func FuzzEvalQuery(f *testing.F) {
 		f.Add(s)
 	}
 
-	oracle := fuzzEngine(f, Options{Interpret: true})
+	oracle := fuzzEngine(f, Options{NoPlanCache: true})
+	traced := fuzzEngine(f, Options{})
+	traced.SetTracer(obs.NewTracer(4))
 	variants := []struct {
 		name string
 		e    *Engine
-		runs int // cached runs twice so run two serves from the plan cache
+		runs int // cached and traced run twice so run two serves from the plan cache
 	}{
 		{"parallel", fuzzEngine(f, Options{Workers: 3}), 1},
-		{"cold", fuzzEngine(f, Options{NoPlanCache: true}), 1},
 		{"cached", fuzzEngine(f, Options{}), 2},
+		{"traced", traced, 2},
 	}
 
 	f.Fuzz(func(t *testing.T, src string) {
@@ -81,16 +85,16 @@ func FuzzEvalQuery(f *testing.F) {
 			for run := 0; run < v.runs; run++ {
 				pAns, pErr := v.e.Query(q)
 				if (sErr == nil) != (pErr == nil) {
-					t.Fatalf("error divergence for %q:\ninterpreted: %v\n%s(run %d): %v", src, sErr, v.name, run, pErr)
+					t.Fatalf("error divergence for %q:\ncold: %v\n%s(run %d): %v", src, sErr, v.name, run, pErr)
 				}
 				if sErr != nil {
 					if sErr.Error() != pErr.Error() {
-						t.Fatalf("error text divergence for %q:\ninterpreted: %v\n%s(run %d): %v", src, sErr, v.name, run, pErr)
+						t.Fatalf("error text divergence for %q:\ncold: %v\n%s(run %d): %v", src, sErr, v.name, run, pErr)
 					}
 					continue
 				}
 				if s, p := sAns.String(), pAns.String(); s != p {
-					t.Fatalf("answer divergence for %q:\ninterpreted: %s\n%s(run %d): %s", src, clip(s), v.name, run, clip(p))
+					t.Fatalf("answer divergence for %q:\ncold: %s\n%s(run %d): %s", src, clip(s), v.name, run, clip(p))
 				}
 			}
 		}

@@ -343,10 +343,9 @@ func TestScanTargetSkipsIndexableScans(t *testing.T) {
 	}
 }
 
-// scanTargetOf compiles q the way an unplanned evaluation would and
-// resolves its partitionable scan.
+// scanTargetOf compiles q's plan and resolves its partitionable scan.
 func scanTargetOf(e *Engine, q *ast.Query, eff *object.Tuple) *object.Set {
-	an := e.transientAnalysis(q, eff, e.opts)
+	an := e.compilePlan(q, eff, planKeyFor(q, e.opts), e.epoch, nil).an
 	return e.scanTarget(an.body, eff, an, e.opts)
 }
 

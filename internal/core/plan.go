@@ -37,9 +37,9 @@ type bodyAnalysis struct {
 	// width is the body's output row width: its scope numbers the output
 	// variables (answer variables, head variables) 1..width.
 	width int
-	// ranks are the cost ranks of body's conjuncts; nil (NoSchedule, and
-	// a rule before its first run of a materialization) schedules in
-	// source order.
+	// ranks are the cost ranks of body's conjuncts; nil (a NoSchedule
+	// plan, and a rule before its first run of a materialization)
+	// schedules in source order.
 	ranks []float64
 }
 
@@ -85,18 +85,6 @@ func (e *Engine) ranked(an *bodyAnalysis, eff *object.Tuple, deps *[]planDep) *b
 	return &out
 }
 
-// transientAnalysis compiles q for one evaluation — the modes that
-// bypass the planner (Interpret, NoSchedule, traced and EXPLAIN runs).
-// It carries the same cost ranks a plan would, except under NoSchedule,
-// where the scheduler runs strictly left to right.
-func (e *Engine) transientAnalysis(q *ast.Query, eff *object.Tuple, opts Options) *bodyAnalysis {
-	an := resolveUnit(ast.PositiveVars(q.Body), q.Body)
-	if opts.NoSchedule {
-		return an
-	}
-	return e.ranked(an, eff, nil)
-}
-
 // planDep records one universe object the rank computation resolved: the
 // navigation path (database, optional relation) and the object it reached
 // — nil when the path resolved to nothing. A plan stays valid while every
@@ -123,12 +111,12 @@ type queryPlan struct {
 	compileNS int64
 }
 
-// PlanInfo reports how an answer's plan was obtained; attached to Answer
-// by QueryCtx so the facade and query log can surface cache behavior.
+// PlanInfo reports how an answer's plan was obtained; attached to every
+// Answer so the facade and query log can surface cache behavior.
 type PlanInfo struct {
 	// Cache is "hit" (epoch unchanged), "stale" (deps revalidated after
 	// an epoch bump), "miss" (compiled and cached), or "cold" (compiled,
-	// caching disabled). Empty for interpreted/unscheduled evaluation.
+	// caching disabled).
 	Cache string
 	// CompileNS is the compile time in nanoseconds when this call
 	// compiled a plan; 0 on cache hits.
@@ -149,12 +137,16 @@ func planInfo(pl *queryPlan, state string) *PlanInfo {
 }
 
 // compilePlan builds a plan for q against the given effective universe,
-// stamped at the given epoch. Safe without e.mu when eff is an immutable
-// snapshot.
+// stamped at the given epoch. A NoSchedule key compiles a rank-free plan:
+// the scheduler runs it strictly left to right, so it depends on nothing
+// in the universe. Safe without e.mu when eff is an immutable snapshot.
 func (e *Engine) compilePlan(q *ast.Query, eff *object.Tuple, key planKey, epoch uint64, em *engineMetrics) *queryPlan {
 	start := time.Now()
 	var deps []planDep
-	an := e.ranked(resolveUnit(ast.PositiveVars(q.Body), q.Body), eff, &deps)
+	an := resolveUnit(ast.PositiveVars(q.Body), q.Body)
+	if !key.noSchedule {
+		an = e.ranked(an, eff, &deps)
+	}
 	pl := &queryPlan{
 		key:   key,
 		q:     &ast.Query{Body: an.body},
@@ -202,57 +194,60 @@ func (e *Engine) validatePlan(pl *queryPlan, eff *object.Tuple) bool {
 // snapshot readers and the locked mutation path share one cache without
 // contending on the engine mutex.
 func (e *Engine) planFor(q *ast.Query, eff *object.Tuple, epoch uint64, opts Options, em *engineMetrics) (*queryPlan, string) {
-	key := planKey{fp: ast.Fingerprint(q), useIndex: opts.UseIndex}
+	key := planKeyFor(q, opts)
 	if opts.NoPlanCache {
 		return e.compilePlan(q, eff, key, epoch, em), "cold"
 	}
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
-	if pl := e.plans.get(key); pl != nil {
-		if pl.epoch == epoch {
-			e.planHits++
-			if em != nil {
-				em.planCacheHit.Inc()
-			}
-			return pl, "hit"
+	pl, state, keep := e.reuse(e.plans.get(key), q, eff, key, epoch, em)
+	if state == "miss" {
+		e.planMisses++
+		if em != nil {
+			em.planCacheMiss.Inc()
 		}
-		if e.validatePlan(pl, eff) {
-			// Epoch moved but every dependency is unchanged: the change
-			// was elsewhere in the universe. Re-stamp — upward only, so a
-			// reader pinned to an older snapshot never drags a fresher
-			// plan's stamp backwards — and reuse.
-			if epoch > pl.epoch {
-				pl.epoch = epoch
-			}
-			e.planHits++
-			if em != nil {
-				em.planCacheHit.Inc()
-			}
-			return pl, "stale"
-		}
-		if epoch < pl.epoch {
-			// The cached plan is stamped for a newer universe than this
-			// pinned snapshot; compile a private plan for the snapshot
-			// without evicting the fresher one.
-			e.planMisses++
-			if em != nil {
-				em.planCacheMiss.Inc()
-			}
-			return e.compilePlan(q, eff, key, epoch, em), "miss"
+	} else {
+		e.planHits++
+		if em != nil {
+			em.planCacheHit.Inc()
 		}
 	}
-	e.planMisses++
-	if em != nil {
-		em.planCacheMiss.Inc()
-	}
-	pl := e.compilePlan(q, eff, key, epoch, em)
-	if e.plans.put(key, pl) {
+	if keep && e.plans.put(key, pl) {
 		e.planEvictions++
 		if em != nil {
 			em.planCacheEvict.Inc()
 		}
 	}
-	return pl, "miss"
+	return pl, state
+}
+
+// planKeyFor keys q's plan under the options that change compilation.
+func planKeyFor(q *ast.Query, opts Options) planKey {
+	return planKey{fp: ast.Fingerprint(q), useIndex: opts.UseIndex, noSchedule: opts.NoSchedule}
+}
+
+// reuse is the one hit / stale / recompile step, shared by the plan cache
+// and prepared queries; callers hold the lock that guards cur. cur (nil =
+// none) is reused when stamped at epoch ("hit"), or when every dependency
+// re-resolves unchanged ("stale": the change was elsewhere in the
+// universe). A stale plan is re-stamped upward only, so a reader pinned to
+// an older snapshot never drags a fresher plan's stamp backwards.
+// Otherwise a fresh plan is compiled ("miss"), and keep reports whether
+// it replaces cur: not when cur is stamped for a newer universe than this
+// pinned snapshot, whose private plan must not evict the fresher one.
+func (e *Engine) reuse(cur *queryPlan, q *ast.Query, eff *object.Tuple, key planKey, epoch uint64, em *engineMetrics) (pl *queryPlan, state string, keep bool) {
+	if cur != nil {
+		if cur.epoch == epoch {
+			return cur, "hit", false
+		}
+		if e.validatePlan(cur, eff) {
+			if epoch > cur.epoch {
+				cur.epoch = epoch
+			}
+			return cur, "stale", false
+		}
+	}
+	return e.compilePlan(q, eff, key, epoch, em), "miss", cur == nil || epoch > cur.epoch
 }
 
 // firstRunnable mirrors the scheduler's first pick under the empty
@@ -448,8 +443,7 @@ func (e *Engine) Prepare(q *ast.Query) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := planKey{fp: ast.Fingerprint(q), useIndex: e.opts.UseIndex}
-	return &PreparedQuery{e: e, pl: e.compilePlan(q, eff, key, e.epoch, e.em)}, nil
+	return &PreparedQuery{e: e, pl: e.compilePlan(q, eff, planKeyFor(q, e.opts), e.epoch, e.em)}, nil
 }
 
 // Query executes the prepared plan against the current universe.
@@ -462,29 +456,19 @@ func (p *PreparedQuery) Query() (*Answer, error) {
 // a newer universe than an older pinned snapshot is left untouched and a
 // throwaway plan is compiled for that snapshot.
 func (p *PreparedQuery) revalidate(eff *object.Tuple, epoch uint64, em *engineMetrics) (*queryPlan, *PlanInfo) {
-	e := p.e
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pl := p.pl
-	if pl.epoch == epoch {
-		return pl, planInfo(pl, "hit")
+	pl, state, keep := p.e.reuse(p.pl, p.pl.q, eff, p.pl.key, epoch, em)
+	if keep {
+		p.pl = pl
 	}
-	if e.validatePlan(pl, eff) {
-		if epoch > pl.epoch {
-			pl.epoch = epoch
-		}
-		return pl, planInfo(pl, "stale")
-	}
-	fresh := e.compilePlan(pl.q, eff, pl.key, epoch, em)
-	if epoch > pl.epoch {
-		p.pl = fresh
-	}
-	return fresh, planInfo(fresh, "miss")
+	return pl, planInfo(pl, state)
 }
 
 // QueryCtx executes the prepared plan under a context, on the same read
 // path as Engine.QueryCtx. A stale plan (catalog epoch moved and a
 // dependency changed) is recompiled in place first.
 func (p *PreparedQuery) QueryCtx(ctx context.Context) (*Answer, error) {
-	return p.e.read(ctx, nil, p)
+	ans, _, err := p.e.read(ctx, nil, p, readQuery)
+	return ans, err
 }

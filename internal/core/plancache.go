@@ -19,10 +19,12 @@ import (
 const defaultPlanCacheSize = 256
 
 // planKey identifies a plan: query structure plus the options that change
-// compilation (index use changes access-path estimates).
+// compilation (index use changes access-path estimates; NoSchedule plans
+// carry no ranks).
 type planKey struct {
-	fp       uint64
-	useIndex bool
+	fp         uint64
+	useIndex   bool
+	noSchedule bool
 }
 
 // planCache is an LRU map from planKey to compiled plans. It is owned by

@@ -71,6 +71,9 @@ type version struct {
 	// reads of this version report and trace through them.
 	em     *engineMetrics
 	tracer *obs.Tracer
+	// unavailable is the set of unreachable members at freeze, for
+	// Explain's skip marks (SetUnavailable replaces it, never mutates).
+	unavailable map[string]bool
 	// pins counts in-flight readers; a version is collectable only at
 	// zero pins (and only when it is no longer the head).
 	pins atomic.Int64
@@ -112,6 +115,8 @@ func (e *Engine) publishHeadLocked() *version {
 		opts:   e.opts,
 		em:     e.em,
 		tracer: e.tracer,
+		// SetUnavailable replaces the map, never mutates it.
+		unavailable: e.unavailable,
 	}
 	v.eff = freezeTuple(e.effective, v)
 	e.versions = append(e.versions, v)

@@ -22,6 +22,49 @@ func planCacheOutcome(t *testing.T, db *DB, src string) string {
 	return ans.Plan.Cache
 }
 
+// TestEveryReadIsPlanned pins the one plan route: whatever observes a
+// read — a tracer, EXPLAIN ANALYZE, the NoSchedule ablation — it runs a
+// plan from the planner and reports it, a repeated shape is served from
+// the cache, and EXPLAIN of a cached shape reuses the cached plan.
+func TestEveryReadIsPlanned(t *testing.T) {
+	const src = "?.euter.r(.stkCode=S, .clsPrice>100)"
+	db := Open()
+	seedStocks(t, db)
+	db.EnableTracing(8)
+	if got := planCacheOutcome(t, db, src); got != "miss" {
+		t.Fatalf("first traced read: outcome %q, want miss", got)
+	}
+	if got := planCacheOutcome(t, db, src); got != "hit" {
+		t.Fatalf("second traced read: outcome %q, want hit", got)
+	}
+	prep, err := db.Prepare(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans, err := prep.Query(); err != nil || ans.Plan == nil {
+		t.Fatalf("prepared traced read: plan %v, err %v", ans, err)
+	}
+	if _, ans, err := db.ExplainAnalyzeCtx(context.Background(), src); err != nil || ans.Plan == nil || ans.Plan.Cache != "hit" {
+		t.Fatalf("explain analyze: answer %v, err %v; want a cache hit", ans, err)
+	}
+	misses := db.PlanCacheStats().Misses
+	if _, err := db.Explain(src); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.PlanCacheStats().Misses; got != misses {
+		t.Fatalf("explain of a cached shape compiled: misses %d -> %d", misses, got)
+	}
+
+	opts := DefaultOptions()
+	opts.NoSchedule = true
+	ablation := OpenWithOptions(opts)
+	seedStocks(t, ablation)
+	planCacheOutcome(t, ablation, src)
+	if got := planCacheOutcome(t, ablation, src); got != "hit" {
+		t.Fatalf("second NoSchedule read: outcome %q, want hit", got)
+	}
+}
+
 func TestPrepareAPI(t *testing.T) {
 	db := Open()
 	seedStocks(t, db)

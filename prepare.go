@@ -19,8 +19,7 @@ import (
 // PlanInfo reports how a query's plan was obtained: Cache is "hit",
 // "stale" (revalidated after a catalog change elsewhere), "miss"
 // (recompiled), or "cold" (cache disabled); CompileNS is the compile
-// time when this call compiled. Attached to Result.Plan for planned
-// evaluations.
+// time when this call compiled. Attached to every query's Result.Plan.
 type PlanInfo = core.PlanInfo
 
 // PlanCacheStats snapshots the engine's plan-cache counters: hits

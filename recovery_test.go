@@ -654,7 +654,7 @@ func TestDifferentialRecovery(t *testing.T) {
 	for _, exp := range diffExperiments {
 		exp := exp
 		t.Run(exp.name, func(t *testing.T) {
-			plain := diffOpen(diffModes[0].set, 0)
+			plain := diffOpen(diffMode(diffReference), 0)
 			diffFixture(t, plain)
 			if exp.setup != nil {
 				exp.setup(t, plain)
@@ -663,7 +663,7 @@ func TestDifferentialRecovery(t *testing.T) {
 
 			dir := t.TempDir()
 			opts := DefaultOptions()
-			diffModes[0].set(&opts)
+			diffMode(diffReference)(&opts)
 			db, _, err := OpenWAL(dir, WALOptions{Engine: &opts})
 			if err != nil {
 				t.Fatal(err)

@@ -134,6 +134,8 @@ func (o *op) finish(err error) error {
 			o.rec.SetRows(ans.Len())
 		}
 		if o.rec.Logging() {
+			// Explain pins the head and reuses the cached plan the read
+			// just ran: no engine mutex, no recompile.
 			if plan, perr := o.db.engine.ExplainQuery(o.q); perr == nil {
 				o.rec.SetPlanDigest(plan.String())
 			}
