@@ -165,7 +165,7 @@ type Report struct {
 // ceilings live with the arms (overheadArms); the evaluator's with
 // validateAllocs.
 const (
-	maxAllocGrowth   = 0.10 // -compare: tolerated fractional allocs/op growth (ns/op is printed, not gated)
+	maxAllocGrowth   = 0.20 // -compare: tolerated fractional allocs/op growth (B9/maintenance/delta scatters 1 021–1 170 run to run; ns/op is printed, not gated)
 	minPlanCacheHit  = 0.95 // B14 cached-family hit rate (0.997–0.9995 measured)
 	minCommitReads   = 200  // B18 reads done during commits (870–6 800 measured; a mutex-bound read path counts ~0)
 	maxCkptRatio     = 0.25 // B18 bytes rewritten ÷ full checkpoint after a one-relation update (0.054 measured)

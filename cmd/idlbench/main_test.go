@@ -69,8 +69,8 @@ func TestCompareReports(t *testing.T) {
 	}{
 		{"ns/op tripled", func(r *Report) { r.Benchmarks[0].NsPerOp *= 3 }, false},
 		{"overhead ns/op tripled", func(r *Report) { r.Overhead[3].NsPerOp *= 3 }, false},
-		{"allocs/op +10%", func(r *Report) { r.Benchmarks[0].AllocsPerOp = 110 }, false},
-		{"allocs/op +11%", func(r *Report) { r.Benchmarks[0].AllocsPerOp = 111 }, true},
+		{"allocs/op +20%", func(r *Report) { r.Benchmarks[0].AllocsPerOp = 120 }, false},
+		{"allocs/op +21%", func(r *Report) { r.Benchmarks[0].AllocsPerOp = 121 }, true},
 		{"overhead allocs/op grew", func(r *Report) { r.Overhead[2].AllocsPerOp += 20 }, true},
 	} {
 		base, changed := report(map[string]int64{"B1": 100}), report(map[string]int64{"B1": 100})

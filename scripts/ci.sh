@@ -25,7 +25,7 @@
 #      least 1.5× (DESIGN.md §13). Overhead ratios, including the ≤3%
 #      design targets, are reported, not gated;
 #   3. compare it against the committed BENCH_report.json — any
-#      benchmark allocating more than 10% more per op fails the build
+#      benchmark allocating more than 20% more per op fails the build
 #      (the bench-regression gate; allocation counts repeat run to run,
 #      so one measurement decides; ns/op deltas are printed, not gated;
 #      reports of different schemas fail with one line asking for a
