@@ -425,9 +425,21 @@ type readKind uint8
 
 const (
 	readQuery   readKind = iota // evaluate it
-	readExplain                 // report it; evaluate nothing
+	readPlanned                 // evaluate it; report it statically
+	readExplain                 // report it; evaluate nothing, leave the plan cache as it is
 	readAnalyze                 // evaluate it measured; report it with actuals
 )
+
+// QueryPlanCtx is QueryCtx that also returns the static plan of the read
+// it ran — the plan behind a logged read's plan digest. The plan is the
+// one that answered, so observing it neither compiles nor looks up
+// another.
+func (e *Engine) QueryPlanCtx(ctx context.Context, q *ast.Query) (*Answer, *Explain, error) {
+	if ast.HasUpdate(q.Body) {
+		return nil, nil, fmt.Errorf("core: query contains update expressions; use Execute")
+	}
+	return e.read(ctx, q, nil, readPlanned)
+}
 
 // read is the one read path, shared by ad hoc and prepared queries (p
 // non-nil, q ignored), EXPLAIN and EXPLAIN ANALYZE. Reads are
@@ -502,7 +514,7 @@ func (v *version) view() readView {
 // aggregate counters under statsMu.
 func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Query, p *PreparedQuery, rv readView, kind readKind) (*Answer, *Explain, error) {
 	var start time.Time
-	if rv.em != nil || rv.tracer != nil || kind == readAnalyze {
+	if rv.em != nil || rv.tracer != nil {
 		start = time.Now()
 	}
 	var pl *queryPlan
@@ -511,7 +523,7 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Quer
 		pl, info = p.revalidate(rv.eff, rv.epoch, rv.em)
 	} else {
 		var state string
-		pl, state = e.planFor(q, rv.eff, rv.epoch, rv.opts, rv.em)
+		pl, state = e.planFor(q, rv, kind == readExplain)
 		info = planInfo(pl, state)
 	}
 	an := pl.an
@@ -526,6 +538,9 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Quer
 	name := "query"
 	if kind == readAnalyze {
 		name = "explain-analyze"
+		// ANALYZE's total times the evaluation alone, not the plan
+		// acquisition or the simulation above.
+		start = time.Now()
 	}
 	span := rv.tracer.Start(name)
 	annotateOpID(span, ctx)
@@ -547,7 +562,7 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Quer
 	if err != nil {
 		return nil, nil, err
 	}
-	if x != nil {
+	if kind == readAnalyze {
 		x.annotate(order, analyze.probes, rows.len(), time.Since(start))
 	}
 	return &Answer{Vars: an.output(), rows: rows, Plan: info, Resources: resourcesFrom(local, rows.len())}, x, nil

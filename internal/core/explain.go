@@ -95,7 +95,9 @@ func (e *Explain) String() string {
 
 // ExplainQuery produces the evaluation plan for a query without running
 // it. It takes the plan the way a read does — from the pinned snapshot
-// and the plan cache — so it reports the plan the query's reads run.
+// and the plan cache — so it reports the plan the query's reads run, but
+// it counts no lookup and caches no compile: the cache's statistics and
+// contents are the same after an EXPLAIN as before it.
 func (e *Engine) ExplainQuery(q *ast.Query) (*Explain, error) {
 	if ast.HasUpdate(q.Body) {
 		return nil, fmt.Errorf("core: cannot explain an update request")

@@ -188,18 +188,27 @@ func (e *Engine) validatePlan(pl *queryPlan, eff *object.Tuple) bool {
 
 // planFor returns a plan for q, consulting the fingerprint-keyed cache
 // unless caching is disabled, plus the cache outcome ("hit", "stale",
-// "miss", "cold"). eff must be immutable for the duration of the call —
-// a frozen MVCC snapshot, or the live effective universe with e.mu held.
-// The cache itself is guarded by e.planMu, not e.mu, so lock-free
+// "miss", "cold"). rv.eff must be immutable for the duration of the call
+// — a frozen MVCC snapshot, or the live effective universe with e.mu
+// held. The cache itself is guarded by e.planMu, not e.mu, so lock-free
 // snapshot readers and the locked mutation path share one cache without
-// contending on the engine mutex.
-func (e *Engine) planFor(q *ast.Query, eff *object.Tuple, epoch uint64, opts Options, em *engineMetrics) (*queryPlan, string) {
-	key := planKeyFor(q, opts)
-	if opts.NoPlanCache {
+// contending on the engine mutex. A peek (EXPLAIN) takes the plan a read
+// would run without counting the lookup, restamping the plan or caching
+// a compile, so explaining a query leaves the cache as it found it.
+func (e *Engine) planFor(q *ast.Query, rv readView, peek bool) (*queryPlan, string) {
+	key := planKeyFor(q, rv.opts)
+	eff, epoch, em := rv.eff, rv.epoch, rv.em
+	if rv.opts.NoPlanCache {
 		return e.compilePlan(q, eff, key, epoch, em), "cold"
 	}
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
+	if peek {
+		if cur := e.plans.peek(key); cur != nil && (cur.epoch == epoch || e.validatePlan(cur, eff)) {
+			return cur, "hit"
+		}
+		return e.compilePlan(q, eff, key, epoch, nil), "miss"
+	}
 	pl, state, keep := e.reuse(e.plans.get(key), q, eff, key, epoch, em)
 	if state == "miss" {
 		e.planMisses++
@@ -471,4 +480,10 @@ func (p *PreparedQuery) revalidate(eff *object.Tuple, epoch uint64, em *engineMe
 func (p *PreparedQuery) QueryCtx(ctx context.Context) (*Answer, error) {
 	ans, _, err := p.e.read(ctx, nil, p, readQuery)
 	return ans, err
+}
+
+// QueryPlanCtx is QueryCtx that also returns the static plan of the
+// prepared plan it ran (see Engine.QueryPlanCtx).
+func (p *PreparedQuery) QueryPlanCtx(ctx context.Context) (*Answer, *Explain, error) {
+	return p.e.read(ctx, nil, p, readPlanned)
 }

@@ -65,6 +65,15 @@ func (c *planCache) get(key planKey) *queryPlan {
 	return el.Value.(*planEntry).pl
 }
 
+// peek returns the cached plan for key, or nil, leaving its recency as
+// it is.
+func (c *planCache) peek(key planKey) *queryPlan {
+	if el, ok := c.m[key]; ok {
+		return el.Value.(*planEntry).pl
+	}
+	return nil
+}
+
 // put inserts (or replaces) the plan for key, reporting whether an entry
 // was evicted to make room.
 func (c *planCache) put(key planKey, pl *queryPlan) (evicted bool) {

@@ -1,8 +1,13 @@
 package idl
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"testing"
+
+	"idl/internal/qlog"
 )
 
 // Facade-level planner tests: the Prepare API, the catalog epoch, and
@@ -47,12 +52,16 @@ func TestEveryReadIsPlanned(t *testing.T) {
 	if _, ans, err := db.ExplainAnalyzeCtx(context.Background(), src); err != nil || ans.Plan == nil || ans.Plan.Cache != "hit" {
 		t.Fatalf("explain analyze: answer %v, err %v; want a cache hit", ans, err)
 	}
-	misses := db.PlanCacheStats().Misses
-	if _, err := db.Explain(src); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.PlanCacheStats().Misses; got != misses {
-		t.Fatalf("explain of a cached shape compiled: misses %d -> %d", misses, got)
+	// EXPLAIN, of a cached shape or a new one, counts no lookup and
+	// caches no plan.
+	before := db.PlanCacheStats()
+	for _, q := range []string{src, "?.euter.r(.stkCode=S, .date=D)"} {
+		if _, err := db.Explain(q); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.PlanCacheStats(); got != before {
+			t.Fatalf("explain %q moved the plan cache: %+v -> %+v", q, before, got)
+		}
 	}
 
 	opts := DefaultOptions()
@@ -62,6 +71,70 @@ func TestEveryReadIsPlanned(t *testing.T) {
 	planCacheOutcome(t, ablation, src)
 	if got := planCacheOutcome(t, ablation, src); got != "hit" {
 		t.Fatalf("second NoSchedule read: outcome %q, want hit", got)
+	}
+}
+
+// TestLoggedReadLeavesPlanCache pins that the event log observes a read
+// without changing it: ad hoc and prepared reads leave the same plan-cache
+// statistics with the log attached as without it, and each event's plan
+// digest is the rendering of the plan that ran.
+func TestLoggedReadLeavesPlanCache(t *testing.T) {
+	const src = "?.euter.r(.stkCode=S, .clsPrice>100)"
+	run := func(log io.Writer) PlanCacheStats {
+		db := Open()
+		seedStocks(t, db)
+		if log != nil {
+			db.SetEventLog(log)
+		}
+		prep, err := db.Prepare(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			planCacheOutcome(t, db, src)
+			planCacheOutcome(t, db, "?.euter.r(.stkCode=S, .date=D)")
+			if _, err := prep.Query(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db.PlanCacheStats()
+	}
+	var log bytes.Buffer
+	if plain, logged := run(nil), run(&log); plain != logged {
+		t.Fatalf("plan cache without the event log %+v, with it %+v", plain, logged)
+	}
+
+	db := Open()
+	seedStocks(t, db)
+	want, err := db.Explain(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := db.Prepare(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	dec := json.NewDecoder(&log)
+	for dec.More() {
+		var ev struct {
+			Kind       string `json:"msg"`
+			Text       string `json:"text"`
+			PlanDigest string `json:"plan_digest"`
+		}
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind != qlog.KindQuery || ev.Text != prep.Text() {
+			continue
+		}
+		events++
+		if ev.PlanDigest != qlog.Digest(want) {
+			t.Fatalf("event plan digest %s, want the digest of\n%s", ev.PlanDigest, want)
+		}
+	}
+	if events != 4 {
+		t.Fatalf("%d logged reads of %q, want 4 (2 ad hoc, 2 prepared)", events, src)
 	}
 }
 

@@ -66,6 +66,7 @@ type op struct {
 	// The outcome, set by the statement before finish.
 	rep      *federation.Report // a query's member sync report
 	ans      *Result
+	plan     *core.Explain // a logged query's static plan: the one that ran
 	info     *ExecInfo
 	walBytes int // payload bytes the commit appended
 }
@@ -133,12 +134,8 @@ func (o *op) finish(err error) error {
 		} else {
 			o.rec.SetRows(ans.Len())
 		}
-		if o.rec.Logging() {
-			// Explain pins the head and reuses the cached plan the read
-			// just ran: no engine mutex, no recompile.
-			if plan, perr := o.db.engine.ExplainQuery(o.q); perr == nil {
-				o.rec.SetPlanDigest(plan.String())
-			}
+		if o.plan != nil {
+			o.rec.SetPlanDigest(o.plan.String())
 		}
 	}
 	if o.info != nil {
@@ -245,15 +242,23 @@ func (db *DB) QueryCtx(ctx context.Context, src string) (*Result, error) {
 // query runs one read-only statement, ad hoc or prepared (p non-nil):
 // sync member snapshots under the configured failure mode, evaluate, and
 // let finish attach the degradation report (with skipped conjuncts) when
-// members were unreachable.
+// members were unreachable. A logged read also hands back the static plan
+// it ran, for its event's plan digest; nothing else is looked up or
+// compiled for it.
 func (db *DB) query(ctx context.Context, q *ast.Query, p *core.PreparedQuery) (*Result, error) {
 	o := db.begin(ctx, qlog.KindQuery, q)
 	var err error
 	if o.rep, err = db.syncSources(o.ctx, o.set.bestEffort); err == nil {
-		if p != nil {
-			o.ans, err = p.QueryCtx(o.ctx)
-		} else {
+		logged := o.rec.Logging()
+		switch {
+		case p == nil && !logged:
 			o.ans, err = db.engine.QueryCtx(o.ctx, q)
+		case p == nil:
+			o.ans, o.plan, err = db.engine.QueryPlanCtx(o.ctx, q)
+		case !logged:
+			o.ans, err = p.QueryCtx(o.ctx)
+		default:
+			o.ans, o.plan, err = p.QueryPlanCtx(o.ctx)
 		}
 	}
 	return o.ans, o.finish(err)
