@@ -115,10 +115,7 @@ func (e *Engine) ExplainAnalyzeQuery(ctx context.Context, q *ast.Query) (*Explai
 		return nil, nil, fmt.Errorf("core: cannot explain an update request")
 	}
 	ans, plan, err := e.read(ctx, q, nil, readAnalyze)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, ans, nil
+	return plan, ans, err
 }
 
 // annotate attaches a measured run's actuals to the steps. order is the

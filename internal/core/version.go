@@ -111,11 +111,10 @@ func (e *Engine) publishHeadLocked() *version {
 		return v
 	}
 	v := &version{
-		epoch:  e.epoch,
-		opts:   e.opts,
-		em:     e.em,
-		tracer: e.tracer,
-		// SetUnavailable replaces the map, never mutates it.
+		epoch:       e.epoch,
+		opts:        e.opts,
+		em:          e.em,
+		tracer:      e.tracer,
 		unavailable: e.unavailable,
 	}
 	v.eff = freezeTuple(e.effective, v)

@@ -66,7 +66,6 @@ type op struct {
 	// The outcome, set by the statement before finish.
 	rep      *federation.Report // a query's member sync report
 	ans      *Result
-	plan     *core.Explain // a logged query's static plan: the one that ran
 	info     *ExecInfo
 	walBytes int // payload bytes the commit appended
 }
@@ -133,9 +132,6 @@ func (o *op) finish(err error) error {
 			o.rec.SetAnswer(ans.String(), ans.Len())
 		} else {
 			o.rec.SetRows(ans.Len())
-		}
-		if o.plan != nil {
-			o.rec.SetPlanDigest(o.plan.String())
 		}
 	}
 	if o.info != nil {
@@ -243,22 +239,26 @@ func (db *DB) QueryCtx(ctx context.Context, src string) (*Result, error) {
 // sync member snapshots under the configured failure mode, evaluate, and
 // let finish attach the degradation report (with skipped conjuncts) when
 // members were unreachable. A logged read also hands back the static plan
-// it ran, for its event's plan digest; nothing else is looked up or
-// compiled for it.
+// it ran, and its event's plan digest is that plan's: nothing else is
+// looked up or compiled for it.
 func (db *DB) query(ctx context.Context, q *ast.Query, p *core.PreparedQuery) (*Result, error) {
 	o := db.begin(ctx, qlog.KindQuery, q)
 	var err error
 	if o.rep, err = db.syncSources(o.ctx, o.set.bestEffort); err == nil {
+		var plan *core.Explain
 		logged := o.rec.Logging()
 		switch {
 		case p == nil && !logged:
 			o.ans, err = db.engine.QueryCtx(o.ctx, q)
 		case p == nil:
-			o.ans, o.plan, err = db.engine.QueryPlanCtx(o.ctx, q)
+			o.ans, plan, err = db.engine.QueryPlanCtx(o.ctx, q)
 		case !logged:
 			o.ans, err = p.QueryCtx(o.ctx)
 		default:
-			o.ans, o.plan, err = p.QueryPlanCtx(o.ctx)
+			o.ans, plan, err = p.QueryPlanCtx(o.ctx)
+		}
+		if plan != nil {
+			o.rec.SetPlanDigest(plan.String())
 		}
 	}
 	return o.ans, o.finish(err)
