@@ -287,10 +287,10 @@ func timings(rep *Report) []Benchmark {
 
 // compareReports renders a per-benchmark delta table (ns/op and
 // allocs/op) and fails when any allocs/op grew beyond maxAllocGrowth. A
-// benchmark present in old but missing from
-// new counts as a regression (a silently dropped measurement must not
-// pass the gate). Reports of different schemas measure different things
-// under the same names, so they are not compared at all.
+// benchmark present in old but missing from new counts as a regression
+// (a silently dropped measurement must not pass the gate). Reports of
+// different schemas measure different things under the same names, so
+// they are not compared at all.
 func compareReports(oldRep, newRep *Report) (lines []string, err error) {
 	if oldRep.Schema != newRep.Schema {
 		return nil, fmt.Errorf("schema %d vs %d: re-baseline", oldRep.Schema, newRep.Schema)
@@ -299,11 +299,10 @@ func compareReports(oldRep, newRep *Report) (lines []string, err error) {
 	for _, b := range timings(newRep) {
 		newBy[b.Name] = b
 	}
-	oldSeen := map[string]bool{}
 	var regressions []string
 	for _, ob := range timings(oldRep) {
-		oldSeen[ob.Name] = true
 		nb, ok := newBy[ob.Name]
+		delete(newBy, ob.Name) // what remains is new-only
 		if !ok {
 			lines = append(lines, fmt.Sprintf("%-40s MISSING from new report", ob.Name))
 			regressions = append(regressions, ob.Name)
@@ -321,9 +320,7 @@ func compareReports(oldRep, newRep *Report) (lines []string, err error) {
 	}
 	var added []string
 	for name := range newBy {
-		if !oldSeen[name] {
-			added = append(added, name)
-		}
+		added = append(added, name)
 	}
 	sort.Strings(added)
 	for _, name := range added {

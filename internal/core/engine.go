@@ -413,11 +413,23 @@ func (e *Engine) Query(q *ast.Query) (*Answer, error) {
 // cache unless caching is off; the answer's Plan field reports the cache
 // outcome.
 func (e *Engine) QueryCtx(ctx context.Context, q *ast.Query) (*Answer, error) {
-	if ast.HasUpdate(q.Body) {
-		return nil, fmt.Errorf("core: query contains update expressions; use Execute")
-	}
-	ans, _, err := e.read(ctx, q, nil, readQuery)
+	ans, _, err := e.ReadCtx(ctx, q, nil, false)
 	return ans, err
+}
+
+// ReadCtx runs prepared query p (prepared on e), or q when p is nil, on
+// the QueryCtx path. With withPlan it also returns the static plan of
+// the plan that answered — a logged read's plan digest — so observing a
+// read neither compiles nor looks up another plan.
+func (e *Engine) ReadCtx(ctx context.Context, q *ast.Query, p *PreparedQuery, withPlan bool) (*Answer, *Explain, error) {
+	if p == nil && ast.HasUpdate(q.Body) {
+		return nil, nil, fmt.Errorf("core: query contains update expressions; use Execute")
+	}
+	kind := readQuery
+	if withPlan {
+		kind = readPlanned
+	}
+	return e.read(ctx, q, p, kind)
 }
 
 // readKind is what a read does with the plan it acquired.
@@ -429,17 +441,6 @@ const (
 	readExplain                 // report it; evaluate nothing, leave the plan cache as it is
 	readAnalyze                 // evaluate it measured; report it with actuals
 )
-
-// QueryPlanCtx is QueryCtx that also returns the static plan of the read
-// it ran — the plan behind a logged read's plan digest. The plan is the
-// one that answered, so observing it neither compiles nor looks up
-// another.
-func (e *Engine) QueryPlanCtx(ctx context.Context, q *ast.Query) (*Answer, *Explain, error) {
-	if ast.HasUpdate(q.Body) {
-		return nil, nil, fmt.Errorf("core: query contains update expressions; use Execute")
-	}
-	return e.read(ctx, q, nil, readPlanned)
-}
 
 // read is the one read path, shared by ad hoc and prepared queries (p
 // non-nil, q ignored), EXPLAIN and EXPLAIN ANALYZE. Reads are
@@ -457,7 +458,7 @@ func (e *Engine) read(ctx context.Context, q *ast.Query, p *PreparedQuery, kind 
 	cctx := cancellable(ctx)
 	if v := e.pinHead(); v != nil {
 		defer v.unpin()
-		return e.runQuery(cctx, ctx, q, p, v.view(), kind)
+		return e.runQuery(cctx, ctx, q, p, v.readView, kind)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -475,7 +476,8 @@ func (e *Engine) read(ctx context.Context, q *ast.Query, p *PreparedQuery, kind 
 
 // readView is what one read evaluates against: an effective universe
 // that stays immutable for the duration, with the epoch, options,
-// observability hooks and unreachable members that go with it.
+// observability hooks and unreachable members that go with it — a pinned
+// version's (the MVCC fast path), or the locked live universe's.
 type readView struct {
 	eff         *object.Tuple
 	epoch       uint64
@@ -489,14 +491,6 @@ type readView struct {
 // hold e.mu for as long as they use it.
 func (e *Engine) lockedView() readView {
 	return readView{eff: e.effective, epoch: e.epoch, opts: e.opts, em: e.em, tracer: e.tracer, unavailable: e.unavailable}
-}
-
-// view is a pinned immutable version, readable with no engine lock held
-// — the MVCC fast path. It carries the tracer captured at freeze: a
-// traced read builds its span tree and per-conjunct probes as
-// per-evaluation state, and the tracer's ring has its own lock.
-func (v *version) view() readView {
-	return readView{eff: v.eff, epoch: v.epoch, opts: v.opts, em: v.em, tracer: v.tracer, unavailable: v.unavailable}
 }
 
 // runQuery runs a pure query's plan against a read view. A prepared
@@ -518,13 +512,11 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Quer
 		start = time.Now()
 	}
 	var pl *queryPlan
-	var info *PlanInfo
+	var state string
 	if p != nil {
-		pl, info = p.revalidate(rv.eff, rv.epoch, rv.em)
+		pl, state = p.revalidate(rv.eff, rv.epoch, rv.em)
 	} else {
-		var state string
 		pl, state = e.planFor(q, rv, kind == readExplain)
-		info = planInfo(pl, state)
 	}
 	an := pl.an
 	var x *Explain
@@ -565,7 +557,7 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Quer
 	if kind == readAnalyze {
 		x.annotate(order, analyze.probes, rows.len(), time.Since(start))
 	}
-	return &Answer{Vars: an.output(), rows: rows, Plan: info, Resources: resourcesFrom(local, rows.len())}, x, nil
+	return &Answer{Vars: an.output(), rows: rows, Plan: planInfo(pl, state), Resources: resourcesFrom(local, rows.len())}, x, nil
 }
 
 // endQuerySpan closes a measured query's span: the run's totals, then one

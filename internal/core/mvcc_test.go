@@ -35,7 +35,7 @@ func pinnedAnswer(t testing.TB, e *Engine, v *version, src string) string {
 		t.Fatalf("parse %q: %v", src, err)
 	}
 	ctx := context.Background()
-	ans, _, err := e.runQuery(cancellable(ctx), ctx, query, nil, v.view(), readQuery)
+	ans, _, err := e.runQuery(cancellable(ctx), ctx, query, nil, v.readView, readQuery)
 	if err != nil {
 		t.Fatalf("snapshot query %q: %v", src, err)
 	}

@@ -204,12 +204,12 @@ func (e *Engine) planFor(q *ast.Query, rv readView, peek bool) (*queryPlan, stri
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
 	if peek {
-		if cur := e.plans.peek(key); cur != nil && (cur.epoch == epoch || e.validatePlan(cur, eff)) {
+		if cur := e.plans.get(key, false); cur != nil && (cur.epoch == epoch || e.validatePlan(cur, eff)) {
 			return cur, "hit"
 		}
 		return e.compilePlan(q, eff, key, epoch, nil), "miss"
 	}
-	pl, state, keep := e.reuse(e.plans.get(key), q, eff, key, epoch, em)
+	pl, state, keep := e.reuse(e.plans.get(key, true), q, eff, key, epoch, em)
 	if state == "miss" {
 		e.planMisses++
 		if em != nil {
@@ -464,26 +464,20 @@ func (p *PreparedQuery) Query() (*Answer, error) {
 // returns the plan to execute plus its cache outcome. A plan stamped for
 // a newer universe than an older pinned snapshot is left untouched and a
 // throwaway plan is compiled for that snapshot.
-func (p *PreparedQuery) revalidate(eff *object.Tuple, epoch uint64, em *engineMetrics) (*queryPlan, *PlanInfo) {
+func (p *PreparedQuery) revalidate(eff *object.Tuple, epoch uint64, em *engineMetrics) (*queryPlan, string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pl, state, keep := p.e.reuse(p.pl, p.pl.q, eff, p.pl.key, epoch, em)
 	if keep {
 		p.pl = pl
 	}
-	return pl, planInfo(pl, state)
+	return pl, state
 }
 
 // QueryCtx executes the prepared plan under a context, on the same read
 // path as Engine.QueryCtx. A stale plan (catalog epoch moved and a
 // dependency changed) is recompiled in place first.
 func (p *PreparedQuery) QueryCtx(ctx context.Context) (*Answer, error) {
-	ans, _, err := p.e.read(ctx, nil, p, readQuery)
+	ans, _, err := p.e.ReadCtx(ctx, nil, p, false)
 	return ans, err
-}
-
-// QueryPlanCtx is QueryCtx that also returns the static plan of the
-// prepared plan it ran (see Engine.QueryPlanCtx).
-func (p *PreparedQuery) QueryPlanCtx(ctx context.Context) (*Answer, *Explain, error) {
-	return p.e.read(ctx, nil, p, readPlanned)
 }

@@ -54,24 +54,17 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// get returns the cached plan for key, or nil, marking it most recently
-// used.
-func (c *planCache) get(key planKey) *queryPlan {
+// get returns the cached plan for key, or nil; touch marks it most
+// recently used (a peek leaves the recency order as it is).
+func (c *planCache) get(key planKey, touch bool) *queryPlan {
 	el, ok := c.m[key]
 	if !ok {
 		return nil
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*planEntry).pl
-}
-
-// peek returns the cached plan for key, or nil, leaving its recency as
-// it is.
-func (c *planCache) peek(key planKey) *queryPlan {
-	if el, ok := c.m[key]; ok {
-		return el.Value.(*planEntry).pl
+	if touch {
+		c.order.MoveToFront(el)
 	}
-	return nil
+	return el.Value.(*planEntry).pl
 }
 
 // put inserts (or replaces) the plan for key, reporting whether an entry

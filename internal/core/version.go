@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"idl/internal/object"
-	"idl/internal/obs"
 )
 
 // MVCC universe versioning (DESIGN.md §17).
@@ -55,25 +54,19 @@ const versionElemBytes = 64
 
 // version is one immutable snapshot of the effective universe.
 type version struct {
-	// epoch is the catalog epoch the snapshot was frozen at; plans
-	// validated at this epoch evaluate against it without revalidation.
-	epoch uint64
-	// eff is the frozen effective universe: a private copy of every
-	// tuple reachable without crossing a set, sharing the sets.
-	eff *object.Tuple
+	// readView is what every read of the version evaluates against, with
+	// no engine lock held. eff is the frozen effective universe: a private
+	// copy of every tuple reachable without crossing a set, sharing the
+	// sets. epoch is the catalog epoch of the freeze; plans validated at
+	// it evaluate without revalidation. The options, observability hooks
+	// and unreachable members are the engine's at freeze, kept even if the
+	// engine's change later (SetUnavailable replaces its map, never
+	// mutates it). A traced read builds its span tree and per-conjunct
+	// probes as per-evaluation state; the tracer's ring has its own lock.
+	readView
 	// sets lists the shared relation sets, for publish-set accounting
 	// and cache retention.
 	sets []*object.Set
-	// opts is the engine options at freeze time; the snapshot evaluates
-	// under them even if the engine's change later.
-	opts Options
-	// em and tracer are the observability hooks captured at freeze;
-	// reads of this version report and trace through them.
-	em     *engineMetrics
-	tracer *obs.Tracer
-	// unavailable is the set of unreachable members at freeze, for
-	// Explain's skip marks (SetUnavailable replaces it, never mutates).
-	unavailable map[string]bool
 	// pins counts in-flight readers; a version is collectable only at
 	// zero pins (and only when it is no longer the head).
 	pins atomic.Int64
@@ -110,13 +103,7 @@ func (e *Engine) publishHeadLocked() *version {
 	if v := e.head.Load(); v != nil {
 		return v
 	}
-	v := &version{
-		epoch:       e.epoch,
-		opts:        e.opts,
-		em:          e.em,
-		tracer:      e.tracer,
-		unavailable: e.unavailable,
-	}
+	v := &version{readView: e.lockedView()}
 	v.eff = freezeTuple(e.effective, v)
 	e.versions = append(e.versions, v)
 	e.head.Store(v)

@@ -246,17 +246,7 @@ func (db *DB) query(ctx context.Context, q *ast.Query, p *core.PreparedQuery) (*
 	var err error
 	if o.rep, err = db.syncSources(o.ctx, o.set.bestEffort); err == nil {
 		var plan *core.Explain
-		logged := o.rec.Logging()
-		switch {
-		case p == nil && !logged:
-			o.ans, err = db.engine.QueryCtx(o.ctx, q)
-		case p == nil:
-			o.ans, plan, err = db.engine.QueryPlanCtx(o.ctx, q)
-		case !logged:
-			o.ans, err = p.QueryCtx(o.ctx)
-		default:
-			o.ans, plan, err = p.QueryPlanCtx(o.ctx)
-		}
+		o.ans, plan, err = db.engine.ReadCtx(o.ctx, q, p, o.rec.Logging())
 		if plan != nil {
 			o.rec.SetPlanDigest(plan.String())
 		}
