@@ -26,6 +26,7 @@ func FuzzParse(f *testing.F) {
 		"?.x.y(.a<-5)",
 		"?.5 .x ( ) ;;; ~~~",
 		"?.é.ü(.ß=1)",
+		"?.a.r(~X*2=4, .b=X)",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -391,8 +391,15 @@ func (p *parser) parseInnerExpr() (ast.Expr, error) {
 	case lex.EQ, lex.NE, lex.LT, lex.LE, lex.GT, lex.GE:
 		return p.parseAtomic(ast.SignNone)
 	case lex.LPAREN:
+		if p.opensConstraint(0) {
+			return p.parseTupleExpr()
+		}
 		return p.parseSetExpr(ast.SignNone)
 	case lex.NOT:
+		if p.opensConstraint(1) {
+			// `~(X * 2) = 4, …`: the negation is the first conjunct's.
+			return p.parseTupleExpr()
+		}
 		switch p.peekKind(1) {
 		case lex.EQ, lex.NE, lex.LT, lex.LE, lex.GT, lex.GE, lex.LPAREN:
 			// `~=c`, `~(...)`: negate an atomic or set expression.
@@ -424,6 +431,23 @@ func (p *parser) parseInnerExpr() (ast.Expr, error) {
 	default:
 		return p.parseTupleExpr()
 	}
+}
+
+// opensConstraint reports whether a parenthesised term followed by a
+// comparison starts ahead tokens from here: the first constraint of a
+// conjunct list, as in `((X * 2) = 4)`, the printed form of `(X*2=4)` —
+// not a nested set expression, which its enclosing ')' always follows.
+// A term holds no set expression, so the look-ahead is linear.
+func (p *parser) opensConstraint(ahead int) bool {
+	if p.peekKind(ahead) != lex.LPAREN {
+		return false
+	}
+	start := p.pos
+	defer func() { p.pos = start }()
+	p.pos += ahead
+	_, err := p.parseTerm()
+	_, relop := p.parseRelop()
+	return err == nil && relop
 }
 
 func (p *parser) parseRelop() (ast.RelOp, bool) {

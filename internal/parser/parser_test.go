@@ -122,6 +122,36 @@ func TestConstraintConjunct(t *testing.T) {
 	}
 }
 
+// A set expression's first constraint may open with a parenthesised term,
+// as every printed arithmetic term does: the parenthesis is the term's,
+// not a nested set expression's, and a leading negation covers the one
+// conjunct.
+func TestParenthesisedConstraintInSet(t *testing.T) {
+	for _, src := range []string{"?.a.r(X*2=4, .b=X)", "?.a.r(~X*2=4, .b=X)"} {
+		q := mustQuery(t, src)
+		printed := q.String()
+		again := mustQuery(t, printed)
+		if again.String() != printed {
+			t.Fatalf("%q: unstable round trip %q -> %q", src, printed, again.String())
+		}
+		r := again.Body.Conjuncts[0].(*ast.AttrExpr).Expr.(*ast.TupleExpr).Conjuncts[0].(*ast.AttrExpr)
+		conj := r.Expr.(*ast.SetExpr).X.(*ast.TupleExpr).Conjuncts
+		if len(conj) != 2 {
+			t.Fatalf("%q: %d conjuncts, want 2", printed, len(conj))
+		}
+		first := conj[0]
+		if n, ok := first.(*ast.Not); ok {
+			first = n.X
+		}
+		if _, ok := first.(*ast.Constraint); !ok {
+			t.Fatalf("%q: first conjunct is %T, want a (negated) Constraint", printed, first)
+		}
+	}
+	if _, err := ParseQuery("?.a.r((X*2)"); err == nil {
+		t.Fatal("unbalanced parenthesis parsed")
+	}
+}
+
 func TestDateLiterals(t *testing.T) {
 	q := mustQuery(t, "?.euter.r(.date=3/3/85)")
 	euter := q.Body.Conjuncts[0].(*ast.AttrExpr)
