@@ -177,37 +177,29 @@ func BenchmarkE5Negation(b *testing.B) {
 	}
 }
 
-// --- B4: view materialization — semi-naive vs naive rule iteration ---
+// --- B4: view materialization — one full refresh from the empty overlay ---
 
 func BenchmarkViewMaterialize(b *testing.B) {
-	for _, semi := range []bool{true, false} {
-		opts := core.DefaultOptions()
-		opts.SemiNaive = semi
-		name := "naive"
-		if semi {
-			name = "seminaive"
+	for _, n := range []int{16, 64} {
+		cfg := stocks.Config{Stocks: n, Days: 20, Seed: 17}
+		e, _ := engineFor(b, cfg, core.DefaultOptions())
+		for _, r := range append(append([]string{}, stocks.RulesUnified...), stocks.RulesCustomized...) {
+			rule, err := parser.ParseRule(r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := e.AddRule(rule); err != nil {
+				b.Fatal(err)
+			}
 		}
-		for _, n := range []int{16, 64} {
-			cfg := stocks.Config{Stocks: n, Days: 20, Seed: 17}
-			e, _ := engineFor(b, cfg, opts)
-			for _, r := range append(append([]string{}, stocks.RulesUnified...), stocks.RulesCustomized...) {
-				rule, err := parser.ParseRule(r)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := e.AddRule(rule); err != nil {
+		b.Run(fmt.Sprintf("seminaive/stocks=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.Invalidate()
+				if _, err := e.EffectiveUniverse(); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.Run(fmt.Sprintf("%s/stocks=%d", name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					e.Invalidate()
-					if _, err := e.EffectiveUniverse(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		})
 	}
 }
 

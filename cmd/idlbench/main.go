@@ -52,8 +52,9 @@ import (
 // (B18); schema 9 replaced the per-observer sections (trace, flight
 // recorder, WAL reads, telemetry, insights) with one Overhead matrix and
 // dropped MVCC's mutex-bound read arm; schema 10 dropped B14's
-// interpreted family (speedup is compile ÷ cached).
-const reportSchema = 10
+// interpreted family (speedup is compile ÷ cached); schema 11 dropped
+// B4's naive arm (one view engine, no rule-iteration mode).
+const reportSchema = 11
 
 // Benchmark is one measured benchmark in the report.
 type Benchmark struct {
@@ -682,17 +683,11 @@ func runAll(short bool) *Report {
 		add(measure(short, arm{name, e, func() { run(e) }})...)
 	}
 
-	// B4: view materialization, semi-naive vs naive.
-	for _, semi := range []bool{true, false} {
-		opts := core.DefaultOptions()
-		opts.SemiNaive = semi
-		e, _ := engineFor(stocks.Config{Stocks: 16, Days: 20, Seed: 17}, opts)
+	// B4: one full view refresh from the empty overlay.
+	{
+		e, _ := engineFor(stocks.Config{Stocks: 16, Days: 20, Seed: 17}, core.DefaultOptions())
 		mustAddRules(e, append(append([]string{}, stocks.RulesUnified...), stocks.RulesCustomized...)...)
-		name := "B4/materialize/naive"
-		if semi {
-			name = "B4/materialize/seminaive"
-		}
-		add(measure(short, arm{name, e, func() {
+		add(measure(short, arm{"B4/materialize/seminaive", e, func() {
 			e.Invalidate()
 			if _, err := e.EffectiveUniverse(); err != nil {
 				panic(err)

@@ -19,9 +19,6 @@ type Options struct {
 	// UseIndex enables per-(set, attribute) hash indexes for equality-
 	// pinned set expressions. Default true via NewEngine.
 	UseIndex bool
-	// SemiNaive enables rule-level semi-naive fixpoint iteration during
-	// view materialization. Default true via NewEngine.
-	SemiNaive bool
 	// MaxIterations bounds fixpoint iterations per stratum (guards
 	// non-terminating rule sets). Default 10000.
 	MaxIterations int
@@ -35,10 +32,9 @@ type Options struct {
 	ExposeMeta bool
 	// Workers sets the degree of intra-operation parallelism. With a
 	// value above one, queries whose first scheduled conjunct scans a
-	// large set partition that scan across workers, and view
-	// materialization evaluates independent rules of a stratum
-	// concurrently — with answers, derived overlays, and evaluator
-	// counters byte-identical to sequential evaluation (DESIGN.md §10).
+	// large set partition that scan across workers, view refreshes
+	// included — with answers, derived overlays, and evaluator counters
+	// byte-identical to sequential evaluation (DESIGN.md §10).
 	// 0 and 1 evaluate sequentially. Default 0.
 	Workers int
 	// BestEffort degrades queries gracefully when a federated member
@@ -65,7 +61,7 @@ type Options struct {
 
 // DefaultOptions returns the production defaults.
 func DefaultOptions() Options {
-	return Options{UseIndex: true, SemiNaive: true, MaxIterations: 10000}
+	return Options{UseIndex: true, MaxIterations: 10000}
 }
 
 // Engine is the IDL evaluation engine over one universe of databases: it
@@ -745,9 +741,8 @@ func (e *Engine) DerivedOverlay() (*object.Tuple, error) {
 
 // refreshEffective brings the effective universe up to date when stale:
 // the derived overlay is maintained by the pending delta when one was
-// captured (maintain.go), and rematerialized from scratch otherwise — or
-// when the delta path cannot decide the change. Callers hold e.mu. A nil
-// ctx means uncancellable.
+// captured, and refreshed from empty otherwise (maintain.go). Callers
+// hold e.mu. A nil ctx means uncancellable.
 func (e *Engine) refreshEffective(ctx context.Context) (*object.Tuple, error) {
 	if !e.dirty && e.effective != nil {
 		return e.effective, nil
@@ -759,22 +754,12 @@ func (e *Engine) refreshEffective(ctx context.Context) (*object.Tuple, error) {
 		start = time.Now()
 		span = e.tracer.Start("materialize")
 	}
-	var stats RecomputeStats
-	err := errFallback
-	if e.derived != nil && !e.views.pending.full && len(e.rules) > 0 {
-		stats, err = e.refreshByDelta(ctx)
-	}
+	stats, err := e.refreshViews(ctx, span)
 	if err != nil {
-		// Full recomputation. Should it fail too, the overlay may be half
-		// maintained: the next refresh starts over as well.
+		// The overlay may be half maintained: the next refresh starts
+		// from empty.
 		e.views.pending.invalidate()
-		e.views.reset(nil)
-		var derived *object.Tuple
-		var runs map[*compiledRule]*rowSet
-		if derived, runs, stats, err = e.materialize(ctx, span); err == nil {
-			e.derived = derived
-			e.views.reset(runs)
-		}
+		e.views.rows = nil
 	}
 	if !start.IsZero() && e.em != nil {
 		e.em.matCount.Inc()

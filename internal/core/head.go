@@ -7,87 +7,62 @@ import (
 	"idl/internal/object"
 )
 
-// Head programs (DESIGN.md §18). A rule head is walked once, at rule
-// registration, into a headNode tree whose variables are resolved to
-// positions in the rule's headVars; each body substitution then arrives
-// as a positional row and drives the tree through a decreeSink
+// Head programs (DESIGN.md §18). Every rule head has the form
+// `.db.rel(…)` or `.db.rel+(…)`: two names that pick a derived relation
+// and a set expression decreeing one element of it. A head is compiled
+// once, at rule registration, into a headTarget whose variables are
+// resolved to positions in the rule's headVars; each body substitution
+// then arrives as a positional row and fills one reusable decree builder
 // (decree.go) — no AST walk, no name lookup and no substitution map per
-// derived fact. The tree keeps make-true's §6 shape exactly: tuple
-// expressions apply every conjunct to one tuple, attribute expressions
-// navigate-or-create, and a set expression is the decree itself.
-// Expressions make-true rejects compile to nodes that report the error
-// when a row reaches them, as the interpreted walk did.
+// derived fact.
 
-type headKind uint8
-
-const (
-	headTuple headKind = iota // every kid applies to the same tuple
-	headAttr                  // navigate-or-create name, apply kids[0] to its value
-	headSet                   // the decree: some element of the set satisfies elem
-	headBad                   // rejected when reached
-)
-
-type headNode struct {
-	kind headKind
-	kids []*headNode
-	name slotName      // headAttr
-	src  *ast.AttrExpr // headAttr: the shape to create when the attribute is absent
-	elem *elemTemplate // headSet
-	err  error         // headBad
-}
-
-// compileHead compiles a head expression against the rule's variable
-// slots.
-func compileHead(e ast.Expr, slots map[string]int) *headNode {
-	switch x := e.(type) {
-	case *ast.TupleExpr:
-		n := &headNode{kind: headTuple}
-		for _, c := range x.Conjuncts {
-			n.kids = append(n.kids, compileHead(c, slots))
-		}
-		return n
-	case *ast.AttrExpr:
-		return &headNode{kind: headAttr, name: compileName(x.Name, slots), src: x, kids: []*headNode{compileHead(x.Expr, slots)}}
-	case *ast.SetExpr:
-		return &headNode{kind: headSet, elem: compileElem(x.X, slots)}
-	case *ast.Atomic:
-		return &headNode{kind: headBad, err: fmt.Errorf("core: head atomic expression %q has no enclosing location; heads must decree facts inside tuples or sets", x.String())}
-	default:
-		return &headNode{kind: headBad, err: fmt.Errorf("core: expression %q cannot appear in a rule head", e.String())}
-	}
-}
-
-// headTarget is a rule head of the form `.db.rel+(…)` — every head the
-// paper writes — taken apart for view maintenance (maintain.go): the two
-// names that pick the derived relation and the template of the element
-// it decrees.
+// headTarget is a compiled rule head: the two names that pick the
+// derived relation and the template of the element it decrees.
 type headTarget struct {
 	db, rel slotName
 	elem    *elemTemplate
+	consts  []string // the element's attributes under constant names
 }
 
-// relTarget returns the head as a headTarget, nil for any other shape.
-func (n *headNode) relTarget() *headTarget {
-	var names []slotName
-	for len(names) < 2 {
-		if n.kind != headTuple || len(n.kids) != 1 || n.kids[0].kind != headAttr {
-			return nil
-		}
-		names = append(names, n.kids[0].name)
-		n = n.kids[0].kids[0]
+// compileHead compiles a head of the form `.db.rel(…)` or `.db.rel+(…)`
+// against the rule's variable slots, returning the relation name term
+// beside it; ok is false for any other shape.
+func compileHead(head *ast.TupleExpr, slots map[string]int) (t *headTarget, rel ast.Term, ok bool) {
+	db, ok := soleAttr(head)
+	if !ok {
+		return nil, nil, false
 	}
-	if n.kind != headSet {
-		return nil
+	inner, ok := db.Expr.(*ast.TupleExpr)
+	if !ok {
+		return nil, nil, false
 	}
-	return &headTarget{db: names[0], rel: names[1], elem: n.elem}
+	r, ok := soleAttr(inner)
+	if !ok {
+		return nil, nil, false
+	}
+	set, ok := r.Expr.(*ast.SetExpr)
+	if !ok {
+		return nil, nil, false
+	}
+	elem := compileElem(set.X, slots)
+	return &headTarget{db: compileName(db.Name, slots), rel: compileName(r.Name, slots), elem: elem, consts: constAttrs(elem)}, r.Name, true
 }
 
-// constAttrs lists the attributes the head's element carries under
-// constant names — present in every tuple decree the head makes.
-func (t *headTarget) constAttrs() []string {
+// soleAttr returns te's attribute expression when it is te's one conjunct.
+func soleAttr(te *ast.TupleExpr) (*ast.AttrExpr, bool) {
+	if len(te.Conjuncts) != 1 {
+		return nil, false
+	}
+	a, ok := te.Conjuncts[0].(*ast.AttrExpr)
+	return a, ok
+}
+
+// constAttrs lists the attributes an element template carries under
+// constant names — present in every tuple decree a head makes with it.
+func constAttrs(elem *elemTemplate) []string {
 	var out []string
-	if t.elem.kind == tmplTuple {
-		for _, a := range t.elem.attrs {
+	if elem.kind == tmplTuple {
+		for _, a := range elem.attrs {
 			if a.err == nil && a.name.err == nil && a.name.slot < 0 {
 				out = append(out, a.name.konst)
 			}
@@ -96,20 +71,24 @@ func (t *headTarget) constAttrs() []string {
 	return out
 }
 
-// decree returns the relation and the element r's head decrees under
-// row — what make-true would place — without touching the overlay.
-func (r *compiledRule) decree(row []object.Object) (relKey, object.Object, error) {
-	t := r.target
+// mayTarget reports whether the head may decree into relation k.
+func (t *headTarget) mayTarget(k relKey) bool {
+	return (t.db.slot >= 0 || t.db.err == nil && t.db.konst == k.db) &&
+		(t.rel.slot >= 0 || t.rel.err == nil && t.rel.konst == k.rel)
+}
+
+// decree fills d with the element the head decrees under row — what
+// make-true places — and returns the relation it lands in.
+func (t *headTarget) decree(d *decree, row []object.Object) (relKey, error) {
 	db, err := t.db.resolve(row, "head attribute variable")
 	if err != nil {
-		return relKey{}, nil, unboundHeadName(err)
+		return relKey{}, unboundHeadName(err)
 	}
 	rel, err := t.rel.resolve(row, "head attribute variable")
 	if err != nil {
-		return relKey{}, nil, unboundHeadName(err)
+		return relKey{}, unboundHeadName(err)
 	}
-	d, err := t.elem.build(row)
-	return relKey{db, rel}, d, err
+	return relKey{db, rel}, d.fill(t.elem, row)
 }
 
 // slotName is an attribute-name term with its variable resolved to a row

@@ -21,11 +21,9 @@ import (
 //     reproduces the sequential enumeration order exactly, so the shared
 //     ordered dedup sees the same row sequence it would have seen.
 //
-//   - Rule waves: within a stratum iteration, a maximal prefix of the
-//     runnable rules whose bodies cannot read any earlier wave member's
-//     head evaluates concurrently (body evaluation is a pure read);
-//     derived facts are then applied strictly in rule order, preserving
-//     the sequential make-true merge sequence.
+// A view refresh runs each rule body through the same partitioned scan;
+// its rows are applied in rule order and row order (maintain.go), so the
+// derived overlay is the same at every worker count too.
 //
 // Workers share the engine's index cache (sharded, read-locked on hits)
 // and the effective universe, which is never mutated during body
@@ -226,81 +224,6 @@ func (e *Engine) collectPartitioned(ctx context.Context, an *bodyAnalysis, rv re
 		em.mergeLatency.Observe(time.Since(mergeStart))
 	}
 	return merged, true, nil
-}
-
-// ruleReadsHead reports whether r's body may read other's head relation
-// (conservatively: variable name components match anything).
-func ruleReadsHead(r, other *compiledRule) bool {
-	for _, ref := range r.refs {
-		if refMatchesHead(ref, other) {
-			return true
-		}
-	}
-	return false
-}
-
-// ruleWave returns the length of the longest prefix of affected (indexes
-// into stratum) that can evaluate concurrently: no member's body may
-// read the head of an earlier member, because sequential evaluation
-// would have let that member observe the earlier rule's freshly applied
-// facts. Self-reads do not constrain the wave — a rule's body always
-// evaluates before its own head applies, sequentially too.
-func ruleWave(stratum []*compiledRule, affected []int) int {
-	n := 1
-	for n < len(affected) {
-		cand := stratum[affected[n]]
-		ok := true
-		for _, earlier := range affected[:n] {
-			if ruleReadsHead(cand, stratum[earlier]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// evalRuleBodies evaluates the bodies of a wave of rules concurrently
-// (capped at e.opts.Workers goroutines), collecting each rule's deduped
-// head-variable rows. A single-rule wave instead tries to partition
-// that rule's body scan across the workers. Bodies only read the shared
-// effective universe, so the concurrency is race-free; derived facts are
-// applied by the caller, strictly in rule order. ans carries each wave
-// member's per-materialization body analysis (parallel to wave).
-func (e *Engine) evalRuleBodies(ctx context.Context, effective *object.Tuple, stats *Stats, ans []*bodyAnalysis) ([]*rowSet, []error) {
-	snaps := make([]*rowSet, len(ans))
-	errs := make([]error, len(ans))
-	rv := readView{eff: effective, opts: e.opts, em: e.em}
-	if len(ans) == 1 {
-		snaps[0], errs[0] = e.collect(ctx, ans[0], rv, stats, nil)
-		return snaps, errs
-	}
-	rv.opts.Workers = 0 // the wave is the parallelism; each body runs sequentially
-	ruleStats := make([]Stats, len(ans))
-	sem := make(chan struct{}, e.opts.Workers)
-	var wg sync.WaitGroup
-	for i := range ans {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if e.em != nil {
-				e.em.workerBusy.Add(1)
-				defer e.em.workerBusy.Add(-1)
-			}
-			snaps[i], errs[i] = e.collect(ctx, ans[i], rv, &ruleStats[i], nil)
-		}(i)
-	}
-	wg.Wait()
-	for i := range ruleStats {
-		stats.add(ruleStats[i])
-	}
-	return snaps, errs
 }
 
 // SetWorkers sets the degree of intra-operation parallelism (see

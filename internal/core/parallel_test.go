@@ -98,8 +98,8 @@ var parallelQueries = []string{
 func TestParallelQueryMatchesSequential(t *testing.T) {
 	optionSets := map[string]Options{
 		"default":    DefaultOptions(),
-		"noindex":    {SemiNaive: true, MaxIterations: 10000},
-		"noschedule": {UseIndex: true, SemiNaive: true, NoSchedule: true, MaxIterations: 10000},
+		"noindex":    {MaxIterations: 10000},
+		"noschedule": {UseIndex: true, NoSchedule: true, MaxIterations: 10000},
 	}
 	for optName, base := range optionSets {
 		seqEng := bigEngine(t, base, 100)
@@ -179,10 +179,11 @@ func overlayString(t *testing.T, e *Engine) (string, RecomputeStats) {
 	return overlay.String(), e.LastRecompute()
 }
 
-// TestParallelMaterializeMatchesSequential checks rule-wave evaluation:
-// the unified stock view (independent rules, one head), a reconciliation
-// rule reading that view, and the customized re-renderings must produce
-// a byte-identical overlay at any worker count.
+// TestParallelMaterializeMatchesSequential checks view refreshes with
+// partitioned rule bodies: the unified stock view (independent rules, one
+// head), a reconciliation rule reading that view, and the customized
+// re-renderings must produce a byte-identical overlay at any worker
+// count.
 func TestParallelMaterializeMatchesSequential(t *testing.T) {
 	rules := []string{
 		".dbI.p+(.date=D, .stk=S, .price=P) <- .euter.r(.date=D, .stkCode=S, .clsPrice=P)",
@@ -214,8 +215,8 @@ func TestParallelMaterializeMatchesSequential(t *testing.T) {
 }
 
 // TestParallelRecursiveMatchesSequential covers a recursive program — the
-// second rule reads the first rule's head, so waves must split and the
-// fixpoint must still converge to the identical overlay.
+// second rule reads the first rule's head, so its stratum iterates, and
+// the fixpoint must still converge to the identical overlay.
 func TestParallelRecursiveMatchesSequential(t *testing.T) {
 	build := func(workers int) *Engine {
 		e := NewEngineWithOptions(DefaultOptions())
@@ -245,43 +246,6 @@ func TestParallelRecursiveMatchesSequential(t *testing.T) {
 		if parStats != seqStats {
 			t.Errorf("workers=%d: recompute stats diverge: sequential %+v, parallel %+v", workers, seqStats, parStats)
 		}
-	}
-}
-
-// TestRuleWave exercises the wave planner directly: independent rules
-// batch into one wave, a dependent rule starts the next.
-func TestRuleWave(t *testing.T) {
-	parse := func(src string) *compiledRule {
-		r, err := parser.ParseRule(src)
-		if err != nil {
-			t.Fatalf("parse %q: %v", src, err)
-		}
-		cr, err := compileRule(r)
-		if err != nil {
-			t.Fatalf("compile %q: %v", src, err)
-		}
-		return cr
-	}
-	indep1 := parse(".dbI.p+(.x=X) <- .euter.r(.stkCode=X)")
-	indep2 := parse(".dbI.q+(.x=X) <- .chwab.r(.date=X)")
-	reader := parse(".dbI.s+(.x=X) <- .dbI.p(.x=X)")
-	selfRec := parse(".dbI.t+(.x=X) <- .dbI.t(.x=X)")
-
-	stratum := []*compiledRule{indep1, indep2, reader}
-	if got := ruleWave(stratum, []int{0, 1, 2}); got != 2 {
-		t.Errorf("independent prefix: wave = %d, want 2 (reader must wait for indep1's head)", got)
-	}
-	if got := ruleWave(stratum, []int{2}); got != 1 {
-		t.Errorf("singleton wave = %d, want 1", got)
-	}
-	// Self-recursion alone does not constrain the wave: a rule never sees
-	// its own new facts mid-run, sequentially either.
-	if got := ruleWave([]*compiledRule{selfRec, indep2}, []int{0, 1}); got != 2 {
-		t.Errorf("self-recursive + independent: wave = %d, want 2", got)
-	}
-	// But a rule reading an earlier member's head splits the wave.
-	if got := ruleWave([]*compiledRule{indep1, selfRec}, []int{0, 1}); got != 2 {
-		t.Errorf("distinct heads: wave = %d, want 2", got)
 	}
 }
 

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
 	"idl/internal/ast"
 	"idl/internal/object"
-	"idl/internal/obs"
 )
 
 // A compiledRule is a validated view rule with the metadata stratification
@@ -16,8 +14,7 @@ import (
 type compiledRule struct {
 	src     *ast.Rule
 	headDB  string   // constant database name (head level 1)
-	headRel ast.Term // constant or variable (head level 2); nil for db-level heads
-	headHO  bool     // head contains a higher-order variable (§6)
+	headRel ast.Term // constant or variable (head level 2)
 	refs    []patternRef
 	stratum int
 	// recursive marks a rule whose stratum is a dependency cycle (or
@@ -25,18 +22,16 @@ type compiledRule struct {
 	recursive bool
 	// headVars are the head's variables in first-occurrence order; a body
 	// substitution reaches the head as a row holding them positionally.
-	// head is the head compiled against those positions (head.go).
+	// target is the head compiled against those positions (head.go).
 	headVars []string
-	head     *headNode
+	target   *headTarget
 	// body is the body slot-resolved once at registration, its output row
-	// the head variables; each materialization pairs it with fresh cost
-	// ranks (Engine.ranked).
+	// the head variables; each run pairs it with fresh cost ranks
+	// (Engine.ranked).
 	body *bodyAnalysis
-	// reads are every universe read of the body and target the head's
-	// `.db.rel+(…)` form (nil for other heads), for view maintenance by
+	// reads are every universe read of the body, for view maintenance by
 	// delta (maintain.go).
-	reads  []ruleRead
-	target *headTarget
+	reads []ruleRead
 }
 
 // ruleRead is one (database, relation) pattern a rule body reads;
@@ -71,26 +66,14 @@ func (e *NotStratifiedError) Error() string {
 }
 
 // compileRule validates a rule per §6: the head is a simple tuple
-// expression on the universe whose variables all occur in the body, with
-// a constant database name.
+// expression `.db.rel(…)` or `.db.rel+(…)` on the universe, with a
+// constant database name, whose variables all occur in the body.
 func compileRule(r *ast.Rule) (*compiledRule, error) {
-	if r.Head == nil || len(r.Head.Conjuncts) != 1 {
-		return nil, fmt.Errorf("core: rule head must be a single path expression")
+	if r.Head == nil {
+		return nil, errHeadShape(r)
 	}
 	if !headSimpleEnough(r.Head) {
 		return nil, fmt.Errorf("core: rule head %q must be a simple expression (only '=', no negation, no signs beyond the insertion '+')", r.Head.String())
-	}
-	headAttr, ok := r.Head.Conjuncts[0].(*ast.AttrExpr)
-	if !ok {
-		return nil, fmt.Errorf("core: rule head must start with a database attribute")
-	}
-	dbConst, ok := headAttr.Name.(ast.Const)
-	if !ok {
-		return nil, fmt.Errorf("core: rule head database name must be a constant")
-	}
-	dbStr, ok := dbConst.Value.(object.Str)
-	if !ok {
-		return nil, fmt.Errorf("core: rule head database name must be a string")
 	}
 	bodyVars := map[string]bool{}
 	for _, v := range ast.Vars(r.Body) {
@@ -104,23 +87,28 @@ func compileRule(r *ast.Rule) (*compiledRule, error) {
 		}
 		slots[v] = i
 	}
-	cr := &compiledRule{
+	target, rel, ok := compileHead(r.Head, slots)
+	if !ok {
+		return nil, errHeadShape(r)
+	}
+	if target.db.slot >= 0 || target.db.err != nil {
+		return nil, fmt.Errorf("core: rule head database name must be a constant string")
+	}
+	return &compiledRule{
 		src:      r,
-		headDB:   string(dbStr),
-		headHO:   len(ast.HigherOrderVars(r.Head)) > 0,
+		headDB:   target.db.konst,
+		headRel:  rel,
 		refs:     collectRefs(r.Body),
 		headVars: headVars,
-		head:     compileHead(r.Head, slots),
+		target:   target,
 		body:     resolveUnit(headVars, r.Body),
 		reads:    compileReads(r.Body, headVars),
-	}
-	cr.target = cr.head.relTarget()
-	if te, ok := headAttr.Expr.(*ast.TupleExpr); ok && len(te.Conjuncts) == 1 {
-		if rel, ok := te.Conjuncts[0].(*ast.AttrExpr); ok {
-			cr.headRel = rel.Name
-		}
-	}
-	return cr, nil
+	}, nil
+}
+
+// errHeadShape rejects a head that is not `.db.rel(…)` or `.db.rel+(…)`.
+func errHeadShape(r *ast.Rule) error {
+	return fmt.Errorf("core: rule head %v must have the form .db.rel(…) or .db.rel+(…)", r.Head)
 }
 
 // compileReads lists the universe reads of a rule body.
@@ -202,41 +190,27 @@ func otherReads(e ast.Expr) []ruleRead {
 	}
 }
 
-// headSimpleEnough relaxation: the conventional head form `.db.rel+(...)`
-// carries a single plus sign on the insertion set expression. IsSimple
-// rejects signs, so validate specially: strip one level of set-expression
-// plus when checking.
-func headSimpleEnough(te *ast.TupleExpr) bool {
-	ok := true
-	var rec func(e ast.Expr, allowPlus bool)
-	rec = func(e ast.Expr, allowPlus bool) {
-		switch x := e.(type) {
-		case *ast.Not:
-			ok = false
-		case *ast.Constraint:
-			ok = false
-		case *ast.Atomic:
-			if x.Op != ast.OpEQ || x.Sign != ast.SignNone {
-				ok = false
+// headSimpleEnough reports whether a head is simple (§6): only '=', no
+// negation or constraint, and no sign but the insertion '+' of its set
+// expression.
+func headSimpleEnough(e ast.Expr) bool {
+	switch x := e.(type) {
+	case *ast.Not, *ast.Constraint:
+		return false
+	case *ast.Atomic:
+		return x.Op == ast.OpEQ && x.Sign == ast.SignNone
+	case *ast.AttrExpr:
+		return x.Sign == ast.SignNone && headSimpleEnough(x.Expr)
+	case *ast.TupleExpr:
+		for _, c := range x.Conjuncts {
+			if !headSimpleEnough(c) {
+				return false
 			}
-		case *ast.AttrExpr:
-			if x.Sign != ast.SignNone {
-				ok = false
-			}
-			rec(x.Expr, allowPlus)
-		case *ast.TupleExpr:
-			for _, c := range x.Conjuncts {
-				rec(c, allowPlus)
-			}
-		case *ast.SetExpr:
-			if x.Sign == ast.SignMinus {
-				ok = false
-			}
-			rec(x.X, allowPlus)
 		}
+	case *ast.SetExpr:
+		return x.Sign != ast.SignMinus && headSimpleEnough(x.X)
 	}
-	rec(te, true)
-	return ok
+	return true
 }
 
 // collectRefs extracts the (db, rel) patterns a body references, flagging
@@ -421,186 +395,25 @@ func strata(rules []*compiledRule) [][]*compiledRule {
 // Materialization
 
 // RecomputeStats reports work done by one refresh of the derived views:
-// a full materialization, or a maintenance pass over a write's delta.
+// a full refresh from the empty overlay, or a delta refresh over a
+// write's captured change (maintain.go).
 type RecomputeStats struct {
-	// Iterations counts fixpoint rounds: one per stratum a full
-	// materialization evaluates — a recursive stratum repeats until a
-	// round derives nothing new, any other runs exactly once — and one per
-	// stratum a delta reaches.
+	// Iterations counts fixpoint rounds: one per stratum the refresh
+	// reaches, and one more for each further round a recursive stratum
+	// takes until a round derives no change.
 	Iterations   int
-	RuleRuns     int // rule body evaluations
-	FactsDerived int // make-true operations (delta: element changes) that changed the overlay
-	// DecreeCandidates counts the set elements make-true inspected while
-	// placing decrees (subsumption and merge-host checks) — on the delta
-	// path, the key groups and group members a placement or retraction
-	// consulted. Per decree it tracks the index bucket probed, not the
-	// size of the target set.
+	RuleRuns     int // rule body evaluations (full runs and delta passes)
+	FactsDerived int // derived element changes: elements added or removed
+	// DecreeCandidates counts the decree supports and group members
+	// make-true consulted: one per decree a placement gains or a
+	// retraction drops, plus the members left in a group a retraction
+	// touched.
 	DecreeCandidates int
 	// RuleRows counts the head rows rule bodies produced, plus one per
-	// rederivation check on the delta path: the evaluation work that
-	// should track a write's delta rather than the data.
+	// rederivation check: the evaluation work that should track a
+	// write's delta rather than the data.
 	RuleRows int
 	Delta    bool // the overlay was maintained by delta instead of rebuilt
-}
-
-// materialize evaluates all rules bottom-up by stratum into a fresh
-// derived overlay, reading base ∪ overlay. With semiNaive, within a
-// recursive stratum a rule re-runs only when the previous iteration
-// changed a head its body may read (rule-level semi-naive evaluation).
-// It also returns each rule's head rows from its last run — the input
-// the next delta refresh indexes (maintain.go). A non-nil span gets one
-// child per fixpoint round.
-func (e *Engine) materialize(ctx context.Context, span *obs.Span) (derived *object.Tuple, runs map[*compiledRule]*rowSet, stats RecomputeStats, err error) {
-	derived = object.NewTuple()
-	runs = make(map[*compiledRule]*rowSet, len(e.rules))
-	var evalStats Stats
-	// The sink (decree.go) holds this materialization's target sets and
-	// their decree indexes; it dies with this call.
-	sink := newDecreeSink()
-	defer func() {
-		stats.DecreeCandidates = sink.candidates
-		e.addStats(evalStats)
-		if e.em != nil {
-			e.em.evalWork(evalStats)
-		}
-	}()
-	// Each rule body is ranked once per materialization: the
-	// registration-time slot resolution pairs with cost ranks computed at
-	// the rule's first run this materialization, then reused across every
-	// iteration (and shared read-only by parallel rule waves). The first
-	// run happens at the same iteration for every worker count, so the
-	// ranks — and the enumeration order they induce — are identical
-	// sequentially and in parallel.
-	ruleAns := make(map[*compiledRule]*bodyAnalysis)
-	anFor := func(rule *compiledRule, effective *object.Tuple) *bodyAnalysis {
-		an := ruleAns[rule]
-		if an == nil {
-			an = e.ranked(rule.body, effective, nil)
-			ruleAns[rule] = an
-		}
-		return an
-	}
-	// ran applies one rule run's rows and records them.
-	ran := func(rule *compiledRule, rows *rowSet) (int, error) {
-		stats.RuleRows += rows.len()
-		runs[rule] = rows
-		n, err := sink.applyRows(rule, derived, rows)
-		stats.FactsDerived += n
-		return n, err
-	}
-	for s, stratum := range e.strata {
-		changedLast := map[int]bool{} // indexes into stratum changed last iter
-		first := true
-		for iter := 0; ; iter++ {
-			if iter >= e.opts.MaxIterations {
-				return nil, nil, stats, fmt.Errorf("core: view materialization exceeded %d iterations (non-terminating rule set?)", e.opts.MaxIterations)
-			}
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, nil, stats, err
-				}
-			}
-			stats.Iterations++
-			var round *obs.Span
-			if span != nil {
-				round = span.Child(fmt.Sprintf("stratum%d.round%d", s, iter))
-			}
-			runsBefore, factsBefore := stats.RuleRuns, stats.FactsDerived
-			effective := mergeUniverse(e.base, derived)
-			changedNow := map[int]bool{}
-			if e.opts.Workers > 1 {
-				// Parallel path: evaluate waves of independent rules
-				// concurrently, apply derived facts strictly in rule order
-				// (see parallel.go for the equivalence argument).
-				var affected []int
-				for ri, rule := range stratum {
-					if e.opts.SemiNaive && !first && !e.ruleAffected(rule, stratum, changedLast) {
-						continue
-					}
-					affected = append(affected, ri)
-				}
-				for len(affected) > 0 {
-					waveLen := ruleWave(stratum, affected)
-					wave := make([]*compiledRule, waveLen)
-					waveAns := make([]*bodyAnalysis, waveLen)
-					for i, ri := range affected[:waveLen] {
-						wave[i] = stratum[ri]
-						waveAns[i] = anFor(stratum[ri], effective)
-					}
-					snaps, errs := e.evalRuleBodies(ctx, effective, &evalStats, waveAns)
-					for wi, rule := range wave {
-						stats.RuleRuns++
-						err := errs[wi]
-						n := 0
-						if err == nil {
-							n, err = ran(rule, snaps[wi])
-						}
-						if err != nil {
-							round.End()
-							return nil, nil, stats, fmt.Errorf("core: rule %q: %w", rule.src.String(), err)
-						}
-						if n > 0 {
-							changedNow[affected[wi]] = true
-						}
-					}
-					affected = affected[waveLen:]
-				}
-			} else {
-				for ri, rule := range stratum {
-					if e.opts.SemiNaive && !first && !e.ruleAffected(rule, stratum, changedLast) {
-						continue
-					}
-					// The read-only half of a rule run: every body row is
-					// collected before any make-true applies, because the
-					// body may be reading the overlay through the merged
-					// universe — which is also what makes this half safe to
-					// run concurrently for independent rules (parallel.go).
-					stats.RuleRuns++
-					rows, err := e.collect(ctx, anFor(rule, effective), readView{eff: effective, opts: e.opts, em: e.em}, &evalStats, nil)
-					n := 0
-					if err == nil {
-						n, err = ran(rule, rows)
-					}
-					if err != nil {
-						round.End()
-						return nil, nil, stats, fmt.Errorf("core: rule %q: %w", rule.src.String(), err)
-					}
-					if n > 0 {
-						changedNow[ri] = true
-					}
-				}
-			}
-			if round != nil {
-				round.SetInt("rule_runs", int64(stats.RuleRuns-runsBefore))
-				round.SetInt("facts", int64(stats.FactsDerived-factsBefore))
-				round.End()
-			}
-			// A stratum none of whose rules reads its own heads is done
-			// after one round: a second would only confirm that.
-			if len(changedNow) == 0 || !stratum[0].recursive {
-				break
-			}
-			changedLast = changedNow
-			first = false
-		}
-	}
-	return derived, runs, stats, nil
-}
-
-// ruleAffected reports whether rule's body may read the head of any
-// stratum-mate that changed in the previous iteration.
-func (e *Engine) ruleAffected(rule *compiledRule, stratum []*compiledRule, changed map[int]bool) bool {
-	for ri, other := range stratum {
-		if !changed[ri] {
-			continue
-		}
-		for _, ref := range rule.refs {
-			if refMatchesHead(ref, other) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // emptyFor returns the empty object matching an expression's shape.
