@@ -53,8 +53,10 @@ import (
 // recorder, WAL reads, telemetry, insights) with one Overhead matrix and
 // dropped MVCC's mutex-bound read arm; schema 10 dropped B14's
 // interpreted family (speedup is compile ÷ cached); schema 11 dropped
-// B4's naive arm (one view engine, no rule-iteration mode).
-const reportSchema = 11
+// B4's naive arm (one view engine, no rule-iteration mode); schema 12
+// added B8/point/two-keys, the index_candidates counter and B14's
+// resident plans (plans keyed by statement shape).
+const reportSchema = 12
 
 // Benchmark is one measured benchmark in the report.
 type Benchmark struct {
@@ -97,13 +99,16 @@ type ParallelSpeedup struct {
 // batch evaluated cold-compiled (a plan per run, cache off), cached (the
 // epoch-keyed plan cache) and prepared (DB.Prepare once, execute many).
 // Speedup is the headline ratio compile ÷ cached; HitRate is the cached
-// family's plan-cache hit fraction over the measured runs.
+// family's plan-cache hit fraction over the measured runs, and
+// ResidentPlans the plans its cache holds at the end: the batch's 24
+// queries are literal variants of one shape, so one.
 type PlanCacheSummary struct {
 	CompileNsPerOp  int64   `json:"compile_ns_per_op"`
 	CachedNsPerOp   int64   `json:"cached_ns_per_op"`
 	PreparedNsPerOp int64   `json:"prepared_ns_per_op"`
 	HitRate         float64 `json:"hit_rate"` // hits ÷ (hits + misses)
 	Speedup         float64 `json:"speedup"`  // compile ÷ cached
+	ResidentPlans   int     `json:"resident_plans"`
 }
 
 // WALSummary is the B15 result: the durability tax on the commit path,
@@ -168,6 +173,9 @@ type Report struct {
 const (
 	maxAllocGrowth   = 0.20 // -compare: tolerated fractional allocs/op growth (B9/maintenance/delta scatters 1 021–1 170 run to run; ns/op is printed, not gated)
 	minPlanCacheHit  = 0.95 // B14 cached-family hit rate (0.997–0.9995 measured)
+	b14Shapes        = 1    // B14 cached-family resident plans: 24 literal variants of one shape
+	b8Days           = 60   // B8's trading days: B8/point/baseline's one-key probe returns one stock's every day
+	maxTwoKeyCands   = 2    // B8/point/two-keys index candidates per op (1 measured: stock and day pin one tuple)
 	minCommitReads   = 200  // B18 reads done during commits (870–6 800 measured; a mutex-bound read path counts ~0)
 	maxCkptRatio     = 0.25 // B18 bytes rewritten ÷ full checkpoint after a one-relation update (0.054 measured)
 	minSyncSpeedup   = 1.5  // B13 sync family w1 ÷ w4, three members stalling 2 ms per op (2.9–3.0 measured)
@@ -224,8 +232,8 @@ func main() {
 	fmt.Printf("%-40s query=%.2fx sync=%.2fx at 4 workers (cpus=%d gomaxprocs=%d)\n",
 		"B13/parallel-speedup", rep.Parallel.QuerySpeedup4, rep.Parallel.SyncSpeedup4,
 		rep.Parallel.NumCPU, rep.Parallel.GoMaxProcs)
-	fmt.Printf("%-40s %.2fx cached over compile, hit rate %.3f (compile=%dns cached=%dns prepared=%dns)\n",
-		"B14/plan-cache-speedup", rep.PlanCache.Speedup, rep.PlanCache.HitRate,
+	fmt.Printf("%-40s %.2fx cached over compile, hit rate %.3f, %d plan(s) (compile=%dns cached=%dns prepared=%dns)\n",
+		"B14/plan-cache-speedup", rep.PlanCache.Speedup, rep.PlanCache.HitRate, rep.PlanCache.ResidentPlans,
 		rep.PlanCache.CompileNsPerOp, rep.PlanCache.CachedNsPerOp, rep.PlanCache.PreparedNsPerOp)
 	fmt.Printf("%-40s group-amortize=%.2fx (exec off=%dns sync=%dns group=%dns)\n",
 		"B15/wal-commit", rep.WAL.GroupAmortization,
@@ -396,6 +404,12 @@ func validateReport(rep *Report) error {
 	if pc.HitRate < minPlanCacheHit {
 		return fmt.Errorf("plan cache hit rate %.3f below bound %.3f", pc.HitRate, minPlanCacheHit)
 	}
+	if pc.ResidentPlans != b14Shapes {
+		return fmt.Errorf("plan cache holds %d plans for %d shape(s)", pc.ResidentPlans, b14Shapes)
+	}
+	if err := validateProbes(rep); err != nil {
+		return err
+	}
 	wl := rep.WAL
 	if wl.ExecOffNsPerOp <= 0 || wl.ExecSyncNsPerOp <= 0 || wl.ExecGroupNsPerOp <= 0 {
 		return fmt.Errorf("WAL families not measured")
@@ -411,6 +425,25 @@ func validateReport(rep *Report) error {
 		return fmt.Errorf("incremental checkpoint ratio %.3f exceeds bound %.3f", mv.CkptRatio, maxCkptRatio)
 	}
 	return validateAllocs(rep)
+}
+
+// validateProbes checks what B8's index probes visit: the one-key
+// baseline every day of its stock, the two-key lookup the one tuple its
+// stock and day pin.
+func validateProbes(rep *Report) error {
+	cands := map[string]uint64{}
+	for _, b := range rep.Benchmarks {
+		if c, ok := b.Counters["index_candidates"]; ok {
+			cands[b.Name] = c
+		}
+	}
+	if c, ok := cands["B8/point/baseline"]; !ok || c != b8Days {
+		return fmt.Errorf("B8/point/baseline: %d index candidates per op (reported %v), want %d", c, ok, b8Days)
+	}
+	if c, ok := cands["B8/point/two-keys"]; !ok || c > maxTwoKeyCands {
+		return fmt.Errorf("B8/point/two-keys: %d index candidates per op (reported %v), ceiling %d", c, ok, maxTwoKeyCands)
+	}
+	return nil
 }
 
 // validateFloors checks the two time gates. Both hold on a single CPU —
@@ -544,6 +577,7 @@ func measure(short bool, arms ...arm) []Benchmark {
 				b.Counters = map[string]uint64{
 					"elements_scanned": st.ElementsScanned / n,
 					"index_probes":     st.IndexProbes / n,
+					"index_candidates": st.IndexCandidates / n,
 					"index_builds":     st.IndexBuilds / n,
 					"attr_enums":       st.AttrEnums / n,
 				}
@@ -745,17 +779,24 @@ func runAll(short bool) *Report {
 		}})...)
 	}
 
-	// B8: ablations on a point query.
+	// B8: ablations on a point query, and the same lookup pinned to one
+	// day as well — a probe on two keys.
 	for _, tc := range []struct {
-		name string
-		opts core.Options
+		name    string
+		opts    core.Options
+		pinDate bool
 	}{
-		{"baseline", core.DefaultOptions()},
-		{"no-index", func() core.Options { o := core.DefaultOptions(); o.UseIndex = false; return o }()},
-		{"no-schedule", func() core.Options { o := core.DefaultOptions(); o.NoSchedule = true; return o }()},
+		{"baseline", core.DefaultOptions(), false},
+		{"no-index", func() core.Options { o := core.DefaultOptions(); o.UseIndex = false; return o }(), false},
+		{"no-schedule", func() core.Options { o := core.DefaultOptions(); o.NoSchedule = true; return o }(), false},
+		{"two-keys", core.DefaultOptions(), true},
 	} {
-		e, _ := engineFor(stocks.Config{Stocks: 64, Days: 60, Seed: 31}, tc.opts)
-		run := mustQuery("?.euter.r(.stkCode=stk033, .date=D, .clsPrice=P)")
+		e, ds := engineFor(stocks.Config{Stocks: 64, Days: b8Days, Seed: 31}, tc.opts)
+		src := "?.euter.r(.stkCode=stk033, .date=D, .clsPrice=P)"
+		if tc.pinDate {
+			src = fmt.Sprintf("?.euter.r(.stkCode=stk033, .date=%s, .clsPrice=P)", ds.Dates[b8Days/2])
+		}
+		run := mustQuery(src)
 		add(measure(short, arm{"B8/point/" + tc.name, e, func() { run(e) }})...)
 	}
 
@@ -928,6 +969,7 @@ func runAll(short bool) *Report {
 			PreparedNsPerOp: bs[2].NsPerOp,
 			HitRate:         float64(st.Hits) / float64(max(st.Hits+st.Misses, 1)),
 			Speedup:         float64(bs[0].NsPerOp) / float64(bs[1].NsPerOp),
+			ResidentPlans:   st.Size,
 		}
 	}
 

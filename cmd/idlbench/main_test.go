@@ -16,7 +16,7 @@ func report(benches map[string]int64) *Report {
 		Parallel:  ParallelSpeedup{NumCPU: 1, GoMaxProcs: 1, QuerySpeedup4: 1.0, SyncSpeedup4: 2.8},
 		PlanCache: PlanCacheSummary{
 			CompileNsPerOp: 160, CachedNsPerOp: 100,
-			PreparedNsPerOp: 95, HitRate: 0.99, Speedup: 1.6,
+			PreparedNsPerOp: 95, HitRate: 0.99, Speedup: 1.6, ResidentPlans: 1,
 		},
 		WAL: WALSummary{
 			ExecOffNsPerOp: 200, ExecSyncNsPerOp: 900, ExecGroupNsPerOp: 400,
@@ -35,6 +35,14 @@ func report(benches map[string]int64) *Report {
 	}
 	for name, ns := range benches {
 		rep.Benchmarks = append(rep.Benchmarks, Benchmark{Name: name, Iters: 10, NsPerOp: ns, AllocsPerOp: uint64(ns)})
+	}
+	// B8's probes close the list: the one-key baseline, then two keys.
+	for _, b := range []struct {
+		name  string
+		cands uint64
+	}{{"B8/point/baseline", 60}, {"B8/point/two-keys", 1}} {
+		rep.Benchmarks = append(rep.Benchmarks, Benchmark{Name: b.name, Iters: 10, NsPerOp: 100, AllocsPerOp: 40,
+			Counters: map[string]uint64{"index_candidates": b.cands}})
 	}
 	return rep
 }
@@ -146,6 +154,10 @@ func TestValidateReport(t *testing.T) {
 		{"parallel unmeasured", false, func(r *Report) { r.Parallel = ParallelSpeedup{} }},
 		{"plan cache unmeasured", false, func(r *Report) { r.PlanCache = PlanCacheSummary{} }},
 		{"plan cache cold", false, func(r *Report) { r.PlanCache.HitRate = 0.5 }},
+		{"plan per literal", false, func(r *Report) { r.PlanCache.ResidentPlans = 24 }},
+		{"two-key probe on one key", false, func(r *Report) { r.Benchmarks[len(r.Benchmarks)-1].Counters["index_candidates"] = 60 }},
+		{"two-key probe unmeasured", false, func(r *Report) { r.Benchmarks = r.Benchmarks[:len(r.Benchmarks)-1] }},
+		{"baseline probe narrowed", false, func(r *Report) { r.Benchmarks[len(r.Benchmarks)-2].Counters["index_candidates"] = 1 }},
 		{"WAL unmeasured", false, func(r *Report) { r.WAL = WALSummary{} }},
 		{"reads blocked during commits", false, func(r *Report) { r.MVCC.MVCCCommitReads = 2 }},
 		{"checkpoint unmeasured", false, func(r *Report) { r.MVCC.CkptTotalBytes = 0 }},

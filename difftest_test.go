@@ -448,11 +448,18 @@ func TestDifferentialGeneratedWorkload(t *testing.T) {
 // ran sequentially or at 2/4/8 workers. Latency fields are timing
 // products and excluded; everything else in a digest is evaluation
 // output and falls under the same byte-identity contract as answers.
+// A digest is a statement shape: the workload's literal variants
+// (another threshold) fold into the digest of the statement they vary.
 func TestDifferentialDigestCounters(t *testing.T) {
 	cfg := stocks.Config{Stocks: 12, Days: 15, Seed: 11, Discrepancies: 5}
 	probe := stocks.Generate(cfg)
 	threshold := probe.MaxPrice() * 3 / 4
 	stmts := generatedWorkloadStatements(threshold)
+	shapes := len(stmts)
+	for _, schema := range []string{"euter", "chwab", "ource"} {
+		stmts = append(stmts, stocks.QueryAnyAbove(threshold - 7)[schema])
+	}
+	stmts = append(stmts, fmt.Sprintf("?.dbI.p(.stk=S, .price>%d)", threshold+3))
 
 	type key struct{ fp, kind string }
 	type counters struct {
@@ -486,8 +493,15 @@ func TestDifferentialDigestCounters(t *testing.T) {
 		return out
 	}
 	base := run(0)
-	if len(base) != len(stmts) {
-		t.Fatalf("sequential run digested %d statements, want %d", len(base), len(stmts))
+	if len(base) != shapes {
+		t.Fatalf("sequential run digested %d shapes of %d statements, want %d", len(base), len(stmts), shapes)
+	}
+	calls := uint64(0)
+	for _, c := range base {
+		calls += c.calls
+	}
+	if calls != uint64(len(stmts)) {
+		t.Fatalf("digests count %d calls, want one per statement (%d)", calls, len(stmts))
 	}
 	for _, w := range diffWorkerCounts {
 		got := run(w)

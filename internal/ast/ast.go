@@ -92,8 +92,16 @@ type Term interface {
 }
 
 // Const is a literal object (atom; aggregates occur via the API).
+//
+// Slot is non-zero only on a constant in value position of a compiled
+// query plan (internal/core/slots.go): the plan then reads the literal
+// from that slot of the substitution, where each read binds its own
+// statement's literal, so one plan serves every statement of its shape.
+// Like Var.Slot it is not part of the syntax: printing and
+// fingerprinting ignore it.
 type Const struct {
 	Value object.Object
+	Slot  int32
 }
 
 // Var is a logical variable. Variables whose occurrences include

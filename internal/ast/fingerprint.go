@@ -1,11 +1,17 @@
 package ast
 
-// Structural fingerprints for plan-cache keys. The fingerprint is a
-// 64-bit FNV-1a hash over the node structure — type tags, operators,
-// signs, names, and constant values — so two queries share a
-// fingerprint exactly when their ASTs are structurally identical. It is
-// deliberately not String()-based: renderings can collide (a constant
-// string containing syntax) and re-rendering is slower than one walk.
+import "idl/internal/object"
+
+// Shape fingerprints for plan-cache keys. The fingerprint is a 64-bit
+// FNV-1a hash over the node structure — type tags, operators, signs,
+// variable names and attribute names — so two queries share a
+// fingerprint exactly when they differ at most in the values of their
+// value-position constants. Names are the schema (paper §3, §4.3) and
+// keep their value; a constant compared with, or combined into, a value
+// (an Atomic, Constraint or Arith term) is data and is hashed by kind
+// alone. It is deliberately not String()-based: renderings can collide (a
+// constant string containing syntax) and re-rendering is slower than one
+// walk.
 
 const (
 	fpOffset uint64 = 14695981039346656037
@@ -13,7 +19,7 @@ const (
 
 	// fpVersion salts every fingerprint; bump it when the hashing
 	// scheme changes so stale persisted keys can never alias.
-	fpVersion uint64 = 1
+	fpVersion uint64 = 2
 )
 
 func fpByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fpPrime }
@@ -48,74 +54,110 @@ const (
 	fpTagSet
 	fpTagVarExpr
 	fpTagNil
+	fpTagLit
 )
 
-// Fingerprint returns the structural hash of a query body.
+// Fingerprint returns the shape hash of a query body.
 func Fingerprint(q *Query) uint64 {
-	h := fpUint64(fpOffset, fpVersion)
-	return fpExpr(h, q.Body)
+	w := fpWalk{h: fpUint64(fpOffset, fpVersion)}
+	w.expr(q.Body)
+	return w.h
 }
 
-func fpTerm(h uint64, t Term) uint64 {
+// FingerprintLits returns the shape hash of a query body and appends its
+// value-position constants to dst, in the walk order the hash visits
+// them — the order in which a compiled plan numbers its literal slots.
+func FingerprintLits(q *Query, dst []object.Object) (uint64, []object.Object) {
+	w := fpWalk{h: fpUint64(fpOffset, fpVersion), lits: dst, collect: true}
+	w.expr(q.Body)
+	return w.h, w.lits
+}
+
+// fpWalk is one fingerprint walk: the running hash and, when collect is
+// set, the literals it has lifted so far.
+type fpWalk struct {
+	h       uint64
+	lits    []object.Object
+	collect bool
+}
+
+// name hashes an attribute-name term: a constant name by value. Nothing
+// in name position is lifted.
+func (w *fpWalk) name(t Term) {
 	switch t := t.(type) {
-	case nil:
-		return fpByte(h, fpTagNil)
 	case Const:
-		h = fpByte(h, fpTagConst)
-		h = fpByte(h, byte(t.Value.Kind()))
-		return fpUint64(h, t.Value.Hash())
-	case Var:
-		h = fpByte(h, fpTagVar)
-		return fpString(h, t.Name)
-	case Arith:
-		h = fpByte(h, fpTagArith)
-		h = fpByte(h, t.Op)
-		h = fpTerm(h, t.L)
-		return fpTerm(h, t.R)
+		w.h = fpByte(w.h, fpTagConst)
+		w.h = fpByte(w.h, byte(t.Value.Kind()))
+		w.h = fpUint64(w.h, t.Value.Hash())
+	case Var, nil:
+		w.term(t)
 	default:
-		return fpString(fpByte(h, fpTagNil), t.String())
+		w.h = fpString(fpByte(w.h, fpTagNil), t.String())
 	}
 }
 
-func fpExpr(h uint64, e Expr) uint64 {
+// term hashes a value-position term: a constant by kind only.
+func (w *fpWalk) term(t Term) {
+	switch t := t.(type) {
+	case nil:
+		w.h = fpByte(w.h, fpTagNil)
+	case Const:
+		w.h = fpByte(w.h, fpTagLit)
+		w.h = fpByte(w.h, byte(t.Value.Kind()))
+		if w.collect {
+			w.lits = append(w.lits, t.Value)
+		}
+	case Var:
+		w.h = fpByte(w.h, fpTagVar)
+		w.h = fpString(w.h, t.Name)
+	case Arith:
+		w.h = fpByte(w.h, fpTagArith)
+		w.h = fpByte(w.h, t.Op)
+		w.term(t.L)
+		w.term(t.R)
+	default:
+		w.h = fpString(fpByte(w.h, fpTagNil), t.String())
+	}
+}
+
+func (w *fpWalk) expr(e Expr) {
 	switch e := e.(type) {
 	case nil:
-		return fpByte(h, fpTagNil)
+		w.h = fpByte(w.h, fpTagNil)
 	case Epsilon:
-		return fpByte(h, fpTagEpsilon)
+		w.h = fpByte(w.h, fpTagEpsilon)
 	case *Not:
-		h = fpByte(h, fpTagNot)
-		return fpExpr(h, e.X)
+		w.h = fpByte(w.h, fpTagNot)
+		w.expr(e.X)
 	case *Atomic:
-		h = fpByte(h, fpTagAtomic)
-		h = fpByte(h, byte(e.Sign)+2)
-		h = fpByte(h, byte(e.Op))
-		return fpTerm(h, e.Term)
+		w.h = fpByte(w.h, fpTagAtomic)
+		w.h = fpByte(w.h, byte(e.Sign)+2)
+		w.h = fpByte(w.h, byte(e.Op))
+		w.term(e.Term)
 	case *AttrExpr:
-		h = fpByte(h, fpTagAttr)
-		h = fpByte(h, byte(e.Sign)+2)
-		h = fpTerm(h, e.Name)
-		return fpExpr(h, e.Expr)
+		w.h = fpByte(w.h, fpTagAttr)
+		w.h = fpByte(w.h, byte(e.Sign)+2)
+		w.name(e.Name)
+		w.expr(e.Expr)
 	case *TupleExpr:
-		h = fpByte(h, fpTagTuple)
-		h = fpUint64(h, uint64(len(e.Conjuncts)))
+		w.h = fpByte(w.h, fpTagTuple)
+		w.h = fpUint64(w.h, uint64(len(e.Conjuncts)))
 		for _, c := range e.Conjuncts {
-			h = fpExpr(h, c)
+			w.expr(c)
 		}
-		return h
 	case *Constraint:
-		h = fpByte(h, fpTagConstraint)
-		h = fpByte(h, byte(e.Op))
-		h = fpTerm(h, e.L)
-		return fpTerm(h, e.R)
+		w.h = fpByte(w.h, fpTagConstraint)
+		w.h = fpByte(w.h, byte(e.Op))
+		w.term(e.L)
+		w.term(e.R)
 	case *SetExpr:
-		h = fpByte(h, fpTagSet)
-		h = fpByte(h, byte(e.Sign)+2)
-		return fpExpr(h, e.X)
+		w.h = fpByte(w.h, fpTagSet)
+		w.h = fpByte(w.h, byte(e.Sign)+2)
+		w.expr(e.X)
 	case *VarExpr:
-		h = fpByte(h, fpTagVarExpr)
-		return fpString(h, e.Name)
+		w.h = fpByte(w.h, fpTagVarExpr)
+		w.h = fpString(w.h, e.Name)
 	default:
-		return fpString(fpByte(h, fpTagNil), e.String())
+		w.h = fpString(fpByte(w.h, fpTagNil), e.String())
 	}
 }

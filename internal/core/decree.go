@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"idl/internal/object"
@@ -88,11 +87,7 @@ func (d *decree) hash() uint64 {
 	}
 	acc := uint64(len(d.attrs))
 	for i, a := range d.attrs {
-		h := uint64(14695981039346656037)
-		for j := 0; j < len(a); j++ {
-			h = (h ^ uint64(a[j])) * 1099511628211
-		}
-		acc += (bits.RotateLeft64(h, 29) ^ d.vals[i].Hash()) * 0x9e3779b97f4a7c15
+		acc += pairHash(attrHash(a), d.vals[i])
 	}
 	return acc
 }

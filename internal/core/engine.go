@@ -492,8 +492,9 @@ func (e *Engine) lockedView() readView {
 // runQuery runs a pure query's plan against a read view. A prepared
 // query (p non-nil) revalidates its own plan; otherwise the plan comes
 // from the plan cache, or is compiled cold under NoPlanCache. Either way
-// the read executes the plan's own AST: every evaluation of one plan
-// walks identical pointers, so structurally equal queries enumerate
+// the read binds its own statement's literals into the plan's literal
+// slots (bind) and executes the plan's own AST: every evaluation of one plan
+// walks identical pointers, so statements of one shape enumerate
 // identically whether they hit or miss the cache, and a measured read —
 // traced, or EXPLAIN ANALYZE — keys its per-evaluation probes by the
 // plan's conjuncts. The locked and lock-free paths share this one body,
@@ -509,12 +510,16 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Quer
 	}
 	var pl *queryPlan
 	var state string
+	var lits []object.Object
 	if p != nil {
 		pl, state = p.revalidate(rv.eff, rv.epoch, rv.em)
+		lits = p.lits
 	} else {
-		pl, state = e.planFor(q, rv, kind == readExplain)
+		var key planKey
+		key, lits = planKeyFor(q, rv.opts)
+		pl, state = e.planFor(q, key, rv, kind == readExplain)
 	}
-	an := pl.an
+	an := pl.an.bind(lits)
 	var x *Explain
 	var order []ast.Expr
 	if kind != readQuery {
@@ -562,7 +567,7 @@ func endQuerySpan(span *obs.Span, rows int, local Stats, an *bodyAnalysis, analy
 	span.SetInt("rows", int64(rows))
 	span.SetInt("elements_scanned", int64(local.ElementsScanned))
 	span.SetInt("index_probes", int64(local.IndexProbes))
-	attachConjunctSpans(span, an.body.Conjuncts, analyze.probes)
+	attachConjunctSpans(span, an, analyze.probes)
 	span.End()
 }
 
@@ -629,7 +634,7 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q *ast.Query) (*ExecResult, err
 	var local Stats
 	rounds := e.fixpointRounds
 	u := e.newUpdater(&local, cancellable(ctx), span)
-	err := e.execBody(resolveUnit(nil, q.Body), u, nil, map[*compiledClause]bool{})
+	err := e.execBody(resolveUnit(nil, q.Body, false), u, nil, map[*compiledClause]bool{})
 	if err == nil {
 		err = e.validate(u)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"idl/internal/ast"
@@ -24,6 +25,7 @@ type cont func() error
 type Stats struct {
 	ElementsScanned uint64 // set elements tested by full scans
 	IndexProbes     uint64 // set expressions answered via an attribute index
+	IndexCandidates uint64 // set elements tested because an index probe returned them
 	IndexBuilds     uint64 // attribute indexes (re)built
 	AttrEnums       uint64 // higher-order enumerations over attribute names
 }
@@ -34,6 +36,7 @@ type Stats struct {
 func (s *Stats) add(o Stats) {
 	s.ElementsScanned += o.ElementsScanned
 	s.IndexProbes += o.IndexProbes
+	s.IndexCandidates += o.IndexCandidates
 	s.IndexBuilds += o.IndexBuilds
 	s.AttrEnums += o.AttrEnums
 }
@@ -43,6 +46,7 @@ func statsDelta(before, after Stats) Stats {
 	return Stats{
 		ElementsScanned: after.ElementsScanned - before.ElementsScanned,
 		IndexProbes:     after.IndexProbes - before.IndexProbes,
+		IndexCandidates: after.IndexCandidates - before.IndexCandidates,
 		IndexBuilds:     after.IndexBuilds - before.IndexBuilds,
 		AttrEnums:       after.AttrEnums - before.AttrEnums,
 	}
@@ -90,6 +94,9 @@ type evaluator struct {
 	// scan parallel path (parallel.go). nil costs one pointer test per
 	// set enumeration.
 	part *partition
+	// eqs backs the ground equalities of the index probe being set up;
+	// a probe is done with them once it has its candidates.
+	eqs [4]indexEq
 }
 
 // unit is the evaluator's state for the compiled unit it is running:
@@ -111,7 +118,7 @@ type unit struct {
 
 // newUnit returns the evaluation state for one run of a compiled unit.
 func newUnit(an *bodyAnalysis) unit {
-	u := unit{an: an, env: newEnv(an.sc.size())}
+	u := unit{an: an, env: an.newEnv()}
 	if n := len(an.sc.tuples); n > 1 { // tuples[0] is the reserved ID
 		u.frames = make([]tupleFrame, n)
 		u.mask = make([]bool, an.sc.maskLen)
@@ -171,7 +178,7 @@ func (ev *evaluator) satisfy(e ast.Expr, o object.Object, k cont) error {
 
 	case *ast.Atomic:
 		if x.Sign != ast.SignNone {
-			return fmt.Errorf("core: update expression %q in query context", x.String())
+			return fmt.Errorf("core: update expression %q in query context", unlift(x, ev.env))
 		}
 		return ev.satisfyAtomic(x, o, k)
 
@@ -180,7 +187,7 @@ func (ev *evaluator) satisfy(e ast.Expr, o object.Object, k cont) error {
 
 	case *ast.AttrExpr:
 		if x.Sign != ast.SignNone {
-			return fmt.Errorf("core: update expression %q in query context", x.String())
+			return fmt.Errorf("core: update expression %q in query context", unlift(x, ev.env))
 		}
 		return ev.satisfyAttr(x, o, k)
 
@@ -189,7 +196,7 @@ func (ev *evaluator) satisfy(e ast.Expr, o object.Object, k cont) error {
 
 	case *ast.SetExpr:
 		if x.Sign != ast.SignNone {
-			return fmt.Errorf("core: update expression %q in query context", x.String())
+			return fmt.Errorf("core: update expression %q in query context", unlift(x, ev.env))
 		}
 		return ev.satisfySet(x, o, k)
 
@@ -220,7 +227,7 @@ func (ev *evaluator) exists(e ast.Expr, o object.Object) (bool, error) {
 func (ev *evaluator) satisfyAtomic(x *ast.Atomic, o object.Object, k cont) error {
 	if v, ok := singleUnboundVar(x.Term, ev.env); ok {
 		if x.Op != ast.OpEQ {
-			return &UnsafeError{Var: v.Name, Expr: x}
+			return &UnsafeError{Var: v.Name, Expr: unlift(x, ev.env)}
 		}
 		if _, isNull := o.(object.Null); isNull {
 			return nil // null satisfies nothing, not even =X
@@ -231,7 +238,7 @@ func (ev *evaluator) satisfyAtomic(x *ast.Atomic, o object.Object, k cont) error
 	if err != nil {
 		var ub *unboundError
 		if errors.As(err, &ub) {
-			return &UnsafeError{Var: ub.Var, Expr: x}
+			return &UnsafeError{Var: ub.Var, Expr: unlift(x, ev.env)}
 		}
 		return err
 	}
@@ -275,9 +282,9 @@ func (ev *evaluator) satisfyConstraint(x *ast.Constraint, k cont) error {
 		}
 		return nil
 	case lerr != nil:
-		return unsafeFrom(lerr, x)
+		return unsafeFrom(lerr, unlift(x, ev.env))
 	default:
-		return unsafeFrom(rerr, x)
+		return unsafeFrom(rerr, unlift(x, ev.env))
 	}
 }
 
@@ -618,6 +625,7 @@ func (ev *evaluator) satisfySet(x *ast.SetExpr, o object.Object, k cont) error {
 	if ev.useIndex {
 		if cands, ok := ev.indexCandidates(x, set); ok {
 			ev.stats.IndexProbes++
+			ev.stats.IndexCandidates += uint64(len(cands))
 			for _, elem := range cands {
 				if err := ev.checkCtx(); err != nil {
 					return err
@@ -645,10 +653,11 @@ func (ev *evaluator) satisfySet(x *ast.SetExpr, o object.Object, k cont) error {
 	return failure
 }
 
-// indexCandidates finds an equality-pinned attribute in the inner tuple
-// expression and returns the matching elements from the set's attribute
-// index. Inner expressions that aren't conjunct lists, or with no ground
-// equality conjunct, fall back to scanning.
+// indexCandidates pins every ground equality conjunct (`.attr =
+// groundterm`) of the inner tuple expression — the first of any repeated
+// attribute — and returns the matching elements from the set's index on
+// those attributes. Inner expressions that aren't conjunct lists, or with
+// no ground equality conjunct, fall back to scanning.
 func (ev *evaluator) indexCandidates(x *ast.SetExpr, set *object.Set) ([]object.Object, bool) {
 	te, ok := x.X.(*ast.TupleExpr)
 	if !ok {
@@ -658,14 +667,17 @@ func (ev *evaluator) indexCandidates(x *ast.SetExpr, set *object.Set) ([]object.
 	if set.Len() < 16 {
 		return nil, false
 	}
+	eqs := ev.eqs[:0]
 	for _, c := range te.Conjuncts {
 		attr, val, ok := groundEqConjunct(c, ev.env)
-		if !ok {
-			continue
+		if ok && !slices.ContainsFunc(eqs, func(eq indexEq) bool { return eq.attr == attr }) {
+			eqs = append(eqs, indexEq{attr: attr, val: val})
 		}
-		return ev.indexes.lookup(set, attr, val, ev.stats), true
 	}
-	return nil, false
+	if len(eqs) == 0 {
+		return nil, false
+	}
+	return ev.indexes.lookup(set, eqs, ev.stats), true
 }
 
 // groundEqConjunct recognizes `.attr = groundterm` conjuncts — ground
@@ -684,7 +696,7 @@ func groundEqConjunct(c ast.Expr, env *Env) (string, object.Object, bool) {
 		return "", nil, false
 	}
 	at, ok := a.Expr.(*ast.Atomic)
-	if !ok || at.Op != ast.OpEQ || at.Sign != ast.SignNone {
+	if !ok || at.Op != ast.OpEQ || at.Sign != ast.SignNone || !groundTerm(at.Term, env) {
 		return "", nil, false
 	}
 	val, err := evalTerm(at.Term, env)
@@ -695,4 +707,17 @@ func groundEqConjunct(c ast.Expr, env *Env) (string, object.Object, bool) {
 		return "", nil, false
 	}
 	return string(nameStr), val, true
+}
+
+// groundTerm reports whether every variable of t is bound under env —
+// the test evalTerm would fail, made without building its error.
+func groundTerm(t ast.Term, env *Env) bool {
+	switch x := t.(type) {
+	case ast.Var:
+		return env.Bound(x.Slot)
+	case ast.Arith:
+		return groundTerm(x.L, env) && groundTerm(x.R, env)
+	default:
+		return true
+	}
 }

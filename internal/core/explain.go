@@ -139,7 +139,9 @@ func (x *Explain) annotate(order []ast.Expr, probes map[ast.Expr]*conjunctProbe,
 
 // planQuery simulates the conjunct scheduler over a plan's body against a
 // read view, returning the static plan plus the scheduled conjuncts in
-// step order (the mapping ANALYZE uses to attach actuals). an carries the
+// step order (the mapping ANALYZE uses to attach actuals). Steps render
+// the read's own literals (unlift): a shared plan was compiled for some
+// statement of the same shape, whose literals may differ. an carries the
 // cost ranks the real scheduler uses (none in a NoSchedule plan, where
 // ranks would misreport the strict left-to-right order): among runnable
 // conjuncts the cheapest is picked, source order breaking ties — the same
@@ -151,7 +153,7 @@ func planQuery(an *bodyAnalysis, rv readView) (*Explain, []ast.Expr) {
 		consumed[i] = consumedVars(c)
 	}
 	ranks := an.ranks
-	empty := newEnv(an.sc.size())
+	empty := an.newEnv()
 	// Simulate the scheduler: repeatedly pick the cheapest conjunct whose
 	// consumed variables are all "bound" by previously scheduled ones.
 	bound := map[string]bool{}
@@ -188,6 +190,7 @@ func planQuery(an *bodyAnalysis, rv readView) (*Explain, []ast.Expr) {
 		}
 		idx := remaining[pick]
 		step := explainConjunct(conjuncts[idx], consumed[idx], rv, empty)
+		step.Conjunct = unlift(conjuncts[idx], empty).String()
 		if ranks != nil && ranks[idx] < costHuge {
 			step.EstRows = int64(ranks[idx])
 			step.Estimated = true
@@ -216,10 +219,9 @@ func planQuery(an *bodyAnalysis, rv readView) (*Explain, []ast.Expr) {
 }
 
 // explainConjunct classifies one conjunct and resolves its access path
-// against the effective universe.
+// against the effective universe; the caller renders it.
 func explainConjunct(c ast.Expr, consumes []string, rv readView, empty *Env) ExplainStep {
 	step := ExplainStep{
-		Conjunct: c.String(),
 		Kind:     "query",
 		Access:   "n/a",
 		Consumes: consumes,

@@ -30,6 +30,7 @@ type engineMetrics struct {
 
 	elementsScanned *obs.Counter
 	indexProbes     *obs.Counter
+	indexCandidates *obs.Counter
 	indexBuilds     *obs.Counter
 	attrEnums       *obs.Counter
 
@@ -85,6 +86,7 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		call:            opMetricsFor(r, "call"),
 		elementsScanned: r.Counter("engine.eval.elements_scanned"),
 		indexProbes:     r.Counter("engine.eval.index_probes"),
+		indexCandidates: r.Counter("engine.eval.index_candidates"),
 		indexBuilds:     r.Counter("engine.eval.index_builds"),
 		attrEnums:       r.Counter("engine.eval.attr_enums"),
 		matCount:        r.Counter("engine.materialize.count"),
@@ -126,6 +128,7 @@ func (em *engineMetrics) record(om *opMetrics, start time.Time, local Stats, err
 func (em *engineMetrics) evalWork(local Stats) {
 	em.elementsScanned.Add(local.ElementsScanned)
 	em.indexProbes.Add(local.IndexProbes)
+	em.indexCandidates.Add(local.IndexCandidates)
 	em.indexBuilds.Add(local.IndexBuilds)
 	em.attrEnums.Add(local.AttrEnums)
 }
@@ -185,14 +188,24 @@ func annotateOpID(span *obs.Span, ctx context.Context) {
 }
 
 // attachConjunctSpans converts analyze probes into per-conjunct child
-// spans, in source order. Durations are each conjunct's self time.
-func attachConjunctSpans(span *obs.Span, conjuncts []ast.Expr, probes map[ast.Expr]*conjunctProbe) {
-	for _, c := range conjuncts {
+// spans, in source order. Durations are each conjunct's self time. Labels
+// render the read's own literals, not those of the statement its shared
+// plan was compiled for.
+func attachConjunctSpans(span *obs.Span, an *bodyAnalysis, probes map[ast.Expr]*conjunctProbe) {
+	var lits *Env
+	if len(an.sc.lits) > 0 {
+		lits = an.newEnv()
+	}
+	for _, c := range an.body.Conjuncts {
 		p := probes[c]
 		if p == nil {
 			continue
 		}
-		span.AddChild(conjunctLabel(c), p.selfTime).
+		label := c
+		if lits != nil {
+			label = unlift(c, lits)
+		}
+		span.AddChild(conjunctLabel(label), p.selfTime).
 			SetInt("rows", int64(p.rows)).
 			SetInt("scanned", int64(p.scanned)).
 			SetInt("index_probes", int64(p.indexProbes))

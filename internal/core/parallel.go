@@ -106,7 +106,7 @@ func (e *Engine) scanTarget(x ast.Expr, o object.Object, an *bodyAnalysis, opts 
 		if !ok {
 			return nil
 		}
-		if opts.UseIndex && wouldUseIndex(expr, set, newEnv(an.sc.size())) {
+		if opts.UseIndex && wouldUseIndex(expr, set, an.newEnv()) {
 			// The index path would answer this scan, so the sequential
 			// evaluator never enumerates the full set; leave it alone.
 			return nil

@@ -309,7 +309,8 @@ func TestScanTargetSkipsIndexableScans(t *testing.T) {
 
 // scanTargetOf compiles q's plan and resolves its partitionable scan.
 func scanTargetOf(e *Engine, q *ast.Query, eff *object.Tuple) *object.Set {
-	an := e.compilePlan(q, eff, planKeyFor(q, e.opts), e.epoch, nil).an
+	key, lits := planKeyFor(q, e.opts)
+	an := e.compilePlan(q, eff, key, e.epoch, nil).an.bind(lits)
 	return e.scanTarget(an.body, eff, an, e.opts)
 }
 

@@ -18,7 +18,12 @@ import (
 // evaluator always reads the live effective universe — so a cached plan
 // can never produce a wrong answer; dependencies exist to keep the ranks
 // (and therefore the enumeration order) byte-identical to what a fresh
-// compilation would produce.
+// compilation would produce. Nor do plans carry literals: a plan is keyed
+// by its statement's shape (ast.Fingerprint) and reads each value literal
+// from a slot the read binds (slots.go), and its ranks depend only on
+// names and per-attribute distinct counts, never on a literal's value —
+// so a plan compiled for one statement enumerates every other statement
+// of its shape exactly as their own cold compiles would.
 
 // costHuge ranks a conjunct whose enumeration is data-dependent in a way
 // statistics cannot bound (a higher-order database or relation variable):
@@ -41,6 +46,33 @@ type bodyAnalysis struct {
 	// plan, and a rule before its first run of a materialization)
 	// schedules in source order.
 	ranks []float64
+	// lits are the literals a query read binds into the scope's literal
+	// slots (sc.lits), its own statement's: set on a per-read copy
+	// (bind), never on the plan the cache shares.
+	lits []object.Object
+}
+
+// bind returns the analysis a read of a statement with the given
+// literals evaluates: a copy carrying them, or an itself when the scope
+// lifted none.
+func (an *bodyAnalysis) bind(lits []object.Object) *bodyAnalysis {
+	if len(an.sc.lits) == 0 {
+		return an
+	}
+	out := *an
+	out.lits = lits
+	return &out
+}
+
+// newEnv returns a substitution over the scope with only the literal
+// slots bound. Those bindings are not on the trail, so no Undo retracts
+// them.
+func (an *bodyAnalysis) newEnv() *Env {
+	env := newEnv(an.sc.size())
+	for i, slot := range an.sc.lits {
+		env.vals[slot] = an.lits[i]
+	}
+	return env
 }
 
 // output returns the body's output variables, in row order. The slice
@@ -64,9 +96,11 @@ func (an *bodyAnalysis) seed(params map[string]object.Object) []object.Object {
 
 // resolveUnit slot-resolves body into a fresh scope whose first slots are
 // the output variables. The analysis is environment independent, so it is
-// computed once per compiled unit instead of once per evaluation.
-func resolveUnit(output []string, body *ast.TupleExpr) *bodyAnalysis {
+// computed once per compiled unit instead of once per evaluation. A query
+// (lift) also gets a slot per value-position literal.
+func resolveUnit(output []string, body *ast.TupleExpr, lift bool) *bodyAnalysis {
 	sc := newScope(output)
+	sc.lift = lift
 	return &bodyAnalysis{sc: sc, body: sc.resolveBody(body), width: len(output)}
 }
 
@@ -121,7 +155,7 @@ type PlanInfo struct {
 	// CompileNS is the compile time in nanoseconds when this call
 	// compiled a plan; 0 on cache hits.
 	CompileNS int64
-	// Fingerprint is the query's structural fingerprint (the plan-cache
+	// Fingerprint is the query's shape fingerprint (the plan-cache
 	// key the planner computed), so callers that account per statement
 	// digest need not hash the AST again.
 	Fingerprint uint64
@@ -143,7 +177,7 @@ func planInfo(pl *queryPlan, state string) *PlanInfo {
 func (e *Engine) compilePlan(q *ast.Query, eff *object.Tuple, key planKey, epoch uint64, em *engineMetrics) *queryPlan {
 	start := time.Now()
 	var deps []planDep
-	an := resolveUnit(ast.PositiveVars(q.Body), q.Body)
+	an := resolveUnit(ast.PositiveVars(q.Body), q.Body, true)
 	if !key.noSchedule {
 		an = e.ranked(an, eff, &deps)
 	}
@@ -195,8 +229,7 @@ func (e *Engine) validatePlan(pl *queryPlan, eff *object.Tuple) bool {
 // contending on the engine mutex. A peek (EXPLAIN) takes the plan a read
 // would run without counting the lookup, restamping the plan or caching
 // a compile, so explaining a query leaves the cache as it found it.
-func (e *Engine) planFor(q *ast.Query, rv readView, peek bool) (*queryPlan, string) {
-	key := planKeyFor(q, rv.opts)
+func (e *Engine) planFor(q *ast.Query, key planKey, rv readView, peek bool) (*queryPlan, string) {
 	eff, epoch, em := rv.eff, rv.epoch, rv.em
 	if rv.opts.NoPlanCache {
 		return e.compilePlan(q, eff, key, epoch, em), "cold"
@@ -230,9 +263,12 @@ func (e *Engine) planFor(q *ast.Query, rv readView, peek bool) (*queryPlan, stri
 	return pl, state
 }
 
-// planKeyFor keys q's plan under the options that change compilation.
-func planKeyFor(q *ast.Query, opts Options) planKey {
-	return planKey{fp: ast.Fingerprint(q), useIndex: opts.UseIndex, noSchedule: opts.NoSchedule}
+// planKeyFor keys q's plan — its shape — under the options that change
+// compilation, and returns q's literals, which a read binds into the
+// plan's literal slots: one walk yields both.
+func planKeyFor(q *ast.Query, opts Options) (planKey, []object.Object) {
+	fp, lits := ast.FingerprintLits(q, make([]object.Object, 0, 4)) // a point lookup has two or three
+	return planKey{fp: fp, useIndex: opts.UseIndex, noSchedule: opts.NoSchedule}, lits
 }
 
 // reuse is the one hit / stale / recompile step, shared by the plan cache
@@ -399,7 +435,9 @@ func (e *Engine) estimateSet(inner ast.Expr, set *object.Set) float64 {
 
 // staticGroundEq recognizes `.attr = const` conjuncts — the statically
 // decidable subset of groundEqConjunct (no environment, so bound-variable
-// terms do not qualify).
+// terms do not qualify). A plan's lifted literal is an ast.Const whose
+// value has the statement's kind, so it qualifies exactly as the
+// statement's own constant would.
 func staticGroundEq(c ast.Expr) (string, bool) {
 	a, ok := c.(*ast.AttrExpr)
 	if !ok || a.Sign != ast.SignNone {
@@ -435,9 +473,10 @@ func staticGroundEq(c ast.Expr) (string, bool) {
 // prepared plan itself is guarded by a small private mutex (held only
 // around revalidation, never during evaluation).
 type PreparedQuery struct {
-	e  *Engine
-	mu sync.Mutex // guards pl: revalidation may restamp or replace it
-	pl *queryPlan
+	e    *Engine
+	lits []object.Object // the statement's literals, bound on every execution
+	mu   sync.Mutex      // guards pl: revalidation may restamp or replace it
+	pl   *queryPlan
 }
 
 // Prepare compiles a query into a reusable plan. The plan is private to
@@ -452,7 +491,8 @@ func (e *Engine) Prepare(q *ast.Query) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedQuery{e: e, pl: e.compilePlan(q, eff, planKeyFor(q, e.opts), e.epoch, e.em)}, nil
+	key, lits := planKeyFor(q, e.opts)
+	return &PreparedQuery{e: e, lits: lits, pl: e.compilePlan(q, eff, key, e.epoch, e.em)}, nil
 }
 
 // Query executes the prepared plan against the current universe.

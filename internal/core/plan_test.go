@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"idl/internal/ast"
 	"idl/internal/object"
+	"idl/internal/obs"
 	"idl/internal/parser"
 )
 
@@ -30,10 +33,24 @@ func TestFingerprintStability(t *testing.T) {
 	if a != b {
 		t.Fatalf("same query text fingerprints differently: %x vs %x", a, b)
 	}
-	// Structurally distinct queries must not collide pairwise.
+	// The key is the shape: statements that differ only in the values
+	// of their value-position literals share it.
+	for _, pair := range [][2]string{
+		{"?.euter.r(.stkCode=S, .clsPrice>200)", "?.euter.r(.stkCode=S, .clsPrice>201)"},
+		{"?.euter.r(.stkCode=hp, .date=D)", "?.euter.r(.stkCode=ibm, .date=D)"},
+		{"?.euter.r(.clsPrice=P), Q = P + 1", "?.euter.r(.clsPrice=P), Q = P + 7"},
+		{"?.X.Y, X = ource", "?.X.Y, X = chwab"},
+	} {
+		if a, b := Fingerprint(mustParse(t, pair[0])), Fingerprint(mustParse(t, pair[1])); a != b {
+			t.Errorf("literal variants fingerprint differently: %q %x vs %q %x", pair[0], a, pair[1], b)
+		}
+	}
+	// Structurally distinct queries must not collide pairwise. Names are
+	// schema and a literal's kind is part of the shape.
 	variants := []string{
 		"?.euter.r(.stkCode=S, .clsPrice>200)",
-		"?.euter.r(.stkCode=S, .clsPrice>201)",
+		"?.euter.r(.stkCode=S, .clsPrice>200.5)",
+		"?.euter.r(.stkCode=S, .clsPrice>hp)",
 		"?.euter.r(.stkCode=S, .clsPrice<200)",
 		"?.euter.r(.stkCode=T, .clsPrice>200)",
 		"?.euter.r(.stkCode=S)",
@@ -42,6 +59,8 @@ func TestFingerprintStability(t *testing.T) {
 		"?.euter.r(.stkCode=S), .euter.r(.clsPrice>200)",
 		"?.X.Y",
 		"?.X.Y, X = ource",
+		"?.euter.s(.stkCode=S, .clsPrice>200)",
+		"?.euter.r(.stkCode=S, .price>200)",
 	}
 	seen := map[uint64]string{}
 	for _, src := range variants {
@@ -132,10 +151,11 @@ func TestSetPlanCachingToggle(t *testing.T) {
 func TestPlanCacheLRUEviction(t *testing.T) {
 	e := NewEngineWithOptions(Options{PlanCacheSize: 2})
 	buildStockBase(t, e)
+	// Three shapes: literal variants of one shape would share a plan.
 	queries := []string{
 		"?.euter.r(.stkCode=hp, .clsPrice=P)",
-		"?.euter.r(.stkCode=ibm, .clsPrice=P)",
-		"?.euter.r(.stkCode=sun, .clsPrice=P)",
+		"?.euter.r(.stkCode=hp, .clsPrice=Q)",
+		"?.euter.r(.stkCode=hp, .date=D)",
 	}
 	for _, src := range queries {
 		planOutcome(t, e, src)
@@ -184,14 +204,17 @@ func TestPreparedQueryStaysFresh(t *testing.T) {
 	}
 
 	// Mutating the queried relation must be visible on the next execution:
-	// the plan recompiles, and the answer includes the new tuple.
+	// the plan recompiles, and the answer includes the new tuple. A read
+	// of the same shape with another literal in between leaves the
+	// prepared statement's own literal in place, recompile included.
+	q(t, e, "?.euter.r(.stkCode=ibm, .clsPrice=P)")
 	exec(t, e, "?.euter.r+(.date=3/9/85, .stkCode=hp, .clsPrice=70)")
 	ans, err = pq.Query()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ans.Len() != 4 {
-		t.Fatalf("prepared answer is stale: %d rows, want 4 after insert", ans.Len())
+	if ans.String() != "P\n50\n55\n62\n70" {
+		t.Fatalf("prepared answer after the insert: %q, want hp's four prices", ans)
 	}
 	if ans.Plan.Cache != "miss" {
 		t.Fatalf("after relevant update: outcome %q, want miss (recompiled)", ans.Plan.Cache)
@@ -262,5 +285,130 @@ func TestIndexCacheSurvivesUnrelatedUpdate(t *testing.T) {
 	q(t, e, "?.dbA.r(.k=5, .v=V)")
 	if got := builds(); got != after+1 {
 		t.Fatalf("dbA.r probe after mutation: %d -> %d builds, want exactly one rebuild", after, got)
+	}
+}
+
+// TestPlanSharedAcrossLiterals: statements that differ only in their
+// value literals share one plan — one resident plan per shape, over the
+// euter, chwab and ource point lookups and a two-key probe of the big
+// relation — and each answers, explains and analyzes exactly as a cold
+// compile of itself would, its own literals in every rendered step.
+func TestPlanSharedAcrossLiterals(t *testing.T) {
+	dates := []string{"3/1/85", "3/2/85", "3/3/85"}
+	var shapes [][]string
+	var euter []string
+	for _, s := range fixStocks {
+		for _, d := range dates {
+			euter = append(euter, fmt.Sprintf("?.euter.r(.stkCode=%s, .date=%s, .clsPrice=P)", s, d))
+		}
+	}
+	shapes = append(shapes, euter)
+	for _, s := range fixStocks {
+		// A stock is an attribute name in chwab and a relation name in
+		// ource: schema, so each stock is a shape of its own.
+		var chwab, ource []string
+		for _, d := range dates {
+			chwab = append(chwab, fmt.Sprintf("?.chwab.r(.date=%s, .%s=P)", d, s))
+			ource = append(ource, fmt.Sprintf("?.ource.%s(.date=%s, .clsPrice=P)", s, d))
+		}
+		shapes = append(shapes, chwab, ource)
+	}
+	var big []string
+	for i := range 10 {
+		big = append(big, fmt.Sprintf("?.big.r(.stkCode=stk%03d, .date=%s, .clsPrice=P), P > %d", i, dates[i%3], 40+i))
+	}
+	shapes = append(shapes, big)
+
+	shared := NewEngine()
+	buildStockBase(t, shared)
+	buildBigBase(t, shared, 32)
+	tracer := obs.NewTracer(1)
+	shared.SetTracer(tracer)
+	cold := NewEngineWithOptions(Options{UseIndex: true, NoPlanCache: true})
+	buildStockBase(t, cold)
+	buildBigBase(t, cold, 32)
+	ctx := context.Background()
+	for _, variants := range shapes {
+		for _, src := range variants {
+			q := mustParse(t, src)
+			a, err := shared.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			b, err := cold.Query(q)
+			if err != nil {
+				t.Fatalf("%s cold: %v", src, err)
+			}
+			if a.String() != b.String() || fmt.Sprint(a.Rows()) != fmt.Sprint(b.Rows()) {
+				t.Errorf("%s: shared plan answers\n%s\ncold compile\n%s", src, a, b)
+			}
+			for i, span := range tracer.Recent()[0].Children {
+				if want := conjunctLabel(q.Body.Conjuncts[i]); span.Name != want {
+					t.Errorf("%s: traced conjunct %d is %q, want %q", src, i+1, span.Name, want)
+				}
+			}
+			x, err := shared.ExplainQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y, err := cold.ExplainQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := y.String(); x.String() != want {
+				t.Errorf("%s: EXPLAIN over the shared plan\n%s\nwant\n%s", src, x, want)
+			}
+			xa, _, err := shared.ExplainAnalyzeQuery(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, step := range xa.Steps {
+				if step.Conjunct != y.Steps[i].Conjunct || step.Analyze == nil {
+					t.Errorf("%s: EXPLAIN ANALYZE step %d renders %q, want %q with actuals", src, i+1, step.Conjunct, y.Steps[i].Conjunct)
+				}
+			}
+		}
+	}
+	if st := shared.PlanCacheStats(); st.Size != len(shapes) {
+		t.Errorf("%d resident plans for %d shapes: %+v", st.Size, len(shapes), st)
+	}
+}
+
+// TestSharedPlanConcurrentReads: readers running one shape's shared plan
+// at the same time, each with its own literals, each get their own
+// answer — a read's literals live in its substitution, never in the plan
+// — while their two-key probes share the relation's one index.
+func TestSharedPlanConcurrentReads(t *testing.T) {
+	e := bigEngine(t, DefaultOptions(), 64)
+	cold := bigEngine(t, Options{UseIndex: true, NoPlanCache: true}, 64)
+	var queries []*ast.Query
+	var want []string
+	for i := range 10 {
+		src := fmt.Sprintf("?.big.r(.stkCode=stk%03d, .date=%s, .clsPrice=P)", i, fixDates[i%len(fixDates)])
+		queries = append(queries, mustParse(t, src))
+		want = append(want, q(t, cold, src).String())
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range 50 {
+				i := (g*7 + n) % len(queries)
+				ans, err := e.Query(queries[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ans.String() != want[i] {
+					t.Errorf("%s: %q, want %q", queries[i], ans, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := e.PlanCacheStats(); st.Size != 1 {
+		t.Errorf("%d resident plans for one shape: %+v", st.Size, st)
 	}
 }

@@ -6,8 +6,9 @@ import (
 	"idl/internal/ast"
 )
 
-// Epoch-keyed plan cache (DESIGN.md §11). Plans are keyed by the
-// structural fingerprint of the query plus the plan-relevant options, and
+// Epoch-keyed plan cache (DESIGN.md §11). Plans are keyed by the shape
+// fingerprint of the query plus the plan-relevant options — statements
+// that differ only in their value literals share a plan — and
 // validated against the engine's catalog epoch: a hit at the compiling
 // epoch is reused outright; after an epoch bump the plan's dependencies
 // are re-resolved and only plans whose inputs actually moved recompile —
@@ -146,6 +147,6 @@ func (e *Engine) Epoch() uint64 {
 	return e.epoch
 }
 
-// Fingerprint exposes the structural query fingerprint used as the plan
+// Fingerprint exposes the shape fingerprint used as the plan
 // cache key (for tests and tooling).
 func Fingerprint(q *ast.Query) uint64 { return ast.Fingerprint(q) }

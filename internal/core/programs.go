@@ -195,7 +195,7 @@ func compileClause(c *ast.Clause) (*compiledClause, error) {
 		}
 	}
 	cc.required = requiredParams(cc)
-	cc.an = resolveUnit(cc.paramVars, c.Body)
+	cc.an = resolveUnit(cc.paramVars, c.Body, false)
 	return cc, nil
 }
 

@@ -101,7 +101,7 @@ func compileRule(r *ast.Rule) (*compiledRule, error) {
 		refs:     collectRefs(r.Body),
 		headVars: headVars,
 		target:   target,
-		body:     resolveUnit(headVars, r.Body),
+		body:     resolveUnit(headVars, r.Body, false),
 		reads:    compileReads(r.Body, headVars),
 	}, nil
 }
@@ -120,7 +120,7 @@ func compileReads(body *ast.TupleExpr, headVars []string) []ruleRead {
 			conjuncts[i] = &ast.AttrExpr{Name: ast.Const{Value: object.Str(deltaDB)}, Expr: c.(*ast.AttrExpr).Expr}
 			reads = append(reads, ruleRead{
 				db: c.(*ast.AttrExpr).Name, rel: rel, dbName: db,
-				body: resolveUnit(headVars, &ast.TupleExpr{Conjuncts: conjuncts}),
+				body: resolveUnit(headVars, &ast.TupleExpr{Conjuncts: conjuncts}, false),
 			})
 			continue
 		}

@@ -16,6 +16,14 @@ import (
 // The copy is private to the unit (callers' trees are never written, so
 // they may be shared freely) and always a tree, whatever sharing the
 // source had.
+//
+// A query plan also lifts its literals: every constant in value position
+// (an Atomic, Constraint or Arith term — never an attribute name, which
+// is schema) gets a slot of its own, numbered in the walk order of
+// ast.FingerprintLits, and each read binds its own statement's literals
+// into those slots before it evaluates. One plan then serves every
+// statement of its shape. Rules, program clauses and update requests
+// keep their constants.
 
 // scope numbers one compiled unit's variables and tuple expressions.
 // Slot 0 and tuple ID 0 are reserved for "unresolved", which is what a
@@ -30,6 +38,10 @@ type scope struct {
 	// maskLen is the total conjunct count over tuples: evaluators carve
 	// each frame's used-mask out of one allocation of this size.
 	maskLen int
+	// lift makes resolve give value-position constants slots; lits
+	// holds those slots in walk order. A literal slot has no name.
+	lift bool
+	lits []int32
 }
 
 // tupleInfo is the environment-independent analysis of one conjunct list.
@@ -94,7 +106,11 @@ func (sc *scope) resolve(e ast.Expr) ast.Expr {
 	case *ast.Constraint:
 		return &ast.Constraint{L: sc.resolveTerm(x.L), Op: x.Op, R: sc.resolveTerm(x.R)}
 	case *ast.AttrExpr:
-		return &ast.AttrExpr{Sign: x.Sign, Name: sc.resolveTerm(x.Name), Expr: sc.resolve(x.Expr)}
+		name := x.Name
+		if v, ok := name.(ast.Var); ok {
+			name = ast.Var{Name: v.Name, Slot: sc.slot(v.Name)}
+		}
+		return &ast.AttrExpr{Sign: x.Sign, Name: name, Expr: sc.resolve(x.Expr)}
 	case *ast.SetExpr:
 		return &ast.SetExpr{Sign: x.Sign, X: sc.resolve(x.X)}
 	case *ast.TupleExpr:
@@ -113,8 +129,17 @@ func (sc *scope) resolve(e ast.Expr) ast.Expr {
 	}
 }
 
+// resolveTerm resolves a value-position term.
 func (sc *scope) resolveTerm(t ast.Term) ast.Term {
 	switch x := t.(type) {
+	case ast.Const:
+		if !sc.lift {
+			return t
+		}
+		sc.names = append(sc.names, "")
+		slot := int32(len(sc.names) - 1)
+		sc.lits = append(sc.lits, slot)
+		return ast.Const{Value: x.Value, Slot: slot}
 	case ast.Var:
 		return ast.Var{Name: x.Name, Slot: sc.slot(x.Name)}
 	case ast.Arith:
@@ -122,6 +147,45 @@ func (sc *scope) resolveTerm(t ast.Term) ast.Term {
 	default:
 		return t
 	}
+}
+
+// unlift returns a copy of a resolved expression with every lifted
+// literal replaced by the constant env binds to its slot, for rendering:
+// an error or an EXPLAIN step shows the literals of the statement being
+// read, not those of the statement its shared plan was compiled for.
+func unlift(e ast.Expr, env *Env) ast.Expr {
+	switch x := e.(type) {
+	case *ast.Not:
+		return &ast.Not{X: unlift(x.X, env)}
+	case *ast.Atomic:
+		return &ast.Atomic{Sign: x.Sign, Op: x.Op, Term: unliftTerm(x.Term, env)}
+	case *ast.Constraint:
+		return &ast.Constraint{L: unliftTerm(x.L, env), Op: x.Op, R: unliftTerm(x.R, env)}
+	case *ast.AttrExpr:
+		return &ast.AttrExpr{Sign: x.Sign, Name: x.Name, Expr: unlift(x.Expr, env)}
+	case *ast.SetExpr:
+		return &ast.SetExpr{Sign: x.Sign, X: unlift(x.X, env)}
+	case *ast.TupleExpr:
+		out := &ast.TupleExpr{Conjuncts: make([]ast.Expr, len(x.Conjuncts))}
+		for i, c := range x.Conjuncts {
+			out.Conjuncts[i] = unlift(c, env)
+		}
+		return out
+	default:
+		return e
+	}
+}
+
+func unliftTerm(t ast.Term, env *Env) ast.Term {
+	switch x := t.(type) {
+	case ast.Const:
+		if x.Slot != 0 {
+			return ast.Const{Value: env.vals[x.Slot]}
+		}
+	case ast.Arith:
+		return ast.Arith{Op: x.Op, L: unliftTerm(x.L, env), R: unliftTerm(x.R, env)}
+	}
+	return t
 }
 
 // consumedSlots is consumedVars over resolved conjuncts, as slot lists.

@@ -23,6 +23,9 @@ func (e *unboundError) Error() string {
 func evalTerm(t ast.Term, env *Env) (object.Object, error) {
 	switch x := t.(type) {
 	case ast.Const:
+		if x.Slot != 0 {
+			return env.vals[x.Slot], nil // a plan's lifted literal
+		}
 		return x.Value, nil
 	case ast.Var:
 		if v, ok := env.Lookup(x.Slot); ok {

@@ -24,10 +24,12 @@ func New(src string) *Lexer {
 }
 
 // Tokens lexes the entire input, returning every token up to and
-// including EOF.
+// including EOF. The slice is sized once from the input, for three
+// tokens per four bytes: the densest statements of the example scripts
+// run to 0.7 (`?.chwab.r(.date=D, .hp=P)`), so growing it is rare.
 func Tokens(src string) []Token {
 	lx := New(src)
-	var out []Token
+	out := make([]Token, 0, len(src)*3/4+2)
 	for {
 		t := lx.Next()
 		out = append(out, t)

@@ -91,6 +91,9 @@ func TestLoggedReadLeavesPlanCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2; i++ {
+			// A literal sibling first: src's ad hoc reads then run the
+			// plan compiled for it, and must still log src's own digest.
+			planCacheOutcome(t, db, "?.euter.r(.stkCode=S, .clsPrice>150)")
 			planCacheOutcome(t, db, src)
 			planCacheOutcome(t, db, "?.euter.r(.stkCode=S, .date=D)")
 			if _, err := prep.Query(); err != nil {

@@ -13,7 +13,9 @@
 #      one observer per arm) within its allocs/op ceilings over the
 #      baseline — flightrec +42, metrics +0, traced +1 100, wal +0,
 #      digests +1, capture +8 (DESIGN.md §8–§9, §13–§15); a B14
-#      plan-cache hit rate of at least 0.95 (DESIGN.md §11); at least
+#      plan-cache hit rate of at least 0.95 and one resident plan for
+#      its 24 literal variants (DESIGN.md §11); B8's index candidates
+#      per op, 60 on the one-key baseline and at most 2 on two keys; at least
 #      200 reads completed by four facade readers while B18's commits
 #      are in flight (DESIGN.md §17); a B18 incremental-checkpoint ratio
 #      of at most 0.25; and the evaluator's allocation ceilings

@@ -14,8 +14,12 @@
 # metric, the parent's median and IQR, the change's median, the pairs the
 # change won and the bound check against BENCHMARK.json; it exits 1 when
 # a median is worse than its bound allows, the failed share rose or more
-# of the change's runs failed. The raw contract lines stay in the
-# directory it prints.
+# of the change's runs failed. After its pairs, each workload also gets
+# one traced run per side (--trace 1), and the summary prints the
+# per-layer deltas of parser.parse_us, core.plan_hit_ratio,
+# core.plan_miss_us and core.eval_us beside the pairs table: the
+# attribution a gain needs. The raw contract lines stay in the directory
+# it prints.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -43,13 +47,14 @@ else
   mapfile -t workloads < <(go run ./scripts/pairs BENCHMARK.json)
 fi
 
-bench() { # side checkout workload
+bench() { # side checkout workload [trace]
   # One line per run, so line i of either side is pair i: a run that
   # fails or reports nothing leaves a placeholder the summary counts as a
-  # failed run.
-  local line
-  line="$(bash "$2/bench/run.sh" --workload "$3" --seed 1 --seconds 25 --trace 0 | tail -n 1)" || line=""
-  echo "${line:-failed}" >> "$out/$3.$1"
+  # failed run. A traced run's line goes to its own file.
+  local line file="$out/$3.$1"
+  [ "${4:-0}" = 1 ] && file="$file.trace"
+  line="$(bash "$2/bench/run.sh" --workload "$3" --seed 1 --seconds 25 --trace "${4:-0}" | tail -n 1)" || line=""
+  echo "${line:-failed}" >> "$file"
 }
 for w in "${workloads[@]}"; do
   for i in $(seq "$n"); do
@@ -62,6 +67,9 @@ for w in "${workloads[@]}"; do
     fi
     echo "pairs: $w pair $i/$n done" >&2
   done
+  bench parent "$work" "$w" 1
+  bench change "$root" "$w" 1
+  echo "pairs: $w traced runs done" >&2
 done
 
 echo "pairs: parent $parent, $n pairs per workload, runs in $out"

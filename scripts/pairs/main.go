@@ -14,7 +14,9 @@
 // pair i. Medians and quartiles are over the runs that reported, pairs
 // won over the pairs whose two runs did. It exits 1 when a median is
 // worse than the parent's beyond its bound, the failed share rose or
-// more of the change's runs failed.
+// more of the change's runs failed. W.parent.trace and W.change.trace,
+// when present, hold one traced run per side; their per-layer deltas
+// (layers below) are printed after the table, for attribution only.
 package main
 
 import (
@@ -25,6 +27,10 @@ import (
 	"path/filepath"
 	"slices"
 )
+
+// layers are the per-layer metrics the traced runs are compared on: the
+// parse, plan and evaluation lines of a statement's budget.
+var layers = []string{"parser.parse_us", "core.plan_hit_ratio", "core.plan_miss_us", "core.eval_us"}
 
 type spec struct {
 	Workloads []struct {
@@ -112,8 +118,40 @@ func main() {
 		}
 		fmt.Printf("%-15s %-17s %12d %25s %12d %8s %6s  %s\n", w, "failed_runs", pf, "", cf, "", "", verdict)
 	}
+	for _, w := range os.Args[3:] {
+		printLayers(dir, w)
+	}
 	if !ok {
 		os.Exit(1)
+	}
+}
+
+// printLayers prints, for one workload's traced runs, each layer's
+// parent and change value and their difference. A workload without
+// traced runs prints nothing; a traced run that failed prints a dash.
+func printLayers(dir, w string) {
+	var sides [2]*run
+	for i, side := range []string{"parent", "change"} {
+		runs, err := readRuns(filepath.Join(dir, w+"."+side+".trace"))
+		if os.IsNotExist(err) {
+			return
+		}
+		if err == nil {
+			sides[i] = runs[0]
+		}
+	}
+	fmt.Printf("\n%-15s %-20s %12s %12s %8s   (one --trace 1 run per side)\n", w, "layer", "parent", "change", "Δ")
+	for _, m := range layers {
+		if sides[0] == nil || sides[1] == nil {
+			fmt.Printf("%-15s %-20s %12s %12s %8s\n", w, m, "-", "-", "")
+			continue
+		}
+		p, c := sides[0].Metrics[m].Value, sides[1].Metrics[m].Value
+		delta := ""
+		if p != 0 {
+			delta = fmt.Sprintf("%+7.1f%%", 100*(c-p)/p)
+		}
+		fmt.Printf("%-15s %-20s %12s %12s %8s\n", w, m, num(p), num(c), delta)
 	}
 }
 

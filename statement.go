@@ -147,7 +147,7 @@ func (o *op) finish(err error) error {
 	return err
 }
 
-// observation is the op as its digest sees it. The key is the structural
+// observation is the op as its digest sees it. The key is the shape
 // fingerprint the planner already computed when there is a plan, the
 // statement's own otherwise; the evaluator's resource record is widened
 // with what only the facade knows — member fetches and WAL bytes.
