@@ -129,11 +129,7 @@ func (db *DB) captureContext(traceID string) (*QuerySpan, []*qlog.Event) {
 			}
 		}
 	}
-	events := db.rec.Events()
-	if len(events) > exemplarEventTail {
-		events = events[len(events)-exemplarEventTail:]
-	}
-	return root, events
+	return root, db.rec.Tail(exemplarEventTail)
 }
 
 // callFingerprint identifies a program call by its target: calls have

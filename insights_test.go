@@ -207,6 +207,11 @@ func TestSlowQueryExemplarJoinsJournal(t *testing.T) {
 	if len(ex.Events) == 0 {
 		t.Fatal("exemplar carries no flight-recorder excerpt")
 	}
+	// The excerpt's slice is its own: an exemplar keeps only its tail of
+	// the ring alive, not a whole snapshot of it.
+	if cap(ex.Events) > exemplarEventTail {
+		t.Fatalf("excerpt cap = %d, want <= %d", cap(ex.Events), exemplarEventTail)
+	}
 
 	// (b) The journal record for the query carries the same trace ID.
 	if err := db.CloseJournal(); err != nil {

@@ -36,6 +36,43 @@ func TestRingBasics(t *testing.T) {
 	}
 }
 
+// TestRingTail: the tail is the last events published, in sequence
+// order, and its slice holds only them — an exemplar that keeps it keeps
+// no more of the ring alive.
+func TestRingTail(t *testing.T) {
+	r := NewRing(8)
+	if got := r.Tail(3); len(got) != 0 {
+		t.Fatalf("empty ring tail = %v", got)
+	}
+	for i := 1; i <= 2; i++ {
+		r.Put(&Event{Seq: uint64(i)})
+	}
+	if got := r.Tail(3); len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 {
+		t.Fatalf("short ring tail = %v", got)
+	}
+	// Published out of sequence order, as concurrent operations finish:
+	// the tail is the last three published, in sequence order.
+	for _, seq := range []uint64{4, 3, 6, 5, 8, 7, 10, 9, 12, 11} {
+		r.Put(&Event{Seq: seq})
+	}
+	got := r.Tail(3)
+	if len(got) != 3 || cap(got) != 3 {
+		t.Fatalf("tail len/cap = %d/%d, want 3/3", len(got), cap(got))
+	}
+	for i, want := range []uint64{9, 11, 12} {
+		if got[i].Seq != want {
+			t.Errorf("tail[%d].Seq = %d, want %d", i, got[i].Seq, want)
+		}
+	}
+	if got := r.Tail(100); len(got) != 8 {
+		t.Fatalf("tail(100) len = %d, want the ring's 8", len(got))
+	}
+	var nilRing *Ring
+	if nilRing.Tail(3) != nil || r.Tail(0) != nil {
+		t.Fatal("nil ring or n <= 0 should give nil")
+	}
+}
+
 func TestRingNilAndDisabled(t *testing.T) {
 	var r *Ring
 	r.Put(&Event{Seq: 1})

@@ -135,6 +135,16 @@ func (r *Recorder) Events() []*Event {
 	return r.ring.Load().Snapshot()
 }
 
+// Tail returns the flight ring's n most recent events, oldest first, in
+// a slice that retains nothing else: the excerpt a slow-query exemplar
+// keeps.
+func (r *Recorder) Tail(n int) []*Event {
+	if r == nil {
+		return nil
+	}
+	return r.ring.Load().Tail(n)
+}
+
 // Dump writes a human rendering of the flight ring to w; redact blanks
 // timing-dependent fields for byte-stable output.
 func (r *Recorder) Dump(w io.Writer, redact bool) {

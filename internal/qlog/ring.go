@@ -1,6 +1,8 @@
 package qlog
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -71,5 +73,26 @@ func (r *Ring) Snapshot() []*Event {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
+}
+
+// Tail returns the at most n most recently published events ordered by
+// sequence number, in a slice of exactly their own: it loads only those
+// n slots, and what it returns keeps no other event reachable. A writer
+// racing it can leave a slot holding an older or a newer event, as with
+// Snapshot.
+func (r *Ring) Tail(n int) []*Event {
+	if r == nil || n <= 0 {
+		return nil
+	}
+	total, size := r.n.Load(), uint64(len(r.slots))
+	k := min(uint64(n), total, size)
+	out := make([]*Event, 0, k)
+	for i := total - k; i < total; i++ {
+		if e := r.slots[i%size].Load(); e != nil {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, func(a, b *Event) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
