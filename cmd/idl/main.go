@@ -45,7 +45,7 @@
 //	                 fingerprint for one digest with its exemplars),
 //	                 /debug/vars (expvar), /debug/pprof/ (profiles)
 //	-journal path    append every statement and its answer to a .idlog
-//	                 workload journal, replayable with cmd/idlreplay
+//	                 workload journal, replayable with idlload -check
 //	-log path        structured event log: one JSON line per statement
 //	                 ("-" = stderr)
 //	-slow-query d    log statements slower than d at WARN (0 = off)
@@ -286,21 +286,8 @@ func setupObservability(db *idl.DB, cfg config) (cleanup func() error, err error
 	}, nil
 }
 
-// parseDurability maps the -durability flag to the facade's policy.
-func parseDurability(s string) (idl.Durability, error) {
-	switch s {
-	case "sync", "":
-		return idl.DurabilitySync, nil
-	case "group":
-		return idl.DurabilityGroup, nil
-	case "off":
-		return idl.DurabilityOff, nil
-	}
-	return 0, fmt.Errorf("unknown -durability %q (want sync, group, or off)", s)
-}
-
 // workloadConfig renders the CLI flags as a workload configuration —
-// the same structure cmd/idlreplay rebuilds from a journal header.
+// the same structure idlload -check rebuilds from a journal header.
 func workloadConfig(cfg config) workload.Config {
 	w := workload.Default()
 	w.Demo = cfg.demo
@@ -312,71 +299,28 @@ func workloadConfig(cfg config) workload.Config {
 	return w
 }
 
+// openDB opens the session through workload.Open. A durable session
+// prints its recovery banner; a -snapshot file that does not exist yet
+// starts a fresh universe (run saves it on exit).
 func openDB(cfg config) (*idl.DB, error) {
-	var db *idl.DB
-	if cfg.wal != "" {
-		if cfg.snapshot != "" {
+	st := workload.Store{WAL: cfg.wal, Durability: cfg.durability}
+	if cfg.snapshot != "" {
+		if cfg.wal != "" {
 			return nil, fmt.Errorf("-wal and -snapshot are mutually exclusive (the WAL checkpoints its own snapshots)")
 		}
-		d, err := parseDurability(cfg.durability)
-		if err != nil {
-			return nil, err
-		}
-		opts := idl.DefaultOptions()
-		opts.BestEffort = cfg.bestEffort
-		walOpts := idl.WALOptions{Durability: d, Engine: &opts}
-		wcfg := workloadConfig(cfg)
-		if cfg.chaosSeed == 0 {
-			// The demo universe is deterministic base environment, not a
-			// logged mutation: install it before the tail replays (skipped
-			// when a checkpoint already carries it). Chaos members instead
-			// mount below like any session — their snapshot installs are
-			// logged on sync.
-			walOpts.Bootstrap = func(db *idl.DB) error { return workload.Apply(db, wcfg) }
-		}
-		recovered, report, err := idl.OpenWAL(cfg.wal, walOpts)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(report.String())
-		if cfg.noPlanCache {
-			recovered.SetPlanCaching(false)
-		}
-		if cfg.workers > 0 {
-			// Bootstrap (which applies the workload's worker count) is
-			// skipped when a checkpoint was restored; set it directly.
-			recovered.SetWorkers(cfg.workers)
-		}
-		if cfg.chaosSeed != 0 {
-			if err := workload.Apply(recovered, wcfg); err != nil {
-				return nil, err
-			}
-		}
-		return recovered, nil
-	}
-	if db == nil && cfg.snapshot != "" {
 		if _, err := os.Stat(cfg.snapshot); err == nil {
-			loaded, err := idl.OpenSnapshot(cfg.snapshot)
-			if err != nil {
-				return nil, err
-			}
-			db = loaded
+			st.Snapshot = cfg.snapshot
 		}
 	}
-	if db == nil {
-		opts := idl.DefaultOptions()
-		opts.BestEffort = cfg.bestEffort
-		db = idl.OpenWithOptions(opts)
+	db, report, err := workload.Open(workloadConfig(cfg), st)
+	if err != nil {
+		return nil, err
+	}
+	if report != nil {
+		fmt.Println(report.String())
 	}
 	if cfg.noPlanCache {
-		// Applied after open so the flag also covers the snapshot path,
-		// which constructs the DB with default options.
 		db.SetPlanCaching(false)
-	}
-	// The demo universe (and its chaos-mounted variant) comes from
-	// internal/workload so a journaled session replays from its header.
-	if err := workload.Apply(db, workloadConfig(cfg)); err != nil {
-		return nil, err
 	}
 	return db, nil
 }

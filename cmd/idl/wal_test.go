@@ -123,8 +123,10 @@ func TestWALSnapshotFlagConflict(t *testing.T) {
 	}
 }
 
-// TestParseDurability covers the flag's vocabulary.
+// TestParseDurability covers the -durability flag's vocabulary, as the
+// session opener parses it.
 func TestParseDurability(t *testing.T) {
+	silenceStdout(t)
 	cases := []struct {
 		in   string
 		want idl.Durability
@@ -137,10 +139,18 @@ func TestParseDurability(t *testing.T) {
 		{"paranoid", 0, false},
 	}
 	for _, tc := range cases {
-		got, err := parseDurability(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Errorf("parseDurability(%q) = %v, %v", tc.in, got, err)
+		db, err := openDB(config{wal: t.TempDir(), durability: tc.in})
+		if (err == nil) != tc.ok {
+			t.Errorf("-durability %q: err = %v", tc.in, err)
+			continue
 		}
+		if err != nil {
+			continue
+		}
+		if st, _ := db.WALStatus(); st.Durability != tc.want {
+			t.Errorf("-durability %q = %v, want %v", tc.in, st.Durability, tc.want)
+		}
+		db.Close()
 	}
 }
 

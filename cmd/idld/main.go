@@ -118,10 +118,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		runtime.SetMutexProfileFraction(*mutexProfile)
 	}
 
-	db, err := openDB(dbConfig{
-		demo: *demo, wal: *wal, durability: *durability,
-		bestEffort: *bestEffort, timeout: *timeout, retries: *retries, workers: *workers,
-	})
+	wcfg := workload.Default()
+	wcfg.Demo, wcfg.BestEffort, wcfg.Workers = *demo, *bestEffort, *workers
+	wcfg.Timeout, wcfg.Retries = *timeout, *retries
+	db, _, err := workload.Open(wcfg, workload.Store{WAL: *wal, Durability: *durability})
 	if err != nil {
 		fmt.Fprintln(stderr, "idld:", err)
 		return 1
@@ -219,69 +219,4 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			return 0
 		}
 	}
-}
-
-// dbConfig is the subset of cmd/idl's bootstrap knobs idld exposes.
-type dbConfig struct {
-	demo       bool
-	wal        string
-	durability string
-	bestEffort bool
-	timeout    time.Duration
-	retries    int
-	workers    int
-}
-
-func (c dbConfig) workload() workload.Config {
-	w := workload.Default()
-	w.Demo = c.demo
-	w.BestEffort = c.bestEffort
-	w.Timeout = c.timeout
-	w.Retries = c.retries
-	w.Workers = c.workers
-	return w
-}
-
-// openDB builds the served database: WAL-backed when -wal is set (the
-// demo universe installs as bootstrap base environment, exactly like
-// cmd/idl), in-memory otherwise.
-func openDB(c dbConfig) (*idl.DB, error) {
-	wcfg := c.workload()
-	if c.wal != "" {
-		d, err := parseDurability(c.durability)
-		if err != nil {
-			return nil, err
-		}
-		opts := idl.DefaultOptions()
-		opts.BestEffort = c.bestEffort
-		walOpts := idl.WALOptions{Durability: d, Engine: &opts}
-		walOpts.Bootstrap = func(db *idl.DB) error { return workload.Apply(db, wcfg) }
-		recovered, _, err := idl.OpenWAL(c.wal, walOpts)
-		if err != nil {
-			return nil, err
-		}
-		if c.workers > 0 {
-			recovered.SetWorkers(c.workers)
-		}
-		return recovered, nil
-	}
-	opts := idl.DefaultOptions()
-	opts.BestEffort = c.bestEffort
-	db := idl.OpenWithOptions(opts)
-	if err := workload.Apply(db, wcfg); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-func parseDurability(s string) (idl.Durability, error) {
-	switch s {
-	case "sync", "":
-		return idl.DurabilitySync, nil
-	case "group":
-		return idl.DurabilityGroup, nil
-	case "off":
-		return idl.DurabilityOff, nil
-	}
-	return 0, fmt.Errorf("unknown -durability %q (want sync, group, or off)", s)
 }

@@ -1,26 +1,42 @@
-// Command idlload drives an idld server from a captured .idlog
-// workload journal, in one of two modes:
+// Command idlload drives a captured .idlog workload journal, in one of
+// two modes:
 //
 // Load mode (default) replays the journal's statements open-loop at a
-// target QPS: requests fire on a fixed schedule regardless of
-// completions, so a server falling behind shows up as latency and shed
-// rather than a silently slowed generator. The report covers
-// p50/p90/p99/p999/max latency, achieved QPS, and error/shed rates,
-// and the -min-qps / -max-p99 / -max-error-rate flags turn the report
-// into an SLO gate (exit 1 on violation) for CI.
+// target QPS against an idld server: requests fire on a fixed schedule
+// regardless of completions, so a server falling behind shows up as
+// latency and shed rather than a silently slowed generator. The report
+// covers p50/p90/p99/p999/max latency, achieved QPS, and error/shed
+// rates, and the -min-qps / -max-p99 / -max-error-rate flags turn the
+// report into an SLO gate (exit 1 on violation) for CI.
 //
-// Check mode (-check) replays the journal once, in order, through the
-// wire protocol and byte-compares every response against what the
-// original embedded run recorded — the server-equivalence check.
+// Check mode (-check) replays the journal once, in order, and
+// byte-compares every outcome against what the original run recorded.
+// With -addr it replays through the wire protocol (the
+// server-equivalence check); without, it replays in process against the
+// environment rebuilt from the journal header's metadata (the workload
+// configuration cmd/idl stamps when -journal is combined with -demo), so
+// a journal replays from the file alone. Chaos captures replay
+// deterministically: the seeded fault injector reproduces the recorded
+// fault schedule, down to the degraded reports' member error strings.
 //
 // Usage:
 //
 //	idlload -addr http://127.0.0.1:8089 [flags] journal.idlog
+//	idlload -check [-addr url] [flags] journal.idlog
 //
 // Flags:
 //
-//	-addr url          server base URL (required)
+//	-addr url          server base URL (required in load mode)
 //	-check             ordered replay + byte-comparison instead of load
+//	-snapshot path     check mode without -addr: build the replay DB
+//	                   from a snapshot instead of the journal metadata
+//	                   (for journals captured against a hand-built
+//	                   universe)
+//	-recovered         check mode: accept records captured under
+//	                   degradation that replay healthy, when the recorded
+//	                   rows are a subset of the replayed answer
+//	-perf              check mode: also report recorded vs replayed
+//	                   latency distributions per statement kind
 //	-qps n             target send rate (default 200)
 //	-duration d        how long to send (default 5s)
 //	-tenants a,b,c     cycle requests across these tenants
@@ -33,8 +49,8 @@
 //	-max-error-rate f  gate: fail when errors/sent exceeds f (0 = any
 //	                   error fails; negative = gate off)
 //
-// Exit status: 0 when the run (and any gates) pass, 1 on gate or
-// comparison failure, 2 on usage or I/O errors.
+// Exit status: 0 when the run (and any gates) pass, 1 on gate failure or
+// divergence, 2 on usage or I/O errors.
 package main
 
 import (
@@ -63,6 +79,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr        = fs.String("addr", "", "server base URL, e.g. http://127.0.0.1:8089")
 		check       = fs.Bool("check", false, "ordered replay + byte-comparison instead of open-loop load")
+		snapshot    = fs.String("snapshot", "", "check without -addr: build the replay DB from this snapshot instead of the journal metadata")
+		recovered   = fs.Bool("recovered", false, "check: accept degraded records that replay healthy with a superset answer")
+		perf        = fs.Bool("perf", false, "check: report recorded vs replayed latency distributions")
 		qps         = fs.Float64("qps", 200, "target send rate")
 		duration    = fs.Duration("duration", 5*time.Second, "how long to send")
 		tenants     = fs.String("tenants", "", "comma-separated tenants to cycle across")
@@ -75,20 +94,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *addr == "" || fs.NArg() != 1 {
+	if fs.NArg() != 1 || (*addr == "" && !*check) || (*addr != "" && *snapshot != "") {
 		fmt.Fprintln(stderr, "usage: idlload -addr <url> [flags] <journal.idlog>")
+		fmt.Fprintln(stderr, "       idlload -check [-addr <url> | -snapshot <path>] [flags] <journal.idlog>")
 		fs.PrintDefaults()
 		return 2
 	}
 	path := fs.Arg(0)
-	_, recs, err := idl.ReadJournal(path)
+	hdr, recs, err := idl.ReadJournal(path)
 	if err != nil {
 		fmt.Fprintln(stderr, "idlload:", err)
 		return 2
 	}
 
 	if *check {
-		return runCheck(stdout, *addr, path, recs)
+		target, err := checkTarget(*addr, *snapshot, hdr)
+		if err != nil {
+			fmt.Fprintln(stderr, "idlload:", err)
+			return 2
+		}
+		return runCheck(stdout, path, target, recs, workload.Options{Recovered: *recovered}, *perf)
 	}
 	return runLoad(stdout, stderr, *addr, recs, loadFlags{
 		qps: *qps, duration: *duration, tenants: *tenants, timeoutMs: *timeoutMs,
@@ -96,19 +121,65 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 }
 
-// runCheck replays the journal in order over the wire and diffs every
-// response against the recorded outcome.
-func runCheck(stdout io.Writer, addr, path string, recs []qlog.Record) int {
-	c := server.NewClient(addr)
-	rep := workload.ReplayServer(context.Background(), c, recs, workload.Options{})
+// checkTarget picks what -check replays against: the server at addr,
+// or an in-process DB rebuilt from the snapshot when given, else from
+// the workload configuration in the journal header (an empty header
+// replays onto an empty DB — the journal's own rules and updates still
+// apply).
+func checkTarget(addr, snapshot string, hdr *idl.JournalHeader) (workload.Target, error) {
+	if addr != "" {
+		return workload.Wire(server.NewClient(addr)), nil
+	}
+	var cfg workload.Config
+	if snapshot == "" {
+		var err error
+		if cfg, err = workload.FromMeta(hdr.Meta); err != nil {
+			return nil, err
+		}
+	}
+	db, _, err := workload.Open(cfg, workload.Store{Snapshot: snapshot})
+	if err != nil {
+		return nil, err
+	}
+	return workload.Embedded(db), nil
+}
+
+// runCheck replays the journal in order against target and diffs every
+// outcome against the recorded one.
+func runCheck(stdout io.Writer, path string, target workload.Target, recs []qlog.Record, opts workload.Options, perf bool) int {
+	rep := workload.Replay(context.Background(), target, recs, opts)
 	fmt.Fprintf(stdout, "%s: %s\n", path, rep)
 	for _, m := range rep.Mismatches {
 		fmt.Fprintf(stdout, "  %s\n", m)
+	}
+	if perf {
+		printLatencies(stdout, rep)
 	}
 	if !rep.OK() {
 		return 1
 	}
 	return 0
+}
+
+func printLatencies(w io.Writer, rep *workload.Report) {
+	kinds := make([]string, 0, len(rep.ByKind))
+	for k := range rep.ByKind {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	fmt.Fprintln(w, "latency (recorded vs replayed):")
+	for _, kind := range append(kinds, "") {
+		recorded, replayed := rep.Latencies(kind)
+		if recorded.Count == 0 {
+			continue
+		}
+		label := kind
+		if label == "" {
+			label = "all"
+		}
+		fmt.Fprintf(w, "  %-8s recorded %s\n", label, recorded)
+		fmt.Fprintf(w, "  %-8s replayed %s\n", "", replayed)
+	}
 }
 
 type loadFlags struct {

@@ -339,7 +339,7 @@ func (db *DB) walAppend(typ byte, payload []byte) (uint64, error) {
 
 // walAppendTraced is walAppend under a "wal.commit" span when the
 // statement runs traced (tracer non-nil): the span carries the record
-// type, the assigned LSN, and the caller's trace/op IDs from ctx, so a
+// type, the assigned LSN, and the caller's trace ID from ctx, so a
 // commit can be joined to the query that caused it and to the physical
 // log offline.
 func (db *DB) walAppendTraced(ctx context.Context, tracer *obs.Tracer, typ byte, payload []byte) error {
@@ -352,9 +352,6 @@ func (db *DB) walAppendTraced(ctx context.Context, tracer *obs.Tracer, typ byte,
 	if tid := qlog.TraceID(ctx); tid != "" {
 		span.SetStr("trace", tid)
 	}
-	if qid := qlog.OpID(ctx); qid != 0 {
-		span.SetInt("qid", int64(qid))
-	}
 	lsn, err := db.walAppend(typ, payload)
 	span.SetInt("lsn", int64(lsn))
 	if err != nil {
@@ -362,19 +359,6 @@ func (db *DB) walAppendTraced(ctx context.Context, tracer *obs.Tracer, typ byte,
 	}
 	span.End()
 	return err
-}
-
-// SetDurability changes the WAL fsync policy at runtime. Tightening to
-// DurabilitySync makes any deferred records durable immediately. It
-// fails on a DB opened without a WAL.
-func (db *DB) SetDurability(d Durability) error {
-	if db.wal == nil {
-		return fmt.Errorf("idl: no write-ahead log attached (open with OpenWAL)")
-	}
-	db.mu.Lock()
-	db.walDurability = d
-	db.mu.Unlock()
-	return db.wal.SetMode(d.walMode())
 }
 
 // Checkpoint snapshots the current state (universe, view rules, update
@@ -466,12 +450,9 @@ func (db *DB) WALStatus() (WALStatus, bool) {
 		return WALStatus{}, false
 	}
 	st := db.wal.Status()
-	db.mu.Lock()
-	d := db.walDurability
-	db.mu.Unlock()
 	return WALStatus{
 		Dir:            st.Dir,
-		Durability:     d,
+		Durability:     db.walDurability,
 		NextLSN:        st.NextLSN,
 		Appended:       st.Appended,
 		Segments:       st.Segments,

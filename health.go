@@ -60,22 +60,10 @@ type StatementHealth struct {
 	TotalNS     int64  `json:"total_ns"`
 }
 
-// MVCCHealth is the snapshot version chain's health entry, a
-// JSON-friendly projection of MVCCStats: whether a head snapshot is
-// published, how many versions readers are holding live, and the
-// estimated retained footprint.
-type MVCCHealth struct {
-	LiveVersions  int      `json:"live_versions"`
-	HeadEpoch     uint64   `json:"head_epoch"`
-	HeadPublished bool     `json:"head_published"`
-	PinnedReaders int64    `json:"pinned_readers"`
-	PinnedEpochs  []uint64 `json:"pinned_epochs,omitempty"`
-	RetainedBytes int64    `json:"retained_bytes"`
-	Freezes       uint64   `json:"freezes"`
-	Collected     uint64   `json:"collected"`
-	COWClones     uint64   `json:"cow_clones"`
-	MaxRevisions  int      `json:"max_revisions"`
-}
+// MVCCHealth is the snapshot version chain's health entry: whether a
+// head snapshot is published, how many versions readers are holding
+// live, and the estimated retained footprint.
+type MVCCHealth = MVCCStats
 
 // HealthReport is the DB's point-in-time health: rolling-window latency
 // summaries per operation kind, SLO statuses, the heaviest statement
@@ -200,18 +188,7 @@ func (db *DB) Health() (*HealthReport, error) {
 		}
 	}
 	ms := db.MVCCStats()
-	h.MVCC = &MVCCHealth{
-		LiveVersions:  ms.LiveVersions,
-		HeadEpoch:     ms.HeadEpoch,
-		HeadPublished: ms.HeadPublished,
-		PinnedReaders: ms.PinnedReaders,
-		PinnedEpochs:  ms.PinnedEpochs,
-		RetainedBytes: ms.RetainedBytes,
-		Freezes:       ms.Freezes,
-		Collected:     ms.Collected,
-		COWClones:     ms.COWClones,
-		MaxRevisions:  ms.MaxRevisions,
-	}
+	h.MVCC = &ms
 	if st, ok := db.WALStatus(); ok {
 		wh := &WALHealth{
 			Dir:            st.Dir,

@@ -153,7 +153,7 @@ type DB struct {
 	// DB.commit), so the log's record order is the apply order.
 	wal           *wal.Log
 	walCommit     sync.Mutex
-	walDurability Durability
+	walDurability Durability // fixed at OpenWAL
 
 	// Trace identity (see trace.go): traceBase is a per-process random
 	// base XORed with a golden-ratio-stepped sequence, so trace IDs are

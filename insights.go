@@ -46,11 +46,6 @@ func (db *DB) EnableInsights(cfg InsightsConfig) {
 	db.configure(func(s *settings) { s.insights = store })
 }
 
-// DisableInsights detaches the store. Accumulated digests are discarded.
-func (db *DB) DisableInsights() {
-	db.configure(func(s *settings) { s.insights = nil })
-}
-
 // InsightsEnabled reports whether a digest store is attached.
 func (db *DB) InsightsEnabled() bool { return db.insightsRef() != nil }
 

@@ -61,7 +61,7 @@ type Catalog struct {
 
 	// tracer reads the owner's current span tracer (see SetTracer); when
 	// it returns non-nil, member fetches emit federation.fetch root spans
-	// annotated with the caller's trace/op IDs.
+	// annotated with the caller's trace ID.
 	tracer func() *obs.Tracer
 }
 

@@ -119,7 +119,7 @@ func (c *Catalog) SetMetrics(r *obs.Registry) {
 // Engine.Tracer, so enabling/disabling tracing on the DB takes effect
 // here without further plumbing). When tracing is on, every member fetch
 // emits a "federation.fetch" root span carrying the member name, the
-// caller's trace/op IDs, and the fetch outcome.
+// caller's trace ID, and the fetch outcome.
 func (c *Catalog) SetTracer(fn func() *obs.Tracer) {
 	c.tracer = fn
 }
@@ -180,9 +180,6 @@ func (c *Catalog) fetchAll(ctx context.Context, names []string, failFast bool) [
 				span.SetStr("member", names[i])
 				if tid := qlog.TraceID(ctx); tid != "" {
 					span.SetStr("trace", tid)
-				}
-				if qid := qlog.OpID(ctx); qid != 0 {
-					span.SetInt("qid", int64(qid))
 				}
 			}
 		}

@@ -536,7 +536,7 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Quer
 		start = time.Now()
 	}
 	span := rv.tracer.Start(name)
-	annotateOpID(span, ctx)
+	annotateTraceID(span, ctx)
 	var analyze *analyzeState
 	if span != nil || kind == readAnalyze {
 		// Traced reads carry per-conjunct child spans, measured by the
@@ -629,7 +629,7 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q *ast.Query) (*ExecResult, err
 	if obsOn {
 		start = time.Now()
 		span = e.tracer.Start("exec")
-		annotateOpID(span, ctx)
+		annotateTraceID(span, ctx)
 	}
 	var local Stats
 	rounds := e.fixpointRounds
@@ -693,7 +693,7 @@ func (e *Engine) CallCtx(ctx context.Context, db, name string, params map[string
 	if obsOn {
 		start = time.Now()
 		span = e.tracer.Start("call")
-		annotateOpID(span, ctx)
+		annotateTraceID(span, ctx)
 	}
 	var local Stats
 	rounds := e.fixpointRounds

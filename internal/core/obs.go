@@ -171,16 +171,14 @@ func (e *Engine) Tracer() *obs.Tracer {
 	return e.tracer
 }
 
-// annotateOpID joins a span to the flight-recorder event that opened
-// the operation: when the caller's context carries a qlog op ID, the
-// span gets a "qid" annotation matching the event's sequence number, so
-// a trace tree can be correlated with the query journal and event log.
-func annotateOpID(span *obs.Span, ctx context.Context) {
+// annotateTraceID joins a span to the operation that opened it: when
+// the caller's context carries a trace ID, the span gets a "trace"
+// annotation matching the flight-recorder event's, the journal
+// record's and the event log's, so a trace tree can be correlated with
+// all three.
+func annotateTraceID(span *obs.Span, ctx context.Context) {
 	if span == nil {
 		return
-	}
-	if qid := qlog.OpID(ctx); qid != 0 {
-		span.SetInt("qid", int64(qid))
 	}
 	if tid := qlog.TraceID(ctx); tid != "" {
 		span.SetStr("trace", tid)

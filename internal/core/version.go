@@ -226,30 +226,31 @@ func (e *Engine) invalidateHead() {
 }
 
 // MVCCStats reports the version chain's state for observability surfaces
-// (`\mvcc`, /debug/mvcc, health).
+// (`\mvcc`, /debug/mvcc, health); its JSON is the body of /debug/mvcc
+// and the health report's "mvcc" entry.
 type MVCCStats struct {
 	// LiveVersions is the number of retained snapshot versions.
-	LiveVersions int
+	LiveVersions int `json:"live_versions"`
 	// HeadEpoch is the published head's epoch (0 when no head is
 	// published — i.e. a mutation has not yet been followed by a read).
-	HeadEpoch uint64
+	HeadEpoch uint64 `json:"head_epoch"`
 	// HeadPublished reports whether a head snapshot is currently live.
-	HeadPublished bool
+	HeadPublished bool `json:"head_published"`
 	// PinnedReaders is the instantaneous sum of reader pins.
-	PinnedReaders int64
+	PinnedReaders int64 `json:"pinned_readers"`
 	// PinnedEpochs lists the epochs of versions pinned right now.
-	PinnedEpochs []uint64
+	PinnedEpochs []uint64 `json:"pinned_epochs,omitempty"`
 	// RetainedBytes estimates the logical footprint of retained
 	// versions (shared sets counted per version exposing them).
-	RetainedBytes int64
+	RetainedBytes int64 `json:"retained_bytes"`
 	// Freezes counts snapshots frozen since the engine started.
-	Freezes uint64
+	Freezes uint64 `json:"freezes"`
 	// Collected counts versions garbage-collected.
-	Collected uint64
+	Collected uint64 `json:"collected"`
 	// COWClones counts copy-on-write set clones taken by writers.
-	COWClones uint64
+	COWClones uint64 `json:"cow_clones"`
 	// MaxRevisions is the effective retention bound.
-	MaxRevisions int
+	MaxRevisions int `json:"max_revisions"`
 }
 
 // MVCCStats snapshots the version-chain state.

@@ -42,7 +42,7 @@ const (
 // published to the ring; all fields are plain values so a snapshot can
 // be rendered or serialized without coordination.
 type Event struct {
-	Seq        uint64        `json:"seq"`                   // recorder-wide sequence number (also the op ID joined into span trees)
+	Seq        uint64        `json:"seq"`                   // recorder-wide sequence number
 	Time       time.Time     `json:"time"`                  // wall-clock start of the operation
 	Kind       string        `json:"kind"`                  // one of the Kind* constants
 	Text       string        `json:"text,omitempty"`        // canonical statement rendering (or sync/breaker summary)

@@ -10,7 +10,7 @@ import (
 
 // Journal file format (".idlog"): JSON lines, append-only, versioned.
 // The first line is a Header identifying the format and carrying
-// free-form metadata (enough for cmd/idlreplay to rebuild the workload's
+// free-form metadata (enough for idlload -check to rebuild the workload's
 // environment — schema seeds, chaos seeds, federation settings). Every
 // subsequent line is one Record: a replayable statement together with
 // the answer the original run observed, rendered canonically so replay

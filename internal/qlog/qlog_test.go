@@ -385,9 +385,6 @@ func TestRecorderInactive(t *testing.T) {
 	if op.Journaling() || op.Logging() || op.Seq() != 0 {
 		t.Fatal("nil op should report inactive")
 	}
-	if ctx := op.Context(context.Background()); OpID(ctx) != 0 {
-		t.Fatal("nil op should not tag ctx")
-	}
 	op.End(nil)
 
 	var nilRec *Recorder
@@ -399,14 +396,19 @@ func TestRecorderInactive(t *testing.T) {
 }
 
 func TestOpContextID(t *testing.T) {
+	// The trace ID is the one correlation key: an op's event carries the
+	// ID its context tag does.
+	const tid = "00000000000000ab"
 	rec := NewRecorder(4)
 	op := rec.Begin(KindQuery)
-	ctx := op.Context(context.Background())
-	if OpID(ctx) != op.Seq() || op.Seq() == 0 {
-		t.Fatalf("OpID = %d, want %d", OpID(ctx), op.Seq())
+	op.SetTraceID(tid)
+	ctx := WithTraceID(context.Background(), tid)
+	op.End(nil)
+	if evs := rec.Events(); len(evs) != 1 || evs[0].TraceID != TraceID(ctx) || TraceID(ctx) != tid {
+		t.Fatalf("event trace = %+v, ctx trace = %q, want %q", evs, TraceID(ctx), tid)
 	}
-	if OpID(context.Background()) != 0 {
-		t.Fatal("background ctx should have no op ID")
+	if TraceID(context.Background()) != "" {
+		t.Fatal("background ctx should have no trace ID")
 	}
 }
 

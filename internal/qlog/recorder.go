@@ -239,20 +239,6 @@ func (op *Op) Seq() uint64 {
 	return op.ev.Seq
 }
 
-// Context tags ctx with this operation's ID (and trace ID, when one was
-// minted) so downstream span trees can be joined back to the event
-// ("qid" / "trace" annotations).
-func (op *Op) Context(ctx context.Context) context.Context {
-	if op == nil {
-		return ctx
-	}
-	ctx = WithOpID(ctx, op.ev.Seq)
-	if op.ev.TraceID != "" {
-		ctx = WithTraceID(ctx, op.ev.TraceID)
-	}
-	return ctx
-}
-
 // SetTraceID records the facade-minted trace ID joining this event to
 // span trees, journal records and WAL commit spans.
 func (op *Op) SetTraceID(id string) {
@@ -457,21 +443,6 @@ func attrs(ev *Event) []slog.Attr {
 		out = append(out, slog.String("err", ev.Err))
 	}
 	return out
-}
-
-type opIDKey struct{}
-
-// WithOpID tags ctx with a recorder sequence number.
-func WithOpID(ctx context.Context, seq uint64) context.Context {
-	return context.WithValue(ctx, opIDKey{}, seq)
-}
-
-// OpID extracts the recorder sequence number from ctx (0 when absent).
-func OpID(ctx context.Context) uint64 {
-	if v, ok := ctx.Value(opIDKey{}).(uint64); ok {
-		return v
-	}
-	return 0
 }
 
 type traceIDKey struct{}

@@ -146,33 +146,10 @@ func RegisterDebug(mux *http.ServeMux, db *idl.DB) {
 	})
 	mux.HandleFunc("/debug/mvcc", func(w http.ResponseWriter, r *http.Request) {
 		// Native engine counters — served even when metrics are off.
-		st := db.MVCCStats()
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			LiveVersions  int      `json:"live_versions"`
-			HeadEpoch     uint64   `json:"head_epoch"`
-			HeadPublished bool     `json:"head_published"`
-			PinnedReaders int64    `json:"pinned_readers"`
-			PinnedEpochs  []uint64 `json:"pinned_epochs,omitempty"`
-			RetainedBytes int64    `json:"retained_bytes"`
-			Freezes       uint64   `json:"freezes"`
-			Collected     uint64   `json:"collected"`
-			COWClones     uint64   `json:"cow_clones"`
-			MaxRevisions  int      `json:"max_revisions"`
-		}{
-			LiveVersions:  st.LiveVersions,
-			HeadEpoch:     st.HeadEpoch,
-			HeadPublished: st.HeadPublished,
-			PinnedReaders: st.PinnedReaders,
-			PinnedEpochs:  st.PinnedEpochs,
-			RetainedBytes: st.RetainedBytes,
-			Freezes:       st.Freezes,
-			Collected:     st.Collected,
-			COWClones:     st.COWClones,
-			MaxRevisions:  st.MaxRevisions,
-		})
+		enc.Encode(db.MVCCStats())
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

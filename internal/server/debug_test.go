@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -64,5 +65,44 @@ func TestServerDebugMount(t *testing.T) {
 	_, plain := newServer(t, demoDB(t), server.Config{})
 	if status, _, _ := wireCall(t, plain.URL, "GET", "/debug/metrics", nil, ""); status != http.StatusNotFound {
 		t.Errorf("debug-disabled server: /debug/metrics %d, want 404", status)
+	}
+}
+
+// TestDebugMVCCMatchesHealth: /debug/mvcc and the health report's mvcc
+// entry are one projection of the engine's version chain, so for one DB
+// state they encode to the same JSON.
+func TestDebugMVCCMatchesHealth(t *testing.T) {
+	db := demoDB(t)
+	db.Metrics()
+	// A read publishes a head, a write clones under it, the next read
+	// freezes a second version.
+	if _, err := db.Query("?.euter.r(.stkCode=S)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("?.euter.r+(.date=1/1/85, .stkCode=mvcc, .clsPrice=1)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query("?.euter.r(.stkCode=mvcc)"); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.DebugHandler(db))
+	defer ts.Close()
+	status, body, _ := wireCall(t, ts.URL, "GET", "/debug/mvcc", nil, "")
+	if status != http.StatusOK {
+		t.Fatalf("/debug/mvcc: %d (%s)", status, body)
+	}
+	h, err := db.Health()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(h.MVCC, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body != string(want) {
+		t.Errorf("/debug/mvcc body:\n%s\nhealth mvcc JSON:\n%s", body, want)
+	}
+	if h.MVCC.Freezes == 0 || h.MVCC.COWClones == 0 {
+		t.Errorf("state under test is trivial: %+v", *h.MVCC)
 	}
 }

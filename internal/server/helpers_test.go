@@ -23,7 +23,7 @@ func demoDB(t *testing.T) *idl.DB {
 	t.Helper()
 	cfg := workload.Default()
 	cfg.Demo = true
-	db, err := workload.Open(cfg)
+	db, _, err := workload.Open(cfg, workload.Store{})
 	if err != nil {
 		t.Fatalf("demo universe: %v", err)
 	}

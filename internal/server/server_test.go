@@ -445,7 +445,7 @@ func TestClientReusesConnection(t *testing.T) {
 	cfg := workload.Default()
 	cfg.Demo = true
 	cfg.Stocks, cfg.Days = 20, 30
-	db, err := workload.Open(cfg)
+	db, _, err := workload.Open(cfg, workload.Store{})
 	if err != nil {
 		t.Fatalf("universe: %v", err)
 	}

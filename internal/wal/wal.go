@@ -555,25 +555,6 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// SetMode changes the append-time fsync policy. Tightening to SyncAlways
-// syncs any deferred records immediately.
-func (l *Log) SetMode(m SyncMode) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.opts.Mode = m
-	if m == SyncAlways && l.err == nil {
-		return l.syncLocked()
-	}
-	return l.err
-}
-
-// Mode returns the current fsync policy.
-func (l *Log) Mode() SyncMode {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.opts.Mode
-}
-
 // checkpoint is the on-disk checkpoint manifest: a version, a checksum
 // over the body, and the body itself — the covered LSN, the rule and
 // clause sources, and the universe. Version 1 stores the whole universe

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,15 +10,18 @@ import (
 
 	"idl"
 	"idl/internal/qlog"
+	"idl/internal/server"
 )
 
-// Replay semantics. Journal records replay in order against a DB the
-// caller built (usually workload.Open over the journal header's meta).
-// Rules and clauses re-register; queries, update requests and program
-// calls re-execute; each outcome is compared field-by-field with what
-// the original run journaled. The canonical renderings qlog captures
-// (sorted answers, deterministic degraded reports) make the comparison
-// a byte comparison.
+// Replay semantics. Journal records replay in order against a target:
+// the embedded DB a caller opened (usually Open over the journal
+// header's meta) or a server behind the wire protocol. Rules and
+// clauses re-register; queries, update requests and program calls
+// re-execute; each outcome is compared field-by-field with what the
+// original run journaled. The canonical renderings qlog captures
+// (sorted answers, deterministic degraded reports) — which the server
+// renders too — make the comparison a byte comparison, so one loop
+// checks both targets.
 //
 // Recovered mode relaxes one case: a record captured under degradation
 // replayed against a healthy federation. The replayed answer then
@@ -31,6 +35,92 @@ type Options struct {
 	// whose replayed answer is healthy, provided the recorded rows are a
 	// subset of the replayed rows.
 	Recovered bool
+}
+
+// Replayed is what a target made of one record, in the journal's terms.
+type Replayed struct {
+	Err      string
+	Answer   string
+	Rows     int
+	Degraded string
+	Exec     qlog.ExecSummary
+}
+
+// A Target runs one replayable record (rule, clause, query, exec or
+// call) and reports its outcome.
+type Target func(ctx context.Context, rec qlog.Record) Replayed
+
+// Embedded replays against db in process.
+func Embedded(db *idl.DB) Target {
+	return func(ctx context.Context, rec qlog.Record) (out Replayed) {
+		var err error
+		switch rec.Kind {
+		case qlog.KindRule:
+			err = db.DefineView(rec.Text)
+		case qlog.KindClause:
+			err = db.DefineProgram(rec.Text)
+		case qlog.KindQuery:
+			var ans *idl.Result
+			if ans, err = db.QueryCtx(ctx, rec.Text); err == nil {
+				out.Answer, out.Rows = ans.String(), ans.Len()
+				if ans.Degraded != nil {
+					out.Degraded = ans.Degraded.String()
+				}
+			}
+		default: // exec, call
+			var info *idl.ExecInfo
+			if info, err = db.ExecCtx(ctx, rec.Text); err == nil {
+				out.Exec = qlog.ExecSummary{
+					ElemsInserted: info.ElemsInserted,
+					ElemsDeleted:  info.ElemsDeleted,
+					AttrsCreated:  info.AttrsCreated,
+					AttrsDeleted:  info.AttrsDeleted,
+					ValuesSet:     info.ValuesSet,
+					Bindings:      info.Bindings,
+				}
+			}
+		}
+		if err != nil {
+			out.Err = err.Error()
+		}
+		return out
+	}
+}
+
+// Wire replays against the server behind c: every record becomes one
+// request on one client (one tenant, one connection's worth of state),
+// and replayed latencies include the HTTP round trip. A StatusError's
+// Msg carries the server-side error string verbatim, so it compares
+// against the journaled error as an engine error would; a transport
+// failure can never match one.
+func Wire(c *server.Client) Target {
+	return func(ctx context.Context, rec qlog.Record) (out Replayed) {
+		var err error
+		switch rec.Kind {
+		case qlog.KindRule:
+			err = c.Rule(ctx, rec.Text)
+		case qlog.KindClause:
+			err = c.Clause(ctx, rec.Text)
+		case qlog.KindQuery:
+			var resp *server.QueryResponse
+			if resp, err = c.Query(ctx, rec.Text); err == nil {
+				out.Answer, out.Rows, out.Degraded = resp.Answer, resp.Rows, resp.Degraded
+			}
+		default: // exec, call
+			var resp *server.ExecResponse
+			if resp, err = c.Exec(ctx, rec.Text); err == nil {
+				out.Exec = resp.Exec
+			}
+		}
+		var se *server.StatusError
+		switch {
+		case errors.As(err, &se):
+			out.Err = se.Msg
+		case err != nil:
+			out.Err = "transport: " + err.Error()
+		}
+		return out
+	}
 }
 
 // Mismatch is one field where replay diverged from the journal.
@@ -88,39 +178,39 @@ func (r *Report) String() string {
 	return s
 }
 
-// Replay runs every record against db in journal order and compares
-// outcomes. Execution errors do not stop the replay: they surface as
-// "err" mismatches unless the journal recorded the same error.
-func Replay(ctx context.Context, db *idl.DB, recs []qlog.Record, opts Options) *Report {
+// Replay runs every record against target in journal order and
+// compares outcomes. Execution errors do not stop the replay: they
+// surface as "err" mismatches unless the journal recorded the same
+// error.
+func Replay(ctx context.Context, target Target, recs []qlog.Record, opts Options) *Report {
 	rep := &Report{ByKind: map[string]int{}}
 	for _, rec := range recs {
 		rep.Total++
 		rep.ByKind[rec.Kind]++
-		start := time.Now()
 		switch rec.Kind {
-		case qlog.KindRule:
-			compareErr(rep, rec, db.DefineView(rec.Text))
-		case qlog.KindClause:
-			compareErr(rep, rec, db.DefineProgram(rec.Text))
-		case qlog.KindQuery:
-			ans, err := db.QueryCtx(ctx, rec.Text)
-			if compareErr(rep, rec, err) && err == nil {
-				compareQuery(rep, rec, ans, opts)
-			}
-		case qlog.KindExec, qlog.KindCall:
-			info, err := db.ExecCtx(ctx, rec.Text)
-			if compareErr(rep, rec, err) && err == nil {
-				compareExec(rep, rec, info)
-			}
+		case qlog.KindRule, qlog.KindClause, qlog.KindQuery, qlog.KindExec, qlog.KindCall:
 		default:
 			rep.mismatch(rec, "kind", rec.Kind, "replayable record")
+			continue
 		}
+		start := time.Now()
+		got := target(ctx, rec)
 		rep.Outcomes = append(rep.Outcomes, Outcome{
 			Seq:        rec.Seq,
 			Kind:       rec.Kind,
 			RecordedNS: rec.NS,
 			ReplayedNS: time.Since(start).Nanoseconds(),
 		})
+		switch {
+		case got.Err != rec.Err:
+			rep.mismatch(rec, "err", rec.Err, got.Err)
+		case got.Err != "":
+			// Both failed identically.
+		case rec.Kind == qlog.KindQuery:
+			rep.compareQuery(rec, got, opts)
+		case rec.Kind == qlog.KindExec || rec.Kind == qlog.KindCall:
+			rep.compareExec(rec, got)
+		}
 	}
 	return rep
 }
@@ -132,63 +222,36 @@ func (r *Report) mismatch(rec qlog.Record, field, want, got string) {
 	})
 }
 
-// compareErr checks the error outcome; it returns true when the record
-// agrees so far (both succeeded, or both failed identically).
-func compareErr(r *Report, rec qlog.Record, err error) bool {
-	got := ""
-	if err != nil {
-		got = err.Error()
-	}
-	if got != rec.Err {
-		r.mismatch(rec, "err", rec.Err, got)
-		return false
-	}
-	return true
-}
-
-func compareQuery(r *Report, rec qlog.Record, ans *idl.Result, opts Options) {
-	gotAnswer := ans.String()
-	gotDegraded := ""
-	if ans.Degraded != nil {
-		gotDegraded = ans.Degraded.String()
-	}
-	if opts.Recovered && rec.Degraded != "" && gotDegraded == "" {
+func (r *Report) compareQuery(rec qlog.Record, got Replayed, opts Options) {
+	if opts.Recovered && rec.Degraded != "" && got.Degraded == "" {
 		// Captured degraded, replayed healthy: the recorded best-effort
 		// rows must all reappear in the (possibly larger) healthy answer.
-		if !answerSubset(rec.Answer, gotAnswer) {
-			r.mismatch(rec, "answer", rec.Answer+" (subset)", gotAnswer)
+		if !answerSubset(rec.Answer, got.Answer) {
+			r.mismatch(rec, "answer", rec.Answer+" (subset)", got.Answer)
 		} else {
 			r.Recovered++
 		}
 		return
 	}
-	if gotDegraded != rec.Degraded {
-		r.mismatch(rec, "degraded", rec.Degraded, gotDegraded)
+	if got.Degraded != rec.Degraded {
+		r.mismatch(rec, "degraded", rec.Degraded, got.Degraded)
 	}
-	if gotAnswer != rec.Answer {
-		r.mismatch(rec, "answer", rec.Answer, gotAnswer)
+	if got.Answer != rec.Answer {
+		r.mismatch(rec, "answer", rec.Answer, got.Answer)
 		return
 	}
-	if ans.Len() != rec.Rows {
-		r.mismatch(rec, "rows", fmt.Sprint(rec.Rows), fmt.Sprint(ans.Len()))
+	if got.Rows != rec.Rows {
+		r.mismatch(rec, "rows", fmt.Sprint(rec.Rows), fmt.Sprint(got.Rows))
 	}
 }
 
-func compareExec(r *Report, rec qlog.Record, info *idl.ExecInfo) {
-	got := qlog.ExecSummary{
-		ElemsInserted: info.ElemsInserted,
-		ElemsDeleted:  info.ElemsDeleted,
-		AttrsCreated:  info.AttrsCreated,
-		AttrsDeleted:  info.AttrsDeleted,
-		ValuesSet:     info.ValuesSet,
-		Bindings:      info.Bindings,
-	}
+func (r *Report) compareExec(rec qlog.Record, got Replayed) {
 	want := qlog.ExecSummary{}
 	if rec.Exec != nil {
 		want = *rec.Exec
 	}
-	if got != want {
-		r.mismatch(rec, "exec", fmt.Sprintf("%+v", want), fmt.Sprintf("%+v", got))
+	if got.Exec != want {
+		r.mismatch(rec, "exec", fmt.Sprintf("%+v", want), fmt.Sprintf("%+v", got.Exec))
 	}
 }
 

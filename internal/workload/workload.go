@@ -1,13 +1,15 @@
-// Package workload builds reproducible IDL environments and replays
-// captured .idlog journals against them.
+// Package workload opens IDL sessions over reproducible environments and
+// replays captured .idlog journals against them.
 //
 // A workload Config fully describes how to rebuild the environment a
 // journal was recorded in: the demo stock universe's shape and seed,
 // the federation failure mode, and — for chaos runs — the fault
 // injector's seed and the resilience stack's tuning. Config round-trips
 // through the journal header's free-form metadata (Meta / FromMeta), so
-// cmd/idlreplay can reconstruct the original run from the journal file
-// alone and replay it deterministically.
+// idlload -check can reconstruct the original run from the journal file
+// alone and replay it deterministically. Open is the one way the
+// binaries open a session: in memory, over a snapshot, or over a WAL
+// directory.
 package workload
 
 import (
@@ -49,7 +51,7 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// Workers sets the evaluation parallelism degree (idl.DB.SetWorkers).
+	// Workers sets the evaluation parallelism degree (Options.Workers).
 	// Parallel answers are byte-identical to sequential ones, so journals
 	// captured under any worker count replay interchangeably; the value
 	// still round-trips through journal metadata so a replay reconstructs
@@ -95,24 +97,73 @@ func injectorFor(chaosSeed uint64, i int) federation.InjectorConfig {
 	}
 }
 
-// Open builds a fresh DB for cfg: OpenWithOptions + Apply.
-func Open(cfg Config) (*idl.DB, error) {
+// Store says where a session opened by Open keeps its state. The zero
+// value is a fresh in-memory session.
+type Store struct {
+	// Snapshot loads the base universe from a file DB.Save wrote, before
+	// the workload applies. The file must exist.
+	Snapshot string
+	// WAL makes the session durable: committed mutations log to this
+	// directory, and whatever a previous session left there recovers.
+	WAL string
+	// Durability is the WAL's fsync policy: sync (the default), group or
+	// off.
+	Durability string
+}
+
+// Open opens a session for cfg over st. The engine options carry cfg's
+// Workers and BestEffort. Over a WAL the in-process demo universe is the
+// log's Bootstrap — deterministic base environment, installed before the
+// tail replays and skipped when a checkpoint already carries it — while
+// chaos members mount after recovery like any session's, their snapshot
+// installs logged on sync. The recovery report is nil without a WAL.
+func Open(cfg Config, st Store) (*idl.DB, *idl.RecoveryReport, error) {
 	opts := idl.DefaultOptions()
 	opts.BestEffort = cfg.BestEffort
-	db := idl.OpenWithOptions(opts)
-	if err := Apply(db, cfg); err != nil {
-		return nil, err
+	opts.Workers = cfg.Workers
+	bootstrap := st.WAL != "" && cfg.ChaosSeed == 0
+	var db *idl.DB
+	var report *idl.RecoveryReport
+	var err error
+	switch {
+	case st.WAL != "":
+		walOpts := idl.WALOptions{Engine: &opts}
+		switch st.Durability {
+		case "sync", "":
+			walOpts.Durability = idl.DurabilitySync
+		case "group":
+			walOpts.Durability = idl.DurabilityGroup
+		case "off":
+			walOpts.Durability = idl.DurabilityOff
+		default:
+			return nil, nil, fmt.Errorf("unknown -durability %q (want sync, group, or off)", st.Durability)
+		}
+		if bootstrap {
+			walOpts.Bootstrap = func(db *idl.DB) error { return Apply(db, cfg) }
+		}
+		db, report, err = idl.OpenWAL(st.WAL, walOpts)
+	case st.Snapshot != "":
+		// OpenSnapshot opens with default engine options: the workers
+		// are set here, and a snapshot session fails fast.
+		if db, err = idl.OpenSnapshot(st.Snapshot); err == nil {
+			db.SetWorkers(cfg.Workers)
+		}
+	default:
+		db = idl.OpenWithOptions(opts)
 	}
-	return db, nil
+	if err == nil && !bootstrap {
+		err = Apply(db, cfg)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return db, report, nil
 }
 
 // Apply populates db per cfg: nothing when Demo is off, the generated
 // stock universe in-process when ChaosSeed is zero, or the same universe
 // mounted as fault-injected federated members when it is set.
 func Apply(db *idl.DB, cfg Config) error {
-	if cfg.Workers > 0 {
-		db.SetWorkers(cfg.Workers)
-	}
 	if !cfg.Demo {
 		return nil
 	}

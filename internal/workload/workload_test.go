@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -48,7 +49,7 @@ func TestMetaRoundTrip(t *testing.T) {
 // the journal's header metadata and records.
 func capture(t *testing.T, cfg Config, stmts []string) (*qlog.Header, []qlog.Record) {
 	t.Helper()
-	db, err := Open(cfg)
+	db, _, err := Open(cfg, Store{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +115,11 @@ func TestReplayRoundTrip(t *testing.T) {
 	if rebuilt != cfg {
 		t.Fatalf("header meta rebuilt %+v, want %+v", rebuilt, cfg)
 	}
-	db, err := Open(rebuilt)
+	db, _, err := Open(rebuilt, Store{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Replay(context.Background(), db, recs, Options{})
+	rep := Replay(context.Background(), Embedded(db), recs, Options{})
 	if !rep.OK() {
 		for _, m := range rep.Mismatches {
 			t.Error(m)
@@ -144,11 +145,11 @@ func TestReplayDetectsDivergence(t *testing.T) {
 
 	wrong := cfg
 	wrong.StockSeed = cfg.StockSeed + 1
-	db, err := Open(wrong)
+	db, _, err := Open(wrong, Store{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Replay(context.Background(), db, recs, Options{})
+	rep := Replay(context.Background(), Embedded(db), recs, Options{})
 	if rep.OK() {
 		t.Fatal("replay on a different universe should diverge")
 	}
@@ -168,7 +169,7 @@ func TestReplayDetectsDivergence(t *testing.T) {
 // rendered it into.
 func TestReplayCallRecord(t *testing.T) {
 	cfg := Default()
-	db, err := Open(cfg)
+	db, _, err := Open(cfg, Store{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,11 @@ func TestReplayCallRecord(t *testing.T) {
 	if call == nil || call.Exec == nil {
 		t.Fatalf("no call record with exec summary in %+v", recs)
 	}
-	fresh, err := Open(cfg)
+	fresh, _, err := Open(cfg, Store{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Replay(context.Background(), fresh, recs, Options{})
+	rep := Replay(context.Background(), Embedded(fresh), recs, Options{})
 	if !rep.OK() {
 		for _, m := range rep.Mismatches {
 			t.Error(m)
@@ -257,11 +258,11 @@ func TestChaosReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(rebuilt)
+	db, _, err := Open(rebuilt, Store{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Replay(context.Background(), db, recs, Options{})
+	rep := Replay(context.Background(), Embedded(db), recs, Options{})
 	if !rep.OK() {
 		for _, m := range rep.Mismatches {
 			t.Error(m)
@@ -318,19 +319,19 @@ func TestReplayRecovered(t *testing.T) {
 		}
 	}
 
-	healthy, err := Open(cfg)
+	healthy, _, err := Open(cfg, Store{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict := Replay(context.Background(), healthy, recs, Options{})
+	strict := Replay(context.Background(), Embedded(healthy), recs, Options{})
 	if strict.OK() {
 		t.Fatal("strict replay of a degraded journal on a healthy DB should diverge")
 	}
-	healthy2, err := Open(cfg)
+	healthy2, _, err := Open(cfg, Store{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Replay(context.Background(), healthy2, recs, Options{Recovered: true})
+	rep := Replay(context.Background(), Embedded(healthy2), recs, Options{Recovered: true})
 	if !rep.OK() {
 		for _, m := range rep.Mismatches {
 			t.Error(m)
@@ -384,5 +385,68 @@ func TestLatencies(t *testing.T) {
 	}
 	if none, _ := rep.Latencies("nope"); none.Count != 0 {
 		t.Fatalf("unexpected outcomes for unknown kind: %+v", none)
+	}
+}
+
+// TestOpenStores opens the demo workload over each store. A WAL session
+// bootstraps the demo once and keeps its engine options across a
+// checkpoint restore, which skips the bootstrap; a bad store fails to
+// open.
+func TestOpenStores(t *testing.T) {
+	cfg := Default()
+	cfg.Workers = 3
+	dir := t.TempDir()
+	for round := 0; round < 2; round++ {
+		db, report, err := Open(cfg, Store{WAL: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report == nil || (round == 1) != (report.CheckpointLSN > 0) {
+			t.Fatalf("round %d: recovery report %v", round, report)
+		}
+		if db.Workers() != 3 {
+			t.Errorf("round %d: workers = %d, want 3", round, db.Workers())
+		}
+		if res, err := db.Query("?.X"); err != nil || res.Len() != 3 {
+			t.Fatalf("round %d: demo databases = %v, %v", round, res, err)
+		}
+		if _, err := db.Exec(fmt.Sprintf("?.euter.r+(.date=1/1/85, .stkCode=wal%d, .clsPrice=1)", round)); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := db.Query("?.euter.r(.stkCode=wal0)"); err != nil || !res.Bool() {
+			t.Fatalf("round %d: logged row = %v, %v", round, res, err)
+		}
+		if _, err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mem, report, err := Open(cfg, Store{})
+	if err != nil || report != nil || mem.Workers() != 3 {
+		t.Fatalf("in-memory open: report %v, err %v", report, err)
+	}
+	snap := filepath.Join(t.TempDir(), "u.snap")
+	if err := mem.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	fromSnap, _, err := Open(Config{Workers: 2}, Store{Snapshot: snap})
+	if err != nil || fromSnap.Workers() != 2 {
+		t.Fatalf("snapshot open: %v", err)
+	}
+	if res, err := fromSnap.Query("?.X"); err != nil || res.Len() != 3 {
+		t.Fatalf("snapshot universe = %v, %v", res, err)
+	}
+
+	for _, st := range []Store{
+		{WAL: t.TempDir(), Durability: "paranoid"},
+		{WAL: snap}, // a file, not a directory
+		{Snapshot: filepath.Join(t.TempDir(), "missing.snap")},
+	} {
+		if _, _, err := Open(cfg, st); err == nil {
+			t.Errorf("Open over %+v succeeded", st)
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 //     with a slow-query threshold promoting events to WARN;
 //   - the workload journal: an append-only, versioned .idlog file of
 //     replayable statements plus their canonical answers, consumed by
-//     cmd/idlreplay.
+//     idlload -check.
 
 type (
 	// Event is one record of engine activity in the flight recorder or
@@ -95,7 +95,7 @@ func (db *DB) SetAutoDump(w io.Writer) {
 // StartJournal begins capturing the workload to an append-only .idlog
 // journal at path: every query, update request, program call and
 // rule/clause definition is recorded with its canonical answer, ready
-// for cmd/idlreplay. meta is free-form provenance stored in the journal
+// for idlload -check. meta is free-form provenance stored in the journal
 // header (replay uses it to rebuild the original environment). An
 // existing journal at path is validated and appended to. Journaling
 // replaces any journal previously started on this DB.

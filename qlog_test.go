@@ -137,14 +137,14 @@ func TestQueryIDJoinsSpans(t *testing.T) {
 	if len(roots) == 0 {
 		t.Fatal("no spans recorded")
 	}
-	var qid int64 = -1
+	trace := ""
 	for _, a := range roots[len(roots)-1].Attrs {
-		if a.Key == "qid" {
-			qid = a.Int
+		if a.Key == "trace" {
+			trace = a.Str
 		}
 	}
-	if qid != int64(queryEv.Seq) {
-		t.Fatalf("span qid = %d, event seq = %d", qid, queryEv.Seq)
+	if trace == "" || trace != queryEv.TraceID {
+		t.Fatalf("span trace = %q, event trace = %q", trace, queryEv.TraceID)
 	}
 }
 

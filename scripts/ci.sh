@@ -3,7 +3,8 @@
 # concurrency and cancellation tests included) under the race detector
 # with shuffled test order, a coverage floor on the engine, fuzz smoke
 # on the parser and the parallel evaluator, a served-path smoke (idld
-# on an ephemeral port: wire replay check, open-loop SLO gates,
+# on an ephemeral port: in-process and wire replay checks that must
+# agree, open-loop SLO gates,
 # graceful-drain exit 0), then the benchmark pipeline:
 #
 #   1. regenerate the snapshot in short mode to BENCH_new.json;
@@ -87,9 +88,11 @@ go test -run '^$' -fuzz '^FuzzEvalQuery$' -fuzztime 15s ./internal/core
 go test -run '^$' -fuzz '^FuzzViewMaintenance$' -fuzztime 15s ./internal/core
 go test -run '^$' -fuzz '^FuzzRecovery$' -fuzztime 15s .
 
-# Server smoke: capture a queries-only journal, serve the same demo
-# universe from idld on an ephemeral port, byte-compare the journal's
-# answers through the wire protocol (-check), then drive the pool
+# Server smoke: capture a queries-only journal, replay it in process
+# (-check without -addr), serve the same demo universe from idld on an
+# ephemeral port, byte-compare the journal's answers through the wire
+# protocol (-check -addr) — the two replays must print the same report
+# — then drive the pool
 # open-loop for 5 s under SLO gates: minimum achieved QPS, a p99
 # ceiling generous enough for a loaded CI host (measured p99 is ~2 ms),
 # and zero errors. The daemon runs with -debug -mutex-profile so the
@@ -106,7 +109,10 @@ go run ./cmd/idl -demo -journal "$SCRATCH/server_smoke.idlog" -script scripts/se
 IDLD_PID=$!
 for i in $(seq 100); do test -s "$SCRATCH/idld.addr" && break; sleep 0.1; done
 IDLD_ADDR="http://$(cat "$SCRATCH/idld.addr")"
-"$SCRATCH/idlload" -addr "$IDLD_ADDR" -check "$SCRATCH/server_smoke.idlog"
+"$SCRATCH/idlload" -check "$SCRATCH/server_smoke.idlog" > "$SCRATCH/check_local.txt" || { cat "$SCRATCH/check_local.txt"; exit 1; }
+"$SCRATCH/idlload" -addr "$IDLD_ADDR" -check "$SCRATCH/server_smoke.idlog" > "$SCRATCH/check_wire.txt" || { cat "$SCRATCH/check_wire.txt"; exit 1; }
+cat "$SCRATCH/check_local.txt"
+cmp "$SCRATCH/check_local.txt" "$SCRATCH/check_wire.txt"
 "$SCRATCH/idlload" -addr "$IDLD_ADDR" -qps 200 -duration 5s -min-qps 150 -max-p99 250ms -max-error-rate 0 "$SCRATCH/server_smoke.idlog"
 curl -sf "$IDLD_ADDR/debug/pprof/mutex?debug=1" > "$SCRATCH/idld_mutex.pprof"
 test -s "$SCRATCH/idld_mutex.pprof"

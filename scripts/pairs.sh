@@ -2,14 +2,16 @@
 # Alternating parent/change pairs of the repository's benchmark: the
 # same-host comparison a performance change is judged by.
 #
-#   scripts/pairs.sh PARENT [N] [WORKLOAD...]
+#   scripts/pairs.sh [--seed S] PARENT [N] [WORKLOAD...]
 #
 # PARENT is any commit; it is extracted (git archive, no network) into a
 # temporary directory, removed on exit. For each workload (default: every
 # workload BENCHMARK.json declares), N pairs (default 6) of
-#   bash bench/run.sh --workload W --seed 1 --seconds 25 --trace 0
+#   bash bench/run.sh --workload W --seed S --seconds 25 --trace 0
 # run alternately in the parent and in this working tree, the side that
-# goes first swapping every pair. Each run builds from its own checkout.
+# goes first swapping every pair; S (default 1) picks the generated
+# inputs, so a held-out repeat is --seed 2. Each run builds from its own
+# checkout.
 # The summary (scripts/pairs/main.go) gives, per workload and end-to-end
 # metric, the parent's median and IQR, the change's median, the pairs the
 # change won and the bound check against BENCHMARK.json; it exits 1 when
@@ -23,8 +25,13 @@
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-if [ $# -lt 1 ]; then
-  echo "usage: scripts/pairs.sh PARENT [N] [WORKLOAD...]" >&2
+seed=1
+if [ $# -ge 2 ] && [ "$1" = --seed ]; then
+  seed=$2
+  shift 2
+fi
+if [ $# -lt 1 ] || ! [[ "$seed" =~ ^[0-9]+$ ]]; then
+  echo "usage: scripts/pairs.sh [--seed S] PARENT [N] [WORKLOAD...]" >&2
   exit 2
 fi
 parent="$(git -C "$root" rev-parse --verify "$1^{commit}")"
@@ -53,7 +60,7 @@ bench() { # side checkout workload [trace]
   # failed run. A traced run's line goes to its own file.
   local line file="$out/$3.$1"
   [ "${4:-0}" = 1 ] && file="$file.trace"
-  line="$(bash "$2/bench/run.sh" --workload "$3" --seed 1 --seconds 25 --trace "${4:-0}" | tail -n 1)" || line=""
+  line="$(bash "$2/bench/run.sh" --workload "$3" --seed "$seed" --seconds 25 --trace "${4:-0}" | tail -n 1)" || line=""
   echo "${line:-failed}" >> "$file"
 }
 for w in "${workloads[@]}"; do
@@ -72,5 +79,5 @@ for w in "${workloads[@]}"; do
   echo "pairs: $w traced runs done" >&2
 done
 
-echo "pairs: parent $parent, $n pairs per workload, runs in $out"
+echo "pairs: parent $parent, seed $seed, $n pairs per workload, runs in $out"
 go run ./scripts/pairs BENCHMARK.json "$out" "${workloads[@]}"

@@ -54,7 +54,7 @@ func (db *DB) configure(edit func(*settings)) {
 type op struct {
 	db    *DB
 	set   *settings
-	ctx   context.Context // the caller's, tagged with the trace/op IDs when something below joins on them
+	ctx   context.Context // the caller's, tagged with the trace ID when a tracer will read it
 	rec   *qlog.Op        // nil when no recorder sink is attached
 	kind  string          // qlog.KindQuery / KindExec / KindCall; the digest kind too
 	tid   string          // "" when nothing would carry it
@@ -81,13 +81,12 @@ func (db *DB) begin(ctx context.Context, kind string, q *ast.Query) *op {
 	if o.rec != nil || set.tracer != nil || (set.insights != nil && set.insights.CaptureEnabled()) {
 		o.tid = db.traceIDFor(ctx)
 		o.rec.SetTraceID(o.tid)
-		if o.rec == nil {
+		if set.tracer != nil {
+			// Tag the context only when a tracer will read the ID: only
+			// spans carry it from ctx, and the tag upgrades a Background
+			// context into a value-carrying one, which the evaluator then
+			// polls.
 			ctx = qlog.WithTraceID(ctx, o.tid)
-		} else if set.tracer != nil {
-			// Tag the context only when a tracer will consume the IDs: the
-			// tag upgrades a Background context into a value-carrying one,
-			// which the evaluator then polls.
-			ctx = o.rec.Context(ctx)
 		}
 	}
 	if set.insights != nil {

@@ -57,18 +57,16 @@ func (db *DB) traceIDFor(ctx context.Context) string {
 }
 
 // TraceRecord is one exported operation trace: the facade-minted trace
-// ID, the flight-recorder op ID the trace joins against (0 when the
-// recorder had no sinks attached), and the root span with its children
-// (conjunct evaluations, member fetches are separate roots sharing the
-// trace ID).
+// ID the flight-recorder event, journal record and event log carry too,
+// and the root span with its children (conjunct evaluations, member
+// fetches are separate roots sharing the trace ID).
 type TraceRecord struct {
 	TraceID string    `json:"trace_id,omitempty"`
-	QID     uint64    `json:"qid,omitempty"`
 	Root    *obs.Span `json:"root"`
 }
 
 // Traces returns the retained span trees, oldest first, with their
-// trace/op IDs lifted out of the root spans' attributes. It fails when
+// trace IDs lifted out of the root spans' attributes. It fails when
 // tracing is not enabled (EnableTracing attaches the tracer).
 func (db *DB) Traces() ([]TraceRecord, error) {
 	t := db.Tracer()
@@ -80,11 +78,8 @@ func (db *DB) Traces() ([]TraceRecord, error) {
 	for _, root := range roots {
 		rec := TraceRecord{Root: root}
 		for _, a := range root.Attrs {
-			switch a.Key {
-			case "trace":
+			if a.Key == "trace" {
 				rec.TraceID = a.Str
-			case "qid":
-				rec.QID = uint64(a.Int)
 			}
 		}
 		out = append(out, rec)
