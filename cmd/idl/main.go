@@ -204,7 +204,7 @@ func run(cfg config) error {
 	}
 	switch {
 	case cfg.tokens && cfg.expr != "":
-		fmt.Println(lex.Describe(lex.Tokens(cfg.expr)))
+		fmt.Println(lex.Describe(cfg.expr))
 		return cleanup()
 	case cfg.expr != "":
 		if err := execute(db, cfg.expr); err != nil {

@@ -236,6 +236,32 @@ func captureStdout(t *testing.T, fn func()) string {
 	return out
 }
 
+// TestTokensFlag pins `idl -tokens -e` byte for byte on a statement that
+// uses every token kind, the paper's operator glyphs and two lexical
+// errors; the lexer resumes after each error.
+func TestTokensFlag(t *testing.T) {
+	src := `?.a.B(.c="s\"q", .d=1, .e=2.5, .f=3/3/85, X != Y, X ≠ 0, -.g, +.h=1*2, ~.i, ¬.j, !.k) ; ` +
+		`.r.s(.x=X) <- .t.u(.x<X, .y<=1, .z>2, .w>=3, .v≤4, .u≥5), .é.ü ; .p.q() -> .r.s-(.y=1) ; ` +
+		`.a ← .b ; .c → .d @ 13/1/85 x`
+	want := `? . identifier "a" . variable "B" ( . identifier "c" = string "s\"q" , . identifier "d" = integer "1" , ` +
+		`. identifier "e" = float "2.5" , . identifier "f" = date "3/3/85" , variable "X" != variable "Y" , ` +
+		`variable "X" != integer "0" , - . identifier "g" , + . identifier "h" = integer "1" * integer "2" , ` +
+		`~ . identifier "i" , ~ . identifier "j" , ~ . identifier "k" ) ; . identifier "r" . identifier "s" ( ` +
+		`. identifier "x" = variable "X" ) <- . identifier "t" . identifier "u" ( . identifier "x" < variable "X" , ` +
+		`. identifier "y" <= integer "1" , . identifier "z" > integer "2" , . identifier "w" >= integer "3" , ` +
+		`. identifier "v" <= integer "4" , . identifier "u" >= integer "5" ) , . identifier "é" . identifier "ü" ; ` +
+		`. identifier "p" . identifier "q" ( ) -> . identifier "r" . identifier "s" - ( . identifier "y" = integer "1" ) ; ` +
+		`. identifier "a" <- . identifier "b" ; . identifier "c" -> . identifier "d" ERROR ERROR identifier "x"` + "\n"
+	var err error
+	got := captureStdout(t, func() { err = run(config{tokens: true, expr: src}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("-tokens printed\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestChaosRunDeterministic is the CLI-level reproducibility guarantee:
 // the same -chaos-seed over the same script yields byte-identical
 // output, degraded reports included.

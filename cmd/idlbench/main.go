@@ -640,12 +640,12 @@ var overheadArms = []struct {
 	open     func(dir string) *idl.DB // dir: scratch space for the wal arm
 }{
 	{"baseline", 0, func(string) *idl.DB { return quietDB(idl.Open()) }},
-	{"flightrec", 42, func(string) *idl.DB { return idl.Open() }},                                                          // +38: the default 256-event ring
+	{"flightrec", 8, func(string) *idl.DB { return idl.Open() }},                                                           // +5: the default 256-event ring
 	{"metrics", 0, func(string) *idl.DB { db := quietDB(idl.Open()); db.Metrics(); return db }},                            // +0: windows and SLOs included
-	{"traced", 1100, func(string) *idl.DB { db := quietDB(idl.Open()); db.EnableTracing(4); return db }},                   // +1 016: per-conjunct spans
+	{"traced", 1100, func(string) *idl.DB { db := quietDB(idl.Open()); db.EnableTracing(4); return db }},                   // +988: per-conjunct spans
 	{"wal", 0, func(dir string) *idl.DB { return quietDB(openWAL(dir, idl.DurabilitySync)) }},                              // +0: reads never append
 	{"digests", 1, func(string) *idl.DB { db := quietDB(idl.Open()); db.EnableInsights(idl.InsightsConfig{}); return db }}, // +1
-	{"capture", 8, func(string) *idl.DB { // +5: every statement crosses the slow threshold
+	{"capture", 6, func(string) *idl.DB { // +3: every statement crosses the slow threshold
 		db := quietDB(idl.Open())
 		db.EnableInsights(idl.InsightsConfig{SlowThreshold: time.Nanosecond})
 		return db

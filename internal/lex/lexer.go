@@ -2,334 +2,325 @@ package lex
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
 )
 
-// Lexer tokenizes an IDL source string. Errors are reported as ERROR
-// tokens carrying the message; the lexer recovers by skipping the
-// offending rune so parsing can continue to find more errors.
-type Lexer struct {
-	src  string
-	off  int // byte offset of next rune
-	line int
-	col  int
-}
-
-// New returns a lexer over src.
-func New(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+// lexer scans one source string. An error becomes an ERROR token
+// spanning the offending text, and the first one is also kept, with its
+// message, for Tokens to return; scanning resumes after it so the token
+// stream stays complete.
+type lexer struct {
+	src string
+	off int // byte offset of the next unread byte
+	err *Error
 }
 
 // Tokens lexes the entire input, returning every token up to and
-// including EOF. The slice is sized once from the input, for three
-// tokens per four bytes: the densest statements of the example scripts
-// run to 0.7 (`?.chwab.r(.date=D, .hp=P)`), so growing it is rare.
-func Tokens(src string) []Token {
-	lx := New(src)
+// including EOF, and the first lexical error (nil when there is none).
+// The slice is sized once from the input, for three tokens per four
+// bytes: the densest statements of the example scripts run to 0.7
+// (`?.chwab.r(.date=D, .hp=P)`), so growing it is rare.
+func Tokens(src string) ([]Token, *Error) {
+	if len(src) > math.MaxInt32 {
+		return []Token{{Kind: EOF}}, &Error{Msg: fmt.Sprintf("input of %d bytes is too large", len(src))}
+	}
+	l := lexer{src: src}
 	out := make([]Token, 0, len(src)*3/4+2)
 	for {
-		t := lx.Next()
+		t := l.next()
 		out = append(out, t)
 		if t.Kind == EOF {
-			return out
+			return out, l.err
 		}
 	}
 }
 
-func (l *Lexer) peek() rune {
-	if l.off >= len(l.src) {
+// byteAt returns the byte at offset i, or 0 past the end.
+func (l *lexer) byteAt(i int) byte {
+	if i >= len(l.src) {
 		return 0
 	}
-	r, _ := utf8.DecodeRuneInString(l.src[l.off:])
-	return r
+	return l.src[i]
 }
 
-func (l *Lexer) peekAt(byteAhead int) rune {
-	if l.off+byteAhead >= len(l.src) {
-		return 0
+// tok makes the token of kind k spanning start up to the read offset.
+func (l *lexer) tok(k Kind, start int) Token {
+	return Token{Kind: k, Off: int32(start), End: int32(l.off)}
+}
+
+func (l *lexer) errorf(start int, format string, args ...any) Token {
+	if l.err == nil {
+		l.err = &Error{Msg: fmt.Sprintf(format, args...), Off: start}
 	}
-	r, _ := utf8.DecodeRuneInString(l.src[l.off+byteAhead:])
-	return r
+	return l.tok(ERROR, start)
 }
 
-func (l *Lexer) advance() rune {
-	r, size := utf8.DecodeRuneInString(l.src[l.off:])
-	l.off += size
-	if r == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return r
-}
-
-func (l *Lexer) skipSpaceAndComments() {
+func (l *lexer) skipSpaceAndComments() {
 	for l.off < len(l.src) {
-		r := l.peek()
-		switch {
-		case unicode.IsSpace(r):
-			l.advance()
-		case r == '%': // Prolog-style line comment
-			for l.off < len(l.src) && l.peek() != '\n' {
-				l.advance()
+		switch c := l.src[l.off]; {
+		case c == ' ', c == '\t', c == '\n', c == '\r', c == '\v', c == '\f':
+			l.off++
+		case c == '%', c == '/' && l.byteAt(l.off+1) == '/':
+			// Prolog-style `%` or C-style `//` line comment.
+			if i := strings.IndexByte(l.src[l.off:], '\n'); i >= 0 {
+				l.off += i
+			} else {
+				l.off = len(l.src)
 			}
-		case r == '/' && l.peekAt(1) == '/': // C-style line comment
-			for l.off < len(l.src) && l.peek() != '\n' {
-				l.advance()
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRuneInString(l.src[l.off:])
+			if !unicode.IsSpace(r) {
+				return
 			}
+			l.off += size
 		default:
 			return
 		}
 	}
 }
 
-func (l *Lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
-
-func (l *Lexer) tok(k Kind, text string, p Pos) Token {
-	return Token{Kind: k, Text: text, Pos: p}
-}
-
-func (l *Lexer) errorf(p Pos, format string, args ...any) Token {
-	return Token{Kind: ERROR, Text: fmt.Sprintf(format, args...), Pos: p}
-}
-
-// Next returns the next token.
-func (l *Lexer) Next() Token {
+// next returns the next token. ASCII, nearly all of any statement, is
+// dispatched on its byte; a byte of 0x80 or above is decoded as a rune.
+func (l *lexer) next() Token {
 	l.skipSpaceAndComments()
-	p := l.pos()
-	if l.off >= len(l.src) {
-		return l.tok(EOF, "", p)
+	start := l.off
+	if start >= len(l.src) {
+		return l.tok(EOF, start)
 	}
-	r := l.peek()
+	c := l.src[start]
 	switch {
-	case r == '.':
+	case c >= utf8.RuneSelf:
+		return l.nextRune(start)
+	case isDigit(c):
+		return l.lexNumber(start)
+	case c == '_' || isLetter(c):
+		return l.lexWord(start)
+	case c == '"':
+		return l.lexString(start)
+	case c == '.' && isDigit(l.byteAt(start+1)):
 		// Disambiguate the path dot from a leading-dot float (.5): IDL
 		// paths always follow '.' with a letter, '_' or a variable, so a
 		// digit after '.' is a float.
-		if d := l.peekAt(1); d >= '0' && d <= '9' {
-			return l.lexNumber(p)
+		return l.lexNumber(start)
+	}
+	l.off++
+	switch c {
+	case '.':
+		return l.tok(DOT, start)
+	case ',':
+		return l.tok(COMMA, start)
+	case '(':
+		return l.tok(LPAREN, start)
+	case ')':
+		return l.tok(RPAREN, start)
+	case '?':
+		return l.tok(QUESTION, start)
+	case ';':
+		return l.tok(SEMI, start)
+	case '+':
+		return l.tok(PLUS, start)
+	case '*':
+		return l.tok(STAR, start)
+	case '~':
+		return l.tok(NOT, start)
+	case '=':
+		return l.tok(EQ, start)
+	case '-':
+		if l.byteAt(l.off) == '>' {
+			l.off++
+			return l.tok(RARROW, start)
 		}
-		l.advance()
-		return l.tok(DOT, ".", p)
-	case r == ',':
-		l.advance()
-		return l.tok(COMMA, ",", p)
-	case r == '(':
-		l.advance()
-		return l.tok(LPAREN, "(", p)
-	case r == ')':
-		l.advance()
-		return l.tok(RPAREN, ")", p)
-	case r == '?':
-		l.advance()
-		return l.tok(QUESTION, "?", p)
-	case r == ';':
-		l.advance()
-		return l.tok(SEMI, ";", p)
-	case r == '+':
-		l.advance()
-		return l.tok(PLUS, "+", p)
-	case r == '*':
-		l.advance()
-		return l.tok(STAR, "*", p)
-	case r == '~' || r == '¬':
-		l.advance()
-		return l.tok(NOT, "~", p)
-	case r == '←':
-		l.advance()
-		return l.tok(LARROW, "<-", p)
-	case r == '→':
-		l.advance()
-		return l.tok(RARROW, "->", p)
-	case r == '-':
-		l.advance()
-		if l.peek() == '>' {
-			l.advance()
-			return l.tok(RARROW, "->", p)
+		return l.tok(MINUS, start)
+	case '!':
+		if l.byteAt(l.off) == '=' {
+			l.off++
+			return l.tok(NE, start)
 		}
-		return l.tok(MINUS, "-", p)
-	case r == '=':
-		l.advance()
-		return l.tok(EQ, "=", p)
-	case r == '≠':
-		l.advance()
-		return l.tok(NE, "!=", p)
-	case r == '≤':
-		l.advance()
-		return l.tok(LE, "<=", p)
-	case r == '≥':
-		l.advance()
-		return l.tok(GE, ">=", p)
-	case r == '!':
-		l.advance()
-		if l.peek() == '=' {
-			l.advance()
-			return l.tok(NE, "!=", p)
-		}
-		return l.tok(NOT, "~", p)
-	case r == '<':
-		l.advance()
-		switch l.peek() {
+		return l.tok(NOT, start)
+	case '<':
+		switch l.byteAt(l.off) {
 		case '=':
-			l.advance()
-			return l.tok(LE, "<=", p)
+			l.off++
+			return l.tok(LE, start)
 		case '-':
 			// `<-` is the rule arrow unless it reads as a comparison with
 			// a negative number (`<-5` ⇒ `< -5`).
-			if d := l.peekAt(1); d >= '0' && d <= '9' {
-				return l.tok(LT, "<", p)
+			if isDigit(l.byteAt(l.off + 1)) {
+				return l.tok(LT, start)
 			}
-			l.advance()
-			return l.tok(LARROW, "<-", p)
+			l.off++
+			return l.tok(LARROW, start)
 		}
-		return l.tok(LT, "<", p)
-	case r == '>':
-		l.advance()
-		if l.peek() == '=' {
-			l.advance()
-			return l.tok(GE, ">=", p)
+		return l.tok(LT, start)
+	case '>':
+		if l.byteAt(l.off) == '=' {
+			l.off++
+			return l.tok(GE, start)
 		}
-		return l.tok(GT, ">", p)
-	case r == '"':
-		return l.lexString(p)
-	case r >= '0' && r <= '9':
-		return l.lexNumber(p)
-	case r == '_' || unicode.IsLetter(r):
-		return l.lexWord(p)
-	default:
-		l.advance()
-		return l.errorf(p, "unexpected character %q", r)
+		return l.tok(GT, start)
 	}
+	return l.errorf(start, "unexpected character %q", rune(c))
 }
 
-func (l *Lexer) lexWord(p Pos) Token {
-	start := l.off
-	for l.off < len(l.src) {
-		r := l.peek()
-		if r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) {
-			l.advance()
-			continue
-		}
-		break
+// nextRune lexes a token that starts with a non-ASCII rune: one of the
+// paper's operator glyphs or a letter.
+func (l *lexer) nextRune(start int) Token {
+	r, size := utf8.DecodeRuneInString(l.src[start:])
+	if unicode.IsLetter(r) {
+		return l.lexWord(start)
 	}
-	text := l.src[start:l.off]
-	first, _ := utf8.DecodeRuneInString(text)
-	if unicode.IsUpper(first) {
-		return Token{Kind: VAR, Text: text, Pos: p}
+	l.off += size
+	switch r {
+	case '¬':
+		return l.tok(NOT, start)
+	case '←':
+		return l.tok(LARROW, start)
+	case '→':
+		return l.tok(RARROW, start)
+	case '≠':
+		return l.tok(NE, start)
+	case '≤':
+		return l.tok(LE, start)
+	case '≥':
+		return l.tok(GE, start)
 	}
-	return Token{Kind: IDENT, Text: text, Pos: p}
+	return l.errorf(start, "unexpected character %q", r)
 }
 
-func (l *Lexer) lexString(p Pos) Token {
-	start := l.off
-	l.advance() // opening quote
-	for l.off < len(l.src) {
-		r := l.peek()
-		if r == '\\' {
-			l.advance()
-			if l.off < len(l.src) {
-				l.advance()
+func (l *lexer) lexWord(start int) Token {
+	i := start
+	for i < len(l.src) {
+		if c := l.src[i]; c < utf8.RuneSelf {
+			if c == '_' || isLetter(c) || isDigit(c) {
+				i++
+				continue
 			}
-			continue
-		}
-		if r == '"' {
-			l.advance()
-			raw := l.src[start:l.off]
-			text, err := strconv.Unquote(raw)
-			if err != nil {
-				return l.errorf(p, "bad string literal %s", raw)
-			}
-			return Token{Kind: STRING, Text: text, Pos: p}
-		}
-		if r == '\n' {
 			break
 		}
-		l.advance()
+		r, size := utf8.DecodeRuneInString(l.src[i:])
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			break
+		}
+		i += size
 	}
-	return l.errorf(p, "unterminated string literal")
+	l.off = i
+	upper := false
+	if c := l.src[start]; c < utf8.RuneSelf {
+		upper = 'A' <= c && c <= 'Z'
+	} else {
+		r, _ := utf8.DecodeRuneInString(l.src[start:])
+		upper = unicode.IsUpper(r)
+	}
+	if upper {
+		return l.tok(VAR, start)
+	}
+	return l.tok(IDENT, start)
 }
 
-// lexNumber scans an INT, FLOAT, or DATE (m/d/y with no spaces) literal.
-func (l *Lexer) lexNumber(p Pos) Token {
-	start := l.off
-	digits := func() {
-		for l.off < len(l.src) && l.peek() >= '0' && l.peek() <= '9' {
-			l.advance()
+// lexString scans a double-quoted literal and validates it the way
+// strconv.Unquote would read it, without building its value. A
+// backslash skips the byte after it; no byte of a multi-byte rune is a
+// quote, a backslash or a newline, so scanning by byte finds the same
+// closing quote as scanning by rune.
+func (l *lexer) lexString(start int) Token {
+	for i := start + 1; i < len(l.src); i++ {
+		switch l.src[i] {
+		case '\\':
+			i++
+		case '"':
+			l.off = i + 1
+			raw := l.src[start:l.off]
+			if q, err := strconv.QuotedPrefix(raw); err != nil || len(q) != len(raw) {
+				return l.errorf(start, "bad string literal %s", raw)
+			}
+			return l.tok(STRING, start)
+		case '\n':
+			l.off = i
+			return l.errorf(start, "unterminated string literal")
 		}
 	}
-	digits()
+	l.off = len(l.src)
+	return l.errorf(start, "unterminated string literal")
+}
+
+// digits advances past a run of ASCII digits.
+func (l *lexer) digits() {
+	for l.off < len(l.src) && isDigit(l.src[l.off]) {
+		l.off++
+	}
+}
+
+// lexNumber scans an INT, FLOAT, or DATE (m/d/y with no spaces) literal
+// and validates its value; the parser reads the value back through the
+// token's accessors.
+func (l *lexer) lexNumber(start int) Token {
+	l.off = start
+	l.digits()
 	// DATE: int '/' int '/' int, written the paper's way (3/3/85).
-	if l.peek() == '/' && isDigit(l.peekAt(1)) {
-		first := l.src[start:l.off]
-		l.advance() // first slash
-		secondStart := l.off
-		digits()
-		second := l.src[secondStart:l.off]
-		if l.peek() != '/' || !isDigit(l.peekAt(1)) {
-			return l.errorf(p, "malformed date literal starting %q", l.src[start:l.off])
+	if l.byteAt(l.off) == '/' && isDigit(l.byteAt(l.off+1)) {
+		l.off++ // first slash
+		l.digits()
+		if l.byteAt(l.off) != '/' || !isDigit(l.byteAt(l.off+1)) {
+			return l.errorf(start, "malformed date literal starting %q", l.src[start:l.off])
 		}
-		l.advance() // second slash
-		thirdStart := l.off
-		digits()
-		third := l.src[thirdStart:l.off]
-		m, _ := strconv.Atoi(first)
-		d, _ := strconv.Atoi(second)
-		y, _ := strconv.Atoi(third)
+		l.off++ // second slash
+		l.digits()
+		first, second, third, m, d, _ := splitDate(l.src[start:l.off])
 		if m < 1 || m > 12 || d < 1 || d > 31 {
-			return l.errorf(p, "date %s/%s/%s out of range", first, second, third)
+			return l.errorf(start, "date %s/%s/%s out of range", first, second, third)
 		}
-		return Token{Kind: DATE, Text: l.src[start:l.off], Pos: p, Year: y, Month: m, Day: d}
+		return l.tok(DATE, start)
 	}
 	isFloat := false
-	if l.peek() == '.' && isDigit(l.peekAt(1)) {
+	if l.byteAt(l.off) == '.' && isDigit(l.byteAt(l.off+1)) {
 		isFloat = true
-		l.advance()
-		digits()
+		l.off++
+		l.digits()
 	}
-	if r := l.peek(); r == 'e' || r == 'E' {
+	if c := l.byteAt(l.off); c == 'e' || c == 'E' {
 		// Exponent part; only if followed by digits (or sign+digits).
-		save, saveLine, saveCol := l.off, l.line, l.col
-		l.advance()
-		if l.peek() == '+' || l.peek() == '-' {
-			l.advance()
+		save := l.off
+		l.off++
+		if c := l.byteAt(l.off); c == '+' || c == '-' {
+			l.off++
 		}
-		if isDigit(l.peek()) {
+		if isDigit(l.byteAt(l.off)) {
 			isFloat = true
-			digits()
+			l.digits()
 		} else {
-			l.off, l.line, l.col = save, saveLine, saveCol
+			l.off = save
 		}
 	}
 	text := l.src[start:l.off]
 	if isFloat {
-		f, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return l.errorf(p, "bad float literal %q", text)
+		if _, err := strconv.ParseFloat(text, 64); err != nil {
+			return l.errorf(start, "bad float literal %q", text)
 		}
-		return Token{Kind: FLOAT, Text: text, Pos: p, Float: f}
+		return l.tok(FLOAT, start)
 	}
-	n, err := strconv.ParseInt(text, 10, 64)
-	if err != nil {
-		return l.errorf(p, "bad integer literal %q", text)
+	if _, err := strconv.ParseInt(text, 10, 64); err != nil {
+		return l.errorf(start, "bad integer literal %q", text)
 	}
-	return Token{Kind: INT, Text: text, Pos: p, Int: n}
+	return l.tok(INT, start)
 }
 
-func isDigit(r rune) bool { return r >= '0' && r <= '9' }
+func isDigit(c byte) bool  { return '0' <= c && c <= '9' }
+func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' }
 
-// Describe renders a one-line summary of the token stream; used by tests
-// and the CLI's -tokens debugging flag.
-func Describe(tokens []Token) string {
+// Describe lexes src and renders its token stream on one line; used by
+// tests and the CLI's -tokens debugging flag.
+func Describe(src string) string {
+	tokens, _ := Tokens(src)
 	parts := make([]string, 0, len(tokens))
 	for _, t := range tokens {
 		if t.Kind == EOF {
 			break
 		}
-		parts = append(parts, t.String())
+		parts = append(parts, t.Describe(src))
 	}
 	return strings.Join(parts, " ")
 }

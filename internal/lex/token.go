@@ -1,7 +1,11 @@
 // Package lex tokenizes IDL surface syntax.
 package lex
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Kind identifies a token type.
 type Kind uint8
@@ -68,24 +72,89 @@ type Pos struct {
 // String renders the position as "line:col".
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// Token is one lexical token with its source text and position.
-type Token struct {
-	Kind Kind
-	Text string // raw text (unquoted for STRING)
-	Pos  Pos
-
-	// Numeric payloads, valid per Kind.
-	Int              int64   // INT
-	Float            float64 // FLOAT
-	Year, Month, Day int     // DATE
+// PosAt returns the position of byte offset off in src. Columns count
+// runes, an invalid UTF-8 byte as one, and a newline starts the next
+// line at column 1. Only error reporting needs a position, so tokens
+// carry offsets and pay for this walk only when one is reported.
+func PosAt(src string, off int) Pos {
+	off = min(max(off, 0), len(src))
+	p := Pos{Line: 1, Col: 1}
+	for _, r := range src[:off] {
+		if r == '\n' {
+			p.Line++
+			p.Col = 1
+		} else {
+			p.Col++
+		}
+	}
+	return p
 }
 
-// String renders the token for error messages.
-func (t Token) String() string {
+// Token is one lexical token: its kind and its byte span [Off, End) in
+// the source it was lexed from. It holds no pointer, so a token slice is
+// one allocation the collector never scans; the accessors read a
+// token's text and literal payload back from the source.
+type Token struct {
+	Kind     Kind
+	Off, End int32
+}
+
+// Text returns the token's source text; a STRING's is its unquoted
+// value. The lexer has validated every STRING, so unquoting cannot fail
+// here, and a string without escapes comes back as a substring of src.
+func (t Token) Text(src string) string {
+	s := src[t.Off:t.End]
+	if t.Kind == STRING {
+		s, _ = strconv.Unquote(s)
+	}
+	return s
+}
+
+// Int returns an INT token's value (validated by the lexer).
+func (t Token) Int(src string) int64 {
+	n, _ := strconv.ParseInt(src[t.Off:t.End], 10, 64)
+	return n
+}
+
+// Float returns a FLOAT token's value (validated by the lexer).
+func (t Token) Float(src string) float64 {
+	f, _ := strconv.ParseFloat(src[t.Off:t.End], 64)
+	return f
+}
+
+// Date returns a DATE token's fields as written, m/d/y (validated by
+// the lexer).
+func (t Token) Date(src string) (year, month, day int) {
+	_, _, _, month, day, year = splitDate(src[t.Off:t.End])
+	return year, month, day
+}
+
+// splitDate splits a lexed `m/d/y` literal into its digit runs and
+// their values. An out-of-range run reads as strconv.Atoi leaves it.
+func splitDate(s string) (first, second, third string, m, d, y int) {
+	i := strings.IndexByte(s, '/')
+	j := i + 1 + strings.IndexByte(s[i+1:], '/')
+	first, second, third = s[:i], s[i+1:j], s[j+1:]
+	m, _ = strconv.Atoi(first)
+	d, _ = strconv.Atoi(second)
+	y, _ = strconv.Atoi(third)
+	return first, second, third, m, d, y
+}
+
+// Describe renders the token for error messages: its kind, and for a
+// name or literal its text.
+func (t Token) Describe(src string) string {
 	switch t.Kind {
 	case IDENT, VAR, INT, FLOAT, DATE, STRING:
-		return fmt.Sprintf("%s %q", t.Kind, t.Text)
+		return fmt.Sprintf("%s %q", t.Kind, t.Text(src))
 	default:
 		return t.Kind.String()
 	}
+}
+
+// Error is the first lexical error of an input: its message and the
+// byte offset of the token it was found in.
+type Error struct {
+	Msg string
+	Off int
 }

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"strconv"
 	"testing"
 
 	"idl/internal/lex"
@@ -50,21 +51,50 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzLex checks the lexer terminates and never panics, and that every
-// token carries a sane position.
+// FuzzLex checks the lexer terminates and never panics, and that the
+// token spans tile the input in order: in bounds, increasing and
+// non-overlapping, every position at or after 1:1, and every STRING's
+// text the unquoted value of its span. The first error, if any, is the
+// first ERROR token's.
 func FuzzLex(f *testing.F) {
 	f.Add("?.x.y(.a=1)")
 	f.Add("3/3/85 2.5e10 \"str\" <- -> ≠ ≤ ≥ ¬")
 	f.Add("\x00\xff\xfe")
+	f.Add("?.é.ü(@\n.a=\"b\\\"c\" 13/1/85 \"open")
 	f.Fuzz(func(t *testing.T, src string) {
-		toks := lex.Tokens(src)
+		toks, lerr := lex.Tokens(src)
 		if len(toks) == 0 || toks[len(toks)-1].Kind != lex.EOF {
 			t.Fatal("token stream must end with EOF")
 		}
-		for _, tok := range toks {
-			if tok.Pos.Line < 1 || tok.Pos.Col < 1 {
-				t.Fatalf("bad position %v for %v", tok.Pos, tok)
+		prev := 0
+		firstErr := -1
+		for i, tok := range toks {
+			off, end := int(tok.Off), int(tok.End)
+			if off < prev || end < off || end > len(src) {
+				t.Fatalf("token %d span [%d,%d) after %d in %d bytes", i, off, end, prev, len(src))
 			}
+			if tok.Kind != lex.EOF && end == off {
+				t.Fatalf("token %d (%v) is empty", i, tok.Kind)
+			}
+			prev = end
+			if p := lex.PosAt(src, off); p.Line < 1 || p.Col < 1 {
+				t.Fatalf("bad position %v for token %d", p, i)
+			}
+			if tok.Kind == lex.STRING {
+				want, err := strconv.Unquote(src[off:end])
+				if err != nil || tok.Text(src) != want {
+					t.Fatalf("STRING %q: text %q, unquoted %q (%v)", src[off:end], tok.Text(src), want, err)
+				}
+			}
+			if tok.Kind == lex.ERROR && firstErr < 0 {
+				firstErr = off
+			}
+		}
+		switch {
+		case firstErr < 0 && lerr != nil:
+			t.Fatalf("error %q without an ERROR token", lerr.Msg)
+		case firstErr >= 0 && (lerr == nil || lerr.Off != firstErr):
+			t.Fatalf("first ERROR token at %d, error %+v", firstErr, lerr)
 		}
 	})
 }

@@ -37,6 +37,7 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("parse error at %s: %s", e.Pos, e.Msg) }
 
 type parser struct {
+	src  string
 	toks []lex.Token
 	pos  int
 }
@@ -101,15 +102,14 @@ func ParseClause(src string) (*ast.Clause, error) {
 	return c, nil
 }
 
-// ParseProgram parses a `;`-separated sequence of statements.
+// ParseProgram parses a `;`-separated sequence of statements. A lexical
+// error anywhere in src is reported before any parse error.
 func ParseProgram(src string) ([]ast.Statement, error) {
-	toks := lex.Tokens(src)
-	for _, t := range toks {
-		if t.Kind == lex.ERROR {
-			return nil, &Error{Pos: t.Pos, Msg: t.Text}
-		}
+	toks, lerr := lex.Tokens(src)
+	if lerr != nil {
+		return nil, &Error{Pos: lex.PosAt(src, lerr.Off), Msg: lerr.Msg}
 	}
-	p := &parser{toks: toks}
+	p := &parser{src: src, toks: toks}
 	var stmts []ast.Statement
 	for {
 		for p.at(lex.SEMI) {
@@ -128,14 +128,17 @@ func ParseProgram(src string) ([]ast.Statement, error) {
 			p.next()
 		}
 		if !p.at(lex.SEMI) && !p.at(lex.EOF) {
-			return nil, p.errorf("expected ';' or end of input, found %s", p.cur())
+			return nil, p.errorf("expected ';' or end of input, found %s", p.found())
 		}
 	}
 }
 
+// cur returns the current token by value: a Token is twelve bytes.
 func (p *parser) cur() lex.Token { return p.toks[p.pos] }
 
-func (p *parser) at(k lex.Kind) bool { return p.cur().Kind == k }
+func (p *parser) kind() lex.Kind { return p.toks[p.pos].Kind }
+
+func (p *parser) at(k lex.Kind) bool { return p.toks[p.pos].Kind == k }
 
 func (p *parser) peekKind(ahead int) lex.Kind {
 	i := p.pos + ahead
@@ -145,23 +148,31 @@ func (p *parser) peekKind(ahead int) lex.Kind {
 	return p.toks[i].Kind
 }
 
+// next consumes the current token and returns it.
 func (p *parser) next() lex.Token {
-	t := p.cur()
+	t := p.toks[p.pos]
 	if t.Kind != lex.EOF {
 		p.pos++
 	}
 	return t
 }
 
-func (p *parser) expect(k lex.Kind) (lex.Token, error) {
+// text returns t's text (a STRING's unquoted value) from the source.
+func (p *parser) text(t lex.Token) string { return t.Text(p.src) }
+
+// found describes the current token for an error message.
+func (p *parser) found() string { return p.cur().Describe(p.src) }
+
+func (p *parser) expect(k lex.Kind) error {
 	if !p.at(k) {
-		return lex.Token{}, p.errorf("expected %s, found %s", k, p.cur())
+		return p.errorf("expected %s, found %s", k, p.found())
 	}
-	return p.next(), nil
+	p.next()
+	return nil
 }
 
 func (p *parser) errorf(format string, args ...any) error {
-	return &Error{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)}
+	return &Error{Pos: lex.PosAt(p.src, int(p.cur().Off)), Msg: fmt.Sprintf(format, args...)}
 }
 
 // parseStatement dispatches on the leading token: `?` means query;
@@ -195,7 +206,7 @@ func (p *parser) parseStatement() (ast.Statement, error) {
 		}
 		return &ast.Clause{Head: head, Body: body}, nil
 	default:
-		return nil, p.errorf("expected '<-' or '->' after head expression, found %s", p.cur())
+		return nil, p.errorf("expected '<-' or '->' after head expression, found %s", p.found())
 	}
 }
 
@@ -236,7 +247,7 @@ func (p *parser) parseConjunct() (ast.Expr, error) {
 		return a, nil
 	}
 	if sign != ast.SignNone {
-		return nil, p.errorf("expected '.' after update sign, found %s", p.cur())
+		return nil, p.errorf("expected '.' after update sign, found %s", p.found())
 	}
 	// Constraint conjunct: Term Relop Term (footnote 7).
 	l, err := p.parseTerm()
@@ -245,7 +256,7 @@ func (p *parser) parseConjunct() (ast.Expr, error) {
 	}
 	op, ok := p.parseRelop()
 	if !ok {
-		return nil, p.errorf("expected comparison operator in constraint, found %s", p.cur())
+		return nil, p.errorf("expected comparison operator in constraint, found %s", p.found())
 	}
 	r, err := p.parseTerm()
 	if err != nil {
@@ -270,7 +281,7 @@ func (p *parser) parseSign() ast.Sign {
 // parseAttrExpr parses `.name suffix`, where suffix continues the path,
 // compares, negates, recurses into a set expression, or is ε.
 func (p *parser) parseAttrExpr() (*ast.AttrExpr, error) {
-	if _, err := p.expect(lex.DOT); err != nil {
+	if err := p.expect(lex.DOT); err != nil {
 		return nil, err
 	}
 	name, err := p.parseAttrName()
@@ -285,31 +296,25 @@ func (p *parser) parseAttrExpr() (*ast.AttrExpr, error) {
 }
 
 func (p *parser) parseAttrName() (ast.Term, error) {
-	switch t := p.cur(); t.Kind {
-	case lex.IDENT:
-		p.next()
-		return ast.Const{Value: object.Str(t.Text)}, nil
-	case lex.STRING:
-		p.next()
-		return ast.Const{Value: object.Str(t.Text)}, nil
+	switch p.kind() {
+	case lex.IDENT, lex.STRING:
+		return ast.Const{Value: object.Str(p.text(p.next()))}, nil
 	case lex.VAR:
-		p.next()
-		return ast.Var{Name: t.Text}, nil
+		return ast.Var{Name: p.text(p.next())}, nil
 	case lex.INT:
 		// Numeric attribute names arise when data become metadata; keep
 		// them as string atoms, matching how the update evaluator names
 		// attributes.
-		p.next()
-		return ast.Const{Value: object.Str(t.Text)}, nil
+		return ast.Const{Value: object.Str(p.text(p.next()))}, nil
 	default:
-		return nil, p.errorf("expected attribute name, found %s", t)
+		return nil, p.errorf("expected attribute name, found %s", p.found())
 	}
 }
 
 // parseSuffix parses what follows an attribute name inside an attribute
 // expression.
 func (p *parser) parseSuffix() (ast.Expr, error) {
-	switch p.cur().Kind {
+	switch p.kind() {
 	case lex.DOT:
 		// Path continuation: `.a.b…` — a nested single-conjunct tuple
 		// expression. A dot not followed by a name is the paper's
@@ -348,7 +353,7 @@ func (p *parser) parseSuffix() (ast.Expr, error) {
 
 func (p *parser) parseSignedSuffix() (ast.Expr, error) {
 	sign := p.parseSign()
-	switch p.cur().Kind {
+	switch p.kind() {
 	case lex.LPAREN:
 		return p.parseSetExpr(sign)
 	case lex.EQ:
@@ -361,12 +366,12 @@ func (p *parser) parseSignedSuffix() (ast.Expr, error) {
 		inner.Sign = sign
 		return &ast.TupleExpr{Conjuncts: []ast.Expr{inner}}, nil
 	default:
-		return nil, p.errorf("expected '(', '=' or '.' after update sign, found %s", p.cur())
+		return nil, p.errorf("expected '(', '=' or '.' after update sign, found %s", p.found())
 	}
 }
 
 func (p *parser) parseSetExpr(sign ast.Sign) (ast.Expr, error) {
-	if _, err := p.expect(lex.LPAREN); err != nil {
+	if err := p.expect(lex.LPAREN); err != nil {
 		return nil, err
 	}
 	if p.at(lex.RPAREN) {
@@ -378,7 +383,7 @@ func (p *parser) parseSetExpr(sign ast.Sign) (ast.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(lex.RPAREN); err != nil {
+	if err := p.expect(lex.RPAREN); err != nil {
 		return nil, err
 	}
 	return &ast.SetExpr{Sign: sign, X: inner}, nil
@@ -387,7 +392,7 @@ func (p *parser) parseSetExpr(sign ast.Sign) (ast.Expr, error) {
 // parseInnerExpr parses the expression inside parentheses: a conjunct
 // list, an atomic comparison, a negation, or a nested set expression.
 func (p *parser) parseInnerExpr() (ast.Expr, error) {
-	switch p.cur().Kind {
+	switch p.kind() {
 	case lex.EQ, lex.NE, lex.LT, lex.LE, lex.GT, lex.GE:
 		return p.parseAtomic(ast.SignNone)
 	case lex.LPAREN:
@@ -420,13 +425,13 @@ func (p *parser) parseInnerExpr() (ast.Expr, error) {
 			return p.parseTupleExpr()
 		}
 		sign := p.parseSign()
-		switch p.cur().Kind {
+		switch p.kind() {
 		case lex.EQ:
 			return p.parseAtomic(sign)
 		case lex.LPAREN:
 			return p.parseSetExpr(sign)
 		default:
-			return nil, p.errorf("expected '=', '(' or '.' after update sign, found %s", p.cur())
+			return nil, p.errorf("expected '=', '(' or '.' after update sign, found %s", p.found())
 		}
 	default:
 		return p.parseTupleExpr()
@@ -452,7 +457,7 @@ func (p *parser) opensConstraint(ahead int) bool {
 
 func (p *parser) parseRelop() (ast.RelOp, bool) {
 	var op ast.RelOp
-	switch p.cur().Kind {
+	switch p.kind() {
 	case lex.EQ:
 		op = ast.OpEQ
 	case lex.NE:
@@ -475,7 +480,7 @@ func (p *parser) parseRelop() (ast.RelOp, bool) {
 func (p *parser) parseAtomic(sign ast.Sign) (ast.Expr, error) {
 	op, ok := p.parseRelop()
 	if !ok {
-		return nil, p.errorf("expected comparison operator, found %s", p.cur())
+		return nil, p.errorf("expected comparison operator, found %s", p.found())
 	}
 	// The paper's `.hp-=C` sugar arrives here as `=` after a '-' sign;
 	// signed atomics only allow `=` (simple expressions).
@@ -543,33 +548,28 @@ func (p *parser) startsPrimary(ahead int) bool {
 }
 
 func (p *parser) parsePrimary() (ast.Term, error) {
-	switch t := p.cur(); t.Kind {
+	switch p.kind() {
 	case lex.INT:
-		p.next()
-		return ast.Const{Value: object.Int(t.Int)}, nil
+		return ast.Const{Value: object.Int(p.next().Int(p.src))}, nil
 	case lex.FLOAT:
-		p.next()
-		return ast.Const{Value: object.Float(t.Float)}, nil
+		return ast.Const{Value: object.Float(p.next().Float(p.src))}, nil
 	case lex.DATE:
-		p.next()
-		return ast.Const{Value: object.NewDate(t.Year, t.Month, t.Day)}, nil
+		return ast.Const{Value: object.NewDate(p.next().Date(p.src))}, nil
 	case lex.STRING:
-		p.next()
-		return ast.Const{Value: object.Str(t.Text)}, nil
+		return ast.Const{Value: object.Str(p.text(p.next()))}, nil
 	case lex.IDENT:
-		p.next()
-		switch t.Text {
+		switch text := p.text(p.next()); text {
 		case "null":
 			return ast.Const{Value: object.Null{}}, nil
 		case "true":
 			return ast.Const{Value: object.Bool(true)}, nil
 		case "false":
 			return ast.Const{Value: object.Bool(false)}, nil
+		default:
+			return ast.Const{Value: object.Str(text)}, nil
 		}
-		return ast.Const{Value: object.Str(t.Text)}, nil
 	case lex.VAR:
-		p.next()
-		return ast.Var{Name: t.Text}, nil
+		return ast.Var{Name: p.text(p.next())}, nil
 	case lex.MINUS:
 		// Unary minus on a numeric literal.
 		p.next()
@@ -592,11 +592,11 @@ func (p *parser) parsePrimary() (ast.Term, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(lex.RPAREN); err != nil {
+		if err := p.expect(lex.RPAREN); err != nil {
 			return nil, err
 		}
 		return inner, nil
 	default:
-		return nil, p.errorf("expected a term, found %s", t)
+		return nil, p.errorf("expected a term, found %s", p.found())
 	}
 }

@@ -349,29 +349,97 @@ func TestQuotedAttributeNames(t *testing.T) {
 	}
 }
 
+// TestParseErrors pins every error message and position byte for byte:
+// positions count runes (é is one column) and lines, and a lexical error
+// anywhere in the input is reported before any parse error.
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"?",
-		"?.",
-		"?.x(",
-		"?.x(.a=)",
-		"?.x.y(.a=1",
-		".a.b(.x=Y)",         // no arrow
-		".a.b(.x=Y) <-",      // missing body
-		"?.x.y(.a ~)",        // dangling negation
-		"?.x +",              // dangling sign
-		"? X",                // constraint without operator
-		"?.x.y(.a=1) extra",  // trailing garbage
-		"?.x.y(.a+<5)",       // signed non-equality atomic
-		"@?",                 // lex error surfaces as parse error
-		"?.x.y(.a=1)) ; ?.z", // unbalanced paren
+	cases := []struct{ src, want string }{
+		{"?", "parse error at 1:2: expected a term, found EOF"},
+		{"?.", "parse error at 1:3: expected attribute name, found EOF"},
+		{"?.x(", "parse error at 1:5: expected a term, found EOF"},
+		{"?.x(.a=)", "parse error at 1:8: expected a term, found )"},
+		{"?.x.y(.a=1", "parse error at 1:11: expected ), found EOF"},
+		{".a.b(.x=Y)", "parse error at 1:11: expected '<-' or '->' after head expression, found EOF"},
+		{".a.b(.x=Y) <-", "parse error at 1:14: expected a term, found EOF"},
+		{"?.x.y(.a ~)", "parse error at 1:11: '~' must be followed by an expression"},
+		{"?.x +", "parse error at 1:6: expected '(', '=' or '.' after update sign, found EOF"},
+		{"? X", "parse error at 1:4: expected comparison operator in constraint, found EOF"},
+		{"?.x.y(.a=1) extra", "parse error at 1:13: expected ';' or end of input, found identifier \"extra\""},
+		{"?.x.y(.a+<5)", "parse error at 1:10: expected '(', '=' or '.' after update sign, found <"},
+		{"@?", "parse error at 1:1: unexpected character '@'"},
+		{"?.x.y(.a=1)) ; ?.z", "parse error at 1:12: expected ';' or end of input, found )"},
+
+		// Lexical errors.
+		{"?.x.y(.a=@)", "parse error at 1:10: unexpected character '@'"},
+		{"?.é.ü(@", "parse error at 1:7: unexpected character '@'"},
+		{"?.a.b(.c=1),\n  .d.e(.f=\"open", "parse error at 2:11: unterminated string literal"},
+		{"?.a(.d=13/1/85)", "parse error at 1:8: date 13/1/85 out of range"},
+		{"?.a(.d=3/32/85)", "parse error at 1:8: date 3/32/85 out of range"},
+		{"?.a(.d=3/4)", "parse error at 1:8: malformed date literal starting \"3/4\""},
+		{"?.a(.d=3/4/)", "parse error at 1:8: malformed date literal starting \"3/4\""},
+		{"?.a(.n=99999999999999999999)", "parse error at 1:8: bad integer literal \"99999999999999999999\""},
+		{"?.a(.f=1e999)", "parse error at 1:8: bad float literal \"1e999\""},
+		{"?.a(.s=\"bad\\q\")", "parse error at 1:8: bad string literal \"bad\\q\""},
+		{"?.a(.s=\"across\nlines\")", "parse error at 1:8: unterminated string literal"},
+		{"?.a.b(\n\t.c=1,\n\t.d=#)", "parse error at 3:5: unexpected character '#'"},
+		{"\xff", "parse error at 1:1: unexpected character '\ufffd'"},
+		{"?.a(( ; @", "parse error at 1:9: unexpected character '@'"},
+		{"?.a(.b=\"ok\"), .c(.d=\"x\\", "parse error at 1:21: unterminated string literal"},
+
+		// Parse errors.
+		{"?.a.b(.c=)", "parse error at 1:10: expected a term, found )"},
+		{"?.x y", "parse error at 1:5: expected ';' or end of input, found identifier \"y\""},
+		{"?.a.b(.c=1", "parse error at 1:11: expected ), found EOF"},
+		{"?.é.ü(\n .ß=1\n", "parse error at 3:1: expected ), found EOF"},
+		{"?+x", "parse error at 1:3: expected '.' after update sign, found identifier \"x\""},
+		{"?.a(.b = \"x y\" z)", "parse error at 1:16: expected ), found identifier \"z\""},
+		{"?.a.b .c \"s\\\"q\"", "parse error at 1:10: expected ';' or end of input, found string \"s\\\"q\""},
+		{"?.a 3/3/85", "parse error at 1:5: expected ';' or end of input, found date \"3/3/85\""},
+		{"?.a(.b=1.5 2.5e3)", "parse error at 1:12: expected ), found float \"2.5e3\""},
+		{"?.a(.b=-)", "parse error at 1:9: expected a term, found )"},
+		{"?.a(.b=X, ~)", "parse error at 1:12: expected a term, found )"},
+		{"?.a.b(.c=1);\n?.d.e(.f=1 .g)", "parse error at 2:12: expected ), found ."},
+		{"?.ü.é(.x=1) ≤", "parse error at 1:13: expected ';' or end of input, found <="},
+		{"?.a(+<1)", "parse error at 1:6: expected '=', '(' or '.' after update sign, found <"},
+		{"?.a.b~", "parse error at 1:7: '~' must be followed by an expression"},
+		{"?.a(.b=((1+2)", "parse error at 1:14: expected ), found EOF"},
+		{"?;", "parse error at 1:2: expected a term, found ;"},
+		{"?.1a", "parse error at 1:4: expected comparison operator in constraint, found identifier \"a\""},
+		{"?.\"\"(.x=Y) Z", "parse error at 1:12: expected ';' or end of input, found variable \"Z\""},
 	}
-	for _, src := range bad {
-		if _, err := ParseProgram(src); err == nil {
-			t.Errorf("ParseProgram(%q) should fail", src)
+	for _, c := range cases {
+		_, err := ParseProgram(c.src)
+		if err == nil {
+			t.Errorf("ParseProgram(%q) should fail", c.src)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("ParseProgram(%q):\n got %s\nwant %s", c.src, err, c.want)
+		}
+	}
+	// The single-statement entry points add their own messages; ParseQuery
+	// positions are those of the text with its `?` supplied.
+	single := []struct {
+		parse     func(string) error
+		src, want string
+	}{
+		{parseErr, "", "parse error at 1:1: empty input"},
+		{parseErr, ";;", "parse error at 1:1: empty input"},
+		{parseErr, "?.a; ?.b", "parse error at 1:1: expected one statement, found 2"},
+		{queryErr, ".a <- .b", "parse error at 1:5: expected ';' or end of input, found <-"},
+		{queryErr, "  .x y", "parse error at 1:5: expected ';' or end of input, found identifier \"y\""},
+		{queryErr, ".a.b(.c=@)", "parse error at 1:10: unexpected character '@'"},
+		{queryErr, "\n.a(.b=1", "parse error at 1:9: expected ), found EOF"},
+	}
+	for _, c := range single {
+		if err := c.parse(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("%q:\n got %v\nwant %s", c.src, err, c.want)
 		}
 	}
 }
+
+func parseErr(src string) error { _, err := Parse(src); return err }
+func queryErr(src string) error { _, err := ParseQuery(src); return err }
 
 func TestParseSingleRejectsMulti(t *testing.T) {
 	if _, err := Parse("?.x ; ?.y"); err == nil {

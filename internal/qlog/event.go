@@ -16,7 +16,6 @@ package qlog
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"time"
 )
@@ -133,8 +132,23 @@ func Journaled(kind string) bool {
 // Digest returns the 64-bit FNV-1a hash of s in fixed-width hex. It is
 // the statement/plan identity used to join journal records, log events
 // and span trees across runs without shipping full text everywhere.
+// Journals on disk carry these digests, so the bits are fixed: FNV-1a's
+// offset basis and prime, most significant nibble first.
 func Digest(s string) string {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return fmt.Sprintf("%016x", h.Sum64())
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+		hexDigit = "0123456789abcdef"
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	var buf [16]byte
+	for i := len(buf) - 1; i >= 0; i-- {
+		buf[i] = hexDigit[h&0xf]
+		h >>= 4
+	}
+	return string(buf[:])
 }

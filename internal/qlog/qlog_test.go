@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,6 +142,29 @@ func TestDigestStable(t *testing.T) {
 	}
 	if Digest("x") == Digest("y") {
 		t.Fatal("distinct inputs collided")
+	}
+	// Journals on disk carry digests: the bits are FNV-1a's, pinned to
+	// the empty-input offset basis and two statements hashed by
+	// hash/fnv, and checked against it on more inputs.
+	for in, want := range map[string]string{
+		"": "cbf29ce484222325",
+		"?.euter.r(.stkCode=stk001, .date=1/2/85, .clsPrice=P)": "196b4d0b2c4b6da8",
+		"?.chwab.r(.date=D, .hp=P)":                             "2799233404baa406",
+	} {
+		if got := Digest(in); got != want {
+			t.Errorf("Digest(%q) = %s, want %s", in, got, want)
+		}
+	}
+	for _, in := range []string{"x", "?.X", "é\x00\xff", strings.Repeat("?.a.b(.c=1), ", 40)} {
+		h := fnv.New64a()
+		h.Write([]byte(in))
+		if got, want := Digest(in), fmt.Sprintf("%016x", h.Sum64()); got != want {
+			t.Errorf("Digest(%q) = %s, hash/fnv says %s", in, got, want)
+		}
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = Digest("?.chwab.r(.date=D, .hp=P)") }); n != 1 || sink == "" {
+		t.Errorf("Digest allocates %v times, want 1 (its result)", n)
 	}
 }
 

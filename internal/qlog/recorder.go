@@ -188,13 +188,22 @@ type Op struct {
 
 // Begin opens an operation of the given kind, or returns nil when no
 // sink is attached.
-func (r *Recorder) Begin(kind string) *Op {
-	if r == nil || !r.Active() {
+func (r *Recorder) Begin(kind string) *Op { return r.BeginAt(kind, time.Time{}) }
+
+// BeginAt is Begin for a caller that times the operation itself: start
+// is the instant it read, and EndAfter takes the duration it measures
+// from it, so one clock reading at each end serves the caller and the
+// record. A zero start reads the clock here.
+func (r *Recorder) BeginAt(kind string, start time.Time) *Op {
+	if !r.Active() {
 		return nil
+	}
+	if start.IsZero() {
+		start = time.Now()
 	}
 	op := &Op{
 		r:       r,
-		start:   time.Now(),
+		start:   start,
 		journal: Journaled(kind) && r.journal.Load() != nil,
 	}
 	op.ev.Seq = r.seq.Add(1)
@@ -224,7 +233,7 @@ func (r *Recorder) BreakerTransition(member, from, to string) {
 	}
 	op.ev.Member = member
 	op.SetText(fmt.Sprintf("%s -> %s", from, to))
-	op.finish("")
+	op.finish(time.Since(op.start), "")
 	if to == "open" {
 		op.autoDump(fmt.Sprintf("breaker opened on member %q", member))
 	}
@@ -337,18 +346,27 @@ func (op *Op) End(err error) {
 	if op == nil {
 		return
 	}
+	op.EndAfter(time.Since(op.start), err)
+}
+
+// EndAfter is End with the duration d measured by the caller from the
+// start it passed to BeginAt.
+func (op *Op) EndAfter(d time.Duration, err error) {
+	if op == nil {
+		return
+	}
 	msg := ""
 	if err != nil {
 		msg = err.Error()
 	}
-	op.finish(msg)
+	op.finish(d, msg)
 	if msg != "" {
 		op.autoDump(fmt.Sprintf("%s failed: %s", op.ev.Kind, msg))
 	}
 }
 
-func (op *Op) finish(errMsg string) {
-	op.ev.Duration = time.Since(op.start)
+func (op *Op) finish(d time.Duration, errMsg string) {
+	op.ev.Duration = d
 	op.ev.Err = errMsg
 	if t := op.r.slowNS.Load(); t > 0 && int64(op.ev.Duration) >= t {
 		op.ev.Slow = true

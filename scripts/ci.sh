@@ -12,8 +12,8 @@
 #      Count gates, which repeat run to run: every benchmark measured
 #      once; the overhead matrix (the E5 query through idl.DB.Query with
 #      one observer per arm) within its allocs/op ceilings over the
-#      baseline — flightrec +42, metrics +0, traced +1 100, wal +0,
-#      digests +1, capture +8 (DESIGN.md §8–§9, §13–§15); a B14
+#      baseline — flightrec +8, metrics +0, traced +1 100, wal +0,
+#      digests +1, capture +6 (DESIGN.md §8–§9, §13–§15); a B14
 #      plan-cache hit rate of at least 0.95 and one resident plan for
 #      its 24 literal variants (DESIGN.md §11); B8's index candidates
 #      per op, 60 on the one-key baseline and at most 2 on two keys; at least
@@ -78,12 +78,14 @@ go tool cover -func="$SCRATCH/core_cover.out" | awk '
 go test -run '^TestCrashPointGrid$|^TestCheckpointRecovery$' -short .
 
 # Fuzz smoke: a short randomized pass over the parser round-trip, the
+# lexer's token spans against the input they tile, the
 # sequential-vs-parallel differential oracle, view maintenance by delta
 # against a from-scratch materialization after every statement, and
 # randomized crash-point recovery against the prefix-consistency
 # oracle. Any corpus crasher found earlier re-runs here as a regression
 # seed.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/parser
+go test -run '^$' -fuzz '^FuzzLex$' -fuzztime 10s ./internal/parser
 go test -run '^$' -fuzz '^FuzzEvalQuery$' -fuzztime 15s ./internal/core
 go test -run '^$' -fuzz '^FuzzViewMaintenance$' -fuzztime 15s ./internal/core
 go test -run '^$' -fuzz '^FuzzRecovery$' -fuzztime 15s .

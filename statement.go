@@ -58,9 +58,9 @@ type op struct {
 	rec   *qlog.Op        // nil when no recorder sink is attached
 	kind  string          // qlog.KindQuery / KindExec / KindCall; the digest kind too
 	tid   string          // "" when nothing would carry it
-	start time.Time       // zero when insights are off
+	start time.Time       // zero when neither the record nor insights time the statement
 	q     *ast.Query      // nil for a program call, which fills text and fp instead
-	text  string
+	text  string          // the statement rendered once, by begin or on first use
 	fp    uint64
 
 	// The outcome, set by the statement before finish.
@@ -77,7 +77,12 @@ type op struct {
 // X-Trace-Id adoption) keeps it.
 func (db *DB) begin(ctx context.Context, kind string, q *ast.Query) *op {
 	set := db.settings.Load()
-	o := &op{db: db, set: set, kind: kind, q: q, rec: db.rec.Begin(kind)}
+	o := &op{db: db, set: set, kind: kind, q: q}
+	// One clock reading starts both the record and the digest's timing.
+	if set.insights != nil || db.rec.Active() {
+		o.start = time.Now()
+	}
+	o.rec = db.rec.BeginAt(kind, o.start)
 	if o.rec != nil || set.tracer != nil || (set.insights != nil && set.insights.CaptureEnabled()) {
 		o.tid = db.traceIDFor(ctx)
 		o.rec.SetTraceID(o.tid)
@@ -89,23 +94,20 @@ func (db *DB) begin(ctx context.Context, kind string, q *ast.Query) *op {
 			ctx = qlog.WithTraceID(ctx, o.tid)
 		}
 	}
-	if set.insights != nil {
-		o.start = time.Now()
-	}
 	if o.rec != nil && q != nil {
-		o.rec.SetText(q.String())
+		o.rec.SetText(o.statement())
 		o.rec.SetWorkers(set.workers)
 	}
 	o.ctx = ctx
 	return o
 }
 
-// statement renders the op's statement in IDL surface syntax: the text
-// of its event and journal record, its WAL payload, and (on demand) its
-// digest's label.
+// statement renders the op's statement in IDL surface syntax, at most
+// once per op: the text of its event and journal record, its WAL
+// payload, and (on demand) its digest's label.
 func (o *op) statement() string {
-	if o.q != nil {
-		return o.q.String()
+	if o.text == "" && o.q != nil {
+		o.text = o.q.String()
 	}
 	return o.text
 }
@@ -115,8 +117,13 @@ func (o *op) statement() string {
 // the event log and the journal; fold the statement into its digest —
 // after End, so the journal record exists and the root span is filed
 // before a slow-query exemplar goes looking for them; count a degraded
-// answer. It returns err for the entry point to pass on.
+// answer. One duration, read before the observers run, times both the
+// record and the digest. It returns err for the entry point to pass on.
 func (o *op) finish(err error) error {
+	var d time.Duration
+	if !o.start.IsZero() {
+		d = time.Since(o.start)
+	}
 	degraded := false
 	if ans := o.ans; ans != nil {
 		if ans.Plan != nil {
@@ -136,9 +143,9 @@ func (o *op) finish(err error) error {
 	if o.info != nil {
 		o.rec.SetExec(execSummary(o.info))
 	}
-	o.rec.End(err)
+	o.rec.EndAfter(d, err)
 	if ins := o.set.insights; ins != nil {
-		ins.Observe(o.observation(err))
+		ins.Observe(o.observation(err, d))
 	}
 	if degraded {
 		o.set.metrics.Counter("federation.degraded_answers").Inc()
@@ -150,12 +157,12 @@ func (o *op) finish(err error) error {
 // fingerprint the planner already computed when there is a plan, the
 // statement's own otherwise; the evaluator's resource record is widened
 // with what only the facade knows — member fetches and WAL bytes.
-func (o *op) observation(err error) insights.Observation {
+func (o *op) observation(err error, d time.Duration) insights.Observation {
 	ob := insights.Observation{
 		Fingerprint: o.fp,
 		Kind:        o.kind,
 		Text:        o.statement,
-		Duration:    time.Since(o.start),
+		Duration:    d,
 		Err:         err != nil,
 		TraceID:     o.tid,
 	}
