@@ -194,6 +194,18 @@ func IsSimple(e Expr) bool {
 // IsGround reports whether e contains no variables.
 func IsGround(e Expr) bool { return len(Vars(e)) == 0 }
 
+// ConstName returns the name a constant string term spells, as in the
+// `.db` of `.db.rel(…)`; ok is false for a variable or a non-string
+// constant.
+func ConstName(t Term) (name string, ok bool) {
+	c, ok := t.(Const)
+	if !ok {
+		return "", false
+	}
+	s, ok := c.Value.(object.Str)
+	return string(s), ok
+}
+
 // ---------------------------------------------------------------------------
 // Construction helpers (used by the public API, tests and benchmarks to
 // build expressions without going through the parser).

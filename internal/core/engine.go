@@ -72,8 +72,8 @@ func DefaultOptions() Options {
 // An Engine is safe for concurrent use. Mutations (Execute, Call,
 // UpdateBase, DDL, rule registration) serialize on the engine mutex;
 // queries pin an immutable snapshot version (version.go) and evaluate
-// lock-free — traced or not — falling back to the mutex only to freeze a
-// fresh snapshot after a mutation.
+// lock-free — traced or not — taking the mutex only to freeze a fresh
+// snapshot after a mutation, never to evaluate.
 type Engine struct {
 	mu sync.Mutex
 
@@ -267,9 +267,9 @@ func (e *Engine) Invalidate() {
 // call bumps the catalog epoch — each corresponds to a change to the
 // universe or rule set, so plans and statistics stamped at an older
 // epoch must revalidate their dependencies before reuse. It also drops
-// the published MVCC head: new readers fall into the locked slow path
-// and block on e.mu until the mutation in progress commits (or rolls
-// back), then freeze a fresh snapshot. Readers already pinned to an
+// the published MVCC head: new readers block on e.mu until the mutation
+// in progress commits (or rolls back), then freeze a fresh snapshot and
+// evaluate it unlocked (pin). Readers already pinned to an
 // older version are unaffected — their snapshot is immutable. Callers
 // hold e.mu.
 func (e *Engine) markDirty(captured bool) {
@@ -439,41 +439,35 @@ const (
 )
 
 // read is the one read path, shared by ad hoc and prepared queries (p
-// non-nil, q ignored), EXPLAIN and EXPLAIN ANALYZE. Reads are
-// snapshot-isolated: the query pins the newest committed version of the
-// effective universe (version.go) and evaluates against it without
-// holding the engine mutex, so concurrent queries share the machine
-// instead of a lock queue — traced, logged or explained. The mutex is
-// taken only when no fresh snapshot is published: the first read after a
-// mutation refreshes the effective universe, freezes a snapshot for the
-// readers behind it, and evaluates under the lock.
+// non-nil, q ignored), EXPLAIN and EXPLAIN ANALYZE: pin a version, run.
+// Reads are snapshot-isolated: the query pins the newest committed
+// version of the effective universe (version.go) and evaluates against it
+// without holding the engine mutex, so concurrent queries share the
+// machine instead of a lock queue — traced, logged or explained. Only
+// the first read after a mutation takes the mutex, inside pin, to
+// refresh and freeze the version it and the readers behind it evaluate.
 func (e *Engine) read(ctx context.Context, q *ast.Query, p *PreparedQuery, kind readKind) (*Answer, *Explain, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	cctx := cancellable(ctx)
-	if v := e.pinHead(); v != nil {
-		defer v.unpin()
-		return e.runQuery(cctx, ctx, q, p, v.readView, kind)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	rounds := e.fixpointRounds
-	if _, err := e.refreshEffective(cctx); err != nil {
+	v, rounds, err := e.pin(cctx)
+	if err != nil {
 		return nil, nil, err
 	}
-	e.publishHeadLocked()
-	ans, x, err := e.runQuery(cctx, ctx, q, p, e.lockedView(), kind)
+	defer v.unpin()
+	ans, x, err := e.runQuery(cctx, ctx, q, p, v.readView, kind)
 	if ans != nil {
-		ans.Resources.FixpointRounds = e.fixpointRounds - rounds
+		ans.Resources.FixpointRounds = rounds
 	}
 	return ans, x, err
 }
 
-// readView is what one read evaluates against: an effective universe
-// that stays immutable for the duration, with the epoch, options,
+// readView is what one evaluation reads: an effective universe that
+// stays immutable for the duration, with the epoch, options,
 // observability hooks and unreachable members that go with it — a pinned
-// version's (the MVCC fast path), or the locked live universe's.
+// version's for a read, the merged universe under e.mu for a view
+// refresh's rule bodies.
 type readView struct {
 	eff         *object.Tuple
 	epoch       uint64
@@ -483,26 +477,18 @@ type readView struct {
 	unavailable map[string]bool
 }
 
-// lockedView is the live, just-refreshed effective universe. Callers
-// hold e.mu for as long as they use it.
-func (e *Engine) lockedView() readView {
-	return readView{eff: e.effective, epoch: e.epoch, opts: e.opts, em: e.em, tracer: e.tracer, unavailable: e.unavailable}
-}
-
-// runQuery runs a pure query's plan against a read view. A prepared
-// query (p non-nil) revalidates its own plan; otherwise the plan comes
-// from the plan cache, or is compiled cold under NoPlanCache. Either way
-// the read binds its own statement's literals into the plan's literal
-// slots (bind) and executes the plan's own AST: every evaluation of one plan
-// walks identical pointers, so statements of one shape enumerate
-// identically whether they hit or miss the cache, and a measured read —
-// traced, or EXPLAIN ANALYZE — keys its per-evaluation probes by the
-// plan's conjuncts. The locked and lock-free paths share this one body,
-// so answers — including raw row order — are byte-identical across them
-// at the same epoch. Shared state it touches is individually
-// synchronized: the plan cache under planMu, the index cache's sharded
-// read locks, the statistics sync.Map, the tracer's ring, and the
-// aggregate counters under statsMu.
+// runQuery runs a pure query's plan against a pinned version's view,
+// with no engine lock held. A prepared query (p non-nil) revalidates its
+// own plan; otherwise the plan comes from the plan cache, or is compiled
+// cold under NoPlanCache. Either way the read binds its own statement's
+// literals into the plan's literal slots (bind) and executes the plan's
+// own AST: every evaluation of one plan walks identical pointers, so
+// statements of one shape enumerate identically whether they hit or miss
+// the cache, and a measured read — traced, or EXPLAIN ANALYZE — keys its
+// per-evaluation probes by the plan's conjuncts. Shared state it touches
+// is individually synchronized: the plan cache under planMu, the index
+// cache's sharded read locks, the statistics sync.Map, the tracer's ring,
+// and the aggregate counters under statsMu.
 func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Query, p *PreparedQuery, rv readView, kind readKind) (*Answer, *Explain, error) {
 	var start time.Time
 	if rv.em != nil || rv.tracer != nil {
@@ -935,7 +921,7 @@ func (e *Engine) programCall(conjunct ast.Expr) (*Program, *matchedCall, bool) {
 	if !ok || a.Sign != ast.SignNone {
 		return nil, nil, false
 	}
-	db, ok := constStrName(a.Name)
+	db, ok := ast.ConstName(a.Name)
 	if !ok {
 		return nil, nil, false
 	}
@@ -947,7 +933,7 @@ func (e *Engine) programCall(conjunct ast.Expr) (*Program, *matchedCall, bool) {
 	if !ok || nameAttr.Sign != ast.SignNone {
 		return nil, nil, false
 	}
-	name, ok := constStrName(nameAttr.Name)
+	name, ok := ast.ConstName(nameAttr.Name)
 	if !ok {
 		return nil, nil, false
 	}
@@ -980,18 +966,6 @@ func (e *Engine) programCall(conjunct ast.Expr) (*Program, *matchedCall, bool) {
 		return nil, nil, false
 	}
 	return p, &matchedCall{clause: p.Clauses[0], args: args}, true
-}
-
-func constStrName(t ast.Term) (string, bool) {
-	c, ok := t.(ast.Const)
-	if !ok {
-		return "", false
-	}
-	s, ok := c.Value.(object.Str)
-	if !ok {
-		return "", false
-	}
-	return string(s), true
 }
 
 // invokeProgram executes every clause of a program, in order, under the
@@ -1069,7 +1043,7 @@ func (e *Engine) execUpdateConjunct(conjunct ast.Expr, u *updater, active map[*c
 				return &ReadOnlyDBError{DB: db}
 			}
 		}
-		if db, ok := constStrName(a.Name); ok && e.dbIsDerived(db) {
+		if db, ok := ast.ConstName(a.Name); ok && e.dbIsDerived(db) {
 			if _, _, _, _, matched := e.updateTarget(conjunct, u.ev.env); !matched {
 				return fmt.Errorf("core: cannot update derived database %s: only relation-level +/- set expressions are translatable", db)
 			}

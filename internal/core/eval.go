@@ -31,8 +31,8 @@ type Stats struct {
 }
 
 // add accumulates o into s. Each engine operation evaluates against its
-// own Stats and merges into the engine totals under the engine mutex, so
-// per-operation deltas (EXPLAIN ANALYZE, metrics) come for free.
+// own Stats and merges into the engine totals under statsMu (addStats),
+// so per-operation deltas (EXPLAIN ANALYZE, metrics) come for free.
 func (s *Stats) add(o Stats) {
 	s.ElementsScanned += o.ElementsScanned
 	s.IndexProbes += o.IndexProbes
@@ -427,13 +427,9 @@ func (ev *evaluator) frameFor(x *ast.TupleExpr) *tupleFrame {
 	return f
 }
 
-// step picks the next runnable conjunct (depth-first, with the used mask
-// undone on backtrack — the choice can differ per binding because
-// boundness differs) and runs it with step itself as continuation. With
-// cost ranks, the cheapest runnable conjunct runs first (source order
-// breaking ties) — ordering within the safety constraints, never instead
-// of them; without ranks the first runnable conjunct in source order
-// runs.
+// step picks the next conjunct (pickConjunct; the choice can differ per
+// binding because boundness differs) and runs it depth-first with step
+// itself as continuation, undoing the used mask on backtrack.
 func (f *tupleFrame) step() error {
 	if f.left == 0 {
 		return f.k()
@@ -442,49 +438,58 @@ func (f *tupleFrame) step() error {
 	if err := ev.checkCtx(); err != nil {
 		return err
 	}
-	pick := -1
-	for idx := range f.used {
-		if f.used[idx] {
-			continue
-		}
-		if ev.noSchedule {
-			pick = idx
-			break
-		}
-		runnable := true
-		for _, slot := range f.consumed[idx] {
-			if !ev.env.Bound(slot) {
-				runnable = false
-				break
-			}
-		}
-		if runnable {
-			if f.ranks == nil {
-				pick = idx
-				break
-			}
-			if pick < 0 || f.ranks[idx] < f.ranks[pick] {
-				pick = idx
-			}
-		}
-	}
-	if pick < 0 {
-		// No conjunct is safe; run the first unscheduled one anyway.
-		// Negation evaluates with local bindings (the paper's literal ∃σ
-		// reading); inequalities raise UnsafeError downstream.
-		for idx := range f.used {
-			if !f.used[idx] {
-				pick = idx
-				break
-			}
-		}
-	}
+	pick := pickConjunct(f.used, f.consumed, f.ranks, ev.env, ev.noSchedule)
 	f.used[pick] = true
 	f.left--
 	err := ev.satisfyConjunct(f.x.Conjuncts[pick], f.o, f.next)
 	f.left++
 	f.used[pick] = false
 	return err
+}
+
+// pickConjunct is the scheduler's one rule, which evaluation, EXPLAIN's
+// simulation (planQuery) and the parallel scan's first pick (scanTarget)
+// all call: among the conjuncts not yet used, noSchedule takes the first
+// in source order; otherwise a conjunct is runnable once env binds every
+// slot it consumes, and the runnable one of least rank runs (source order
+// breaking ties; plain source order without ranks) — ordering within the
+// safety constraints, never instead of them. When none is runnable the
+// first unused one runs anyway: negation evaluates with local bindings
+// (the paper's literal ∃σ reading), and an inequality raises UnsafeError
+// downstream. At least one conjunct must be unused.
+func pickConjunct(used []bool, consumed [][]int32, ranks []float64, env *Env, noSchedule bool) int {
+	pick, first := -1, -1
+	for idx, done := range used {
+		if done {
+			continue
+		}
+		if first < 0 {
+			first = idx
+			if noSchedule {
+				return idx
+			}
+		}
+		runnable := true
+		for _, slot := range consumed[idx] {
+			if !env.Bound(slot) {
+				runnable = false
+				break
+			}
+		}
+		if !runnable {
+			continue
+		}
+		if ranks == nil {
+			return idx
+		}
+		if pick < 0 || ranks[idx] < ranks[pick] {
+			pick = idx
+		}
+	}
+	if pick < 0 {
+		return first
+	}
+	return pick
 }
 
 // satisfyConjunct runs one scheduled conjunct, measured when an analyze
@@ -653,31 +658,40 @@ func (ev *evaluator) satisfySet(x *ast.SetExpr, o object.Object, k cont) error {
 	return failure
 }
 
-// indexCandidates pins every ground equality conjunct (`.attr =
-// groundterm`) of the inner tuple expression — the first of any repeated
-// attribute — and returns the matching elements from the set's index on
-// those attributes. Inner expressions that aren't conjunct lists, or with
-// no ground equality conjunct, fall back to scanning.
+// indexCandidates answers a set expression from the set's attribute
+// index when the index rule (indexKeys) applies, pinning every key it
+// found.
 func (ev *evaluator) indexCandidates(x *ast.SetExpr, set *object.Set) ([]object.Object, bool) {
-	te, ok := x.X.(*ast.TupleExpr)
-	if !ok {
-		return nil, false
-	}
-	// Indexing only pays off beyond trivial sizes.
-	if set.Len() < 16 {
-		return nil, false
-	}
-	eqs := ev.eqs[:0]
-	for _, c := range te.Conjuncts {
-		attr, val, ok := groundEqConjunct(c, ev.env)
-		if ok && !slices.ContainsFunc(eqs, func(eq indexEq) bool { return eq.attr == attr }) {
-			eqs = append(eqs, indexEq{attr: attr, val: val})
-		}
-	}
+	eqs := indexKeys(ev.eqs[:0], x, set, ev.env)
 	if len(eqs) == 0 {
 		return nil, false
 	}
 	return ev.indexes.lookup(set, eqs, ev.stats), true
+}
+
+// indexMinLen is the smallest set an attribute index answers: below it a
+// scan costs less than building and probing the index.
+const indexMinLen = 16
+
+// indexKeys is the one index rule, which evaluation (indexCandidates),
+// EXPLAIN (accessPath) and the parallel scan (scanTarget) all call: a set
+// expression over a set of at least indexMinLen elements is answered by
+// an index probe when its inner conjunct list has a ground equality
+// `.attr = term` — a constant attribute name, a term ground under env. It
+// appends each such key to dst, the first of any repeated attribute, and
+// returns dst; no key means scan.
+func indexKeys(dst []indexEq, x *ast.SetExpr, set *object.Set, env *Env) []indexEq {
+	te, ok := x.X.(*ast.TupleExpr)
+	if !ok || set.Len() < indexMinLen {
+		return dst
+	}
+	for _, c := range te.Conjuncts {
+		attr, val, ok := groundEqConjunct(c, env)
+		if ok && !slices.ContainsFunc(dst, func(eq indexEq) bool { return eq.attr == attr }) {
+			dst = append(dst, indexEq{attr: attr, val: val})
+		}
+	}
+	return dst
 }
 
 // groundEqConjunct recognizes `.attr = groundterm` conjuncts — ground
@@ -687,11 +701,7 @@ func groundEqConjunct(c ast.Expr, env *Env) (string, object.Object, bool) {
 	if !ok || a.Sign != ast.SignNone {
 		return "", nil, false
 	}
-	nameConst, ok := a.Name.(ast.Const)
-	if !ok {
-		return "", nil, false
-	}
-	nameStr, ok := nameConst.Value.(object.Str)
+	name, ok := ast.ConstName(a.Name)
 	if !ok {
 		return "", nil, false
 	}
@@ -706,7 +716,7 @@ func groundEqConjunct(c ast.Expr, env *Env) (string, object.Object, bool) {
 	if !val.Kind().IsAtomic() {
 		return "", nil, false
 	}
-	return string(nameStr), val, true
+	return name, val, true
 }
 
 // groundTerm reports whether every variable of t is bound under env —

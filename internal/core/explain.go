@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -137,90 +138,56 @@ func (x *Explain) annotate(order []ast.Expr, probes map[ast.Expr]*conjunctProbe,
 	x.Total = total
 }
 
-// planQuery simulates the conjunct scheduler over a plan's body against a
-// read view, returning the static plan plus the scheduled conjuncts in
-// step order (the mapping ANALYZE uses to attach actuals). Steps render
-// the read's own literals (unlift): a shared plan was compiled for some
-// statement of the same shape, whose literals may differ. an carries the
-// cost ranks the real scheduler uses (none in a NoSchedule plan, where
-// ranks would misreport the strict left-to-right order): among runnable
-// conjuncts the cheapest is picked, source order breaking ties — the same
-// rule as tupleFrame.step.
+// planQuery simulates the scheduler over a plan's body against a read
+// view, returning the static plan plus the scheduled conjuncts in step
+// order (the mapping ANALYZE uses to attach actuals). It runs the
+// evaluator's own rules on a substitution with the read's literals bound:
+// each step is picked by pickConjunct — with the plan's cost ranks and
+// the view's NoSchedule — and its access path is the index rule's answer
+// (accessPath); then the step's producer variables are bound to a
+// placeholder, so later steps see them bound as they will be at run time.
+// Steps render the read's own literals (unlift): a shared plan was
+// compiled for some statement of the same shape, whose literals may
+// differ.
 func planQuery(an *bodyAnalysis, rv readView) (*Explain, []ast.Expr) {
 	conjuncts := an.body.Conjuncts
-	consumed := make([][]string, len(conjuncts))
-	for i, c := range conjuncts {
-		consumed[i] = consumedVars(c)
-	}
-	ranks := an.ranks
-	empty := an.newEnv()
-	// Simulate the scheduler: repeatedly pick the cheapest conjunct whose
-	// consumed variables are all "bound" by previously scheduled ones.
-	bound := map[string]bool{}
-	remaining := make([]int, len(conjuncts))
-	for i := range remaining {
-		remaining[i] = i
-	}
+	consumed := an.sc.consumedSlots(conjuncts)
+	env := an.newEnv()
+	used := make([]bool, len(conjuncts))
 	plan := &Explain{}
 	var order []ast.Expr
-	var scheduled []int
-	for len(remaining) > 0 {
-		pick := -1
-		for pos, idx := range remaining {
-			ok := true
-			for _, v := range consumed[idx] {
-				if !bound[v] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			if ranks == nil {
-				pick = pos
-				break
-			}
-			if pick < 0 || ranks[idx] < ranks[remaining[pick]] {
-				pick = pos
-			}
-		}
-		if pick < 0 {
-			pick = 0
-		}
-		idx := remaining[pick]
-		step := explainConjunct(conjuncts[idx], consumed[idx], rv, empty)
-		step.Conjunct = unlift(conjuncts[idx], empty).String()
-		if ranks != nil && ranks[idx] < costHuge {
-			step.EstRows = int64(ranks[idx])
+	for range conjuncts {
+		idx := pickConjunct(used, consumed, an.ranks, env, rv.opts.NoSchedule)
+		c := conjuncts[idx]
+		step := explainConjunct(c, consumedVars(c), rv, env)
+		step.Conjunct = unlift(c, env).String()
+		if an.ranks != nil && an.ranks[idx] < costHuge {
+			step.EstRows = int64(an.ranks[idx])
 			step.Estimated = true
 		}
-		if a, ok := conjuncts[idx].(*ast.AttrExpr); ok {
-			if db, ok := constTermName(a.Name); ok && rv.unavailable[db] {
+		if a, ok := c.(*ast.AttrExpr); ok {
+			if db, ok := ast.ConstName(a.Name); ok && rv.unavailable[db] {
 				step.Skipped = true
 			}
 		}
 		// Deferred: a textually later conjunct ran first.
-		for _, done := range scheduled {
-			if done > idx {
-				step.Deferred = true
-				break
+		step.Deferred = slices.Contains(used[idx+1:], true)
+		used[idx] = true
+		plan.Steps = append(plan.Steps, step)
+		order = append(order, c)
+		for _, v := range step.Binds {
+			if slot := an.sc.lookup(v); !env.Bound(slot) {
+				env.Bind(slot, object.Int(0)) // an atom, as index keys are
 			}
 		}
-		scheduled = append(scheduled, idx)
-		plan.Steps = append(plan.Steps, step)
-		order = append(order, conjuncts[idx])
-		for _, v := range step.Binds {
-			bound[v] = true
-		}
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
 	}
 	return plan, order
 }
 
 // explainConjunct classifies one conjunct and resolves its access path
-// against the effective universe; the caller renders it.
-func explainConjunct(c ast.Expr, consumes []string, rv readView, empty *Env) ExplainStep {
+// under env, the simulated substitution before it runs; the caller
+// renders it.
+func explainConjunct(c ast.Expr, consumes []string, rv readView, env *Env) ExplainStep {
 	step := ExplainStep{
 		Kind:     "query",
 		Access:   "n/a",
@@ -229,7 +196,7 @@ func explainConjunct(c ast.Expr, consumes []string, rv readView, empty *Env) Exp
 	switch x := c.(type) {
 	case *ast.Not:
 		step.Kind = "negation"
-		inner := explainConjunct(x.X, nil, rv, empty)
+		inner := explainConjunct(x.X, nil, rv, env)
 		step.Access = inner.Access
 		return step
 	case *ast.Constraint:
@@ -238,7 +205,7 @@ func explainConjunct(c ast.Expr, consumes []string, rv readView, empty *Env) Exp
 		return step
 	case *ast.AttrExpr:
 		step.Binds = producerVars(c, consumes)
-		step.Access = accessPath(x, rv, empty)
+		step.Access = accessPath(x, rv, env)
 		ast.Walk(c, func(node ast.Expr) bool {
 			if _, isNot := node.(*ast.Not); isNot {
 				step.Kind = "negation"
@@ -270,11 +237,11 @@ func producerVars(c ast.Expr, consumes []string) []string {
 }
 
 // accessPath resolves whether the conjunct's relation-level set
-// expression would use an attribute index.
-func accessPath(a *ast.AttrExpr, rv readView, empty *Env) string {
+// expression is answered by an attribute index under env (indexKeys).
+func accessPath(a *ast.AttrExpr, rv readView, env *Env) string {
 	eff := rv.eff
 	// Walk the path: db attr -> rel attr -> set expr.
-	dbName, ok := constTermName(a.Name)
+	dbName, ok := ast.ConstName(a.Name)
 	if !ok {
 		return "scan" // higher-order database enumeration
 	}
@@ -287,7 +254,7 @@ func accessPath(a *ast.AttrExpr, rv readView, empty *Env) string {
 		return "navigate"
 	}
 	var set *object.Set
-	if relName, ok := constTermName(relAttr.Name); ok {
+	if relName, ok := ast.ConstName(relAttr.Name); ok {
 		dbObj, has := eff.Get(dbName)
 		if !has {
 			return "scan"
@@ -313,29 +280,9 @@ func accessPath(a *ast.AttrExpr, rv readView, empty *Env) string {
 			return "navigate"
 		}
 	}
-	if !rv.opts.UseIndex || set == nil || set.Len() < 16 {
+	var keys [4]indexEq
+	if !rv.opts.UseIndex || set == nil || len(indexKeys(keys[:0], se, set, env)) == 0 {
 		return "scan"
 	}
-	te, ok := se.X.(*ast.TupleExpr)
-	if !ok {
-		return "scan"
-	}
-	for _, c := range te.Conjuncts {
-		// A conjunct with a constant attribute name and a ground-or-
-		// bindable equality can use the index once its term is ground;
-		// statically we report "index" for constant equalities.
-		if attr, _, ok := groundEqConjunct(c, empty); ok && attr != "" {
-			return "index"
-		}
-	}
-	return "scan"
-}
-
-func constTermName(t ast.Term) (string, bool) {
-	c, ok := t.(ast.Const)
-	if !ok {
-		return "", false
-	}
-	s, ok := c.Value.(object.Str)
-	return string(s), ok
+	return "index"
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -114,5 +115,69 @@ func TestExplainHigherOrderScan(t *testing.T) {
 	binds := plan.Steps[0].Binds
 	if len(binds) != 2 {
 		t.Errorf("binds = %v", binds)
+	}
+}
+
+// TestExplainNoScheduleSourceOrder: under NoSchedule the evaluator runs
+// conjuncts strictly left to right, so EXPLAIN lists them in source order
+// with nothing deferred — even where that order is unsafe, which the
+// query itself then reports.
+func TestExplainNoScheduleSourceOrder(t *testing.T) {
+	opts := DefaultOptions()
+	opts.NoSchedule = true
+	e := NewEngineWithOptions(opts)
+	buildStockBase(t, e)
+	const src = "?.euter.r(.stkCode=S, .clsPrice>P), .euter.r(.stkCode=hp, .clsPrice=P)"
+	plan := explain(t, e, src)
+	if len(plan.Steps) != 2 {
+		t.Fatalf("steps = %d", len(plan.Steps))
+	}
+	for i, want := range []string{".euter.r(.stkCode=S, .clsPrice>P)", ".euter.r(.stkCode=hp, .clsPrice=P)"} {
+		if got := plan.Steps[i].Conjunct; got != want {
+			t.Errorf("step %d = %s, want %s", i+1, got, want)
+		}
+		if plan.Steps[i].Deferred {
+			t.Errorf("step %d deferred under NoSchedule:\n%s", i+1, plan)
+		}
+	}
+	query, err := parser.ParseQuery(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Query(query); err == nil || !strings.Contains(err.Error(), `unsafe expression ">P"`) {
+		t.Errorf("query err = %v, want the unsafe >P of the source-order run", err)
+	}
+}
+
+// TestExplainIndexForBoundKeys: a join or negation step whose equality
+// key an earlier step binds runs as an index probe, and EXPLAIN says so;
+// its ANALYZE actuals show no scan, and probes once the step is reached.
+func TestExplainIndexForBoundKeys(t *testing.T) {
+	e := bigStockEngine(t)
+	for _, src := range []string{
+		// hp never closes highest on its day: the negation ends every path.
+		"?.euter.r(.stkCode=hp, .date=D, .clsPrice=P), .euter.r(.date=D, .stkCode=S), .euter.r~(.date=D, .clsPrice>P)",
+		// hp always closes lowest: every step runs.
+		"?.euter.r(.stkCode=hp, .date=D, .clsPrice=P), .euter.r(.date=D, .stkCode=S), .euter.r~(.date=D, .clsPrice<P)",
+	} {
+		query, err := parser.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, _, err := e.ExplainAnalyzeQuery(context.Background(), query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Steps) != 3 {
+			t.Fatalf("%s: steps = %d", src, len(plan.Steps))
+		}
+		reached := true
+		for i, s := range plan.Steps {
+			a := s.Analyze
+			if s.Access != "index" || a.Scanned != 0 || reached && a.IndexProbes == 0 {
+				t.Errorf("%s: step %d [%s/%s] %s %+v: want index, scanned=0, probes>0 once reached", src, i+1, s.Kind, s.Access, s.Conjunct, *a)
+			}
+			reached = a.Rows > 0
+		}
 	}
 }

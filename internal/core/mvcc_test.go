@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"idl/internal/ast"
 	"idl/internal/object"
@@ -361,4 +363,58 @@ func TestMVCCViewMaintenanceUnderReaders(t *testing.T) {
 		t.Error("the churn should be maintained by delta")
 	}
 	assertOverlayFresh(t, e)
+}
+
+// parkingCtx parks the read it is handed at its second Err call — read's
+// entry check is the first, the evaluator's first amortized poll the
+// second — closing parked and blocking until release is closed.
+type parkingCtx struct {
+	context.Context
+	calls   atomic.Int32
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (c *parkingCtx) Err() error {
+	if c.calls.Add(1) == 2 {
+		close(c.parked)
+		<-c.release
+	}
+	return nil
+}
+
+// TestSlowPathReadEvaluatesUnlocked: the first read after a write
+// refreshes and freezes a version under e.mu, but evaluates it unlocked,
+// so a caller of e.mu (MVCCStats) is served while that read is parked
+// mid-evaluation. The fixture has no rules: the refresh evaluates nothing
+// and cannot poll the context.
+func TestSlowPathReadEvaluatesUnlocked(t *testing.T) {
+	e := bigStockEngine(t)
+	exec(t, e, "?.euter.r+(.date=3/4/85,.stkCode=hp,.clsPrice=63)")
+	// 60 × 60 join candidates: past the evaluator's 1024-operation poll.
+	query, err := parser.ParseQuery("?.euter.r(.stkCode=A), .euter.r(.stkCode=B)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &parkingCtx{Context: context.Background(), parked: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.QueryCtx(ctx, query)
+		done <- err
+	}()
+	<-ctx.parked
+	stats := make(chan MVCCStats, 1)
+	go func() { stats <- e.MVCCStats() }()
+	select {
+	case st := <-stats:
+		if st.PinnedReaders != 1 || !st.HeadPublished {
+			t.Errorf("parked read: %+v, want the head published and pinned once", st)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("MVCCStats blocked on e.mu while the first read after a write evaluated")
+	}
+	close(ctx.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 }

@@ -26,10 +26,10 @@ import (
 // derived overlay is the same at every worker count too.
 //
 // Workers share the engine's index cache (sharded, read-locked on hits)
-// and the effective universe, which is never mutated during body
-// evaluation — either the live universe under e.mu or a frozen MVCC
-// snapshot, whose options and metrics are threaded in explicitly so the
-// evaluation matches what the snapshot captured. Per-conjunct analyze
+// and the effective universe they evaluate, which nothing mutates while
+// they run: a read's pinned MVCC version, or a view refresh's merged
+// universe under e.mu. The options and metrics come with that view, so
+// the evaluation matches what the version captured. Per-conjunct analyze
 // probes are not parallel-safe, so traced/EXPLAIN ANALYZE queries always
 // evaluate sequentially.
 
@@ -48,43 +48,38 @@ type partition struct {
 }
 
 // scanTarget statically resolves the set that the first scheduled
-// conjunct of body will fully scan, mirroring the scheduler's first pick
-// under the empty substitution (including the cost ranks carried by an,
-// when present — the parallel first pick must stay in lockstep with the
-// ranked scheduler). It returns nil when the first conjunct is not a
+// conjunct of x will fully scan under env (the read's literals bound,
+// nothing else), by the evaluator's own rules: the scheduler's pick
+// (pickConjunct, with the cost ranks an carries for its body) and the
+// index rule (indexKeys). It returns nil when the first conjunct is not a
 // plain constant-path scan — a negation, a constraint, a variable
 // database or relation name, or a set expression the index would answer
 // (partitioning an index probe would change the candidate enumeration
 // order).
-func (e *Engine) scanTarget(x ast.Expr, o object.Object, an *bodyAnalysis, opts Options) *object.Set {
+func scanTarget(x ast.Expr, o object.Object, an *bodyAnalysis, env *Env, opts Options) *object.Set {
 	switch expr := x.(type) {
 	case *ast.TupleExpr:
 		if len(expr.Conjuncts) == 0 {
 			return nil
 		}
-		// Mirror the scheduler with an empty env: the cheapest conjunct
-		// whose consumed-slot list is empty runs first (rank order with
-		// source-order ties, or plain source order without ranks); if none
-		// qualifies the scheduler falls back to the first conjunct. A
-		// single conjunct is not scheduled at all.
+		// A single conjunct is not scheduled (and its list has no ID).
 		pick := 0
-		if !opts.NoSchedule && expr.ID != 0 {
+		if expr.ID != 0 {
 			var ranks []float64
 			if expr == an.body {
 				ranks = an.ranks
 			}
-			pick = firstRunnable(an.sc.tuples[expr.ID].consumed, ranks)
-			if pick < 0 {
-				pick = 0
-			}
+			var buf [16]bool // the first pick's empty mask, kept off the heap
+			used := append(buf[:0], make([]bool, len(expr.Conjuncts))...)
+			pick = pickConjunct(used, an.sc.tuples[expr.ID].consumed, ranks, env, opts.NoSchedule)
 		}
-		return e.scanTarget(expr.Conjuncts[pick], o, an, opts)
+		return scanTarget(expr.Conjuncts[pick], o, an, env, opts)
 
 	case *ast.AttrExpr:
 		if expr.Sign != ast.SignNone {
 			return nil
 		}
-		name, ok := constStrName(expr.Name)
+		name, ok := ast.ConstName(expr.Name)
 		if !ok {
 			return nil
 		}
@@ -96,7 +91,7 @@ func (e *Engine) scanTarget(x ast.Expr, o object.Object, an *bodyAnalysis, opts 
 		if !ok {
 			return nil
 		}
-		return e.scanTarget(expr.Expr, val, an, opts)
+		return scanTarget(expr.Expr, val, an, env, opts)
 
 	case *ast.SetExpr:
 		if expr.Sign != ast.SignNone {
@@ -106,7 +101,8 @@ func (e *Engine) scanTarget(x ast.Expr, o object.Object, an *bodyAnalysis, opts 
 		if !ok {
 			return nil
 		}
-		if opts.UseIndex && wouldUseIndex(expr, set, an.newEnv()) {
+		var keys [4]indexEq
+		if opts.UseIndex && len(indexKeys(keys[:0], expr, set, env)) > 0 {
 			// The index path would answer this scan, so the sequential
 			// evaluator never enumerates the full set; leave it alone.
 			return nil
@@ -116,25 +112,6 @@ func (e *Engine) scanTarget(x ast.Expr, o object.Object, an *bodyAnalysis, opts 
 	default:
 		return nil
 	}
-}
-
-// wouldUseIndex mirrors indexCandidates' decision under the given
-// (empty) substitution without touching the index cache: same
-// inner-shape, size, and ground-equality-conjunct tests, no lookup.
-func wouldUseIndex(x *ast.SetExpr, set *object.Set, empty *Env) bool {
-	te, ok := x.X.(*ast.TupleExpr)
-	if !ok {
-		return false
-	}
-	if set.Len() < 16 {
-		return false
-	}
-	for _, c := range te.Conjuncts {
-		if _, _, ok := groundEqConjunct(c, empty); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // splitChunks cuts elems into at most n contiguous, non-empty chunks of
@@ -167,7 +144,7 @@ func splitChunks(elems []object.Object, n int) [][]object.Object {
 // chunk.
 func (e *Engine) collectPartitioned(ctx context.Context, an *bodyAnalysis, rv readView, stats *Stats) (*rowSet, bool, error) {
 	root, opts, em := rv.eff, rv.opts, rv.em
-	target := e.scanTarget(an.body, root, an, opts)
+	target := scanTarget(an.body, root, an, an.newEnv(), opts)
 	if target == nil || target.Len() < minPartition {
 		return nil, false, nil
 	}

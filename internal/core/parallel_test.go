@@ -307,11 +307,69 @@ func TestScanTargetSkipsIndexableScans(t *testing.T) {
 	}
 }
 
+// TestScanTargetIsExplainStepOne: the parallel scan partitions the set
+// that the scheduler's first pick reads, and that pick is EXPLAIN's step
+// 1 — ranked, under NoSchedule, and through a nested conjunct list.
+func TestScanTargetIsExplainStepOne(t *testing.T) {
+	parse := func(src string) *ast.Query {
+		q, err := parser.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	scan := func(rel string, x ast.Expr) *ast.AttrExpr { return ast.Attr(rel, &ast.SetExpr{X: x}) }
+	// One conjunct over ource whose nested list of two relation scans
+	// schedules. Built directly: in the syntax, parentheses after .ource
+	// would open a set expression.
+	nested := &ast.Query{Body: ast.Conj(ast.Attr("ource", ast.Conj(
+		scan("hp", ast.Conj(ast.Attr("clsPrice", ast.Gt(ast.Var{Name: "P"})))),
+		scan("ibm", ast.Conj(ast.Attr("clsPrice", ast.Eq(ast.Var{Name: "P"})))),
+	)))}
+	ranked := parse("?.euter.r(.stkCode=S, .clsPrice=P), .chwab.r(.date=D)")
+	unsafe := parse("?.euter.r(.clsPrice>P), .chwab.r(.date=D, .hp=P)")
+	for _, tc := range []struct {
+		q          *ast.Query
+		noSchedule bool
+		step1      int    // the source conjunct EXPLAIN lists first
+		db, rel    string // the set scanTarget partitions
+	}{
+		// Ranked: chwab.r (3 elements) before euter.r (9).
+		{ranked, false, 1, "chwab", "r"},
+		{ranked, true, 0, "euter", "r"},
+		// Safety: euter.r consumes P, which only chwab.r binds.
+		{unsafe, false, 1, "chwab", "r"},
+		{unsafe, true, 0, "euter", "r"},
+		// ource.hp consumes P, which only ource.ibm binds.
+		{nested, false, 0, "ource", "ibm"},
+		{nested, true, 0, "ource", "hp"},
+	} {
+		opts := DefaultOptions()
+		opts.NoSchedule = tc.noSchedule
+		e := NewEngineWithOptions(opts)
+		buildStockBase(t, e)
+		eff, err := e.EffectiveUniverse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, lits := planKeyFor(tc.q, opts)
+		an := e.compilePlan(tc.q, eff, key, e.epoch, nil).an.bind(lits)
+		plan, order := planQuery(an, readView{eff: eff, opts: opts})
+		if got, want := plan.Steps[0].Conjunct, tc.q.Body.Conjuncts[tc.step1].String(); got != want {
+			t.Errorf("%s (NoSchedule %v): step 1 = %s, want %s", tc.q, tc.noSchedule, got, want)
+		}
+		got := scanTarget(an.body, eff, an, an.newEnv(), opts)
+		if want := relation(t, e, tc.db, tc.rel); got != want || got != scanTarget(order[0], eff, an, an.newEnv(), opts) {
+			t.Errorf("%s (NoSchedule %v): scanTarget is not %s.%s, the set step 1 reads", tc.q, tc.noSchedule, tc.db, tc.rel)
+		}
+	}
+}
+
 // scanTargetOf compiles q's plan and resolves its partitionable scan.
 func scanTargetOf(e *Engine, q *ast.Query, eff *object.Tuple) *object.Set {
 	key, lits := planKeyFor(q, e.opts)
 	an := e.compilePlan(q, eff, key, e.epoch, nil).an.bind(lits)
-	return e.scanTarget(an.body, eff, an, e.opts)
+	return scanTarget(an.body, eff, an, an.newEnv(), e.opts)
 }
 
 // TestParallelMetrics checks the worker instruments move when parallel

@@ -15,7 +15,7 @@ import (
 // lists), the cost-based conjunct ranks derived from catalog statistics,
 // the answer-variable signature, and the set of universe objects the
 // ranking touched (the plan's dependencies). Plans carry no data — the
-// evaluator always reads the live effective universe — so a cached plan
+// evaluator always reads the version its read pinned — so a cached plan
 // can never produce a wrong answer; dependencies exist to keep the ranks
 // (and therefore the enumeration order) byte-identical to what a fresh
 // compilation would produce. Nor do plans carry literals: a plan is keyed
@@ -222,11 +222,9 @@ func (e *Engine) validatePlan(pl *queryPlan, eff *object.Tuple) bool {
 
 // planFor returns a plan for q, consulting the fingerprint-keyed cache
 // unless caching is disabled, plus the cache outcome ("hit", "stale",
-// "miss", "cold"). rv.eff must be immutable for the duration of the call
-// — a frozen MVCC snapshot, or the live effective universe with e.mu
-// held. The cache itself is guarded by e.planMu, not e.mu, so lock-free
-// snapshot readers and the locked mutation path share one cache without
-// contending on the engine mutex. A peek (EXPLAIN) takes the plan a read
+// "miss", "cold"). rv is a pinned version's view. The cache is guarded by
+// e.planMu, not e.mu, so readers share it without contending with
+// writers on the engine mutex. A peek (EXPLAIN) takes the plan a read
 // would run without counting the lookup, restamping the plan or caching
 // a compile, so explaining a query leaves the cache as it found it.
 func (e *Engine) planFor(q *ast.Query, key planKey, rv readView, peek bool) (*queryPlan, string) {
@@ -295,31 +293,12 @@ func (e *Engine) reuse(cur *queryPlan, q *ast.Query, eff *object.Tuple, key plan
 	return e.compilePlan(q, eff, key, epoch, em), "miss", cur == nil || epoch > cur.epoch
 }
 
-// firstRunnable mirrors the scheduler's first pick under the empty
-// substitution: the minimum-rank conjunct among those with no consumed
-// variables (source order breaking ties), or -1 when none is runnable.
-// scanTarget (parallel.go) and the plan simulation must agree with
-// scheduleConjuncts on this pick.
-func firstRunnable(consumed [][]int32, ranks []float64) int {
-	pick := -1
-	for i := range consumed {
-		if len(consumed[i]) != 0 {
-			continue
-		}
-		if ranks == nil {
-			return i
-		}
-		if pick < 0 || ranks[i] < ranks[pick] {
-			pick = i
-		}
-	}
-	return pick
-}
-
 // estimateConjunct estimates the rows one top-level conjunct enumerates,
 // from catalog statistics. Filters (constraints, negations, atomics) cost
 // nothing — once runnable they only prune. deps, when non-nil, records
-// every universe object the estimate resolved. Callers hold e.mu.
+// every universe object the estimate resolved. eff must not change
+// during the call: a frozen snapshot, or the merged universe of a refresh
+// under e.mu.
 func (e *Engine) estimateConjunct(c ast.Expr, eff *object.Tuple, deps *[]planDep) float64 {
 	switch x := c.(type) {
 	case *ast.AttrExpr:
@@ -350,7 +329,7 @@ func (e *Engine) estimateConjunct(c ast.Expr, eff *object.Tuple, deps *[]planDep
 // estimateAttr estimates a `.db(...)` conjunct by resolving its constant
 // path against the effective universe and consulting relation statistics.
 func (e *Engine) estimateAttr(a *ast.AttrExpr, eff *object.Tuple, deps *[]planDep) float64 {
-	db, ok := constTermName(a.Name)
+	db, ok := ast.ConstName(a.Name)
 	if !ok {
 		// Higher-order database enumeration: unbounded by statistics.
 		return costHuge
@@ -378,7 +357,7 @@ func (e *Engine) estimateAttr(a *ast.AttrExpr, eff *object.Tuple, deps *[]planDe
 		if !ok {
 			continue // relation-level filters cost nothing extra
 		}
-		rel, ok := constTermName(ra.Name)
+		rel, ok := ast.ConstName(ra.Name)
 		if !ok {
 			return costHuge // higher-order relation enumeration
 		}
@@ -443,7 +422,7 @@ func staticGroundEq(c ast.Expr) (string, bool) {
 	if !ok || a.Sign != ast.SignNone {
 		return "", false
 	}
-	attr, ok := constTermName(a.Name)
+	attr, ok := ast.ConstName(a.Name)
 	if !ok {
 		return "", false
 	}
@@ -479,20 +458,20 @@ type PreparedQuery struct {
 	pl   *queryPlan
 }
 
-// Prepare compiles a query into a reusable plan. The plan is private to
-// the returned PreparedQuery (it does not populate the shared cache).
+// Prepare compiles a query into a reusable plan against the version a
+// read would pin. The plan is private to the returned PreparedQuery (it
+// does not populate the shared cache).
 func (e *Engine) Prepare(q *ast.Query) (*PreparedQuery, error) {
 	if ast.HasUpdate(q.Body) {
 		return nil, fmt.Errorf("core: cannot prepare an update request; use Execute")
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	eff, err := e.refreshEffective(nil)
+	v, _, err := e.pin(nil)
 	if err != nil {
 		return nil, err
 	}
-	key, lits := planKeyFor(q, e.opts)
-	return &PreparedQuery{e: e, lits: lits, pl: e.compilePlan(q, eff, key, e.epoch, e.em)}, nil
+	defer v.unpin()
+	key, lits := planKeyFor(q, v.opts)
+	return &PreparedQuery{e: e, lits: lits, pl: e.compilePlan(q, v.eff, key, v.epoch, v.em)}, nil
 }
 
 // Query executes the prepared plan against the current universe.

@@ -137,7 +137,7 @@ func deltaShape(c ast.Expr) (db string, rel ast.Term, ok bool) {
 	if !isAttr || a.Sign != ast.SignNone {
 		return "", nil, false
 	}
-	if db, ok = constStrName(a.Name); !ok {
+	if db, ok = ast.ConstName(a.Name); !ok {
 		return "", nil, false
 	}
 	te, isTE := a.Expr.(*ast.TupleExpr)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync/atomic"
 
 	"idl/internal/object"
@@ -8,15 +9,14 @@ import (
 
 // MVCC universe versioning (DESIGN.md §17).
 //
-// The engine's base universe is mutable and guarded by e.mu, exactly as
-// before. What changed is the read path: instead of evaluating queries
-// under the mutex, the engine freezes the current effective universe
+// The engine's base universe is mutable and guarded by e.mu. Queries
+// never evaluate it: the engine freezes the current effective universe
 // into an immutable *version* — a copy of the tuple skeleton that shares
 // every relation set by reference — and publishes it through an atomic
 // head pointer. A query pins the head version (an atomic increment),
 // evaluates against its frozen universe with no engine lock held, and
-// unpins. Writers never wait for readers and readers never wait for
-// writers; they meet only at the narrow publish step.
+// unpins. Writers never wait for readers; a reader waits for a writer
+// only when the head is gone and it must freeze the next version (pin).
 //
 // The invariants that make the shared sets safe:
 //
@@ -24,9 +24,10 @@ import (
 //     Call, UpdateBase, catalog DDL, rule registration, member-snapshot
 //     installs) runs under e.mu for its whole duration and invalidates
 //     the head (head = nil) the moment it changes anything. A reader that
-//     finds no head takes the slow path: it acquires e.mu, refreshes the
-//     effective universe, and freezes a fresh version — so a version can
-//     never capture a mutation in progress.
+//     finds no head acquires e.mu, refreshes the effective universe,
+//     freezes a fresh version and pins it, and releases e.mu before it
+//     evaluates (pin) — so a version can never capture a mutation in
+//     progress, and no read evaluates under the lock.
 //   - Every set reachable from any live version is recorded in
 //     e.published. Mutators copy-on-write published sets (cowSet /
 //     MutableSet): the set is shallow-cloned, the clone replaces it in
@@ -75,10 +76,10 @@ type version struct {
 }
 
 // pinHead pins the current head version for reading, or returns nil when
-// no fresh version is published (the caller must take the locked slow
-// path). The pin-then-recheck loop closes the race against a concurrent
-// publish + GC: either the GC observes our pin and spares the version,
-// or we observe the newer head and back off.
+// no fresh version is published (pin then freezes one). The
+// pin-then-recheck loop closes the race against a concurrent publish +
+// GC: either the GC observes our pin and spares the version, or we
+// observe the newer head and back off.
 func (e *Engine) pinHead() *version {
 	for {
 		v := e.head.Load()
@@ -96,6 +97,27 @@ func (e *Engine) pinHead() *version {
 // unpin releases a pinned version.
 func (v *version) unpin() { v.pins.Add(-1) }
 
+// pin pins the version a read evaluates: the published head, or — when
+// a mutation has dropped it — a fresh one, refreshed, frozen and pinned
+// under e.mu, which is released before pin returns. Evaluation starts
+// only after that, so no read evaluates under e.mu. rounds counts the
+// fixpoint rounds the refresh ran (0 when the head was published). The
+// caller unpins v.
+func (e *Engine) pin(ctx context.Context) (v *version, rounds uint64, err error) {
+	if head := e.pinHead(); head != nil {
+		return head, 0, nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	before := e.fixpointRounds
+	if _, err := e.refreshEffective(ctx); err != nil {
+		return nil, 0, err
+	}
+	v = e.publishHeadLocked()
+	v.pins.Add(1) // collection runs under e.mu, so this pin cannot race it
+	return v, e.fixpointRounds - before, nil
+}
+
 // publishHeadLocked freezes the current effective universe into a new
 // version and publishes it, unless a fresh head already exists. The
 // caller holds e.mu and has already run refreshEffective successfully.
@@ -103,7 +125,7 @@ func (e *Engine) publishHeadLocked() *version {
 	if v := e.head.Load(); v != nil {
 		return v
 	}
-	v := &version{readView: e.lockedView()}
+	v := &version{readView: readView{epoch: e.epoch, opts: e.opts, em: e.em, tracer: e.tracer, unavailable: e.unavailable}}
 	v.eff = freezeTuple(e.effective, v)
 	e.versions = append(e.versions, v)
 	e.head.Store(v)

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Full CI gate: formatting, compile, vet, the whole test suite (chaos,
 # concurrency and cancellation tests included) under the race detector
-# with shuffled test order, a coverage floor on the engine, fuzz smoke
+# with shuffled test order, every Go benchmark run once (so a benchmark
+# an evaluator change breaks fails the build; idlbench times only its
+# own arms), a coverage floor on the engine, fuzz smoke
 # on the parser and the parallel evaluator, a served-path smoke (idld
 # on an ephemeral port: in-process and wire replay checks that must
 # agree, open-loop SLO gates,
@@ -49,6 +51,7 @@ test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
 go test -race -shuffle=on ./...
+go test -run '^$' -bench . -benchtime 1x ./...
 
 # bench/ is a module of its own (BENCHMARK.json's program), so the root
 # ./... above never descends into it: vet and test it here, or nothing

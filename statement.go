@@ -286,7 +286,7 @@ func skippedConjuncts(q *ast.Query, rep *federation.Report) []string {
 		if !ok {
 			continue
 		}
-		if name, ok := constStr(a.Name); ok && down[name] {
+		if name, ok := ast.ConstName(a.Name); ok && down[name] {
 			out = append(out, c.String())
 		}
 	}
@@ -533,7 +533,7 @@ func (db *DB) isProgramCall(q *ast.Query) bool {
 		if !ok {
 			continue
 		}
-		dbName, ok := constStr(a.Name)
+		dbName, ok := ast.ConstName(a.Name)
 		if !ok {
 			continue
 		}
@@ -545,7 +545,7 @@ func (db *DB) isProgramCall(q *ast.Query) bool {
 		if !ok {
 			continue
 		}
-		name, ok := constStr(inner.Name)
+		name, ok := ast.ConstName(inner.Name)
 		if !ok {
 			continue
 		}
@@ -554,15 +554,6 @@ func (db *DB) isProgramCall(q *ast.Query) bool {
 		}
 	}
 	return false
-}
-
-func constStr(t ast.Term) (string, bool) {
-	c, ok := t.(ast.Const)
-	if !ok {
-		return "", false
-	}
-	s, ok := c.Value.(Str)
-	return string(s), ok
 }
 
 // ScriptResult reports one executed script statement.
