@@ -4,6 +4,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"idl/internal/parser"
+	"idl/internal/stocks"
 )
 
 // seedStocks loads the paper's running example at small scale.
@@ -47,6 +50,48 @@ func TestQuickstartFlow(t *testing.T) {
 	res2, err := db.Query(".euter.r(.stkCode=S, .clsPrice>200)")
 	if err != nil || res2.Len() != 1 {
 		t.Errorf("optional ?: %v, %v", res2, err)
+	}
+}
+
+// TestQueryRejectsProgramCalls: a call of a registered update program is
+// an update request without any sign. Query and Prepare reject it as they
+// reject a signed one, instead of reading a database that does not exist,
+// and Load runs it as an exec. The check allocates nothing.
+func TestQueryRejectsProgramCalls(t *testing.T) {
+	db := Open()
+	seedStocks(t, db)
+	if err := db.DefinePrograms(stocks.ProgramInsStk...); err != nil {
+		t.Fatal(err)
+	}
+	const call = "?.dbU.insStk(.stk=zz, .date=1/1/85, .price=3)"
+	const read = "?.euter.r(.stkCode=zz, .clsPrice=P)"
+	if _, err := db.Query(call); err == nil || !strings.Contains(err.Error(), "is an update request; use Exec") {
+		t.Errorf("Query of a program call: err = %v", err)
+	}
+	if _, err := db.Prepare(call); err == nil || !strings.Contains(err.Error(), "is an update request; use Exec") {
+		t.Errorf("Prepare of a program call: err = %v", err)
+	}
+	if res, err := db.Query(read); err != nil || res.Len() != 0 {
+		t.Fatalf("after the rejected calls: %v, %v; want no zz quote", res, err)
+	}
+	out, err := db.Load(call)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0].Kind != "exec" {
+		t.Fatalf("Load of a program call: %+v, want one exec", out)
+	}
+	if res, err := db.Query(read); err != nil || res.String() != "P\n3" {
+		t.Fatalf("after Load: %v, %v; want the zz quote", res, err)
+	}
+	for _, src := range []string{call, read} {
+		q, err := parser.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { db.isUpdate(q) }); n != 0 {
+			t.Errorf("isUpdate(%s): %v allocations, want 0", src, n)
+		}
 	}
 }
 

@@ -79,8 +79,8 @@ func (c *Catalog) Universe() *object.Tuple { return c.universe }
 
 // SetEpochSource wires the catalog-epoch reader (the engine's epoch
 // counter, bumped on every universe mutation). Epoch versions the
-// statistics and plan caches: plans and statistics compiled at one epoch
-// are revalidated when it moves.
+// statistics and plan caches: a plan with a schedule to choose is
+// re-ranked when it moves.
 func (c *Catalog) SetEpochSource(fn func() uint64) { c.epoch = fn }
 
 // Epoch returns the current catalog epoch (0 when no source is wired).

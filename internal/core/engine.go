@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,7 +80,6 @@ type Engine struct {
 
 	base    *object.Tuple // extensional universe (the only updatable part)
 	rules   []*compiledRule
-	regs    *programRegistry
 	indexes *indexCache
 	opts    Options
 	stats   Stats
@@ -99,6 +99,10 @@ type Engine struct {
 	mvccFreezes   uint64
 	mvccCollected uint64
 	mvccCOWClones uint64
+
+	// regs is the published program registry: replaced, never modified,
+	// by AddClause under e.mu, so lookups load it without the lock.
+	regs atomic.Pointer[programRegistry]
 
 	// epoch counts catalog changes: every mutation of the universe or
 	// the rule set bumps it (markDirty). Plans, prepared queries, and
@@ -171,9 +175,8 @@ func NewEngineWithOptions(opts Options) *Engine {
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = 10000
 	}
-	return &Engine{
+	e := &Engine{
 		base:           object.NewTuple(),
-		regs:           newProgramRegistry(),
 		indexes:        newIndexCache(),
 		plans:          newPlanCache(opts.PlanCacheSize),
 		opts:           opts,
@@ -181,6 +184,8 @@ func NewEngineWithOptions(opts Options) *Engine {
 		derivedRels:    map[string]map[string]bool{},
 		dirty:          true,
 	}
+	e.regs.Store(newProgramRegistry())
+	return e
 }
 
 // Base returns the extensional universe tuple. Callers who mutate it
@@ -265,8 +270,8 @@ func (e *Engine) Invalidate() {
 // delta is in e.views.pending (a request or call's updater recorded it);
 // any other change makes the next refresh recompute from scratch. Every
 // call bumps the catalog epoch — each corresponds to a change to the
-// universe or rule set, so plans and statistics stamped at an older
-// epoch must revalidate their dependencies before reuse. It also drops
+// universe or rule set, so a scheduled plan stamped at an older epoch is
+// re-ranked before reuse (fits). It also drops
 // the published MVCC head: new readers block on e.mu until the mutation
 // in progress commits (or rolls back), then freeze a fresh snapshot and
 // evaluate it unlocked (pin). Readers already pinned to an
@@ -368,7 +373,7 @@ func (e *Engine) AddClause(c *ast.Clause) error {
 	if err != nil {
 		return err
 	}
-	e.regs.add(cc)
+	e.regs.Store(e.regs.Load().with(cc))
 	return nil
 }
 
@@ -376,23 +381,18 @@ func (e *Engine) AddClause(c *ast.Clause) error {
 // updaters alike — in global registration order, so the full clause set
 // can be checkpointed and re-registered on recovery.
 func (e *Engine) Clauses() []*ast.Clause {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]*ast.Clause(nil), e.regs.srcs...)
+	return slices.Clone(e.regs.Load().srcs)
 }
 
 // Programs lists the registered callable programs.
 func (e *Engine) Programs() []*Program {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.regs.All()
+	return e.regs.Load().All()
 }
 
-// LookupProgram finds a callable program by namespace and name.
+// LookupProgram finds a callable program by namespace and name. It takes
+// no lock and allocates nothing, so a read can ask it.
 func (e *Engine) LookupProgram(db, name string) (*Program, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.regs.lookup(db, name)
+	return e.regs.Load().lookup(db, name)
 }
 
 // Query answers a pure query (§4) against the effective universe
@@ -509,7 +509,7 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Quer
 	var x *Explain
 	var order []ast.Expr
 	if kind != readQuery {
-		x, order = planQuery(an, rv)
+		x, order = e.planQuery(an, rv)
 		if kind == readExplain {
 			return nil, x, nil
 		}
@@ -669,7 +669,7 @@ func (e *Engine) CallCtx(ctx context.Context, db, name string, params map[string
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	p, ok := e.regs.lookup(db, name)
+	p, ok := e.regs.Load().lookup(db, name)
 	if !ok {
 		return nil, fmt.Errorf("core: no update program %s.%s", db, name)
 	}
@@ -937,7 +937,7 @@ func (e *Engine) programCall(conjunct ast.Expr) (*Program, *matchedCall, bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	p, found := e.regs.lookup(db, name)
+	p, found := e.regs.Load().lookup(db, name)
 	if !found {
 		return nil, nil, false
 	}
@@ -1011,7 +1011,7 @@ func (e *Engine) invokeProgram(p *Program, bound map[string]object.Object, u *up
 // else applies to the base universe.
 func (e *Engine) execUpdateConjunct(conjunct ast.Expr, u *updater, active map[*compiledClause]bool) error {
 	if db, rel, sign, inner, ok := e.updateTarget(conjunct, u.ev.env); ok && e.isDerived(db, rel) {
-		cc, found := e.regs.lookupViewUpdater(db, rel, sign)
+		cc, found := e.regs.Load().lookupViewUpdater(db, rel, sign)
 		if !found {
 			return fmt.Errorf("core: view %s.%s is not updatable: no %s-update program is registered for it", db, rel, sign)
 		}

@@ -147,9 +147,10 @@ type Answer struct {
 	Degraded *federation.Report
 
 	// Plan, when non-nil, reports how the query was planned: whether the
-	// compiled plan came from the cache ("hit"), was revalidated after an
-	// epoch move ("stale"), was compiled fresh ("miss"), or bypassed the
-	// cache ("cold"), plus compile time when a compile happened. Every
+	// compiled plan ran with no plan work ("hit"), was re-ranked after an
+	// epoch move and its order held ("stale"), was compiled fresh
+	// ("miss"), or bypassed the cache ("cold"), plus compile time when a
+	// compile happened. Every
 	// read runs a plan, so it is set on every answer a query returns.
 	Plan *PlanInfo
 

@@ -146,10 +146,12 @@ func (x *Explain) annotate(order []ast.Expr, probes map[ast.Expr]*conjunctProbe,
 // the view's NoSchedule — and its access path is the index rule's answer
 // (accessPath); then the step's producer variables are bound to a
 // placeholder, so later steps see them bound as they will be at run time.
-// Steps render the read's own literals (unlift): a shared plan was
-// compiled for some statement of the same shape, whose literals may
-// differ.
-func planQuery(an *bodyAnalysis, rv readView) (*Explain, []ast.Expr) {
+// A step's estimate is the view's own (estimateConjunct), not the rank
+// the plan carries: a reused plan may have been ranked on an older
+// version, with the same order. Steps render the read's own literals
+// (unlift): a shared plan was compiled for some statement of the same
+// shape, whose literals may differ.
+func (e *Engine) planQuery(an *bodyAnalysis, rv readView) (*Explain, []ast.Expr) {
 	conjuncts := an.body.Conjuncts
 	consumed := an.sc.consumedSlots(conjuncts)
 	env := an.newEnv()
@@ -161,9 +163,11 @@ func planQuery(an *bodyAnalysis, rv readView) (*Explain, []ast.Expr) {
 		c := conjuncts[idx]
 		step := explainConjunct(c, consumedVars(c), rv, env)
 		step.Conjunct = unlift(c, env).String()
-		if an.ranks != nil && an.ranks[idx] < costHuge {
-			step.EstRows = int64(an.ranks[idx])
-			step.Estimated = true
+		if an.ranks != nil {
+			if est := e.estimateConjunct(c, rv.eff); est < costHuge {
+				step.EstRows = int64(est)
+				step.Estimated = true
+			}
 		}
 		if a, ok := c.(*ast.AttrExpr); ok {
 			if db, ok := ast.ConstName(a.Name); ok && rv.unavailable[db] {

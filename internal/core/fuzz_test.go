@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,12 +20,17 @@ import (
 // a statement of the same shape left behind — then run with the query's
 // own literals) and noindex (UseIndex off: every set expression scans)
 // evaluation must each either fail identically or answer
-// byte-identically. This is the fuzzing arm of the differential layer —
+// byte-identically. A written pair — one cached engine, one cold — then
+// runs the query around a write generated from the input and around its
+// undo, the cached engine reusing or recompiling the plan it left behind:
+// the two must answer in the same raw row order, not only the same
+// canonical rendering. This is the fuzzing arm of the differential layer —
 // the table-driven equivalence tests in parallel_test.go pin known query
 // shapes, the fuzzer searches for shapes nobody thought to pin.
 //
 // All engines are built once per process: queries are read-only (update
-// bodies are skipped), so evaluation never mutates the fixture.
+// bodies are skipped), so evaluation never mutates the fixture, and the
+// written pair's every write is undone before the next input.
 func FuzzEvalQuery(f *testing.F) {
 	seeds := []string{
 		// Paper-style queries over the three stock schemas (E1–E6 shapes).
@@ -58,6 +64,9 @@ func FuzzEvalQuery(f *testing.F) {
 		// Update body (skipped) and garbage (parse error).
 		"?.euter.r+(.date=3/3/85,.stkCode=hp,.clsPrice=50)",
 		"?.5 .x ( ) ;;; ~~~",
+		// A cross product whose generated write (ource.hp grows) flips
+		// its rank order: raw rows nest the other way after it.
+		"?.ource.hp(.date=B, .clsPrice=P), .chwab.r(.date=E, .sun=Q)",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -78,6 +87,8 @@ func FuzzEvalQuery(f *testing.F) {
 		{"sibling", sibling, 1},
 		{"noindex", fuzzEngine(f, Options{}), 1},
 	}
+	written := fuzzEngine(f, Options{UseIndex: true})
+	writtenCold := fuzzEngine(f, Options{UseIndex: true, NoPlanCache: true})
 
 	f.Fuzz(func(t *testing.T, src string) {
 		// Bound the work per input: deep cross joins over the big relation
@@ -127,7 +138,55 @@ func FuzzEvalQuery(f *testing.F) {
 				}
 			}
 		}
+		for _, w := range fuzzWrite(src) {
+			written.Query(q) // leaves a plan compiled before the write
+			for _, e := range []*Engine{written, writtenCold} {
+				if _, err := e.Execute(mustParse(t, w)); err != nil {
+					t.Fatalf("write %q: %v", w, err)
+				}
+			}
+			wAns, wErr := writtenCold.Query(q)
+			cAns, cErr := written.Query(q)
+			if (wErr == nil) != (cErr == nil) || wErr != nil && wErr.Error() != cErr.Error() {
+				t.Fatalf("error divergence for %q after %q:\ncold: %v\ncached: %v", src, w, wErr, cErr)
+			}
+			if wErr == nil {
+				if s, p := rawRows(wAns), rawRows(cAns); s != p {
+					t.Fatalf("raw row divergence for %q after %q (%s):\ncold: %s\ncached: %s", src, w, cAns.Plan.Cache, clip(s), clip(p))
+				}
+			}
+		}
 	})
+}
+
+// fuzzWrite generates a write from the input and its undo: 1 to 24 new
+// elements of one of euter.r (9 elements), big.r (32), ource.hp (3) or
+// chwab.r (3), so a two-conjunct plan's rank order may flip or hold. The
+// new elements are dated 1999, past every fixture date, so the undo
+// deletes exactly what the write added.
+func fuzzWrite(src string) [2]string {
+	h := uint32(2166136261)
+	for i := 0; i < len(src); i++ {
+		h = (h ^ uint32(src[i])) * 16777619
+	}
+	n := 1 + int((h>>8)%24)
+	var ins, del []string
+	for i := range n {
+		var el string
+		switch d := fmt.Sprintf("1/%d/99", 1+i); h % 4 {
+		case 0:
+			el = fmt.Sprintf(".euter.r%%s(.date=%s, .stkCode=%s, .clsPrice=%d)", d, fixStocks[i%3], 100+i)
+		case 1:
+			el = fmt.Sprintf(".big.r%%s(.date=%s, .stkCode=stk%03d, .clsPrice=%d)", d, i%10, 20+i)
+		case 2:
+			el = fmt.Sprintf(".ource.hp%%s(.date=%s, .clsPrice=%d)", d, 50+i)
+		default:
+			el = fmt.Sprintf(".chwab.r%%s(.date=%s, .hp=%d, .ibm=%d, .sun=%d)", d, 50+i, 150+i, 200+i)
+		}
+		ins = append(ins, fmt.Sprintf(el, "+"))
+		del = append(del, fmt.Sprintf(el, "-"))
+	}
+	return [2]string{"?" + strings.Join(ins, ", "), "?" + strings.Join(del, ", ")}
 }
 
 // fuzzEngine builds the shared fuzz fixture: the three stock databases,

@@ -584,13 +584,13 @@ func (m *maintainer) pass(r *compiledRule, rd *ruleRead, added bool) (*rowSet, e
 	m.du.Put(deltaDB, delta)
 	rv := readView{eff: m.du, opts: m.e.opts, em: m.e.em}
 	rv.opts.Workers = 0 // a delta is small
-	return m.collect(m.e.ranked(rd.body, m.du, nil), rv)
+	return m.collect(m.e.ranked(rd.body, m.du), rv)
 }
 
 // rerun evaluates r's body in full and diffs its rows against r's table,
 // which it then replaces: against an empty table, every row is gained.
 func (m *maintainer) rerun(r *compiledRule) (gained, lost [][]object.Object, err error) {
-	rows, err := m.collect(m.e.ranked(r.body, m.eff, nil), readView{eff: m.eff, opts: m.e.opts, em: m.e.em})
+	rows, err := m.collect(m.e.ranked(r.body, m.eff), readView{eff: m.eff, opts: m.e.opts, em: m.e.em})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -624,7 +624,7 @@ func (m *maintainer) collect(an *bodyAnalysis, rv readView) (*rowSet, error) {
 // universe: the body evaluated with the head variables bound.
 func (m *maintainer) derivable(r *compiledRule, row []object.Object) (bool, error) {
 	m.stats.RuleRows++
-	an := m.e.ranked(r.body, m.eff, nil)
+	an := m.e.ranked(r.body, m.eff)
 	ev := newEvaluator(m.ctx, an, m.e.indexes, m.e.opts, &m.eval)
 	seed := make([]object.Object, an.sc.size())
 	copy(seed[1:], row)

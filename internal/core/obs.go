@@ -52,8 +52,8 @@ type engineMetrics struct {
 	parallelOps  *obs.Counter
 	mergeLatency *obs.Histogram
 
-	// Plan-cache instruments (plan.go): cache hits (including stale
-	// revalidations), misses (fresh compiles), LRU evictions, and how
+	// Plan-cache instruments (plan.go): cache hits (including re-ranked
+	// "stale" plans), misses (fresh compiles), LRU evictions, and how
 	// long each compile took.
 	planCacheHit   *obs.Counter
 	planCacheMiss  *obs.Counter

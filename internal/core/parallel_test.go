@@ -354,7 +354,7 @@ func TestScanTargetIsExplainStepOne(t *testing.T) {
 		}
 		key, lits := planKeyFor(tc.q, opts)
 		an := e.compilePlan(tc.q, eff, key, e.epoch, nil).an.bind(lits)
-		plan, order := planQuery(an, readView{eff: eff, opts: opts})
+		plan, order := e.planQuery(an, readView{eff: eff, opts: opts})
 		if got, want := plan.Steps[0].Conjunct, tc.q.Body.Conjuncts[tc.step1].String(); got != want {
 			t.Errorf("%s (NoSchedule %v): step 1 = %s, want %s", tc.q, tc.noSchedule, got, want)
 		}

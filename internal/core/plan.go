@@ -13,17 +13,21 @@ import (
 // Compiled query plans (DESIGN.md §11). A plan is the reusable half of a
 // query evaluation: the per-conjunct safety analysis (consumed-variable
 // lists), the cost-based conjunct ranks derived from catalog statistics,
-// the answer-variable signature, and the set of universe objects the
-// ranking touched (the plan's dependencies). Plans carry no data — the
-// evaluator always reads the version its read pinned — so a cached plan
-// can never produce a wrong answer; dependencies exist to keep the ranks
-// (and therefore the enumeration order) byte-identical to what a fresh
-// compilation would produce. Nor do plans carry literals: a plan is keyed
-// by its statement's shape (ast.Fingerprint) and reads each value literal
-// from a slot the read binds (slots.go), and its ranks depend only on
-// names and per-attribute distinct counts, never on a literal's value —
-// so a plan compiled for one statement enumerates every other statement
-// of its shape exactly as their own cold compiles would.
+// and the answer-variable signature. Plans carry no data and bind no
+// names — the evaluator resolves every name against the version its read
+// pinned — so a cached plan can never produce a wrong answer; the one
+// thing a plan fixes is its schedule, the order pickConjunct takes its
+// top-level conjuncts in, and that is all a later read checks (fits): a
+// plan with no choice to make is reused as it is ("hit"), and one with a
+// choice is re-ranked against the read's snapshot and kept while every
+// pair of its conjuncts is ordered as before ("stale"), so its
+// enumeration order stays byte-identical to a fresh compilation. Nor do
+// plans carry literals: a plan is keyed by its statement's shape
+// (ast.Fingerprint) and reads each value literal from a slot the read
+// binds (slots.go), and its ranks depend only on names and per-attribute
+// distinct counts, never on a literal's value — so a plan compiled for
+// one statement enumerates every other statement of its shape exactly as
+// their own cold compiles would.
 
 // costHuge ranks a conjunct whose enumeration is data-dependent in a way
 // statistics cannot bound (a higher-order database or relation variable):
@@ -107,40 +111,26 @@ func resolveUnit(output []string, body *ast.TupleExpr, lift bool) *bodyAnalysis 
 // ranked pairs a resolved body with cost ranks for its top-level
 // conjuncts, computed against the given effective universe (rule bodies
 // reuse one resolution across materializations and rank per
-// materialization). deps, when non-nil, records every universe object
-// the estimates resolved. Safe without e.mu when eff is an immutable
-// snapshot (statistics live in a concurrent memo).
-func (e *Engine) ranked(an *bodyAnalysis, eff *object.Tuple, deps *[]planDep) *bodyAnalysis {
+// materialization). Safe without e.mu when eff is an immutable snapshot
+// (statistics live in a concurrent memo).
+func (e *Engine) ranked(an *bodyAnalysis, eff *object.Tuple) *bodyAnalysis {
 	out := *an
 	out.ranks = make([]float64, len(an.body.Conjuncts))
 	for i, c := range an.body.Conjuncts {
-		out.ranks[i] = e.estimateConjunct(c, eff, deps)
+		out.ranks[i] = e.estimateConjunct(c, eff)
 	}
 	return &out
 }
 
-// planDep records one universe object the rank computation resolved: the
-// navigation path (database, optional relation) and the object it reached
-// — nil when the path resolved to nothing. A plan stays valid while every
-// dep re-resolves to the same object (same set version); then a fresh
-// compilation would reproduce the same ranks, so the cached plan's
-// enumeration order is byte-identical to cold compilation.
-type planDep struct {
-	db, rel string
-	obj     object.Object // resolved object; nil = absent
-	version uint64        // set version when obj is a *object.Set
-}
-
 // queryPlan is a compiled query: its own slot-resolved AST (cache hits
 // execute the plan's AST, so every evaluation of one plan walks identical
-// pointers), the body analysis — whose output variables are the answer
-// signature — with per-conjunct row estimates, and the dependency set
-// with the engine epoch at which it was last validated.
+// pointers) and the body analysis — whose output variables are the answer
+// signature — with per-conjunct row estimates, stamped with the engine
+// epoch at which its schedule was last checked.
 type queryPlan struct {
 	key       planKey
 	q         *ast.Query // Body is an.body
 	an        *bodyAnalysis
-	deps      []planDep
 	epoch     uint64
 	compileNS int64
 }
@@ -148,9 +138,10 @@ type queryPlan struct {
 // PlanInfo reports how an answer's plan was obtained; attached to every
 // Answer so the facade and query log can surface cache behavior.
 type PlanInfo struct {
-	// Cache is "hit" (epoch unchanged), "stale" (deps revalidated after
-	// an epoch bump), "miss" (compiled and cached), or "cold" (compiled,
-	// caching disabled).
+	// Cache is "hit" (ran with no plan work: its epoch unchanged, or a
+	// plan with no schedule to choose), "stale" (re-ranked after an epoch
+	// bump, and the order held), "miss" (compiled and cached), or "cold"
+	// (compiled, caching disabled).
 	Cache string
 	// CompileNS is the compile time in nanoseconds when this call
 	// compiled a plan; 0 on cache hits.
@@ -172,20 +163,18 @@ func planInfo(pl *queryPlan, state string) *PlanInfo {
 
 // compilePlan builds a plan for q against the given effective universe,
 // stamped at the given epoch. A NoSchedule key compiles a rank-free plan:
-// the scheduler runs it strictly left to right, so it depends on nothing
-// in the universe. Safe without e.mu when eff is an immutable snapshot.
+// the scheduler runs it strictly left to right. Safe without e.mu when
+// eff is an immutable snapshot.
 func (e *Engine) compilePlan(q *ast.Query, eff *object.Tuple, key planKey, epoch uint64, em *engineMetrics) *queryPlan {
 	start := time.Now()
-	var deps []planDep
 	an := resolveUnit(ast.PositiveVars(q.Body), q.Body, true)
 	if !key.noSchedule {
-		an = e.ranked(an, eff, &deps)
+		an = e.ranked(an, eff)
 	}
 	pl := &queryPlan{
 		key:   key,
 		q:     &ast.Query{Body: an.body},
 		an:    an,
-		deps:  deps,
 		epoch: epoch,
 	}
 	pl.compileNS = time.Since(start).Nanoseconds()
@@ -195,29 +184,31 @@ func (e *Engine) compilePlan(q *ast.Query, eff *object.Tuple, key planKey, epoch
 	return pl
 }
 
-// validatePlan re-resolves every dependency against the current effective
-// universe: pointer-identical objects (and unchanged set versions) mean a
-// fresh compilation would produce the same ranks, so the plan may be
-// reused across the epoch bump.
-func (e *Engine) validatePlan(pl *queryPlan, eff *object.Tuple) bool {
-	for _, d := range pl.deps {
-		var cur object.Object
-		obj, has := eff.Get(d.db)
-		if has && d.rel == "" {
-			cur = obj
-		} else if has {
-			if dbt, ok := obj.(*object.Tuple); ok {
-				cur, _ = dbt.Get(d.rel)
+// fits reports how pl serves a read of eff at epoch: "hit" when pl was
+// checked at epoch, or has no schedule to choose — at most one top-level
+// conjunct, or none ranked (NoSchedule) — so ranks cannot change what it
+// does; "stale" when eff's ranks order every pair of its conjuncts as
+// pl's do under pickConjunct's strict <, so a fresh compilation would
+// schedule it identically; "" when it must recompile. The ranks are
+// compared in a stack buffer: a kept plan allocates nothing.
+func (e *Engine) fits(pl *queryPlan, eff *object.Tuple, epoch uint64) string {
+	old := pl.an.ranks
+	if pl.epoch == epoch || len(old) < 2 {
+		return "hit"
+	}
+	var buf [8]float64
+	ranks := buf[:0]
+	for _, c := range pl.an.body.Conjuncts {
+		ranks = append(ranks, e.estimateConjunct(c, eff))
+	}
+	for j := 1; j < len(ranks); j++ {
+		for i := range j {
+			if (ranks[j] < ranks[i]) != (old[j] < old[i]) {
+				return ""
 			}
 		}
-		if cur != d.obj {
-			return false
-		}
-		if set, ok := cur.(*object.Set); ok && set.Version() != d.version {
-			return false
-		}
 	}
-	return true
+	return "stale"
 }
 
 // planFor returns a plan for q, consulting the fingerprint-keyed cache
@@ -235,7 +226,7 @@ func (e *Engine) planFor(q *ast.Query, key planKey, rv readView, peek bool) (*qu
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
 	if peek {
-		if cur := e.plans.get(key, false); cur != nil && (cur.epoch == epoch || e.validatePlan(cur, eff)) {
+		if cur := e.plans.get(key, false); cur != nil && e.fits(cur, eff, epoch) != "" {
 			return cur, "hit"
 		}
 		return e.compilePlan(q, eff, key, epoch, nil), "miss"
@@ -271,23 +262,19 @@ func planKeyFor(q *ast.Query, opts Options) (planKey, []object.Object) {
 
 // reuse is the one hit / stale / recompile step, shared by the plan cache
 // and prepared queries; callers hold the lock that guards cur. cur (nil =
-// none) is reused when stamped at epoch ("hit"), or when every dependency
-// re-resolves unchanged ("stale": the change was elsewhere in the
-// universe). A stale plan is re-stamped upward only, so a reader pinned to
-// an older snapshot never drags a fresher plan's stamp backwards.
-// Otherwise a fresh plan is compiled ("miss"), and keep reports whether
-// it replaces cur: not when cur is stamped for a newer universe than this
-// pinned snapshot, whose private plan must not evict the fresher one.
+// none) is reused whenever its schedule fits eff ("hit" or "stale"). A
+// stale plan is re-stamped upward only, so a reader pinned to an older
+// snapshot never drags a fresher plan's stamp backwards. Otherwise a
+// fresh plan is compiled ("miss"), and keep reports whether it replaces
+// cur: not when cur is stamped for a newer universe than this pinned
+// snapshot, whose private plan must not evict the fresher one.
 func (e *Engine) reuse(cur *queryPlan, q *ast.Query, eff *object.Tuple, key planKey, epoch uint64, em *engineMetrics) (pl *queryPlan, state string, keep bool) {
 	if cur != nil {
-		if cur.epoch == epoch {
-			return cur, "hit", false
-		}
-		if e.validatePlan(cur, eff) {
-			if epoch > cur.epoch {
+		if state = e.fits(cur, eff, epoch); state != "" {
+			if state == "stale" && epoch > cur.epoch {
 				cur.epoch = epoch
 			}
-			return cur, "stale", false
+			return cur, state, false
 		}
 	}
 	return e.compilePlan(q, eff, key, epoch, em), "miss", cur == nil || epoch > cur.epoch
@@ -295,14 +282,13 @@ func (e *Engine) reuse(cur *queryPlan, q *ast.Query, eff *object.Tuple, key plan
 
 // estimateConjunct estimates the rows one top-level conjunct enumerates,
 // from catalog statistics. Filters (constraints, negations, atomics) cost
-// nothing — once runnable they only prune. deps, when non-nil, records
-// every universe object the estimate resolved. eff must not change
-// during the call: a frozen snapshot, or the merged universe of a refresh
-// under e.mu.
-func (e *Engine) estimateConjunct(c ast.Expr, eff *object.Tuple, deps *[]planDep) float64 {
+// nothing — once runnable they only prune. eff must not change during
+// the call: a frozen snapshot, or the merged universe of a refresh under
+// e.mu.
+func (e *Engine) estimateConjunct(c ast.Expr, eff *object.Tuple) float64 {
 	switch x := c.(type) {
 	case *ast.AttrExpr:
-		return e.estimateAttr(x, eff, deps)
+		return e.estimateAttr(x, eff)
 	case *ast.TupleExpr:
 		return 1
 	case *ast.Constraint:
@@ -328,26 +314,18 @@ func (e *Engine) estimateConjunct(c ast.Expr, eff *object.Tuple, deps *[]planDep
 
 // estimateAttr estimates a `.db(...)` conjunct by resolving its constant
 // path against the effective universe and consulting relation statistics.
-func (e *Engine) estimateAttr(a *ast.AttrExpr, eff *object.Tuple, deps *[]planDep) float64 {
+func (e *Engine) estimateAttr(a *ast.AttrExpr, eff *object.Tuple) float64 {
 	db, ok := ast.ConstName(a.Name)
 	if !ok {
 		// Higher-order database enumeration: unbounded by statistics.
 		return costHuge
 	}
 	obj, has := eff.Get(db)
-	te, isTE := a.Expr.(*ast.TupleExpr)
-	if deps != nil && (!has || !isTE) {
-		// Leaf dep on the database object itself (existence / identity).
-		var rec object.Object
-		if has {
-			rec = obj
-		}
-		*deps = append(*deps, planDep{db: db, obj: rec})
-	}
 	if !has {
 		return 0 // absent database: the conjunct enumerates nothing
 	}
 	dbt, isTup := obj.(*object.Tuple)
+	te, isTE := a.Expr.(*ast.TupleExpr)
 	if !isTup || !isTE {
 		return 1 // navigation into a non-tuple or a non-conjunct body
 	}
@@ -362,16 +340,6 @@ func (e *Engine) estimateAttr(a *ast.AttrExpr, eff *object.Tuple, deps *[]planDe
 			return costHuge // higher-order relation enumeration
 		}
 		robj, rhas := dbt.Get(rel)
-		if deps != nil {
-			d := planDep{db: db, rel: rel}
-			if rhas {
-				d.obj = robj
-				if set, ok := robj.(*object.Set); ok {
-					d.version = set.Version()
-				}
-			}
-			*deps = append(*deps, d)
-		}
 		if !rhas {
 			continue // absent relation enumerates nothing
 		}
@@ -444,8 +412,9 @@ func staticGroundEq(c ast.Expr) (string, bool) {
 // Prepared queries
 
 // PreparedQuery is a query compiled once and executable many times. Each
-// execution revalidates the plan against the catalog epoch (recompiling
-// when dependencies moved), so a prepared query never returns stale
+// execution checks the plan's schedule against the snapshot it reads
+// (recompiling when a write flipped its rank order), and names always
+// resolve against that snapshot, so a prepared query never returns stale
 // answers — preparation only amortizes parsing-free analysis, never
 // correctness. Executions are safe for concurrent use: like ad-hoc
 // queries they pin the MVCC head snapshot and evaluate lock-free; the
@@ -481,8 +450,8 @@ func (p *PreparedQuery) Query() (*Answer, error) {
 
 // revalidate brings the prepared plan up to date against eff at epoch and
 // returns the plan to execute plus its cache outcome. A plan stamped for
-// a newer universe than an older pinned snapshot is left untouched and a
-// throwaway plan is compiled for that snapshot.
+// a newer universe whose schedule does not fit an older pinned snapshot
+// is left untouched, and a throwaway plan is compiled for that snapshot.
 func (p *PreparedQuery) revalidate(eff *object.Tuple, epoch uint64, em *engineMetrics) (*queryPlan, string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -494,8 +463,8 @@ func (p *PreparedQuery) revalidate(eff *object.Tuple, epoch uint64, em *engineMe
 }
 
 // QueryCtx executes the prepared plan under a context, on the same read
-// path as Engine.QueryCtx. A stale plan (catalog epoch moved and a
-// dependency changed) is recompiled in place first.
+// path as Engine.QueryCtx. A plan whose rank order a write flipped is
+// recompiled in place first.
 func (p *PreparedQuery) QueryCtx(ctx context.Context) (*Answer, error) {
 	ans, _, err := p.e.ReadCtx(ctx, nil, p, false)
 	return ans, err

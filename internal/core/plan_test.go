@@ -85,6 +85,11 @@ func planOutcome(t testing.TB, e *Engine, src string) string {
 	return ans.Plan.Cache
 }
 
+// TestPlanCacheOutcomes pins what a write does to a cached plan. A shape
+// with one top-level conjunct has no schedule to choose: it hits after
+// any write, and answers the written data. A two-conjunct shape is
+// re-ranked after a write: kept ("stale") while the write leaves its rank
+// order, recompiled ("miss") when the write flips it.
 func TestPlanCacheOutcomes(t *testing.T) {
 	e := newStockEngine(t)
 	const query = "?.euter.r(.stkCode=hp, .clsPrice=P)"
@@ -96,27 +101,41 @@ func TestPlanCacheOutcomes(t *testing.T) {
 		t.Fatalf("second run: outcome %q, want hit", got)
 	}
 
-	// A mutation elsewhere bumps the epoch but leaves every dependency of
-	// this plan untouched: revalidation succeeds, no recompile.
 	before := e.Epoch()
 	exec(t, e, "?.ource.hp+(.date=3/9/85, .clsPrice=70)")
 	if after := e.Epoch(); after <= before {
 		t.Fatalf("epoch did not advance on mutation: %d -> %d", before, after)
 	}
-	if got := planOutcome(t, e, query); got != "stale" {
-		t.Fatalf("after unrelated update: outcome %q, want stale", got)
+	if got := planOutcome(t, e, query); got != "hit" {
+		t.Fatalf("after unrelated update: outcome %q, want hit", got)
+	}
+	exec(t, e, "?.euter.r+(.date=3/9/85, .stkCode=hp, .clsPrice=70)")
+	if ans := q(t, e, query); ans.Plan.Cache != "hit" || ans.String() != "P\n50\n55\n62\n70" {
+		t.Fatalf("after relevant update: outcome %q answer %q, want hit and hp's four prices", ans.Plan.Cache, ans)
 	}
 
-	// A mutation of the queried relation moves its set version: the plan
-	// fails validation and recompiles.
-	exec(t, e, "?.euter.r+(.date=3/9/85, .stkCode=hp, .clsPrice=70)")
-	if got := planOutcome(t, e, query); got != "miss" {
-		t.Fatalf("after relevant update: outcome %q, want miss", got)
+	// chwab.r and ource.ibm both hold 3 elements: the tie runs chwab.r
+	// first, in source order.
+	const join = "?.chwab.r(.date=D, .hp=P), .ource.ibm(.date=D, .clsPrice=Q)"
+	for i, want := range []string{"miss", "hit"} {
+		if got := planOutcome(t, e, join); got != want {
+			t.Fatalf("join run %d: outcome %q, want %s", i+1, got, want)
+		}
+	}
+	// 4 ource.ibm elements still rank after 3 chwab.r ones.
+	exec(t, e, "?.ource.ibm+(.date=3/4/85, .clsPrice=170)")
+	if ans := q(t, e, join); ans.Plan.Cache != "stale" || ans.Len() != 3 {
+		t.Fatalf("after an order-keeping update: outcome %q, %d rows, want stale and 3", ans.Plan.Cache, ans.Len())
+	}
+	// 5 chwab.r elements rank after 4 ource.ibm ones: the order flips.
+	exec(t, e, "?.chwab.r+(.date=3/4/85, .hp=70, .ibm=170, .sun=200), .chwab.r+(.date=3/5/85, .hp=71, .ibm=171, .sun=201)")
+	if ans := q(t, e, join); ans.Plan.Cache != "miss" || ans.Len() != 4 {
+		t.Fatalf("after an order-flipping update: outcome %q, %d rows, want miss and 4", ans.Plan.Cache, ans.Len())
 	}
 
 	st := e.PlanCacheStats()
-	if st.Hits != 2 || st.Misses != 2 {
-		t.Fatalf("counter drift: %+v, want 2 hits (one revalidated) and 2 misses", st)
+	if st.Hits != 5 || st.Misses != 3 {
+		t.Fatalf("counter drift: %+v, want 5 hits (one re-ranked) and 3 misses", st)
 	}
 }
 
@@ -189,45 +208,180 @@ func TestClearPlanCache(t *testing.T) {
 	}
 }
 
+// TestPreparedQueryStaysFresh pins a prepared plan across writes: every
+// execution answers the current data, a one-conjunct plan is reused as it
+// is, and a two-conjunct plan recompiles only when a write flips its rank
+// order.
 func TestPreparedQueryStaysFresh(t *testing.T) {
 	e := newStockEngine(t)
-	pq, err := e.Prepare(mustParse(t, "?.euter.r(.stkCode=hp, .clsPrice=P)"))
-	if err != nil {
-		t.Fatal(err)
+	prepare := func(src string) *PreparedQuery {
+		t.Helper()
+		pq, err := e.Prepare(mustParse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pq
 	}
-	ans, err := pq.Query()
-	if err != nil {
-		t.Fatal(err)
+	run := func(pq *PreparedQuery) *Answer {
+		t.Helper()
+		ans, err := pq.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans
 	}
-	if ans.Len() != 3 || ans.Plan.Cache != "hit" {
+	pq := prepare("?.euter.r(.stkCode=hp, .clsPrice=P)")
+	if ans := run(pq); ans.Len() != 3 || ans.Plan.Cache != "hit" {
 		t.Fatalf("first prepared run: %d rows outcome %q, want 3 rows / hit", ans.Len(), ans.Plan.Cache)
 	}
 
-	// Mutating the queried relation must be visible on the next execution:
-	// the plan recompiles, and the answer includes the new tuple. A read
-	// of the same shape with another literal in between leaves the
-	// prepared statement's own literal in place, recompile included.
+	// Mutating the queried relation must be visible on the next execution
+	// with the plan as it is. A read of the same shape with another
+	// literal in between leaves the prepared statement's own literal in
+	// place.
 	q(t, e, "?.euter.r(.stkCode=ibm, .clsPrice=P)")
 	exec(t, e, "?.euter.r+(.date=3/9/85, .stkCode=hp, .clsPrice=70)")
-	ans, err = pq.Query()
-	if err != nil {
-		t.Fatal(err)
+	if ans := run(pq); ans.String() != "P\n50\n55\n62\n70" || ans.Plan.Cache != "hit" {
+		t.Fatalf("after relevant update: %q outcome %q, want hp's four prices / hit", ans, ans.Plan.Cache)
 	}
-	if ans.String() != "P\n50\n55\n62\n70" {
-		t.Fatalf("prepared answer after the insert: %q, want hp's four prices", ans)
-	}
-	if ans.Plan.Cache != "miss" {
-		t.Fatalf("after relevant update: outcome %q, want miss (recompiled)", ans.Plan.Cache)
+	exec(t, e, "?.ource.hp+(.date=3/9/85, .clsPrice=70)")
+	if ans := run(pq); ans.Plan.Cache != "hit" {
+		t.Fatalf("after unrelated update: outcome %q, want hit", ans.Plan.Cache)
 	}
 
-	// A mutation elsewhere revalidates without recompiling.
-	exec(t, e, "?.ource.hp+(.date=3/9/85, .clsPrice=70)")
-	ans, err = pq.Query()
+	// The join of TestPlanCacheOutcomes: chwab.r first on the 3-3 tie.
+	join := prepare("?.chwab.r(.date=D, .hp=P), .ource.ibm(.date=D, .clsPrice=Q)")
+	exec(t, e, "?.ource.ibm+(.date=3/4/85, .clsPrice=170)")
+	if ans := run(join); ans.Plan.Cache != "stale" || ans.Len() != 3 {
+		t.Fatalf("after an order-keeping update: outcome %q, %d rows, want stale and 3", ans.Plan.Cache, ans.Len())
+	}
+	exec(t, e, "?.chwab.r+(.date=3/4/85, .hp=70, .ibm=170, .sun=200), .chwab.r+(.date=3/5/85, .hp=71, .ibm=171, .sun=201)")
+	if ans := run(join); ans.Plan.Cache != "miss" || ans.Len() != 4 {
+		t.Fatalf("after an order-flipping update: outcome %q, %d rows, want miss and 4", ans.Plan.Cache, ans.Len())
+	}
+	if ans := run(join); ans.Plan.Cache != "hit" {
+		t.Fatalf("recompiled prepared plan: outcome %q, want hit", ans.Plan.Cache)
+	}
+}
+
+// planPair is a cached engine and a cold one (NoPlanCache) over the same
+// data, written in step: the cold engine's answer, raw row order
+// included, and its EXPLAIN are what a reused plan must reproduce.
+type planPair struct{ cached, cold *Engine }
+
+func newPlanPair(t *testing.T) planPair {
+	t.Helper()
+	p := planPair{NewEngine(), NewEngineWithOptions(Options{UseIndex: true, NoPlanCache: true})}
+	for _, e := range []*Engine{p.cached, p.cold} {
+		buildStockBase(t, e)
+		buildBigBase(t, e, 32)
+	}
+	return p
+}
+
+func (p planPair) exec(t *testing.T, src string) {
+	t.Helper()
+	exec(t, p.cached, src)
+	exec(t, p.cold, src)
+}
+
+// read runs src on both engines, requires the cached engine's answer,
+// raw row order and EXPLAIN to equal the cold engine's, and returns the
+// cached answer.
+func (p planPair) read(t *testing.T, src string) *Answer {
+	t.Helper()
+	got, want := q(t, p.cached, src), q(t, p.cold, src)
+	if g, w := rawRows(got), rawRows(want); g != w {
+		t.Fatalf("%s: cached plan answers (%s)\n%s\ncold compile\n%s", src, got.Plan.Cache, g, w)
+	}
+	x, err := p.cached.ExplainQuery(mustParse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ans.Plan.Cache != "stale" {
-		t.Fatalf("after unrelated update: outcome %q, want stale", ans.Plan.Cache)
+	y, err := p.cold.ExplainQuery(mustParse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.String() != y.String() {
+		t.Fatalf("%s: EXPLAIN of the cached plan\n%s\nwant\n%s", src, x, y)
+	}
+	return got
+}
+
+// TestWriteKeepsOneConjunctPlan: a write between two reads of a
+// one-conjunct shape leaves its plan in use ("hit"), and the second read
+// answers — and EXPLAIN estimates — the written data.
+func TestWriteKeepsOneConjunctPlan(t *testing.T) {
+	p := newPlanPair(t)
+	// 9 elements over 3 stocks estimate 3 rows; 12 estimate 4.
+	const src = "?.euter.r(.stkCode=hp, .clsPrice=P)"
+	p.read(t, src)
+	if ans := p.read(t, src); ans.Plan.Cache != "hit" || ans.Len() != 3 {
+		t.Fatalf("second read: outcome %q, %d rows, want hit and 3", ans.Plan.Cache, ans.Len())
+	}
+	p.exec(t, "?.euter.r+(.date=3/4/85, .stkCode=hp, .clsPrice=63), .euter.r+(.date=3/4/85, .stkCode=ibm, .clsPrice=161), .euter.r+(.date=3/4/85, .stkCode=sun, .clsPrice=151)")
+	if ans := p.read(t, src); ans.Plan.Cache != "hit" || ans.Len() != 4 {
+		t.Fatalf("after a write: outcome %q, %d rows, want hit and 4", ans.Plan.Cache, ans.Len())
+	}
+}
+
+// TestWriteOfNewNames: a stock new to the universe is a new attribute
+// name in chwab and a new relation name in ource — the names a
+// higher-order variable ranges over. A cached plan over those names
+// answers the new stock on the read after the write, as a cold compile
+// does.
+func TestWriteOfNewNames(t *testing.T) {
+	p := newPlanPair(t)
+	for _, tc := range []struct{ query, write, stock string }{
+		{"?.chwab.r(.date=3/4/85, .S=P)", "?.chwab.r+(.date=3/4/85, .hp=70, .zz=300)", "zz"},
+		{"?.ource.S(.date=3/1/85, .clsPrice=P)", "?.ource.zz+(.date=3/1/85, .clsPrice=300)", "zz"},
+	} {
+		p.read(t, tc.query)
+		p.exec(t, tc.write)
+		ans := p.read(t, tc.query)
+		if ans.Plan.Cache != "hit" || !ans.Contains(RowOf("S", tc.stock, "P", 300)) {
+			t.Fatalf("%s after %s: outcome %q, answer\n%s\nwant a hit with S=%s, P=300", tc.query, tc.write, ans.Plan.Cache, ans, tc.stock)
+		}
+	}
+}
+
+// TestRankFlipRecompiles: a write that flips a two-conjunct plan's rank
+// order recompiles it, and the new plan enumerates in the cold compile's
+// order — raw rows, not just the canonical rendering — where the old
+// schedule would not.
+func TestRankFlipRecompiles(t *testing.T) {
+	p := newPlanPair(t)
+	// A cross product: its raw row order is the schedule's nesting.
+	const src = "?.ource.hp(.date=D, .clsPrice=P), .chwab.r(.date=E, .sun=Q)"
+	p.read(t, src)
+	kept := p.read(t, src)
+	// Both relations hold 3 elements: the tie runs ource.hp first, in
+	// source order, and so does 3 against 4.
+	p.exec(t, "?.chwab.r+(.date=3/4/85, .hp=63, .ibm=161, .sun=151)")
+	if ans := p.read(t, src); ans.Plan.Cache != "stale" {
+		t.Fatalf("after an order-keeping write: outcome %q, want stale", ans.Plan.Cache)
+	}
+	// Re-ranking a kept plan allocates nothing once the statistics of
+	// the versions it reads are memoised.
+	key, _ := planKeyFor(mustParse(t, src), p.cached.opts)
+	p.cached.planMu.Lock()
+	pl := p.cached.plans.get(key, false)
+	p.cached.planMu.Unlock()
+	eff, err := p.cached.EffectiveUniverse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { p.cached.fits(pl, eff, pl.epoch+1) }); n != 0 {
+		t.Errorf("re-ranking a kept plan: %v allocations, want 0", n)
+	}
+	// 5 against 4 runs chwab.r first.
+	p.exec(t, "?.ource.hp+(.date=3/4/85, .clsPrice=63), .ource.hp+(.date=3/5/85, .clsPrice=64)")
+	flipped := p.read(t, src)
+	if flipped.Plan.Cache != "miss" {
+		t.Fatalf("after an order-flipping write: outcome %q, want miss", flipped.Plan.Cache)
+	}
+	if kept.Row(1).Get("D") != kept.Row(0).Get("D") || flipped.Row(1).Get("E") != flipped.Row(0).Get("E") {
+		t.Fatalf("schedules do not show in the row order:\nbefore\n%s\nafter\n%s", rawRows(kept), rawRows(flipped))
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 
 // Epoch-keyed plan cache (DESIGN.md §11). Plans are keyed by the shape
 // fingerprint of the query plus the plan-relevant options — statements
-// that differ only in their value literals share a plan — and
-// validated against the engine's catalog epoch: a hit at the compiling
-// epoch is reused outright; after an epoch bump the plan's dependencies
-// are re-resolved and only plans whose inputs actually moved recompile —
-// precise invalidation, not wholesale.
+// that differ only in their value literals share a plan — and stamped
+// with the engine's catalog epoch: a plan checked at the read's epoch,
+// or one with no schedule to choose, is reused outright; after an epoch
+// bump a scheduled plan is re-ranked, and only a plan whose rank order
+// flipped recompiles (fits).
 
 // defaultPlanCacheSize bounds the cache when Options.PlanCacheSize is
 // zero. LRU eviction: ad-hoc one-off queries age out, the repeated
@@ -97,7 +97,7 @@ func (c *planCache) len() int { return c.order.Len() }
 
 // PlanCacheStats snapshots the plan cache's counters.
 type PlanCacheStats struct {
-	Hits      uint64 // lookups answered from the cache (incl. revalidated)
+	Hits      uint64 // lookups answered from the cache (incl. re-ranked)
 	Misses    uint64 // lookups that compiled a new plan
 	Evictions uint64 // entries dropped by the LRU bound
 	Size      int    // resident plans
@@ -139,8 +139,8 @@ func (e *Engine) SetPlanCaching(on bool) {
 }
 
 // Epoch returns the catalog epoch: a counter bumped on every change to
-// the universe or the rule set. Plans and prepared queries validated at
-// the current epoch are known fresh without dependency checks.
+// the universe or the rule set. Plans and prepared queries checked at the
+// current epoch are reused without re-ranking.
 func (e *Engine) Epoch() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()

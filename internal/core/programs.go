@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"idl/internal/ast"
@@ -107,7 +109,9 @@ type programKey struct {
 	name string
 }
 
-// programRegistry stores callable programs and view updaters.
+// programRegistry stores callable programs and view updaters. A registry
+// is immutable once published (Engine.regs): registering a clause
+// publishes a copy (with), so lookups take no lock.
 type programRegistry struct {
 	programs map[programKey]*Program
 	order    []programKey
@@ -270,21 +274,27 @@ func collectPlusVars(e ast.Expr, underPlus bool, out map[string]bool) {
 	}
 }
 
-// add registers a compiled clause.
-func (r *programRegistry) add(cc *compiledClause) {
-	r.srcs = append(r.srcs, cc.src)
+// with returns a copy of r with a compiled clause registered; r and the
+// Programs it holds are left as they are. Slices are clipped before
+// appending, so the copy never writes into r's backing arrays.
+func (r *programRegistry) with(cc *compiledClause) *programRegistry {
+	out := *r
+	out.srcs = append(slices.Clip(r.srcs), cc.src)
 	if cc.sign != ast.SignNone {
-		r.viewUpdaters = append(r.viewUpdaters, cc)
-		return
+		out.viewUpdaters = append(slices.Clip(r.viewUpdaters), cc)
+		return &out
 	}
 	key := programKey{db: cc.db, name: cc.name}
-	p, ok := r.programs[key]
-	if !ok {
-		p = &Program{DB: cc.db, Name: cc.name}
-		r.programs[key] = p
-		r.order = append(r.order, key)
+	p := &Program{DB: cc.db, Name: cc.name}
+	if old, ok := r.programs[key]; ok {
+		p.Clauses = slices.Clip(old.Clauses)
+	} else {
+		out.order = append(slices.Clip(r.order), key)
 	}
 	p.Clauses = append(p.Clauses, cc)
+	out.programs = maps.Clone(r.programs)
+	out.programs[key] = p
+	return &out
 }
 
 // lookup finds a callable program.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"idl/internal/object"
@@ -30,6 +31,50 @@ func addClauses(t testing.TB, e *Engine, clauses []string) {
 	t.Helper()
 	for _, c := range clauses {
 		mustClause(t, e, c)
+	}
+}
+
+// TestRegistryReadsDuringRegistration: lookups read the published
+// registry with no lock while clauses register; a reader sees each
+// program with the clauses of some published registry — never a
+// half-built one — and the program's clause count only grows.
+func TestRegistryReadsDuringRegistration(t *testing.T) {
+	e := newStockEngine(t)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := 0
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if p, ok := e.LookupProgram("dbU", "delStk"); ok {
+					n := len(p.Clauses)
+					if n < seen || n > len(delStkClauses) {
+						t.Errorf("delStk has %d clauses after %d were seen", n, seen)
+						return
+					}
+					seen = n
+				}
+				_ = e.Programs()
+			}
+		}()
+	}
+	for _, c := range append(append([]string{}, delStkClauses...), rmStkClauses...) {
+		mustClause(t, e, c)
+	}
+	close(done)
+	wg.Wait()
+	if p, ok := e.LookupProgram("dbU", "delStk"); !ok || len(p.Clauses) != len(delStkClauses) {
+		t.Fatalf("delStk after registration: %v, %v", p, ok)
+	}
+	if got := len(e.Clauses()); got != len(delStkClauses)+len(rmStkClauses) {
+		t.Fatalf("%d clauses registered, want %d", got, len(delStkClauses)+len(rmStkClauses))
 	}
 }
 

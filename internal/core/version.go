@@ -220,8 +220,8 @@ func (e *Engine) cowSet(parent *object.Tuple, attr string, s *object.Set) *objec
 
 // cowSetUndo wraps cowSet with an undo entry restoring the original set
 // pointer on rollback, so a rolled-back request leaves the universe
-// pointer-identical and set-pointer-keyed caches (indexes, statistics,
-// plan dependencies) stay warm.
+// pointer-identical and set-pointer-keyed caches (indexes, statistics)
+// stay warm.
 func (e *Engine) cowSetUndo(u *updater) func(parent *object.Tuple, attr string, s *object.Set) *object.Set {
 	return func(parent *object.Tuple, attr string, s *object.Set) *object.Set {
 		c := e.cowSet(parent, attr, s)

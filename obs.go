@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"idl/internal/ast"
 	"idl/internal/core"
 	"idl/internal/federation"
 	"idl/internal/obs"
@@ -157,7 +156,7 @@ func (db *DB) ExplainAnalyzeCtx(ctx context.Context, src string) (*ExplainPlan, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if ast.HasUpdate(q.Body) {
+	if db.isUpdate(q) {
 		return nil, nil, fmt.Errorf("idl: %q is an update request; explain analyze runs queries only", src)
 	}
 	rep, err := db.syncSources(ctx, true)

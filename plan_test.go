@@ -174,10 +174,11 @@ func TestPrepareAPI(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDDLEpoch pins the invalidation contract against catalog
-// DDL: every DDL call advances the epoch; DDL that does not touch a
-// cached plan's dependencies revalidates it ("stale"), DDL that drops a
-// relation the plan reads forces recompilation ("miss").
+// TestPlanCacheDDLEpoch pins the plan contract against catalog DDL: every
+// DDL call advances the epoch, and a one-conjunct plan, which has no
+// schedule to choose, is reused as it is ("hit") whether the DDL creates
+// an unrelated relation or drops the one it reads — and then answers
+// empty, because names resolve against the snapshot each read pins.
 func TestPlanCacheDDLEpoch(t *testing.T) {
 	db := Open()
 	seedStocks(t, db)
@@ -199,24 +200,26 @@ func TestPlanCacheDDLEpoch(t *testing.T) {
 	if cat.Epoch() != db.CatalogEpoch() {
 		t.Fatal("catalog and DB disagree on the epoch")
 	}
-	// The new relation is not among the plan's dependencies: revalidate.
-	if got := planCacheOutcome(t, db, query); got != "stale" {
-		t.Fatalf("after unrelated DDL: outcome %q, want stale", got)
+	if got := planCacheOutcome(t, db, query); got != "hit" {
+		t.Fatalf("after unrelated DDL: outcome %q, want hit", got)
 	}
 
-	// Dropping the queried relation changes what the plan's ranks were
-	// computed from: recompile.
 	if err := cat.DropRelation("euter", "r"); err != nil {
 		t.Fatal(err)
 	}
-	if got := planCacheOutcome(t, db, query); got != "miss" {
-		t.Fatalf("after dropping the queried relation: outcome %q, want miss", got)
+	ans, err := db.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Plan.Cache != "hit" || ans.Len() != 0 {
+		t.Fatalf("after dropping the queried relation: outcome %q, %d rows, want hit and none", ans.Plan.Cache, ans.Len())
 	}
 }
 
-// TestPlanCacheSyncEpoch pins invalidation across member syncs: a sync
-// that installs a changed member snapshot advances the epoch and forces
-// plans over that member's relations to recompile.
+// TestPlanCacheSyncEpoch pins plans across member syncs: a sync that
+// installs a changed member snapshot advances the epoch, and a
+// one-conjunct plan over that member's relation is reused as it is and
+// answers the new snapshot.
 func TestPlanCacheSyncEpoch(t *testing.T) {
 	db := Open()
 	member := Tup("r", SetOf(
@@ -230,8 +233,8 @@ func TestPlanCacheSyncEpoch(t *testing.T) {
 	planCacheOutcome(t, db, query) // sync + compile
 
 	// Mutate the member behind the federation's back, then sync: the new
-	// snapshot replaces the relation set, so the cached plan recompiles
-	// and the answer reflects the member's new state.
+	// snapshot replaces the relation set, and the answer reflects the
+	// member's new state.
 	rel, _ := member.Get("r")
 	rel.(*Set).Add(Tup("date", Date(85, 3, 3), "stkCode", "hp", "clsPrice", 62))
 	before := db.CatalogEpoch()
@@ -248,7 +251,7 @@ func TestPlanCacheSyncEpoch(t *testing.T) {
 	if ans.Len() != 3 {
 		t.Fatalf("post-sync answer: %d rows, want 3 (new member tuple visible)", ans.Len())
 	}
-	if ans.Plan == nil || ans.Plan.Cache != "miss" {
-		t.Fatalf("post-sync plan outcome %v, want miss (snapshot replaced the relation)", ans.Plan)
+	if ans.Plan == nil || ans.Plan.Cache != "hit" {
+		t.Fatalf("post-sync plan outcome %v, want hit (a one-conjunct plan has no schedule to check)", ans.Plan)
 	}
 }

@@ -2,7 +2,6 @@ package idl
 
 import (
 	"context"
-	"fmt"
 
 	"idl/internal/ast"
 	"idl/internal/core"
@@ -13,17 +12,19 @@ import (
 // engine's epoch-keyed plan cache — repeated statements reuse their
 // compiled plan automatically. Prepare makes the compile-once contract
 // explicit: the returned Prepared holds a private plan that skips even
-// the cache lookup, and each execution revalidates it against the
-// catalog epoch, so prepared answers are always as fresh as ad hoc ones.
+// the cache lookup, and each execution checks its schedule against the
+// snapshot it reads, so prepared answers are always as fresh as ad hoc
+// ones.
 
-// PlanInfo reports how a query's plan was obtained: Cache is "hit",
-// "stale" (revalidated after a catalog change elsewhere), "miss"
-// (recompiled), or "cold" (cache disabled); CompileNS is the compile
-// time when this call compiled. Attached to every query's Result.Plan.
+// PlanInfo reports how a query's plan was obtained: Cache is "hit" (ran
+// with no plan work), "stale" (re-ranked after a catalog change, and the
+// order held), "miss" (compiled), or "cold" (cache disabled); CompileNS
+// is the compile time when this call compiled. Attached to every query's
+// Result.Plan.
 type PlanInfo = core.PlanInfo
 
 // PlanCacheStats snapshots the engine's plan-cache counters: hits
-// (including epoch revalidations), misses, LRU evictions, resident
+// (including re-ranked "stale" plans), misses, LRU evictions, resident
 // size, and the current catalog epoch.
 type PlanCacheStats = core.PlanCacheStats
 
@@ -42,8 +43,8 @@ func (db *DB) SetPlanCaching(on bool) { db.engine.SetPlanCaching(on) }
 // CatalogEpoch returns the catalog epoch: a counter that advances on
 // every mutation of the universe — DML, DDL, view/rule registration,
 // member-snapshot installs. It versions the plan cache and the catalog
-// statistics: plans compiled at one epoch are revalidated (and only
-// recompiled when their inputs actually changed) after it moves.
+// statistics: after it moves, a plan with a schedule to choose is
+// re-ranked, and recompiled only when its rank order flipped.
 func (db *DB) CatalogEpoch() uint64 { return db.engine.Epoch() }
 
 // Prepared is a query compiled once by DB.Prepare and executable many
@@ -56,14 +57,15 @@ type Prepared struct {
 }
 
 // Prepare parses and compiles a read-only query for repeated execution.
-// Update requests are rejected — preparation is for the query side only.
+// Update requests, program calls included, are rejected — preparation is
+// for the query side only.
 func (db *DB) Prepare(src string) (*Prepared, error) {
 	q, err := parser.ParseQuery(src)
 	if err != nil {
 		return nil, err
 	}
-	if ast.HasUpdate(q.Body) {
-		return nil, fmt.Errorf("idl: %q is an update request; prepared statements are read-only", src)
+	if err := db.readOnly(src, q); err != nil {
+		return nil, err
 	}
 	pq, err := db.engine.Prepare(q)
 	if err != nil {
@@ -82,8 +84,8 @@ func (p *Prepared) Query() (*Result, error) {
 
 // QueryCtx is Query under a context. The execution takes the same path
 // as an ad hoc query — member sync, flight-recorder op, degradation
-// report — except that planning reuses the prepared plan (revalidating
-// or recompiling it when the catalog epoch moved).
+// report — except that planning reuses the prepared plan (re-ranking or
+// recompiling it when the catalog epoch moved).
 func (p *Prepared) QueryCtx(ctx context.Context) (*Result, error) {
 	return p.db.query(ctx, p.q, p.pq)
 }

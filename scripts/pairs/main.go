@@ -29,8 +29,14 @@ import (
 )
 
 // layers are the per-layer metrics the traced runs are compared on: the
-// parse, plan and evaluation lines of a statement's budget.
-var layers = []string{"parser.parse_us", "core.plan_hit_ratio", "core.plan_miss_us", "core.eval_us"}
+// parse, plan and evaluation lines of a statement's budget, the counts
+// behind evaluation (allocations, rows scanned) and the write path's
+// rungs (view refresh time, copy-on-write clones and freezes per write).
+var layers = []string{
+	"parser.parse_us", "core.plan_hit_ratio", "core.plan_miss_us", "core.eval_us",
+	"core.allocs_per_op", "core.rows_scanned_per_op",
+	"core.refresh_us", "core.cow_clones_per_write", "core.freezes_per_write",
+}
 
 type spec struct {
 	Workloads []struct {
@@ -140,10 +146,10 @@ func printLayers(dir, w string) {
 			sides[i] = runs[0]
 		}
 	}
-	fmt.Printf("\n%-15s %-20s %12s %12s %8s   (one --trace 1 run per side)\n", w, "layer", "parent", "change", "Δ")
+	fmt.Printf("\n%-15s %-25s %12s %12s %8s   (one --trace 1 run per side)\n", w, "layer", "parent", "change", "Δ")
 	for _, m := range layers {
 		if sides[0] == nil || sides[1] == nil {
-			fmt.Printf("%-15s %-20s %12s %12s %8s\n", w, m, "-", "-", "")
+			fmt.Printf("%-15s %-25s %12s %12s %8s\n", w, m, "-", "-", "")
 			continue
 		}
 		p, c := sides[0].Metrics[m].Value, sides[1].Metrics[m].Value
@@ -151,7 +157,7 @@ func printLayers(dir, w string) {
 		if p != 0 {
 			delta = fmt.Sprintf("%+7.1f%%", 100*(c-p)/p)
 		}
-		fmt.Printf("%-15s %-20s %12s %12s %8s\n", w, m, num(p), num(c), delta)
+		fmt.Printf("%-15s %-25s %12s %12s %8s\n", w, m, num(p), num(c), delta)
 	}
 }
 

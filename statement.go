@@ -235,8 +235,8 @@ func (db *DB) QueryCtx(ctx context.Context, src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ast.HasUpdate(q.Body) {
-		return nil, fmt.Errorf("idl: %q is an update request; use Exec", src)
+	if err := db.readOnly(src, q); err != nil {
+		return nil, err
 	}
 	return db.query(ctx, q, nil)
 }
@@ -507,7 +507,7 @@ func (db *DB) LoadCtx(ctx context.Context, src string) ([]*ScriptResult, error) 
 			}
 			out = append(out, &ScriptResult{Statement: text, Kind: "clause"})
 		case *ast.Query:
-			if ast.HasUpdate(s.Body) || db.isProgramCall(s) {
+			if db.isUpdate(s) {
 				info, err := db.exec(ctx, s)
 				if err != nil {
 					return out, fmt.Errorf("idl: request %q: %w", s.String(), err)
@@ -525,9 +525,23 @@ func (db *DB) LoadCtx(ctx context.Context, src string) ([]*ScriptResult, error) 
 	return out, nil
 }
 
-// isProgramCall reports whether any conjunct targets a registered update
-// program (such statements route through Execute even without signs).
-func (db *DB) isProgramCall(q *ast.Query) bool {
+// readOnly rejects an update request on a read entry point: it runs
+// through Exec.
+func (db *DB) readOnly(src string, q *ast.Query) error {
+	if db.isUpdate(q) {
+		return fmt.Errorf("idl: %q is an update request; use Exec", src)
+	}
+	return nil
+}
+
+// isUpdate reports whether q is an update request: it has signed update
+// expressions, or a conjunct calls a registered update program, which
+// needs no sign. The lookup reads the engine's published registry, so a
+// read asks it with no lock, and nothing is allocated.
+func (db *DB) isUpdate(q *ast.Query) bool {
+	if ast.HasUpdate(q.Body) {
+		return true
+	}
 	for _, c := range q.Body.Conjuncts {
 		a, ok := c.(*ast.AttrExpr)
 		if !ok {
