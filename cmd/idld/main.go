@@ -36,7 +36,8 @@
 //	-session-idle d     expire sessions unused this long
 //	-max-sessions n     session table bound
 //	-default-tenant t   tenant for requests without X-Tenant
-//	-slo-target d       per-endpoint SLO latency target
+//	-slo-target d       statement SLO latency target (engine.query,
+//	                    engine.exec and engine.call)
 //	-drain-timeout d    how long SIGTERM waits for inflight requests
 //	-debug              mount the /debug/ observability endpoints
 //	-mutex-profile n    sample 1/n of mutex contention events so
@@ -97,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		sessionIdle    = fs.Duration("session-idle", 10*time.Minute, "expire sessions unused this long")
 		maxSessions    = fs.Int("max-sessions", 1024, "session table bound")
 		defaultTenant  = fs.String("default-tenant", "public", "tenant for requests without X-Tenant")
-		sloTarget      = fs.Duration("slo-target", 100*time.Millisecond, "per-endpoint SLO latency target")
+		sloTarget      = fs.Duration("slo-target", 100*time.Millisecond, "statement SLO latency target (engine.query, engine.exec, engine.call)")
 		drainTimeout   = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for inflight requests")
 		debug          = fs.Bool("debug", false, "mount the /debug/ observability endpoints")
 		mutexProfile   = fs.Int("mutex-profile", 0, "sample 1/n of mutex contention events for /debug/pprof/mutex (0 = off)")
@@ -149,9 +150,15 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		SessionIdle:    *sessionIdle,
 		MaxSessions:    *maxSessions,
 		DefaultTenant:  *defaultTenant,
-		SLOTarget:      *sloTarget,
 		Debug:          *debug,
 	})
+	// The server turned metrics on; the statement SLOs are the facade's.
+	for _, name := range []string{"engine.query", "engine.exec", "engine.call"} {
+		if err := db.SetSLO(name, *sloTarget, 0); err != nil {
+			fmt.Fprintln(stderr, "idld:", err)
+			return 1
+		}
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,13 +57,15 @@ func startIdld(t *testing.T, args []string) (string, *syncBuffer, chan int) {
 }
 
 // TestServeQueryAndGracefulDrain is the daemon's end-to-end path: serve
-// the demo universe durably, answer wire requests, then exit 0 on
-// SIGTERM with a drained, checkpointed WAL that a fresh open recovers.
+// the demo universe durably, answer wire requests, apply -slo-target to
+// the statement SLOs, then exit 0 on SIGTERM with a drained,
+// checkpointed WAL that a fresh open recovers.
 func TestServeQueryAndGracefulDrain(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	addr, out, code := startIdld(t, []string{
 		"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-demo", "-wal", walDir,
+		"-debug", "-slo-target", "5ms",
 	})
 
 	// The addr file is how shell scripts find an ephemeral port.
@@ -88,6 +92,25 @@ func TestServeQueryAndGracefulDrain(t *testing.T) {
 	hz, err := c.Healthz(ctx)
 	if err != nil || hz.Status != "ok" {
 		t.Fatalf("healthz: %+v, %v", hz, err)
+	}
+	resp, err := http.Get("http://" + addr + "/debug/slo")
+	if err != nil {
+		t.Fatalf("/debug/slo: %v", err)
+	}
+	var slo struct{ SLOs []idl.SLOStatus }
+	err = json.NewDecoder(resp.Body).Decode(&slo)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/debug/slo: %v", err)
+	}
+	targets := map[string]time.Duration{}
+	for _, s := range slo.SLOs {
+		targets[s.Name] = time.Duration(s.TargetNS)
+	}
+	for _, name := range []string{"engine.query", "engine.exec", "engine.call"} {
+		if targets[name] != 5*time.Millisecond {
+			t.Errorf("/debug/slo %s target=%v, want the -slo-target 5ms (all: %v)", name, targets[name], targets)
+		}
 	}
 
 	// SIGTERM → graceful drain → exit 0.

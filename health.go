@@ -128,15 +128,10 @@ func (h *HealthReport) String() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// opWindows are the operation kinds Health reports, in render order.
-// The server.* entries populate only when internal/server fronts this
-// DB (the wire server observes per-endpoint latencies into the same
-// registry); WindowValue misses are skipped, so embedded sessions
-// render the engine ops alone.
-var opWindows = []string{
-	"engine.query", "engine.exec", "engine.call",
-	"server.query", "server.exec", "server.prepare", "server.prepared",
-}
+// opWindows are the statement kinds Health reports, in render order.
+// The facade's op feeds them (obs.go, stmtMetrics), embedded or served:
+// the wire server times no statement of its own.
+var opWindows = []string{"engine.query", "engine.exec", "engine.call"}
 
 // Health returns the rolling-window health report. It fails when metrics
 // are not enabled (Metrics attaches the registry; Mount does too) —

@@ -89,9 +89,84 @@ func TestQueryRejectsProgramCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(100, func() { db.isUpdate(q) }); n != 0 {
-			t.Errorf("isUpdate(%s): %v allocations, want 0", src, n)
+		if n := testing.AllocsPerRun(100, func() { db.engine.IsUpdate(q) }); n != 0 {
+			t.Errorf("IsUpdate(%s): %v allocations, want 0", src, n)
 		}
+	}
+}
+
+// TestProgramCallRouting drives call spellings through every entry
+// point that routes by Engine.IsUpdate: the engine's own read, the
+// facade's read, a script, and an update request. A registered call is
+// an update everywhere and inserts its quote through Load and Exec; a
+// signed spelling is an update but not a call; anything else is a read.
+func TestProgramCallRouting(t *testing.T) {
+	const (
+		read   = iota // a query: answered by the read entry points
+		call          // a registered program call
+		signed        // an update request that is not a call
+	)
+	open := func() *DB {
+		db := Open()
+		seedStocks(t, db)
+		if err := db.DefinePrograms(append(stocks.ProgramInsStk,
+			".dbU.insZz(.price=P) -> .euter.r+(.stkCode=zz, .date=1/1/85, .clsPrice=P)",
+			".dbU.insOne() -> .euter.r+(.stkCode=zz, .date=1/1/85, .clsPrice=1)")...); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	for _, tc := range []struct {
+		src  string
+		kind int
+	}{
+		{"?.dbU.insStk(.stk=zz, .date=1/1/85, .price=3)", call},
+		{"?.dbU.insZz(.price=4)", call},
+		{"?.dbU.insOne()", call},
+		{"?.dbU.insOne", call},
+		{"?.euter.r(.stkCode=hp), .dbU.insZz(.price=5)", call},
+		{"?+.dbU.insOne()", signed},
+		{"?.dbU+.insOne()", signed},
+		{"?.dbU.insOne+()", signed},
+		{"?.dbU.nope(.stk=zz)", read},
+		{"?.dbU.insZz.price=4", read},
+	} {
+		t.Run(tc.src, func(t *testing.T) {
+			db := open()
+			q, err := parser.ParseQuery(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			update := tc.kind != read
+			if got := db.engine.IsUpdate(q); got != update {
+				t.Fatalf("IsUpdate = %v, want %v", got, update)
+			}
+			if _, err := db.engine.Query(q); (err != nil) != update {
+				t.Errorf("Engine.Query: err = %v, want an error: %v", err, update)
+			}
+			if _, err := db.Query(tc.src); update != (err != nil && strings.Contains(err.Error(), "is an update request; use Exec")) {
+				t.Errorf("DB.Query: err = %v, want a rejection: %v", err, update)
+			}
+			// A failed script statement names how it ran.
+			out, err := db.Load(tc.src)
+			switch {
+			case err == nil && len(out) == 1:
+				if got := out[0].Kind == "exec"; got != update {
+					t.Errorf("DB.Load ran it as %q, want an exec: %v", out[0].Kind, update)
+				}
+			case err == nil || update != strings.HasPrefix(err.Error(), "idl: request"):
+				t.Errorf("DB.Load: %+v, %v; want it run as an exec: %v", out, err, update)
+			}
+			if tc.kind != call {
+				return
+			}
+			if res, err := db.Query("?.euter.r(.stkCode=zz, .clsPrice=P)"); err != nil || res.Len() == 0 {
+				t.Errorf("after DB.Load: %v, %v; want the call's zz quote", res, err)
+			}
+			if info, err := open().Exec(tc.src); err != nil || info.ElemsInserted == 0 {
+				t.Errorf("DB.Exec: %+v, %v; want the call's quote inserted", info, err)
+			}
+		})
 	}
 }
 

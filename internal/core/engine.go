@@ -418,8 +418,8 @@ func (e *Engine) QueryCtx(ctx context.Context, q *ast.Query) (*Answer, error) {
 // the plan that answered — a logged read's plan digest — so observing a
 // read neither compiles nor looks up another plan.
 func (e *Engine) ReadCtx(ctx context.Context, q *ast.Query, p *PreparedQuery, withPlan bool) (*Answer, *Explain, error) {
-	if p == nil && ast.HasUpdate(q.Body) {
-		return nil, nil, fmt.Errorf("core: query contains update expressions; use Execute")
+	if p == nil && e.IsUpdate(q) {
+		return nil, nil, fmt.Errorf("core: query is an update request; use Execute")
 	}
 	kind := readQuery
 	if withPlan {
@@ -490,10 +490,6 @@ type readView struct {
 // cache's sharded read locks, the statistics sync.Map, the tracer's ring,
 // and the aggregate counters under statsMu.
 func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Query, p *PreparedQuery, rv readView, kind readKind) (*Answer, *Explain, error) {
-	var start time.Time
-	if rv.em != nil || rv.tracer != nil {
-		start = time.Now()
-	}
 	var pl *queryPlan
 	var state string
 	var lits []object.Object
@@ -515,6 +511,7 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Quer
 		}
 	}
 	name := "query"
+	var start time.Time
 	if kind == readAnalyze {
 		name = "explain-analyze"
 		// ANALYZE's total times the evaluation alone, not the plan
@@ -533,7 +530,7 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Quer
 	rows, err := e.collect(cctx, an, rv, &local, analyze)
 	e.addStats(local)
 	if rv.em != nil {
-		rv.em.record(&rv.em.query, start, local, err)
+		rv.em.evalWork(local)
 	}
 	if span != nil {
 		endQuerySpan(span, rows.len(), local, an, analyze)
@@ -609,14 +606,8 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q *ast.Query) (*ExecResult, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	obsOn := e.em != nil || e.tracer != nil
-	var start time.Time
-	var span *obs.Span
-	if obsOn {
-		start = time.Now()
-		span = e.tracer.Start("exec")
-		annotateTraceID(span, ctx)
-	}
+	span := e.tracer.Start("exec")
+	annotateTraceID(span, ctx)
 	var local Stats
 	rounds := e.fixpointRounds
 	u := e.newUpdater(&local, cancellable(ctx), span)
@@ -625,15 +616,13 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q *ast.Query) (*ExecResult, err
 		err = e.validate(u)
 	}
 	e.addStats(local)
-	if obsOn {
-		if e.em != nil {
-			e.em.record(&e.em.exec, start, local, err)
-		}
-		if span != nil {
-			span.SetInt("bindings", int64(u.result.Bindings))
-			span.SetInt("changes", int64(u.result.total()))
-			span.End()
-		}
+	if e.em != nil {
+		e.em.evalWork(local)
+	}
+	if span != nil {
+		span.SetInt("bindings", int64(u.result.Bindings))
+		span.SetInt("changes", int64(u.result.total()))
+		span.End()
 	}
 	if err != nil {
 		u.undo.rollback()
@@ -673,14 +662,8 @@ func (e *Engine) CallCtx(ctx context.Context, db, name string, params map[string
 	if !ok {
 		return nil, fmt.Errorf("core: no update program %s.%s", db, name)
 	}
-	obsOn := e.em != nil || e.tracer != nil
-	var start time.Time
-	var span *obs.Span
-	if obsOn {
-		start = time.Now()
-		span = e.tracer.Start("call")
-		annotateTraceID(span, ctx)
-	}
+	span := e.tracer.Start("call")
+	annotateTraceID(span, ctx)
 	var local Stats
 	rounds := e.fixpointRounds
 	u := e.newUpdater(&local, cancellable(ctx), span)
@@ -689,14 +672,12 @@ func (e *Engine) CallCtx(ctx context.Context, db, name string, params map[string
 		err = e.validate(u)
 	}
 	e.addStats(local)
-	if obsOn {
-		if e.em != nil {
-			e.em.record(&e.em.call, start, local, err)
-		}
-		if span != nil {
-			span.SetInt("changes", int64(u.result.total()))
-			span.End()
-		}
+	if e.em != nil {
+		e.em.evalWork(local)
+	}
+	if span != nil {
+		span.SetInt("changes", int64(u.result.total()))
+		span.End()
 	}
 	if err != nil {
 		u.undo.rollback()
@@ -863,10 +844,10 @@ func (e *Engine) execBody(an *bodyAnalysis, u *updater, params map[string]object
 		switch {
 		case !ast.HasUpdate(conjunct):
 			// Program call or query conjunct.
-			if p, call, ok := e.programCall(conjunct); ok {
+			if p, args, ok := e.programCall(conjunct); ok {
 				for i := 0; i < envs.len(); i++ {
 					env.load(envs.row(i))
-					bound, err := bindCallParams(call.clause, call.args, env)
+					bound, err := bindCallParams(p.Clauses[0], args, env)
 					if err != nil {
 						return err
 					}
@@ -908,15 +889,12 @@ func (e *Engine) execBody(an *bodyAnalysis, u *updater, params map[string]object
 	return nil
 }
 
-// matchedCall carries a matched program-call conjunct.
-type matchedCall struct {
-	clause *compiledClause
-	args   *ast.TupleExpr
-}
-
 // programCall recognizes `.db.name(args…)` conjuncts naming a registered
-// update program. Registered program namespaces shadow same-named data.
-func (e *Engine) programCall(conjunct ast.Expr) (*Program, *matchedCall, bool) {
+// update program, and returns the program and the call's arguments: a
+// tuple of them, a single one, or ε. Registered program namespaces
+// shadow same-named data. It reads the published registry with no lock
+// and allocates nothing.
+func (e *Engine) programCall(conjunct ast.Expr) (*Program, ast.Expr, bool) {
 	a, ok := conjunct.(*ast.AttrExpr)
 	if !ok || a.Sign != ast.SignNone {
 		return nil, nil, false
@@ -938,34 +916,38 @@ func (e *Engine) programCall(conjunct ast.Expr) (*Program, *matchedCall, bool) {
 		return nil, nil, false
 	}
 	p, found := e.regs.Load().lookup(db, name)
-	if !found {
+	if !found || len(p.Clauses) == 0 {
 		return nil, nil, false
 	}
-	var args *ast.TupleExpr
 	switch x := nameAttr.Expr.(type) {
-	case *ast.SetExpr:
-		if x.Sign != ast.SignNone {
-			return nil, nil, false
-		}
-		switch in := x.X.(type) {
-		case *ast.TupleExpr:
-			args = in
-		case ast.Epsilon:
-			args = &ast.TupleExpr{}
-		case *ast.AttrExpr:
-			args = &ast.TupleExpr{Conjuncts: []ast.Expr{in}}
-		default:
-			return nil, nil, false
-		}
 	case ast.Epsilon:
-		args = &ast.TupleExpr{}
-	default:
-		return nil, nil, false
+		return p, x, true
+	case *ast.SetExpr:
+		switch x.X.(type) {
+		case *ast.TupleExpr, ast.Epsilon, *ast.AttrExpr:
+			if x.Sign == ast.SignNone {
+				return p, x.X, true
+			}
+		}
 	}
-	if len(p.Clauses) == 0 {
-		return nil, nil, false
+	return nil, nil, false
+}
+
+// IsUpdate reports whether q is an update request: it has signed update
+// expressions, or a top-level conjunct calls a registered update
+// program, which needs no sign. The read entry points reject it, and the
+// facade routes a script's statement by it. It takes no lock and
+// allocates nothing.
+func (e *Engine) IsUpdate(q *ast.Query) bool {
+	if ast.HasUpdate(q.Body) {
+		return true
 	}
-	return p, &matchedCall{clause: p.Clauses[0], args: args}, true
+	for _, c := range q.Body.Conjuncts {
+		if _, _, ok := e.programCall(c); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // invokeProgram executes every clause of a program, in order, under the

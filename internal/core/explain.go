@@ -100,7 +100,7 @@ func (e *Explain) String() string {
 // it counts no lookup and caches no compile: the cache's statistics and
 // contents are the same after an EXPLAIN as before it.
 func (e *Engine) ExplainQuery(q *ast.Query) (*Explain, error) {
-	if ast.HasUpdate(q.Body) {
+	if e.IsUpdate(q) {
 		return nil, fmt.Errorf("core: cannot explain an update request")
 	}
 	_, plan, err := e.read(context.Background(), q, nil, readExplain)
@@ -112,7 +112,7 @@ func (e *Engine) ExplainQuery(q *ast.Query) (*Explain, error) {
 // its measured actuals (rows produced, set elements scanned, index
 // probes, self wall time). Both the plan and the answer are returned.
 func (e *Engine) ExplainAnalyzeQuery(ctx context.Context, q *ast.Query) (*Explain, *Answer, error) {
-	if ast.HasUpdate(q.Body) {
+	if e.IsUpdate(q) {
 		return nil, nil, fmt.Errorf("core: cannot explain an update request")
 	}
 	ans, plan, err := e.read(ctx, q, nil, readAnalyze)

@@ -2,32 +2,16 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"idl/internal/ast"
 	"idl/internal/obs"
 	"idl/internal/qlog"
 )
 
-// opMetrics are one operation kind's instruments (query / exec / call),
-// resolved once at SetMetrics time so the hot paths never take the
-// registry lock.
-type opMetrics struct {
-	count   *obs.Counter
-	errors  *obs.Counter
-	latency *obs.Histogram
-	window  *obs.WindowedHistogram
-	slo     *obs.SLOTracker
-}
-
 // engineMetrics caches every engine-level metric pointer. A nil
 // *engineMetrics means no registry is attached; operation paths check
 // that single pointer.
 type engineMetrics struct {
-	query opMetrics
-	exec  opMetrics
-	call  opMetrics
-
 	elementsScanned *obs.Counter
 	indexProbes     *obs.Counter
 	indexCandidates *obs.Counter
@@ -66,24 +50,11 @@ type engineMetrics struct {
 	mvccRetainedBytes *obs.Gauge
 }
 
-func opMetricsFor(r *obs.Registry, op string) opMetrics {
-	return opMetrics{
-		count:   r.Counter("engine." + op + ".count"),
-		errors:  r.Counter("engine." + op + ".errors"),
-		latency: r.Histogram("engine." + op + ".latency"),
-		window:  r.Window("engine." + op + ".latency"),
-		slo:     r.SLO("engine."+op, 0, 0), // registry defaults
-	}
-}
-
 func newEngineMetrics(r *obs.Registry) *engineMetrics {
 	if r == nil {
 		return nil
 	}
 	return &engineMetrics{
-		query:           opMetricsFor(r, "query"),
-		exec:            opMetricsFor(r, "exec"),
-		call:            opMetricsFor(r, "call"),
 		elementsScanned: r.Counter("engine.eval.elements_scanned"),
 		indexProbes:     r.Counter("engine.eval.index_probes"),
 		indexCandidates: r.Counter("engine.eval.index_candidates"),
@@ -111,19 +82,6 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 	}
 }
 
-// record publishes one finished operation.
-func (em *engineMetrics) record(om *opMetrics, start time.Time, local Stats, err error) {
-	om.count.Inc()
-	if err != nil {
-		om.errors.Inc()
-	}
-	d := time.Since(start)
-	om.latency.Observe(d)
-	om.window.Observe(d)
-	om.slo.Observe(d, err != nil)
-	em.evalWork(local)
-}
-
 // evalWork publishes evaluator counters accumulated by one operation.
 func (em *engineMetrics) evalWork(local Stats) {
 	em.elementsScanned.Add(local.ElementsScanned)
@@ -133,10 +91,12 @@ func (em *engineMetrics) evalWork(local Stats) {
 	em.attrEnums.Add(local.AttrEnums)
 }
 
-// SetMetrics attaches a metrics registry (nil detaches). Operations
-// publish counts, error counts, latency histograms and evaluator work
-// under the engine.* namespace. The published MVCC head is dropped
-// because snapshots capture the metric hooks they report through.
+// SetMetrics attaches a metrics registry (nil detaches). Evaluations
+// publish their work — scans, probes, view refreshes, plan compiles,
+// parallel dispatch — under the engine.* namespace; a statement's count
+// and latency are the facade's, which times each statement once. The
+// published MVCC head is dropped because snapshots capture the metric
+// hooks they report through.
 func (e *Engine) SetMetrics(r *obs.Registry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -355,11 +355,15 @@ func (e *Engine) estimateAttr(a *ast.AttrExpr, eff *object.Tuple) float64 {
 
 // estimateSet estimates the rows a relation-level expression yields from
 // a set: full cardinality for a scan, cardinality over the attribute's
-// distinct count for an equality-pinned scan or index probe.
+// distinct count for an equality-pinned scan or index probe. A negation
+// only prunes, so it costs nothing, as at the conjunct level.
 func (e *Engine) estimateSet(inner ast.Expr, set *object.Set) float64 {
 	card := float64(set.Len())
 	se, ok := inner.(*ast.SetExpr)
 	if !ok {
+		if _, neg := inner.(*ast.Not); neg {
+			return 0
+		}
 		return 1 // atomic/navigate on the set value itself
 	}
 	te, ok := se.X.(*ast.TupleExpr)
@@ -431,7 +435,7 @@ type PreparedQuery struct {
 // read would pin. The plan is private to the returned PreparedQuery (it
 // does not populate the shared cache).
 func (e *Engine) Prepare(q *ast.Query) (*PreparedQuery, error) {
-	if ast.HasUpdate(q.Body) {
+	if e.IsUpdate(q) {
 		return nil, fmt.Errorf("core: cannot prepare an update request; use Execute")
 	}
 	v, _, err := e.pin(nil)

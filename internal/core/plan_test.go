@@ -566,3 +566,20 @@ func TestSharedPlanConcurrentReads(t *testing.T) {
 		t.Errorf("%d resident plans for one shape: %+v", st.Size, st)
 	}
 }
+
+// TestNegationRanksOnce: a relation-level negation `.euter.r~(…)` and
+// the conjunct-level `~.euter.r(…)` are one filter, so both rank at 0
+// rows and schedule alike.
+func TestNegationRanksOnce(t *testing.T) {
+	e := newStockEngine(t)
+	eff, err := e.EffectiveUniverse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{"?.euter.r~(.date=D, .clsPrice>P)", "?~.euter.r(.date=D, .clsPrice>P)"} {
+		c := mustParse(t, src).Body.Conjuncts[0]
+		if got := e.estimateConjunct(c, eff); got != 0 {
+			t.Errorf("%s ranks at %v rows, want 0", src, got)
+		}
+	}
+}

@@ -338,7 +338,14 @@ func (r *programRegistry) All() []*Program {
 // declared parameters, producing the invocation substitution. Call
 // parameters not declared by the clause are an error; declared parameters
 // the call omits stay unbound (wildcards).
-func bindCallParams(cc *compiledClause, callParams *ast.TupleExpr, callerEnv *Env) (map[string]object.Object, error) {
+func bindCallParams(cc *compiledClause, args ast.Expr, callerEnv *Env) (map[string]object.Object, error) {
+	var callParams []ast.Expr
+	switch x := args.(type) {
+	case *ast.TupleExpr:
+		callParams = x.Conjuncts
+	case *ast.AttrExpr:
+		callParams = []ast.Expr{x}
+	}
 	declared := map[string]ast.Term{} // attr name -> head term
 	for _, pc := range cc.params.Conjuncts {
 		a := pc.(*ast.AttrExpr)
@@ -349,7 +356,7 @@ func bindCallParams(cc *compiledClause, callParams *ast.TupleExpr, callerEnv *En
 		declared[name] = a.Expr.(*ast.Atomic).Term
 	}
 	out := map[string]object.Object{}
-	for _, pc := range callParams.Conjuncts {
+	for _, pc := range callParams {
 		a, ok := pc.(*ast.AttrExpr)
 		if !ok || a.Sign != ast.SignNone {
 			return nil, fmt.Errorf("core: call argument %q must be an unsigned attribute equality", pc.String())

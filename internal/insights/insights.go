@@ -101,8 +101,12 @@ type Observation struct {
 	// Text renders the canonical statement. It is a thunk, not a
 	// string, because it is only invoked the first time a shape is
 	// seen — the steady-state observe path never pays for rendering.
-	Text      func() string
-	Duration  time.Duration
+	Text     func() string
+	Duration time.Duration
+	// End is the instant the operation ended, read by the same clock
+	// reading that measured Duration; it places the observation in the
+	// digest's latency window, which reads no clock of its own.
+	End       time.Time
 	Err       bool
 	Degraded  bool
 	PlanCache string // "", "hit", "stale", "miss", "cold"
@@ -201,7 +205,7 @@ func (e *entry) observe(o Observation) {
 	if r.WALBytes > 0 {
 		e.walBytes.Add(r.WALBytes)
 	}
-	e.lat.Observe(o.Duration)
+	e.lat.Observe(o.End, o.Duration)
 }
 
 // Digest is a point-in-time snapshot of one statement shape's record.
@@ -337,7 +341,7 @@ func (s *Store) isSlow(e *entry, o Observation) bool {
 		return true
 	}
 	if f := s.cfg.SlowFactor; f > 0 {
-		ws := e.lat.Snapshot()
+		ws := e.lat.SnapshotAt(o.End)
 		if ws.Count >= s.cfg.MinSamples {
 			if p50 := ws.Quantile(0.50); p50 > 0 && float64(o.Duration) >= f*float64(p50) {
 				return true
@@ -351,7 +355,7 @@ func (s *Store) captureExemplar(e *entry, o Observation) {
 	s.mu.RLock()
 	fn := s.capture
 	s.mu.RUnlock()
-	ex := Exemplar{TraceID: o.TraceID, When: time.Now(), DurationNS: int64(o.Duration)}
+	ex := Exemplar{TraceID: o.TraceID, When: o.End, DurationNS: int64(o.Duration)}
 	if fn != nil {
 		ex.Trace, ex.Events = fn(o.TraceID)
 	}

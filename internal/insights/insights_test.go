@@ -14,16 +14,16 @@ import (
 func textf(s string) func() string { return func() string { return s } }
 
 func obsn(fp uint64, d time.Duration) Observation {
-	return Observation{Fingerprint: fp, Kind: "query", Text: textf(fmt.Sprintf("?q%d", fp)), Duration: d}
+	return Observation{Fingerprint: fp, Kind: "query", Text: textf(fmt.Sprintf("?q%d", fp)), Duration: d, End: time.Now()}
 }
 
 func TestObserveAccumulates(t *testing.T) {
 	s := New(Config{})
-	s.Observe(Observation{Fingerprint: 7, Kind: "query", Text: textf("?.a.r(.x=X)"), Duration: 2 * time.Millisecond,
+	s.Observe(Observation{Fingerprint: 7, Kind: "query", Text: textf("?.a.r(.x=X)"), Duration: 2 * time.Millisecond, End: time.Now(),
 		PlanCache: "cold", Resources: Resources{RowsScanned: 10, TuplesEmitted: 3}})
-	s.Observe(Observation{Fingerprint: 7, Kind: "query", Text: textf("?.a.r(.x=X)"), Duration: 4 * time.Millisecond,
+	s.Observe(Observation{Fingerprint: 7, Kind: "query", Text: textf("?.a.r(.x=X)"), Duration: 4 * time.Millisecond, End: time.Now(),
 		PlanCache: "hit", Err: true, Resources: Resources{RowsScanned: 5, FedFetches: 2, WALBytes: 11}})
-	s.Observe(Observation{Fingerprint: 7, Kind: "query", Text: textf("?.a.r(.x=X)"), Duration: 6 * time.Millisecond,
+	s.Observe(Observation{Fingerprint: 7, Kind: "query", Text: textf("?.a.r(.x=X)"), Duration: 6 * time.Millisecond, End: time.Now(),
 		PlanCache: "hit", Degraded: true, Resources: Resources{FixpointRounds: 4, IndexBuilds: 1, IndexProbes: 9}})
 
 	d, exs, ok := s.Get(7)
@@ -65,10 +65,10 @@ func TestTopOrderings(t *testing.T) {
 	s := New(Config{})
 	// fp 1: many calls, few rows. fp 2: few calls, many rows + most time.
 	for i := 0; i < 5; i++ {
-		s.Observe(Observation{Fingerprint: 1, Kind: "query", Text: textf("?a"), Duration: time.Millisecond,
+		s.Observe(Observation{Fingerprint: 1, Kind: "query", Text: textf("?a"), Duration: time.Millisecond, End: time.Now(),
 			Resources: Resources{RowsScanned: 1}})
 	}
-	s.Observe(Observation{Fingerprint: 2, Kind: "query", Text: textf("?b"), Duration: 100 * time.Millisecond,
+	s.Observe(Observation{Fingerprint: 2, Kind: "query", Text: textf("?b"), Duration: 100 * time.Millisecond, End: time.Now(),
 		Resources: Resources{RowsScanned: 1000}})
 
 	check := func(by string, want uint64) {
@@ -127,10 +127,10 @@ func TestAbsoluteCaptureAndExemplarRing(t *testing.T) {
 		captured = append(captured, tid)
 		return &obs.Span{Name: "query"}, []*qlog.Event{{Seq: 1}}
 	})
-	s.Observe(Observation{Fingerprint: 5, Kind: "query", Text: textf("?q"), Duration: time.Millisecond, TraceID: "t-fast"})
+	s.Observe(Observation{Fingerprint: 5, Kind: "query", Text: textf("?q"), Duration: time.Millisecond, End: time.Now(), TraceID: "t-fast"})
 	for i := 0; i < 3; i++ {
 		s.Observe(Observation{Fingerprint: 5, Kind: "query", Text: textf("?q"),
-			Duration: 20 * time.Millisecond, TraceID: fmt.Sprintf("t-slow-%d", i)})
+			Duration: 20 * time.Millisecond, End: time.Now(), TraceID: fmt.Sprintf("t-slow-%d", i)})
 	}
 	if want := []string{"t-slow-0", "t-slow-1", "t-slow-2"}; fmt.Sprint(captured) != fmt.Sprint(want) {
 		t.Fatalf("capture calls: %v", captured)
@@ -155,11 +155,11 @@ func TestRelativeCaptureRespectsMinSamples(t *testing.T) {
 	s := New(Config{SlowFactor: 10, MinSamples: 32})
 	fast := func(n int) {
 		for i := 0; i < n; i++ {
-			s.Observe(Observation{Fingerprint: 8, Duration: time.Millisecond, TraceID: "t-fast"})
+			s.Observe(Observation{Fingerprint: 8, Duration: time.Millisecond, End: time.Now(), TraceID: "t-fast"})
 		}
 	}
 	slow := func() {
-		s.Observe(Observation{Fingerprint: 8, Duration: 100 * time.Millisecond, TraceID: "t-slow"})
+		s.Observe(Observation{Fingerprint: 8, Duration: 100 * time.Millisecond, End: time.Now(), TraceID: "t-slow"})
 	}
 	fast(10)
 	slow() // 11 samples < MinSamples: the self-relative rule must not fire yet
@@ -233,7 +233,7 @@ func TestConcurrentStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				fp := uint64(i % 16)
 				s.Observe(Observation{Fingerprint: fp, Kind: "query", Text: textf("?q"),
-					Duration: time.Duration(i%5) * time.Millisecond, TraceID: "t",
+					Duration: time.Duration(i%5) * time.Millisecond, End: time.Now(), TraceID: "t",
 					PlanCache: "hit", Resources: Resources{RowsScanned: uint64(i)}})
 				switch i % 97 {
 				case 0:

@@ -92,7 +92,7 @@ type SLOTracker struct {
 	objective atomic.Uint64 // math.Float64bits
 	total     *windowedCounter
 	bad       *windowedCounter
-	now       func() time.Time
+	now       func() time.Time // the clock Status reads; injectable for tests
 }
 
 // NewSLO returns a tracker for the named operation: observations slower
@@ -138,16 +138,15 @@ func (t *SLOTracker) SetObjective(o float64) {
 	}
 }
 
-// Observe classifies one operation: bad when it errored or exceeded the
-// latency target.
-func (t *SLOTracker) Observe(d time.Duration, failed bool) {
+// Observe classifies one operation that took d and ended at end: bad
+// when it errored or exceeded the latency target. It reads no clock.
+func (t *SLOTracker) Observe(end time.Time, d time.Duration, failed bool) {
 	if t == nil {
 		return
 	}
-	now := t.now()
-	t.total.inc(now)
+	t.total.inc(end)
 	if failed || int64(d) > t.targetNS.Load() {
-		t.bad.inc(now)
+		t.bad.inc(end)
 	}
 }
 

@@ -10,9 +10,11 @@ import (
 // for totals, useless for "p99 over the last minute"), WindowedHistogram
 // keeps a ring of time slices and merges the live ones on read, so
 // quantiles roll: an observation ages out of the reported distribution
-// after at most one window. Observe is lock-free in the steady state —
-// one atomic slot check plus the Histogram's atomic adds; the only lock
-// is a per-slice mutex taken once per slice rotation.
+// after at most one window. Observe reads no clock: the caller passes
+// the instant its observation ended, which it has already read to
+// measure the duration. It is lock-free in the steady state — one atomic
+// slot check plus the Histogram's atomic adds; the only lock is a
+// per-slice mutex taken once per slice rotation.
 
 // Defaults for registry-created windows and SLO trackers.
 const (
@@ -53,7 +55,8 @@ func (s *windowSlice) rotate(slot int64) {
 type WindowedHistogram struct {
 	sliceNS int64
 	slices  []windowSlice
-	// now is the clock, injectable for deterministic tests.
+	// now is the clock Snapshot reads, injectable for deterministic
+	// tests.
 	now func() time.Time
 }
 
@@ -91,12 +94,13 @@ func (w *WindowedHistogram) Window() time.Duration {
 	return time.Duration(w.sliceNS * int64(len(w.slices)))
 }
 
-// Observe records one duration into the current time slice.
-func (w *WindowedHistogram) Observe(d time.Duration) {
+// Observe records one duration d that ended at end into end's time
+// slice.
+func (w *WindowedHistogram) Observe(end time.Time, d time.Duration) {
 	if w == nil {
 		return
 	}
-	slot := w.now().UnixNano() / w.sliceNS
+	slot := end.UnixNano() / w.sliceNS
 	s := &w.slices[int(slot)%len(w.slices)]
 	if s.slot.Load() != slot {
 		s.rotate(slot)
@@ -121,7 +125,16 @@ func (w *WindowedHistogram) Snapshot() WindowSnapshot {
 	if w == nil {
 		return WindowSnapshot{}
 	}
-	nowSlot := w.now().UnixNano() / w.sliceNS
+	return w.SnapshotAt(w.now())
+}
+
+// SnapshotAt is Snapshot as of now, for a caller that has just read the
+// clock.
+func (w *WindowedHistogram) SnapshotAt(now time.Time) WindowSnapshot {
+	if w == nil {
+		return WindowSnapshot{}
+	}
+	nowSlot := now.UnixNano() / w.sliceNS
 	out := WindowSnapshot{Window: w.Window()}
 	minSlot := nowSlot - int64(len(w.slices)) + 1
 	for i := range w.slices {

@@ -31,7 +31,7 @@ func TestWindowedHistogramRolls(t *testing.T) {
 
 	// 10 observations in the current slice.
 	for i := 0; i < 10; i++ {
-		w.Observe(time.Millisecond)
+		w.Observe(clk.now(), time.Millisecond)
 	}
 	s := w.Snapshot()
 	if s.Count != 10 || s.Min != time.Millisecond || s.Max != time.Millisecond {
@@ -41,7 +41,7 @@ func TestWindowedHistogramRolls(t *testing.T) {
 	// Five slices later, add slower observations: both batches visible.
 	clk.set(120*time.Second + 5*time.Second)
 	for i := 0; i < 5; i++ {
-		w.Observe(50 * time.Millisecond)
+		w.Observe(clk.now(), 50*time.Millisecond)
 	}
 	s = w.Snapshot()
 	if s.Count != 15 {
@@ -73,10 +73,10 @@ func TestWindowedHistogramSliceReuse(t *testing.T) {
 	w, clk := newTestWindow(4*time.Second, 4) // 1s slices
 	base := 40 * time.Second
 	clk.set(base)
-	w.Observe(time.Millisecond)
+	w.Observe(clk.now(), time.Millisecond)
 	// Wrap the ring: same slice index, new slot → old data must be gone.
 	clk.set(base + 4*time.Second)
-	w.Observe(2 * time.Millisecond)
+	w.Observe(clk.now(), 2*time.Millisecond)
 	s := w.Snapshot()
 	if s.Count != 1 || s.Min != 2*time.Millisecond {
 		t.Fatalf("after wrap: count=%d min=%v, want 1/2ms", s.Count, s.Min)
@@ -87,7 +87,7 @@ func TestWindowedHistogramRate(t *testing.T) {
 	w, clk := newTestWindow(10*time.Second, 10)
 	clk.set(100 * time.Second)
 	for i := 0; i < 30; i++ {
-		w.Observe(time.Microsecond)
+		w.Observe(clk.now(), time.Microsecond)
 	}
 	if got := w.Snapshot().Rate(); got != 3 {
 		t.Fatalf("Rate = %v, want 3/s", got)
@@ -96,7 +96,7 @@ func TestWindowedHistogramRate(t *testing.T) {
 
 func TestWindowedHistogramNil(t *testing.T) {
 	var w *WindowedHistogram
-	w.Observe(time.Second) // must not panic
+	w.Observe(time.Now(), time.Second) // must not panic
 	if w.Window() != 0 {
 		t.Fatal("nil Window() != 0")
 	}
@@ -128,7 +128,7 @@ func newTestSLO(target time.Duration, objective float64, window time.Duration, s
 
 func TestSLOTrackerBurnRate(t *testing.T) {
 	// Objective 0.99 → 1% error budget.
-	tr, _ := newTestSLO(10*time.Millisecond, 0.99, 60*time.Second, 12)
+	tr, clk := newTestSLO(10*time.Millisecond, 0.99, 60*time.Second, 12)
 
 	// Empty window: healthy, zero burn.
 	st := tr.Status()
@@ -138,9 +138,9 @@ func TestSLOTrackerBurnRate(t *testing.T) {
 
 	// 99 fast + 1 slow = exactly on budget (burn 1.0, still healthy).
 	for i := 0; i < 99; i++ {
-		tr.Observe(time.Millisecond, false)
+		tr.Observe(clk.now(), time.Millisecond, false)
 	}
-	tr.Observe(time.Second, false)
+	tr.Observe(clk.now(), time.Second, false)
 	st = tr.Status()
 	if st.Total != 100 || st.Bad != 1 {
 		t.Fatalf("counts = %d/%d, want 1/100", st.Bad, st.Total)
@@ -150,7 +150,7 @@ func TestSLOTrackerBurnRate(t *testing.T) {
 	}
 
 	// Errors count as bad even when fast; budget now blown.
-	tr.Observe(time.Millisecond, true)
+	tr.Observe(clk.now(), time.Millisecond, true)
 	st = tr.Status()
 	if st.Bad != 2 || st.Healthy {
 		t.Fatalf("after error: bad=%d healthy=%v, want 2/false", st.Bad, st.Healthy)
@@ -160,7 +160,7 @@ func TestSLOTrackerBurnRate(t *testing.T) {
 func TestSLOTrackerWindowAges(t *testing.T) {
 	tr, clk := newTestSLO(10*time.Millisecond, 0.999, 10*time.Second, 10)
 	clk.set(200 * time.Second)
-	tr.Observe(time.Second, false) // bad
+	tr.Observe(clk.now(), time.Second, false) // bad
 	if st := tr.Status(); st.Healthy {
 		t.Fatalf("burning status reported healthy: %+v", st)
 	}
@@ -172,14 +172,14 @@ func TestSLOTrackerWindowAges(t *testing.T) {
 }
 
 func TestSLOTrackerSetters(t *testing.T) {
-	tr, _ := newTestSLO(10*time.Millisecond, 0.99, 10*time.Second, 10)
+	tr, clk := newTestSLO(10*time.Millisecond, 0.99, 10*time.Second, 10)
 	tr.SetTarget(100 * time.Millisecond)
-	tr.Observe(50*time.Millisecond, false) // fast under the new target
+	tr.Observe(clk.now(), 50*time.Millisecond, false) // fast under the new target
 	if st := tr.Status(); st.Bad != 0 {
 		t.Fatalf("after SetTarget: bad=%d, want 0", st.Bad)
 	}
 	tr.SetObjective(0.5)
-	tr.Observe(time.Second, false) // 1 bad of 2: fraction 0.5 = budget 0.5 → burn 1
+	tr.Observe(clk.now(), time.Second, false) // 1 bad of 2: fraction 0.5 = budget 0.5 → burn 1
 	st := tr.Status()
 	if st.BurnRate < 0.999 || st.BurnRate > 1.001 {
 		t.Fatalf("after SetObjective: burn=%v, want 1.0", st.BurnRate)
@@ -195,7 +195,7 @@ func TestSLOTrackerSetters(t *testing.T) {
 
 func TestSLOTrackerNil(t *testing.T) {
 	var tr *SLOTracker
-	tr.Observe(time.Second, true)
+	tr.Observe(time.Now(), time.Second, true)
 	tr.SetTarget(time.Second)
 	tr.SetObjective(0.5)
 	if st := tr.Status(); !st.Healthy {
@@ -203,6 +203,31 @@ func TestSLOTrackerNil(t *testing.T) {
 	}
 	if tr.Name() != "" {
 		t.Fatal("nil Name() != empty")
+	}
+}
+
+// TestObserveReadsNoClock: a window and an SLO tracker place an
+// observation by the end instant their caller read; only Snapshot and
+// Status read the clock.
+func TestObserveReadsNoClock(t *testing.T) {
+	w, clk := newTestWindow(10*time.Second, 10)
+	tr, _ := newTestSLO(10*time.Millisecond, 0.99, 10*time.Second, 10)
+	noClock := func() time.Time {
+		t.Fatal("Observe read the clock")
+		return time.Time{}
+	}
+	w.now, tr.now = noClock, noClock
+	end := clk.now()
+	w.Observe(end, time.Millisecond)
+	w.Observe(end.Add(-3*time.Second), time.Millisecond)  // inside the window
+	w.Observe(end.Add(-14*time.Second), time.Millisecond) // before it
+	tr.Observe(end, time.Second, false)
+	w.now, tr.now = clk.now, clk.now
+	if s := w.Snapshot(); s.Count != 2 {
+		t.Fatalf("window count = %d, want 2: the observation that ended before the window is out", s.Count)
+	}
+	if st := tr.Status(); st.Total != 1 || st.Bad != 1 {
+		t.Fatalf("SLO bad/total = %d/%d, want 1/1", st.Bad, st.Total)
 	}
 }
 
@@ -220,8 +245,8 @@ func TestRegistryWindowsAndSLOs(t *testing.T) {
 		t.Fatalf("second SLO() call overwrote target: %v", got)
 	}
 
-	w.Observe(time.Millisecond)
-	tr.Observe(time.Millisecond, false)
+	w.Observe(time.Now(), time.Millisecond)
+	tr.Observe(time.Now(), time.Millisecond, false)
 	if ws, ok := r.WindowValue("op.latency"); !ok || ws.Count != 1 {
 		t.Fatalf("WindowValue = %+v ok=%v", ws, ok)
 	}
@@ -234,8 +259,8 @@ func TestRegistryWindowsAndSLOs(t *testing.T) {
 
 	// Windowed instruments have no off switch: every observe through a
 	// registry's window or SLO tracker counts.
-	w.Observe(time.Millisecond)
-	tr.Observe(time.Millisecond, false)
+	w.Observe(time.Now(), time.Millisecond)
+	tr.Observe(time.Now(), time.Millisecond, false)
 	if ws, _ := r.WindowValue("op.latency"); ws.Count != 2 {
 		t.Fatalf("second observe: window count = %d, want 2", ws.Count)
 	}
@@ -298,7 +323,7 @@ func TestWindowedHistogramConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWrite; i++ {
-				w.Observe(time.Duration(1+(g*perWrite+i)%1000) * time.Microsecond)
+				w.Observe(clk.now(), time.Duration(1+(g*perWrite+i)%1000)*time.Microsecond)
 				total.Add(1)
 			}
 		}(g)

@@ -44,7 +44,6 @@ import (
 
 	"idl"
 	"idl/internal/federation"
-	"idl/internal/obs"
 	"idl/internal/qlog"
 )
 
@@ -52,6 +51,9 @@ import (
 const maxBodyBytes = 1 << 20
 
 // Config tunes one Server. The zero value takes production defaults.
+// It has no latency or SLO setting: the server times no statement, and
+// the statement SLOs engine.{query,exec,call} are the DB's (DB.SetSLO;
+// idld's -slo-target applies it).
 type Config struct {
 	// MaxInflight bounds admitted requests across all tenants
 	// (default 64). Excess requests shed with 429, never queue.
@@ -70,10 +72,6 @@ type Config struct {
 	MaxSessions int
 	// DefaultTenant names requests without X-Tenant (default "public").
 	DefaultTenant string
-	// SLOTarget/SLOObjective parameterize the per-endpoint SLO trackers
-	// (defaults 100ms at 0.999).
-	SLOTarget    time.Duration
-	SLOObjective float64
 	// Debug mounts the shared /debug/ observability endpoints on the
 	// server's mux (the same handlers cmd/idl's -debug-addr serves).
 	Debug bool
@@ -101,12 +99,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTenant == "" {
 		c.DefaultTenant = "public"
 	}
-	if c.SLOTarget <= 0 {
-		c.SLOTarget = 100 * time.Millisecond
-	}
-	if c.SLOObjective <= 0 || c.SLOObjective >= 1 {
-		c.SLOObjective = 0.999
-	}
 	return c
 }
 
@@ -119,11 +111,13 @@ type Server struct {
 	adm      *admission
 	sessions *sessionTable
 	mux      *http.ServeMux
-	slos     map[string]*obs.SLOTracker
 }
 
 // New builds a server over db. Serving turns metrics on: admission
-// decisions, SLO gates and the load harness all read the registry.
+// decisions, health and SLO reports and the load harness all read the
+// registry. The server times no statement of its own: the facade's op
+// times each one once, served or embedded, and feeds every latency
+// window and SLO tracker from that one reading.
 func New(db *idl.DB, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -134,23 +128,16 @@ func New(db *idl.DB, cfg Config) *Server {
 		sessions: newSessionTable(cfg.SessionIdle, cfg.MaxSessions),
 		mux:      http.NewServeMux(),
 	}
-	// SLO trackers for the evaluating endpoints; rule/clause/session
-	// traffic is administrative and stays out of the burn rate.
-	s.slos = map[string]*obs.SLOTracker{
-		"query":    s.reg.SLO("server.query", cfg.SLOTarget, cfg.SLOObjective),
-		"exec":     s.reg.SLO("server.exec", cfg.SLOTarget, cfg.SLOObjective),
-		"prepared": s.reg.SLO("server.prepared", cfg.SLOTarget, cfg.SLOObjective),
-	}
-	s.mux.HandleFunc("POST /v1/query", s.handle("query", true, s.handleQuery))
-	s.mux.HandleFunc("POST /v1/exec", s.handle("exec", true, s.handleExec))
-	s.mux.HandleFunc("POST /v1/rule", s.handle("rule", true, s.handleRule))
-	s.mux.HandleFunc("POST /v1/clause", s.handle("clause", true, s.handleClause))
-	s.mux.HandleFunc("POST /v1/prepare", s.handle("prepare", true, s.handlePrepare))
-	s.mux.HandleFunc("POST /v1/exec-prepared", s.handle("prepared", true, s.handleExecPrepared))
-	s.mux.HandleFunc("POST /v1/close-prepared", s.handle("close", true, s.handleClosePrepared))
-	s.mux.HandleFunc("GET /v1/session", s.handle("session", false, s.handleSession))
-	s.mux.HandleFunc("GET /v1/health", s.handle("health", false, s.handleHealth))
-	s.mux.HandleFunc("GET /healthz", s.handle("healthz", false, s.handleHealthz))
+	s.mux.HandleFunc("POST /v1/query", s.handle(true, s.handleQuery))
+	s.mux.HandleFunc("POST /v1/exec", s.handle(true, s.handleExec))
+	s.mux.HandleFunc("POST /v1/rule", s.handle(true, s.handleRule))
+	s.mux.HandleFunc("POST /v1/clause", s.handle(true, s.handleClause))
+	s.mux.HandleFunc("POST /v1/prepare", s.handle(true, s.handlePrepare))
+	s.mux.HandleFunc("POST /v1/exec-prepared", s.handle(true, s.handleExecPrepared))
+	s.mux.HandleFunc("POST /v1/close-prepared", s.handle(true, s.handleClosePrepared))
+	s.mux.HandleFunc("GET /v1/session", s.handle(false, s.handleSession))
+	s.mux.HandleFunc("GET /v1/health", s.handle(false, s.handleHealth))
+	s.mux.HandleFunc("GET /healthz", s.handle(false, s.handleHealthz))
 	if cfg.Debug {
 		RegisterDebug(s.mux, db)
 	}
@@ -216,7 +203,7 @@ type handlerFunc func(ctx context.Context, w http.ResponseWriter, r *http.Reques
 // routes the request through the admission gate (and the drain
 // refusal); probe endpoints skip it so load balancers can watch a
 // saturated or draining server.
-func (s *Server) handle(op string, admit bool, fn handlerFunc) http.HandlerFunc {
+func (s *Server) handle(admit bool, fn handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tenant := r.Header.Get(HeaderTenant)
 		if tenant == "" {
@@ -249,17 +236,9 @@ func (s *Server) handle(op string, admit bool, fn handlerFunc) http.HandlerFunc 
 		}
 		ctx, cancel := s.requestContext(r)
 		defer cancel()
-		start := time.Now()
 		status, body := fn(ctx, w, r, tenant)
-		if admit {
-			d := time.Since(start)
-			s.reg.Window("server." + op + ".latency").Observe(d)
-			if slo := s.slos[op]; slo != nil {
-				slo.Observe(d, status >= http.StatusInternalServerError)
-			}
-			if status >= http.StatusBadRequest {
-				s.reg.Counter("server.errors").Inc()
-			}
+		if admit && status >= http.StatusBadRequest {
+			s.reg.Counter("server.errors").Inc()
 		}
 		writeJSON(w, status, body)
 	}

@@ -3,11 +3,13 @@ package idl
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"idl/internal/core"
 	"idl/internal/federation"
 	"idl/internal/obs"
 	"idl/internal/parser"
+	"idl/internal/qlog"
 )
 
 // Observability facade. A DB can expose a metrics registry (counters,
@@ -55,9 +57,58 @@ func (db *DB) metricsLocked() *obs.Registry {
 		if db.snapshotBytes > 0 {
 			reg.Gauge("storage.snapshot_bytes").Set(db.snapshotBytes)
 		}
-		db.configure(func(s *settings) { s.metrics = reg })
+		stmts := newStmtMetrics(reg)
+		db.configure(func(s *settings) { s.metrics, s.stmts = reg, stmts })
 	}
 	return reg
+}
+
+// kindMetrics are one statement kind's instruments: engine.<kind>.count,
+// .errors and .latency (a cumulative histogram and a rolling window of
+// one name), and the engine.<kind> SLO.
+type kindMetrics struct {
+	count, errors *obs.Counter
+	latency       *obs.Histogram
+	window        *obs.WindowedHistogram
+	slo           *obs.SLOTracker
+}
+
+// stmtMetrics are the statement instruments of each kind, resolved once
+// when the registry is attached, so that finish takes no registry lock
+// and a kind no statement has run yet still reports.
+type stmtMetrics struct{ query, exec, call kindMetrics }
+
+func newStmtMetrics(reg *obs.Registry) *stmtMetrics {
+	kind := func(k string) kindMetrics {
+		name := "engine." + k
+		return kindMetrics{
+			count:   reg.Counter(name + ".count"),
+			errors:  reg.Counter(name + ".errors"),
+			latency: reg.Histogram(name + ".latency"),
+			window:  reg.Window(name + ".latency"),
+			slo:     reg.SLO(name, 0, 0), // registry defaults; SetSLO retunes
+		}
+	}
+	return &stmtMetrics{query: kind(qlog.KindQuery), exec: kind(qlog.KindExec), call: kind(qlog.KindCall)}
+}
+
+// observe feeds one finished statement of the given kind, which took d
+// and ended at end, to its kind's instruments; failed marks it bad.
+func (m *stmtMetrics) observe(kind string, end time.Time, d time.Duration, failed bool) {
+	k := &m.query
+	switch kind {
+	case qlog.KindExec:
+		k = &m.exec
+	case qlog.KindCall:
+		k = &m.call
+	}
+	k.count.Inc()
+	if failed {
+		k.errors.Inc()
+	}
+	k.latency.Observe(d)
+	k.window.Observe(end, d)
+	k.slo.Observe(end, d, failed)
 }
 
 // metricsRef returns the registry without creating one (nil when
@@ -156,7 +207,7 @@ func (db *DB) ExplainAnalyzeCtx(ctx context.Context, src string) (*ExplainPlan, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if db.isUpdate(q) {
+	if db.engine.IsUpdate(q) {
 		return nil, nil, fmt.Errorf("idl: %q is an update request; explain analyze runs queries only", src)
 	}
 	rep, err := db.syncSources(ctx, true)

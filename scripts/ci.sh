@@ -105,7 +105,9 @@ go test -run '^$' -fuzz '^FuzzRecovery$' -fuzztime 15s .
 # pass, /debug/pprof/mutex must serve a non-empty profile (the artifact
 # that names the engine's contended locks if the lock-free read path
 # regresses) and /debug/mvcc must report a live snapshot version chain.
-# The SIGTERM at the end is itself a gate — the daemon must drain
+# /debug/health must show the one statement clock: the served queries
+# counted under the facade's engine.query op, and no server.* op, since
+# the server times no statement of its own. The SIGTERM at the end is itself a gate — the daemon must drain
 # inflight requests, checkpoint, and exit 0.
 go build -o "$SCRATCH/idld" ./cmd/idld
 go build -o "$SCRATCH/idlload" ./cmd/idlload
@@ -122,6 +124,11 @@ cmp "$SCRATCH/check_local.txt" "$SCRATCH/check_wire.txt"
 curl -sf "$IDLD_ADDR/debug/pprof/mutex?debug=1" > "$SCRATCH/idld_mutex.pprof"
 test -s "$SCRATCH/idld_mutex.pprof"
 curl -sf "$IDLD_ADDR/debug/mvcc" | grep -q '"head_epoch"'
+curl -sf "$IDLD_ADDR/debug/health" > "$SCRATCH/idld_health.json"
+grep -A2 '"name": "engine.query"' "$SCRATCH/idld_health.json" | grep -Eq '"count": [1-9]'
+if grep -q '"name": "server\.' "$SCRATCH/idld_health.json"; then
+	echo "ci: /debug/health reports a server op:"; cat "$SCRATCH/idld_health.json"; exit 1
+fi
 kill -TERM "$IDLD_PID"
 wait "$IDLD_PID"
 

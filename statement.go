@@ -31,6 +31,7 @@ import (
 type settings struct {
 	insights   *insights.Store // nil = digests off
 	metrics    *obs.Registry   // nil = metrics off (registry methods are nil-safe)
+	stmts      *stmtMetrics    // the registry's per-kind statement instruments; nil with it
 	tracer     *obs.Tracer     // nil = tracing off; the engine holds the same one
 	workers    int
 	bestEffort bool
@@ -58,7 +59,7 @@ type op struct {
 	rec   *qlog.Op        // nil when no recorder sink is attached
 	kind  string          // qlog.KindQuery / KindExec / KindCall; the digest kind too
 	tid   string          // "" when nothing would carry it
-	start time.Time       // zero when neither the record nor insights time the statement
+	start time.Time       // zero when no record, digest or metric times the statement
 	q     *ast.Query      // nil for a program call, which fills text and fp instead
 	text  string          // the statement rendered once, by begin or on first use
 	fp    uint64
@@ -78,8 +79,9 @@ type op struct {
 func (db *DB) begin(ctx context.Context, kind string, q *ast.Query) *op {
 	set := db.settings.Load()
 	o := &op{db: db, set: set, kind: kind, q: q}
-	// One clock reading starts both the record and the digest's timing.
-	if set.insights != nil || db.rec.Active() {
+	// One clock reading starts the statement's only timing, which the
+	// record, the digest and the kind's instruments share.
+	if set.insights != nil || set.stmts != nil || db.rec.Active() {
 		o.start = time.Now()
 	}
 	o.rec = db.rec.BeginAt(kind, o.start)
@@ -116,13 +118,17 @@ func (o *op) statement() string {
 // outcome; End it, which publishes the event to the flight recorder,
 // the event log and the journal; fold the statement into its digest —
 // after End, so the journal record exists and the root span is filed
-// before a slow-query exemplar goes looking for them; count a degraded
-// answer. One duration, read before the observers run, times both the
-// record and the digest. It returns err for the entry point to pass on.
+// before a slow-query exemplar goes looking for them; feed the kind's
+// counters, histogram, window and SLO; count a degraded answer. One
+// clock reading, taken before the observers run, ends the statement:
+// its instant and duration feed every one of them. It returns err for
+// the entry point to pass on.
 func (o *op) finish(err error) error {
+	var end time.Time
 	var d time.Duration
 	if !o.start.IsZero() {
-		d = time.Since(o.start)
+		end = time.Now()
+		d = end.Sub(o.start)
 	}
 	degraded := false
 	if ans := o.ans; ans != nil {
@@ -145,7 +151,10 @@ func (o *op) finish(err error) error {
 	}
 	o.rec.EndAfter(d, err)
 	if ins := o.set.insights; ins != nil {
-		ins.Observe(o.observation(err, d))
+		ins.Observe(o.observation(err, end, d))
+	}
+	if m := o.set.stmts; m != nil {
+		m.observe(o.kind, end, d, err != nil)
 	}
 	if degraded {
 		o.set.metrics.Counter("federation.degraded_answers").Inc()
@@ -157,12 +166,13 @@ func (o *op) finish(err error) error {
 // fingerprint the planner already computed when there is a plan, the
 // statement's own otherwise; the evaluator's resource record is widened
 // with what only the facade knows — member fetches and WAL bytes.
-func (o *op) observation(err error, d time.Duration) insights.Observation {
+func (o *op) observation(err error, end time.Time, d time.Duration) insights.Observation {
 	ob := insights.Observation{
 		Fingerprint: o.fp,
 		Kind:        o.kind,
 		Text:        o.statement,
 		Duration:    d,
+		End:         end,
 		Err:         err != nil,
 		TraceID:     o.tid,
 	}
@@ -507,7 +517,7 @@ func (db *DB) LoadCtx(ctx context.Context, src string) ([]*ScriptResult, error) 
 			}
 			out = append(out, &ScriptResult{Statement: text, Kind: "clause"})
 		case *ast.Query:
-			if db.isUpdate(s) {
+			if db.engine.IsUpdate(s) {
 				info, err := db.exec(ctx, s)
 				if err != nil {
 					return out, fmt.Errorf("idl: request %q: %w", s.String(), err)
@@ -525,49 +535,14 @@ func (db *DB) LoadCtx(ctx context.Context, src string) ([]*ScriptResult, error) 
 	return out, nil
 }
 
-// readOnly rejects an update request on a read entry point: it runs
+// readOnly rejects an update request — signed update expressions, or a
+// call of a registered update program — on a read entry point: it runs
 // through Exec.
 func (db *DB) readOnly(src string, q *ast.Query) error {
-	if db.isUpdate(q) {
+	if db.engine.IsUpdate(q) {
 		return fmt.Errorf("idl: %q is an update request; use Exec", src)
 	}
 	return nil
-}
-
-// isUpdate reports whether q is an update request: it has signed update
-// expressions, or a conjunct calls a registered update program, which
-// needs no sign. The lookup reads the engine's published registry, so a
-// read asks it with no lock, and nothing is allocated.
-func (db *DB) isUpdate(q *ast.Query) bool {
-	if ast.HasUpdate(q.Body) {
-		return true
-	}
-	for _, c := range q.Body.Conjuncts {
-		a, ok := c.(*ast.AttrExpr)
-		if !ok {
-			continue
-		}
-		dbName, ok := ast.ConstName(a.Name)
-		if !ok {
-			continue
-		}
-		te, ok := a.Expr.(*ast.TupleExpr)
-		if !ok || len(te.Conjuncts) != 1 {
-			continue
-		}
-		inner, ok := te.Conjuncts[0].(*ast.AttrExpr)
-		if !ok {
-			continue
-		}
-		name, ok := ast.ConstName(inner.Name)
-		if !ok {
-			continue
-		}
-		if _, found := db.engine.LookupProgram(dbName, name); found {
-			return true
-		}
-	}
-	return false
 }
 
 // ScriptResult reports one executed script statement.
