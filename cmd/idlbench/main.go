@@ -30,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -361,8 +362,9 @@ func validateFile(path string) error {
 // validateReport checks a report's structure and every count gate:
 // the expected schema, every benchmark measured once, the overhead
 // matrix complete with each arm's allocs/op inside its ceiling, the B14
-// plan-cache hit rate, the B18 during-commit reads and checkpoint ratio,
-// and the evaluator's allocs/op under the ceilings of validateAllocs.
+// plan-cache hit rate, the index probes of validateProbes, the B18
+// during-commit reads and checkpoint ratio, and the evaluator's
+// allocs/op under the ceilings of validateAllocs.
 // Counts do not depend on the machine, so this holds on every run.
 func validateReport(rep *Report) error {
 	if rep.Schema != reportSchema {
@@ -427,14 +429,26 @@ func validateReport(rep *Report) error {
 	return validateAllocs(rep)
 }
 
-// validateProbes checks what B8's index probes visit: the one-key
-// baseline every day of its stock, the two-key lookup the one tuple its
-// stock and day pin.
+// readOnlyFamilies prefix the benchmarks whose ops only read. Warm, such
+// an op builds no index: its relations' indexes live on their sets, so
+// one lost between evaluations shows as builds per op.
+var readOnlyFamilies = []string{"B1/", "B2/", "B3/", "B8/", "B13/query/", "B14/", "B18/mvcc/readers/"}
+
+// validateProbes checks what the index probes cost: no read-only
+// benchmark builds an index per op, B8's one-key baseline visits every
+// day of its stock, and its two-key lookup the one tuple its stock and
+// day pin.
 func validateProbes(rep *Report) error {
 	cands := map[string]uint64{}
 	for _, b := range rep.Benchmarks {
 		if c, ok := b.Counters["index_candidates"]; ok {
 			cands[b.Name] = c
+		}
+		if !slices.ContainsFunc(readOnlyFamilies, func(p string) bool { return strings.HasPrefix(b.Name, p) }) {
+			continue
+		}
+		if n, ok := b.Counters["index_builds"]; !ok || n != 0 {
+			return fmt.Errorf("%s: %d index builds per op (reported %v), want 0", b.Name, n, ok)
 		}
 	}
 	if c, ok := cands["B8/point/baseline"]; !ok || c != b8Days {

@@ -36,13 +36,14 @@ func report(benches map[string]int64) *Report {
 	for name, ns := range benches {
 		rep.Benchmarks = append(rep.Benchmarks, Benchmark{Name: name, Iters: 10, NsPerOp: ns, AllocsPerOp: uint64(ns)})
 	}
-	// B8's probes close the list: the one-key baseline, then two keys.
+	// B8's probes close the list: the one-key baseline, then two keys,
+	// each building no index per op.
 	for _, b := range []struct {
 		name  string
 		cands uint64
 	}{{"B8/point/baseline", 60}, {"B8/point/two-keys", 1}} {
 		rep.Benchmarks = append(rep.Benchmarks, Benchmark{Name: b.name, Iters: 10, NsPerOp: 100, AllocsPerOp: 40,
-			Counters: map[string]uint64{"index_candidates": b.cands}})
+			Counters: map[string]uint64{"index_candidates": b.cands, "index_builds": 0}})
 	}
 	return rep
 }
@@ -158,6 +159,8 @@ func TestValidateReport(t *testing.T) {
 		{"two-key probe on one key", false, func(r *Report) { r.Benchmarks[len(r.Benchmarks)-1].Counters["index_candidates"] = 60 }},
 		{"two-key probe unmeasured", false, func(r *Report) { r.Benchmarks = r.Benchmarks[:len(r.Benchmarks)-1] }},
 		{"baseline probe narrowed", false, func(r *Report) { r.Benchmarks[len(r.Benchmarks)-2].Counters["index_candidates"] = 1 }},
+		{"read-only op builds an index", false, func(r *Report) { r.Benchmarks[len(r.Benchmarks)-2].Counters["index_builds"] = 1 }},
+		{"read-only op reports no builds", false, func(r *Report) { delete(r.Benchmarks[len(r.Benchmarks)-1].Counters, "index_builds") }},
 		{"WAL unmeasured", false, func(r *Report) { r.WAL = WALSummary{} }},
 		{"reads blocked during commits", false, func(r *Report) { r.MVCC.MVCCCommitReads = 2 }},
 		{"checkpoint unmeasured", false, func(r *Report) { r.MVCC.CkptTotalBytes = 0 }},

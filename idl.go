@@ -75,7 +75,7 @@ type Stats = core.Stats
 
 // MVCCStats reports the engine's snapshot version chain: live versions,
 // pinned readers, retained bytes, and copy-on-write / collection
-// counters (see Options.MaxRevisions).
+// counters.
 type MVCCStats = core.MVCCStats
 
 // Options tune the engine (index use, semi-naive evaluation, iteration
@@ -177,12 +177,8 @@ func OpenWithOptions(opts Options) *DB {
 	// Federated member snapshots install through the engine mutex so
 	// source syncs stay coherent with concurrent queries.
 	cat.SetApplier(engine.UpdateBase)
-	// DDL and bulk loads mutate relation sets inside applier functors;
-	// the barrier copy-on-writes any set shared with a live MVCC
-	// snapshot before the catalog touches it.
-	cat.SetWriteBarrier(engine.MutableSet)
 	// The catalog epoch is the engine's mutation counter — the version
-	// key of the plan cache and statistics layer.
+	// key of the plan cache.
 	cat.SetEpochSource(engine.Epoch)
 	// Worker parallelism extends to member syncs: fetches overlap up to
 	// the same degree the evaluator partitions scans.

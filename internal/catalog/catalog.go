@@ -32,12 +32,6 @@ type Catalog struct {
 	sources map[string]federation.Source
 	apply   func(func(base *object.Tuple) bool)
 
-	// mutable is the engine's copy-on-write barrier (SetWriteBarrier):
-	// called inside an applyUniverse functor before mutating an existing
-	// relation set in place, so bulk loads never touch a set shared with
-	// a live MVCC snapshot. Nil means mutate in place.
-	mutable func(parent *object.Tuple, attr string, s *object.Set) *object.Set
-
 	// fetchConc caps how many member fetches SyncSources runs
 	// concurrently; 0 and 1 fetch sequentially (see SetFetchConcurrency).
 	fetchConc int
@@ -78,9 +72,8 @@ func New(universe *object.Tuple, onChange func()) *Catalog {
 func (c *Catalog) Universe() *object.Tuple { return c.universe }
 
 // SetEpochSource wires the catalog-epoch reader (the engine's epoch
-// counter, bumped on every universe mutation). Epoch versions the
-// statistics and plan caches: a plan with a schedule to choose is
-// re-ranked when it moves.
+// counter, bumped on every universe mutation). Epoch versions the plan
+// cache: a plan with a schedule to choose is re-ranked when it moves.
 func (c *Catalog) SetEpochSource(fn func() uint64) { c.epoch = fn }
 
 // Epoch returns the current catalog epoch (0 when no source is wired).
@@ -121,20 +114,6 @@ func (c *Catalog) logMutation(op, db, rel string, tuples []*object.Tuple) error 
 		return nil
 	}
 	return c.logMut(op, db, rel, tuples)
-}
-
-// SetWriteBarrier installs the engine's copy-on-write hook for in-place
-// set mutation (Engine.MutableSet). It is consulted only inside
-// applyUniverse functors, which run under the engine mutex.
-func (c *Catalog) SetWriteBarrier(fn func(parent *object.Tuple, attr string, s *object.Set) *object.Set) {
-	c.mutable = fn
-}
-
-func (c *Catalog) mutableSet(parent *object.Tuple, attr string, s *object.Set) *object.Set {
-	if c.mutable == nil {
-		return s
-	}
-	return c.mutable(parent, attr, s)
 }
 
 // CreateDatabase adds an empty database. It fails if the name is taken.
@@ -333,8 +312,8 @@ func (c *Catalog) Relation(db, rel string, create bool) (*object.Set, error) {
 
 // Insert bulk-loads tuples into a relation (created on demand), skipping
 // duplicates, and returns how many were added. The whole batch lands in
-// one applier call, behind the copy-on-write barrier when the target set
-// is shared with a live MVCC snapshot.
+// one applier call; a target set that a snapshot shares (frozen) is
+// thawed first, so the batch lands on a clone.
 func (c *Catalog) Insert(db, rel string, tuples ...*object.Tuple) (int, error) {
 	var (
 		n               int
@@ -351,7 +330,7 @@ func (c *Catalog) Insert(db, rel string, tuples ...*object.Tuple) (int, error) {
 		}
 		if !madeRel {
 			if d, dErr := databaseIn(u, db); dErr == nil {
-				s = c.mutableSet(d, rel, s)
+				s, _ = object.Thaw(d, rel, s)
 			}
 		}
 		for _, t := range tuples {

@@ -87,7 +87,7 @@ func (d *decree) hash() uint64 {
 	}
 	acc := uint64(len(d.attrs))
 	for i, a := range d.attrs {
-		acc += pairHash(attrHash(a), d.vals[i])
+		acc += object.PairHash(object.AttrHash(a), d.vals[i])
 	}
 	return acc
 }

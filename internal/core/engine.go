@@ -51,13 +51,6 @@ type Options struct {
 	// plan-cache ablation benchmark and as the differential suite's
 	// reference mode.
 	NoPlanCache bool
-	// PlanCacheSize bounds the plan cache (LRU eviction). 0 selects the
-	// default of 256 plans.
-	PlanCacheSize int
-	// MaxRevisions bounds MVCC snapshot retention: at each freeze,
-	// unpinned versions beyond the newest MaxRevisions are collected
-	// (pinned versions always survive). 0 selects the default of 4.
-	MaxRevisions int
 }
 
 // DefaultOptions returns the production defaults.
@@ -78,23 +71,19 @@ func DefaultOptions() Options {
 type Engine struct {
 	mu sync.Mutex
 
-	base    *object.Tuple // extensional universe (the only updatable part)
-	rules   []*compiledRule
-	indexes *indexCache
-	opts    Options
-	stats   Stats
+	base  *object.Tuple // extensional universe (the only updatable part)
+	rules []*compiledRule
+	opts  Options
+	stats Stats
 	// statsMu guards the aggregate evaluator counters: lock-free
 	// snapshot readers merge their local counters without e.mu.
 	statsMu sync.Mutex
 
 	// MVCC version chain (version.go). head is the newest frozen
 	// snapshot (nil after any mutation, until a reader freezes a fresh
-	// one); versions are the retained snapshots; published marks every
-	// set shared into a live snapshot — the sets writers must
-	// copy-on-write. versions/published live under e.mu.
-	head      atomic.Pointer[version]
-	versions  []*version
-	published map[*object.Set]bool
+	// one); versions are the retained snapshots, under e.mu.
+	head     atomic.Pointer[version]
+	versions []*version
 	// mvcc counters, under e.mu.
 	mvccFreezes   uint64
 	mvccCollected uint64
@@ -105,18 +94,16 @@ type Engine struct {
 	regs atomic.Pointer[programRegistry]
 
 	// epoch counts catalog changes: every mutation of the universe or
-	// the rule set bumps it (markDirty). Plans, prepared queries, and
-	// relation statistics validated at the current epoch are fresh.
+	// the rule set bumps it (markDirty). Plans and prepared queries
+	// validated at the current epoch are fresh.
 	epoch uint64
 	// plans is the epoch-keyed compiled-plan cache, under planMu so the
-	// lock-free read path can consult it; relStats is the lazy
-	// per-relation statistics memo (a sync.Map — see stats.go).
+	// lock-free read path can consult it.
 	planMu        sync.Mutex
 	plans         *planCache
 	planHits      uint64
 	planMisses    uint64
 	planEvictions uint64
-	relStats      sync.Map // *object.Set -> *relStat
 
 	// metrics/tracer are the optional observability hooks (obs.go); em
 	// caches per-metric pointers so operations skip registry lookups.
@@ -177,8 +164,7 @@ func NewEngineWithOptions(opts Options) *Engine {
 	}
 	e := &Engine{
 		base:           object.NewTuple(),
-		indexes:        newIndexCache(),
-		plans:          newPlanCache(opts.PlanCacheSize),
+		plans:          newPlanCache(),
 		opts:           opts,
 		derivedDynamic: map[string]bool{},
 		derivedRels:    map[string]map[string]bool{},
@@ -486,9 +472,9 @@ type readView struct {
 // statements of one shape enumerate identically whether they hit or miss
 // the cache, and a measured read — traced, or EXPLAIN ANALYZE — keys its
 // per-evaluation probes by the plan's conjuncts. Shared state it touches
-// is individually synchronized: the plan cache under planMu, the index
-// cache's sharded read locks, the statistics sync.Map, the tracer's ring,
-// and the aggregate counters under statsMu.
+// is individually synchronized: the plan cache under planMu, each set's
+// memo of indexes and statistics (object.Set.Probe, Stats), the tracer's
+// ring, and the aggregate counters under statsMu.
 func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Query, p *PreparedQuery, rv readView, kind readKind) (*Answer, *Explain, error) {
 	var pl *queryPlan
 	var state string
@@ -569,7 +555,7 @@ func (e *Engine) collect(ctx context.Context, an *bodyAnalysis, rv readView, sta
 			return rows, err
 		}
 	}
-	ev := newEvaluator(ctx, an, e.indexes, rv.opts, stats)
+	ev := newEvaluator(ctx, an, rv.opts, stats)
 	ev.analyze = analyze
 	rows := newRowSet(an.width)
 	err := ev.satisfy(an.body, rv.eff, func() error {
@@ -773,36 +759,6 @@ func (e *Engine) refreshEffective(ctx context.Context) (*object.Tuple, error) {
 		}
 		e.effective.Put(MetaDB, buildMeta(e.effective))
 	}
-	// Per-relation cache invalidation: retain index and statistics
-	// entries whose sets are still reachable from the new effective
-	// universe, drop the rest. Sets shared by reference across the merge
-	// (every relation an unchanged base database contributes) keep their
-	// caches — only relations rebuilt by the merge (derived overlaps,
-	// meta) lose theirs. Keeping is safe because both caches re-check the
-	// set's version on use; dropping merely forces a rebuild.
-	live := make(map[*object.Set]bool)
-	e.effective.Each(func(_ string, v object.Object) bool {
-		dbt, ok := v.(*object.Tuple)
-		if !ok {
-			return true
-		}
-		dbt.Each(func(_ string, rv object.Object) bool {
-			if set, ok := rv.(*object.Set); ok {
-				live[set] = true
-			}
-			return true
-		})
-		return true
-	})
-	// Sets shared into retained MVCC snapshots stay live too: in-flight
-	// readers may still probe their indexes and statistics.
-	for _, v := range e.versions {
-		for _, set := range v.sets {
-			live[set] = true
-		}
-	}
-	e.indexes.retain(live)
-	e.pruneStats(live)
 	e.dirty = false
 	return e.effective, nil
 }
@@ -811,7 +767,7 @@ func (e *Engine) refreshEffective(ctx context.Context) (*object.Tuple, error) {
 // Its evaluator has no unit yet: execBody enters one per body it runs.
 func (e *Engine) newUpdater(stats *Stats, ctx context.Context, span *obs.Span) *updater {
 	u := &updater{
-		ev:     &evaluator{indexes: e.indexes, useIndex: e.opts.UseIndex, noSchedule: e.opts.NoSchedule, stats: stats, ctx: ctx},
+		ev:     &evaluator{useIndex: e.opts.UseIndex, noSchedule: e.opts.NoSchedule, stats: stats, ctx: ctx},
 		undo:   &undoLog{},
 		result: &ExecResult{},
 		span:   span,

@@ -170,7 +170,7 @@ func TestEvaluationRestoresSubstitution(t *testing.T) {
 		key, lits := planKeyFor(q, e.opts)
 		an := e.compilePlan(q, eff, key, e.epoch, nil).an.bind(lits)
 		for _, stopAfter := range []int{-1, 1} {
-			ev := newEvaluator(nil, an, e.indexes, e.opts, &Stats{})
+			ev := newEvaluator(nil, an, e.opts, &Stats{})
 			rows := 0
 			err := ev.satisfy(an.body, eff, func() error {
 				rows++

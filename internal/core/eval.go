@@ -72,11 +72,9 @@ type analyzeState struct {
 }
 
 // evaluator carries one query evaluation: the substitution under
-// construction, the index cache shared with the engine, and feature
-// switches.
+// construction and feature switches.
 type evaluator struct {
 	unit
-	indexes    *indexCache
 	useIndex   bool
 	noSchedule bool
 	stats      *Stats
@@ -96,7 +94,7 @@ type evaluator struct {
 	part *partition
 	// eqs backs the ground equalities of the index probe being set up;
 	// a probe is done with them once it has its candidates.
-	eqs [4]indexEq
+	eqs [4]object.AttrEq
 }
 
 // unit is the evaluator's state for the compiled unit it is running:
@@ -128,8 +126,8 @@ func newUnit(an *bodyAnalysis) unit {
 
 // newEvaluator returns an evaluator for one run of the analyzed body
 // under the given options.
-func newEvaluator(ctx context.Context, an *bodyAnalysis, indexes *indexCache, opts Options, stats *Stats) *evaluator {
-	return &evaluator{unit: newUnit(an), indexes: indexes, useIndex: opts.UseIndex, noSchedule: opts.NoSchedule, stats: stats, ctx: ctx}
+func newEvaluator(ctx context.Context, an *bodyAnalysis, opts Options, stats *Stats) *evaluator {
+	return &evaluator{unit: newUnit(an), useIndex: opts.UseIndex, noSchedule: opts.NoSchedule, stats: stats, ctx: ctx}
 }
 
 // checkCtx polls the evaluation context once every 1024 operations.
@@ -666,7 +664,11 @@ func (ev *evaluator) indexCandidates(x *ast.SetExpr, set *object.Set) ([]object.
 	if len(eqs) == 0 {
 		return nil, false
 	}
-	return ev.indexes.lookup(set, eqs, ev.stats), true
+	cands, built := set.Probe(eqs)
+	if built {
+		ev.stats.IndexBuilds++
+	}
+	return cands, true
 }
 
 // indexMinLen is the smallest set an attribute index answers: below it a
@@ -680,15 +682,15 @@ const indexMinLen = 16
 // `.attr = term` — a constant attribute name, a term ground under env. It
 // appends each such key to dst, the first of any repeated attribute, and
 // returns dst; no key means scan.
-func indexKeys(dst []indexEq, x *ast.SetExpr, set *object.Set, env *Env) []indexEq {
+func indexKeys(dst []object.AttrEq, x *ast.SetExpr, set *object.Set, env *Env) []object.AttrEq {
 	te, ok := x.X.(*ast.TupleExpr)
 	if !ok || set.Len() < indexMinLen {
 		return dst
 	}
 	for _, c := range te.Conjuncts {
 		attr, val, ok := groundEqConjunct(c, env)
-		if ok && !slices.ContainsFunc(dst, func(eq indexEq) bool { return eq.attr == attr }) {
-			dst = append(dst, indexEq{attr: attr, val: val})
+		if ok && !slices.ContainsFunc(dst, func(eq object.AttrEq) bool { return eq.Attr == attr }) {
+			dst = append(dst, object.AttrEq{Attr: attr, Val: val})
 		}
 	}
 	return dst

@@ -164,7 +164,7 @@ func (e *Engine) planQuery(an *bodyAnalysis, rv readView) (*Explain, []ast.Expr)
 		step := explainConjunct(c, consumedVars(c), rv, env)
 		step.Conjunct = unlift(c, env).String()
 		if an.ranks != nil {
-			if est := e.estimateConjunct(c, rv.eff); est < costHuge {
+			if est := estimateConjunct(c, rv.eff); est < costHuge {
 				step.EstRows = int64(est)
 				step.Estimated = true
 			}
@@ -284,7 +284,7 @@ func accessPath(a *ast.AttrExpr, rv readView, env *Env) string {
 			return "navigate"
 		}
 	}
-	var keys [4]indexEq
+	var keys [4]object.AttrEq
 	if !rv.opts.UseIndex || set == nil || len(indexKeys(keys[:0], se, set, env)) == 0 {
 		return "scan"
 	}

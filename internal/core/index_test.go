@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"idl/internal/ast"
@@ -83,12 +85,78 @@ func TestIndexProbe(t *testing.T) {
 	key, lits := planKeyFor(query, e.opts)
 	an := e.compilePlan(query, e.Base(), key, 0, nil).an.bind(lits)
 	se := an.body.Conjuncts[0].(*ast.AttrExpr).Expr.(*ast.TupleExpr).Conjuncts[0].(*ast.AttrExpr).Expr.(*ast.SetExpr)
-	ev := newEvaluator(nil, an, e.indexes, e.opts, &Stats{})
+	ev := newEvaluator(nil, an, e.opts, &Stats{})
 	cands, ok := ev.indexCandidates(se, r)
 	if !ok || len(cands) != 1 {
 		t.Fatalf("indexCandidates: %d candidates, ok=%v", len(cands), ok)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { ev.indexCandidates(se, r) }); allocs != 0 {
 		t.Errorf("a probe over a built index allocates %.1f times", allocs)
+	}
+}
+
+// TestIndexBuiltOnceOnSharedSnapshot: readers of one pinned version
+// that first-probe the same relation on the same attributes at once
+// build its index exactly once between them (run it under -race). A
+// write then copies the relation on write: a probe of the new head
+// builds on the clone only, and the pinned version's index still serves
+// its readers.
+func TestIndexBuiltOnceOnSharedSnapshot(t *testing.T) {
+	// Big enough that one build takes long enough for the readers to
+	// meet at the memo.
+	e := NewEngine()
+	r := object.NewSet()
+	for d := range 400 {
+		for s := range 10 {
+			r.Add(object.TupleOf("day", d, "stkCode", fmt.Sprintf("s%d", s), "clsPrice", 10*d+s))
+		}
+	}
+	m := object.NewTuple()
+	m.Put("r", r)
+	e.Base().Put("m", m)
+	e.Invalidate()
+	q(t, e, "?.m.r(.clsPrice<0)") // publishes a head; probes nothing
+	v, _, err := e.pin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.unpin()
+	probe := mustParse(t, "?.m.r(.stkCode=s3, .day=7, .clsPrice=P)")
+	readPinned := func(readers int) {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				ans, _, err := e.runQuery(nil, context.Background(), probe, nil, v.readView, readQuery)
+				if err != nil || ans.String() != "P\n73" {
+					t.Errorf("pinned probe: %v, %v", ans, err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+	e.ResetStats()
+	readPinned(8)
+	if st := e.Stats(); st.IndexBuilds != 1 || st.IndexProbes != 8 {
+		t.Fatalf("8 first probes of one pinned set: %d builds, %d probes; want 1 build", st.IndexBuilds, st.IndexProbes)
+	}
+
+	exec(t, e, "?.m.r+(.day=400, .stkCode=s3, .clsPrice=1)")
+	e.ResetStats()
+	q(t, e, probe.String())
+	pinned, _ := v.eff.Get("m")
+	if held, _ := pinned.(*object.Tuple).Get("r"); relation(t, e, "m", "r") == r || held != r {
+		t.Fatal("the write did not copy the pinned relation on write")
+	}
+	if st := e.Stats(); st.IndexBuilds != 1 {
+		t.Fatalf("first probe of the written relation: %d builds, want 1 (on the clone)", st.IndexBuilds)
+	}
+	readPinned(8)
+	if st := e.Stats(); st.IndexBuilds != 1 {
+		t.Fatalf("pinned readers after the write: %d builds in all, want the clone's 1 only", st.IndexBuilds)
 	}
 }

@@ -625,7 +625,7 @@ func (m *maintainer) collect(an *bodyAnalysis, rv readView) (*rowSet, error) {
 func (m *maintainer) derivable(r *compiledRule, row []object.Object) (bool, error) {
 	m.stats.RuleRows++
 	an := m.e.ranked(r.body, m.eff)
-	ev := newEvaluator(m.ctx, an, m.e.indexes, m.e.opts, &m.eval)
+	ev := newEvaluator(m.ctx, an, m.e.opts, &m.eval)
 	seed := make([]object.Object, an.sc.size())
 	copy(seed[1:], row)
 	ev.env.load(seed)

@@ -100,26 +100,25 @@ func TestMVCCRepeatableRead(t *testing.T) {
 }
 
 // TestMVCCRetentionBound pins the GC policy: unpinned versions beyond
-// MaxRevisions are collected at each freeze, and the head plus pinned
-// versions always survive.
+// the newest maxRevisions are collected at each freeze, and the head
+// plus pinned versions always survive.
 func TestMVCCRetentionBound(t *testing.T) {
-	opts := DefaultOptions()
-	opts.MaxRevisions = 2
-	e := NewEngineWithOptions(opts)
+	e := NewEngine()
 	buildStockBase(t, e)
-	for i := 0; i < 10; i++ {
+	const cycles = 3 * maxRevisions
+	for i := 0; i < cycles; i++ {
 		exec(t, e, fmt.Sprintf("?.euter.r+(.date=3/%d/85,.stkCode=g%d,.clsPrice=1)", 1+i%28, i))
 		q(t, e, "?.euter.r(.clsPrice>200)") // freezes a fresh version
 	}
 	st := e.MVCCStats()
-	if st.LiveVersions > 2 {
-		t.Fatalf("%d live versions exceed MaxRevisions=2: %+v", st.LiveVersions, st)
+	if st.LiveVersions != maxRevisions || st.MaxRevisions != maxRevisions {
+		t.Fatalf("%d live versions, want the bound %d: %+v", st.LiveVersions, maxRevisions, st)
 	}
 	if !st.HeadPublished || st.HeadEpoch == 0 {
 		t.Fatalf("no published head after reads: %+v", st)
 	}
-	if st.Collected < 5 {
-		t.Fatalf("collected %d versions across 10 freeze cycles: %+v", st.Collected, st)
+	if st.Collected != st.Freezes-maxRevisions || st.Freezes < cycles {
+		t.Fatalf("collected %d of %d versions frozen across %d cycles: %+v", st.Collected, st.Freezes, cycles, st)
 	}
 	if st.RetainedBytes <= 0 {
 		t.Fatalf("retained-bytes estimate empty: %+v", st)

@@ -25,8 +25,8 @@ import (
 // its rows are applied in rule order and row order (maintain.go), so the
 // derived overlay is the same at every worker count too.
 //
-// Workers share the engine's index cache (sharded, read-locked on hits)
-// and the effective universe they evaluate, which nothing mutates while
+// Workers share each set's memo of indexes (read-locked on hits, one
+// build between them on a miss) and the effective universe they evaluate, which nothing mutates while
 // they run: a read's pinned MVCC version, or a view refresh's merged
 // universe under e.mu. The options and metrics come with that view, so
 // the evaluation matches what the version captured. Per-conjunct analyze
@@ -101,7 +101,7 @@ func scanTarget(x ast.Expr, o object.Object, an *bodyAnalysis, env *Env, opts Op
 		if !ok {
 			return nil
 		}
-		var keys [4]indexEq
+		var keys [4]object.AttrEq
 		if opts.UseIndex && len(indexKeys(keys[:0], expr, set, env)) > 0 {
 			// The index path would answer this scan, so the sequential
 			// evaluator never enumerates the full set; leave it alone.
@@ -170,7 +170,7 @@ func (e *Engine) collectPartitioned(ctx context.Context, an *bodyAnalysis, rv re
 			}
 			// Workers share the compiled body read-only — same consumed
 			// lists and ranks as sequential evaluation.
-			ev := newEvaluator(ctx, an, e.indexes, opts, &chunkStats[w])
+			ev := newEvaluator(ctx, an, opts, &chunkStats[w])
 			ev.part = &partition{set: target, elems: chunk}
 			out := newRowSet(an.width)
 			rows[w] = out

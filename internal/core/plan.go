@@ -112,12 +112,12 @@ func resolveUnit(output []string, body *ast.TupleExpr, lift bool) *bodyAnalysis 
 // conjuncts, computed against the given effective universe (rule bodies
 // reuse one resolution across materializations and rank per
 // materialization). Safe without e.mu when eff is an immutable snapshot
-// (statistics live in a concurrent memo).
+// (statistics live in each set's memo).
 func (e *Engine) ranked(an *bodyAnalysis, eff *object.Tuple) *bodyAnalysis {
 	out := *an
 	out.ranks = make([]float64, len(an.body.Conjuncts))
 	for i, c := range an.body.Conjuncts {
-		out.ranks[i] = e.estimateConjunct(c, eff)
+		out.ranks[i] = estimateConjunct(c, eff)
 	}
 	return &out
 }
@@ -199,7 +199,7 @@ func (e *Engine) fits(pl *queryPlan, eff *object.Tuple, epoch uint64) string {
 	var buf [8]float64
 	ranks := buf[:0]
 	for _, c := range pl.an.body.Conjuncts {
-		ranks = append(ranks, e.estimateConjunct(c, eff))
+		ranks = append(ranks, estimateConjunct(c, eff))
 	}
 	for j := 1; j < len(ranks); j++ {
 		for i := range j {
@@ -285,10 +285,10 @@ func (e *Engine) reuse(cur *queryPlan, q *ast.Query, eff *object.Tuple, key plan
 // nothing — once runnable they only prune. eff must not change during
 // the call: a frozen snapshot, or the merged universe of a refresh under
 // e.mu.
-func (e *Engine) estimateConjunct(c ast.Expr, eff *object.Tuple) float64 {
+func estimateConjunct(c ast.Expr, eff *object.Tuple) float64 {
 	switch x := c.(type) {
 	case *ast.AttrExpr:
-		return e.estimateAttr(x, eff)
+		return estimateAttr(x, eff)
 	case *ast.TupleExpr:
 		return 1
 	case *ast.Constraint:
@@ -314,7 +314,7 @@ func (e *Engine) estimateConjunct(c ast.Expr, eff *object.Tuple) float64 {
 
 // estimateAttr estimates a `.db(...)` conjunct by resolving its constant
 // path against the effective universe and consulting relation statistics.
-func (e *Engine) estimateAttr(a *ast.AttrExpr, eff *object.Tuple) float64 {
+func estimateAttr(a *ast.AttrExpr, eff *object.Tuple) float64 {
 	db, ok := ast.ConstName(a.Name)
 	if !ok {
 		// Higher-order database enumeration: unbounded by statistics.
@@ -348,7 +348,7 @@ func (e *Engine) estimateAttr(a *ast.AttrExpr, eff *object.Tuple) float64 {
 			cost++
 			continue
 		}
-		cost += e.estimateSet(ra.Expr, set)
+		cost += estimateSet(ra.Expr, set)
 	}
 	return cost
 }
@@ -357,7 +357,7 @@ func (e *Engine) estimateAttr(a *ast.AttrExpr, eff *object.Tuple) float64 {
 // a set: full cardinality for a scan, cardinality over the attribute's
 // distinct count for an equality-pinned scan or index probe. A negation
 // only prunes, so it costs nothing, as at the conjunct level.
-func (e *Engine) estimateSet(inner ast.Expr, set *object.Set) float64 {
+func estimateSet(inner ast.Expr, set *object.Set) float64 {
 	card := float64(set.Len())
 	se, ok := inner.(*ast.SetExpr)
 	if !ok {
@@ -375,8 +375,7 @@ func (e *Engine) estimateSet(inner ast.Expr, set *object.Set) float64 {
 		if !ok {
 			continue
 		}
-		st := e.statFor(set)
-		if d := st.distinct[attr]; d > 0 {
+		if d := set.Stats().Distinct[attr]; d > 0 {
 			return card / float64(d)
 		}
 		return 1 // equality on an unseen attribute: assume selective

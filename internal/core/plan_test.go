@@ -168,29 +168,30 @@ func TestSetPlanCachingToggle(t *testing.T) {
 }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
-	e := NewEngineWithOptions(Options{PlanCacheSize: 2})
+	e := NewEngine()
 	buildStockBase(t, e)
-	// Three shapes: literal variants of one shape would share a plan.
-	queries := []string{
-		"?.euter.r(.stkCode=hp, .clsPrice=P)",
-		"?.euter.r(.stkCode=hp, .clsPrice=Q)",
-		"?.euter.r(.stkCode=hp, .date=D)",
-	}
-	for _, src := range queries {
-		planOutcome(t, e, src)
+	// One shape more than the cache holds. Names are part of a shape,
+	// literals are not: literal variants of one shape would share a plan.
+	shape := func(i int) string { return fmt.Sprintf("?.euter.r(.stkCode=hp, .a%d=P)", i) }
+	for i := 0; i <= planCacheSize; i++ {
+		planOutcome(t, e, shape(i))
 	}
 	st := e.PlanCacheStats()
-	if st.Size != 2 || st.Evictions != 1 {
-		t.Fatalf("after 3 distinct queries at capacity 2: %+v, want size 2 / 1 eviction", st)
+	if st.Size != planCacheSize || st.Evictions != 1 {
+		t.Fatalf("after %d distinct shapes at capacity %d: %+v, want size %d / 1 eviction",
+			planCacheSize+1, planCacheSize, st, planCacheSize)
 	}
 	// The oldest entry was evicted; re-running it misses, and evicts the
 	// second-oldest in turn.
-	if got := planOutcome(t, e, queries[0]); got != "miss" {
-		t.Fatalf("evicted query re-run: outcome %q, want miss", got)
+	if got := planOutcome(t, e, shape(0)); got != "miss" {
+		t.Fatalf("evicted shape re-run: outcome %q, want miss", got)
 	}
 	// The most recently used entry is still resident.
-	if got := planOutcome(t, e, queries[2]); got != "hit" {
-		t.Fatalf("MRU query re-run: outcome %q, want hit", got)
+	if got := planOutcome(t, e, shape(planCacheSize)); got != "hit" {
+		t.Fatalf("MRU shape re-run: outcome %q, want hit", got)
+	}
+	if got := planOutcome(t, e, shape(1)); got != "miss" {
+		t.Fatalf("second-oldest shape re-run: outcome %q, want miss", got)
 	}
 }
 
@@ -392,9 +393,9 @@ func TestPrepareRejectsUpdates(t *testing.T) {
 	}
 }
 
-// TestIndexCacheSurvivesUnrelatedUpdate is the regression test for
-// per-relation index invalidation: an update to one relation must not
-// discard another relation's hash index. Both relations exceed the
+// TestIndexCacheSurvivesUnrelatedUpdate: an index lives on its set, so
+// an update to one relation must not discard another relation's hash
+// index. Both relations exceed the
 // 16-element index threshold; equality probes build their indexes, then a
 // mutation of dbA.r must leave dbB.r's index reusable (no rebuild on the
 // next probe) while dbA.r's own index rebuilds.
@@ -578,7 +579,7 @@ func TestNegationRanksOnce(t *testing.T) {
 	}
 	for _, src := range []string{"?.euter.r~(.date=D, .clsPrice>P)", "?~.euter.r(.date=D, .clsPrice>P)"} {
 		c := mustParse(t, src).Body.Conjuncts[0]
-		if got := e.estimateConjunct(c, eff); got != 0 {
+		if got := estimateConjunct(c, eff); got != 0 {
 			t.Errorf("%s ranks at %v rows, want 0", src, got)
 		}
 	}

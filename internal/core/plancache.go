@@ -14,10 +14,9 @@ import (
 // bump a scheduled plan is re-ranked, and only a plan whose rank order
 // flipped recompiles (fits).
 
-// defaultPlanCacheSize bounds the cache when Options.PlanCacheSize is
-// zero. LRU eviction: ad-hoc one-off queries age out, the repeated
-// workload stays resident.
-const defaultPlanCacheSize = 256
+// planCacheSize bounds the cache. LRU eviction: ad-hoc one-off queries
+// age out, the repeated workload stays resident.
+const planCacheSize = 256
 
 // planKey identifies a plan: query structure plus the options that change
 // compilation (index use changes access-path estimates; NoSchedule plans
@@ -34,7 +33,6 @@ type planKey struct {
 // the locked mutation path acquires e.mu first, then e.planMu — never
 // the reverse).
 type planCache struct {
-	cap   int
 	m     map[planKey]*list.Element
 	order *list.List // front = most recently used
 }
@@ -44,12 +42,8 @@ type planEntry struct {
 	pl  *queryPlan
 }
 
-func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = defaultPlanCacheSize
-	}
+func newPlanCache() *planCache {
 	return &planCache{
-		cap:   capacity,
 		m:     make(map[planKey]*list.Element),
 		order: list.New(),
 	}
@@ -77,7 +71,7 @@ func (c *planCache) put(key planKey, pl *queryPlan) (evicted bool) {
 		return false
 	}
 	c.m[key] = c.order.PushFront(&planEntry{key: key, pl: pl})
-	if c.order.Len() > c.cap {
+	if c.order.Len() > planCacheSize {
 		back := c.order.Back()
 		c.order.Remove(back)
 		delete(c.m, back.Value.(*planEntry).key)

@@ -64,12 +64,10 @@ type updater struct {
 	ev     *evaluator
 	undo   *undoLog
 	result *ExecResult
-	// cow, when set, is the engine's copy-on-write barrier (version.go):
-	// called before navigating into a set that may be shared with a live
-	// MVCC snapshot, it returns the writer-private set to mutate (cloning
-	// and re-parenting it if needed, with rollback recorded). Nil when the
-	// updater works on structures no snapshot can see (rule
-	// materialization into fresh derived overlays).
+	// cow is the engine's copy-on-write barrier (version.go): called
+	// before navigating into a set a snapshot may share (a frozen set),
+	// it returns the writer-private set to mutate (cloning and
+	// re-parenting it if needed, with rollback recorded).
 	cow func(parent *object.Tuple, attr string, s *object.Set) *object.Set
 	// span is the current position in the traced update call tree (nil
 	// when tracing is off); program invocations hang children off it.
@@ -252,9 +250,9 @@ func (u *updater) execAttr(x *ast.AttrExpr, obj object.Object, sl slot) error {
 				continue
 			}
 			// Navigating into a set with updates below will mutate it:
-			// copy-on-write first if a live snapshot shares it. Tuples need
-			// no barrier — snapshots carry private tuple skeletons.
-			if s, isSet := val.(*object.Set); isSet && u.cow != nil {
+			// copy-on-write first if it is frozen. Tuples need no
+			// barrier — snapshots carry private tuple skeletons.
+			if s, isSet := val.(*object.Set); isSet {
 				val = u.cow(tup, name, s)
 			}
 			matched = true

@@ -28,25 +28,31 @@ import (
 //     freezes a fresh version and pins it, and releases e.mu before it
 //     evaluates (pin) — so a version can never capture a mutation in
 //     progress, and no read evaluates under the lock.
-//   - Every set reachable from any live version is recorded in
-//     e.published. Mutators copy-on-write published sets (cowSet /
-//     MutableSet): the set is shallow-cloned, the clone replaces it in
-//     the (writer-private) parent tuple, and the mutation lands on the
-//     clone. Readers of old versions keep iterating the original.
+//   - Every set a freeze shares into a version is marked frozen
+//     (object.Set.Freeze), and a frozen set never changes again.
+//     Mutators thaw the sets they change (cowSet, and the catalog
+//     through object.Thaw directly): a frozen set is shallow-cloned,
+//     the clone replaces it in the (writer-private) parent tuple, and
+//     the mutation lands on the clone. Readers of old versions keep
+//     iterating the original. For a set in the effective universe,
+//     frozen means shared with a retained version, since the newest
+//     version is never collected; a frozen set that has left every
+//     retained version but not the base (a base relation a derived one
+//     came to shadow) costs one clone more, never one less.
 //   - Element-level updates never mutate a shared element in place: the
 //     update evaluator removes the element, mutates a deep clone, and
 //     re-adds it (update.go, rules.go), so elements shared through a
 //     cloned set stay frozen too.
 //
-// Version retention is bounded by Options.MaxRevisions: at each freeze,
-// unpinned versions beyond the newest MaxRevisions are collected.
-// Pinned versions always survive — a long-running reader keeps exactly
-// its own snapshot alive.
+// Version retention is bounded by maxRevisions: at each freeze, unpinned
+// versions beyond the newest maxRevisions are collected. Pinned versions
+// always survive — a long-running reader keeps exactly its own snapshot
+// alive.
 
-// defaultMaxRevisions is the retention bound when Options.MaxRevisions
-// is zero: the head plus a few recent versions, enough to keep cache
-// warmth across quick write bursts without accumulating history.
-const defaultMaxRevisions = 4
+// maxRevisions is the retention bound: the head plus a few recent
+// versions, enough to keep cache warmth across quick write bursts
+// without accumulating history.
+const maxRevisions = 4
 
 // versionElemBytes is the crude per-element cost estimate used for the
 // retained-bytes gauge (elements are shared, so this deliberately counts
@@ -65,9 +71,6 @@ type version struct {
 	// mutates it). A traced read builds its span tree and per-conjunct
 	// probes as per-evaluation state; the tracer's ring has its own lock.
 	readView
-	// sets lists the shared relation sets, for publish-set accounting
-	// and cache retention.
-	sets []*object.Set
 	// pins counts in-flight readers; a version is collectable only at
 	// zero pins (and only when it is no longer the head).
 	pins atomic.Int64
@@ -131,17 +134,17 @@ func (e *Engine) publishHeadLocked() *version {
 	e.head.Store(v)
 	e.mvccFreezes++
 	e.collectVersionsLocked()
-	e.rebuildPublishedLocked()
 	e.publishMVCCGauges()
 	return v
 }
 
 // freezeTuple copies t's tuple skeleton — every tuple reachable without
-// crossing a set — and shares sets and atoms by reference, recording the
-// shared sets on v. The copy makes every tuple in the snapshot private
-// to it, so in-place tuple mutation of the live universe (attribute
-// writes, DDL at any nesting depth outside sets) needs no COW at all;
-// only sets are shared mutables, and those go through cowSet.
+// crossing a set — and shares sets and atoms by reference, freezing the
+// shared sets and counting their bytes on v. The copy makes every tuple
+// in the snapshot private to it, so in-place tuple mutation of the live
+// universe (attribute writes, DDL at any nesting depth outside sets)
+// needs no COW at all; only sets are shared mutables, and those are
+// thawed before they change. Callers hold e.mu.
 func freezeTuple(t *object.Tuple, v *version) *object.Tuple {
 	cp := object.NewTuple()
 	t.Each(func(attr string, val object.Object) bool {
@@ -149,7 +152,7 @@ func freezeTuple(t *object.Tuple, v *version) *object.Tuple {
 		case *object.Tuple:
 			cp.Put(attr, freezeTuple(x, v))
 		case *object.Set:
-			v.sets = append(v.sets, x)
+			x.Freeze()
 			v.bytes += int64(x.Len()) * versionElemBytes
 			cp.Put(attr, x)
 		default:
@@ -162,17 +165,13 @@ func freezeTuple(t *object.Tuple, v *version) *object.Tuple {
 }
 
 // collectVersionsLocked drops versions that are not the head, not
-// pinned, and beyond the MaxRevisions retention window (newest first).
+// pinned, and beyond the maxRevisions retention window (newest first).
 // Callers hold e.mu.
 func (e *Engine) collectVersionsLocked() {
-	max := e.opts.MaxRevisions
-	if max <= 0 {
-		max = defaultMaxRevisions
-	}
 	head := e.head.Load()
 	kept := e.versions[:0]
-	// Walk oldest→newest; retain the newest max versions unconditionally.
-	cut := len(e.versions) - max
+	// Walk oldest→newest; retain the newest maxRevisions unconditionally.
+	cut := len(e.versions) - maxRevisions
 	for i, v := range e.versions {
 		if v == head || i >= cut || v.pins.Load() > 0 {
 			kept = append(kept, v)
@@ -187,40 +186,22 @@ func (e *Engine) collectVersionsLocked() {
 	e.versions = kept
 }
 
-// rebuildPublishedLocked recomputes the published-set map as the union
-// of every live version's shared sets. It must cover ALL live versions,
-// not just the head: a set can drop out of the current effective
-// universe (e.g. a new rule merges it into a union set) while an older
-// pinned snapshot still shares it — a writer must keep copy-on-writing
-// it until that snapshot dies. Callers hold e.mu.
-func (e *Engine) rebuildPublishedLocked() {
-	pub := make(map[*object.Set]bool)
-	for _, v := range e.versions {
-		for _, s := range v.sets {
-			pub[s] = true
-		}
-	}
-	e.published = pub
-}
-
-// cowSet is the copy-on-write choke point for set mutation under e.mu:
-// if s is shared with a live snapshot, it is shallow-cloned, the clone
-// replaces it under parent.attr, and the clone (writer-private until the
-// next freeze) is returned; otherwise s itself is returned. Callers must
-// hold e.mu — every mutation path does.
+// cowSet is the engine's copy-on-write choke point for set mutation
+// under e.mu: object.Thaw, with the clone counted. It returns s itself
+// unless s is frozen; then a shallow clone (writer-private until the
+// next freeze) replaces s under parent.attr and is returned. Callers
+// must hold e.mu — every mutation path does.
 func (e *Engine) cowSet(parent *object.Tuple, attr string, s *object.Set) *object.Set {
-	if !e.published[s] {
-		return s
+	c, cloned := object.Thaw(parent, attr, s)
+	if cloned {
+		e.mvccCOWClones++
 	}
-	c := s.ShallowClone()
-	parent.Put(attr, c)
-	e.mvccCOWClones++
 	return c
 }
 
 // cowSetUndo wraps cowSet with an undo entry restoring the original set
 // pointer on rollback, so a rolled-back request leaves the universe
-// pointer-identical and set-pointer-keyed caches (indexes, statistics)
+// pointer-identical and the original sets' memos (indexes, statistics)
 // stay warm.
 func (e *Engine) cowSetUndo(u *updater) func(parent *object.Tuple, attr string, s *object.Set) *object.Set {
 	return func(parent *object.Tuple, attr string, s *object.Set) *object.Set {
@@ -230,14 +211,6 @@ func (e *Engine) cowSetUndo(u *updater) func(parent *object.Tuple, attr string, 
 		}
 		return c
 	}
-}
-
-// MutableSet is cowSet exposed for the catalog's write barrier: the
-// catalog calls it for the relation set it is about to Insert into. It
-// must only be called from within an UpdateBase functor (which holds
-// e.mu); it takes no lock itself.
-func (e *Engine) MutableSet(parent *object.Tuple, attr string, s *object.Set) *object.Set {
-	return e.cowSet(parent, attr, s)
 }
 
 // invalidateHead drops the published head so the next reader freezes a
@@ -269,9 +242,11 @@ type MVCCStats struct {
 	Freezes uint64 `json:"freezes"`
 	// Collected counts versions garbage-collected.
 	Collected uint64 `json:"collected"`
-	// COWClones counts copy-on-write set clones taken by writers.
+	// COWClones counts copy-on-write set clones taken by the engine's
+	// writers (update requests, program calls, view maintenance); a
+	// catalog bulk load thaws its target set uncounted.
 	COWClones uint64 `json:"cow_clones"`
-	// MaxRevisions is the effective retention bound.
+	// MaxRevisions is the retention bound.
 	MaxRevisions int `json:"max_revisions"`
 }
 
@@ -284,10 +259,7 @@ func (e *Engine) MVCCStats() MVCCStats {
 		Freezes:      e.mvccFreezes,
 		Collected:    e.mvccCollected,
 		COWClones:    e.mvccCOWClones,
-		MaxRevisions: e.opts.MaxRevisions,
-	}
-	if st.MaxRevisions <= 0 {
-		st.MaxRevisions = defaultMaxRevisions
+		MaxRevisions: maxRevisions,
 	}
 	if h := e.head.Load(); h != nil {
 		st.HeadEpoch = h.epoch

@@ -3,6 +3,7 @@ package object
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Set is a value-based collection of objects with set semantics: adding an
@@ -15,19 +16,24 @@ import (
 // membership tests; relations of hundreds of thousands of tuples are the
 // expected scale.
 //
+// A set also carries what is derived from its contents (memo.go): its
+// attribute indexes and statistics, and whether a snapshot shares it.
+//
 // The zero value is an empty set ready for use.
 type Set struct {
 	elems   []Object
 	index   map[uint64][]int // element hash -> positions in elems
 	holes   int              // count of nil (removed) slots in elems
 	version uint64           // bumped on every content change
+	derived atomic.Pointer[memo]
+	frozen  atomic.Bool
 }
 
-// Version returns a counter that increases on every content change. Query
-// engines use it to invalidate per-set caches (e.g. attribute indexes).
-// Note: in-place mutation of an element does not bump the version — the
-// update evaluator must remove, mutate, and re-add elements, which both
-// keeps hashes coherent and bumps the version.
+// Version returns a counter that increases on every content change; the
+// set's memo is stamped with it. Note: in-place mutation of an element
+// does not bump the version — the update evaluator must remove, mutate,
+// and re-add elements, which both keeps hashes coherent and bumps the
+// version.
 func (s *Set) Version() uint64 { return s.version }
 
 // NewSet returns an empty set.
@@ -254,10 +260,11 @@ func (s *Set) Compare(o Object) int {
 // ShallowClone returns a structural copy of the set that shares the
 // element objects: the element slice, hash index and version are copied
 // so the clone can be mutated (Add/Remove) without disturbing the
-// original, but the elements themselves are the same pointers. This is
-// the copy-on-write primitive of the MVCC layer — a writer clones a
-// published relation, mutates the clone, and installs it, while readers
-// keep iterating the original. Mutating a shared element through the
+// original, but the elements themselves are the same pointers. The clone
+// is unfrozen and derives its memo afresh. This is the copy-on-write
+// primitive of the MVCC layer (Thaw) — a writer clones a frozen
+// relation, mutates the clone, and installs it, while readers keep
+// iterating the original. Mutating a shared element through the
 // clone is NOT safe; element-level updates must deep-clone the element
 // first (remove, clone, mutate, re-add).
 func (s *Set) ShallowClone() *Set {

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -28,10 +27,11 @@ const (
 
 // counterSlice is one time slice of a windowed counter.
 type counterSlice struct {
-	mu   sync.Mutex
-	slot atomic.Int64
-	n    atomic.Uint64
+	slotGate
+	n atomic.Uint64
 }
+
+func (s *counterSlice) reset() { s.n.Store(0) }
 
 // windowedCounter counts events over a rolling window using the same
 // slot-ring discipline as WindowedHistogram.
@@ -57,15 +57,9 @@ func newWindowedCounter(window time.Duration, slices int) *windowedCounter {
 func (w *windowedCounter) inc(now time.Time) {
 	slot := now.UnixNano() / w.sliceNS
 	s := &w.slices[int(slot)%len(w.slices)]
-	if s.slot.Load() != slot {
-		s.mu.Lock()
-		if s.slot.Load() != slot {
-			s.n.Store(0)
-			s.slot.Store(slot)
-		}
-		s.mu.Unlock()
+	if s.admit(slot, s.reset) {
+		s.n.Add(1)
 	}
-	s.n.Add(1)
 }
 
 func (w *windowedCounter) total(now time.Time) uint64 {

@@ -16,8 +16,8 @@ import (
 // debug endpoint can show the last few operation trees without unbounded
 // memory growth.
 type Tracer struct {
+	capacity int // fixed at NewTracer
 	mu       sync.Mutex
-	capacity int
 	recent   []*Span // finished roots, oldest first
 
 	// dropped counts finished roots evicted by the capacity bound, so a
@@ -114,28 +114,7 @@ func (t *Tracer) Capacity() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.capacity
-}
-
-// SetCapacity rebounds the ring at runtime (minimum 1). Shrinking
-// evicts the oldest spans immediately and counts them as dropped.
-func (t *Tracer) SetCapacity(n int) {
-	if t == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.capacity = n
-	if over := len(t.recent) - n; over > 0 {
-		copy(t.recent, t.recent[over:])
-		t.recent = t.recent[:n]
-		t.countDropped(uint64(over))
-	}
 }
 
 // Attr is one span annotation: a string or integer value under a key.

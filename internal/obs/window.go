@@ -14,7 +14,8 @@ import (
 // the instant its observation ended, which it has already read to
 // measure the duration. It is lock-free in the steady state — one atomic
 // slot check plus the Histogram's atomic adds; the only lock is a
-// per-slice mutex taken once per slice rotation.
+// per-slice mutex taken once per slice rotation. An instant older than
+// its slice's slot is dropped (slotGate).
 
 // Defaults for registry-created windows and SLO trackers.
 const (
@@ -26,27 +27,51 @@ const (
 	DefaultWindowSlices = 12
 )
 
+// slotGate is the slot rule of a time-sliced ring, shared by
+// WindowedHistogram and the SLO tracker's counters. A slice holds one
+// slot (instant / slice length) at a time. An instant in a newer slot
+// resets the slice for it; an instant in an older slot — a delayed or
+// replayed end time a whole ring behind — is ignored, because resetting
+// for it would wipe the newer observations the slice holds.
+type slotGate struct {
+	mu   sync.Mutex // serializes rotation (reset + slot publish)
+	slot atomic.Int64
+}
+
+// admit reports whether an observation in slot belongs in the slice,
+// first rotating the slice to slot (reset, then publish) when slot is
+// newer than the slice's.
+func (g *slotGate) admit(slot int64, reset func()) bool {
+	if g.slot.Load() == slot {
+		return true
+	}
+	return g.rotate(slot, reset)
+}
+
+// rotate is admit's slow path. Double-checked under the mutex so
+// concurrent observers rotate once; an observer that raced past the
+// check lands its observation in the fresh slot — a one-slice
+// attribution skew, acceptable for monitoring.
+func (g *slotGate) rotate(slot int64, reset func()) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	cur := g.slot.Load()
+	if slot < cur {
+		return false
+	}
+	if slot > cur {
+		reset()
+		g.slot.Store(slot)
+	}
+	return true
+}
+
 // windowSlice is one time slice of the ring: the slot number it
 // currently holds (now/sliceDur) plus an atomic histogram of the
 // observations that landed in that slot.
 type windowSlice struct {
-	mu   sync.Mutex // serializes rotation (reset + slot publish)
-	slot atomic.Int64
-	h    Histogram
-}
-
-// rotate resets the slice for a new slot. Double-checked under the
-// mutex so concurrent observers rotate once; an observer that raced
-// past the check lands its observation in the fresh slot — a one-slice
-// attribution skew, acceptable for monitoring.
-func (s *windowSlice) rotate(slot int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.slot.Load() == slot {
-		return
-	}
-	s.h.reset()
-	s.slot.Store(slot)
+	slotGate
+	h Histogram
 }
 
 // WindowedHistogram is a rolling-window latency histogram: a ring of
@@ -95,17 +120,16 @@ func (w *WindowedHistogram) Window() time.Duration {
 }
 
 // Observe records one duration d that ended at end into end's time
-// slice.
+// slice, unless that slice already holds a newer slot.
 func (w *WindowedHistogram) Observe(end time.Time, d time.Duration) {
 	if w == nil {
 		return
 	}
 	slot := end.UnixNano() / w.sliceNS
 	s := &w.slices[int(slot)%len(w.slices)]
-	if s.slot.Load() != slot {
-		s.rotate(slot)
+	if s.admit(slot, s.h.reset) {
+		s.h.Observe(d)
 	}
-	s.h.Observe(d)
 }
 
 // WindowSnapshot is the merged distribution of the observations inside

@@ -83,6 +83,28 @@ func TestWindowedHistogramSliceReuse(t *testing.T) {
 	}
 }
 
+// TestStaleInstantKeepsNewerObservations: an instant a whole ring
+// behind the slice its slot maps to is dropped — by the histogram and
+// by the SLO tracker's counters alike — rather than resetting the slice
+// and wiping the newer observation it holds.
+func TestStaleInstantKeepsNewerObservations(t *testing.T) {
+	w, clk := newTestWindow(10*time.Second, 10) // 1s slices
+	end := clk.now()
+	w.Observe(end, time.Millisecond)
+	w.Observe(end.Add(-20*time.Second), 2*time.Millisecond) // same slice index, older slot
+	if s := w.Snapshot(); s.Count != 1 || s.Max != time.Millisecond {
+		t.Fatalf("after a stale instant: count=%d max=%v, want the first observation (1/1ms)", s.Count, s.Max)
+	}
+
+	tr, _ := newTestSLO(time.Millisecond, 0.99, 10*time.Second, 10)
+	end = tr.now()
+	tr.Observe(end, 5*time.Millisecond, false) // bad: over target
+	tr.Observe(end.Add(-20*time.Second), 0, false)
+	if st := tr.Status(); st.Total != 1 || st.Bad != 1 {
+		t.Fatalf("after a stale instant: total=%d bad=%d, want 1/1", st.Total, st.Bad)
+	}
+}
+
 func TestWindowedHistogramRate(t *testing.T) {
 	w, clk := newTestWindow(10*time.Second, 10)
 	clk.set(100 * time.Second)

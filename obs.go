@@ -151,13 +151,6 @@ func (db *DB) setTracer(t *obs.Tracer) {
 	db.configure(func(s *settings) { s.tracer = t })
 }
 
-// SetTraceRetention rebounds the attached tracer's ring at runtime
-// (minimum 1). Shrinking evicts the oldest span trees immediately,
-// counting them as dropped. A no-op when tracing is off.
-func (db *DB) SetTraceRetention(capacity int) {
-	db.Tracer().SetCapacity(capacity)
-}
-
 // TraceRetention returns the tracer's ring bound (0 when tracing is
 // off).
 func (db *DB) TraceRetention() int {

@@ -18,9 +18,11 @@
 #      digests +1, capture +6 (DESIGN.md §8–§9, §13–§15); a B14
 #      plan-cache hit rate of at least 0.95 and one resident plan for
 #      its 24 literal variants (DESIGN.md §11); B8's index candidates
-#      per op, 60 on the one-key baseline and at most 2 on two keys; at least
-#      200 reads completed by four facade readers while B18's commits
-#      are in flight (DESIGN.md §17); a B18 incremental-checkpoint ratio
+#      per op, 60 on the one-key baseline and at most 2 on two keys; no
+#      index built per op by any read-only family (B1–B3, B8, B13/query,
+#      B14, B18/readers), since an index lives on its set (DESIGN.md
+#      §17); at least 200 reads completed by four facade readers while
+#      B18's commits are in flight (DESIGN.md §17); a B18 incremental-checkpoint ratio
 #      of at most 0.25; and the evaluator's allocation ceilings
 #      (DESIGN.md §19: B1/B3/B8 128 per evaluation plus 0.25 per scanned
 #      element, B4 15 000 per materialisation, B13/query 400 at any
