@@ -587,18 +587,25 @@ func measure(short bool, arms ...arm) []Benchmark {
 				b.BytesPerOp = min(b.BytesPerOp, bytes)
 			}
 			if a.e != nil {
-				st := a.e.Stats()
-				b.Counters = map[string]uint64{
-					"elements_scanned": st.ElementsScanned / n,
-					"index_probes":     st.IndexProbes / n,
-					"index_candidates": st.IndexCandidates / n,
-					"index_builds":     st.IndexBuilds / n,
-					"attr_enums":       st.AttrEnums / n,
-				}
+				b.Counters = perOpCounters(a.e.Stats(), n)
 			}
 		}
 	}
 	return out
+}
+
+// perOpCounters reports a batch's evaluator counters per op over its n
+// ops. Index builds round up, so a batch that built any index reads at
+// least 1 and fails the read-only gate (validateProbes) even when it
+// built one for many ops.
+func perOpCounters(st core.Stats, n uint64) map[string]uint64 {
+	return map[string]uint64{
+		"elements_scanned": st.ElementsScanned / n,
+		"index_probes":     st.IndexProbes / n,
+		"index_candidates": st.IndexCandidates / n,
+		"index_builds":     (st.IndexBuilds + n - 1) / n,
+		"attr_enums":       st.AttrEnums / n,
+	}
 }
 
 // engineFor builds an engine over a generated stock universe.

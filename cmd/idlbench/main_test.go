@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"idl/internal/core"
 )
 
 func report(benches map[string]int64) *Report {
@@ -161,6 +163,9 @@ func TestValidateReport(t *testing.T) {
 		{"baseline probe narrowed", false, func(r *Report) { r.Benchmarks[len(r.Benchmarks)-2].Counters["index_candidates"] = 1 }},
 		{"read-only op builds an index", false, func(r *Report) { r.Benchmarks[len(r.Benchmarks)-2].Counters["index_builds"] = 1 }},
 		{"read-only op reports no builds", false, func(r *Report) { delete(r.Benchmarks[len(r.Benchmarks)-1].Counters, "index_builds") }},
+		{"read-only batch builds one index over many ops", false, func(r *Report) {
+			r.Benchmarks[len(r.Benchmarks)-1].Counters = perOpCounters(core.Stats{IndexBuilds: 1, IndexCandidates: 8}, 8)
+		}},
 		{"WAL unmeasured", false, func(r *Report) { r.WAL = WALSummary{} }},
 		{"reads blocked during commits", false, func(r *Report) { r.MVCC.MVCCCommitReads = 2 }},
 		{"checkpoint unmeasured", false, func(r *Report) { r.MVCC.CkptTotalBytes = 0 }},

@@ -139,6 +139,11 @@ type DB struct {
 	// mounted — published as one immutable value (see statement.go).
 	settings atomic.Pointer[settings]
 
+	// shapes is the query front end's shape table (DESIGN.md §20):
+	// QueryCtx lexes and binds a statement whose shape it holds instead
+	// of parsing it.
+	shapes parser.Shapes
+
 	lastReport    *federation.Report
 	snapshotBytes int64 // size of the last snapshot saved or loaded
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -404,15 +405,29 @@ func (e *Engine) QueryCtx(ctx context.Context, q *ast.Query) (*Answer, error) {
 // the plan that answered — a logged read's plan digest — so observing a
 // read neither compiles nor looks up another plan.
 func (e *Engine) ReadCtx(ctx context.Context, q *ast.Query, p *PreparedQuery, withPlan bool) (*Answer, *Explain, error) {
-	if p == nil && e.IsUpdate(q) {
-		return nil, nil, fmt.Errorf("core: query is an update request; use Execute")
+	if p != nil {
+		return e.read(ctx, stmtShape{}, p, readKindFor(withPlan))
 	}
-	kind := readQuery
-	if withPlan {
-		kind = readPlanned
+	if e.IsUpdate(q) {
+		return nil, nil, errUpdateRead
 	}
-	return e.read(ctx, q, p, kind)
+	return e.read(ctx, shapeOf(q), nil, readKindFor(withPlan))
 }
+
+// ReadShapeCtx is ReadCtx for a statement whose shape is already known:
+// q is a tree of the statement's shape, fp its ast.FingerprintLits hash
+// and lits the statement's own literals in that walk's order. The
+// facade's shape table passes the shape's representative, which carries
+// another statement's literal values: a plan compiled from q lifts them
+// into slots, and the read binds lits into those slots.
+func (e *Engine) ReadShapeCtx(ctx context.Context, q *ast.Query, fp uint64, lits []object.Object, withPlan bool) (*Answer, *Explain, error) {
+	if e.IsUpdate(q) {
+		return nil, nil, errUpdateRead
+	}
+	return e.read(ctx, stmtShape{q: q, fp: fp, lits: lits}, nil, readKindFor(withPlan))
+}
+
+var errUpdateRead = errors.New("core: query is an update request; use Execute")
 
 // readKind is what a read does with the plan it acquired.
 type readKind uint8
@@ -424,15 +439,23 @@ const (
 	readAnalyze                 // evaluate it measured; report it with actuals
 )
 
+// readKindFor is a query read's kind: with or without its static plan.
+func readKindFor(withPlan bool) readKind {
+	if withPlan {
+		return readPlanned
+	}
+	return readQuery
+}
+
 // read is the one read path, shared by ad hoc and prepared queries (p
-// non-nil, q ignored), EXPLAIN and EXPLAIN ANALYZE: pin a version, run.
+// non-nil, s ignored), EXPLAIN and EXPLAIN ANALYZE: pin a version, run.
 // Reads are snapshot-isolated: the query pins the newest committed
 // version of the effective universe (version.go) and evaluates against it
 // without holding the engine mutex, so concurrent queries share the
 // machine instead of a lock queue — traced, logged or explained. Only
 // the first read after a mutation takes the mutex, inside pin, to
 // refresh and freeze the version it and the readers behind it evaluate.
-func (e *Engine) read(ctx context.Context, q *ast.Query, p *PreparedQuery, kind readKind) (*Answer, *Explain, error) {
+func (e *Engine) read(ctx context.Context, s stmtShape, p *PreparedQuery, kind readKind) (*Answer, *Explain, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -442,7 +465,7 @@ func (e *Engine) read(ctx context.Context, q *ast.Query, p *PreparedQuery, kind 
 		return nil, nil, err
 	}
 	defer v.unpin()
-	ans, x, err := e.runQuery(cctx, ctx, q, p, v.readView, kind)
+	ans, x, err := e.runQuery(cctx, ctx, s, p, v.readView, kind)
 	if ans != nil {
 		ans.Resources.FixpointRounds = rounds
 	}
@@ -475,17 +498,15 @@ type readView struct {
 // is individually synchronized: the plan cache under planMu, each set's
 // memo of indexes and statistics (object.Set.Probe, Stats), the tracer's
 // ring, and the aggregate counters under statsMu.
-func (e *Engine) runQuery(cctx context.Context, ctx context.Context, q *ast.Query, p *PreparedQuery, rv readView, kind readKind) (*Answer, *Explain, error) {
+func (e *Engine) runQuery(cctx context.Context, ctx context.Context, s stmtShape, p *PreparedQuery, rv readView, kind readKind) (*Answer, *Explain, error) {
 	var pl *queryPlan
 	var state string
-	var lits []object.Object
+	lits := s.lits
 	if p != nil {
 		pl, state = p.revalidate(rv.eff, rv.epoch, rv.em)
 		lits = p.lits
 	} else {
-		var key planKey
-		key, lits = planKeyFor(q, rv.opts)
-		pl, state = e.planFor(q, key, rv, kind == readExplain)
+		pl, state = e.planFor(s.q, s.key(rv.opts), rv, kind == readExplain)
 	}
 	an := pl.an.bind(lits)
 	var x *Explain

@@ -167,7 +167,8 @@ func TestEvaluationRestoresSubstitution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		key, lits := planKeyFor(q, e.opts)
+		s := shapeOf(q)
+		key, lits := s.key(e.opts), s.lits
 		an := e.compilePlan(q, eff, key, e.epoch, nil).an.bind(lits)
 		for _, stopAfter := range []int{-1, 1} {
 			ev := newEvaluator(nil, an, e.opts, &Stats{})

@@ -82,7 +82,8 @@ func TestIndexProbe(t *testing.T) {
 	// The probe path end to end — ground equalities, key, bucket — makes
 	// no allocation over a built index.
 	query := mustParse(t, "?.m.r(.stkCode=s3, .date=3/2/85, .clsPrice=P)")
-	key, lits := planKeyFor(query, e.opts)
+	s := shapeOf(query)
+	key, lits := s.key(e.opts), s.lits
 	an := e.compilePlan(query, e.Base(), key, 0, nil).an.bind(lits)
 	se := an.body.Conjuncts[0].(*ast.AttrExpr).Expr.(*ast.TupleExpr).Conjuncts[0].(*ast.AttrExpr).Expr.(*ast.SetExpr)
 	ev := newEvaluator(nil, an, e.opts, &Stats{})
@@ -130,7 +131,7 @@ func TestIndexBuiltOnceOnSharedSnapshot(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				ans, _, err := e.runQuery(nil, context.Background(), probe, nil, v.readView, readQuery)
+				ans, _, err := e.runQuery(nil, context.Background(), shapeOf(probe), nil, v.readView, readQuery)
 				if err != nil || ans.String() != "P\n73" {
 					t.Errorf("pinned probe: %v, %v", ans, err)
 				}

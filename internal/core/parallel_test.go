@@ -352,7 +352,8 @@ func TestScanTargetIsExplainStepOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, lits := planKeyFor(tc.q, opts)
+		s := shapeOf(tc.q)
+		key, lits := s.key(opts), s.lits
 		an := e.compilePlan(tc.q, eff, key, e.epoch, nil).an.bind(lits)
 		plan, order := e.planQuery(an, readView{eff: eff, opts: opts})
 		if got, want := plan.Steps[0].Conjunct, tc.q.Body.Conjuncts[tc.step1].String(); got != want {
@@ -367,7 +368,8 @@ func TestScanTargetIsExplainStepOne(t *testing.T) {
 
 // scanTargetOf compiles q's plan and resolves its partitionable scan.
 func scanTargetOf(e *Engine, q *ast.Query, eff *object.Tuple) *object.Set {
-	key, lits := planKeyFor(q, e.opts)
+	s := shapeOf(q)
+	key, lits := s.key(e.opts), s.lits
 	an := e.compilePlan(q, eff, key, e.epoch, nil).an.bind(lits)
 	return scanTarget(an.body, eff, an, an.newEnv(), e.opts)
 }

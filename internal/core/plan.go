@@ -252,12 +252,26 @@ func (e *Engine) planFor(q *ast.Query, key planKey, rv readView, peek bool) (*qu
 	return pl, state
 }
 
-// planKeyFor keys q's plan — its shape — under the options that change
-// compilation, and returns q's literals, which a read binds into the
-// plan's literal slots: one walk yields both.
-func planKeyFor(q *ast.Query, opts Options) (planKey, []object.Object) {
+// stmtShape is what a read needs of its statement to find a plan and
+// run it: a tree of its shape to compile from, the shape's fingerprint,
+// and the statement's own literals, which the read binds into the plan's
+// literal slots.
+type stmtShape struct {
+	q    *ast.Query
+	fp   uint64
+	lits []object.Object
+}
+
+// shapeOf is q's own shape: one walk yields the fingerprint and the
+// literals.
+func shapeOf(q *ast.Query) stmtShape {
 	fp, lits := ast.FingerprintLits(q, make([]object.Object, 0, 4)) // a point lookup has two or three
-	return planKey{fp: fp, useIndex: opts.UseIndex, noSchedule: opts.NoSchedule}, lits
+	return stmtShape{q: q, fp: fp, lits: lits}
+}
+
+// key keys the shape's plan under the options that change compilation.
+func (s stmtShape) key(opts Options) planKey {
+	return planKey{fp: s.fp, useIndex: opts.UseIndex, noSchedule: opts.NoSchedule}
 }
 
 // reuse is the one hit / stale / recompile step, shared by the plan cache
@@ -442,8 +456,8 @@ func (e *Engine) Prepare(q *ast.Query) (*PreparedQuery, error) {
 		return nil, err
 	}
 	defer v.unpin()
-	key, lits := planKeyFor(q, v.opts)
-	return &PreparedQuery{e: e, lits: lits, pl: e.compilePlan(q, v.eff, key, v.epoch, v.em)}, nil
+	s := shapeOf(q)
+	return &PreparedQuery{e: e, lits: s.lits, pl: e.compilePlan(q, v.eff, s.key(v.opts), v.epoch, v.em)}, nil
 }
 
 // Query executes the prepared plan against the current universe.

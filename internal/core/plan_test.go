@@ -364,7 +364,7 @@ func TestRankFlipRecompiles(t *testing.T) {
 	}
 	// Re-ranking a kept plan allocates nothing once the statistics of
 	// the versions it reads are memoised.
-	key, _ := planKeyFor(mustParse(t, src), p.cached.opts)
+	key := shapeOf(mustParse(t, src)).key(p.cached.opts)
 	p.cached.planMu.Lock()
 	pl := p.cached.plans.get(key, false)
 	p.cached.planMu.Unlock()

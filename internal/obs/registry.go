@@ -138,7 +138,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		d = 0
 	}
 	h.counts[bucketIndex(d)].Add(1)
-	h.count.Add(1)
 	ns := int64(d)
 	h.sum.Add(ns)
 	for {
@@ -159,6 +158,9 @@ func (h *Histogram) Observe(d time.Duration) {
 			break
 		}
 	}
+	// The count goes last: a reader that sees it sees the extrema that
+	// go with it (WindowedHistogram.SnapshotAt).
+	h.count.Add(1)
 }
 
 // Min returns the smallest observation (0 when empty).
@@ -280,11 +282,13 @@ func (h *Histogram) Buckets() [HistBuckets]uint64 {
 	return out
 }
 
+// reset empties the histogram, count first, so a reader never sees a
+// count whose extrema were already zeroed.
 func (h *Histogram) reset() {
+	h.count.Store(0)
 	for i := range h.counts {
 		h.counts[i].Store(0)
 	}
-	h.count.Store(0)
 	h.sum.Store(0)
 	h.minPlus1.Store(0)
 	h.max.Store(0)

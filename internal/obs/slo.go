@@ -49,7 +49,7 @@ func newWindowedCounter(window time.Duration, slices int) *windowedCounter {
 	}
 	w := &windowedCounter{sliceNS: int64(window) / int64(slices), slices: make([]counterSlice, slices)}
 	for i := range w.slices {
-		w.slices[i].slot.Store(-1)
+		w.slices[i].slot.Store(parkedSlot)
 	}
 	return w
 }

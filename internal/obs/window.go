@@ -60,11 +60,18 @@ func (g *slotGate) rotate(slot int64, reset func()) bool {
 		return false
 	}
 	if slot > cur {
+		// Park the slice while it resets, so a reader that merged it
+		// meanwhile sees its slot move (WindowedHistogram.SnapshotAt).
+		g.slot.Store(parkedSlot)
 		reset()
 		g.slot.Store(slot)
 	}
 	return true
 }
+
+// parkedSlot is the slot of a slice no instant maps to: fresh, or in
+// the middle of a reset.
+const parkedSlot = -1
 
 // windowSlice is one time slice of the ring: the slot number it
 // currently holds (now/sliceDur) plus an atomic histogram of the
@@ -106,7 +113,7 @@ func NewWindow(window time.Duration, slices int) *WindowedHistogram {
 	// Slot 0 is a real slot for clocks near the epoch; park fresh slices
 	// at an impossible slot so they never merge before first use.
 	for i := range w.slices {
-		w.slices[i].slot.Store(-1)
+		w.slices[i].slot.Store(parkedSlot)
 	}
 	return w
 }
@@ -167,20 +174,30 @@ func (w *WindowedHistogram) SnapshotAt(now time.Time) WindowSnapshot {
 		if slot < minSlot || slot > nowSlot {
 			continue // aged out (or parked): not part of the window
 		}
+		// Read the slice, then its slot again: a rotation parks the slot
+		// before it resets, so a slice that moved while it was read is
+		// left out rather than merged half reset. The count is read
+		// first and bumped last, so the extrema cover what it counts.
 		n := s.h.Count()
 		if n == 0 {
 			continue
 		}
+		sum, mn, mx := s.h.Sum(), s.h.Min(), s.h.Max()
+		var counts [HistBuckets]uint64
+		for b := range counts {
+			counts[b] = s.h.counts[b].Load()
+		}
+		if s.slot.Load() != slot {
+			continue
+		}
 		out.Count += n
-		out.Sum += s.h.Sum()
-		if mn := s.h.Min(); out.Count == n || mn < out.Min {
+		out.Sum += sum
+		if out.Count == n || mn < out.Min {
 			out.Min = mn
 		}
-		if mx := s.h.Max(); mx > out.Max {
-			out.Max = mx
-		}
-		for b := 0; b < HistBuckets; b++ {
-			out.Counts[b] += s.h.counts[b].Load()
+		out.Max = max(out.Max, mx)
+		for b, c := range counts {
+			out.Counts[b] += c
 		}
 	}
 	return out

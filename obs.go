@@ -211,7 +211,7 @@ func (db *DB) ExplainAnalyzeCtx(ctx context.Context, src string) (*ExplainPlan, 
 	if err != nil {
 		return nil, nil, err
 	}
-	degrade(q, ans, rep)
+	degrade(parser.Stmt{Query: q}, ans, rep)
 	return plan, ans, nil
 }
 

@@ -87,5 +87,5 @@ func (p *Prepared) Query() (*Result, error) {
 // report — except that planning reuses the prepared plan (re-ranking or
 // recompiling it when the catalog epoch moved).
 func (p *Prepared) QueryCtx(ctx context.Context) (*Result, error) {
-	return p.db.query(ctx, p.q, p.pq)
+	return p.db.query(ctx, parser.Stmt{Query: p.q}, p.pq)
 }

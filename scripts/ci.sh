@@ -83,7 +83,8 @@ go tool cover -func="$SCRATCH/core_cover.out" | awk '
 go test -run '^TestCrashPointGrid$|^TestCheckpointRecovery$' -short .
 
 # Fuzz smoke: a short randomized pass over the parser round-trip, the
-# lexer's token spans against the input they tile, the
+# lexer's token spans against the input they tile, the shape table
+# against a fresh parse of the same statement with other literals, the
 # sequential-vs-parallel differential oracle, view maintenance by delta
 # against a from-scratch materialization after every statement, and
 # randomized crash-point recovery against the prefix-consistency
@@ -91,6 +92,7 @@ go test -run '^TestCrashPointGrid$|^TestCheckpointRecovery$' -short .
 # seed.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/parser
 go test -run '^$' -fuzz '^FuzzLex$' -fuzztime 10s ./internal/parser
+go test -run '^$' -fuzz '^FuzzShape$' -fuzztime 15s ./internal/parser
 go test -run '^$' -fuzz '^FuzzEvalQuery$' -fuzztime 15s ./internal/core
 go test -run '^$' -fuzz '^FuzzViewMaintenance$' -fuzztime 15s ./internal/core
 go test -run '^$' -fuzz '^FuzzRecovery$' -fuzztime 15s .

@@ -18,9 +18,9 @@
 # a median is worse than its bound allows, the failed share rose or more
 # of the change's runs failed. After its pairs, each workload also gets
 # one traced run per side (--trace 1), and the summary prints the
-# per-layer deltas of the parse, plan and evaluation rungs and of the
-# write path's (refresh time, clones and freezes per write; the list is
-# layers in scripts/pairs/main.go) beside the pairs table: the
+# per-layer deltas of the parse, plan, evaluation and facade rungs and
+# of the write path's (refresh time, clones and freezes per write; the
+# list is layers in scripts/pairs/main.go) beside the pairs table: the
 # attribution a gain needs. The raw contract lines stay in the directory
 # it prints.
 set -euo pipefail

@@ -29,11 +29,12 @@ import (
 )
 
 // layers are the per-layer metrics the traced runs are compared on: the
-// parse, plan and evaluation lines of a statement's budget, the counts
-// behind evaluation (allocations, rows scanned) and the write path's
-// rungs (view refresh time, copy-on-write clones and freezes per write).
+// parse, plan, evaluation and facade lines of a statement's budget, the
+// counts behind evaluation (allocations, rows scanned) and the write
+// path's rungs (view refresh time, copy-on-write clones and freezes per
+// write).
 var layers = []string{
-	"parser.parse_us", "core.plan_hit_ratio", "core.plan_miss_us", "core.eval_us",
+	"parser.parse_us", "core.plan_hit_ratio", "core.plan_miss_us", "core.eval_us", "idl.facade_self_us",
 	"core.allocs_per_op", "core.rows_scanned_per_op",
 	"core.refresh_us", "core.cow_clones_per_write", "core.freezes_per_write",
 }

@@ -40,7 +40,19 @@ func newTraceBase() uint64 {
 // the whole ID space, so IDs from one run don't share a prefix.
 func (db *DB) nextTraceID() string {
 	seq := db.traceSeq.Add(1)
-	return fmt.Sprintf("%016x", db.traceBase^(seq*0x9e3779b97f4a7c15))
+	return hex16(db.traceBase ^ (seq * 0x9e3779b97f4a7c15))
+}
+
+// hex16 renders v as fmt's %016x does: 16 lowercase hex digits,
+// zero-padded.
+func hex16(v uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
 }
 
 // traceIDFor returns the trace ID one operation should run under: the

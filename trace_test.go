@@ -3,7 +3,9 @@ package idl
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -60,7 +62,7 @@ func TestTraceIDFormatAndUniqueness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hex16 := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	hexID := regexp.MustCompile(`^[0-9a-f]{16}$`)
 	seen := map[string]bool{}
 	queries := 0
 	for _, tr := range traces {
@@ -68,7 +70,7 @@ func TestTraceIDFormatAndUniqueness(t *testing.T) {
 			continue
 		}
 		queries++
-		if !hex16.MatchString(tr.TraceID) {
+		if !hexID.MatchString(tr.TraceID) {
 			t.Errorf("trace id %q is not 16 hex digits", tr.TraceID)
 		}
 		if seen[tr.TraceID] {
@@ -78,6 +80,16 @@ func TestTraceIDFormatAndUniqueness(t *testing.T) {
 	}
 	if queries != 3 {
 		t.Errorf("expected 3 query traces, got %d", queries)
+	}
+}
+
+// TestHex16MatchesSprintf: a minted trace ID is spelled exactly as fmt's
+// %016x spells it.
+func TestHex16MatchesSprintf(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0xab, 0x9e3779b97f4a7c15, math.MaxUint64} {
+		if got, want := hex16(v), fmt.Sprintf("%016x", v); got != want {
+			t.Errorf("hex16(%d) = %q, want %q", v, got, want)
+		}
 	}
 }
 
