@@ -163,6 +163,10 @@ type AttrExpr struct {
 	Sign Sign
 	Name Term // Const(Str) or Var
 	Expr Expr // may be Epsilon
+	// Site caches where a constant Name sits in the tuples this
+	// expression reads (object.Site), for the evaluators of a resolved
+	// tree; printing and fingerprints ignore it.
+	Site object.Site
 }
 
 // TupleExpr is a conjunction of conjuncts evaluated on a tuple object.

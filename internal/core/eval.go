@@ -323,7 +323,7 @@ func (ev *evaluator) satisfyAttr(x *ast.AttrExpr, o object.Object, k cont) error
 		if !ok {
 			return nil
 		}
-		val, ok := tup.Get(string(s))
+		val, ok := tup.Lookup(&x.Site, string(s))
 		if !ok {
 			return nil
 		}

@@ -652,7 +652,8 @@ func (m *maintainer) record(k relKey, elem object.Object, added bool) {
 func (m *maintainer) target(k relKey) *viewTarget {
 	vt := m.vs.targets[k]
 	if vt == nil {
-		vt = &viewTarget{k: k, key: m.e.targetKey(k), supports: make(map[uint64]*support), groups: make(map[uint64]*viewGroup)}
+		key := m.e.targetKey(k)
+		vt = &viewTarget{k: k, key: key, sites: make([]object.Site, len(key)), supports: make(map[uint64]*support), groups: make(map[uint64]*viewGroup)}
 		m.vs.targets[k] = vt
 	}
 	return vt

@@ -87,7 +87,7 @@ func scanTarget(x ast.Expr, o object.Object, an *bodyAnalysis, env *Env, opts Op
 		if !ok {
 			return nil
 		}
-		val, ok := tup.Get(name)
+		val, ok := tup.Lookup(&expr.Site, name)
 		if !ok {
 			return nil
 		}

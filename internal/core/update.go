@@ -219,7 +219,7 @@ func (u *updater) execAttr(x *ast.AttrExpr, obj object.Object, sl slot) error {
 
 	case ast.SignMinus:
 		for _, name := range names {
-			val, ok := tup.Get(name)
+			val, ok := attrValue(x, tup, name)
 			if !ok {
 				continue
 			}
@@ -233,10 +233,9 @@ func (u *updater) execAttr(x *ast.AttrExpr, obj object.Object, sl slot) error {
 			if !sat {
 				continue
 			}
-			old, _ := tup.Get(name)
 			tup.Delete(name)
-			u.replaced(u.depth(), name, old, nil)
-			nameCopy := name
+			u.replaced(u.depth(), name, val, nil)
+			nameCopy, old := name, val
 			u.undo.record(func() { tup.Put(nameCopy, old) })
 			u.result.AttrsDeleted++
 		}
@@ -245,7 +244,7 @@ func (u *updater) execAttr(x *ast.AttrExpr, obj object.Object, sl slot) error {
 	default: // navigation
 		matched := false
 		for _, name := range names {
-			val, ok := tup.Get(name)
+			val, ok := attrValue(x, tup, name)
 			if !ok {
 				continue
 			}
@@ -285,6 +284,15 @@ func (u *updater) execAttr(x *ast.AttrExpr, obj object.Object, sl slot) error {
 		}
 		return nil
 	}
+}
+
+// attrValue reads attribute name, which x addresses, from tup: through
+// x's site when x names it by a constant.
+func attrValue(x *ast.AttrExpr, tup *object.Tuple, name string) (object.Object, bool) {
+	if _, ok := x.Name.(ast.Const); ok {
+		return tup.Lookup(&x.Site, name)
+	}
+	return tup.Get(name)
 }
 
 // descend applies e to the value under sl's attribute, one level down the
@@ -629,23 +637,27 @@ func (u *updater) buildPlus(e ast.Expr) (object.Object, error) {
 		}
 		return cloneForStore(val), nil
 	case *ast.AttrExpr:
-		tup := object.NewTuple()
-		if err := u.putPlusAttr(tup, x); err != nil {
+		name, val, err := u.plusAttr(x)
+		if err != nil {
 			return nil, err
 		}
-		return tup, nil
+		return object.NewTupleOf([]string{name}, []object.Object{val}), nil
 	case *ast.TupleExpr:
-		tup := object.NewTuple()
+		var nbuf [8]string
+		var vbuf [8]object.Object
+		names, vals := nbuf[:0], vbuf[:0]
 		for _, c := range x.Conjuncts {
 			a, ok := c.(*ast.AttrExpr)
 			if !ok {
 				return nil, fmt.Errorf("core: insert requires attribute conjuncts; %q is not", c.String())
 			}
-			if err := u.putPlusAttr(tup, a); err != nil {
+			name, val, err := u.plusAttr(a)
+			if err != nil {
 				return nil, err
 			}
+			names, vals = append(names, name), append(vals, val)
 		}
-		return tup, nil
+		return object.NewTupleOf(names, vals), nil
 	case *ast.SetExpr:
 		s := object.NewSet()
 		if _, isEps := x.X.(ast.Epsilon); !isEps {
@@ -661,37 +673,35 @@ func (u *updater) buildPlus(e ast.Expr) (object.Object, error) {
 	}
 }
 
-func (u *updater) putPlusAttr(tup *object.Tuple, a *ast.AttrExpr) error {
+// plusAttr builds one attribute of an inserted tuple: its name and the
+// object its expression decrees.
+func (u *updater) plusAttr(a *ast.AttrExpr) (string, object.Object, error) {
 	if a.Sign == ast.SignMinus {
-		return fmt.Errorf("core: minus expression %q inside an insert", a.String())
+		return "", nil, fmt.Errorf("core: minus expression %q inside an insert", a.String())
 	}
 	var name string
 	switch n := a.Name.(type) {
 	case ast.Const:
 		s, ok := n.Value.(object.Str)
 		if !ok {
-			return fmt.Errorf("core: attribute name %s is not a string", n.Value)
+			return "", nil, fmt.Errorf("core: attribute name %s is not a string", n.Value)
 		}
 		name = string(s)
 	case ast.Var:
 		bound, ok := u.ev.env.Lookup(n.Slot)
 		if !ok {
-			return &InsertUnboundError{Var: n.Name, Expr: a}
+			return "", nil, &InsertUnboundError{Var: n.Name, Expr: a}
 		}
 		s, ok := bound.(object.Str)
 		if !ok {
-			return fmt.Errorf("core: attribute variable %s bound to non-string %s", n.Name, bound)
+			return "", nil, fmt.Errorf("core: attribute variable %s bound to non-string %s", n.Name, bound)
 		}
 		name = string(s)
 	default:
-		return fmt.Errorf("core: attribute name must be constant or variable")
+		return "", nil, fmt.Errorf("core: attribute name must be constant or variable")
 	}
 	val, err := u.buildPlus(a.Expr)
-	if err != nil {
-		return err
-	}
-	tup.Put(name, val)
-	return nil
+	return name, val, err
 }
 
 // cloneForStore deep-copies aggregate values bound from elsewhere in the

@@ -146,22 +146,20 @@ func (e *Engine) publishHeadLocked() *version {
 // needs no COW at all; only sets are shared mutables, and those are
 // thawed before they change. Callers hold e.mu.
 func freezeTuple(t *object.Tuple, v *version) *object.Tuple {
-	cp := object.NewTuple()
-	t.Each(func(attr string, val object.Object) bool {
+	var buf [8]object.Object
+	vals := append(buf[:0], t.Values()...)
+	for i, val := range vals {
 		switch x := val.(type) {
 		case *object.Tuple:
-			cp.Put(attr, freezeTuple(x, v))
+			val = freezeTuple(x, v)
 		case *object.Set:
 			x.Freeze()
 			v.bytes += int64(x.Len()) * versionElemBytes
-			cp.Put(attr, x)
-		default:
-			cp.Put(attr, val)
 		}
+		vals[i] = val
 		v.bytes += versionElemBytes
-		return true
-	})
-	return cp
+	}
+	return object.NewTupleOf(t.Attrs(), vals)
 }
 
 // collectVersionsLocked drops versions that are not the head, not

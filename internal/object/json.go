@@ -52,8 +52,7 @@ func MarshalJSON(o Object) ([]byte, error) {
 		return json.Marshal(jsonObject{K: "date", Y: v.Year, M: v.Month, D: v.Day})
 	case *Tuple:
 		enc := jsonObject{K: "tup", A: v.Attrs()}
-		for _, a := range v.Attrs() {
-			val, _ := v.Get(a)
+		for _, val := range v.Values() {
 			raw, err := MarshalJSON(val)
 			if err != nil {
 				return nil, err
@@ -125,15 +124,15 @@ func UnmarshalJSON(data []byte) (Object, error) {
 		if len(enc.A) != len(enc.T) {
 			return nil, fmt.Errorf("object: tuple attr/value length mismatch (%d vs %d)", len(enc.A), len(enc.T))
 		}
-		t := NewTuple()
-		for i, a := range enc.A {
-			v, err := UnmarshalJSON(enc.T[i])
+		vals := make([]Object, len(enc.T))
+		for i, raw := range enc.T {
+			v, err := UnmarshalJSON(raw)
 			if err != nil {
 				return nil, err
 			}
-			t.Put(a, v)
+			vals[i] = v
 		}
-		return t, nil
+		return NewTupleOf(enc.A, vals), nil
 	case "set":
 		s := NewSet()
 		for _, raw := range enc.T {

@@ -149,6 +149,7 @@ func (idx *attrIndex) keyedBy(eqs []AttrEq) bool {
 func buildIndex(s *Set, eqs []AttrEq, attrs uint64) *attrIndex {
 	idx := &attrIndex{attrHash: attrs, attrs: make([]string, len(eqs)), buckets: map[uint64]int32{}}
 	ahs := make([]uint64, len(eqs))
+	sites := make([]Site, len(eqs))
 	for i, eq := range eqs {
 		idx.attrs[i], ahs[i] = eq.Attr, AttrHash(eq.Attr)
 	}
@@ -161,7 +162,7 @@ func buildIndex(s *Set, eqs []AttrEq, attrs uint64) *attrIndex {
 		}
 		var k uint64
 		for i, attr := range idx.attrs {
-			v, ok := tup.Get(attr)
+			v, ok := tup.Lookup(&sites[i], attr)
 			if !ok {
 				return true
 			}
@@ -261,11 +262,8 @@ func computeStats(s *Set) *SetStats {
 			continue
 		}
 		rows++
-		for _, attr := range tup.Attrs() {
-			v, ok := tup.Get(attr)
-			if !ok {
-				continue
-			}
+		for i, attr := range tup.Attrs() {
+			v := tup.Values()[i]
 			vals := seen[attr]
 			if vals == nil {
 				vals = make(map[uint64]struct{})
