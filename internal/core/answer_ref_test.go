@@ -314,3 +314,30 @@ func TestAnswerVarsDoNotAliasPlanCapacity(t *testing.T) {
 		t.Fatalf("answers differ after a caller's append:\n%s\nvs\n%s", first, again)
 	}
 }
+
+// TestAnswerSortKeepsTiesInOrder: rows whose values Compare equal without
+// being Equal (ints past 2^53) keep their relative order in the current
+// order through Sort, whether that order is insertion or an earlier
+// permutation.
+func TestAnswerSortKeepsTiesInOrder(t *testing.T) {
+	big := func(d int64) object.Object { return object.Int(1<<53 + d) }
+	a := newAnswer([]string{"X"})
+	for _, v := range []object.Object{big(1), object.Int(5), big(0), object.Int(7), big(1) /* duplicate */} {
+		a.rows.add([]object.Object{v})
+	}
+	column := func() string { return fmt.Sprint(a.Column("X")) }
+	want := fmt.Sprint([]object.Object{object.Int(5), object.Int(7), big(1), big(0)})
+	a.Sort()
+	if got := column(); got != want {
+		t.Fatalf("sorted from insertion order: %s, want %s", got, want)
+	}
+	a.order = []int32{3, 2, 1, 0} // the ties now stand big(0) before big(1)
+	a.Sort()
+	want = fmt.Sprint([]object.Object{object.Int(5), object.Int(7), big(0), big(1)})
+	if got := column(); got != want {
+		t.Fatalf("sorted from a permutation: %s, want %s", got, want)
+	}
+	if got := a.String(); got != "X\n5\n7\n9007199254740992\n9007199254740993" {
+		t.Fatalf("String renders %q", got)
+	}
+}

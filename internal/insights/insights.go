@@ -158,6 +158,9 @@ type entry struct {
 	walBytes       atomic.Uint64
 
 	lat *obs.WindowedHistogram
+	// p50 is lat's median for the self-relative capture rule, taken
+	// once per time slice (medianAt) rather than merged per observation.
+	p50 atomic.Pointer[sliceMedian]
 
 	exMu      sync.Mutex
 	exemplars []Exemplar
@@ -341,14 +344,35 @@ func (s *Store) isSlow(e *entry, o Observation) bool {
 		return true
 	}
 	if f := s.cfg.SlowFactor; f > 0 {
-		ws := e.lat.SnapshotAt(o.End)
-		if ws.Count >= s.cfg.MinSamples {
-			if p50 := ws.Quantile(0.50); p50 > 0 && float64(o.Duration) >= f*float64(p50) {
-				return true
-			}
+		if p50 := e.medianAt(o.End, s.cfg.MinSamples); p50 > 0 && float64(o.Duration) >= f*float64(p50) {
+			return true
 		}
 	}
 	return false
+}
+
+// sliceMedian is a digest's windowed p50 as taken in one time slice.
+type sliceMedian struct {
+	slot int64
+	p50  time.Duration
+}
+
+// medianAt returns the digest's windowed p50 as of end, or 0 while the
+// window holds fewer than min observations. The window is merged once
+// per slice: the first observation in a newer slice than the cached
+// median's takes it again, and the rest of the slice reuses it.
+func (e *entry) medianAt(end time.Time, min uint64) time.Duration {
+	slot := e.lat.Slot(end)
+	if m := e.p50.Load(); m != nil && m.slot >= slot {
+		return m.p50
+	}
+	ws := e.lat.SnapshotAt(end)
+	if ws.Count < min {
+		return 0
+	}
+	m := &sliceMedian{slot: slot, p50: ws.Quantile(0.50)}
+	e.p50.Store(m)
+	return m.p50
 }
 
 func (s *Store) captureExemplar(e *entry, o Observation) {

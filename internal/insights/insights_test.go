@@ -2,6 +2,7 @@ package insights
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -258,5 +259,60 @@ func TestConcurrentStress(t *testing.T) {
 		if d.Calls == 0 {
 			t.Fatalf("zero-call digest: %+v", d)
 		}
+	}
+}
+
+// TestSlowVerdictsMatchPerObservationMedian: the self-relative rule reads
+// a p50 taken once per time slice. On a seeded stream — a steady
+// statement with rare large outliers, which degrades threefold half-way
+// — its verdicts equal those of merging the whole window for every
+// observation, the rule's former computation.
+func TestSlowVerdictsMatchPerObservationMedian(t *testing.T) {
+	const (
+		factor = 4
+		min    = 32
+	)
+	s := New(Config{SlowFactor: factor, MinSamples: min})
+	ref := obs.NewWindow(obs.DefaultWindow, obs.DefaultWindowSlices)
+	r := rand.New(rand.NewSource(7))
+	end := time.Unix(1_700_000_000, 0)
+	slow := 0
+	const n = 20000
+	for i := 0; i < n; i++ {
+		end = end.Add(time.Duration(1+r.Intn(40)) * time.Millisecond)
+		base := 100 * time.Microsecond
+		if i >= n/2 {
+			base *= 3
+		}
+		d := base * time.Duration(80+r.Intn(46)) / 100
+		if r.Intn(25) == 0 {
+			d = base * time.Duration(8+r.Intn(13))
+		}
+		ref.Observe(end, d)
+		ws := ref.SnapshotAt(end)
+		p50 := ws.Quantile(0.50)
+		want := ws.Count >= min && p50 > 0 && float64(d) >= factor*float64(p50)
+
+		o := Observation{Fingerprint: 1, Kind: "query", Text: textf("?q"), Duration: d, End: end}
+		var before uint64
+		if e := s.entries[1]; e != nil {
+			before = e.captures
+		}
+		s.Observe(o)
+		got := s.entries[1].captures > before
+		if got != want {
+			t.Fatalf("observation %d (%v, window p50 %v): slow=%v, per-observation median says %v", i, d, p50, got, want)
+		}
+		if got {
+			slow++
+		}
+	}
+	if slow < n/50 || slow > n/10 {
+		t.Fatalf("%d of %d observations slow: the stream does not exercise the rule", slow, n)
+	}
+	// The median followed the degradation rather than keeping the first
+	// one it took.
+	if m := s.entries[1].p50.Load(); m == nil || m.p50 < 240*time.Microsecond || m.p50 > 375*time.Microsecond {
+		t.Fatalf("cached median %+v after the statement degraded to ~300µs", m)
 	}
 }

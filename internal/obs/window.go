@@ -126,13 +126,18 @@ func (w *WindowedHistogram) Window() time.Duration {
 	return time.Duration(w.sliceNS * int64(len(w.slices)))
 }
 
+// Slot returns the number of the time slice holding instant t: a
+// caller that derives something from the window once per slice compares
+// slots.
+func (w *WindowedHistogram) Slot(t time.Time) int64 { return t.UnixNano() / w.sliceNS }
+
 // Observe records one duration d that ended at end into end's time
 // slice, unless that slice already holds a newer slot.
 func (w *WindowedHistogram) Observe(end time.Time, d time.Duration) {
 	if w == nil {
 		return
 	}
-	slot := end.UnixNano() / w.sliceNS
+	slot := w.Slot(end)
 	s := &w.slices[int(slot)%len(w.slices)]
 	if s.admit(slot, s.h.reset) {
 		s.h.Observe(d)
@@ -165,7 +170,7 @@ func (w *WindowedHistogram) SnapshotAt(now time.Time) WindowSnapshot {
 	if w == nil {
 		return WindowSnapshot{}
 	}
-	nowSlot := now.UnixNano() / w.sliceNS
+	nowSlot := w.Slot(now)
 	out := WindowSnapshot{Window: w.Window()}
 	minSlot := nowSlot - int64(len(w.slices)) + 1
 	for i := range w.slices {

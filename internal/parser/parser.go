@@ -350,12 +350,10 @@ func (p *parser) parseAttrName() (ast.Term, error) {
 		return ast.Const{Value: object.Str(p.text(p.next()))}, nil
 	case lex.VAR:
 		return ast.Var{Name: p.text(p.next())}, nil
-	case lex.INT:
-		// Numeric attribute names arise when data become metadata; keep
-		// them as string atoms, matching how the update evaluator names
-		// attributes.
-		return ast.Const{Value: object.Str(p.text(p.next()))}, nil
 	default:
+		// A numeric name is written quoted (`."5"`), as it prints: a
+		// bare number after a dot would read as a float (`.5`) to the
+		// lexer but as a name here.
 		return nil, p.errorf("expected attribute name, found %s", p.found())
 	}
 }
@@ -369,7 +367,7 @@ func (p *parser) parseSuffix() (ast.Expr, error) {
 		// expression. A dot not followed by a name is the paper's
 		// sentence-final period; leave it for the statement level.
 		switch p.peekKind(1) {
-		case lex.IDENT, lex.STRING, lex.VAR, lex.INT:
+		case lex.IDENT, lex.STRING, lex.VAR:
 		default:
 			return ast.Epsilon{}, nil
 		}

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"testing"
 
 	"idl/internal/ast"
@@ -366,6 +367,9 @@ func TestParseErrors(t *testing.T) {
 		{"? X", "parse error at 1:4: expected comparison operator in constraint, found EOF"},
 		{"?.x.y(.a=1) extra", "parse error at 1:13: expected ';' or end of input, found identifier \"extra\""},
 		{"?.x.y(.a+<5)", "parse error at 1:10: expected '(', '=' or '.' after update sign, found <"},
+		// A numeric attribute name is quoted (TestNumericAttributeNames).
+		{"?.db.r(. 5=X)", "parse error at 1:10: expected attribute name, found integer \"5\""},
+		{"?.db.r. 5", "parse error at 1:7: expected ';' or end of input, found ."},
 		{"@?", "parse error at 1:1: unexpected character '@'"},
 		{"?.x.y(.a=1)) ; ?.z", "parse error at 1:12: expected ';' or end of input, found )"},
 
@@ -514,5 +518,37 @@ func TestRoundTrip(t *testing.T) {
 		if st2.String() != printed {
 			t.Errorf("round-trip not stable:\n src: %s\n  p1: %s\n  p2: %s", src, printed, st2.String())
 		}
+	}
+}
+
+// TestNumericAttributeNames pins the one rule for a numeric attribute
+// name (LANGUAGE.md §1): it is written quoted, `."5"`, and prints so; a
+// bare number after a dot is never a name — `.5` lexes as the float
+// 0.5, and `. 5` is a parse error (TestParseErrors).
+func TestNumericAttributeNames(t *testing.T) {
+	q, err := ParseQuery(`?.db.r(."5"=X)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q.String(); got != `?.db.r(."5"=X)` {
+		t.Errorf(`."5" prints as %q`, got)
+	}
+	var names []string
+	ast.Walk(q.Body, func(e ast.Expr) bool {
+		if a, ok := e.(*ast.AttrExpr); ok {
+			n, _ := ast.ConstName(a.Name)
+			names = append(names, n)
+		}
+		return true
+	})
+	if fmt.Sprint(names) != "[db r 5]" {
+		t.Errorf(`?.db.r(."5"=X) names attributes %q`, names)
+	}
+	q, err = ParseQuery(`?.db.r(.5=X)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q.String(); got != `?.db.r(0.5 = X)` {
+		t.Errorf(".5 reads as %q, want the float constraint", got)
 	}
 }

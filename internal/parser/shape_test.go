@@ -94,9 +94,9 @@ func TestShapeHitBindsOwnLiterals(t *testing.T) {
 	mustShape(t, &tab, "?.r(.a=2, .b=3, .c=X), X < 4", true)
 }
 
-// TestShapeStructuralLiterals: a quoted or numeric attribute name (`. 5`;
-// `.5` lexes as a float) is a literal token but not a literal:
-// statements that differ in one must not share an answer.
+// TestShapeStructuralLiterals: a quoted attribute name (`."x"`, or a
+// numeric one, `."5"`) is a literal token but not a literal: statements
+// that differ in one must not share an answer.
 func TestShapeStructuralLiterals(t *testing.T) {
 	var tab Shapes
 	x := mustShape(t, &tab, `?.a."x"`, false)
@@ -109,9 +109,9 @@ func TestShapeStructuralLiterals(t *testing.T) {
 	}
 	mustShape(t, &tab, `?.a."y"`, true)
 	mustShape(t, &tab, `?.a."x"`, false) // replaced by ."y"'s entry
-	mustShape(t, &tab, `?.r(. 5=X, .a=1)`, false)
-	mustShape(t, &tab, `?.r(. 5=X, .a=2)`, true)
-	mustShape(t, &tab, `?.r(. 6=X, .a=2)`, false)
+	mustShape(t, &tab, `?.r(."5"=X, .a=1)`, false)
+	mustShape(t, &tab, `?.r(."5"=X, .a=2)`, true)
+	mustShape(t, &tab, `?.r(."6"=X, .a=2)`, false)
 }
 
 // TestShapeNegativeLiterals: a unary minus folds into its number on
