@@ -485,8 +485,10 @@ const (
 	// element the op scans.
 	maxAllocsPerElement = 0.25
 	maxAllocsPerEval    = 128
-	// B4: one full materialisation of the stock views.
-	maxMaterializeAllocs = 15000
+	// B4: one full materialisation of the stock views (5 592 measured
+	// once derived facts are built over precomputed tuple layouts,
+	// DESIGN.md §22).
+	maxMaterializeAllocs = 6000
 	// B13/query at every worker count: a 1 920-element self-join, whose
 	// workers each bring their own set-up.
 	maxParallelQueryAllocs = 400

@@ -25,7 +25,7 @@
 #      B18's commits are in flight (DESIGN.md §17); a B18 incremental-checkpoint ratio
 #      of at most 0.25; and the evaluator's allocation ceilings
 #      (DESIGN.md §19: B1/B3/B8 128 per evaluation plus 0.25 per scanned
-#      element, B4 15 000 per materialisation, B13/query 400 at any
+#      element, B4 6 000 per materialisation (§22), B13/query 400 at any
 #      worker count). Time floors, which sleeps and fsync bound rather
 #      than CPU: a B13 sync-family speedup of at least 1.5× at four
 #      workers (DESIGN.md §10) and a B15 group-commit amortization of at
