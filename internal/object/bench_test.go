@@ -103,3 +103,42 @@ func BenchmarkJSONRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTupleBuild prices building a tuple of n attributes one Put at
+// a time and with NewTupleOf, then hashing it as a set insertion does:
+// over interned layouts, past the arity bound (n=100), and with a full
+// table ("full/"), where every list the table lacks builds a private
+// layout.
+func BenchmarkTupleBuild(b *testing.B) {
+	attrs := make([]string, 100)
+	vals := make([]Object, len(attrs))
+	for i := range attrs {
+		attrs[i], vals[i] = fmt.Sprintf("stk%03d", i), Int(i)
+	}
+	build := func(b *testing.B, n int) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t := NewTuple()
+			for k, a := range attrs[:n] {
+				t.Put(a, vals[k])
+			}
+			_ = t.Hash()
+		}
+	}
+	of := func(b *testing.B, n int) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = NewTupleOf(attrs[:n], vals[:n]).Hash()
+		}
+	}
+	for _, n := range []int{3, 8, 100} {
+		b.Run(fmt.Sprintf("put/n=%d", n), func(b *testing.B) { build(b, n) })
+		b.Run(fmt.Sprintf("of/n=%d", n), func(b *testing.B) { of(b, n) })
+	}
+	freshLayoutTable(b)
+	fillLayoutTable()
+	for _, n := range []int{3, 8} {
+		b.Run(fmt.Sprintf("full/put/n=%d", n), func(b *testing.B) { build(b, n) })
+		b.Run(fmt.Sprintf("full/of/n=%d", n), func(b *testing.B) { of(b, n) })
+	}
+}
