@@ -56,8 +56,10 @@ import (
 // interpreted family (speedup is compile ÷ cached); schema 11 dropped
 // B4's naive arm (one view engine, no rule-iteration mode); schema 12
 // added B8/point/two-keys, the index_candidates counter and B14's
-// resident plans (plans keyed by statement shape).
-const reportSchema = 12
+// resident plans (plans keyed by statement shape); schema 13 dropped
+// B14's prepared family (a prepared statement reads through the plan
+// cache, as the cached family does).
+const reportSchema = 13
 
 // Benchmark is one measured benchmark in the report.
 type Benchmark struct {
@@ -97,19 +99,18 @@ type ParallelSpeedup struct {
 }
 
 // PlanCacheSummary is the B14 summary: the same repeated point-query
-// batch evaluated cold-compiled (a plan per run, cache off), cached (the
-// epoch-keyed plan cache) and prepared (DB.Prepare once, execute many).
+// batch evaluated cold-compiled (a plan per run, cache off) and cached
+// (the epoch-keyed plan cache).
 // Speedup is the headline ratio compile ÷ cached; HitRate is the cached
 // family's plan-cache hit fraction over the measured runs, and
 // ResidentPlans the plans its cache holds at the end: the batch's 24
 // queries are literal variants of one shape, so one.
 type PlanCacheSummary struct {
-	CompileNsPerOp  int64   `json:"compile_ns_per_op"`
-	CachedNsPerOp   int64   `json:"cached_ns_per_op"`
-	PreparedNsPerOp int64   `json:"prepared_ns_per_op"`
-	HitRate         float64 `json:"hit_rate"` // hits ÷ (hits + misses)
-	Speedup         float64 `json:"speedup"`  // compile ÷ cached
-	ResidentPlans   int     `json:"resident_plans"`
+	CompileNsPerOp int64   `json:"compile_ns_per_op"`
+	CachedNsPerOp  int64   `json:"cached_ns_per_op"`
+	HitRate        float64 `json:"hit_rate"` // hits ÷ (hits + misses)
+	Speedup        float64 `json:"speedup"`  // compile ÷ cached
+	ResidentPlans  int     `json:"resident_plans"`
 }
 
 // WALSummary is the B15 result: the durability tax on the commit path,
@@ -233,9 +234,9 @@ func main() {
 	fmt.Printf("%-40s query=%.2fx sync=%.2fx at 4 workers (cpus=%d gomaxprocs=%d)\n",
 		"B13/parallel-speedup", rep.Parallel.QuerySpeedup4, rep.Parallel.SyncSpeedup4,
 		rep.Parallel.NumCPU, rep.Parallel.GoMaxProcs)
-	fmt.Printf("%-40s %.2fx cached over compile, hit rate %.3f, %d plan(s) (compile=%dns cached=%dns prepared=%dns)\n",
+	fmt.Printf("%-40s %.2fx cached over compile, hit rate %.3f, %d plan(s) (compile=%dns cached=%dns)\n",
 		"B14/plan-cache-speedup", rep.PlanCache.Speedup, rep.PlanCache.HitRate, rep.PlanCache.ResidentPlans,
-		rep.PlanCache.CompileNsPerOp, rep.PlanCache.CachedNsPerOp, rep.PlanCache.PreparedNsPerOp)
+		rep.PlanCache.CompileNsPerOp, rep.PlanCache.CachedNsPerOp)
 	fmt.Printf("%-40s group-amortize=%.2fx (exec off=%dns sync=%dns group=%dns)\n",
 		"B15/wal-commit", rep.WAL.GroupAmortization,
 		rep.WAL.ExecOffNsPerOp, rep.WAL.ExecSyncNsPerOp, rep.WAL.ExecGroupNsPerOp)
@@ -400,7 +401,7 @@ func validateReport(rep *Report) error {
 		return fmt.Errorf("parallel speedup not measured")
 	}
 	pc := rep.PlanCache
-	if pc.CompileNsPerOp <= 0 || pc.CachedNsPerOp <= 0 || pc.PreparedNsPerOp <= 0 {
+	if pc.CompileNsPerOp <= 0 || pc.CachedNsPerOp <= 0 {
 		return fmt.Errorf("plan-cache families not measured")
 	}
 	if pc.HitRate < minPlanCacheHit {
@@ -925,10 +926,9 @@ func runAll(short bool) *Report {
 
 	// B14: plan caching on a repeated-query workload. One op runs a fixed
 	// batch of selective point queries (index probes, cheap execution, so
-	// planning work is a visible fraction) in three families: compile
+	// planning work is a visible fraction) in two families: compile
 	// builds a fresh plan per evaluation with the cache off, cached reuses
-	// epoch-validated plans, prepared compiles once via Engine.Prepare and
-	// only revalidates. All three answer byte-identically (the difftest
+	// epoch-validated plans. Both answer byte-identically (the difftest
 	// grid pins that); this measures what the reuse is worth.
 	{
 		// Three days keeps each probe's result tiny, so per-query planning
@@ -965,34 +965,15 @@ func runAll(short bool) *Report {
 			e, _ := engineFor(b14cfg, fam.opts())
 			arms = append(arms, arm{"B14/plancache/" + fam.name, e, func() { runBatch(e) }})
 		}
-		{
-			e, _ := engineFor(b14cfg, core.DefaultOptions())
-			pqs := make([]*core.PreparedQuery, batch)
-			for i, q := range parsed {
-				pq, err := e.Prepare(q)
-				if err != nil {
-					panic(err)
-				}
-				pqs[i] = pq
-			}
-			arms = append(arms, arm{"B14/plancache/prepared", e, func() {
-				for _, pq := range pqs {
-					if _, err := pq.Query(); err != nil {
-						panic(err)
-					}
-				}
-			}})
-		}
 		bs := measure(short, arms...)
 		add(bs...)
 		st := arms[1].e.PlanCacheStats()
 		rep.PlanCache = PlanCacheSummary{
-			CompileNsPerOp:  bs[0].NsPerOp,
-			CachedNsPerOp:   bs[1].NsPerOp,
-			PreparedNsPerOp: bs[2].NsPerOp,
-			HitRate:         float64(st.Hits) / float64(max(st.Hits+st.Misses, 1)),
-			Speedup:         float64(bs[0].NsPerOp) / float64(bs[1].NsPerOp),
-			ResidentPlans:   st.Size,
+			CompileNsPerOp: bs[0].NsPerOp,
+			CachedNsPerOp:  bs[1].NsPerOp,
+			HitRate:        float64(st.Hits) / float64(max(st.Hits+st.Misses, 1)),
+			Speedup:        float64(bs[0].NsPerOp) / float64(bs[1].NsPerOp),
+			ResidentPlans:  st.Size,
 		}
 	}
 

@@ -18,7 +18,7 @@ func report(benches map[string]int64) *Report {
 		Parallel:  ParallelSpeedup{NumCPU: 1, GoMaxProcs: 1, QuerySpeedup4: 1.0, SyncSpeedup4: 2.8},
 		PlanCache: PlanCacheSummary{
 			CompileNsPerOp: 160, CachedNsPerOp: 100,
-			PreparedNsPerOp: 95, HitRate: 0.99, Speedup: 1.6, ResidentPlans: 1,
+			HitRate: 0.99, Speedup: 1.6, ResidentPlans: 1,
 		},
 		WAL: WALSummary{
 			ExecOffNsPerOp: 200, ExecSyncNsPerOp: 900, ExecGroupNsPerOp: 400,

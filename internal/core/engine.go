@@ -95,8 +95,8 @@ type Engine struct {
 	regs atomic.Pointer[programRegistry]
 
 	// epoch counts catalog changes: every mutation of the universe or
-	// the rule set bumps it (markDirty). Plans and prepared queries
-	// validated at the current epoch are fresh.
+	// the rule set bumps it (markDirty). Plans validated at the current
+	// epoch are fresh.
 	epoch uint64
 	// plans is the epoch-keyed compiled-plan cache, under planMu so the
 	// lock-free read path can consult it.
@@ -396,35 +396,31 @@ func (e *Engine) Query(q *ast.Query) (*Answer, error) {
 // cache unless caching is off; the answer's Plan field reports the cache
 // outcome.
 func (e *Engine) QueryCtx(ctx context.Context, q *ast.Query) (*Answer, error) {
-	ans, _, err := e.ReadCtx(ctx, q, nil, false)
+	if e.IsUpdate(q) {
+		return nil, errUpdateRead
+	}
+	ans, _, err := e.read(ctx, shapeOf(q), readQuery)
 	return ans, err
 }
 
-// ReadCtx runs prepared query p (prepared on e), or q when p is nil, on
-// the QueryCtx path. With withPlan it also returns the static plan of
-// the plan that answered — a logged read's plan digest — so observing a
-// read neither compiles nor looks up another plan.
-func (e *Engine) ReadCtx(ctx context.Context, q *ast.Query, p *PreparedQuery, withPlan bool) (*Answer, *Explain, error) {
-	if p != nil {
-		return e.read(ctx, stmtShape{}, p, readKindFor(withPlan))
-	}
-	if e.IsUpdate(q) {
-		return nil, nil, errUpdateRead
-	}
-	return e.read(ctx, shapeOf(q), nil, readKindFor(withPlan))
-}
-
-// ReadShapeCtx is ReadCtx for a statement whose shape is already known:
-// q is a tree of the statement's shape, fp its ast.FingerprintLits hash
+// ReadShapeCtx runs a statement of a known shape on the QueryCtx path: q
+// is a tree of the statement's shape, fp its ast.FingerprintLits hash
 // and lits the statement's own literals in that walk's order. The
 // facade's shape table passes the shape's representative, which carries
 // another statement's literal values: a plan compiled from q lifts them
-// into slots, and the read binds lits into those slots.
+// into slots, and the read binds lits into those slots. With withPlan
+// it also returns the static plan of the plan that answered — a logged
+// read's plan digest — so observing a read neither compiles nor looks
+// up another plan.
 func (e *Engine) ReadShapeCtx(ctx context.Context, q *ast.Query, fp uint64, lits []object.Object, withPlan bool) (*Answer, *Explain, error) {
 	if e.IsUpdate(q) {
 		return nil, nil, errUpdateRead
 	}
-	return e.read(ctx, stmtShape{q: q, fp: fp, lits: lits}, nil, readKindFor(withPlan))
+	kind := readQuery
+	if withPlan {
+		kind = readPlanned
+	}
+	return e.read(ctx, stmtShape{q: q, fp: fp, lits: lits}, kind)
 }
 
 var errUpdateRead = errors.New("core: query is an update request; use Execute")
@@ -439,23 +435,15 @@ const (
 	readAnalyze                 // evaluate it measured; report it with actuals
 )
 
-// readKindFor is a query read's kind: with or without its static plan.
-func readKindFor(withPlan bool) readKind {
-	if withPlan {
-		return readPlanned
-	}
-	return readQuery
-}
-
-// read is the one read path, shared by ad hoc and prepared queries (p
-// non-nil, s ignored), EXPLAIN and EXPLAIN ANALYZE: pin a version, run.
+// read is the one read path, shared by queries, EXPLAIN and EXPLAIN
+// ANALYZE: pin a version, run.
 // Reads are snapshot-isolated: the query pins the newest committed
 // version of the effective universe (version.go) and evaluates against it
 // without holding the engine mutex, so concurrent queries share the
 // machine instead of a lock queue — traced, logged or explained. Only
 // the first read after a mutation takes the mutex, inside pin, to
 // refresh and freeze the version it and the readers behind it evaluate.
-func (e *Engine) read(ctx context.Context, s stmtShape, p *PreparedQuery, kind readKind) (*Answer, *Explain, error) {
+func (e *Engine) read(ctx context.Context, s stmtShape, kind readKind) (*Answer, *Explain, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -465,7 +453,7 @@ func (e *Engine) read(ctx context.Context, s stmtShape, p *PreparedQuery, kind r
 		return nil, nil, err
 	}
 	defer v.unpin()
-	ans, x, err := e.runQuery(cctx, ctx, s, p, v.readView, kind)
+	ans, x, err := e.runQuery(cctx, ctx, s, v.readView, kind)
 	if ans != nil {
 		ans.Resources.FixpointRounds = rounds
 	}
@@ -487,9 +475,8 @@ type readView struct {
 }
 
 // runQuery runs a pure query's plan against a pinned version's view,
-// with no engine lock held. A prepared query (p non-nil) revalidates its
-// own plan; otherwise the plan comes from the plan cache, or is compiled
-// cold under NoPlanCache. Either way the read binds its own statement's
+// with no engine lock held. The plan comes from the plan cache, or is
+// compiled cold under NoPlanCache, and the read binds its own statement's
 // literals into the plan's literal slots (bind) and executes the plan's
 // own AST: every evaluation of one plan walks identical pointers, so
 // statements of one shape enumerate identically whether they hit or miss
@@ -498,17 +485,9 @@ type readView struct {
 // is individually synchronized: the plan cache under planMu, each set's
 // memo of indexes and statistics (object.Set.Probe, Stats), the tracer's
 // ring, and the aggregate counters under statsMu.
-func (e *Engine) runQuery(cctx context.Context, ctx context.Context, s stmtShape, p *PreparedQuery, rv readView, kind readKind) (*Answer, *Explain, error) {
-	var pl *queryPlan
-	var state string
-	lits := s.lits
-	if p != nil {
-		pl, state = p.revalidate(rv.eff, rv.epoch, rv.em)
-		lits = p.lits
-	} else {
-		pl, state = e.planFor(s.q, s.key(rv.opts), rv, kind == readExplain)
-	}
-	an := pl.an.bind(lits)
+func (e *Engine) runQuery(cctx context.Context, ctx context.Context, s stmtShape, rv readView, kind readKind) (*Answer, *Explain, error) {
+	pl, state := e.planFor(s.q, s.key(rv.opts), rv, kind == readExplain)
+	an := pl.an.bind(s.lits)
 	var x *Explain
 	var order []ast.Expr
 	if kind != readQuery {

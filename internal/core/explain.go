@@ -103,7 +103,7 @@ func (e *Engine) ExplainQuery(q *ast.Query) (*Explain, error) {
 	if e.IsUpdate(q) {
 		return nil, fmt.Errorf("core: cannot explain an update request")
 	}
-	_, plan, err := e.read(context.Background(), shapeOf(q), nil, readExplain)
+	_, plan, err := e.read(context.Background(), shapeOf(q), readExplain)
 	return plan, err
 }
 
@@ -115,7 +115,7 @@ func (e *Engine) ExplainAnalyzeQuery(ctx context.Context, q *ast.Query) (*Explai
 	if e.IsUpdate(q) {
 		return nil, nil, fmt.Errorf("core: cannot explain an update request")
 	}
-	ans, plan, err := e.read(ctx, shapeOf(q), nil, readAnalyze)
+	ans, plan, err := e.read(ctx, shapeOf(q), readAnalyze)
 	return plan, ans, err
 }
 

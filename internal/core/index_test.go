@@ -131,7 +131,7 @@ func TestIndexBuiltOnceOnSharedSnapshot(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				ans, _, err := e.runQuery(nil, context.Background(), shapeOf(probe), nil, v.readView, readQuery)
+				ans, _, err := e.runQuery(nil, context.Background(), shapeOf(probe), v.readView, readQuery)
 				if err != nil || ans.String() != "P\n73" {
 					t.Errorf("pinned probe: %v, %v", ans, err)
 				}

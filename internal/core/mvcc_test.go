@@ -37,7 +37,7 @@ func pinnedAnswer(t testing.TB, e *Engine, v *version, src string) string {
 		t.Fatalf("parse %q: %v", src, err)
 	}
 	ctx := context.Background()
-	ans, _, err := e.runQuery(cancellable(ctx), ctx, shapeOf(query), nil, v.readView, readQuery)
+	ans, _, err := e.runQuery(cancellable(ctx), ctx, shapeOf(query), v.readView, readQuery)
 	if err != nil {
 		t.Fatalf("snapshot query %q: %v", src, err)
 	}

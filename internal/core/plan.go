@@ -1,9 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
-	"sync"
 	"time"
 
 	"idl/internal/ast"
@@ -213,7 +210,9 @@ func (e *Engine) fits(pl *queryPlan, eff *object.Tuple, epoch uint64) string {
 
 // planFor returns a plan for q, consulting the fingerprint-keyed cache
 // unless caching is disabled, plus the cache outcome ("hit", "stale",
-// "miss", "cold"). rv is a pinned version's view. The cache is guarded by
+// "miss", "cold"). A cached plan is reused whenever its schedule fits
+// the read's snapshot ("hit" or "stale"); otherwise a fresh one is
+// compiled ("miss"). rv is a pinned version's view. The cache is guarded by
 // e.planMu, not e.mu, so readers share it without contending with
 // writers on the engine mutex. A peek (EXPLAIN) takes the plan a read
 // would run without counting the lookup, restamping the plan or caching
@@ -231,25 +230,35 @@ func (e *Engine) planFor(q *ast.Query, key planKey, rv readView, peek bool) (*qu
 		}
 		return e.compilePlan(q, eff, key, epoch, nil), "miss"
 	}
-	pl, state, keep := e.reuse(e.plans.get(key, true), q, eff, key, epoch, em)
-	if state == "miss" {
-		e.planMisses++
-		if em != nil {
-			em.planCacheMiss.Inc()
-		}
-	} else {
-		e.planHits++
-		if em != nil {
-			em.planCacheHit.Inc()
+	cur := e.plans.get(key, true)
+	if cur != nil {
+		if state := e.fits(cur, eff, epoch); state != "" {
+			// A stale plan is restamped upward only, so a reader pinned to
+			// an older snapshot never drags a fresher plan's stamp back.
+			if state == "stale" && epoch > cur.epoch {
+				cur.epoch = epoch
+			}
+			e.planHits++
+			if em != nil {
+				em.planCacheHit.Inc()
+			}
+			return cur, state
 		}
 	}
-	if keep && e.plans.put(key, pl) {
+	pl := e.compilePlan(q, eff, key, epoch, em)
+	e.planMisses++
+	if em != nil {
+		em.planCacheMiss.Inc()
+	}
+	// A plan compiled for an older pinned snapshot does not evict one
+	// stamped for a newer universe.
+	if (cur == nil || epoch > cur.epoch) && e.plans.put(key, pl) {
 		e.planEvictions++
 		if em != nil {
 			em.planCacheEvict.Inc()
 		}
 	}
-	return pl, state
+	return pl, "miss"
 }
 
 // stmtShape is what a read needs of its statement to find a plan and
@@ -272,26 +281,6 @@ func shapeOf(q *ast.Query) stmtShape {
 // key keys the shape's plan under the options that change compilation.
 func (s stmtShape) key(opts Options) planKey {
 	return planKey{fp: s.fp, useIndex: opts.UseIndex, noSchedule: opts.NoSchedule}
-}
-
-// reuse is the one hit / stale / recompile step, shared by the plan cache
-// and prepared queries; callers hold the lock that guards cur. cur (nil =
-// none) is reused whenever its schedule fits eff ("hit" or "stale"). A
-// stale plan is re-stamped upward only, so a reader pinned to an older
-// snapshot never drags a fresher plan's stamp backwards. Otherwise a
-// fresh plan is compiled ("miss"), and keep reports whether it replaces
-// cur: not when cur is stamped for a newer universe than this pinned
-// snapshot, whose private plan must not evict the fresher one.
-func (e *Engine) reuse(cur *queryPlan, q *ast.Query, eff *object.Tuple, key planKey, epoch uint64, em *engineMetrics) (pl *queryPlan, state string, keep bool) {
-	if cur != nil {
-		if state = e.fits(cur, eff, epoch); state != "" {
-			if state == "stale" && epoch > cur.epoch {
-				cur.epoch = epoch
-			}
-			return cur, state, false
-		}
-	}
-	return e.compilePlan(q, eff, key, epoch, em), "miss", cur == nil || epoch > cur.epoch
 }
 
 // estimateConjunct estimates the rows one top-level conjunct enumerates,
@@ -423,66 +412,4 @@ func staticGroundEq(c ast.Expr) (string, bool) {
 		return "", false
 	}
 	return attr, true
-}
-
-// ---------------------------------------------------------------------------
-// Prepared queries
-
-// PreparedQuery is a query compiled once and executable many times. Each
-// execution checks the plan's schedule against the snapshot it reads
-// (recompiling when a write flipped its rank order), and names always
-// resolve against that snapshot, so a prepared query never returns stale
-// answers — preparation only amortizes parsing-free analysis, never
-// correctness. Executions are safe for concurrent use: like ad-hoc
-// queries they pin the MVCC head snapshot and evaluate lock-free; the
-// prepared plan itself is guarded by a small private mutex (held only
-// around revalidation, never during evaluation).
-type PreparedQuery struct {
-	e    *Engine
-	lits []object.Object // the statement's literals, bound on every execution
-	mu   sync.Mutex      // guards pl: revalidation may restamp or replace it
-	pl   *queryPlan
-}
-
-// Prepare compiles a query into a reusable plan against the version a
-// read would pin. The plan is private to the returned PreparedQuery (it
-// does not populate the shared cache).
-func (e *Engine) Prepare(q *ast.Query) (*PreparedQuery, error) {
-	if e.IsUpdate(q) {
-		return nil, fmt.Errorf("core: cannot prepare an update request; use Execute")
-	}
-	v, _, err := e.pin(nil)
-	if err != nil {
-		return nil, err
-	}
-	defer v.unpin()
-	s := shapeOf(q)
-	return &PreparedQuery{e: e, lits: s.lits, pl: e.compilePlan(q, v.eff, s.key(v.opts), v.epoch, v.em)}, nil
-}
-
-// Query executes the prepared plan against the current universe.
-func (p *PreparedQuery) Query() (*Answer, error) {
-	return p.QueryCtx(context.Background())
-}
-
-// revalidate brings the prepared plan up to date against eff at epoch and
-// returns the plan to execute plus its cache outcome. A plan stamped for
-// a newer universe whose schedule does not fit an older pinned snapshot
-// is left untouched, and a throwaway plan is compiled for that snapshot.
-func (p *PreparedQuery) revalidate(eff *object.Tuple, epoch uint64, em *engineMetrics) (*queryPlan, string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pl, state, keep := p.e.reuse(p.pl, p.pl.q, eff, p.pl.key, epoch, em)
-	if keep {
-		p.pl = pl
-	}
-	return pl, state
-}
-
-// QueryCtx executes the prepared plan under a context, on the same read
-// path as Engine.QueryCtx. A plan whose rank order a write flipped is
-// recompiled in place first.
-func (p *PreparedQuery) QueryCtx(ctx context.Context) (*Answer, error) {
-	ans, _, err := p.e.ReadCtx(ctx, nil, p, false)
-	return ans, err
 }

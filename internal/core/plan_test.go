@@ -13,9 +13,8 @@ import (
 )
 
 // Planner and plan-cache unit tests (DESIGN.md §11): fingerprint
-// stability, hit/stale/miss/cold outcomes, LRU bounds, prepared-query
-// freshness, and the per-relation index-cache invalidation the planner
-// work rides on.
+// stability, hit/stale/miss/cold outcomes, LRU bounds, and the
+// per-relation index-cache invalidation the planner work rides on.
 
 func mustParse(t testing.TB, src string) *ast.Query {
 	t.Helper()
@@ -209,62 +208,6 @@ func TestClearPlanCache(t *testing.T) {
 	}
 }
 
-// TestPreparedQueryStaysFresh pins a prepared plan across writes: every
-// execution answers the current data, a one-conjunct plan is reused as it
-// is, and a two-conjunct plan recompiles only when a write flips its rank
-// order.
-func TestPreparedQueryStaysFresh(t *testing.T) {
-	e := newStockEngine(t)
-	prepare := func(src string) *PreparedQuery {
-		t.Helper()
-		pq, err := e.Prepare(mustParse(t, src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pq
-	}
-	run := func(pq *PreparedQuery) *Answer {
-		t.Helper()
-		ans, err := pq.Query()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ans
-	}
-	pq := prepare("?.euter.r(.stkCode=hp, .clsPrice=P)")
-	if ans := run(pq); ans.Len() != 3 || ans.Plan.Cache != "hit" {
-		t.Fatalf("first prepared run: %d rows outcome %q, want 3 rows / hit", ans.Len(), ans.Plan.Cache)
-	}
-
-	// Mutating the queried relation must be visible on the next execution
-	// with the plan as it is. A read of the same shape with another
-	// literal in between leaves the prepared statement's own literal in
-	// place.
-	q(t, e, "?.euter.r(.stkCode=ibm, .clsPrice=P)")
-	exec(t, e, "?.euter.r+(.date=3/9/85, .stkCode=hp, .clsPrice=70)")
-	if ans := run(pq); ans.String() != "P\n50\n55\n62\n70" || ans.Plan.Cache != "hit" {
-		t.Fatalf("after relevant update: %q outcome %q, want hp's four prices / hit", ans, ans.Plan.Cache)
-	}
-	exec(t, e, "?.ource.hp+(.date=3/9/85, .clsPrice=70)")
-	if ans := run(pq); ans.Plan.Cache != "hit" {
-		t.Fatalf("after unrelated update: outcome %q, want hit", ans.Plan.Cache)
-	}
-
-	// The join of TestPlanCacheOutcomes: chwab.r first on the 3-3 tie.
-	join := prepare("?.chwab.r(.date=D, .hp=P), .ource.ibm(.date=D, .clsPrice=Q)")
-	exec(t, e, "?.ource.ibm+(.date=3/4/85, .clsPrice=170)")
-	if ans := run(join); ans.Plan.Cache != "stale" || ans.Len() != 3 {
-		t.Fatalf("after an order-keeping update: outcome %q, %d rows, want stale and 3", ans.Plan.Cache, ans.Len())
-	}
-	exec(t, e, "?.chwab.r+(.date=3/4/85, .hp=70, .ibm=170, .sun=200), .chwab.r+(.date=3/5/85, .hp=71, .ibm=171, .sun=201)")
-	if ans := run(join); ans.Plan.Cache != "miss" || ans.Len() != 4 {
-		t.Fatalf("after an order-flipping update: outcome %q, %d rows, want miss and 4", ans.Plan.Cache, ans.Len())
-	}
-	if ans := run(join); ans.Plan.Cache != "hit" {
-		t.Fatalf("recompiled prepared plan: outcome %q, want hit", ans.Plan.Cache)
-	}
-}
-
 // planPair is a cached engine and a cold one (NoPlanCache) over the same
 // data, written in step: the cold engine's answer, raw row order
 // included, and its EXPLAIN are what a reused plan must reproduce.
@@ -383,13 +326,6 @@ func TestRankFlipRecompiles(t *testing.T) {
 	}
 	if kept.Row(1).Get("D") != kept.Row(0).Get("D") || flipped.Row(1).Get("E") != flipped.Row(0).Get("E") {
 		t.Fatalf("schedules do not show in the row order:\nbefore\n%s\nafter\n%s", rawRows(kept), rawRows(flipped))
-	}
-}
-
-func TestPrepareRejectsUpdates(t *testing.T) {
-	e := newStockEngine(t)
-	if _, err := e.Prepare(mustParse(t, "?.euter.r+(.date=3/9/85, .stkCode=hp, .clsPrice=70)")); err == nil {
-		t.Fatal("Prepare accepted an update request")
 	}
 }
 

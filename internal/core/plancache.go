@@ -133,8 +133,8 @@ func (e *Engine) SetPlanCaching(on bool) {
 }
 
 // Epoch returns the catalog epoch: a counter bumped on every change to
-// the universe or the rule set. Plans and prepared queries checked at the
-// current epoch are reused without re-ranking.
+// the universe or the rule set. Plans checked at the current epoch are
+// reused without re-ranking.
 func (e *Engine) Epoch() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()

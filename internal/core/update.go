@@ -198,7 +198,8 @@ func (u *updater) execAttr(x *ast.AttrExpr, obj object.Object, sl slot) error {
 	if !ok {
 		return fmt.Errorf("core: attribute expression %q applied to %s object", x.String(), obj.Kind())
 	}
-	names, enumerated, err := u.resolveAttrNames(x, tup)
+	var one [1]string
+	names, enumerated, err := u.resolveAttrNames(x, tup, &one)
 	if err != nil {
 		return err
 	}
@@ -341,22 +342,25 @@ func purelyAdditive(e ast.Expr) bool {
 // resolveAttrNames determines which attribute(s) an AttrExpr addresses:
 // a constant name, a bound variable's value, or — for an unbound variable
 // — every attribute of the tuple (the paper's delStk-without-stock
-// wildcard semantics, §7.1).
-func (u *updater) resolveAttrNames(x *ast.AttrExpr, tup *object.Tuple) (names []string, enumerated bool, err error) {
+// wildcard semantics, §7.1). A single name is returned in one, which the
+// caller owns; an enumeration is a copy of the tuple's attribute list.
+func (u *updater) resolveAttrNames(x *ast.AttrExpr, tup *object.Tuple, one *[1]string) (names []string, enumerated bool, err error) {
 	switch name := x.Name.(type) {
 	case ast.Const:
 		s, ok := name.Value.(object.Str)
 		if !ok {
 			return nil, false, fmt.Errorf("core: attribute name %s is not a string", name.Value)
 		}
-		return []string{string(s)}, false, nil
+		one[0] = string(s)
+		return one[:], false, nil
 	case ast.Var:
 		if bound, ok := u.ev.env.Lookup(name.Slot); ok {
 			s, ok := bound.(object.Str)
 			if !ok {
 				return nil, false, fmt.Errorf("core: attribute variable %s bound to non-string %s", name.Name, bound)
 			}
-			return []string{string(s)}, false, nil
+			one[0] = string(s)
+			return one[:], false, nil
 		}
 		return append([]string(nil), tup.Attrs()...), true, nil
 	default:

@@ -135,7 +135,7 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	// Digest accounting: the query digests' call counts must sum to the
 	// number of evaluating statements the engine saw (server requests
-	// minus the prepare calls, which compile without evaluating).
+	// minus the prepare calls, which parse without evaluating).
 	digests, err := db.Statements()
 	if err != nil {
 		t.Fatalf("statements: %v", err)

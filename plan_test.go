@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"idl/internal/qlog"
@@ -171,6 +173,156 @@ func TestPrepareAPI(t *testing.T) {
 	}
 	if _, err := db.Prepare("?.euter.r+(.date=3/9/85, .stkCode=hp, .clsPrice=70)"); err == nil {
 		t.Fatal("Prepare accepted an update request")
+	}
+}
+
+// prepared prepares src on db.
+func prepared(t *testing.T, db *DB, src string) *Prepared {
+	t.Helper()
+	p, err := db.Prepare(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// runPrepared executes p.
+func runPrepared(t *testing.T, p *Prepared) *Result {
+	t.Helper()
+	ans, err := p.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans
+}
+
+// mustExec runs an update request on db.
+func mustExec(t *testing.T, db *DB, src string) {
+	t.Helper()
+	if _, err := db.Exec(src); err != nil {
+		t.Fatalf("exec %q: %v", src, err)
+	}
+}
+
+// TestPreparedQueryStaysFresh pins a prepared statement across writes:
+// every execution answers the current data, a one-conjunct plan is reused
+// as it is, and a two-conjunct plan recompiles only when a write flips
+// its rank order. A prepared statement reads through the shared plan
+// cache: Prepare compiles nothing, so the first execution of a shape
+// nothing has read yet compiles it ("miss").
+func TestPreparedQueryStaysFresh(t *testing.T) {
+	db := Open()
+	seedStocks(t, db)
+	pq := prepared(t, db, "?.euter.r(.stkCode=hp, .clsPrice=P)")
+	if ans := runPrepared(t, pq); ans.Len() != 3 || ans.Plan.Cache != "miss" {
+		t.Fatalf("first prepared run: %d rows outcome %q, want 3 rows / miss", ans.Len(), ans.Plan.Cache)
+	}
+
+	// Mutating the queried relation must be visible on the next execution
+	// with the plan as it is. A read of the same shape with another
+	// literal in between runs the prepared statement's plan and leaves its
+	// own literal in place.
+	if got := planCacheOutcome(t, db, "?.euter.r(.stkCode=ibm, .clsPrice=P)"); got != "hit" {
+		t.Fatalf("sibling read: outcome %q, want hit on the prepared statement's plan", got)
+	}
+	mustExec(t, db, "?.euter.r+(.date=3/9/85, .stkCode=hp, .clsPrice=70)")
+	if ans := runPrepared(t, pq); ans.String() != "P\n50\n55\n62\n70" || ans.Plan.Cache != "hit" {
+		t.Fatalf("after relevant update: %q outcome %q, want hp's four prices / hit", ans, ans.Plan.Cache)
+	}
+	mustExec(t, db, "?.ource.hp+(.date=3/9/85, .clsPrice=70)")
+	if ans := runPrepared(t, pq); ans.Plan.Cache != "hit" {
+		t.Fatalf("after unrelated update: outcome %q, want hit", ans.Plan.Cache)
+	}
+
+	// The join of TestPlanCacheOutcomes: chwab.r first on the 3-3 tie.
+	// Its first execution compiles the plan the writes below check.
+	join := prepared(t, db, "?.chwab.r(.date=D, .hp=P), .ource.ibm(.date=D, .clsPrice=Q)")
+	if ans := runPrepared(t, join); ans.Plan.Cache != "miss" || ans.Len() != 3 {
+		t.Fatalf("first join run: outcome %q, %d rows, want miss and 3", ans.Plan.Cache, ans.Len())
+	}
+	mustExec(t, db, "?.ource.ibm+(.date=3/4/85, .clsPrice=170)")
+	if ans := runPrepared(t, join); ans.Plan.Cache != "stale" || ans.Len() != 3 {
+		t.Fatalf("after an order-keeping update: outcome %q, %d rows, want stale and 3", ans.Plan.Cache, ans.Len())
+	}
+	mustExec(t, db, "?.chwab.r+(.date=3/4/85, .hp=70, .ibm=170, .sun=200), .chwab.r+(.date=3/5/85, .hp=71, .ibm=171, .sun=201)")
+	if ans := runPrepared(t, join); ans.Plan.Cache != "miss" || ans.Len() != 4 {
+		t.Fatalf("after an order-flipping update: outcome %q, %d rows, want miss and 4", ans.Plan.Cache, ans.Len())
+	}
+	if ans := runPrepared(t, join); ans.Plan.Cache != "hit" {
+		t.Fatalf("recompiled prepared plan: outcome %q, want hit", ans.Plan.Cache)
+	}
+}
+
+func TestPrepareRejectsUpdates(t *testing.T) {
+	db := Open()
+	seedStocks(t, db)
+	const src = "?.euter.r+(.date=3/9/85, .stkCode=hp, .clsPrice=70)"
+	if _, err := db.Prepare(src); err == nil || !strings.Contains(err.Error(), "is an update request; use Exec") {
+		t.Fatalf("Prepare(%q): %v, want an update-request error", src, err)
+	}
+}
+
+// TestPreparedSharesShapePlan: a prepared statement is its shape with its
+// own literals pinned. It shares one plan and one shape-table entry with
+// the ad hoc reads of its shape, recompiles once after the plan cache is
+// cleared, keeps answering with its own literals after the table has let
+// its shape go, and compiles per execution with the cache off.
+func TestPreparedSharesShapePlan(t *testing.T) {
+	const src = "?.euter.r(.stkCode=S, .clsPrice>200)"
+	const sun = "S\nsun"
+	db := Open()
+	seedStocks(t, db)
+	misses := db.shapes.Misses()
+	p := prepared(t, db, src)
+	if ans := runPrepared(t, p); ans.String() != sun {
+		t.Fatalf("prepared run: %q, want %q", ans, sun)
+	}
+	for _, sib := range []string{"?.euter.r(.stkCode=S, .clsPrice>100)", "?.euter.r(.stkCode=S, .clsPrice>150)"} {
+		if got := planCacheOutcome(t, db, sib); got != "hit" {
+			t.Fatalf("%s: outcome %q, want hit", sib, got)
+		}
+	}
+	if st := db.PlanCacheStats(); st.Size != 1 {
+		t.Fatalf("prepared and ad hoc reads of one shape hold %d plans, want 1", st.Size)
+	}
+	if n := db.shapes.Misses() - misses; n != 1 {
+		t.Fatalf("prepared and ad hoc reads of one shape parsed %d times, want 1", n)
+	}
+
+	db.ClearPlanCache()
+	for _, want := range []string{"miss", "hit"} {
+		if ans := runPrepared(t, p); ans.String() != sun || ans.Plan.Cache != want {
+			t.Fatalf("after ClearPlanCache: %q outcome %q, want %q / %s", ans, ans.Plan.Cache, sun, want)
+		}
+	}
+
+	// Parse distinct shapes until a sibling of src misses the table: its
+	// shape was displaced. Parsing stores a shape and runs nothing.
+	const sibling = "?.euter.r(.stkCode=S, .clsPrice>100)"
+	for round := 0; shapeHit(t, db, sibling); round++ {
+		if round == 64 {
+			t.Fatal("shape never displaced from the table")
+		}
+		for i := range 1024 {
+			if _, err := db.shapes.Parse(fmt.Sprintf("?.euter.r(.a%d_%d=P)", round, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if ans := runPrepared(t, p); ans.String() != sun {
+		t.Fatalf("prepared run after its shape left the table: %q, want %q", ans, sun)
+	}
+	if p.Text() != src {
+		t.Fatalf("prepared text %q, want %q", p.Text(), src)
+	}
+
+	// With the cache off it compiles on every execution, like an ad hoc
+	// read.
+	db.SetPlanCaching(false)
+	for range 2 {
+		if ans := runPrepared(t, p); ans.String() != sun || ans.Plan.Cache != "cold" {
+			t.Fatalf("uncached prepared run: %q outcome %q, want %q / cold", ans, ans.Plan.Cache, sun)
+		}
 	}
 }
 

@@ -3,16 +3,17 @@ package idl
 import (
 	"context"
 
-	"idl/internal/ast"
 	"idl/internal/core"
 	"idl/internal/parser"
 )
 
-// Compiled query plans. Every Query/QueryCtx already runs through the
-// engine's epoch-keyed plan cache — repeated statements reuse their
-// compiled plan automatically. Prepare makes the compile-once contract
-// explicit: the returned Prepared holds a private plan that skips even
-// the cache lookup, and each execution checks its schedule against the
+// Compiled query plans. Every read runs through the engine's
+// epoch-keyed plan cache, keyed by statement shape: statements that
+// differ only in their literals share one plan (DESIGN.md §11). Prepare
+// binds a statement once: the returned Prepared holds the statement's
+// shape (DESIGN.md §20) with its own literals pinned, and each execution
+// is the read an ad hoc query of that shape makes, minus the lexing —
+// the same plan-cache lookup, and the same schedule check against the
 // snapshot it reads, so prepared answers are always as fresh as ad hoc
 // ones.
 
@@ -47,45 +48,42 @@ func (db *DB) SetPlanCaching(on bool) { db.engine.SetPlanCaching(on) }
 // re-ranked, and recompiled only when its rank order flipped.
 func (db *DB) CatalogEpoch() uint64 { return db.engine.Epoch() }
 
-// Prepared is a query compiled once by DB.Prepare and executable many
-// times. It is safe for concurrent use with other DB operations; each
-// execution synchronizes on the engine like an ad hoc query.
+// Prepared is a read-only statement bound once by DB.Prepare and
+// executable many times. It holds the statement's shape, so it keeps
+// answering with its own literals after the shape table has let the
+// shape go; its plan lives in the DB's plan cache like an ad hoc read's.
+// It is safe for concurrent use with other DB operations; each execution
+// synchronizes on the engine like an ad hoc query.
 type Prepared struct {
 	db *DB
-	q  *ast.Query
-	pq *core.PreparedQuery
+	st parser.Stmt
 }
 
-// Prepare parses and compiles a read-only query for repeated execution.
-// Update requests, program calls included, are rejected — preparation is
-// for the query side only.
+// Prepare parses a read-only query for repeated execution, storing its
+// shape in the DB's shape table. Update requests, program calls
+// included, are rejected — preparation is for the query side only.
 func (db *DB) Prepare(src string) (*Prepared, error) {
-	q, err := parser.ParseQuery(src)
+	st, err := db.shapes.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.readOnly(src, q); err != nil {
+	if err := db.readOnly(src, st.Query); err != nil {
 		return nil, err
 	}
-	pq, err := db.engine.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{db: db, q: q, pq: pq}, nil
+	return &Prepared{db: db, st: st}, nil
 }
 
 // Text returns the canonical rendering of the prepared statement.
-func (p *Prepared) Text() string { return p.q.String() }
+func (p *Prepared) Text() string { return p.st.String() }
 
-// Query executes the prepared plan against the current universe.
+// Query executes the prepared statement against the current universe.
 func (p *Prepared) Query() (*Result, error) {
 	return p.QueryCtx(context.Background())
 }
 
-// QueryCtx is Query under a context. The execution takes the same path
-// as an ad hoc query — member sync, flight-recorder op, degradation
-// report — except that planning reuses the prepared plan (re-ranking or
-// recompiling it when the catalog epoch moved).
+// QueryCtx is Query under a context. The execution takes the path of an
+// ad hoc query of the statement — member sync, flight-recorder op, plan
+// cache, degradation report — with the statement already bound.
 func (p *Prepared) QueryCtx(ctx context.Context) (*Result, error) {
-	return p.db.query(ctx, parser.Stmt{Query: p.q}, p.pq)
+	return p.db.query(ctx, p.st)
 }

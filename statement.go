@@ -254,26 +254,30 @@ func (db *DB) QueryCtx(ctx context.Context, src string) (*Result, error) {
 	if err := db.readOnly(src, st.Query); err != nil {
 		return nil, err
 	}
-	return db.query(ctx, st, nil)
+	return db.query(ctx, st)
 }
 
-// query runs one read-only statement — one with a shape (QueryCtx's), a
-// script's, or a prepared one (p non-nil): sync member snapshots under
-// the configured failure mode, evaluate, and let finish attach the
-// degradation report (with skipped conjuncts) when members were
-// unreachable. A logged read also hands back the static plan
-// it ran, and its event's plan digest is that plan's: nothing else is
-// looked up or compiled for it.
-func (db *DB) query(ctx context.Context, st parser.Stmt, p *core.PreparedQuery) (*Result, error) {
+// query runs one read-only statement — one with a shape (QueryCtx's and
+// Prepare's), or a script's: sync member snapshots under the configured
+// failure mode, evaluate, and let finish attach the degradation report
+// (with skipped conjuncts) when members were unreachable. A statement
+// without a shape is fingerprinted here, so every read enters the engine
+// the same way. A logged read also hands back the static plan it ran,
+// and its event's plan digest is that plan's: nothing else is looked up
+// or compiled for it.
+func (db *DB) query(ctx context.Context, st parser.Stmt) (*Result, error) {
 	o := db.begin(ctx, qlog.KindQuery, st)
 	var err error
 	if o.rep, err = db.syncSources(o.ctx, o.set.bestEffort); err == nil {
-		var plan *core.Explain
+		var fp uint64
+		lits := st.Lits
 		if st.Shape != nil {
-			o.ans, plan, err = db.engine.ReadShapeCtx(o.ctx, st.Query, st.Shape.Fingerprint(), st.Lits, o.rec.Logging())
+			fp = st.Shape.Fingerprint()
 		} else {
-			o.ans, plan, err = db.engine.ReadCtx(o.ctx, st.Query, p, o.rec.Logging())
+			fp, lits = ast.FingerprintLits(st.Query, nil)
 		}
+		var plan *core.Explain
+		o.ans, plan, err = db.engine.ReadShapeCtx(o.ctx, st.Query, fp, lits, o.rec.Logging())
 		if plan != nil {
 			o.rec.SetPlanDigest(plan.String())
 		}
@@ -537,7 +541,7 @@ func (db *DB) LoadCtx(ctx context.Context, src string) ([]*ScriptResult, error) 
 				}
 				out = append(out, &ScriptResult{Statement: s.String(), Kind: "exec", Exec: info})
 			} else {
-				ans, err := db.query(ctx, parser.Stmt{Query: s}, nil)
+				ans, err := db.query(ctx, parser.Stmt{Query: s})
 				if err != nil {
 					return out, fmt.Errorf("idl: query %q: %w", s.String(), err)
 				}
