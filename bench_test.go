@@ -12,6 +12,7 @@ package idl_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -560,6 +561,49 @@ func BenchmarkParallelSync(b *testing.B) {
 				if _, err := db.Sync(context.Background()); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// --- Scan shapes: the heavy higher-order reads of served.scan, embedded ---
+
+// BenchmarkScanShapes runs bench/'s seven served.scan shapes (bench/gen.go
+// ScanPool) against the engine alone, over a 30-stock × 60-day universe
+// with the unified and customized views materialized: one intention's
+// engine time per layout (scan.above.*) and the join, negation and view
+// scans, each with its allocations, without a server or a client. The
+// thresholds are the same price quantiles the served pool uses, so the
+// answers' sizes match it.
+func BenchmarkScanShapes(b *testing.B) {
+	e, ds := engineFor(b, stocks.Config{Stocks: 30, Days: 60, Seed: 1}, core.DefaultOptions())
+	for _, r := range append(append([]string{}, stocks.RulesUnified...), stocks.RulesCustomized...) {
+		addRuleB(b, e, r)
+	}
+	var prices []int
+	for _, series := range ds.Price {
+		prices = append(prices, series...)
+	}
+	slices.Sort(prices)
+	quantile := func(q float64) int { return prices[int(q*float64(len(prices)-1))] }
+	hi, mid := quantile(0.9), quantile(0.5)
+	for _, s := range []struct{ shape, src string }{
+		{"scan.above.euter", fmt.Sprintf("?.euter.r(.stkCode=S, .clsPrice>%d)", hi)},
+		{"scan.above.chwab", fmt.Sprintf("?.chwab.r(.S>%d)", hi)},
+		{"scan.above.ource", fmt.Sprintf("?.ource.S(.clsPrice>%d)", hi)},
+		{"scan.join", "?.chwab.r(.date=D, .S=P), .ource.S(.date=D, .clsPrice=P)"},
+		{"scan.highest", "?.euter.r(.date=D, .stkCode=S, .clsPrice=P), .euter.r~(.date=D, .clsPrice>P)"},
+		{"scan.unified", "?.dbI.p(.date=D, .stk=S, .price=P)"},
+		{"scan.dbO", fmt.Sprintf("?.dbO.S(.date=D, .clsPrice>%d)", mid)},
+	} {
+		q := parseQ(b, s.src)
+		if ans := runQuery(b, e, q); ans.Len() == 0 {
+			b.Fatalf("%s: empty answer", s.shape)
+		}
+		b.Run(s.shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runQuery(b, e, q)
 			}
 		})
 	}

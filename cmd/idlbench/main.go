@@ -173,7 +173,7 @@ type Report struct {
 // ceilings live with the arms (overheadArms); the evaluator's with
 // validateAllocs.
 const (
-	maxAllocGrowth   = 0.20 // -compare: tolerated fractional allocs/op growth (B9/maintenance/delta scatters 1 021–1 170 run to run; ns/op is printed, not gated)
+	maxAllocGrowth   = 0.20 // -compare: tolerated fractional allocs/op growth (ns/op is printed, not gated)
 	minPlanCacheHit  = 0.95 // B14 cached-family hit rate (0.997–0.9995 measured)
 	b14Shapes        = 1    // B14 cached-family resident plans: 24 literal variants of one shape
 	b8Days           = 60   // B8's trading days: B8/point/baseline's one-key probe returns one stock's every day
@@ -666,7 +666,7 @@ var overheadArms = []struct {
 	{"baseline", 0, func(string) *idl.DB { return quietDB(idl.Open()) }},
 	{"flightrec", 8, func(string) *idl.DB { return idl.Open() }},                                                           // +5: the default 256-event ring
 	{"metrics", 0, func(string) *idl.DB { db := quietDB(idl.Open()); db.Metrics(); return db }},                            // +0: windows and SLOs included
-	{"traced", 1100, func(string) *idl.DB { db := quietDB(idl.Open()); db.EnableTracing(4); return db }},                   // +988: per-conjunct spans
+	{"traced", 30, func(string) *idl.DB { db := quietDB(idl.Open()); db.EnableTracing(4); return db }},                     // +23: the span and one child per body conjunct
 	{"wal", 0, func(dir string) *idl.DB { return quietDB(openWAL(dir, idl.DurabilitySync)) }},                              // +0: reads never append
 	{"digests", 1, func(string) *idl.DB { db := quietDB(idl.Open()); db.EnableInsights(idl.InsightsConfig{}); return db }}, // +1
 	{"capture", 6, func(string) *idl.DB { // +3: every statement crosses the slow threshold
@@ -825,7 +825,11 @@ func runAll(short bool) *Report {
 	}
 
 	// B9: view maintenance after an additive update — by delta (the
-	// engine's refresh) vs from scratch (Invalidate forces it).
+	// engine's refresh) vs from scratch (Invalidate forces it). Each op
+	// deletes the stock it inserted once its read is done, so euter.r and
+	// the view are the same size at every op: the delta read maintains
+	// the previous op's delete and this op's insert, and allocs/op does
+	// not depend on how many ops the calibration chose.
 	for _, full := range []bool{false, true} {
 		e, _ := engineFor(stocks.Config{Stocks: n, Days: 30, Seed: 37}, core.DefaultOptions())
 		mustAddRules(e, ".dbI.p+(.date=D, .stk=S, .price=P) <- .euter.r(.date=D, .stkCode=S, .clsPrice=P)")
@@ -835,10 +839,7 @@ func runAll(short bool) *Report {
 		if full {
 			name = "B9/maintenance/full"
 		}
-		i := 0
-		add(measure(short, arm{name, e, func() {
-			src := fmt.Sprintf("?.euter.r+(.date=1/2/86, .stkCode=inc%06d, .clsPrice=%d)", i, i%100)
-			i++
+		exec := func(src string) {
 			q, err := parser.ParseQuery(src)
 			if err != nil {
 				panic(err)
@@ -846,10 +847,17 @@ func runAll(short bool) *Report {
 			if _, err := e.Execute(q); err != nil {
 				panic(err)
 			}
+		}
+		i := 0
+		add(measure(short, arm{name, e, func() {
+			stock := fmt.Sprintf("inc%06d", i)
+			exec(fmt.Sprintf("?.euter.r+(.date=1/2/86, .stkCode=%s, .clsPrice=%d)", stock, i%100))
+			i++
 			if full {
 				e.Invalidate()
 			}
 			run(e)
+			exec(fmt.Sprintf("?.euter.r-(.date=1/2/86, .stkCode=%s)", stock))
 		}})...)
 	}
 

@@ -480,18 +480,17 @@ type readView struct {
 // literals into the plan's literal slots (bind) and executes the plan's
 // own AST: every evaluation of one plan walks identical pointers, so
 // statements of one shape enumerate identically whether they hit or miss
-// the cache, and a measured read — traced, or EXPLAIN ANALYZE — keys its
-// per-evaluation probes by the plan's conjuncts. Shared state it touches
-// is individually synchronized: the plan cache under planMu, each set's
-// memo of indexes and statistics (object.Set.Probe, Stats), the tracer's
-// ring, and the aggregate counters under statsMu.
+// the cache, and a measured read — traced, or EXPLAIN ANALYZE — runs the
+// plan's own programs with one probe per step of the body's. Shared state
+// it touches is individually synchronized: the plan cache under planMu,
+// each set's memo of indexes and statistics (object.Set.Probe, Stats), the
+// tracer's ring, and the aggregate counters under statsMu.
 func (e *Engine) runQuery(cctx context.Context, ctx context.Context, s stmtShape, rv readView, kind readKind) (*Answer, *Explain, error) {
 	pl, state := e.planFor(s.q, s.key(rv.opts), rv, kind == readExplain)
 	an := pl.an.bind(s.lits)
 	var x *Explain
-	var order []ast.Expr
 	if kind != readQuery {
-		x, order = e.planQuery(an, rv)
+		x = e.planQuery(an, rv)
 		if kind == readExplain {
 			return nil, x, nil
 		}
@@ -510,7 +509,7 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, s stmtShape
 	if span != nil || kind == readAnalyze {
 		// Traced reads carry per-conjunct child spans, measured by the
 		// same probes EXPLAIN ANALYZE reports.
-		analyze = &analyzeState{probes: newProbes(an.body.Conjuncts)}
+		analyze = newAnalyze(an)
 	}
 	var local Stats
 	rows, err := e.collect(cctx, an, rv, &local, analyze)
@@ -525,7 +524,7 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, s stmtShape
 		return nil, nil, err
 	}
 	if kind == readAnalyze {
-		x.annotate(order, analyze.probes, rows.len(), time.Since(start))
+		x.annotate(analyze.probes, rows.len(), time.Since(start))
 	}
 	return &Answer{Vars: an.output(), rows: rows, Plan: planInfo(pl, state), Resources: resourcesFrom(local, rows.len())}, x, nil
 }
@@ -536,7 +535,7 @@ func endQuerySpan(span *obs.Span, rows int, local Stats, an *bodyAnalysis, analy
 	span.SetInt("rows", int64(rows))
 	span.SetInt("elements_scanned", int64(local.ElementsScanned))
 	span.SetInt("index_probes", int64(local.IndexProbes))
-	attachConjunctSpans(span, an, analyze.probes)
+	attachConjunctSpans(span, an, analyze)
 	span.End()
 }
 
@@ -785,14 +784,21 @@ func (e *Engine) newUpdater(stats *Stats, ctx context.Context, span *obs.Span) *
 // bodies, and view-update translations: classify each conjunct of the
 // compiled body as query / program call / update and process left →
 // right over the substitution bag — a row set over the body's whole
-// scope, seeded with the given parameter bindings.
+// scope, seeded with the given parameter bindings. Every row of the bag
+// binds the same slots, so the body's lists are scheduled once, for the
+// seed's signature (bodyAnalysis.request).
 func (e *Engine) execBody(an *bodyAnalysis, u *updater, params map[string]object.Object, active map[*compiledClause]bool) error {
+	seed := an.seed(params)
+	an = an.request(seed, func(c ast.Expr) bool {
+		_, _, ok := e.programCall(c)
+		return ok
+	}, u.ev.noSchedule)
 	caller := u.ev.unit
 	u.ev.unit = newUnit(an)
 	defer func() { u.ev.unit = caller }()
 	env := u.ev.env
 	envs := newRowSet(an.sc.size())
-	envs.add(an.seed(params))
+	envs.add(seed)
 	for _, conjunct := range an.body.Conjuncts {
 		if err := validateUpdateConjunct(conjunct); err != nil {
 			return err

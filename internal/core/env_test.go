@@ -136,9 +136,11 @@ func TestEnvBindPanics(t *testing.T) {
 // the shapes that extend and retract the substitution in nested ways —
 // negation (exists), a set re-entered once per outer element, self
 // joins, higher-order names, constraints that bind — and checks, at
-// every emitted row, that exactly the variables bound so far are bound,
-// and after the run (completed, stopped early, or failed) that the
-// substitution is empty again and every scheduler frame is released.
+// every emitted row, that every answer variable is bound, and after the
+// run (completed, stopped early, or failed) the two invariants a step
+// program keeps whatever way it leaves: the trail is empty, and no slot
+// but a literal's is still bound — single-valued steps run inline under
+// one mark per entry, so a leak there would show as both.
 func TestEvaluationRestoresSubstitution(t *testing.T) {
 	e := newStockEngine(t)
 	nested := object.NewTuple()
@@ -197,16 +199,6 @@ func TestEvaluationRestoresSubstitution(t *testing.T) {
 			for slot, v := range ev.env.all() {
 				if v != nil && an.sc.names[slot] != "" { // literal slots stay bound
 					t.Errorf("%s (stop %d): %s still bound to %v after the run", src, stopAfter, an.sc.names[slot], v)
-				}
-			}
-			for id, f := range ev.frames {
-				if f.next != nil && f.left != len(f.used) {
-					t.Errorf("%s (stop %d): frame %d not released (left=%d of %d)", src, stopAfter, id, f.left, len(f.used))
-				}
-				for _, u := range f.used {
-					if u {
-						t.Errorf("%s (stop %d): frame %d still marks a conjunct used", src, stopAfter, id)
-					}
 				}
 			}
 		}

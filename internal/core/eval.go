@@ -55,20 +55,48 @@ func statsDelta(before, after Stats) Stats {
 // conjunctProbe accumulates the runtime behaviour of one top-level query
 // conjunct during an ANALYZE (or traced) run: rows produced, evaluator
 // work, and self wall time (time inside the conjunct's enumeration minus
-// time spent in the downstream continuation).
+// time spent in the downstream continuation). It also holds the state of
+// the entry in progress — a body step is active at most once at a time —
+// so measuring allocates nothing per row.
 type conjunctProbe struct {
 	rows        uint64
 	selfTime    time.Duration
 	scanned     uint64
 	indexProbes uint64
+
+	ev         *evaluator
+	next       cont
+	childStats Stats
+	childTime  time.Duration
+	enter      cont // row, bound once
 }
 
-// analyzeState maps the top-level conjuncts under measurement to their
-// probes, keyed by expression identity. Only the conjuncts of the query
-// body are registered; nested tuple expressions miss the map and run
-// unprobed.
+// row is a measured conjunct's continuation: count the row, and time and
+// count the downstream work so the conjunct is not charged for it.
+func (p *conjunctProbe) row() error {
+	p.rows++
+	cb := *p.ev.stats
+	cs := time.Now()
+	err := p.next()
+	p.childTime += time.Since(cs)
+	p.childStats.add(statsDelta(cb, *p.ev.stats))
+	return err
+}
+
+// analyzeState measures the body's program: one probe per step, by step
+// position. Nested lists run unprobed.
 type analyzeState struct {
-	probes map[ast.Expr]*conjunctProbe
+	top    *program
+	probes []conjunctProbe
+}
+
+// newAnalyze returns the measurement state of one run of an's body.
+func newAnalyze(an *bodyAnalysis) *analyzeState {
+	top := an.top()
+	if top == nil {
+		return &analyzeState{}
+	}
+	return &analyzeState{top: top, probes: make([]conjunctProbe, len(top.steps))}
 }
 
 // evaluator carries one query evaluation: the substitution under
@@ -85,7 +113,7 @@ type evaluator struct {
 	ops uint64 // operations since the last ctx poll (amortizes ctx.Err)
 	// analyze, when non-nil, measures per-conjunct rows/work/self-time
 	// for EXPLAIN ANALYZE and traced queries. nil (the default) costs one
-	// pointer test per scheduled conjunct.
+	// pointer test per program entry.
 	analyze *analyzeState
 	// part, when non-nil, restricts this evaluator's first enumeration
 	// of one specific set to a chunk of its elements — the partitioned-
@@ -98,28 +126,25 @@ type evaluator struct {
 }
 
 // unit is the evaluator's state for the compiled unit it is running:
-// the compiled body, the substitution over its scope, and the scheduler
-// frames of its conjunct lists. An update request that invokes a program
-// swaps the callee clause's unit in and the caller's back (execBody);
-// query and rule-body evaluators keep one for life.
+// the compiled body with its step programs, the substitution over its
+// scope, the resume slots its programs run with, and the programs built
+// at entry for lists its schedule does not cover, by ID. An update request
+// that invokes a program swaps the callee clause's unit in and the
+// caller's back (execBody); query and rule-body evaluators keep one for
+// life.
 type unit struct {
-	// an supplies the scope and the cost ranks: an.body schedules
-	// cost-based — among runnable conjuncts the lowest rank runs, source
-	// order breaking ties — and every nested list in source order.
-	an  *bodyAnalysis
-	env *Env
-	// frames holds one reusable scheduler frame per conjunct list, by
-	// tuple ID; mask backs their used-masks.
-	frames []tupleFrame
-	mask   []bool
+	// an supplies the scope and the step programs (sched.go).
+	an    *bodyAnalysis
+	env   *Env
+	conts []resume
+	adhoc []*program
 }
 
 // newUnit returns the evaluation state for one run of a compiled unit.
 func newUnit(an *bodyAnalysis) unit {
 	u := unit{an: an, env: an.newEnv()}
-	if n := len(an.sc.tuples); n > 1 { // tuples[0] is the reserved ID
-		u.frames = make([]tupleFrame, n)
-		u.mask = make([]bool, an.sc.maskLen)
+	if an.conts > 0 {
+		u.conts = make([]resume, an.conts)
 	}
 	return u
 }
@@ -359,154 +384,19 @@ func (ev *evaluator) satisfyAttr(x *ast.AttrExpr, o object.Object, k cont) error
 	}
 }
 
-// satisfyTuple evaluates a conjunct list under one shared substitution.
-// Conjuncts are scheduled for safety: a conjunct whose "consumed"
-// variables (those it can only test, not bind — inequality operands,
-// arithmetic inputs, everything under negation) are not yet all bound is
-// deferred until some producing conjunct binds them. If nothing is
-// runnable the first deferred conjunct runs anyway — correct for
-// negation (its bindings are local) and a checked error for inequalities.
+// satisfyTuple evaluates a conjunct list under one shared substitution,
+// in the order its program fixed (sched.go).
 func (ev *evaluator) satisfyTuple(x *ast.TupleExpr, o object.Object, k cont) error {
-	switch len(x.Conjuncts) {
-	case 0:
+	if len(x.Conjuncts) == 0 {
 		return k()
-	case 1:
-		// Nothing to schedule: the one conjunct runs, safe or not.
-		if err := ev.checkCtx(); err != nil {
-			return err
-		}
-		return ev.satisfyConjunct(x.Conjuncts[0], o, k)
 	}
-	f := ev.frameFor(x)
-	f.o, f.k, f.left = o, k, len(x.Conjuncts)
-	return f.step()
-}
-
-// tupleFrame is the scheduler state of one conjunct list: which conjuncts
-// have run on the current path, the object and continuation of the
-// current entry, and the step continuation handed to each conjunct. A
-// resolved list owns one frame per evaluator, reused for every element
-// its enclosing set expression scans — entering a list allocates nothing.
-// Reuse is sound because resolved ASTs are trees: while a list is active
-// (between entry and its continuation returning) evaluation is either
-// inside one of its conjuncts or downstream of it, never back at the
-// same list.
-type tupleFrame struct {
-	ev       *evaluator
-	x        *ast.TupleExpr
-	consumed [][]int32
-	ranks    []float64 // nil: source order
-	used     []bool
-	left     int
-	o        object.Object
-	k        cont
-	next     cont // f.step, bound once
-}
-
-// frameFor returns x's frame, set up on first use. A list the unit's
-// scope does not know (the updater builds ad-hoc lists of a conjunct
-// list's query parts) gets a frame of its own.
-func (ev *evaluator) frameFor(x *ast.TupleExpr) *tupleFrame {
-	if x.ID == 0 {
-		f := &tupleFrame{ev: ev, x: x, consumed: ev.an.sc.consumedSlots(x.Conjuncts), used: make([]bool, len(x.Conjuncts))}
-		f.next = f.step
-		return f
+	if p := ev.program(x); p != nil {
+		return ev.run(p, 0, o, k)
 	}
-	f := &ev.frames[x.ID]
-	if f.next == nil {
-		info := &ev.an.sc.tuples[x.ID]
-		f.ev, f.x, f.consumed = ev, x, info.consumed
-		f.used = ev.mask[info.maskOff : info.maskOff+len(x.Conjuncts)]
-		if x == ev.an.body {
-			f.ranks = ev.an.ranks
-		}
-		f.next = f.step
-	}
-	return f
-}
-
-// step picks the next conjunct (pickConjunct; the choice can differ per
-// binding because boundness differs) and runs it depth-first with step
-// itself as continuation, undoing the used mask on backtrack.
-func (f *tupleFrame) step() error {
-	if f.left == 0 {
-		return f.k()
-	}
-	ev := f.ev
 	if err := ev.checkCtx(); err != nil {
 		return err
 	}
-	pick := pickConjunct(f.used, f.consumed, f.ranks, ev.env, ev.noSchedule)
-	f.used[pick] = true
-	f.left--
-	err := ev.satisfyConjunct(f.x.Conjuncts[pick], f.o, f.next)
-	f.left++
-	f.used[pick] = false
-	return err
-}
-
-// pickConjunct is the scheduler's one rule, which evaluation, EXPLAIN's
-// simulation (planQuery) and the parallel scan's first pick (scanTarget)
-// all call: among the conjuncts not yet used, noSchedule takes the first
-// in source order; otherwise a conjunct is runnable once env binds every
-// slot it consumes, and the runnable one of least rank runs (source order
-// breaking ties; plain source order without ranks) — ordering within the
-// safety constraints, never instead of them. When none is runnable the
-// first unused one runs anyway: negation evaluates with local bindings
-// (the paper's literal ∃σ reading), and an inequality raises UnsafeError
-// downstream. At least one conjunct must be unused.
-func pickConjunct(used []bool, consumed [][]int32, ranks []float64, env *Env, noSchedule bool) int {
-	pick, first := -1, -1
-	for idx, done := range used {
-		if done {
-			continue
-		}
-		if first < 0 {
-			first = idx
-			if noSchedule {
-				return idx
-			}
-		}
-		runnable := true
-		for _, slot := range consumed[idx] {
-			if !env.Bound(slot) {
-				runnable = false
-				break
-			}
-		}
-		if !runnable {
-			continue
-		}
-		if ranks == nil {
-			return idx
-		}
-		if pick < 0 || ranks[idx] < ranks[pick] {
-			pick = idx
-		}
-	}
-	if pick < 0 {
-		return first
-	}
-	return pick
-}
-
-// satisfyConjunct runs one scheduled conjunct, measured when an analyze
-// probe is registered for it.
-func (ev *evaluator) satisfyConjunct(c ast.Expr, o object.Object, k cont) error {
-	if p := ev.probeFor(c); p != nil {
-		return ev.satisfyProbed(p, c, o, k)
-	}
-	return ev.satisfy(c, o, k)
-}
-
-// probeFor returns the analyze probe registered for a conjunct, or nil —
-// the common case, and the only cost of ANALYZE support on unmeasured
-// evaluations.
-func (ev *evaluator) probeFor(c ast.Expr) *conjunctProbe {
-	if ev.analyze == nil {
-		return nil
-	}
-	return ev.analyze.probes[c]
+	return ev.satisfy(x.Conjuncts[0], o, k)
 }
 
 // satisfyProbed runs one measured conjunct: rows are counted at each
@@ -515,23 +405,17 @@ func (ev *evaluator) probeFor(c ast.Expr) *conjunctProbe {
 // inside the downstream continuation (which evaluates the remaining
 // conjuncts, themselves possibly probed) are subtracted out.
 func (ev *evaluator) satisfyProbed(p *conjunctProbe, c ast.Expr, o object.Object, next cont) error {
+	if p.enter == nil {
+		p.ev, p.enter = ev, p.row
+	}
+	p.next, p.childStats, p.childTime = next, Stats{}, 0
 	before := *ev.stats
-	var childStats Stats
-	var childTime time.Duration
 	start := time.Now()
-	err := ev.satisfy(c, o, func() error {
-		p.rows++
-		cb := *ev.stats
-		cs := time.Now()
-		err := next()
-		childTime += time.Since(cs)
-		childStats.add(statsDelta(cb, *ev.stats))
-		return err
-	})
-	p.selfTime += time.Since(start) - childTime
+	err := ev.satisfy(c, o, p.enter)
+	p.selfTime += time.Since(start) - p.childTime
 	d := statsDelta(before, *ev.stats)
-	p.scanned += d.ElementsScanned - childStats.ElementsScanned
-	p.indexProbes += d.IndexProbes - childStats.IndexProbes
+	p.scanned += d.ElementsScanned - p.childStats.ElementsScanned
+	p.indexProbes += d.IndexProbes - p.childStats.IndexProbes
 	return err
 }
 
@@ -605,6 +489,12 @@ func (ev *evaluator) satisfySet(x *ast.SetExpr, o object.Object, k cont) error {
 	if !ok {
 		return nil
 	}
+	// Every element enters x.X under the same substitution, so a conjunct
+	// list's program is found once per enumeration, not once per element.
+	var prog *program
+	if te, ok := x.X.(*ast.TupleExpr); ok && len(te.Conjuncts) > 0 {
+		prog = ev.program(te)
+	}
 	if p := ev.part; p != nil && !p.used && p.set == set {
 		// Partitioned scan: this worker's first encounter of the target
 		// set enumerates only its chunk. scanTarget guaranteed the
@@ -619,7 +509,7 @@ func (ev *evaluator) satisfySet(x *ast.SetExpr, o object.Object, k cont) error {
 			if err := ev.checkCtx(); err != nil {
 				return err
 			}
-			if err := ev.satisfy(x.X, elem, k); err != nil {
+			if err := ev.element(prog, x.X, elem, k); err != nil {
 				return err
 			}
 		}
@@ -633,7 +523,7 @@ func (ev *evaluator) satisfySet(x *ast.SetExpr, o object.Object, k cont) error {
 				if err := ev.checkCtx(); err != nil {
 					return err
 				}
-				if err := ev.satisfy(x.X, elem, k); err != nil {
+				if err := ev.element(prog, x.X, elem, k); err != nil {
 					return err
 				}
 			}
@@ -647,13 +537,22 @@ func (ev *evaluator) satisfySet(x *ast.SetExpr, o object.Object, k cont) error {
 			failure = err
 			return false
 		}
-		if err := ev.satisfy(x.X, elem, k); err != nil {
+		if err := ev.element(prog, x.X, elem, k); err != nil {
 			failure = err
 			return false
 		}
 		return true
 	})
 	return failure
+}
+
+// element satisfies a set expression's inner expression e on one of its
+// elements: through e's program when e is a conjunct list.
+func (ev *evaluator) element(prog *program, e ast.Expr, elem object.Object, k cont) error {
+	if prog != nil {
+		return ev.run(prog, 0, elem, k)
+	}
+	return ev.satisfy(e, elem, k)
 }
 
 // indexCandidates answers a set expression from the set's attribute

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -119,18 +118,16 @@ func (e *Engine) ExplainAnalyzeQuery(ctx context.Context, q *ast.Query) (*Explai
 	return plan, ans, err
 }
 
-// annotate attaches a measured run's actuals to the steps. order is the
-// step order planQuery returned: steps map to conjuncts by identity, so
-// runtime scheduling never misattributes actuals.
-func (x *Explain) annotate(order []ast.Expr, probes map[ast.Expr]*conjunctProbe, rows int, total time.Duration) {
-	for i, c := range order {
-		if p := probes[c]; p != nil {
-			x.Steps[i].Analyze = &StepActuals{
-				Rows:        p.rows,
-				Scanned:     p.scanned,
-				IndexProbes: p.indexProbes,
-				Time:        p.selfTime,
-			}
+// annotate attaches a measured run's actuals to the steps: the probes are
+// the body program's, by step, and so are the steps (planQuery).
+func (x *Explain) annotate(probes []conjunctProbe, rows int, total time.Duration) {
+	for i := range probes {
+		p := &probes[i]
+		x.Steps[i].Analyze = &StepActuals{
+			Rows:        p.rows,
+			Scanned:     p.scanned,
+			IndexProbes: p.indexProbes,
+			Time:        p.selfTime,
 		}
 	}
 	x.Analyzed = true
@@ -138,29 +135,26 @@ func (x *Explain) annotate(order []ast.Expr, probes map[ast.Expr]*conjunctProbe,
 	x.Total = total
 }
 
-// planQuery simulates the scheduler over a plan's body against a read
-// view, returning the static plan plus the scheduled conjuncts in step
-// order (the mapping ANALYZE uses to attach actuals). It runs the
-// evaluator's own rules on a substitution with the read's literals bound:
-// each step is picked by pickConjunct — with the plan's cost ranks and
-// the view's NoSchedule — and its access path is the index rule's answer
-// (accessPath); then the step's producer variables are bound to a
-// placeholder, so later steps see them bound as they will be at run time.
+// planQuery reports a plan's body against a read view: one step per step
+// of the body's program (sched.go), in the order evaluation runs them. A
+// step's access path is the index rule's answer (accessPath) under a
+// substitution with the read's literals bound and each earlier step's
+// producer variables bound to a placeholder, as they will be at run time.
 // A step's estimate is the view's own (estimateConjunct), not the rank
 // the plan carries: a reused plan may have been ranked on an older
 // version, with the same order. Steps render the read's own literals
 // (unlift): a shared plan was compiled for some statement of the same
 // shape, whose literals may differ.
-func (e *Engine) planQuery(an *bodyAnalysis, rv readView) (*Explain, []ast.Expr) {
-	conjuncts := an.body.Conjuncts
-	consumed := an.sc.consumedSlots(conjuncts)
+func (e *Engine) planQuery(an *bodyAnalysis, rv readView) *Explain {
 	env := an.newEnv()
-	used := make([]bool, len(conjuncts))
 	plan := &Explain{}
-	var order []ast.Expr
-	for range conjuncts {
-		idx := pickConjunct(used, consumed, an.ranks, env, rv.opts.NoSchedule)
-		c := conjuncts[idx]
+	top := an.top()
+	if top == nil {
+		return plan
+	}
+	last := -1 // the latest source position run so far
+	for _, st := range top.steps {
+		c := st.c
 		step := explainConjunct(c, consumedVars(c), rv, env)
 		step.Conjunct = unlift(c, env).String()
 		if an.ranks != nil {
@@ -175,17 +169,16 @@ func (e *Engine) planQuery(an *bodyAnalysis, rv readView) (*Explain, []ast.Expr)
 			}
 		}
 		// Deferred: a textually later conjunct ran first.
-		step.Deferred = slices.Contains(used[idx+1:], true)
-		used[idx] = true
+		step.Deferred = last > st.src
+		last = max(last, st.src)
 		plan.Steps = append(plan.Steps, step)
-		order = append(order, c)
 		for _, v := range step.Binds {
 			if slot := an.sc.lookup(v); !env.Bound(slot) {
 				env.Bind(slot, object.Int(0)) // an atom, as index keys are
 			}
 		}
 	}
-	return plan, order
+	return plan
 }
 
 // explainConjunct classifies one conjunct and resolves its access path

@@ -24,7 +24,9 @@ import (
 // runs the query around a write generated from the input and around its
 // undo, the cached engine reusing or recompiling the plan it left behind:
 // the two must answer in the same raw row order, not only the same
-// canonical rendering. This is the fuzzing arm of the differential layer —
+// canonical rendering. Every input also runs its plan's step programs
+// beside the reference scheduler (sched_ref_test.go): same raw rows, same
+// Stats, same error text. This is the fuzzing arm of the differential layer —
 // the table-driven equivalence tests in parallel_test.go pin known query
 // shapes, the fuzzer searches for shapes nobody thought to pin.
 //
@@ -105,6 +107,9 @@ func FuzzEvalQuery(f *testing.F) {
 		}
 		if len(q.Body.Conjuncts) > 3 {
 			t.Skip("too many conjuncts")
+		}
+		if d := queryOracle(t, oracle, q); d != "" {
+			t.Fatalf("step programs diverge from the reference scheduler for %q: %s", src, d)
 		}
 		sAns, sErr := oracle.Query(q)
 		for _, v := range variants {

@@ -536,12 +536,16 @@ func (m *maintainer) ruleDelta(r *compiledRule) (gained, lost [][]object.Object,
 	if err != nil {
 		return nil, nil, err
 	}
+	var check *bodyAnalysis
 	for i := 0; i < minus.len(); i++ {
 		row := minus.row(i)
 		if !table.has(row) || plus.find(row, hashRow(row)) >= 0 {
 			continue // never held, or derived from an added element
 		}
-		still, err := m.derivable(r, row)
+		if check == nil {
+			check = m.headBound(r, row)
+		}
+		still, err := m.derivable(check, row)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -584,13 +588,13 @@ func (m *maintainer) pass(r *compiledRule, rd *ruleRead, added bool) (*rowSet, e
 	m.du.Put(deltaDB, delta)
 	rv := readView{eff: m.du, opts: m.e.opts, em: m.e.em}
 	rv.opts.Workers = 0 // a delta is small
-	return m.collect(m.e.ranked(rd.body, m.du), rv)
+	return m.collect(m.e.ranked(rd.body, m.du, nil), rv)
 }
 
 // rerun evaluates r's body in full and diffs its rows against r's table,
 // which it then replaces: against an empty table, every row is gained.
 func (m *maintainer) rerun(r *compiledRule) (gained, lost [][]object.Object, err error) {
-	rows, err := m.collect(m.e.ranked(r.body, m.eff), readView{eff: m.eff, opts: m.e.opts, em: m.e.em})
+	rows, err := m.collect(m.e.ranked(r.body, m.eff, nil), readView{eff: m.eff, opts: m.e.opts, em: m.e.em})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -620,11 +624,24 @@ func (m *maintainer) collect(an *bodyAnalysis, rv readView) (*rowSet, error) {
 	return rows, err
 }
 
-// derivable reports whether r's body still derives row from the new
-// universe: the body evaluated with the head variables bound.
-func (m *maintainer) derivable(r *compiledRule, row []object.Object) (bool, error) {
+// headBound compiles r's body for derivable: ranked against the new
+// universe, and scheduled for an entry that binds the head variables row
+// binds. Every head row of one rule binds the same ones, and the
+// universe holds still while a rule's lost rows are checked, so one
+// compilation serves them all.
+func (m *maintainer) headBound(r *compiledRule, row []object.Object) *bodyAnalysis {
+	entry := make([]bool, 1+len(row))
+	for i, v := range row {
+		entry[1+i] = v != nil
+	}
+	return m.e.ranked(r.body, m.eff, entry)
+}
+
+// derivable reports whether a rule's body, compiled by headBound, still
+// derives row from the new universe: the body evaluated with the head
+// variables bound.
+func (m *maintainer) derivable(an *bodyAnalysis, row []object.Object) (bool, error) {
 	m.stats.RuleRows++
-	an := m.e.ranked(r.body, m.eff)
 	ev := newEvaluator(m.ctx, an, m.e.opts, &m.eval)
 	seed := make([]object.Object, an.sc.size())
 	copy(seed[1:], row)

@@ -323,6 +323,9 @@ func checkStream(t testing.TB, workers int, stmts []string) (deltas int) {
 				t.Fatalf("step %d %s: %s diverges\nmaintained:\n%s\nfrom scratch:\n%s", i, src, view, a, b)
 			}
 		}
+		if d := ruleOracle(t, e); d != "" {
+			t.Fatalf("step %d %s: step programs diverge from the reference scheduler: %s", i, src, d)
+		}
 	}
 	return deltas
 }
@@ -447,9 +450,11 @@ func TestDeltaWorkTracksDeltaNotData(t *testing.T) {
 }
 
 // FuzzViewMaintenance runs the stream generator on fuzzer-chosen
-// choices: every captured change must be maintained by delta, and the
+// choices: every captured change must be maintained by delta, the
 // maintained overlay must equal a fresh materialization after every
-// statement.
+// statement, and every rule body — in full and with its head bound, as
+// derivable runs it — must run its step programs exactly as the
+// reference scheduler runs it (sched_ref_test.go).
 func FuzzViewMaintenance(f *testing.F) {
 	for _, seed := range []string{"", "\x00\x01\x02\x03", "insStk-then-delete", "\x05\x05\x05\x09\x09\x0b\x0c",
 		// blk+(.x=1): walk's cycle 2 ⇄ 3 loses its entry.

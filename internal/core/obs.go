@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"idl/internal/ast"
 	"idl/internal/obs"
@@ -149,16 +150,18 @@ func annotateTraceID(span *obs.Span, ctx context.Context) {
 // spans, in source order. Durations are each conjunct's self time. Labels
 // render the read's own literals, not those of the statement its shared
 // plan was compiled for.
-func attachConjunctSpans(span *obs.Span, an *bodyAnalysis, probes map[ast.Expr]*conjunctProbe) {
+func attachConjunctSpans(span *obs.Span, an *bodyAnalysis, analyze *analyzeState) {
+	if analyze.top == nil {
+		return
+	}
 	var lits *Env
 	if len(an.sc.lits) > 0 {
 		lits = an.newEnv()
 	}
-	for _, c := range an.body.Conjuncts {
-		p := probes[c]
-		if p == nil {
-			continue
-		}
+	steps := analyze.top.steps
+	for src, c := range an.body.Conjuncts {
+		i := slices.IndexFunc(steps, func(st step) bool { return st.src == src })
+		p := &analyze.probes[i]
 		label := c
 		if lits != nil {
 			label = unlift(c, lits)
@@ -178,13 +181,4 @@ func conjunctLabel(c ast.Expr) string {
 		s = s[:57] + "..."
 	}
 	return s
-}
-
-// newProbes registers an analyze probe per top-level conjunct.
-func newProbes(conjuncts []ast.Expr) map[ast.Expr]*conjunctProbe {
-	probes := make(map[ast.Expr]*conjunctProbe, len(conjuncts))
-	for _, c := range conjuncts {
-		probes[c] = &conjunctProbe{}
-	}
-	return probes
 }

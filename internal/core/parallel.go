@@ -49,31 +49,19 @@ type partition struct {
 
 // scanTarget statically resolves the set that the first scheduled
 // conjunct of x will fully scan under env (the read's literals bound,
-// nothing else), by the evaluator's own rules: the scheduler's pick
-// (pickConjunct, with the cost ranks an carries for its body) and the
-// index rule (indexKeys). It returns nil when the first conjunct is not a
-// plain constant-path scan — a negation, a constraint, a variable
-// database or relation name, or a set expression the index would answer
-// (partitioning an index probe would change the candidate enumeration
-// order).
+// nothing else), by the evaluator's own rules: the first step of the
+// list's program (sched.go) and the index rule (indexKeys). It returns
+// nil when the first conjunct is not a plain constant-path scan — a
+// negation, a constraint, a variable database or relation name, or a set
+// expression the index would answer (partitioning an index probe would
+// change the candidate enumeration order).
 func scanTarget(x ast.Expr, o object.Object, an *bodyAnalysis, env *Env, opts Options) *object.Set {
 	switch expr := x.(type) {
 	case *ast.TupleExpr:
-		if len(expr.Conjuncts) == 0 {
+		if int(expr.ID) >= len(an.progs) || an.progs[expr.ID] == nil {
 			return nil
 		}
-		// A single conjunct is not scheduled (and its list has no ID).
-		pick := 0
-		if expr.ID != 0 {
-			var ranks []float64
-			if expr == an.body {
-				ranks = an.ranks
-			}
-			var buf [16]bool // the first pick's empty mask, kept off the heap
-			used := append(buf[:0], make([]bool, len(expr.Conjuncts))...)
-			pick = pickConjunct(used, an.sc.tuples[expr.ID].consumed, ranks, env, opts.NoSchedule)
-		}
-		return scanTarget(expr.Conjuncts[pick], o, an, env, opts)
+		return scanTarget(an.progs[expr.ID].steps[0].c, o, an, env, opts)
 
 	case *ast.AttrExpr:
 		if expr.Sign != ast.SignNone {

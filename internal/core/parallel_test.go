@@ -355,12 +355,12 @@ func TestScanTargetIsExplainStepOne(t *testing.T) {
 		s := shapeOf(tc.q)
 		key, lits := s.key(opts), s.lits
 		an := e.compilePlan(tc.q, eff, key, e.epoch, nil).an.bind(lits)
-		plan, order := e.planQuery(an, readView{eff: eff, opts: opts})
+		plan := e.planQuery(an, readView{eff: eff, opts: opts})
 		if got, want := plan.Steps[0].Conjunct, tc.q.Body.Conjuncts[tc.step1].String(); got != want {
 			t.Errorf("%s (NoSchedule %v): step 1 = %s, want %s", tc.q, tc.noSchedule, got, want)
 		}
 		got := scanTarget(an.body, eff, an, an.newEnv(), opts)
-		if want := relation(t, e, tc.db, tc.rel); got != want || got != scanTarget(order[0], eff, an, an.newEnv(), opts) {
+		if want := relation(t, e, tc.db, tc.rel); got != want || got != scanTarget(an.top().steps[0].c, eff, an, an.newEnv(), opts) {
 			t.Errorf("%s (NoSchedule %v): scanTarget is not %s.%s, the set step 1 reads", tc.q, tc.noSchedule, tc.db, tc.rel)
 		}
 	}

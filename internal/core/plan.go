@@ -14,12 +14,13 @@ import (
 // names — the evaluator resolves every name against the version its read
 // pinned — so a cached plan can never produce a wrong answer; the one
 // thing a plan fixes is its schedule, the order pickConjunct takes its
-// top-level conjuncts in, and that is all a later read checks (fits): a
+// top-level conjuncts in — compiled with every nested list's into step
+// programs (sched.go) — and that is all a later read checks (fits): a
 // plan with no choice to make is reused as it is ("hit"), and one with a
-// choice is re-ranked against the read's snapshot and kept while every
-// pair of its conjuncts is ordered as before ("stale"), so its
-// enumeration order stays byte-identical to a fresh compilation. Nor do
-// plans carry literals: a plan is keyed by its statement's shape
+// choice is re-ranked against the read's snapshot and kept, programs and
+// all, while every pair of its conjuncts is ordered as before ("stale"),
+// so its enumeration order stays byte-identical to a fresh compilation.
+// Nor do plans carry literals: a plan is keyed by its statement's shape
 // (ast.Fingerprint) and reads each value literal from a slot the read
 // binds (slots.go), and its ranks depend only on names and per-attribute
 // distinct counts, never on a literal's value — so a plan compiled for
@@ -35,8 +36,10 @@ const costHuge = 1e18
 // (slots.go) — the scope, the resolved copy of the AST the evaluator
 // walks, and with them the consumed-slot lists of every nested conjunct
 // list (safety) — plus cost ranks for the one conjunct list that
-// schedules cost-based, the top-level body; nested lists keep source
-// order. Evaluators (including parallel workers) share it read-only.
+// schedules cost-based, the top-level body (nested lists keep source
+// order), and the step programs that fix every list's order for one
+// entry signature (sched.go). Evaluators (including parallel workers)
+// share it read-only.
 type bodyAnalysis struct {
 	sc   *scope
 	body *ast.TupleExpr
@@ -44,13 +47,27 @@ type bodyAnalysis struct {
 	// variables (answer variables, head variables) 1..width.
 	width int
 	// ranks are the cost ranks of body's conjuncts; nil (a NoSchedule
-	// plan, and a rule before its first run of a materialization)
-	// schedules in source order.
+	// plan, and an update request's body) schedules in source order.
 	ranks []float64
+	// progs holds the step program of every list the schedule covers, by
+	// tuple ID; conts is how many resume slots they run with. nil until
+	// compiled (compiled, request): then every list is scheduled at
+	// entry.
+	progs []*program
+	conts int
 	// lits are the literals a query read binds into the scope's literal
 	// slots (sc.lits), its own statement's: set on a per-read copy
 	// (bind), never on the plan the cache shares.
 	lits []object.Object
+}
+
+// top returns the body's program, nil for an empty body or one not
+// compiled.
+func (an *bodyAnalysis) top() *program {
+	if int(an.body.ID) < len(an.progs) {
+		return an.progs[an.body.ID]
+	}
+	return nil
 }
 
 // bind returns the analysis a read of a statement with the given
@@ -105,18 +122,23 @@ func resolveUnit(output []string, body *ast.TupleExpr, lift bool) *bodyAnalysis 
 	return &bodyAnalysis{sc: sc, body: sc.resolveBody(body), width: len(output)}
 }
 
-// ranked pairs a resolved body with cost ranks for its top-level
-// conjuncts, computed against the given effective universe (rule bodies
-// reuse one resolution across materializations and rank per
-// materialization). Safe without e.mu when eff is an immutable snapshot
-// (statistics live in each set's memo).
-func (e *Engine) ranked(an *bodyAnalysis, eff *object.Tuple) *bodyAnalysis {
-	out := *an
-	out.ranks = make([]float64, len(an.body.Conjuncts))
+// ranked compiles a resolved rule body for one run: cost ranks for its
+// top-level conjuncts against the given effective universe, and its step
+// programs for an entry that binds the slots entry marks (nil: none). Rule
+// bodies reuse one resolution across materializations and rank per run.
+// Safe without e.mu when eff is an immutable snapshot (statistics live in
+// each set's memo).
+func (e *Engine) ranked(an *bodyAnalysis, eff *object.Tuple, entry []bool) *bodyAnalysis {
+	return an.compiled(rank(an, eff), entry, e.opts.NoSchedule)
+}
+
+// rank returns the cost ranks of an's top-level conjuncts against eff.
+func rank(an *bodyAnalysis, eff *object.Tuple) []float64 {
+	ranks := make([]float64, len(an.body.Conjuncts))
 	for i, c := range an.body.Conjuncts {
-		out.ranks[i] = estimateConjunct(c, eff)
+		ranks[i] = estimateConjunct(c, eff)
 	}
-	return &out
+	return ranks
 }
 
 // queryPlan is a compiled query: its own slot-resolved AST (cache hits
@@ -159,15 +181,18 @@ func planInfo(pl *queryPlan, state string) *PlanInfo {
 }
 
 // compilePlan builds a plan for q against the given effective universe,
-// stamped at the given epoch. A NoSchedule key compiles a rank-free plan:
-// the scheduler runs it strictly left to right. Safe without e.mu when
-// eff is an immutable snapshot.
+// stamped at the given epoch: its ranks and the step programs of a read,
+// which binds the literal slots and nothing else. A NoSchedule key
+// compiles a rank-free plan that runs strictly left to right. Safe
+// without e.mu when eff is an immutable snapshot.
 func (e *Engine) compilePlan(q *ast.Query, eff *object.Tuple, key planKey, epoch uint64, em *engineMetrics) *queryPlan {
 	start := time.Now()
 	an := resolveUnit(ast.PositiveVars(q.Body), q.Body, true)
+	var ranks []float64
 	if !key.noSchedule {
-		an = e.ranked(an, eff)
+		ranks = rank(an, eff)
 	}
+	an = an.compiled(ranks, nil, key.noSchedule)
 	pl := &queryPlan{
 		key:   key,
 		q:     &ast.Query{Body: an.body},

@@ -26,8 +26,8 @@ type compiledRule struct {
 	headVars []string
 	target   *headTarget
 	// body is the body slot-resolved once at registration, its output row
-	// the head variables; each run pairs it with fresh cost ranks
-	// (Engine.ranked).
+	// the head variables; each run pairs it with fresh cost ranks and the
+	// step programs they order (Engine.ranked).
 	body *bodyAnalysis
 	// reads are every universe read of the body, for view maintenance by
 	// delta (maintain.go).

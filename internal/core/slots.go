@@ -12,7 +12,7 @@ import (
 // every variable occurrence stamped with its slot and every tuple
 // expression with an ID, so evaluation reads and writes a substitution as
 // a slice indexed by slot and finds a conjunct list's safety analysis and
-// scheduler frame by ID — no name is hashed once the unit is compiled.
+// step program by ID — no name is hashed once the unit is compiled.
 // The copy is private to the unit (callers' trees are never written, so
 // they may be shared freely) and always a tree, whatever sharing the
 // source had.
@@ -33,11 +33,8 @@ type scope struct {
 	// happens only while compiling, over a handful of names.
 	names []string
 	// tuples holds, by ast.TupleExpr.ID, the safety analysis of every
-	// conjunct list that needs scheduling (two or more conjuncts).
+	// non-empty conjunct list.
 	tuples []tupleInfo
-	// maskLen is the total conjunct count over tuples: evaluators carve
-	// each frame's used-mask out of one allocation of this size.
-	maskLen int
 	// lift makes resolve give value-position constants slots; lits
 	// holds those slots in walk order. A literal slot has no name.
 	lift bool
@@ -48,8 +45,8 @@ type scope struct {
 type tupleInfo struct {
 	// consumed lists, per conjunct, the slots it can only test, not bind
 	// (see consumedVars); the scheduler defers it until all are bound.
+	// nil for a single conjunct, which has no choice to make.
 	consumed [][]int32
-	maskOff  int // where the list's used-mask starts in the evaluator's arena
 }
 
 // newScope returns a scope whose first slots are the given variables in
@@ -118,10 +115,13 @@ func (sc *scope) resolve(e ast.Expr) ast.Expr {
 		for i, c := range x.Conjuncts {
 			out.Conjuncts[i] = sc.resolve(c)
 		}
-		if len(out.Conjuncts) > 1 {
+		if len(out.Conjuncts) > 0 {
 			out.ID = int32(len(sc.tuples))
-			sc.tuples = append(sc.tuples, tupleInfo{consumed: sc.consumedSlots(out.Conjuncts), maskOff: sc.maskLen})
-			sc.maskLen += len(out.Conjuncts)
+			var info tupleInfo
+			if len(out.Conjuncts) > 1 {
+				info.consumed = sc.consumedSlots(out.Conjuncts)
+			}
+			sc.tuples = append(sc.tuples, info)
 		}
 		return out
 	default:

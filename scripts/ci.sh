@@ -14,7 +14,7 @@
 #      Count gates, which repeat run to run: every benchmark measured
 #      once; the overhead matrix (the E5 query through idl.DB.Query with
 #      one observer per arm) within its allocs/op ceilings over the
-#      baseline — flightrec +8, metrics +0, traced +1 100, wal +0,
+#      baseline — flightrec +8, metrics +0, traced +30, wal +0,
 #      digests +1, capture +6 (DESIGN.md §8–§9, §13–§15); a B14
 #      plan-cache hit rate of at least 0.95 and one resident plan for
 #      its 24 literal variants (DESIGN.md §11); B8's index candidates
