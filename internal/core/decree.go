@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"idl/internal/ast"
 	"idl/internal/object"
 )
 
@@ -38,19 +39,18 @@ import (
 // decree is one decree under construction, refilled for every head row:
 // a tuple decree's attributes in source order, or any other object.
 type decree struct {
-	attrs []string
-	vals  []object.Object
+	plusTuple
 	built *object.Tuple // a tuple decree that arrived built (a head variable bound to a tuple)
 	other object.Object // a decree that is not a tuple
 }
 
-// fill builds the element tmpl decrees under row into d.
-func (d *decree) fill(tmpl *elemTemplate, row []object.Object) error {
+// fill builds the element elem decrees under env into d.
+func (d *decree) fill(elem ast.Expr, env *Env) error {
 	d.attrs, d.vals, d.built, d.other = d.attrs[:0], d.vals[:0], nil, nil
-	if tmpl.kind == tmplTuple {
-		return tmpl.fill(d, row)
+	if isPlusTuple(elem) {
+		return d.put(elem, env)
 	}
-	obj, err := tmpl.build(row)
+	obj, err := buildPlus(elem, env, &d.plusTuple)
 	if err != nil {
 		return err
 	}
@@ -65,18 +65,6 @@ func (d *decree) fill(tmpl *elemTemplate, row []object.Object) error {
 	d.attrs = append(d.attrs, tup.Attrs()...)
 	d.vals = append(d.vals, tup.Values()...)
 	return nil
-}
-
-// Put implements attrPutter.
-func (d *decree) Put(attr string, val object.Object) {
-	for i, a := range d.attrs {
-		if a == attr {
-			d.vals[i] = val
-			return
-		}
-	}
-	d.attrs = append(d.attrs, attr)
-	d.vals = append(d.vals, val)
 }
 
 // hash is the decree's support hash: insensitive to attribute order, as

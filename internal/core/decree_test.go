@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"idl/internal/ast"
 	"idl/internal/object"
 	"idl/internal/parser"
 	"idl/internal/stocks"
@@ -211,67 +210,97 @@ func TestDecreeCandidatesScaleWithBucketNotSet(t *testing.T) {
 	}
 }
 
-// TestHeadTemplateMatchesBuildPlus pins the compiled element template to
-// the construction it compiles: for each head, the object the template
-// builds from a positional row must equal what updater.buildPlus builds
-// from the same bindings — or fail with the same error.
-func TestHeadTemplateMatchesBuildPlus(t *testing.T) {
-	bindings := map[string]object.Object{
-		"X": object.Int(4),
-		"Y": object.Float(2.5),
-		"A": object.Str("attr"),
-		"T": object.TupleOf("k", 1, "nested", object.SetOf(1, 2)),
-		"N": object.Int(7), // a number where a name is wanted
+// TestPlusBuildsForHeadsAndRequests pins §5.2's "+exp" construction
+// from both of its callers: each head below is made true by a view
+// refresh and, as a set plus, by an update request under the same
+// bindings, and both must build the relation recorded beside it or fail
+// with the error recorded there (a refresh names the failing rule in
+// front of it). A head's relation name is resolved by the head alone,
+// under its own wording; those heads run through a refresh only.
+func TestPlusBuildsForHeadsAndRequests(t *testing.T) {
+	const body = ".src.s(.x=X, .y=Y, .a=A, .n=N, .u~(=U)), .src.t(=T)"
+	engine := func() *Engine {
+		e := NewEngine()
+		src := object.NewTuple()
+		// U stays unbound: its attribute is null, which no `=U` matches.
+		src.Put("s", object.SetOf(object.TupleOf("x", 4, "y", 2.5, "a", "attr", "n", 7, "u", object.Null{})))
+		src.Put("t", object.SetOf(object.TupleOf("k", 1, "nested", object.SetOf(1, 2))))
+		e.Base().Put("src", src)
+		e.Invalidate()
+		return e
 	}
-	for _, head := range []string{
-		".v.r+(.a=X, .b=Y)",
-		".v.r+(.a=X+1, .b=X*Y, .c=X-Y)",
-		".v.r+(.A=X, .lit=7)",
-		".v.r+(.a=X, .a=Y)",              // repeated name: the later value wins
-		".v.r+(.a(.b=X, .c(.d=Y)))",      // nested sets of tuples
-		".v.r+(.members(.m=X), .none())", // nested set with an element; nested empty set
-		".v.r+(=T)",                      // aggregate value, deep-copied
-		".v.r+(=X)",                      // atom
-		".v.r+()",                        // ε: the empty tuple
-		".v.r+(.a=U)",                    // unbound value variable
-		".v.r+(.U=X)",                    // unbound name variable
-		".v.r+(.N=X)",                    // name variable bound to a non-string
-		".v.r+(.a=A+1)",                  // arithmetic on a string
-	} {
-		rule, err := parser.ParseRule(head + " <- .src.s(.x=X, .y=Y, .a=A, .n=N, .u~(=U)), .src.t(=T)")
+	// relation renders .v.r of u, or the error that stopped it.
+	relation := func(u *object.Tuple, err error) string {
+		if err != nil {
+			return err.Error()
+		}
+		if db, ok := u.Get("v"); ok {
+			if r, ok := db.(*object.Tuple).Get("r"); ok {
+				return r.String()
+			}
+		}
+		return "no relation v.r"
+	}
+	refresh := func(head string) (got, prefix string) {
+		r, err := parser.ParseRule(head + " <- " + body)
 		if err != nil {
 			t.Fatalf("parse %s: %v", head, err)
 		}
-		cr, err := compileRule(rule)
+		e := engine()
+		if err := e.AddRule(r); err != nil {
+			t.Fatalf("%s: %v", head, err)
+		}
+		return relation(e.DerivedOverlay()), fmt.Sprintf("core: rule %q: ", r.String())
+	}
+	for _, c := range []struct{ head, want string }{
+		{".v.r+(.a=X, .b=Y)", "{(a:4, b:2.5)}"},
+		{".v.r+(.a=X+1, .b=X*Y, .c=X-Y)", "{(a:5, b:10.0, c:1.5)}"},
+		{".v.r+(.A=X, .lit=7)", "{(attr:4, lit:7)}"},
+		{".v.r+(.a=X, .a=Y)", "{(a:2.5)}"},                                            // repeated name: the later value wins
+		{".v.r+(.a(.b=X, .c(.d=Y)))", "{(a:{(b:4, c:{(d:2.5)})})}"},                   // nested sets of tuples
+		{".v.r+(.members(.m=X), .none())", "{(members:{(m:4)}, none:{})}"},            // nested set with an element; nested empty set
+		{".v.r+(=T)", "{(k:1, nested:{1, 2})}"},                                       // aggregate value, deep-copied
+		{".v.r+(=X)", "{4}"},                                                          // atom
+		{".v.r+()", "{()}"},                                                           // ε: the empty tuple
+		{".v.r+(.a=U)", `insert expression "=U" is undefined: variable U is unbound`}, // unbound value variable
+		{".v.r+(.U=X)", `insert expression ".U=X" is undefined: variable U is unbound`},
+		{".v.r+(.N=X)", "core: attribute variable N bound to non-string 7"},
+		{".v.r+(.a=A+1)", "core: arithmetic + on non-numeric operands attr and 1"},
+	} {
+		got, prefix := refresh(c.head)
+		want := c.want
+		if want[0] != '{' {
+			want = prefix + want
+		}
+		if got != want {
+			t.Errorf("refresh %s:\n got %s\nwant %s", c.head, got, want)
+		}
+		e := engine()
+		e.Base().Put("v", object.NewTuple())
+		q, err := parser.ParseQuery("?" + body + ", " + c.head)
 		if err != nil {
-			t.Fatalf("compile %s: %v", head, err)
+			t.Fatalf("parse request %s: %v", c.head, err)
 		}
-		// The request-side construction runs on the head resolved the way
-		// an update request would be, under a substitution binding the
-		// same variables.
-		sc := newScope(cr.headVars)
-		head := sc.resolveBody(rule.Head)
-		row := make([]object.Object, len(cr.headVars))
-		env := newEnv(sc.size())
-		for i, v := range cr.headVars {
-			if val, ok := bindings[v]; ok {
-				row[i] = val
-				env.Bind(sc.lookup(v), val)
-			}
+		_, err = e.Execute(q)
+		if got := relation(e.Base(), err); got != c.want {
+			t.Errorf("request %s:\n got %s\nwant %s", c.head, got, c.want)
 		}
-		got, gotErr := cr.target.elem.build(row)
-		u := &updater{ev: &evaluator{unit: unit{an: &bodyAnalysis{sc: sc}, env: env}, stats: &Stats{}}, undo: &undoLog{}, result: &ExecResult{}}
-		rel := head.Conjuncts[0].(*ast.AttrExpr).Expr.(*ast.TupleExpr).Conjuncts[0].(*ast.AttrExpr)
-		want, wantErr := u.buildPlus(rel.Expr.(*ast.SetExpr).X)
-		switch {
-		case (gotErr == nil) != (wantErr == nil):
-			t.Errorf("%s: template error %v, buildPlus error %v", head, gotErr, wantErr)
-		case gotErr != nil:
-			if gotErr.Error() != wantErr.Error() {
-				t.Errorf("%s: template error %q, buildPlus error %q", head, gotErr, wantErr)
-			}
-		case got.String() != want.String():
-			t.Errorf("%s: template built %s, buildPlus built %s", head, got, want)
+	}
+	for _, c := range []struct {
+		head, want string
+		err        bool
+	}{
+		{".v.N+(.a=X)", "core: head attribute variable N bound to non-string 7", true},
+		{".v.U+(.a=X)", "core: head attribute variable U is unbound", true},
+		{".v.A+(.a=X)", "no relation v.r", false}, // v.attr holds the element
+	} {
+		got, prefix := refresh(c.head)
+		want := c.want
+		if c.err {
+			want = prefix + want
+		}
+		if got != want {
+			t.Errorf("refresh %s:\n got %s\nwant %s", c.head, got, want)
 		}
 	}
 }

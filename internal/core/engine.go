@@ -124,6 +124,8 @@ type Engine struct {
 	// state that maintains the overlay by delta (maintain.go).
 	strata [][]*compiledRule
 	views  viewState
+	// plus is the insert builder every request's updater shares (update.go).
+	plus plusTuple
 
 	// validator, when set, checks the base universe after every
 	// mutating request; a non-nil error rolls the request back
@@ -591,12 +593,24 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q *ast.Query) (*ExecResult, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	span := e.tracer.Start("exec")
+	return e.request(ctx, "exec", func(u *updater) error {
+		err := e.execBody(resolveUnit(nil, q.Body, false), u, nil, map[*compiledClause]bool{})
+		u.span.SetInt("bindings", int64(u.result.Bindings))
+		return err
+	})
+}
+
+// request runs run as one atomic update request, with e.mu held: under
+// a span of the given name, it counts the request's work, validates a
+// mutating request, and rolls every mutation back when either fails;
+// the views learn whether the base changed.
+func (e *Engine) request(ctx context.Context, name string, run func(*updater) error) (*ExecResult, error) {
+	span := e.tracer.Start(name)
 	annotateTraceID(span, ctx)
 	var local Stats
 	rounds := e.fixpointRounds
 	u := e.newUpdater(&local, cancellable(ctx), span)
-	err := e.execBody(resolveUnit(nil, q.Body, false), u, nil, map[*compiledClause]bool{})
+	err := run(u)
 	if err == nil {
 		err = e.validate(u)
 	}
@@ -605,7 +619,6 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q *ast.Query) (*ExecResult, err
 		e.em.evalWork(local)
 	}
 	if span != nil {
-		span.SetInt("bindings", int64(u.result.Bindings))
 		span.SetInt("changes", int64(u.result.total()))
 		span.End()
 	}
@@ -647,34 +660,9 @@ func (e *Engine) CallCtx(ctx context.Context, db, name string, params map[string
 	if !ok {
 		return nil, fmt.Errorf("core: no update program %s.%s", db, name)
 	}
-	span := e.tracer.Start("call")
-	annotateTraceID(span, ctx)
-	var local Stats
-	rounds := e.fixpointRounds
-	u := e.newUpdater(&local, cancellable(ctx), span)
-	err := e.invokeProgram(p, params, u, map[*compiledClause]bool{})
-	if err == nil {
-		err = e.validate(u)
-	}
-	e.addStats(local)
-	if e.em != nil {
-		e.em.evalWork(local)
-	}
-	if span != nil {
-		span.SetInt("changes", int64(u.result.total()))
-		span.End()
-	}
-	if err != nil {
-		u.undo.rollback()
-		e.markDirty(false)
-		return nil, err
-	}
-	if u.result.Changed() {
-		e.markDirty(true)
-	}
-	u.result.Resources = resourcesFrom(local, u.result.Bindings)
-	u.result.Resources.FixpointRounds = e.fixpointRounds - rounds
-	return u.result, nil
+	return e.request(ctx, "call", func(u *updater) error {
+		return e.invokeProgram(p, params, u, map[*compiledClause]bool{})
+	})
 }
 
 // EffectiveUniverse returns the merged base+derived universe,
@@ -770,6 +758,7 @@ func (e *Engine) newUpdater(stats *Stats, ctx context.Context, span *obs.Span) *
 		undo:   &undoLog{},
 		result: &ExecResult{},
 		span:   span,
+		plus:   &e.plus,
 	}
 	u.cow = e.cowSetUndo(u)
 	if len(e.rules) > 0 {
@@ -983,7 +972,7 @@ func (e *Engine) execUpdateConjunct(conjunct ast.Expr, u *updater, active map[*c
 	// shape we could not match is an error rather than a silent base write.
 	if a, ok := conjunct.(*ast.AttrExpr); ok {
 		if len(e.readOnly) > 0 {
-			if db, ok := resolveName(a.Name, u.ev.env); ok && e.readOnly[db] {
+			if db, err := attrName(a.Name, u.ev.env, "attribute variable"); err == nil && e.readOnly[db] {
 				return &ReadOnlyDBError{DB: db}
 			}
 		}
@@ -1004,8 +993,8 @@ func (e *Engine) updateTarget(conjunct ast.Expr, env *Env) (db, rel string, sign
 	if !isAttr || a.Sign != ast.SignNone {
 		return "", "", 0, nil, false
 	}
-	db, okDB := resolveName(a.Name, env)
-	if !okDB {
+	db, err := attrName(a.Name, env, "attribute variable")
+	if err != nil {
 		return "", "", 0, nil, false
 	}
 	te, isTE := a.Expr.(*ast.TupleExpr)
@@ -1016,8 +1005,8 @@ func (e *Engine) updateTarget(conjunct ast.Expr, env *Env) (db, rel string, sign
 	if !isAttr || relAttr.Sign != ast.SignNone {
 		return "", "", 0, nil, false
 	}
-	rel, okRel := resolveName(relAttr.Name, env)
-	if !okRel {
+	rel, err = attrName(relAttr.Name, env, "attribute variable")
+	if err != nil {
 		return "", "", 0, nil, false
 	}
 	se, isSet := relAttr.Expr.(*ast.SetExpr)
@@ -1025,23 +1014,6 @@ func (e *Engine) updateTarget(conjunct ast.Expr, env *Env) (db, rel string, sign
 		return "", "", 0, nil, false
 	}
 	return db, rel, se.Sign, se.X, true
-}
-
-func resolveName(t ast.Term, env *Env) (string, bool) {
-	switch n := t.(type) {
-	case ast.Const:
-		s, ok := n.Value.(object.Str)
-		return string(s), ok
-	case ast.Var:
-		v, ok := env.Lookup(n.Slot)
-		if !ok {
-			return "", false
-		}
-		s, ok := v.(object.Str)
-		return string(s), ok
-	default:
-		return "", false
-	}
 }
 
 // isDerived reports whether (db, rel) is produced by view rules.

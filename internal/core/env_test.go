@@ -7,6 +7,7 @@ import (
 
 	"idl/internal/object"
 	"idl/internal/parser"
+	"idl/internal/stocks"
 )
 
 // refEnv is the map-based substitution the slot Env replaced, kept as the
@@ -265,4 +266,34 @@ func TestAllocationBudgets(t *testing.T) {
 		t.Errorf("canonical render: %.3f allocations per row, budget 0.05", render)
 	}
 	t.Logf("allocations: %.4f per scanned element, %.4f per emitted row, %.4f per rendered row", filter, full, render)
+
+	// An update request navigating into a set tests each element with
+	// the query part of its conjunct list, one conjunct or several, and
+	// pays nothing for an element that fails it.
+	u, _ := stocks.Universe(stocks.Config{Stocks: 30, Days: 60})
+	we := NewEngine()
+	u.Each(func(db string, v object.Object) bool {
+		we.Base().Put(db, v)
+		return true
+	})
+	we.Invalidate()
+	const elems = 30 * 60
+	for _, src := range []string{
+		"?.euter.r(.stkCode=nobody, .clsPrice+=1)",
+		"?.euter.r(.stkCode=nobody, .clsPrice=P, .clsPrice+=P)",
+	} {
+		q, err := parser.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nav := testing.AllocsPerRun(20, func() {
+			if res, err := we.Execute(q); err != nil || res.Changed() {
+				t.Fatalf("%s: changed %v, err %v", src, res != nil && res.Changed(), err)
+			}
+		}) / elems
+		if nav > 0.25 {
+			t.Errorf("%s: %.3f allocations per scanned element, budget 0.25", src, nav)
+		}
+		t.Logf("%s: %.4f allocations per scanned element", src, nav)
+	}
 }

@@ -172,7 +172,20 @@ type viewState struct {
 	rows    map[*compiledRule]*rowTable
 	targets map[relKey]*viewTarget
 	d       decree // the builder every decree is filled into
+	head    Env    // the substitution every head row is presented in
 	fold    folder
+}
+
+// presented returns vs.head holding row, a rule's head variables, in
+// slots 1… — the substitution the rule's head, resolved in its body's
+// scope, reads. Slots past row keep whatever an earlier, wider rule's
+// row left there; no head of a narrower rule reads them.
+func (vs *viewState) presented(row []object.Object) *Env {
+	if len(vs.head.vals) <= len(row) {
+		vs.head.vals = make([]object.Object, 1+len(row))
+	}
+	copy(vs.head.vals[1:], row)
+	return &vs.head
 }
 
 // rowTable is one rule's live head rows: a rowSet whose removed rows are
@@ -695,7 +708,7 @@ func (m *maintainer) markDirty(g *viewGroup) {
 // round; any other decree is a member of the relation outright.
 func (m *maintainer) place(r *compiledRule, row []object.Object) error {
 	d := &m.vs.d
-	k, err := r.target.decree(d, row)
+	k, err := r.target.decree(d, m.vs.presented(row))
 	if err != nil {
 		return err
 	}
@@ -727,7 +740,7 @@ func (m *maintainer) place(r *compiledRule, row []object.Object) error {
 // of the round, or the relation.
 func (m *maintainer) retract(r *compiledRule, row []object.Object) error {
 	d := &m.vs.d
-	k, err := r.target.decree(d, row)
+	k, err := r.target.decree(d, m.vs.presented(row))
 	if err != nil {
 		return err
 	}

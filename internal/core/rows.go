@@ -40,6 +40,13 @@ func newRowSet(width int) *rowSet { return &rowSet{width: width} }
 
 func (s *rowSet) len() int { return s.n }
 
+// reset empties the set, keeping its storage for the rows added next.
+func (s *rowSet) reset() {
+	s.n = 0
+	s.links = s.links[:0]
+	clear(s.heads)
+}
+
 // locate maps a row index to its chunk and the row's offset within it.
 func (s *rowSet) locate(i int) (chunk, off int) {
 	j := uint(i/rowChunkBase + 1)

@@ -22,7 +22,8 @@ type compiledRule struct {
 	recursive bool
 	// headVars are the head's variables in first-occurrence order; a body
 	// substitution reaches the head as a row holding them positionally.
-	// target is the head compiled against those positions (head.go).
+	// target is the head resolved in the body's scope (head.go), which
+	// numbers them first: head variable i is slot i+1.
 	headVars []string
 	target   *headTarget
 	// body is the body slot-resolved once at registration, its output row
@@ -80,28 +81,28 @@ func compileRule(r *ast.Rule) (*compiledRule, error) {
 		bodyVars[v] = true
 	}
 	headVars := ast.Vars(r.Head)
-	slots := make(map[string]int, len(headVars))
-	for i, v := range headVars {
+	for _, v := range headVars {
 		if !bodyVars[v] {
 			return nil, fmt.Errorf("core: head variable %s does not occur in the body", v)
 		}
-		slots[v] = i
 	}
-	target, rel, ok := compileHead(r.Head, slots)
+	body := resolveUnit(headVars, r.Body, false)
+	target, ok := resolveHead(r.Head, body.sc)
 	if !ok {
 		return nil, errHeadShape(r)
 	}
-	if target.db.slot >= 0 || target.db.err != nil {
+	headDB, ok := ast.ConstName(target.db)
+	if !ok {
 		return nil, fmt.Errorf("core: rule head database name must be a constant string")
 	}
 	return &compiledRule{
 		src:      r,
-		headDB:   target.db.konst,
-		headRel:  rel,
+		headDB:   headDB,
+		headRel:  target.rel,
 		refs:     collectRefs(r.Body),
 		headVars: headVars,
 		target:   target,
-		body:     resolveUnit(headVars, r.Body, false),
+		body:     body,
 		reads:    compileReads(r.Body, headVars),
 	}, nil
 }

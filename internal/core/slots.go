@@ -39,6 +39,9 @@ type scope struct {
 	// holds those slots in walk order. A literal slot has no name.
 	lift bool
 	lits []int32
+	// signs counts the signed nodes resolved so far, so a list knows
+	// whether it carries updates without walking it again.
+	signs int
 }
 
 // tupleInfo is the environment-independent analysis of one conjunct list.
@@ -47,6 +50,14 @@ type tupleInfo struct {
 	// (see consumedVars); the scheduler defers it until all are bound.
 	// nil for a single conjunct, which has no choice to make.
 	consumed [][]int32
+	// A list carrying updates is split for the updater: its query
+	// conjuncts as a list of their own with an ID, whose schedule an
+	// evaluator then builds once per entry signature (unit.adhoc), and
+	// its update conjuncts; each class in source order. query is nil
+	// when there are no query conjuncts, updates when there are no
+	// updates.
+	query   *ast.TupleExpr
+	updates []ast.Expr
 }
 
 // newScope returns a scope whose first slots are the given variables in
@@ -56,7 +67,7 @@ type tupleInfo struct {
 func newScope(first []string) *scope {
 	sc := &scope{
 		names:  make([]string, 1, len(first)+4),
-		tuples: make([]tupleInfo, 1, 4),
+		tuples: make([]tupleInfo, 1, 8),
 	}
 	for _, v := range first {
 		sc.slot(v)
@@ -96,6 +107,7 @@ func (sc *scope) resolve(e ast.Expr) ast.Expr {
 	case *ast.Not:
 		return &ast.Not{X: sc.resolve(x.X)}
 	case *ast.Atomic:
+		sc.sign(x.Sign)
 		return &ast.Atomic{Sign: x.Sign, Op: x.Op, Term: sc.resolveTerm(x.Term)}
 	case *ast.VarExpr:
 		// `=R` in node form: one shape for the evaluator to handle.
@@ -103,30 +115,73 @@ func (sc *scope) resolve(e ast.Expr) ast.Expr {
 	case *ast.Constraint:
 		return &ast.Constraint{L: sc.resolveTerm(x.L), Op: x.Op, R: sc.resolveTerm(x.R)}
 	case *ast.AttrExpr:
-		name := x.Name
-		if v, ok := name.(ast.Var); ok {
-			name = ast.Var{Name: v.Name, Slot: sc.slot(v.Name)}
-		}
-		return &ast.AttrExpr{Sign: x.Sign, Name: name, Expr: sc.resolve(x.Expr)}
+		sc.sign(x.Sign)
+		return &ast.AttrExpr{Sign: x.Sign, Name: sc.resolveName(x.Name), Expr: sc.resolve(x.Expr)}
 	case *ast.SetExpr:
+		sc.sign(x.Sign)
 		return &ast.SetExpr{Sign: x.Sign, X: sc.resolve(x.X)}
 	case *ast.TupleExpr:
 		out := &ast.TupleExpr{Conjuncts: make([]ast.Expr, len(x.Conjuncts))}
+		signs := sc.signs
 		for i, c := range x.Conjuncts {
 			out.Conjuncts[i] = sc.resolve(c)
 		}
 		if len(out.Conjuncts) > 0 {
-			out.ID = int32(len(sc.tuples))
-			var info tupleInfo
-			if len(out.Conjuncts) > 1 {
-				info.consumed = sc.consumedSlots(out.Conjuncts)
+			out.ID = sc.list(out.Conjuncts)
+			if sc.signs != signs {
+				sc.split(out)
 			}
-			sc.tuples = append(sc.tuples, info)
 		}
 		return out
 	default:
 		return e // ε, nil, and node types the evaluator rejects by itself
 	}
+}
+
+// sign counts a signed (update) node.
+func (sc *scope) sign(s ast.Sign) {
+	if s != ast.SignNone {
+		sc.signs++
+	}
+}
+
+// list numbers a resolved conjunct list, returning its ID.
+func (sc *scope) list(conjuncts []ast.Expr) int32 {
+	var info tupleInfo
+	if len(conjuncts) > 1 {
+		info.consumed = sc.consumedSlots(conjuncts)
+	}
+	sc.tuples = append(sc.tuples, info)
+	return int32(len(sc.tuples) - 1)
+}
+
+// split records, for a resolved list carrying updates, its query
+// conjuncts as a list of their own and its update conjuncts: the list
+// itself when it has no query conjunct.
+func (sc *scope) split(x *ast.TupleExpr) {
+	var query []ast.Expr
+	for _, c := range x.Conjuncts {
+		if !ast.HasUpdate(c) {
+			query = append(query, c)
+		}
+	}
+	if query == nil {
+		sc.tuples[x.ID].updates = x.Conjuncts
+		return
+	}
+	updates := slices.DeleteFunc(slices.Clone(x.Conjuncts), func(c ast.Expr) bool { return !ast.HasUpdate(c) })
+	q := &ast.TupleExpr{Conjuncts: query}
+	q.ID = sc.list(query)
+	sc.tuples[x.ID].query, sc.tuples[x.ID].updates = q, updates
+}
+
+// resolveName resolves an attribute-name term: names are schema, so a
+// constant one is never lifted.
+func (sc *scope) resolveName(t ast.Term) ast.Term {
+	if v, ok := t.(ast.Var); ok {
+		return ast.Var{Name: v.Name, Slot: sc.slot(v.Name)}
+	}
+	return t
 }
 
 // resolveTerm resolves a value-position term.

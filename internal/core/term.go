@@ -47,6 +47,32 @@ func evalTerm(t ast.Term, env *Env) (object.Object, error) {
 	}
 }
 
+// attrName evaluates an attribute-name term under env: a constant
+// string, or a variable bound to a string. An unbound variable is an
+// *unboundError; noun words the error for one bound to anything else.
+func attrName(t ast.Term, env *Env, noun string) (string, error) {
+	switch n := t.(type) {
+	case ast.Const:
+		s, ok := n.Value.(object.Str)
+		if !ok {
+			return "", fmt.Errorf("core: attribute name %s is not a string", n.Value)
+		}
+		return string(s), nil
+	case ast.Var:
+		v, ok := env.Lookup(n.Slot)
+		if !ok {
+			return "", &unboundError{Var: n.Name}
+		}
+		s, ok := v.(object.Str)
+		if !ok {
+			return "", fmt.Errorf("core: %s %s bound to non-string %s", noun, n.Name, v)
+		}
+		return string(s), nil
+	default:
+		return "", fmt.Errorf("core: attribute name must be constant or variable")
+	}
+}
+
 // applyArith computes l op r for numeric atoms. Integer arithmetic stays
 // integral; any float operand promotes the result to float.
 func applyArith(op byte, l, r object.Object) (object.Object, error) {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"idl/internal/ast"
 	"idl/internal/object"
@@ -69,6 +70,9 @@ type updater struct {
 	// it returns the writer-private set to mutate (cloning and
 	// re-parenting it if needed, with rollback recorded).
 	cow func(parent *object.Tuple, attr string, s *object.Set) *object.Set
+	// plus is the engine's insert builder (buildPlus), reused by every
+	// request: requests run one at a time.
+	plus *plusTuple
 	// span is the current position in the traced update call tree (nil
 	// when tracing is off); program invocations hang children off it.
 	span *obs.Span
@@ -179,7 +183,7 @@ func (u *updater) execUpdate(e ast.Expr, obj object.Object, sl slot) error {
 	case *ast.AttrExpr:
 		return u.execAttr(x, obj, sl)
 	case *ast.TupleExpr:
-		return u.execTupleConjuncts(x.Conjuncts, obj, sl)
+		return u.execTupleConjuncts(x, obj, sl)
 	case *ast.SetExpr:
 		return u.execSet(x, obj)
 	case *ast.Atomic:
@@ -209,7 +213,7 @@ func (u *updater) execAttr(x *ast.AttrExpr, obj object.Object, sl slot) error {
 			return &InsertUnboundError{Var: x.Name.(ast.Var).Name, Expr: x}
 		}
 		for _, name := range names {
-			val, err := u.buildPlus(x.Expr)
+			val, err := buildPlus(x.Expr, u.ev.env, u.plus)
 			if err != nil {
 				return err
 			}
@@ -345,27 +349,13 @@ func purelyAdditive(e ast.Expr) bool {
 // wildcard semantics, §7.1). A single name is returned in one, which the
 // caller owns; an enumeration is a copy of the tuple's attribute list.
 func (u *updater) resolveAttrNames(x *ast.AttrExpr, tup *object.Tuple, one *[1]string) (names []string, enumerated bool, err error) {
-	switch name := x.Name.(type) {
-	case ast.Const:
-		s, ok := name.Value.(object.Str)
-		if !ok {
-			return nil, false, fmt.Errorf("core: attribute name %s is not a string", name.Value)
-		}
-		one[0] = string(s)
-		return one[:], false, nil
-	case ast.Var:
-		if bound, ok := u.ev.env.Lookup(name.Slot); ok {
-			s, ok := bound.(object.Str)
-			if !ok {
-				return nil, false, fmt.Errorf("core: attribute variable %s bound to non-string %s", name.Name, bound)
-			}
-			one[0] = string(s)
-			return one[:], false, nil
-		}
+	if v, ok := x.Name.(ast.Var); ok && !u.ev.env.Bound(v.Slot) {
 		return append([]string(nil), tup.Attrs()...), true, nil
-	default:
-		return nil, false, fmt.Errorf("core: attribute name must be constant or variable")
 	}
+	if one[0], err = attrName(x.Name, u.ev.env, "attribute variable"); err != nil {
+		return nil, false, err
+	}
+	return one[:], false, nil
 }
 
 // bindLocalName binds an enumerated attribute variable for the duration
@@ -389,7 +379,7 @@ func (u *updater) execSet(x *ast.SetExpr, obj object.Object) error {
 	}
 	switch x.Sign {
 	case ast.SignPlus:
-		elem, err := u.buildPlus(x.X)
+		elem, err := buildPlus(x.X, u.ev.env, u.plus)
 		if err != nil {
 			return err
 		}
@@ -437,14 +427,14 @@ func (u *updater) execSet(x *ast.SetExpr, obj object.Object) error {
 // `.date=D, -.hp=C` on one tuple): query conjuncts bind local
 // substitutions against the tuple, then the update conjuncts apply under
 // each.
-func (u *updater) execTupleConjuncts(conjuncts []ast.Expr, obj object.Object, sl slot) error {
-	queryParts, updateParts := splitTupleParts(conjuncts)
-	locals, err := u.localSubstitutions(queryParts, obj)
-	if err != nil {
+func (u *updater) execTupleConjuncts(x *ast.TupleExpr, obj object.Object, sl slot) error {
+	query, updates := u.parts(x)
+	locals, add := u.localSubs()
+	if err := u.satisfyAll(query, obj, locals, add); err != nil {
 		return err
 	}
 	return u.underEach(locals, func() error {
-		for _, part := range updateParts {
+		for _, part := range updates {
 			if err := u.execUpdate(part, obj, sl); err != nil {
 				return err
 			}
@@ -453,17 +443,39 @@ func (u *updater) execTupleConjuncts(conjuncts []ast.Expr, obj object.Object, sl
 	})
 }
 
-// localSubstitutions collects the distinct extensions of the current
-// substitution under which obj satisfies every query part — gathered in
-// full before anything mutates.
-func (u *updater) localSubstitutions(queryParts []ast.Expr, obj object.Object) (*rowSet, error) {
-	env := u.ev.env
-	locals := newRowSet(len(env.all()))
-	err := u.satisfyAll(queryParts, obj, func() error {
-		locals.add(env.all())
+// parts returns the query conjuncts and the update conjuncts of an
+// expression carrying updates: a conjunct list's as its resolution split
+// them (scope.split), in the scope of the unit being run; any other
+// expression is one update part.
+func (u *updater) parts(e ast.Expr) (query *ast.TupleExpr, updates []ast.Expr) {
+	if x, ok := e.(*ast.TupleExpr); ok {
+		info := &u.ev.an.sc.tuples[x.ID]
+		return info.query, info.updates
+	}
+	return nil, []ast.Expr{e}
+}
+
+// localSubs returns an empty row set and the continuation that adds the
+// current substitution to it, for satisfyAll to gather the local
+// substitutions of one object after another in.
+func (u *updater) localSubs() (*rowSet, cont) {
+	locals := newRowSet(len(u.ev.env.all()))
+	return locals, func() error {
+		locals.add(u.ev.env.all())
 		return nil
-	})
-	return locals, err
+	}
+}
+
+// satisfyAll empties locals and gathers into it, through its add
+// (localSubs), the distinct extensions of the current substitution under
+// which obj satisfies query (nil: every conjunct is an update) — in
+// full, before anything mutates.
+func (u *updater) satisfyAll(query *ast.TupleExpr, obj object.Object, locals *rowSet, add cont) error {
+	locals.reset()
+	if query == nil {
+		return add()
+	}
+	return u.ev.satisfy(query, obj, add)
 }
 
 // underEach runs apply once per local substitution, re-entering it on
@@ -482,17 +494,6 @@ func (u *updater) underEach(locals *rowSet, apply func() error) error {
 	return nil
 }
 
-func splitTupleParts(conjuncts []ast.Expr) (queryParts, updateParts []ast.Expr) {
-	for _, c := range conjuncts {
-		if ast.HasUpdate(c) {
-			updateParts = append(updateParts, c)
-		} else {
-			queryParts = append(queryParts, c)
-		}
-	}
-	return queryParts, updateParts
-}
-
 // execSetElements applies an inner expression containing updates to every
 // element it matches. For each element, the query parts of the inner
 // conjunct list are matched first (binding local variables); the update
@@ -504,11 +505,10 @@ func splitTupleParts(conjuncts []ast.Expr) (queryParts, updateParts []ast.Expr) 
 // snapshot may still reach through a pre-COW copy of this set (set
 // clones are shallow; elements are shared by pointer).
 func (u *updater) execSetElements(inner ast.Expr, set *object.Set) error {
-	queryParts, updateParts := splitParts(inner)
+	query, updates := u.parts(inner)
+	locals, add := u.localSubs()
 	for _, elem := range set.Elems() {
-		// Collect the local substitutions before mutating.
-		locals, err := u.localSubstitutions(queryParts, elem)
-		if err != nil {
+		if err := u.satisfyAll(query, elem, locals, add); err != nil {
 			return err
 		}
 		if locals.len() == 0 {
@@ -517,8 +517,8 @@ func (u *updater) execSetElements(inner ast.Expr, set *object.Set) error {
 		work := elem.Clone()
 		set.Remove(elem)
 		u.detached++
-		err = u.underEach(locals, func() error {
-			for _, part := range updateParts {
+		err := u.underEach(locals, func() error {
+			for _, part := range updates {
 				if err := u.execUpdate(part, work, noSlot{}); err != nil {
 					return err
 				}
@@ -544,36 +544,6 @@ func (u *updater) execSetElements(inner ast.Expr, set *object.Set) error {
 		})
 	}
 	return nil
-}
-
-// splitParts separates an inner expression into query conjuncts (no
-// update signs) and update conjuncts, preserving order within each
-// class. A non-conjunct inner expression with updates is a single update
-// part applying to every element.
-func splitParts(inner ast.Expr) (queryParts, updateParts []ast.Expr) {
-	te, ok := inner.(*ast.TupleExpr)
-	if !ok {
-		if ast.HasUpdate(inner) {
-			return nil, []ast.Expr{inner}
-		}
-		return []ast.Expr{inner}, nil
-	}
-	for _, c := range te.Conjuncts {
-		if ast.HasUpdate(c) {
-			updateParts = append(updateParts, c)
-		} else {
-			queryParts = append(queryParts, c)
-		}
-	}
-	return queryParts, updateParts
-}
-
-// satisfyAll enumerates extensions satisfying every conjunct on obj.
-func (u *updater) satisfyAll(conjuncts []ast.Expr, obj object.Object, k cont) error {
-	if len(conjuncts) == 0 {
-		return k()
-	}
-	return u.ev.satisfy(&ast.TupleExpr{Conjuncts: conjuncts}, obj, k)
 }
 
 // execAtomic handles `+=c` (replace the value, making `=c` true hence
@@ -622,90 +592,117 @@ func (u *updater) execAtomic(x *ast.Atomic, obj object.Object, sl slot) error {
 }
 
 // buildPlus constructs the object a plus expression decrees into
-// existence: the paper's "create an empty object and recursively evaluate
-// +exp on it" (§5.2), with the sign propagating through the whole
-// sub-expression. All terms must be ground.
-func (u *updater) buildPlus(e ast.Expr) (object.Object, error) {
+// existence under env: the paper's "create an empty object and
+// recursively evaluate +exp on it" (§5.2), with the sign propagating
+// through the whole sub-expression. Inserts and rule heads (decree.fill)
+// both build through it. A tuple gathers its attributes on top of t, the
+// stack of tuples under construction every level shares, and leaves t
+// as it found it. All terms must be ground.
+func buildPlus(e ast.Expr, env *Env, t *plusTuple) (object.Object, error) {
 	switch x := e.(type) {
-	case ast.Epsilon:
-		// `+()` — an empty object; it concretizes as an empty tuple,
-		// the common element shape for relations.
-		return object.NewTuple(), nil
 	case *ast.Atomic:
 		if x.Op != ast.OpEQ {
 			return nil, fmt.Errorf("core: insert requires simple expressions; %q is not", x.String())
 		}
-		val, err := evalTerm(x.Term, u.ev.env)
+		val, err := evalTerm(x.Term, env)
 		if err != nil {
 			return nil, insertErrFrom(err, x)
 		}
 		return cloneForStore(val), nil
-	case *ast.AttrExpr:
-		name, val, err := u.plusAttr(x)
-		if err != nil {
-			return nil, err
-		}
-		return object.NewTupleOf([]string{name}, []object.Object{val}), nil
-	case *ast.TupleExpr:
-		var nbuf [8]string
-		var vbuf [8]object.Object
-		names, vals := nbuf[:0], vbuf[:0]
-		for _, c := range x.Conjuncts {
-			a, ok := c.(*ast.AttrExpr)
-			if !ok {
-				return nil, fmt.Errorf("core: insert requires attribute conjuncts; %q is not", c.String())
-			}
-			name, val, err := u.plusAttr(a)
-			if err != nil {
-				return nil, err
-			}
-			names, vals = append(names, name), append(vals, val)
-		}
-		return object.NewTupleOf(names, vals), nil
 	case *ast.SetExpr:
 		s := object.NewSet()
 		if _, isEps := x.X.(ast.Epsilon); !isEps {
-			elem, err := u.buildPlus(x.X)
+			elem, err := buildPlus(x.X, env, t)
 			if err != nil {
 				return nil, err
 			}
 			s.Add(elem)
 		}
 		return s, nil
-	default:
-		return nil, fmt.Errorf("core: expression %q cannot be inserted", e.String())
 	}
+	if isPlusTuple(e) {
+		return t.build(e, env)
+	}
+	return nil, fmt.Errorf("core: expression %q cannot be inserted", e.String())
 }
 
-// plusAttr builds one attribute of an inserted tuple: its name and the
-// object its expression decrees.
-func (u *updater) plusAttr(a *ast.AttrExpr) (string, object.Object, error) {
+// isPlusTuple reports whether a plus expression builds a tuple of
+// attributes: ε (`+()`, the empty tuple, the common element shape for
+// relations), one attribute, or a conjunct list.
+func isPlusTuple(e ast.Expr) bool {
+	switch e.(type) {
+	case ast.Epsilon, *ast.AttrExpr, *ast.TupleExpr:
+		return true
+	}
+	return false
+}
+
+// plusTuple is a stack of tuples under construction, innermost last:
+// each one's attributes in the order first put, a repeated name
+// replacing the earlier value in place, as Tuple.Put does. Its owner
+// reuses it for every construction: the decree builder, whose decree is
+// the bottom tuple, and the engine, for inserts.
+type plusTuple struct {
+	attrs []string
+	vals  []object.Object
+}
+
+// build builds a plus tuple expression (isPlusTuple) under env into a
+// fresh tuple, gathering its attributes on top of t.
+func (t *plusTuple) build(e ast.Expr, env *Env) (object.Object, error) {
+	base := len(t.attrs)
+	err := t.put(e, env)
+	var tup object.Object
+	if err == nil {
+		tup = object.NewTupleOf(t.attrs[base:], t.vals[base:])
+	}
+	clear(t.vals[base:])
+	t.attrs, t.vals = t.attrs[:base], t.vals[:base]
+	return tup, err
+}
+
+// put builds the attributes of a plus tuple expression (isPlusTuple)
+// under env onto the top tuple, the one begun at t's current length, in
+// source order.
+func (t *plusTuple) put(e ast.Expr, env *Env) error {
+	switch x := e.(type) {
+	case *ast.AttrExpr:
+		return t.putAttr(x, len(t.attrs), env)
+	case *ast.TupleExpr:
+		base := len(t.attrs)
+		for _, c := range x.Conjuncts {
+			a, ok := c.(*ast.AttrExpr)
+			if !ok {
+				return fmt.Errorf("core: insert requires attribute conjuncts; %q is not", c.String())
+			}
+			if err := t.putAttr(a, base, env); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// putAttr builds one attribute of the tuple begun at base: its name and
+// the object its expression decrees.
+func (t *plusTuple) putAttr(a *ast.AttrExpr, base int, env *Env) error {
 	if a.Sign == ast.SignMinus {
-		return "", nil, fmt.Errorf("core: minus expression %q inside an insert", a.String())
+		return fmt.Errorf("core: minus expression %q inside an insert", a.String())
 	}
-	var name string
-	switch n := a.Name.(type) {
-	case ast.Const:
-		s, ok := n.Value.(object.Str)
-		if !ok {
-			return "", nil, fmt.Errorf("core: attribute name %s is not a string", n.Value)
-		}
-		name = string(s)
-	case ast.Var:
-		bound, ok := u.ev.env.Lookup(n.Slot)
-		if !ok {
-			return "", nil, &InsertUnboundError{Var: n.Name, Expr: a}
-		}
-		s, ok := bound.(object.Str)
-		if !ok {
-			return "", nil, fmt.Errorf("core: attribute variable %s bound to non-string %s", n.Name, bound)
-		}
-		name = string(s)
-	default:
-		return "", nil, fmt.Errorf("core: attribute name must be constant or variable")
+	name, err := attrName(a.Name, env, "attribute variable")
+	if err != nil {
+		return insertErrFrom(err, a)
 	}
-	val, err := u.buildPlus(a.Expr)
-	return name, val, err
+	val, err := buildPlus(a.Expr, env, t)
+	if err != nil {
+		return err
+	}
+	if i := slices.Index(t.attrs[base:], name); i >= 0 {
+		t.vals[base+i] = val
+	} else {
+		t.attrs, t.vals = append(t.attrs, name), append(t.vals, val)
+	}
+	return nil
 }
 
 // cloneForStore deep-copies aggregate values bound from elsewhere in the

@@ -43,11 +43,15 @@ type spec struct {
 	Workloads []struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
-	EndToEnd []struct {
-		Name   string  `json:"name"`
-		Better string  `json:"better"`
-		Bound  float64 `json:"bound"`
-	} `json:"end_to_end"`
+	EndToEnd []metric `json:"end_to_end"`
+}
+
+// metric is one end-to-end metric: which way is better and how much
+// worse the change's median may be, as a share of the parent's.
+type metric struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
 }
 
 // run is one contract line.
@@ -90,27 +94,13 @@ func main() {
 			fatal(err)
 		}
 		for _, m := range sp.EndToEnd {
-			p, c := values(parent, m.Name), values(change, m.Name)
-			pm, cm := quantile(p, 0.5), quantile(c, 0.5)
-			won, pairs := 0, 0
-			for i := range min(len(parent), len(change)) {
-				if parent[i] != nil && change[i] != nil {
-					pairs++
-					if better(m.Better, change[i].Metrics[m.Name].Value, parent[i].Metrics[m.Name].Value) {
-						won++
-					}
-				}
-			}
-			worse := (cm - pm) / pm
-			if m.Better == "higher" {
-				worse = -worse
-			}
+			s := summarize(m, parent, change)
 			verdict := "ok"
-			if worse > m.Bound {
+			if s.worse {
 				verdict, ok = "WORSE", false
 			}
 			fmt.Printf("%-15s %-17s %12s %12s–%-12s %12s %+7.1f%% %3d/%-2d  %.2f %s\n",
-				w, m.Name, num(pm), num(quantile(p, 0.25)), num(quantile(p, 0.75)), num(cm), 100*(cm-pm)/pm, won, pairs, m.Bound, verdict)
+				w, m.Name, num(s.parent), num(s.q1), num(s.q3), num(s.change), 100*(s.change-s.parent)/s.parent, s.won, s.pairs, m.Bound, verdict)
 		}
 		ps, cs := failedShare(parent), failedShare(change)
 		verdict := "ok"
@@ -131,6 +121,35 @@ func main() {
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// summary is one metric over a workload's runs: the parent's median and
+// quartiles, the change's median, the pairs the change won of those
+// whose two runs both reported, and whether the change's median is
+// worse than the parent's by more than the bound.
+type summary struct {
+	parent, q1, q3, change float64
+	won, pairs             int
+	worse                  bool
+}
+
+func summarize(m metric, parent, change []*run) summary {
+	p, c := values(parent, m.Name), values(change, m.Name)
+	s := summary{parent: quantile(p, 0.5), q1: quantile(p, 0.25), q3: quantile(p, 0.75), change: quantile(c, 0.5)}
+	for i := range min(len(parent), len(change)) {
+		if parent[i] != nil && change[i] != nil {
+			s.pairs++
+			if better(m.Better, change[i].Metrics[m.Name].Value, parent[i].Metrics[m.Name].Value) {
+				s.won++
+			}
+		}
+	}
+	worse := (s.change - s.parent) / s.parent
+	if m.Better == "higher" {
+		worse = -worse
+	}
+	s.worse = worse > m.Bound
+	return s
 }
 
 // printLayers prints, for one workload's traced runs, each layer's
