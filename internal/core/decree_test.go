@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"idl/internal/object"
@@ -215,7 +216,7 @@ func TestDecreeCandidatesScaleWithBucketNotSet(t *testing.T) {
 // refresh and, as a set plus, by an update request under the same
 // bindings, and both must build the relation recorded beside it or fail
 // with the error recorded there (a refresh names the failing rule in
-// front of it). A head's relation name is resolved by the head alone,
+// front of it, under one "core:" prefix). A head's relation name is resolved by the head alone,
 // under its own wording; those heads run through a refresh only.
 func TestPlusBuildsForHeadsAndRequests(t *testing.T) {
 	const body = ".src.s(.x=X, .y=Y, .a=A, .n=N, .u~(=U)), .src.t(=T)"
@@ -270,7 +271,7 @@ func TestPlusBuildsForHeadsAndRequests(t *testing.T) {
 		got, prefix := refresh(c.head)
 		want := c.want
 		if want[0] != '{' {
-			want = prefix + want
+			want = prefix + strings.TrimPrefix(want, "core: ")
 		}
 		if got != want {
 			t.Errorf("refresh %s:\n got %s\nwant %s", c.head, got, want)
@@ -290,8 +291,8 @@ func TestPlusBuildsForHeadsAndRequests(t *testing.T) {
 		head, want string
 		err        bool
 	}{
-		{".v.N+(.a=X)", "core: head attribute variable N bound to non-string 7", true},
-		{".v.U+(.a=X)", "core: head attribute variable U is unbound", true},
+		{".v.N+(.a=X)", "head attribute variable N bound to non-string 7", true},
+		{".v.U+(.a=X)", "head attribute variable U is unbound", true},
 		{".v.A+(.a=X)", "no relation v.r", false}, // v.attr holds the element
 	} {
 		got, prefix := refresh(c.head)

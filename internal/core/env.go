@@ -6,7 +6,8 @@ package core
 
 import (
 	"slices"
-	"strings"
+	"strconv"
+	"sync"
 
 	"idl/internal/federation"
 	"idl/internal/object"
@@ -118,17 +119,17 @@ func (r Row) Get(name string) object.Object {
 	return nil
 }
 
-// appendRow renders one line of Answer.String: tab-separated values,
-// `_` for unbound.
-func appendRow(dst []byte, vals []object.Object) []byte {
+// appendRow renders one line of Answer.String: values rendered by value
+// and separated by tab, `_` for unbound.
+func appendRow(dst []byte, vals []object.Object, tab string, value func([]byte, object.Object) []byte) []byte {
 	for i, v := range vals {
 		if i > 0 {
-			dst = append(dst, '\t')
+			dst = append(dst, tab...)
 		}
 		if v == nil {
 			dst = append(dst, '_')
 		} else {
-			dst = object.AppendString(dst, v)
+			dst = value(dst, v)
 		}
 	}
 	return dst
@@ -280,18 +281,19 @@ func compareRows(x, y []object.Object) int {
 	return 0
 }
 
-// sorted returns the canonical order as a permutation of store indexes:
-// rows ordered by each variable in Vars order, ties keeping their current
-// relative order. Answers often arrive as a few sorted runs (a view's
-// rows stock by stock, say), which a stable merge sort orders in fewer
-// comparisons than pdqsort: 15 115 against 23 514 over served.scan's
-// statement pool, ties broken on position for pdqsort.
-func (a *Answer) sorted() []int32 {
-	perm := slices.Clone(a.order)
-	if perm == nil {
-		perm = make([]int32, a.Len())
-		for i := range perm {
-			perm[i] = int32(i)
+// sortInto appends the canonical order to perm as a permutation of store
+// indexes: rows ordered by each variable in Vars order, ties keeping
+// their current relative order. Answers often arrive as a few sorted runs
+// (a view's rows stock by stock, say), which a stable merge sort orders in
+// fewer comparisons than pdqsort: 15 115 against 23 514 over
+// served.scan's statement pool, ties broken on position for pdqsort.
+func (a *Answer) sortInto(perm []int32) []int32 {
+	perm = slices.Grow(perm, a.Len())
+	if a.order != nil {
+		perm = append(perm, a.order...)
+	} else {
+		for i := range a.Len() {
+			perm = append(perm, int32(i))
 		}
 	}
 	slices.SortStableFunc(perm, func(i, j int32) int {
@@ -302,23 +304,58 @@ func (a *Answer) sorted() []int32 {
 
 // Sort orders rows canonically (by each variable in Vars order) for
 // deterministic output.
-func (a *Answer) Sort() { a.order = a.sorted() }
+func (a *Answer) Sort() { a.order = a.sortInto(nil) }
+
+// permPool recycles the permutations renders sort, so rendering into a
+// warm buffer allocates nothing.
+var permPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // String renders the answer as a small table: a header of variable names
 // and one line per row, canonically ordered. Variable-free answers render
 // as "true"/"false".
 func (a *Answer) String() string {
 	if len(a.Vars) == 0 {
-		if a.Bool() {
-			return "true"
+		return strconv.FormatBool(a.Bool())
+	}
+	return string(a.AppendText(make([]byte, 0, 8*(a.Len()+1)*len(a.Vars))))
+}
+
+// AppendText appends String's rendering to dst.
+func (a *Answer) AppendText(dst []byte) []byte {
+	return a.render(dst, "\t", "\n", object.AppendString, nil)
+}
+
+// AppendJSON appends String's rendering escaped for the inside of a JSON
+// string, byte for byte as encoding/json escapes it (object.EscapeJSON):
+// the one render with tab and newline written as their escapes, and only
+// the values that can need it scanned.
+func (a *Answer) AppendJSON(dst []byte) []byte {
+	return a.render(dst, `\t`, `\n`, object.AppendJSON, object.EscapeJSON)
+}
+
+// render writes the table with the given separators and value renderer;
+// escape, when non-nil, rewrites each header name appended from an
+// offset.
+func (a *Answer) render(dst []byte, tab, nl string, value func([]byte, object.Object) []byte, escape func([]byte, int) []byte) []byte {
+	if len(a.Vars) == 0 {
+		return strconv.AppendBool(dst, a.Bool())
+	}
+	for i, v := range a.Vars {
+		if i > 0 {
+			dst = append(dst, tab...)
 		}
-		return "false"
+		from := len(dst)
+		if dst = append(dst, v...); escape != nil {
+			dst = escape(dst, from)
+		}
 	}
-	b := make([]byte, 0, 8*(a.Len()+1)*len(a.Vars))
-	b = append(b, strings.Join(a.Vars, "\t")...)
-	for _, i := range a.sorted() {
-		b = append(b, '\n')
-		b = appendRow(b, a.rows.row(int(i)))
+	p := permPool.Get().(*[]int32)
+	perm := a.sortInto((*p)[:0])
+	for _, i := range perm {
+		dst = append(dst, nl...)
+		dst = appendRow(dst, a.rows.row(int(i)), tab, value)
 	}
-	return string(b)
+	*p = perm
+	permPool.Put(p)
+	return dst
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 
 	"idl/internal/ast"
 	"idl/internal/object"
@@ -426,7 +427,7 @@ func (m *maintainer) apply(affected []*compiledRule, all bool) error {
 			gained[i], lost[i], err = m.ruleDelta(r)
 		}
 		if err != nil {
-			return fmt.Errorf("core: rule %q: %w", r.src.String(), err)
+			return &ruleError{rule: r.src.String(), err: err}
 		}
 	}
 	for i, r := range affected {
@@ -439,13 +440,27 @@ func (m *maintainer) apply(affected []*compiledRule, all bool) error {
 	for i, r := range affected {
 		for _, row := range gained[i] {
 			if err := m.place(r, row); err != nil {
-				return fmt.Errorf("core: rule %q: %w", r.src.String(), err)
+				return &ruleError{rule: r.src.String(), err: err}
 			}
 		}
 	}
 	m.settle()
 	return nil
 }
+
+// ruleError names the rule a refresh failed in, in front of the error
+// that stopped it, under one package prefix: "core: rule …: attribute
+// variable …", not "core: rule …: core: attribute variable …".
+type ruleError struct {
+	rule string
+	err  error
+}
+
+func (e *ruleError) Error() string {
+	return fmt.Sprintf("core: rule %q: %s", e.rule, strings.TrimPrefix(e.err.Error(), "core: "))
+}
+
+func (e *ruleError) Unwrap() error { return e.err }
 
 // mayLose reports whether the change so far may cost a stratum a row or a
 // support: a Δ⁻ reaching any read, any change reaching a read that is not

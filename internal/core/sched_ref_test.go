@@ -323,7 +323,7 @@ func errText(err error) string {
 // renderRow renders a substitution for comparison.
 func renderRow(row []object.Object) string {
 	var b []byte
-	b = appendRow(b, row)
+	b = appendRow(b, row, "\t", object.AppendString)
 	return string(b)
 }
 

@@ -51,17 +51,14 @@ func (e *StatusError) Error() string { return fmt.Sprintf("server: %d: %s", e.Co
 // IsShed reports whether the response was an admission-control 429.
 func (e *StatusError) IsShed() bool { return e.Code == http.StatusTooManyRequests }
 
-// do sends one request and decodes the response into out (ignored when
-// nil). Non-2xx responses return a *StatusError carrying the server's
-// error string.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// do sends one request with body (none when nil) and decodes the
+// response into out (ignored when nil): a *QueryResponse by the wire
+// codec, anything else by encoding/json. Non-2xx responses return a
+// *StatusError carrying the server's error string.
+func (c *Client) do(ctx context.Context, method, path string, in []byte, out any) error {
 	var body io.Reader
 	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(buf)
+		body = bytes.NewReader(in)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
 	if err != nil {
@@ -92,8 +89,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 	// Read to EOF before closing: net/http returns a keep-alive connection
 	// to its pool only once the body is consumed, and json.Decoder stops at
-	// the end of the value — short of the trailing newline and, on a
-	// chunked (large) reply, the terminating chunk.
+	// the end of the value, short of the trailing newline.
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -109,8 +105,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		return &StatusError{Code: resp.StatusCode, Msg: msg}
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case *QueryResponse:
+		return readQueryResponse(resp.Body, resp.ContentLength, out)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
@@ -118,7 +117,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 // Query evaluates a read-only query.
 func (c *Client) Query(ctx context.Context, stmt string) (*QueryResponse, error) {
 	var out QueryResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/query", StatementRequest{Stmt: stmt}, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/query", requestBody("stmt", stmt), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -127,7 +126,7 @@ func (c *Client) Query(ctx context.Context, stmt string) (*QueryResponse, error)
 // Exec runs an update request or program call.
 func (c *Client) Exec(ctx context.Context, stmt string) (*ExecResponse, error) {
 	var out ExecResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/exec", StatementRequest{Stmt: stmt}, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/exec", requestBody("stmt", stmt), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -135,19 +134,19 @@ func (c *Client) Exec(ctx context.Context, stmt string) (*ExecResponse, error) {
 
 // Rule registers a view rule.
 func (c *Client) Rule(ctx context.Context, stmt string) error {
-	return c.do(ctx, http.MethodPost, "/v1/rule", StatementRequest{Stmt: stmt}, nil)
+	return c.do(ctx, http.MethodPost, "/v1/rule", requestBody("stmt", stmt), nil)
 }
 
 // Clause registers an update-program clause.
 func (c *Client) Clause(ctx context.Context, stmt string) error {
-	return c.do(ctx, http.MethodPost, "/v1/clause", StatementRequest{Stmt: stmt}, nil)
+	return c.do(ctx, http.MethodPost, "/v1/clause", requestBody("stmt", stmt), nil)
 }
 
 // Prepare compiles a prepared statement server-side, minting a session
 // when the client has none (the ID is adopted for later calls).
 func (c *Client) Prepare(ctx context.Context, stmt string) (*PrepareResponse, error) {
 	var out PrepareResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/prepare", StatementRequest{Stmt: stmt}, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/prepare", requestBody("stmt", stmt), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -156,7 +155,7 @@ func (c *Client) Prepare(ctx context.Context, stmt string) (*PrepareResponse, er
 // ExecPrepared executes a prepared statement in the client's session.
 func (c *Client) ExecPrepared(ctx context.Context, id string) (*QueryResponse, error) {
 	var out QueryResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/exec-prepared", PreparedRequest{ID: id}, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/exec-prepared", requestBody("id", id), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -164,7 +163,7 @@ func (c *Client) ExecPrepared(ctx context.Context, id string) (*QueryResponse, e
 
 // ClosePrepared drops a prepared statement from the client's session.
 func (c *Client) ClosePrepared(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodPost, "/v1/close-prepared", PreparedRequest{ID: id}, nil)
+	return c.do(ctx, http.MethodPost, "/v1/close-prepared", requestBody("id", id), nil)
 }
 
 // SessionInfo describes the client's server-side session.

@@ -117,7 +117,7 @@ func wireCall(t *testing.T, base, method, path string, headers map[string]string
 }
 
 // stmtBody renders a StatementRequest body.
-func stmtBody(t *testing.T, stmt string) string {
+func stmtBody(t testing.TB, stmt string) string {
 	t.Helper()
 	b, err := json.Marshal(server.StatementRequest{Stmt: stmt})
 	if err != nil {

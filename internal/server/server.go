@@ -35,7 +35,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -271,23 +270,23 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 }
 
 func (s *Server) handleQuery(ctx context.Context, _ http.ResponseWriter, r *http.Request, _ string) (int, any) {
-	var req StatementRequest
-	if err := decode(r, &req); err != nil {
+	stmt, err := decode(r, "stmt")
+	if err != nil {
 		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
 	}
-	ans, err := s.db.QueryCtx(ctx, req.Stmt)
+	ans, err := s.db.QueryCtx(ctx, stmt)
 	if err != nil {
 		return statusFor(err), ErrorResponse{Error: err.Error()}
 	}
-	return http.StatusOK, queryResponse(ans)
+	return http.StatusOK, answerBody{ans}
 }
 
 func (s *Server) handleExec(ctx context.Context, _ http.ResponseWriter, r *http.Request, _ string) (int, any) {
-	var req StatementRequest
-	if err := decode(r, &req); err != nil {
+	stmt, err := decode(r, "stmt")
+	if err != nil {
 		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
 	}
-	info, err := s.db.ExecCtx(ctx, req.Stmt)
+	info, err := s.db.ExecCtx(ctx, stmt)
 	if err != nil {
 		return statusFor(err), ErrorResponse{Error: err.Error()}
 	}
@@ -302,30 +301,30 @@ func (s *Server) handleExec(ctx context.Context, _ http.ResponseWriter, r *http.
 }
 
 func (s *Server) handleRule(_ context.Context, _ http.ResponseWriter, r *http.Request, _ string) (int, any) {
-	var req StatementRequest
-	if err := decode(r, &req); err != nil {
+	stmt, err := decode(r, "stmt")
+	if err != nil {
 		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
 	}
-	if err := s.db.DefineView(req.Stmt); err != nil {
+	if err := s.db.DefineView(stmt); err != nil {
 		return statusFor(err), ErrorResponse{Error: err.Error()}
 	}
 	return http.StatusOK, OKResponse{OK: true}
 }
 
 func (s *Server) handleClause(_ context.Context, _ http.ResponseWriter, r *http.Request, _ string) (int, any) {
-	var req StatementRequest
-	if err := decode(r, &req); err != nil {
+	stmt, err := decode(r, "stmt")
+	if err != nil {
 		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
 	}
-	if err := s.db.DefineProgram(req.Stmt); err != nil {
+	if err := s.db.DefineProgram(stmt); err != nil {
 		return statusFor(err), ErrorResponse{Error: err.Error()}
 	}
 	return http.StatusOK, OKResponse{OK: true}
 }
 
 func (s *Server) handlePrepare(_ context.Context, w http.ResponseWriter, r *http.Request, tenant string) (int, any) {
-	var req StatementRequest
-	if err := decode(r, &req); err != nil {
+	stmt, err := decode(r, "stmt")
+	if err != nil {
 		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
 	}
 	var sess *session
@@ -339,7 +338,7 @@ func (s *Server) handlePrepare(_ context.Context, w http.ResponseWriter, r *http
 			return http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()}
 		}
 	}
-	p, err := s.db.Prepare(req.Stmt)
+	p, err := s.db.Prepare(stmt)
 	if err != nil {
 		return statusFor(err), ErrorResponse{Error: err.Error()}
 	}
@@ -362,37 +361,37 @@ func (s *Server) sessionOf(r *http.Request, tenant string) (*session, int, any) 
 }
 
 func (s *Server) handleExecPrepared(ctx context.Context, w http.ResponseWriter, r *http.Request, tenant string) (int, any) {
-	var req PreparedRequest
-	if err := decode(r, &req); err != nil {
+	id, err := decode(r, "id")
+	if err != nil {
 		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
 	}
 	sess, status, body := s.sessionOf(r, tenant)
 	if sess == nil {
 		return status, body
 	}
-	p := sess.lookup(req.ID)
+	p := sess.lookup(id)
 	if p == nil {
-		return http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("server: no prepared statement %q in session %s", req.ID, sess.id)}
+		return http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("server: no prepared statement %q in session %s", id, sess.id)}
 	}
 	w.Header().Set(HeaderSession, sess.id)
 	ans, err := p.QueryCtx(ctx)
 	if err != nil {
 		return statusFor(err), ErrorResponse{Error: err.Error()}
 	}
-	return http.StatusOK, queryResponse(ans)
+	return http.StatusOK, answerBody{ans}
 }
 
 func (s *Server) handleClosePrepared(_ context.Context, w http.ResponseWriter, r *http.Request, tenant string) (int, any) {
-	var req PreparedRequest
-	if err := decode(r, &req); err != nil {
+	id, err := decode(r, "id")
+	if err != nil {
 		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
 	}
 	sess, status, body := s.sessionOf(r, tenant)
 	if sess == nil {
 		return status, body
 	}
-	if !sess.close(req.ID) {
-		return http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("server: no prepared statement %q in session %s", req.ID, sess.id)}
+	if !sess.close(id) {
+		return http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("server: no prepared statement %q in session %s", id, sess.id)}
 	}
 	w.Header().Set(HeaderSession, sess.id)
 	return http.StatusOK, OKResponse{OK: true}
@@ -421,17 +420,6 @@ func (s *Server) handleHealthz(_ context.Context, _ http.ResponseWriter, _ *http
 		return http.StatusServiceUnavailable, resp
 	}
 	return http.StatusOK, resp
-}
-
-// queryResponse renders an answer for the wire: the canonical string
-// (byte-identical to an embedded evaluation), row count, and the
-// degraded report when the federation answered best-effort.
-func queryResponse(ans *idl.Result) QueryResponse {
-	resp := QueryResponse{Answer: ans.String(), Rows: ans.Len()}
-	if ans.Degraded != nil {
-		resp.Degraded = ans.Degraded.String()
-	}
-	return resp
 }
 
 // statusFor maps an engine error to a wire status: deadline expiry is
@@ -467,25 +455,4 @@ func validTenant(t string) bool {
 		}
 	}
 	return true
-}
-
-// decode reads a JSON request body (bounded at maxBodyBytes).
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	// Reject unknown fields: a misspelled field name silently decoding
-	// to a zero value turns a client typo into a confusing downstream
-	// error (an empty statement "parses" before it fails).
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("server: bad request body: %v", err)
-	}
-	return nil
-}
-
-// writeJSON encodes one response body.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
 }

@@ -2,12 +2,15 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -437,21 +440,30 @@ func TestTraceAdoption(t *testing.T) {
 	}
 }
 
-// TestClientReusesConnection issues large-answer queries — replies big
-// enough that net/http chunks them — through one Client and counts the
-// connections the server accepts: the client must read each body to EOF
-// so the keep-alive connection goes back to the pool, not dial per reply.
-func TestClientReusesConnection(t *testing.T) {
+// scanDB builds served.scan's universe: 30 stocks × 60 days, so
+// scanQuery answers 1 800 rows.
+func scanDB(t testing.TB) *idl.DB {
+	t.Helper()
 	cfg := workload.Default()
 	cfg.Demo = true
-	cfg.Stocks, cfg.Days = 20, 30
+	cfg.Stocks, cfg.Days = 30, 60
 	db, _, err := workload.Open(cfg, workload.Store{})
 	if err != nil {
 		t.Fatalf("universe: %v", err)
 	}
+	return db
+}
+
+const scanQuery = "?.euter.r(.date=D, .stkCode=S, .clsPrice=P)"
+
+// TestClientReusesConnection issues scan-sized queries through one
+// Client and counts the connections the server accepts: the client must
+// read each body to its end so the keep-alive connection goes back to
+// the pool, not dial per reply.
+func TestClientReusesConnection(t *testing.T) {
 	var mu sync.Mutex
 	conns := 0
-	ts := httptest.NewUnstartedServer(server.New(db, server.Config{}).Handler())
+	ts := httptest.NewUnstartedServer(server.New(scanDB(t), server.Config{}).Handler())
 	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
 		if state == http.StateNew {
 			mu.Lock()
@@ -464,18 +476,93 @@ func TestClientReusesConnection(t *testing.T) {
 
 	c := server.NewClient(ts.URL)
 	c.HTTP = ts.Client() // a transport of its own: nothing pooled by earlier tests
-	for i := 0; i < 20; i++ {
-		ans, err := c.Query(context.Background(), "?.euter.r(.date=D, .stkCode=S, .clsPrice=P)")
+	for i := 0; i < 100; i++ {
+		ans, err := c.Query(context.Background(), scanQuery)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		if ans.Rows != 600 || len(ans.Answer) < 8192 {
-			t.Fatalf("query %d: %d rows, %d answer bytes; want a reply large enough to be chunked", i, ans.Rows, len(ans.Answer))
+		if ans.Rows != 1800 {
+			t.Fatalf("query %d: %d rows, want 1800", i, ans.Rows)
 		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if conns != 1 {
-		t.Errorf("20 sequential queries used %d connections, want 1", conns)
+		t.Errorf("100 sequential queries used %d connections, want 1", conns)
 	}
+}
+
+// TestWireFraming checks that every endpoint, error and refusal
+// included, answers with an exact Content-Length and is never chunked,
+// and that a 1 800-row answer arrives whole and equal to the embedded
+// rendering.
+func TestWireFraming(t *testing.T) {
+	db := scanDB(t)
+	srv, ts := newServer(t, db, server.Config{})
+	acme := map[string]string{server.HeaderTenant: "acme"}
+	acmeS1 := map[string]string{server.HeaderTenant: "acme", server.HeaderSession: "s1"}
+	steps := []struct {
+		method, path string
+		headers      map[string]string
+		body         string
+		status       int
+	}{
+		{"GET", "/healthz", nil, "", 200},
+		{"POST", "/v1/query", acme, stmtBody(t, scanQuery), 200},
+		{"POST", "/v1/query", acme, stmtBody(t, "?.euter.r(.stkCode=stk001, .clsPrice>100)"), 200},
+		{"POST", "/v1/rule", acme, stmtBody(t, ".dbI.p+(.date=D, .stk=S, .price=P) <- .euter.r(.date=D, .stkCode=S, .clsPrice=P)"), 200},
+		{"POST", "/v1/clause", acme, stmtBody(t, ".dbU.ins(.stk=S, .date=D, .price=P) -> .euter.r+(.stkCode=S, .date=D, .clsPrice=P)"), 200},
+		{"POST", "/v1/exec", acme, stmtBody(t, "?.dbU.ins(.stk=newco, .date=1/2/85, .price=42)"), 200},
+		{"POST", "/v1/prepare", acme, stmtBody(t, scanQuery), 200},
+		{"POST", "/v1/exec-prepared", acmeS1, `{"id":"p1"}`, 200},
+		{"GET", "/v1/session", acmeS1, "", 200},
+		{"POST", "/v1/close-prepared", acmeS1, `{"id":"p1"}`, 200},
+		{"GET", "/v1/health", nil, "", 200},
+		{"POST", "/v1/exec-prepared", acmeS1, `{"id":"p1"}`, 404},
+		{"POST", "/v1/query", acme, `{"stmt":`, 400},
+		{"POST", "/v1/query", acme, stmtBody(t, "?.euter.r(.stkCode="), 400},
+		{"POST", "/v1/query", map[string]string{server.HeaderTenant: "bad tenant!"}, stmtBody(t, scanQuery), 400},
+	}
+	check := func(method, path string, headers map[string]string, body string, status int) string {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range headers {
+			req.Header.Set(k, v)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != status {
+			t.Errorf("%s %s: status %d, want %d: %s", method, path, resp.StatusCode, status, b)
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(b)) || resp.Header.Get("Content-Length") != strconv.Itoa(len(b)) {
+			t.Errorf("%s %s: Transfer-Encoding %v, Content-Length %q (%d), body %d bytes", method, path, resp.TransferEncoding, resp.Header.Get("Content-Length"), resp.ContentLength, len(b))
+		}
+		return string(b)
+	}
+	for _, st := range steps {
+		check(st.method, st.path, st.headers, st.body, st.status)
+	}
+	ans, err := db.Query(scanQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got server.QueryResponse
+	if err := json.Unmarshal([]byte(check("POST", "/v1/query", nil, stmtBody(t, scanQuery), 200)), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Rows != ans.Len() || got.Answer != ans.String() {
+		t.Errorf("scan answer over the wire: %d rows, equal to embedded %v", got.Rows, got.Answer == ans.String())
+	}
+	srv.BeginDrain()
+	check("POST", "/v1/query", nil, stmtBody(t, scanQuery), http.StatusServiceUnavailable)
 }
