@@ -514,7 +514,7 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, s stmtShape
 		analyze = newAnalyze(an)
 	}
 	var local Stats
-	rows, err := e.collect(cctx, an, rv, &local, analyze)
+	rows, err := e.collect(cctx, an, rv, &local, analyze, pl.rowHint())
 	e.addStats(local)
 	if rv.em != nil {
 		rv.em.evalWork(local)
@@ -525,6 +525,7 @@ func (e *Engine) runQuery(cctx context.Context, ctx context.Context, s stmtShape
 	if err != nil {
 		return nil, nil, err
 	}
+	pl.noteRows(rows.len())
 	if kind == readAnalyze {
 		x.annotate(analyze.probes, rows.len(), time.Since(start))
 	}
@@ -548,9 +549,10 @@ func endQuerySpan(span *obs.Span, rows int, local Stats, an *bodyAnalysis, analy
 // rv.opts.Workers > 1 it first tries to partition the body's leading scan
 // across workers (parallel.go), whose ordered merge reproduces the
 // sequential row order exactly; measured runs (analyze != nil) stay
-// sequential, per-conjunct probes not being parallel-safe. The row set is
-// never nil, and partial on error.
-func (e *Engine) collect(ctx context.Context, an *bodyAnalysis, rv readView, stats *Stats, analyze *analyzeState) (*rowSet, error) {
+// sequential, per-conjunct probes not being parallel-safe. A sequential
+// run presizes its row set for hint rows (a plan's last answer). The row
+// set is never nil, and partial on error.
+func (e *Engine) collect(ctx context.Context, an *bodyAnalysis, rv readView, stats *Stats, analyze *analyzeState, hint int) (*rowSet, error) {
 	if rv.opts.Workers > 1 && analyze == nil {
 		if rows, ok, err := e.collectPartitioned(ctx, an, rv, stats); ok {
 			return rows, err
@@ -559,6 +561,7 @@ func (e *Engine) collect(ctx context.Context, an *bodyAnalysis, rv readView, sta
 	ev := newEvaluator(ctx, an, rv.opts, stats)
 	ev.analyze = analyze
 	rows := newRowSet(an.width)
+	rows.presize(hint)
 	err := ev.satisfy(an.body, rv.eff, func() error {
 		rows.add(ev.env.window(an.width))
 		return nil

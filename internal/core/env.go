@@ -7,7 +7,6 @@ package core
 import (
 	"slices"
 	"strconv"
-	"sync"
 
 	"idl/internal/federation"
 	"idl/internal/object"
@@ -260,56 +259,6 @@ func (a *Answer) Project(vars ...string) *Answer {
 	return out
 }
 
-// compareRows orders two rows by each position in turn; unbound sorts
-// first.
-func compareRows(x, y []object.Object) int {
-	for i, v := range x {
-		w := y[i]
-		if v == nil || w == nil {
-			if (v == nil) != (w == nil) {
-				if v == nil {
-					return -1
-				}
-				return 1
-			}
-			continue
-		}
-		if c := v.Compare(w); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-// sortInto appends the canonical order to perm as a permutation of store
-// indexes: rows ordered by each variable in Vars order, ties keeping
-// their current relative order. Answers often arrive as a few sorted runs
-// (a view's rows stock by stock, say), which a stable merge sort orders in
-// fewer comparisons than pdqsort: 15 115 against 23 514 over
-// served.scan's statement pool, ties broken on position for pdqsort.
-func (a *Answer) sortInto(perm []int32) []int32 {
-	perm = slices.Grow(perm, a.Len())
-	if a.order != nil {
-		perm = append(perm, a.order...)
-	} else {
-		for i := range a.Len() {
-			perm = append(perm, int32(i))
-		}
-	}
-	slices.SortStableFunc(perm, func(i, j int32) int {
-		return compareRows(a.rows.row(int(i)), a.rows.row(int(j)))
-	})
-	return perm
-}
-
-// Sort orders rows canonically (by each variable in Vars order) for
-// deterministic output.
-func (a *Answer) Sort() { a.order = a.sortInto(nil) }
-
-// permPool recycles the permutations renders sort, so rendering into a
-// warm buffer allocates nothing.
-var permPool = sync.Pool{New: func() any { return new([]int32) }}
-
 // String renders the answer as a small table: a header of variable names
 // and one line per row, canonically ordered. Variable-free answers render
 // as "true"/"false".
@@ -349,13 +298,12 @@ func (a *Answer) render(dst []byte, tab, nl string, value func([]byte, object.Ob
 			dst = escape(dst, from)
 		}
 	}
-	p := permPool.Get().(*[]int32)
-	perm := a.sortInto((*p)[:0])
-	for _, i := range perm {
+	s := sortPool.Get().(*sortScratch)
+	s.perm = a.sortInto(s.perm[:0], s)
+	for _, i := range s.perm {
 		dst = append(dst, nl...)
 		dst = appendRow(dst, a.rows.row(int(i)), tab, value)
 	}
-	*p = perm
-	permPool.Put(p)
+	sortPool.Put(s)
 	return dst
 }

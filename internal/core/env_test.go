@@ -250,9 +250,12 @@ func TestAllocationBudgets(t *testing.T) {
 	if filter > 0.25 {
 		t.Errorf("filter scan emitting nothing: %.3f allocations per scanned element, budget 0.25", filter)
 	}
+	// A repeated shape's row set starts at its plan's last row count, so
+	// its dedup table never grows: what is left per row is its share of
+	// the doubling chunks.
 	full := perRun("?.big.r(.k=K, .date=D, .price=P)", n) / n
-	if full > 1.5 {
-		t.Errorf("full three-variable scan: %.3f allocations per emitted row, budget 1.5", full)
+	if full > 0.02 {
+		t.Errorf("full three-variable scan: %.3f allocations per emitted row, budget 0.02", full)
 	}
 	// Rendering sorts and appends into one buffer: no allocation per row
 	// or per value either.

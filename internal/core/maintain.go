@@ -647,7 +647,7 @@ func (m *maintainer) rerun(r *compiledRule) (gained, lost [][]object.Object, err
 // collect runs a rule body; the rows' order is the same at every worker
 // count.
 func (m *maintainer) collect(an *bodyAnalysis, rv readView) (*rowSet, error) {
-	rows, err := m.e.collect(m.ctx, an, rv, &m.eval, nil)
+	rows, err := m.e.collect(m.ctx, an, rv, &m.eval, nil, 0)
 	m.stats.RuleRows += rows.len()
 	return rows, err
 }

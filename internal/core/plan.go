@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"idl/internal/ast"
@@ -152,6 +153,27 @@ type queryPlan struct {
 	an        *bodyAnalysis
 	epoch     uint64
 	compileNS int64
+	// rows is the row count of the plan's last answer, at most
+	// rowHintMax: the capacity its next read's row set starts with
+	// (rowSet.presize). It lives here, not on the analysis, because a
+	// read with literals evaluates a copy of that (bind).
+	rows atomic.Int32
+}
+
+// rowHintMax caps a row hint, so one huge answer cannot make every later
+// read of its shape reserve for it.
+const rowHintMax = 1 << 16
+
+// rowHint is the row count the plan's next answer is presized for.
+func (pl *queryPlan) rowHint() int { return int(pl.rows.Load()) }
+
+// noteRows records an answer's row count as the plan's row hint. Reads
+// of one shape share the plan, so it stores only a changed count: a
+// shape whose answers keep their size leaves the cache line shared.
+func (pl *queryPlan) noteRows(n int) {
+	if n := int32(min(n, rowHintMax)); pl.rows.Load() != n {
+		pl.rows.Store(n)
+	}
 }
 
 // PlanInfo reports how an answer's plan was obtained; attached to every

@@ -520,3 +520,60 @@ func TestNegationRanksOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestRowHintUnderConcurrentReads: two readers share one shape's plan
+// with literals that give 1 row and 1 800, so each presizes from the
+// other's count. Their answers equal the serial run's, and no row set is
+// presized past rowHintMax (run it under -race: the hint is shared).
+func TestRowHintUnderConcurrentReads(t *testing.T) {
+	e := scanEngine(t, 1800)
+	srcs := []string{"?.big.r(.k=K, .date=D, .price=P, .k>2798)", "?.big.r(.k=K, .date=D, .price=P, .k>999)"}
+	var want []string
+	for i, src := range srcs {
+		ans, err := e.Query(mustParse(t, src))
+		if err != nil || ans.Len() != []int{1, 1800}[i] {
+			t.Fatalf("%s: %d rows, %v", src, ans.Len(), err)
+		}
+		want = append(want, ans.String())
+	}
+	var wg sync.WaitGroup
+	for i, src := range srcs {
+		wg.Add(1)
+		go func(i int, q *ast.Query) {
+			defer wg.Done()
+			for range 40 {
+				ans, err := e.Query(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := ans.String(); got != want[i] {
+					t.Errorf("%s: concurrent answer differs from the serial one", srcs[i])
+					return
+				}
+				if c := cap(ans.rows.links); c > rowHintMax {
+					t.Errorf("%s: row set presized for %d rows, cap %d", srcs[i], c, rowHintMax)
+				}
+			}
+		}(i, mustParse(t, src))
+	}
+	wg.Wait()
+	e.planMu.Lock()
+	defer e.planMu.Unlock()
+	if len(e.plans.m) != 1 {
+		t.Fatalf("%d plans, want the one shape's", len(e.plans.m))
+	}
+	for _, el := range e.plans.m {
+		if h := el.Value.(*planEntry).pl.rowHint(); h != 1 && h != 1800 {
+			t.Errorf("row hint %d, want the last answer's 1 or 1800", h)
+		}
+	}
+	// A count past the cap presizes for the cap.
+	var pl queryPlan
+	pl.noteRows(4 * rowHintMax)
+	s := newRowSet(1)
+	s.presize(pl.rowHint())
+	if cap(s.links) != rowHintMax || len(s.heads) != 2*rowHintMax {
+		t.Errorf("presized past the cap: %d links, %d buckets", cap(s.links), len(s.heads))
+	}
+}

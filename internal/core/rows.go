@@ -38,6 +38,17 @@ const rowChunkBase = 8
 
 func newRowSet(width int) *rowSet { return &rowSet{width: width} }
 
+// presize sizes the dedup table for hint rows, so adding that many
+// neither grows nor rechains it. A hint of one chunk or less changes
+// nothing: such a set does without the table.
+func (s *rowSet) presize(hint int) {
+	if hint <= rowChunkBase {
+		return
+	}
+	s.links = make([]rowLink, 0, hint)
+	s.heads = make([]int32, 1<<bits.Len(uint(2*hint-1)))
+}
+
 func (s *rowSet) len() int { return s.n }
 
 // reset empties the set, keeping its storage for the rows added next.

@@ -447,7 +447,7 @@ func ruleOracle(t testing.TB, e *Engine) string {
 		if d := oracleDiff(an, eff, nil, e.opts); d != "" {
 			return fmt.Sprintf("rule %s: %s", r.src, d)
 		}
-		rows, err := e.collect(nil, an, readView{eff: eff, opts: e.opts}, &Stats{}, nil)
+		rows, err := e.collect(nil, an, readView{eff: eff, opts: e.opts}, &Stats{}, nil, 0)
 		if err != nil {
 			continue
 		}

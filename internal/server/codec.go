@@ -305,16 +305,13 @@ func (s *scanner) next(c byte) bool {
 // unquotes it, and fails on a surrogate escape or a byte of invalid
 // UTF-8, which encoding/json replaces. Plain ASCII text is returned as
 // it stands in b; anything else decodes into s.out, valid until the next
-// call.
+// call, each run of plain bytes appended in one copy.
 func (s *scanner) str() ([]byte, bool) {
 	if !s.next('"') {
 		return nil, false
 	}
 	b, start := s.b, s.p
-	r := start
-	for r < len(b) && b[r] != '"' && b[r] != '\\' && ' ' <= b[r] && b[r] < utf8.RuneSelf {
-		r++
-	}
+	r := plain(b, start)
 	if r < len(b) && b[r] == '"' {
 		s.p = r + 1
 		return b[start:r], true
@@ -355,9 +352,6 @@ func (s *scanner) str() ([]byte, bool) {
 			r += 2
 		case c < ' ':
 			return nil, false
-		case c < utf8.RuneSelf:
-			out = append(out, c)
-			r++
 		default:
 			rr, n := utf8.DecodeRune(b[r:])
 			if rr == utf8.RuneError && n == 1 {
@@ -366,8 +360,20 @@ func (s *scanner) str() ([]byte, bool) {
 			out = append(out, b[r:r+n]...)
 			r += n
 		}
+		from := r
+		r = plain(b, r)
+		out = append(out, b[from:r]...)
 	}
 	return nil, false
+}
+
+// plain returns the end of the run of plain bytes from r: printable
+// ASCII other than a quote or a backslash, which a string holds as is.
+func plain(b []byte, r int) int {
+	for r < len(b) && b[r] != '"' && b[r] != '\\' && ' ' <= b[r] && b[r] < utf8.RuneSelf {
+		r++
+	}
+	return r
 }
 
 // hex4 reads the four hex digits of a u-escape, -1 when there are none.

@@ -92,6 +92,9 @@ func FuzzWireCodec(f *testing.F) {
 	for _, s := range wireSeeds {
 		f.Add(s.body, s.limit)
 	}
+	// A 1 800-row answer body: the client decodes its escaped tabs and
+	// newlines between long runs of plain bytes.
+	f.Add(string(appendQueryResponse(nil, scanAnswer(f))), 0)
 	f.Fuzz(func(t *testing.T, s string, limit int) {
 		checkEscape(t, s)
 		checkRequest(t, s, limit)

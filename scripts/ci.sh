@@ -88,8 +88,9 @@ go test -run '^TestCrashPointGrid$|^TestCheckpointRecovery$' -short .
 # sequential-vs-parallel differential oracle, view maintenance by delta
 # against a from-scratch materialization after every statement, and
 # randomized crash-point recovery against the prefix-consistency
-# oracle, and the wire codec against encoding/json and the former
-# request decoder. Any corpus crasher found earlier re-runs here as a regression
+# oracle, the wire codec against encoding/json and the former
+# request decoder, and the canonical answer order against a stable sort
+# by compareRows. Any corpus crasher found earlier re-runs here as a regression
 # seed.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/parser
 go test -run '^$' -fuzz '^FuzzLex$' -fuzztime 10s ./internal/parser
@@ -98,6 +99,7 @@ go test -run '^$' -fuzz '^FuzzEvalQuery$' -fuzztime 15s ./internal/core
 go test -run '^$' -fuzz '^FuzzViewMaintenance$' -fuzztime 15s ./internal/core
 go test -run '^$' -fuzz '^FuzzRecovery$' -fuzztime 15s .
 go test -run '^$' -fuzz '^FuzzWireCodec$' -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz '^FuzzCanonicalOrder$' -fuzztime 10s ./internal/core
 
 # Server smoke: capture a queries-only journal, replay it in process
 # (-check without -addr), serve the same demo universe from idld on an
